@@ -80,11 +80,6 @@ class ProblemFile:
 
 
 def _build_divisor(variety, coeffs: dict[str, Scalar]):
-    if isinstance(variety, toric.Fan):
-        try:
-            return variety.divisor(coeffs)
-        except KeyError as exc:
-            raise ParseError(str(exc), "divisors")
     try:
         return variety.divisor(coeffs)
     except KeyError as exc:
@@ -289,8 +284,10 @@ def _cmd_hilbert(args):
     n = variety.dim if isinstance(variety, toric.Fan) else 2
     worker = _hilbert_row_fan if isinstance(variety, toric.Fan) else _hilbert_row_surface
     tasks = [(D, m) for m in samples]
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all its workers up front, so never ask for more than can run
+    jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             counts = list(pool.map(worker, tasks))
     else:
         counts = [worker(t) for t in tasks]
@@ -498,7 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rdiv", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--jobs", type=int, default=1, help="parallel sample evaluation")
+    common.add_argument(
+        "--jobs", type=int, default=1, help="parallel sample evaluation, at most one worker per CPU"
+    )
     subs = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, extra in (

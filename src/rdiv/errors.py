@@ -49,10 +49,6 @@ class NonSimplicialCone(RdivError):
     pass
 
 
-class NoStabilization(RdivError):
-    pass
-
-
 class NoSections(RdivError):
     """No sections at the requested multiple."""
 

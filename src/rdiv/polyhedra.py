@@ -28,7 +28,6 @@ __all__ = [
     "lattice_points",
     "lattice_point_list",
     "facet_lattice_volume",
-    "is_feasible",
     "is_bounded",
 ]
 
@@ -288,10 +287,6 @@ def _vertex_set(p: HPolytope) -> tuple[tuple[Scalar, ...], ...]:
             key = tuple(_as_scalar(x) for x in sol)
             found[key] = None
     return tuple(sorted(found))
-
-
-def is_feasible(p: HPolytope) -> bool:
-    return bool(_vertex_set(p))
 
 
 def vertices(p: HPolytope) -> set[tuple[Scalar, ...]]:

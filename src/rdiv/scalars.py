@@ -40,16 +40,6 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, f * n
 
 
-# Dyadic lower bounds for sqrt(d), good to ~2^-60; enough to seed floor().
-_SQRT_CACHE: dict[int, Fraction] = {}
-
-
-def _sqrt_lower(d: int) -> Fraction:
-    if d not in _SQRT_CACHE:
-        _SQRT_CACHE[d] = Fraction(math.isqrt(d << 120), 1 << 60)
-    return _SQRT_CACHE[d]
-
-
 class Scalar:
     """Immutable element of Q or Q(sqrt(d))."""
 
@@ -229,15 +219,17 @@ class Scalar:
     # ---- rounding --------------------------------------------------------
 
     def __floor__(self) -> int:
+        a, b = self.rat.numerator, self.rat.denominator
         if not self.surd:
-            return self.rat.numerator // self.rat.denominator
-        # dyadic estimate, then fix up by exact comparisons
-        n = math.floor(self.rat + self.surd * _sqrt_lower(self.disc))
-        while self._cmp(n) < 0:
-            n -= 1
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        return n
+            return a // b
+        # value = (a*q + m*sqrt(d)) / (b*q); floor(m*sqrt(d)) is an isqrt
+        p, q = self.surd.numerator, self.surd.denominator
+        m = p * b
+        t = math.isqrt(m * m * self.disc)
+        if m < 0:
+            # exact because disc is square-free and > 1 whenever surd != 0
+            t = -t - 1
+        return (a * q + t) // (b * q)
 
     def __ceil__(self) -> int:
         return -math.floor(-self)

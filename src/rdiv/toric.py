@@ -11,11 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     NoSections,
-    NoStabilization,
     NonSimplicialCone,
     NotBig,
     NotNef,
@@ -32,6 +30,7 @@ from .polyhedra import (
     lattice_point_list,
     lattice_points,
     lp_solve,
+    _tight_sets,
     _vertex_set,
 )
 from .scalars import Scalar
@@ -54,7 +53,6 @@ __all__ = [
     "intersection_nef",
     "intersection_nef_div",
     "sigma_limit_oracle",
-    "ample_divisor",
     "principal_divisor",
 ]
 
@@ -322,74 +320,24 @@ def principal_divisor(fan: Fan, u) -> TDivisor:
     )
 
 
-@lru_cache(maxsize=None)
-def ample_divisor(fan: Fan) -> TDivisor:
-    """Some ample divisor, from the strict-convexity margin LP.
-
-    Variables: one coefficient per ray, one linear functional per maximal
-    cone, and a margin t capped at 1; the functional of the first cone is
-    pinned to zero to remove the translation freedom.  Maximizing t with
-    equality on each cone's own rays and slack >= t elsewhere yields a
-    strictly convex support function exactly when the fan is projective.
-    """
-    R, C, n = fan.nrays, len(fan.max_cones), fan.dim
-    nvars = R + C * n + 1
-    tvar = nvars - 1
-    rows = []
-
-    def row(indexed, offset=0):
-        g = [0] * nvars
-        for j, c in indexed:
-            g[j] += c
-        return (tuple(g), Scalar(offset))
-
-    for ci, cone in enumerate(fan.max_cones):
-        base = R + ci * n
-        for ri in range(R):
-            ray = fan.rays[ri]
-            entries = [(base + j, ray[j]) for j in range(n)] + [(ri, 1)]
-            if ri in cone:
-                rows.append(row(entries))
-                rows.append(row([(j, -c) for j, c in entries]))
-            else:
-                rows.append(row(entries + [(tvar, -1)]))
-    for j in range(n):  # gauge: first cone's functional is zero
-        rows.append(row([(R + j, 1)]))
-        rows.append(row([(R + j, -1)]))
-    rows.append(row([(tvar, -1)], -1))  # t <= 1
-
-    objective = tuple(-1 if j == tvar else 0 for j in range(nvars))
-    result = lp_solve(LPProblem(objective, HPolytope(nvars, tuple(rows))))
-    if result.status != "optimal" or result.point[tvar].sign() <= 0:
-        raise RdivError("fan admits no strictly convex support function")
-    return TDivisor(fan, result.point[:R])
-
-
-def bplus_div(D: TDivisor, max_halvings: int = 20, trace: bool = False):
-    """Divisorial augmented base locus: the support of the negative part of
-    D - eps*A along a halving eps schedule, accepted after stabilizing three
-    times in a row."""
+def bplus_div(D: TDivisor) -> frozenset[int]:
+    """Divisorial augmented base locus of a big divisor: the rays whose face
+    <u, ray> = -coeff of the section polytope is not a facet, i.e. has zero
+    restricted volume (Ein-Lazarsfeld-Mustata-Nakamaye-Popa).  A face is a
+    facet when its tight vertices have affine rank n - 1; an empty face has
+    rank -1.  The rule needs no ample divisor, so on a complete fan without
+    one (non-projective, dim >= 3) it still returns the rays of zero
+    restricted volume instead of raising."""
     _check_tdivisor(D)
     if not is_big(D):
         raise NotBig("the divisorial augmented base locus needs a big divisor")
-    A = ample_divisor(D.fan)
-    eps = Scalar(1)
-    guard = 0
-    while not is_big(D - A.scale(eps)):
-        eps = eps / 2
-        guard += 1
-        if guard > 60:
-            raise NoStabilization("could not make D - eps*A big")
-    history = []
-    for _ in range(max_halvings + 1):
-        shifted = D - A.scale(eps)
-        support = frozenset(i for i in range(D.fan.nrays) if sigma(shifted, i).sign() > 0)
-        history.append((eps, support))
-        if len(history) >= 3 and history[-1][1] == history[-2][1] == history[-3][1]:
-            return history if trace else support
-        eps = eps / 2
-    raise NoStabilization(
-        f"support of the negative part did not stabilize within {max_halvings} halvings"
+    p = polytope_of(D)
+    verts = _vertex_set(p)
+    n = D.fan.dim
+    return frozenset(
+        i
+        for i, tight in enumerate(_tight_sets(verts, p.rows, [o for _, o in p.rows]))
+        if affine_rank([verts[k] for k in tight]) < n - 1
     )
 
 

@@ -1,12 +1,20 @@
 """Independent brute-force oracles used to freeze expected values.
 
-These deliberately avoid the library's own code paths: small hand-rolled
+Most deliberately avoid the library's own code paths: small hand-rolled
 Cramer solves, exhaustive 2-subset vertex enumeration, shoelace areas and
-box-membership lattice counts, all in exact arithmetic.
+box-membership lattice counts, all in exact arithmetic.  The B+ reference
+at the end is the older ample-divisor epsilon schedule, kept to cross-check
+the library's direct facet rule.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
+
+from rdiv.errors import NotBig, RdivError
+from rdiv.polyhedra import HPolytope, LPProblem, lp_solve
+from rdiv.scalars import Scalar
+from rdiv.toric import Fan, TDivisor, is_big, sigma
 
 
 def solve2(rows, rhs):
@@ -73,3 +81,78 @@ def naive_lattice_count(rows, dim, lo=-200, hi=200):
 def simplex_count(m):
     """Lattice points of the dilated unit simplex in the plane."""
     return (m + 1) * (m + 2) // 2
+
+
+# ---------------------------------------------------------------------------
+# B+ by the epsilon schedule: the reference that toric.bplus_div's facet rule
+# must agree with.  Unlike the oracles above it runs on the library's LP.
+
+
+@lru_cache(maxsize=None)
+def ample_divisor(fan: Fan) -> TDivisor:
+    """Some ample divisor, from the strict-convexity margin LP.
+
+    Variables: one coefficient per ray, one linear functional per maximal
+    cone, and a margin t capped at 1; the functional of the first cone is
+    pinned to zero to remove the translation freedom.  Maximizing t with
+    equality on each cone's own rays and slack >= t elsewhere yields a
+    strictly convex support function exactly when the fan is projective.
+    """
+    R, C, n = fan.nrays, len(fan.max_cones), fan.dim
+    nvars = R + C * n + 1
+    tvar = nvars - 1
+    rows = []
+
+    def row(indexed, offset=0):
+        g = [0] * nvars
+        for j, c in indexed:
+            g[j] += c
+        return (tuple(g), Scalar(offset))
+
+    for ci, cone in enumerate(fan.max_cones):
+        base = R + ci * n
+        for ri in range(R):
+            ray = fan.rays[ri]
+            entries = [(base + j, ray[j]) for j in range(n)] + [(ri, 1)]
+            if ri in cone:
+                rows.append(row(entries))
+                rows.append(row([(j, -c) for j, c in entries]))
+            else:
+                rows.append(row(entries + [(tvar, -1)]))
+    for j in range(n):  # gauge: first cone's functional is zero
+        rows.append(row([(R + j, 1)]))
+        rows.append(row([(R + j, -1)]))
+    rows.append(row([(tvar, -1)], -1))  # t <= 1
+
+    objective = tuple(-1 if j == tvar else 0 for j in range(nvars))
+    result = lp_solve(LPProblem(objective, HPolytope(nvars, tuple(rows))))
+    if result.status != "optimal" or result.point[tvar].sign() <= 0:
+        raise RdivError("fan admits no strictly convex support function")
+    return TDivisor(fan, result.point[:R])
+
+
+def bplus_halving(D: TDivisor, max_halvings: int = 20):
+    """The support of the negative part of D - eps*A along a halving eps
+    schedule, as the list of (eps, support) pairs; it ends once the support
+    has repeated three times in a row, and its last support is B+(D)."""
+    if not is_big(D):
+        raise NotBig("the divisorial augmented base locus needs a big divisor")
+    A = ample_divisor(D.fan)
+    eps = Scalar(1)
+    guard = 0
+    while not is_big(D - A.scale(eps)):
+        eps = eps / 2
+        guard += 1
+        if guard > 60:
+            raise RdivError("could not make D - eps*A big")
+    history = []
+    for _ in range(max_halvings + 1):
+        shifted = D - A.scale(eps)
+        support = frozenset(i for i in range(D.fan.nrays) if sigma(shifted, i).sign() > 0)
+        history.append((eps, support))
+        if len(history) >= 3 and history[-1][1] == history[-2][1] == history[-3][1]:
+            return history
+        eps = eps / 2
+    raise RdivError(
+        f"support of the negative part did not stabilize within {max_halvings} halvings"
+    )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rdiv import cli
 from rdiv.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -74,6 +75,35 @@ def test_hilbert_jobs_parallel_matches(capsys):
     )
     assert code == code2 == EXIT_OK
     assert seq == par
+
+
+@pytest.mark.parametrize(
+    "cpus,samples,expected",
+    [(8, "1,2,3", 3), (2, "1,2,3,4,5", 2), (None, "1,2,3", None), (8, "1", None)],
+)
+def test_hilbert_jobs_clamped_to_cpus_and_tasks(capsys, monkeypatch, cpus, samples, expected):
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    argv = ("hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", samples)
+    code, out, _ = invoke(capsys, *argv, "--jobs", "100000")
+    assert code == EXIT_OK
+    assert out == invoke(capsys, *argv)[1]
+    assert started == ([] if expected is None else [expected])
 
 
 def test_nef_big_queries(capsys):

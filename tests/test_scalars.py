@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,24 @@ def test_floor_of_large_values():
     big = Scalar(Fraction(10**12), Fraction(10**6), 2)
     f = scalar_floor(big)
     assert Scalar(f) <= big < Scalar(f + 1)
+
+
+def test_floor_of_huge_irrational_values_is_exact():
+    # far past what a fixed-precision estimate of sqrt(d) can round correctly
+    n = 10**24 + 1
+    assert scalar_floor(Scalar(0, n, 2)) == math.isqrt(2 * n * n)
+    assert scalar_floor(Scalar(0, -n, 2)) == -math.isqrt(2 * n * n) - 1
+    # 30-digit parts that nearly cancel: 10^30*sqrt(2) minus its own floor
+    k = 10**30
+    frac = Scalar(-math.isqrt(2 * k * k), k, 2)
+    assert scalar_floor(frac) == 0 and scalar_floor(-frac) == -1
+    for x in (
+        Scalar(Fraction(10**30 + 7, 3), Fraction(-(10**29) - 11, 7), 2),
+        Scalar(Fraction(-(10**30) + 1, 13), Fraction(10**30 - 3, 11), 3),
+        Scalar(Fraction(123456789012345678901234567890, 7), Fraction(1, 10**30), 5),
+    ):
+        f = scalar_floor(x)
+        assert x._cmp(f) >= 0 and x._cmp(f + 1) < 0
 
 
 def test_pickle_roundtrip():

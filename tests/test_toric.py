@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ample_divisor, bplus_halving
 from rdiv.errors import NoSections, NonSimplicialCone, NotBig, NotNef, UnsupportedDivisor
 from rdiv.polyhedra import vertices
 from rdiv.scalars import Scalar, sqrt
 from rdiv.surface import SurfaceModel
+from rdiv.theorems import generate_corpus
 from rdiv.toric import (
     Fan,
-    ample_divisor,
     bplus_div,
     h0,
     hilbert_table,
@@ -209,8 +210,9 @@ def test_bplus_contains_nsigma_support_and_stabilizes():
     for fan in (F1, F2, P2, P1P1):
         for _ in range(5):
             D = rand_big(fan, rng)
-            trace = bplus_div(D, trace=True)
+            trace = bplus_halving(D)
             support = trace[-1][1]
+            assert bplus_div(D) == support
             assert support == trace[-2][1] == trace[-3][1]
             dec = sigma_decomposition(D)
             assert dec.nsigma.support() <= support
@@ -218,6 +220,51 @@ def test_bplus_contains_nsigma_support_and_stabilizes():
             # can only shrink as eps halves
             for (_, s1), (_, s2) in zip(trace, trace[1:]):
                 assert s2 <= s1
+
+
+def test_bplus_facet_rule_matches_halving_schedule_on_corpus():
+    checked = 0
+    for inst in generate_corpus(2026, 40):
+        _, D, E = inst.realize()
+        for X in (D, D + E):
+            if is_big(X):
+                assert bplus_div(X) == bplus_halving(X)[-1][1], inst.to_json()
+                checked += 1
+    assert checked >= 40
+
+
+def test_bplus_facet_rule_matches_halving_schedule_irrational():
+    rng = random.Random(23)
+    r2 = sqrt(2)
+    checked = 0
+    for fan in (P2, P1P1, F1, F2, P3):
+        for _ in range(5):
+            while True:
+                D = fan.divisor(
+                    [rng.randint(-4, 6) / Scalar(2) + rng.randint(-3, 3) * r2 / 2 for _ in fan.rays]
+                )
+                if is_big(D):
+                    break
+            assert bplus_div(D) == bplus_halving(D)[-1][1], D.coeffs
+            checked += 1
+    assert checked >= 20
+
+
+def test_bplus_on_non_projective_fan_is_the_zero_restricted_volume_rays():
+    # a triangular prism whose side squares are split by cyclically turning
+    # diagonals: complete and simplicial, with no strictly convex support function
+    rays = ((1, 0, -1), (0, 1, -1), (-1, -1, -1), (1, 0, 1), (0, 1, 1), (-1, -1, 1))
+    cones = [(0, 1, 2), (3, 4, 5)]
+    for i in range(3):
+        j = (i + 1) % 3
+        cones += [(i, j, 3 + j), (i, 3 + j, 3 + i)]
+    # (oracles.ample_divisor confirms it; its 31-variable LP is too slow for the suite)
+    fan = Fan(3, rays, tuple(cones))
+    assert bplus_div(fan.divisor([1] * 6)) == frozenset()
+    assert bplus_div(fan.divisor([0, -2, 1, 4, 1, 1])) == {2, 3}
+    # a face of lower dimension that still meets the polytope: sigma is zero there
+    D = fan.divisor([-2, 4, 1, 1, 2, 4])
+    assert bplus_div(D) == {1} and sigma(D, 1) == 0
 
 
 def test_ample_divisor_is_ample():
