@@ -132,7 +132,10 @@ def _parse_variety(spec, path: str):
         cones = tuple(tuple(c) for c in spec["cones"])
     except (KeyError, TypeError):
         raise ParseError("fan needs 'rays' and 'cones' arrays", path)
-    names = tuple(sorted((str(k), int(v)) for k, v in spec.get("names", {}).items()))
+    try:
+        names = tuple(sorted((str(k), int(v)) for k, v in spec.get("names", {}).items()))
+    except ValueError:
+        raise ParseError("'names' must map labels to ray indices", f"{path}.names")
     try:
         return toric.Fan(len(rays[0]) if rays else 0, rays, cones, names)
     except (ValueError, RdivError) as exc:
@@ -204,8 +207,11 @@ def _parse_inline_coeffs(text: str) -> dict[str, Scalar]:
 def _load_context(args):
     """Resolve (variety, divisor D) from --file/--preset/--e plus --divisor."""
     if getattr(args, "file", None):
-        with open(args.file, "rb") as fh:
-            pf = parse_problem(fh.read())
+        try:
+            with open(args.file, "rb") as fh:
+                pf = parse_problem(fh.read())
+        except OSError as exc:
+            raise ParseError(str(exc), "--file")
         variety = pf.variety
         spec = args.divisor
         if spec is None:
@@ -218,7 +224,7 @@ def _load_context(args):
     if getattr(args, "e", None) is not None:
         variety = surf.SurfaceModel(args.e, tuple(args.fibers.split(",")) if args.fibers else ("F1", "F2", "F3", "F4"))
     elif getattr(args, "preset", None):
-        variety = preset_fan(args.preset)
+        variety = _parse_variety(args.preset, "--preset")
     else:
         raise ParseError("need --preset, --e or --file")
     if args.divisor is None:
@@ -235,7 +241,10 @@ def _parse_samples(raw: str | None, disc: int) -> list[Scalar] | None:
     for tok in raw.split(","):
         tok = tok.strip()
         if tok:
-            out.append(_parse_scalar_field(tok, "samples"))
+            m = _parse_scalar_field(tok, "samples")
+            if m.sign() <= 0:
+                raise ParseError(f"sample {m} is not positive")
+            out.append(m)
     return out
 
 
@@ -278,9 +287,6 @@ def _hilbert_row_surface(task):
 def _cmd_hilbert(args):
     variety, D, disc = _load_context(args)
     samples = _parse_samples(args.samples, disc) or theorems.default_m_grid(disc)
-    for m in samples:
-        if m.sign() <= 0:
-            raise ParseError(f"sample {m} is not positive")
     n = variety.dim if isinstance(variety, toric.Fan) else 2
     worker = _hilbert_row_fan if isinstance(variety, toric.Fan) else _hilbert_row_surface
     tasks = [(D, m) for m in samples]
@@ -329,16 +335,26 @@ def _cmd_nef(args):
     return EXIT_OK
 
 
+def _resolve_ray(variety, ray):
+    """--ray as a ray index of a fan or a component label of a surface model."""
+    if isinstance(variety, surf.SurfaceModel):
+        if ray not in ("E", "C") + variety.fibers:
+            raise ParseError(f"unknown component {ray!r} on F_{variety.e}", "--ray")
+        return ray
+    try:
+        return variety.ray_index(ray)
+    except KeyError as exc:
+        raise ParseError(exc.args[0], "--ray")
+
+
 def _cmd_sigma(args):
     variety, D, _ = _load_context(args)
-    if isinstance(variety, surf.SurfaceModel):
-        if args.ray is None:
-            raise ParseError("--ray is required")
-        value = surf.sigma_surface(D, args.ray)
-        _emit(args, {"sigma": str(value)}, [str(value)])
-        return EXIT_OK
+    surface = isinstance(variety, surf.SurfaceModel)
+    if surface and args.ray is None:
+        raise ParseError("--ray is required")
     if args.ray is not None:
-        value = toric.sigma(D, args.ray)
+        ray = _resolve_ray(variety, args.ray)
+        value = surf.sigma_surface(D, ray) if surface else toric.sigma(D, ray)
         _emit(args, {"sigma": str(value)}, [str(value)])
         return EXIT_OK
     values = {variety.ray_name(i): toric.sigma(D, i) for i in range(variety.nrays)}
@@ -559,9 +575,6 @@ def run(argv) -> int:
     except RdivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ValueError, KeyError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 def main() -> None:

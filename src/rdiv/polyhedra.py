@@ -3,7 +3,10 @@
 Polytopes are given by integer normal vectors and Scalar offsets, with each
 row read as <u, normal> >= offset.  Everything is exact; when every offset
 is rational the internals run on plain Fractions for speed and results are
-wrapped back into Scalars at the API boundary.
+wrapped back into Scalars at the API boundary.  Lattice counts never leave
+the integers: on a lattice point <u, normal> is an integer, so a row holds
+there exactly when <u, normal> >= ceil(offset), and each offset is rounded
+once per polytope.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import EmptyPolytope, UnboundedPolytope
 from .linalg import affine_rank, det, kernel_basis, nullspace_vector, solve_square
@@ -108,10 +112,13 @@ def _pivot(tableau, basis, row, col):
     pval = prow[col]
     if pval != 1:
         tableau[row] = prow = [x / pval for x in prow]
+    # rows are distinct lists: update each in place, on the pivot row's support
+    support = [j for j, b in enumerate(prow) if b]
     for r, trow in enumerate(tableau):
         if r != row and trow[col] != 0:
             f = trow[col]
-            tableau[r] = [a - f * b for a, b in zip(trow, prow)]
+            for j in support:
+                trow[j] -= f * prow[j]
     basis[row] = col
 
 
@@ -371,62 +378,37 @@ def euclidean_volume(p: HPolytope) -> Scalar:
 # lattice points
 
 
-def _iter_lattice(p: HPolytope):
-    """Yield the integer points: box on leading coordinates, exact interval
-    on the last one."""
+def _lattice_intervals(p: HPolytope):
+    """Yield (prefix, lo, hi) for each integer prefix of the leading
+    coordinates in the vertex box: the integer points over the prefix are
+    prefix + (t,) for lo <= t <= hi (none when hi < lo).  Each offset is
+    rounded up once; the scan itself is integer arithmetic."""
     vs = _vertex_set(p)
     if not vs:
         return
-    n = p.dim
-    offs = _offsets_for_field(p)
-    rows = [(g, offs[i]) for i, (g, _) in enumerate(p.rows)]
-    if n == 1:
-        lo, hi = None, None
-        for (g,), o in rows:
-            bound = o / g
-            if g > 0:
-                lo = bound if lo is None or bound > lo else lo
-            else:
-                hi = bound if hi is None or bound < hi else hi
-        for t in range(math.ceil(lo), math.floor(hi) + 1):
-            yield (t,)
-        return
-    boxes = []
-    for j in range(n - 1):
-        coords = [v[j] for v in vs]
-        boxes.append(range(math.ceil(min(coords)), math.floor(max(coords)) + 1))
+    boxes = [range(math.ceil(min(col)), math.floor(max(col)) + 1) for col in list(zip(*vs))[:-1]]
+    scan = [(g[:-1], math.ceil(o), g[-1]) for g, o in p.rows]
+    filters = [row for row in scan if row[2] == 0]
+    lower = [row for row in scan if row[2] > 0]
+    upper = [row for row in scan if row[2] < 0]
     for prefix in itertools.product(*boxes):
-        lo, hi = None, None
-        feasible = True
-        for g, o in rows:
-            s = sum(c * x for c, x in zip(g, prefix))
-            gl = g[-1]
-            if gl == 0:
-                if s < o:
-                    feasible = False
-                    break
-            else:
-                bound = (o - s) / gl
-                if gl > 0:
-                    lo = bound if lo is None or bound > lo else lo
-                else:
-                    hi = bound if hi is None or bound < hi else hi
-        if not feasible:
+        if any(sum(map(mul, h, prefix)) < c for h, c, _ in filters):
             continue
-        for t in range(math.ceil(lo), math.floor(hi) + 1):
-            yield prefix + (t,)
+        lo = max(-((sum(map(mul, h, prefix)) - c) // gl) for h, c, gl in lower)
+        hi = min((c - sum(map(mul, h, prefix))) // gl for h, c, gl in upper)
+        yield prefix, lo, hi
 
 
 def lattice_points(p: HPolytope) -> int:
-    """Number of integer points; 0 for empty, error when unbounded."""
-    count = 0
-    for _ in _iter_lattice(p):
-        count += 1
-    return count
+    """Number of integer points; 0 for empty, error when unbounded.
+
+    Sums the length of the integer interval of the last coordinate over each
+    prefix, using <u, g> >= ceil(o) for every row, so no point is listed."""
+    return sum(max(0, hi - lo + 1) for _, lo, hi in _lattice_intervals(p))
 
 
 def lattice_point_list(p: HPolytope) -> list[tuple[int, ...]]:
-    return list(_iter_lattice(p))
+    return [pre + (t,) for pre, lo, hi in _lattice_intervals(p) for t in range(lo, hi + 1)]
 
 
 # ---------------------------------------------------------------------------

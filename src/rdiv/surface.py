@@ -156,10 +156,11 @@ def intersect_classes(a: tuple[Scalar, Scalar], b: tuple[Scalar, Scalar], e: int
 
 def h0_class(x: int, y: int, e: int) -> int:
     """Sections of x*E + y*F: the ruling pushes them down to P^1 degrees
-    y, y-e, ..., y-x*e."""
-    if x < 0:
+    y, y-e, ..., y-x*e, and the non-negative ones sum as an arithmetic series."""
+    if x < 0 or y < 0:
         return 0
-    return sum(max(0, y - k * e + 1) for k in range(x + 1))
+    top = x if e == 0 else min(x, y // e)
+    return (top + 1) * (y + 1) - e * top * (top + 1) // 2
 
 
 def h0_surface(D: SDivisor) -> int:

@@ -27,9 +27,9 @@ from .polyhedra import (
     LPProblem,
     euclidean_volume,
     facet_lattice_volume,
-    lattice_point_list,
     lattice_points,
     lp_solve,
+    _lattice_intervals,
     _tight_sets,
     _vertex_set,
 )
@@ -384,13 +384,17 @@ def sigma_limit_oracle(D: TDivisor, ray, m_list) -> list[Scalar]:
         m = int(m)
         if m <= 0:
             raise ValueError("multiples must be positive integers")
-        points = lattice_point_list(polytope_of(D.scale(m)))
-        if not points:
+        # <ray, u> is affine in the last coordinate, so its minimum over each
+        # interval of lattice points sits at an end
+        best = min(
+            (
+                sum(c * x for c, x in zip(ray_vec, pre)) + min(ray_vec[-1] * lo, ray_vec[-1] * hi)
+                for pre, lo, hi in _lattice_intervals(polytope_of(D.scale(m)))
+                if lo <= hi
+            ),
+            default=None,
+        )
+        if best is None:
             raise NoSections(m)
-        best = None
-        for u in points:
-            mult = m * a + sum(c * x for c, x in zip(ray_vec, u))
-            if best is None or mult < best:
-                best = mult
-        out.append(best / m)
+        out.append((m * a + best) / m)
     return out

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Most deliberately avoid the library's own code paths: small hand-rolled
-Cramer solves, exhaustive 2-subset vertex enumeration, shoelace areas and
-box-membership lattice counts, all in exact arithmetic.  The B+ reference
-at the end is the older ample-divisor epsilon schedule, kept to cross-check
-the library's direct facet rule.
+Cramer solves, exhaustive 2-subset vertex enumeration, shoelace areas,
+box-membership lattice counts and degree-by-degree section sums on F_e, all
+in exact arithmetic.  The B+ reference at the end is the older
+ample-divisor epsilon schedule, kept to cross-check the library's direct
+facet rule.
 """
 
 from fractions import Fraction
@@ -81,6 +82,13 @@ def naive_lattice_count(rows, dim, lo=-200, hi=200):
 def simplex_count(m):
     """Lattice points of the dilated unit simplex in the plane."""
     return (m + 1) * (m + 2) // 2
+
+
+def h0_class_loop(x, y, e):
+    """Sections of x*E + y*F on F_e, one P^1 degree y - k*e at a time."""
+    if x < 0:
+        return 0
+    return sum(max(0, y - k * e + 1) for k in range(x + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,33 @@ def test_missing_variety_exit(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sigma", "--preset", "F1", "--divisor", "C:1,E:1", "--ray", "Z"),
+        ("sigma", "--preset", "F1", "--divisor", "C:1,E:1", "--ray", "7"),
+        ("sigma", "--e", "1", "--divisor", "C:1,E:1", "--ray", "Z"),
+        ("intersect", "--preset", "F1", "--divisor", "C:1", "--with", "Z:1"),
+        ("h0", "--preset", "XX", "--divisor", "H:1"),
+        ("paper-example", "--samples", "1,0"),
+        ("h0", "--file", "no-such-problem.json", "--divisor", "D"),
+    ],
+)
+def test_bad_user_input_is_a_parse_error(capsys, argv):
+    code, _, err = invoke(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert err.startswith("parse error:")
+
+
+def test_library_value_error_is_not_relabelled_as_parse_error(capsys, monkeypatch):
+    def broken(D):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli.toric, "h0", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        run(["h0", "--preset", "P2", "--divisor", "H:1"])
+
+
 # ---- problem files -------------------------------------------------------------
 
 
@@ -199,6 +226,12 @@ def test_parse_problem_roundtrip_idempotent():
 def test_parse_problem_unknown_key():
     with pytest.raises(ParseError):
         parse_problem(json.dumps({**GOOD_FILE, "extra": 1}))
+
+
+def test_parse_problem_bad_ray_names():
+    fan = {"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [2, 0]], "names": {"H": "x"}}
+    with pytest.raises(ParseError, match="names"):
+        parse_problem(json.dumps({"variety": fan, "divisors": {}}))
 
 
 def test_parse_problem_bad_coefficient():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_vertices_2d, naive_lattice_count, shoelace, simplex_count
@@ -243,6 +243,50 @@ def test_lattice_against_membership_oracle():
         assert lattice_points(p) == expected
         assert sorted(lattice_point_list(p)) == sorted(pts)
         checked += 1
+
+
+@st.composite
+def offsets(draw, lo, hi):
+    """A rational offset in [lo, hi], plus a surd part in [0, sqrt 2] half the time."""
+    den = draw(st.integers(1, 4))
+    value = Scalar(Fraction(draw(st.integers(lo * den, hi * den)), den))
+    if draw(st.booleans()):
+        value = value + Scalar(0, Fraction(draw(st.integers(0, 3)), 3), 2)
+    return value
+
+
+@st.composite
+def small_polytopes(draw):
+    """A box |u_i| <= 5 in dimension 1 to 3, cut by up to two random rows;
+    half of those leave the last coordinate free, so they filter prefixes."""
+    dim = draw(st.integers(1, 3))
+    rows = []
+    for i in range(dim):
+        for sign in (1, -1):
+            rows.append((tuple(sign if j == i else 0 for j in range(dim)), -draw(offsets(0, 3))))
+    for _ in range(draw(st.integers(0, 2))):
+        g = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+        if draw(st.booleans()):
+            g[-1] = 0
+        assume(any(g))
+        rows.append((tuple(g), draw(offsets(-6, 6))))
+    return HPolytope(dim, tuple(rows))
+
+
+def test_rows_free_in_the_last_coordinate_filter_prefixes():
+    # the cube |u_i| <= 1 cut by x + y >= 1 keeps the prefixes (0, 1), (1, 0), (1, 1)
+    cube = [(tuple(s if j == i else 0 for j in range(3)), -1) for i in range(3) for s in (1, -1)]
+    p = poly(cube + [((1, 1, 0), 1)], dim=3)
+    assert lattice_points(p) == 9
+    assert {u[:2] for u in lattice_point_list(p)} == {(0, 1), (1, 0), (1, 1)}
+
+
+@given(small_polytopes())
+@settings(max_examples=80)
+def test_interval_count_matches_membership_oracle(p):
+    expected, pts = naive_lattice_count(p.rows, p.dim, -5, 5)
+    assert lattice_points(p) == expected
+    assert sorted(lattice_point_list(p)) == pts
 
 
 def test_lattice_with_irrational_offsets():

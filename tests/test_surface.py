@@ -1,8 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import h0_class_loop
 from rdiv.errors import NotBig, NotPseudoeffective, UnsupportedModel
 from rdiv.scalars import Scalar, scalar_floor, sqrt
 from rdiv.surface import (
@@ -65,6 +69,21 @@ def test_h0_class_examples():
     assert h0_class(1, 1, 1) == 3
     assert h0_class(1, 0, 1) == 1
     assert h0_class(-1, 5, 1) == 0
+
+
+@given(st.integers(-6, 30), st.integers(-6, 60), st.integers(0, 5))
+@settings(max_examples=300)
+def test_h0_class_closed_form_matches_degree_sum(x, y, e):
+    assert h0_class(x, y, e) == h0_class_loop(x, y, e)
+
+
+def test_h0_at_huge_multiples_is_exact_and_fast():
+    m, n = 10**9, 10**12
+    start = time.perf_counter()
+    assert h0_surface(MODEL1.divisor({"C": 1}).scale(m)) == (m + 1) * (m + 2) // 2
+    # degrees n + 5, n + 4, ..., 5 on P^1: the sum of j for j = 6..n + 6
+    assert h0_class(n, n + 5, 1) == (n + 6) * (n + 7) // 2 - 15
+    assert time.perf_counter() - start < 0.5
 
 
 def test_h0_surface_twist_at_one():

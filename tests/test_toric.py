@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import ample_divisor, bplus_halving
-from rdiv.errors import NoSections, NonSimplicialCone, NotBig, NotNef, UnsupportedDivisor
-from rdiv.polyhedra import vertices
+from rdiv.errors import NoSections, NonSimplicialCone, NotBig, NotNef, RdivError, UnsupportedDivisor
+from rdiv.polyhedra import lattice_point_list, vertices
 from rdiv.scalars import Scalar, sqrt
 from rdiv.surface import SurfaceModel
 from rdiv.theorems import generate_corpus
@@ -258,8 +258,9 @@ def test_bplus_on_non_projective_fan_is_the_zero_restricted_volume_rays():
     for i in range(3):
         j = (i + 1) % 3
         cones += [(i, j, 3 + j), (i, 3 + j, 3 + i)]
-    # (oracles.ample_divisor confirms it; its 31-variable LP is too slow for the suite)
     fan = Fan(3, rays, tuple(cones))
+    with pytest.raises(RdivError):
+        ample_divisor(fan)
     assert bplus_div(fan.divisor([1] * 6)) == frozenset()
     assert bplus_div(fan.divisor([0, -2, 1, 4, 1, 1])) == {2, 3}
     # a face of lower dimension that still meets the polytope: sigma is zero there
@@ -325,6 +326,25 @@ def test_sigma_limit_dominates_lp():
             lp_value = sigma(D, ray)
             for v in sigma_limit_oracle(D, ray, [2, 4, 8]):
                 assert v >= lp_value
+
+
+@given(
+    st.sampled_from((P2, F1, P1P1, P3)),
+    st.lists(st.fractions(-1, 3, max_denominator=4), min_size=4, max_size=4),
+    st.booleans(),
+    st.integers(1, 5),
+)
+@settings(max_examples=60)
+def test_sigma_limit_oracle_is_the_minimum_over_lattice_points(fan, coeffs, root2, m):
+    D = fan.divisor([Scalar(c) for c in coeffs[: fan.nrays]])
+    if root2:
+        D = D + fan.divisor({0: sqrt(2) / 2})
+    assume(is_big(D))
+    pts = lattice_point_list(polytope_of(D.scale(m)))
+    assume(pts)
+    for ray, (a, v) in enumerate(zip(D.coeffs, fan.rays)):
+        expected = min(m * a + sum(c * x for c, x in zip(v, u)) for u in pts) / m
+        assert sigma_limit_oracle(D, ray, [m]) == [expected]
 
 
 def test_sigma_limit_no_sections():
