@@ -83,7 +83,7 @@ def _build_divisor(variety, coeffs: dict[str, Scalar]):
     try:
         return variety.divisor(coeffs)
     except KeyError as exc:
-        raise ParseError(str(exc), "divisors")
+        raise ParseError(exc.args[0], "divisors")
 
 
 def _parse_scalar_field(raw, path: str) -> Scalar:
@@ -337,11 +337,9 @@ def _cmd_nef(args):
 
 def _resolve_ray(variety, ray):
     """--ray as a ray index of a fan or a component label of a surface model."""
-    if isinstance(variety, surf.SurfaceModel):
-        if ray not in ("E", "C") + variety.fibers:
-            raise ParseError(f"unknown component {ray!r} on F_{variety.e}", "--ray")
-        return ray
     try:
+        if isinstance(variety, surf.SurfaceModel):
+            return variety.component(ray)
         return variety.ray_index(ray)
     except KeyError as exc:
         raise ParseError(exc.args[0], "--ray")

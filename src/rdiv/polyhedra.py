@@ -6,7 +6,11 @@ is rational the internals run on plain Fractions for speed and results are
 wrapped back into Scalars at the API boundary.  Lattice counts never leave
 the integers: on a lattice point <u, normal> is an integer, so a row holds
 there exactly when <u, normal> >= ceil(offset), and each offset is rounded
-once per polytope.
+once per polytope.  A polygon is counted without its vertices: between
+consecutive crossings of its rows one lower and one upper edge are active,
+and the points over that stretch are two Euclid-like floor sums, so the cost
+does not grow with the dilation.  Dimension n >= 3 is sliced on its leading
+coordinates down to polygons.
 """
 
 from __future__ import annotations
@@ -399,12 +403,119 @@ def _lattice_intervals(p: HPolytope):
         yield prefix, lo, hi
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum of floor((a*i + b) / m) over 0 <= i < n, for n >= 0 and m >= 1.
+
+    The Euclid-like recursion: reduce a and b modulo m, then swap the roles
+    of a and m on the transposed lattice-point count; O(log m) steps, any
+    signs of a and b."""
+    total = 0
+    while True:
+        q, a = divmod(a, m)
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _count_2d(rows) -> int:
+    """Integer points of the bounded polygon {a*x + b*y >= c} for integer
+    rows ((a, b), c).
+
+    Rows with b = 0 bound x.  Every crossing x* of two other rows cuts the
+    x-axis at ceil(x*) and floor(x*) + 1, so an integer crossing is a piece
+    of its own and no lattice vertex is lost.  Over a piece the order of the
+    rows' y-bounds is fixed, so one lower row (b > 0) and one upper row
+    (b < 0) are active, compared at the piece's midpoint by integer
+    cross-multiplication; the piece holds sum floor(upper) - sum ceil(lower)
+    + length points when upper >= lower there, and none otherwise."""
+    lo, hi = -math.inf, math.inf
+    lower, upper = [], []
+    for (a, b), c in rows:
+        if b > 0:
+            lower.append((a, b, c))
+        elif b < 0:
+            upper.append((a, b, c))
+        elif a > 0:
+            lo = max(lo, -(-c // a))
+        else:
+            hi = min(hi, c // a)
+    slanted = lower + upper
+    cuts = {lo, hi + 1} - {-math.inf, math.inf}
+    for i, (a, b, c) in enumerate(slanted):
+        for a2, b2, c2 in slanted[:i]:
+            det = a * b2 - a2 * b
+            if det:
+                num = c * b2 - c2 * b
+                cuts.add(-(-num // det))
+                cuts.add(num // det + 1)
+    # the leftmost and rightmost vertices are crossings or lie on b = 0 rows,
+    # so every integer point has its x in [cuts[0], cuts[-1])
+    cuts = sorted(t for t in cuts if lo <= t <= hi + 1)
+    total = 0
+    for p, end in zip(cuts, cuts[1:]):
+        s = p + end - 1  # twice the midpoint of the piece [p, end - 1]
+        la, lb, lc = lower[0]
+        for a, b, c in lower[1:]:
+            if (2 * c - a * s) * lb > (2 * lc - la * s) * b:
+                la, lb, lc = a, b, c
+        ua, ub, uc = upper[0]
+        for a, b, c in upper[1:]:
+            if (2 * c - a * s) * ub < (2 * uc - ua * s) * b:
+                ua, ub, uc = a, b, c
+        # upper < lower at the midpoint; ub * lb < 0 flips the cross-multiplication
+        if (2 * lc - la * s) * ub < (2 * uc - ua * s) * lb:
+            continue
+        n = end - p
+        # ceil((c - a x)/b) = -floor((a x - c)/b) below, floor((a x - c)/|b|) above
+        total += n + _floor_sum(n, lb, la, la * p - lc) + _floor_sum(n, -ub, ua, ua * p - uc)
+    return total
+
+
+def _count_slices(rows, boxes) -> int:
+    """Integer points of {<u, g> >= c} for integer rows (g, c), slicing the
+    leading coordinate over boxes[0] and recursing until two remain.  Rows
+    that vanish on a slice are checked there, not passed down."""
+    if not boxes:
+        return _count_2d(rows)
+    total = 0
+    for t in boxes[0]:
+        sliced = []
+        for g, c in rows:
+            rest, c = g[1:], c - g[0] * t
+            if any(rest):
+                sliced.append((rest, c))
+            elif c > 0:
+                break
+        else:
+            total += _count_slices(sliced, boxes[1:])
+    return total
+
+
 def lattice_points(p: HPolytope) -> int:
     """Number of integer points; 0 for empty, error when unbounded.
 
-    Sums the length of the integer interval of the last coordinate over each
-    prefix, using <u, g> >= ceil(o) for every row, so no point is listed."""
-    return sum(max(0, hi - lo + 1) for _, lo, hi in _lattice_intervals(p))
+    Counts with <u, g> >= ceil(o) for every row, so no point is listed: an
+    interval in dimension 1, floor sums in dimension 2 (no vertices needed),
+    and slices of the vertex box down to dimension 2 above that."""
+    if not is_bounded(p):
+        raise UnboundedPolytope("polytope has a nontrivial recession cone")
+    rows = [(g, math.ceil(o)) for g, o in p.rows]
+    if p.dim == 1:
+        lo = max(-(-c // a) for (a,), c in rows if a > 0)
+        hi = min(c // a for (a,), c in rows if a < 0)
+        return max(0, hi - lo + 1)
+    boxes = []
+    if p.dim > 2:
+        vs = _vertex_set(p)
+        if not vs:
+            return 0
+        boxes = [range(math.ceil(min(col)), math.floor(max(col)) + 1) for col in list(zip(*vs))[:-2]]
+    return _count_slices(rows, boxes)
 
 
 def lattice_point_list(p: HPolytope) -> list[tuple[int, ...]]:

@@ -50,19 +50,23 @@ class SurfaceModel:
         if len(set(self.fibers)) != len(self.fibers):
             raise UnsupportedModel("fiber labels must be distinct")
 
+    def component(self, label: str) -> str:
+        """label itself when it names E, C or a fiber; KeyError otherwise."""
+        if label not in ("E", "C") + self.fibers:
+            raise KeyError(f"unknown component {label!r} on F_{self.e}")
+        return label
+
     def divisor(self, coeffs: dict) -> "SDivisor":
         cE = cC = Scalar(0)
         fib = {}
         for key, val in coeffs.items():
             val = val if isinstance(val, Scalar) else Scalar(val)
-            if key == "E":
+            if self.component(key) == "E":
                 cE = val
             elif key == "C":
                 cC = val
-            elif key in self.fibers:
-                fib[key] = val
             else:
-                raise KeyError(f"unknown component {key!r} on F_{self.e}")
+                fib[key] = val
         return SDivisor(self, cE, cC, tuple(fib.get(label, Scalar(0)) for label in self.fibers))
 
 
@@ -224,7 +228,9 @@ def volume_surface(D: SDivisor) -> Scalar:
 
 
 def sigma_surface(D: SDivisor, component: str) -> Scalar:
-    """sigma multiplicity along a prime component; only E can carry one."""
+    """sigma multiplicity along a prime component; only E can carry one.
+    KeyError when the model has no such component."""
+    D.model.component(component)
     pair = zariski(D)
     return pair.N.cE if component == "E" else Scalar(0)
 

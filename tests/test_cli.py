@@ -196,6 +196,22 @@ def test_bad_user_input_is_a_parse_error(capsys, argv):
     assert err.startswith("parse error:")
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("intersect", "--preset", "F1", "--divisor", "C:1", "--with", "Z:1"), "parse error: divisors: unknown ray 'Z'"),
+        (("h0", "--e", "1", "--divisor", "F9:1"), "parse error: divisors: unknown component 'F9' on F_1"),
+        (("sigma", "--e", "1", "--divisor", "C:1,E:1", "--ray", "Z"), "parse error: --ray: unknown component 'Z' on F_1"),
+    ],
+    ids=["fan-divisor", "surface-divisor", "surface-ray"],
+)
+def test_unknown_label_message_has_no_key_error_quotes(capsys, argv, line):
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == line + "\n"
+
+
 def test_library_value_error_is_not_relabelled_as_parse_error(capsys, monkeypatch):
     def broken(D):
         raise ValueError("internal bug")

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_vertices_2d, naive_lattice_count, shoelace, simplex_count
@@ -10,6 +10,7 @@ from rdiv.errors import EmptyPolytope, UnboundedPolytope
 from rdiv.polyhedra import (
     HPolytope,
     LPProblem,
+    _floor_sum,
     euclidean_volume,
     facet_lattice_volume,
     is_bounded,
@@ -257,9 +258,10 @@ def offsets(draw, lo, hi):
 
 @st.composite
 def small_polytopes(draw):
-    """A box |u_i| <= 5 in dimension 1 to 3, cut by up to two random rows;
-    half of those leave the last coordinate free, so they filter prefixes."""
-    dim = draw(st.integers(1, 3))
+    """A box |u_i| <= 5 in dimension 1 to 4, cut by up to two random rows;
+    half of those leave the last coordinate free, so they filter prefixes.
+    Dimension 4 slices twice before the planar count."""
+    dim = draw(st.integers(1, 4))
     rows = []
     for i in range(dim):
         for sign in (1, -1):
@@ -282,11 +284,60 @@ def test_rows_free_in_the_last_coordinate_filter_prefixes():
 
 
 @given(small_polytopes())
-@settings(max_examples=80)
+@settings(max_examples=60)
 def test_interval_count_matches_membership_oracle(p):
     expected, pts = naive_lattice_count(p.rows, p.dim, -5, 5)
     assert lattice_points(p) == expected
     assert sorted(lattice_point_list(p)) == pts
+
+
+@given(
+    st.integers(0, 60),
+    st.integers(1, 50),
+    st.integers(-200, 200),
+    st.integers(-200, 200),
+)
+@example(0, 7, -3, -5)
+@example(9, 1, -4, 11)
+@settings(max_examples=300)
+def test_floor_sum_matches_the_direct_sum(n, m, a, b):
+    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_lattice_edges_crossing_at_a_lattice_vertex():
+    # |x| + |y| <= 1: every vertex is a crossing of two slanted edges, and the
+    # ends (-1, 0), (1, 0) are the only points with their x
+    diamond = poly([((1, 1), -1), ((-1, 1), -1), ((1, -1), -1), ((-1, -1), -1)])
+    assert lattice_points(diamond) == 5
+    # the same through a non-lattice vertex: |x| + |y| <= 3/2
+    assert lattice_points(diamond.scale(Fraction(3, 2))) == 5
+
+
+def test_lattice_one_point_polytope():
+    # {|x| <= y <= 0} is the origin, where three slanted rows cross
+    point = poly([((-1, 1), 0), ((1, 1), 0), ((0, -1), 0)])
+    assert lattice_points(point) == 1
+    assert lattice_points(point.translate((Fraction(1, 2), 0))) == 0
+    assert lattice_points(HPolytope(1, (((1,), Scalar(4)), ((-1,), Scalar(-4))))) == 1
+
+
+def test_lattice_segment():
+    # the diagonal from (0, 0) to (3, 3), once with and once without x-bounds
+    diagonal = [((1, -1), 0), ((-1, 1), 0)]
+    assert lattice_points(poly(diagonal + [((1, 0), 0), ((-1, 0), -3)])) == 4
+    assert lattice_points(poly(diagonal + [((1, 1), 0), ((-1, -1), -6)])) == 4
+    # a slope-1/2 segment from (0, 0) to (4, 2) meets the lattice in 3 points
+    slope = [((-1, 2), 0), ((1, -2), 0)]
+    assert lattice_points(poly(slope + [((1, 0), 0), ((-1, 0), -4)])) == 3
+
+
+def test_lattice_empty_thin_polygon():
+    # 1/3 <= y - x <= 2/3 over 0 <= x <= 5: nonempty, with no integer point
+    thin = poly([((-3, 3), 1), ((3, -3), -2), ((1, 0), 0), ((-1, 0), -5)])
+    assert euclidean_volume(thin) > 0
+    assert lattice_points(thin) == 0
+    # a polygon whose rows have no common point at all
+    assert lattice_points(poly([((1, 1), 3), ((-1, -1), -2), ((1, -1), -5), ((-1, 1), -5)])) == 0
 
 
 def test_lattice_with_irrational_offsets():

@@ -286,6 +286,15 @@ def test_sigma_surface_values():
     assert sigma_surface(D, "F1") == Scalar(0)
 
 
+@pytest.mark.parametrize("label", ["Z", "F5", "e"])
+def test_sigma_surface_rejects_components_the_model_lacks(label):
+    D = MODEL1.divisor({"C": 1, "E": 1})
+    with pytest.raises(KeyError, match=f"unknown component '{label}' on F_1"):
+        sigma_surface(D, label)
+    with pytest.raises(KeyError, match=f"unknown component '{label}' on F_1"):
+        MODEL1.divisor({label: 1})
+
+
 def test_nef_big_class_predicates():
     assert is_nef_class((Scalar(1), Scalar(1)), 1)
     assert not is_nef_class((Scalar(2), Scalar(1)), 1)  # (C+E).E = -1

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -110,6 +112,38 @@ def test_h0_examples():
     assert h0(C) == 3
     assert h0(P2.divisor({})) == 1
     assert h0(P3.divisor({})) == 1
+
+
+def _hirzebruch_count(a, c, e):
+    """h0 of a*D_2 + c*D_3 on F_e (rays (-1, e) and (0, -1)): the rows
+    u_2 = 0..c hold a + e*u_2 + 1 points each."""
+    return (c + 1) * (a + 1) + e * c * (c + 1) // 2
+
+
+def _triangle_count(k):
+    return (k + 1) * (k + 2) // 2
+
+
+@pytest.mark.parametrize("m", [10**6, 10**9])
+@pytest.mark.parametrize(
+    "fan, coeffs, factor, closed_form",
+    [
+        (P2, [0, 0, 1], 1, _triangle_count),
+        (P1P1, [0, 0, 1, 1], 1, lambda m: (m + 1) ** 2),
+        (F1, [0, 0, 1, 1], 1, lambda m: _hirzebruch_count(m, m, 1)),
+        (F2, [0, 0, 1, 1], 1, lambda m: _hirzebruch_count(m, m, 2)),
+        (F2, [0, 0, 3, 2], 1, lambda m: _hirzebruch_count(3 * m, 2 * m, 2)),
+        # floor(m*sqrt2*H) = k*H with k = isqrt(2 m^2)
+        (P2, [0, 0, 1], sqrt(2), lambda m: _triangle_count(math.isqrt(2 * m * m))),
+        (F1, [0, 0, Fraction(1, 2), sqrt(2)], 1, lambda m: _hirzebruch_count(m // 2, math.isqrt(2 * m * m), 1)),
+    ],
+    ids=["P2", "P1xP1", "F1", "F2", "F2-3,2", "P2-sqrt2-multiple", "F1-sqrt2-coefficient"],
+)
+def test_h0_at_huge_multiples_matches_closed_forms(fan, coeffs, factor, closed_form, m):
+    D = fan.divisor(coeffs).scale(m * factor)
+    start = time.perf_counter()
+    assert h0(D) == closed_form(m)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_hilbert_table_values():
