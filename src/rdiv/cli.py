@@ -269,37 +269,30 @@ def _maybe_scale(D, args):
 def _cmd_h0(args):
     variety, D, _ = _load_context(args)
     D = _maybe_scale(D, args)
-    value = surf.h0_surface(D) if isinstance(variety, surf.SurfaceModel) else toric.h0(D)
+    value = variety.h0(D)
     _emit(args, {"h0": value}, [str(value)])
     return EXIT_OK
 
 
-def _hilbert_row_fan(task):
-    D, m = task
-    return toric.h0(D.scale(m))
-
-
-def _hilbert_row_surface(task):
-    D, m = task
-    return surf.h0_surface(D.scale(m))
+def _hilbert_row(task):
+    variety, D, m = task
+    return variety.h0(D.scale(m))
 
 
 def _cmd_hilbert(args):
     variety, D, disc = _load_context(args)
     samples = _parse_samples(args.samples, disc) or theorems.default_m_grid(disc)
-    n = variety.dim if isinstance(variety, toric.Fan) else 2
-    worker = _hilbert_row_fan if isinstance(variety, toric.Fan) else _hilbert_row_surface
-    tasks = [(D, m) for m in samples]
+    tasks = [(variety, D, m) for m in samples]
     # the pool forks all its workers up front, so never ask for more than can run
     jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            counts = list(pool.map(worker, tasks))
+            counts = list(pool.map(_hilbert_row, tasks))
     else:
-        counts = [worker(t) for t in tasks]
+        counts = [_hilbert_row(t) for t in tasks]
     rows = []
     for m, c in zip(samples, counts):
-        normalized = Scalar(math.factorial(n)) * c / m**n
+        normalized = Scalar(math.factorial(variety.dim)) * c / m**variety.dim
         rows.append((m, c, normalized))
     payload = {"rows": [{"m": str(m), "h0": c, "normalized": str(v)} for m, c, v in rows]}
     csv_lines = ["m,h0,normalized"] + [f"{m},{c},{v.decimal(20)}" for m, c, v in rows]
@@ -310,27 +303,21 @@ def _cmd_hilbert(args):
 def _cmd_volume(args):
     variety, D, _ = _load_context(args)
     D = _maybe_scale(D, args)
-    value = surf.volume_surface(D) if isinstance(variety, surf.SurfaceModel) else toric.volume(D)
+    value = variety.volume(D)
     _emit(args, {"volume": str(value)}, [str(value)])
     return EXIT_OK
 
 
 def _cmd_big(args):
     variety, D, _ = _load_context(args)
-    if isinstance(variety, surf.SurfaceModel):
-        value = surf.is_big_class(surf.class_of(D), variety.e)
-    else:
-        value = toric.is_big(D)
+    value = variety.is_big(D)
     _emit(args, {"big": value}, ["true" if value else "false"])
     return EXIT_OK
 
 
 def _cmd_nef(args):
     variety, D, _ = _load_context(args)
-    if isinstance(variety, surf.SurfaceModel):
-        value = surf.is_nef_class(surf.class_of(D), variety.e)
-    else:
-        value = toric.is_nef(D)
+    value = variety.is_nef(D)
     _emit(args, {"nef": value}, ["true" if value else "false"])
     return EXIT_OK
 
@@ -338,23 +325,19 @@ def _cmd_nef(args):
 def _resolve_ray(variety, ray):
     """--ray as a ray index of a fan or a component label of a surface model."""
     try:
-        if isinstance(variety, surf.SurfaceModel):
-            return variety.component(ray)
-        return variety.ray_index(ray)
+        return variety.component(ray)
     except KeyError as exc:
         raise ParseError(exc.args[0], "--ray")
 
 
 def _cmd_sigma(args):
     variety, D, _ = _load_context(args)
-    surface = isinstance(variety, surf.SurfaceModel)
-    if surface and args.ray is None:
-        raise ParseError("--ray is required")
     if args.ray is not None:
-        ray = _resolve_ray(variety, args.ray)
-        value = surf.sigma_surface(D, ray) if surface else toric.sigma(D, ray)
+        value = variety.sigma(D, _resolve_ray(variety, args.ray))
         _emit(args, {"sigma": str(value)}, [str(value)])
         return EXIT_OK
+    if isinstance(variety, surf.SurfaceModel):
+        raise ParseError("--ray is required")
     values = {variety.ray_name(i): toric.sigma(D, i) for i in range(variety.nrays)}
     payload = {"sigma": {k: str(v) for k, v in values.items()}}
     csv_lines = ["ray,sigma"] + [f"{k},{v}" for k, v in values.items()]
@@ -388,10 +371,7 @@ def _cmd_nsigma(args):
 
 def _cmd_bplus(args):
     variety, D, _ = _load_context(args)
-    if isinstance(variety, surf.SurfaceModel):
-        locus = sorted(surf.bplus_surface(D))
-    else:
-        locus = sorted(variety.ray_name(i) for i in toric.bplus_div(D))
+    locus = sorted(variety.bplus(D))
     _emit(args, {"bplus": locus}, [",".join(locus) if locus else "(empty)"])
     return EXIT_OK
 
@@ -401,10 +381,7 @@ def _cmd_intersect(args):
     if args.with_divisor is None:
         raise ParseError("--with is required")
     E = _build_divisor(variety, _parse_inline_coeffs(args.with_divisor))
-    if isinstance(variety, surf.SurfaceModel):
-        value = surf.intersect_classes(surf.class_of(D), surf.class_of(E), variety.e)
-    else:
-        value = toric.intersection_nef_div(D, E)
+    value = variety.intersect(D, E)
     _emit(args, {"intersection": str(value)}, [str(value)])
     return EXIT_OK
 

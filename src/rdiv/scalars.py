@@ -19,7 +19,6 @@ __all__ = [
     "Scalar",
     "sqrt",
     "parse_scalar",
-    "scalar_arith",
     "scalar_cmp",
     "scalar_floor",
     "scalar_ceil",
@@ -308,19 +307,6 @@ def parse_scalar(text: str) -> Scalar:
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
     return Scalar(rat, surd, disc)
-
-
-def scalar_arith(x: Scalar, y: Scalar, op: str) -> Scalar:
-    """Dispatch add/sub/mul/div by name; used by table-driven callers."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
 
 
 def scalar_cmp(x, y) -> int:

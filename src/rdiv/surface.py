@@ -49,6 +49,8 @@ class SurfaceModel:
             raise UnsupportedModel("the ruling invariant e must be non-negative")
         if len(set(self.fibers)) != len(self.fibers):
             raise UnsupportedModel("fiber labels must be distinct")
+        if {"E", "C"} & set(self.fibers):
+            raise UnsupportedModel("E and C name the sections, not fibers")
 
     def component(self, label: str) -> str:
         """label itself when it names E, C or a fiber; KeyError otherwise."""
@@ -68,6 +70,50 @@ class SurfaceModel:
             else:
                 fib[key] = val
         return SDivisor(self, cE, cC, tuple(fib.get(label, Scalar(0)) for label in self.fibers))
+
+    # The variety protocol, shared with toric.Fan.  Each query is a call to
+    # this module's function, looked up at call time, so a patched or traced
+    # module name is what runs.
+    dim = 2
+    label_kind = "component"
+
+    def labels(self, D: "SDivisor") -> list[str]:
+        """Labels of the components in the support of D, sorted."""
+        return sorted(D.support())
+
+    def h0(self, D):
+        return h0_surface(D)
+
+    def volume(self, D):
+        return volume_surface(D)
+
+    def is_big(self, D):
+        return is_big_class(class_of(D), self.e)
+
+    def is_nef(self, D):
+        return is_nef_class(class_of(D), self.e)
+
+    def sigma(self, D, label):
+        return sigma_surface(D, label)
+
+    def nsigma(self, D):
+        return zariski(D).N
+
+    def bplus(self, D) -> frozenset[str]:
+        return bplus_surface(D)
+
+    def intersect(self, D, E):
+        return intersect_classes(class_of(D), class_of(E), self.e)
+
+    def shifts(self, rng) -> list["SDivisor"]:
+        """Fiber relabelings t*(F_i - F_j), trivial on the class, over the
+        first two pairs of fibers; t = 1, or a random half-integer in 1/2..3/2."""
+        pairs = [(0, 1), (2, 3)][: len(self.fibers) // 2]
+        out = []
+        for i, j in pairs:
+            t = Scalar(1) if rng is None else Scalar(Fraction(rng.randint(1, 3), 2))
+            out.append(self.divisor({self.fibers[i]: t, self.fibers[j]: -t}))
+        return out
 
 
 @dataclass(frozen=True)
@@ -131,15 +177,10 @@ class SDivisor:
         )
 
     def support(self) -> frozenset[str]:
-        out = set()
-        if self.cE:
-            out.add("E")
-        if self.cC:
-            out.add("C")
-        for label, b in zip(self.model.fibers, self.fiber_coeffs):
-            if b:
-                out.add(label)
-        return frozenset(out)
+        return frozenset(label for label, c in self.coeff_map().items() if c)
+
+    def coeff_map(self) -> dict[str, Scalar]:
+        return {"E": self.cE, "C": self.cC, **dict(zip(self.model.fibers, self.fiber_coeffs))}
 
 
 def _sc(x) -> Scalar:

@@ -7,6 +7,10 @@ exact and authoritative; the "for all m" section-count clauses are sampled
 on a finite grid and can only falsify.  A report whose decidable clauses
 disagree, or whose sampled clause contradicts a decidable true clause, is
 flagged as a counterexample candidate for replay.
+
+The checkers take the variety X as a toric.Fan or a surface.SurfaceModel and
+ask it only the queries of their shared protocol (h0, volume, nsigma, bplus,
+is_big, is_nef, intersect, shifts, labels), so both models run one path.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import surface as surf
 from . import toric
 from .errors import NotBig, NotEffective
 from .scalars import Scalar, parse_scalar
@@ -98,134 +101,11 @@ def _verdict(clauses: dict[str, ClauseValue]) -> str:
     return CONSISTENT
 
 
-# ---------------------------------------------------------------------------
-# fan-side helpers
-
-
-def _fan_shifts(fan: toric.Fan, rng: random.Random | None, count: int = 2):
-    """Small integer characters generating R-linear equivalences."""
-    if rng is None:
-        vecs = [tuple(1 if j == i else 0 for j in range(fan.dim)) for i in range(min(count, fan.dim))]
-    else:
-        vecs = []
-        while len(vecs) < count:
-            v = tuple(rng.randint(-1, 1) for _ in range(fan.dim))
-            if any(v):
-                vecs.append(v)
-    return [toric.principal_divisor(fan, v) for v in vecs]
-
-
-def _surface_shifts(model: surf.SurfaceModel, rng: random.Random | None, count: int = 2):
-    """Fiber relabelings t*(F_i - F_j), trivial on the class."""
-    if len(model.fibers) < 2:
-        return []
-    out = []
-    pairs = [(0, 1)]
-    if len(model.fibers) >= 4:
-        pairs.append((2, 3))
-    for i, j in pairs[:count]:
-        t = Scalar(1) if rng is None else Scalar(Fraction(rng.randint(1, 3), 2))
-        coeffs = {model.fibers[i]: t, model.fibers[j]: -t}
-        out.append(model.divisor(coeffs))
-    return out
-
-
-class _FanSide:
-    def __init__(self, D, E):
-        self.D, self.E = D, E
-        self.fan = D.fan
-
-    def check_big(self):
-        return toric.is_big(self.D)
-
-    def effective(self, X):
-        return X.is_effective()
-
-    def vol(self, X):
-        return toric.volume(X)
-
-    def h0(self, X):
-        return toric.h0(X)
-
-    def nsigma_dominates(self, E):
-        dec = toric.sigma_decomposition(self.D)
-        for i, c in enumerate(E.coeffs):
-            if c > dec.nsigma.coeffs[i]:
-                return False, {"ray": self.fan.ray_name(i)}
-        return True, None
-
-    def bplus_contains_support(self, E):
-        locus = toric.bplus_div(self.D)
-        for i in sorted(E.support()):
-            if i not in locus:
-                return False, {"ray": self.fan.ray_name(i)}
-        return True, None
-
-    def is_nef(self):
-        return toric.is_nef(self.D)
-
-    def nef_intersection(self, E):
-        return toric.intersection_nef_div(self.D, E)
-
-    def zero_divisor(self):
-        return toric.TDivisor(self.fan, tuple(Scalar(0) for _ in range(self.fan.nrays)))
-
-    def shifts(self, rng):
-        return _fan_shifts(self.fan, rng)
-
-
-class _SurfaceSide:
-    def __init__(self, D, E):
-        self.D, self.E = D, E
-        self.model = D.model
-
-    def check_big(self):
-        return surf.is_big_class(surf.class_of(self.D), self.model.e)
-
-    def effective(self, X):
-        return X.is_effective()
-
-    def vol(self, X):
-        return surf.volume_surface(X)
-
-    def h0(self, X):
-        return surf.h0_surface(X)
-
-    def nsigma_dominates(self, E):
-        pair = surf.zariski(self.D)
-        if E.cC or any(E.fiber_coeffs):
-            labels = sorted(E.support() - {"E"})
-            return False, {"component": labels[0]}
-        if E.cE > pair.N.cE:
-            return False, {"component": "E"}
-        return True, None
-
-    def bplus_contains_support(self, E):
-        locus = surf.bplus_surface(self.D)
-        for label in sorted(E.support()):
-            if label not in locus:
-                return False, {"component": label}
-        return True, None
-
-    def is_nef(self):
-        return surf.is_nef_class(surf.class_of(self.D), self.model.e)
-
-    def nef_intersection(self, E):
-        return surf.intersect_classes(surf.class_of(self.D), surf.class_of(E), self.model.e)
-
-    def zero_divisor(self):
-        return self.model.divisor({})
-
-    def shifts(self, rng):
-        return _surface_shifts(self.model, rng)
-
-
-def _side(X, D, E):
-    if isinstance(X, toric.Fan):
-        return _FanSide(D, E)
-    if isinstance(X, surf.SurfaceModel):
-        return _SurfaceSide(D, E)
-    raise TypeError(f"unsupported variety model {type(X).__name__}")
+def _support_clause(X, E, fails) -> ClauseValue:
+    """True unless some component of Supp(E) fails; the witness is the first
+    failing label in the model's order."""
+    bad = next((label for label in X.labels(E) if fails(label)), None)
+    return _TRUE if bad is None else ClauseValue("false", {X.label_kind: bad})
 
 
 def _as_grid(values, fallback):
@@ -241,28 +121,27 @@ def check_theorem_a(X, D, E, m_grid=None, rng=None) -> TheoremReport:
     h0(mD'-mE) = h0(mD') over the grid, with D' ranging over the divisor
     and a few principal shifts of it; v) E = 0, evaluated when D is nef.
     """
-    side = _side(X, D, E)
-    if not side.check_big():
+    if not X.is_big(D):
         raise NotBig("checker needs a big divisor D")
-    if not side.effective(E):
+    if not E.is_effective():
         raise NotEffective("checker needs an effective divisor E")
     m_grid = _as_grid(m_grid, default_m_grid())
 
     clauses = {}
-    vol_d, vol_sub = side.vol(D), side.vol(D - E)
+    vol_d, vol_sub = X.volume(D), X.volume(D - E)
     clauses["i"] = (
         _TRUE
         if vol_sub == vol_d
         else ClauseValue("false", {"vol_D": str(vol_d), "vol_D_minus_E": str(vol_sub)})
     )
-    ok, witness = side.nsigma_dominates(E)
-    clauses["ii"] = _TRUE if ok else ClauseValue("false", witness)
+    N, coeffs = X.nsigma(D).coeff_map(), E.coeff_map()
+    clauses["ii"] = _support_clause(X, E, lambda label: coeffs[label] > N[label])
 
     clauses["iv"] = _TRUE
-    for shift_idx, Dp in enumerate([None] + side.shifts(rng)):
+    for shift_idx, Dp in enumerate([None] + X.shifts(rng)):
         base = D if Dp is None else D + Dp
         for m in m_grid:
-            if side.h0(base.scale(m) - E.scale(m)) != side.h0(base.scale(m)):
+            if X.h0(base.scale(m) - E.scale(m)) != X.h0(base.scale(m)):
                 witness = {"m": str(m)}
                 if Dp is not None:
                     witness["shift"] = shift_idx
@@ -271,7 +150,7 @@ def check_theorem_a(X, D, E, m_grid=None, rng=None) -> TheoremReport:
         if clauses["iv"].is_false:
             break
 
-    if side.is_nef():
+    if X.is_nef(D):
         clauses["v"] = _TRUE if E.is_zero() else ClauseValue("false", {"E": "nonzero"})
     else:
         clauses["v"] = ClauseValue("skipped", reason="D is not nef")
@@ -287,32 +166,31 @@ def check_theorem_b(X, D, E, m_grid=None, r_grid=None, rng=None) -> TheoremRepor
     running over m itself and the r-grid, D' over principal shifts;
     v) D^(n-1).E = 0, evaluated when D is nef.
     """
-    side = _side(X, D, E)
-    if not side.check_big():
+    if not X.is_big(D):
         raise NotBig("checker needs a big divisor D")
-    if not side.effective(E):
+    if not E.is_effective():
         raise NotEffective("checker needs an effective divisor E")
     m_grid = _as_grid(m_grid, default_m_grid())
     r_grid = _as_grid(r_grid, DEFAULT_R_GRID)
 
     clauses = {}
-    vol_d, vol_add = side.vol(D), side.vol(D + E)
+    vol_d, vol_add = X.volume(D), X.volume(D + E)
     clauses["i"] = (
         _TRUE
         if vol_add == vol_d
         else ClauseValue("false", {"vol_D": str(vol_d), "vol_D_plus_E": str(vol_add)})
     )
-    ok, witness = side.bplus_contains_support(E)
-    clauses["ii"] = _TRUE if ok else ClauseValue("false", witness)
+    locus = X.bplus(D)
+    clauses["ii"] = _support_clause(X, E, lambda label: label not in locus)
 
     clauses["iv"] = _TRUE
-    for shift_idx, Dp in enumerate([None] + side.shifts(rng)):
+    for shift_idx, Dp in enumerate([None] + X.shifts(rng)):
         base = D if Dp is None else D + Dp
         for m in m_grid:
-            h_base = side.h0(base.scale(m))
+            h_base = X.h0(base.scale(m))
             r_values = [m] if Dp is None else [m] + r_grid
             for r in r_values:
-                if side.h0(base.scale(m) + E.scale(r)) != h_base:
+                if X.h0(base.scale(m) + E.scale(r)) != h_base:
                     witness = {"m": str(m), "r": str(r)}
                     if Dp is not None:
                         witness["shift"] = shift_idx
@@ -323,8 +201,8 @@ def check_theorem_b(X, D, E, m_grid=None, r_grid=None, rng=None) -> TheoremRepor
         if clauses["iv"].is_false:
             break
 
-    if side.is_nef():
-        pairing = side.nef_intersection(E)
+    if X.is_nef(D):
+        pairing = X.intersect(D, E)
         clauses["v"] = _TRUE if pairing == 0 else ClauseValue("false", {"intersection": str(pairing)})
     else:
         clauses["v"] = ClauseValue("skipped", reason="D is not nef")
@@ -336,27 +214,12 @@ def negsections_check(X, D, E, m_grid=None) -> bool:
     """When Supp(E) sits inside Supp(N_sigma(D)): the negative part grows by
     exactly E and section counts are untouched at every sampled multiple."""
     m_grid = _as_grid(m_grid, default_m_grid())
-    if isinstance(X, toric.Fan):
-        dec = toric.sigma_decomposition(D)
-        if not E.support() <= dec.nsigma.support():
-            raise ValueError("E is not supported inside the negative part")
-        dec2 = toric.sigma_decomposition(D + E)
-        expected = dec.nsigma + E
-        if dec2.nsigma.coeffs != expected.coeffs:
-            return False
-        h = toric.h0
-    else:
-        pair = surf.zariski(D)
-        if not E.support() <= ({"E"} if pair.N.cE else frozenset()):
-            raise ValueError("E is not supported inside the negative part")
-        pair2 = surf.zariski(D + E)
-        if pair2.N.cE != pair.N.cE + E.cE:
-            return False
-        h = surf.h0_surface
-    for m in m_grid:
-        if h((D + E).scale(m)) != h(D.scale(m)):
-            return False
-    return True
+    N = X.nsigma(D)
+    if not E.support() <= N.support():
+        raise ValueError("E is not supported inside the negative part")
+    if X.nsigma(D + E) != N + E:
+        return False
+    return all(X.h0((D + E).scale(m)) == X.h0(D.scale(m)) for m in m_grid)
 
 
 # ---------------------------------------------------------------------------

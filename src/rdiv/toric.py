@@ -39,11 +39,9 @@ __all__ = [
     "Fan",
     "TDivisor",
     "SigmaDecomposition",
-    "HilbertRow",
     "preset_fan",
     "polytope_of",
     "h0",
-    "hilbert_table",
     "volume",
     "is_big",
     "is_nef",
@@ -80,6 +78,16 @@ class Fan:
                 raise ValueError(f"ray {r} is not primitive")
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("duplicate rays")
+        seen = set()
+        for name, idx in self.names:
+            if not 0 <= idx < self.nrays:
+                raise ValueError(f"name {name!r}: ray {idx} is outside 0..{self.nrays - 1}")
+            if name in seen:
+                raise ValueError(f"name {name!r} is given twice")
+            seen.add(name)
+            default = _default_index(name)
+            if default is not None and default != idx:
+                raise ValueError(f"name {name!r} is the default label of ray {default}, not {idx}")
         facets: dict[tuple[int, ...], int] = {}
         for cone in self.max_cones:
             if len(cone) != self.dim:
@@ -106,11 +114,10 @@ class Fan:
         for name, idx in self.names:
             if name == key:
                 return idx
-        if isinstance(key, str) and key.startswith("r") and key[1:].isdigit():
-            return self.ray_index(int(key[1:]))
-        if isinstance(key, str) and key.isdigit():
-            return self.ray_index(int(key))
-        raise KeyError(f"unknown ray {key!r}")
+        default = _default_index(key) if isinstance(key, str) else None
+        if default is None:
+            raise KeyError(f"unknown ray {key!r}")
+        return self.ray_index(default)
 
     def ray_name(self, idx: int) -> str:
         for name, i in self.names:
@@ -126,6 +133,59 @@ class Fan:
                 vec[self.ray_index(key)] = val if isinstance(val, Scalar) else Scalar(val)
             return TDivisor(self, tuple(vec))
         return TDivisor(self, tuple(c if isinstance(c, Scalar) else Scalar(c) for c in coeffs))
+
+    # The variety protocol, shared with surface.SurfaceModel.  Each query is a
+    # call to this module's function, looked up at call time, so a patched or
+    # traced module name is what runs.
+    label_kind = "ray"
+    component = ray_index
+
+    def labels(self, D: "TDivisor") -> list[str]:
+        """Names of the rays in the support of D, in ray order."""
+        return [self.ray_name(i) for i in sorted(D.support())]
+
+    def h0(self, D):
+        return h0(D)
+
+    def volume(self, D):
+        return volume(D)
+
+    def is_big(self, D):
+        return is_big(D)
+
+    def is_nef(self, D):
+        return is_nef(D)
+
+    def sigma(self, D, label):
+        return sigma(D, label)
+
+    def nsigma(self, D):
+        return sigma_decomposition(D).nsigma
+
+    def bplus(self, D) -> frozenset[str]:
+        return frozenset(self.ray_name(i) for i in bplus_div(D))
+
+    def intersect(self, D, E):
+        return intersection_nef_div(D, E)
+
+    def shifts(self, rng) -> list["TDivisor"]:
+        """Two principal divisors of small characters, trivial on the class:
+        the first unit vectors, or random nonzero vectors in {-1, 0, 1}^n."""
+        if rng is None:
+            vecs = [tuple(int(j == i) for j in range(self.dim)) for i in range(min(2, self.dim))]
+        else:
+            vecs = []
+            while len(vecs) < 2:
+                v = tuple(rng.randint(-1, 1) for _ in range(self.dim))
+                if any(v):
+                    vecs.append(v)
+        return [principal_divisor(self, v) for v in vecs]
+
+
+def _default_index(label: str) -> int | None:
+    """j for the default ray labels r<j> and <j>, None for any other label."""
+    digits = label[1:] if label.startswith("r") else label
+    return int(digits) if digits.isdecimal() else None
 
 
 def preset_fan(name: str) -> Fan:
@@ -224,27 +284,6 @@ def polytope_of(D: TDivisor) -> HPolytope:
 def h0(D: TDivisor) -> int:
     """Dimension of global sections of the rounded-down divisor."""
     return lattice_points(polytope_of(D))
-
-
-@dataclass(frozen=True)
-class HilbertRow:
-    m: Scalar
-    h0: int
-    normalized: Scalar  # n! * h0 / m^n, exact; display-only convergence aid
-
-
-def hilbert_table(D: TDivisor, samples) -> list[HilbertRow]:
-    """Evaluate m -> h0(mD) on a grid of positive Scalar multipliers."""
-    _check_tdivisor(D)
-    n = D.fan.dim
-    rows = []
-    for m in samples:
-        m = m if isinstance(m, Scalar) else Scalar(m)
-        if m.sign() <= 0:
-            raise ValueError(f"sample {m} is not positive")
-        value = h0(D.scale(m))
-        rows.append(HilbertRow(m, value, Scalar(math.factorial(n)) * value / m**n))
-    return rows
 
 
 def volume(D: TDivisor) -> Scalar:

@@ -188,6 +188,7 @@ def test_missing_variety_exit(capsys):
         ("h0", "--preset", "XX", "--divisor", "H:1"),
         ("paper-example", "--samples", "1,0"),
         ("h0", "--file", "no-such-problem.json", "--divisor", "D"),
+        ("hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", "0"),
     ],
 )
 def test_bad_user_input_is_a_parse_error(capsys, argv):
@@ -296,6 +297,25 @@ def test_parse_problem_inline_fan_works(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, _ = invoke(capsys, "h0", "--file", str(path), "--divisor", "D")
     assert code == EXIT_OK and out.strip() == "3"
+
+
+@pytest.mark.parametrize(
+    "names, argv",
+    [
+        ({"X": 7}, ("h0", "--divisor", "X:1")),
+        ({"X": -1}, ("h0", "--divisor", "X:1")),
+        ({"r1": 0}, ("sigma", "--divisor", "r0:1,r1:1,r2:1", "--format", "json")),
+    ],
+    ids=["past-the-end", "negative", "shadows-default-label"],
+)
+def test_file_with_bad_ray_names_is_a_parse_error(capsys, tmp_path, names, argv):
+    fan = {"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [2, 0]], "names": names}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"variety": fan, "divisors": {}}))
+    code, out, err = invoke(capsys, argv[0], "--file", str(path), *argv[1:])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error:")
 
 
 def test_file_with_surface_model(capsys, tmp_path):

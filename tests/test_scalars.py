@@ -10,7 +10,6 @@ from rdiv.errors import DivisionByZero, MixedDiscriminant
 from rdiv.scalars import (
     Scalar,
     parse_scalar,
-    scalar_arith,
     scalar_ceil,
     scalar_cmp,
     scalar_floor,
@@ -44,7 +43,7 @@ def test_conjugate_product():
 
 
 def test_rational_add():
-    assert scalar_arith(Scalar(Fraction(1, 2)), Scalar(Fraction(1, 3)), "add") == Scalar(Fraction(5, 6))
+    assert Scalar(Fraction(1, 2)) + Scalar(Fraction(1, 3)) == Scalar(Fraction(5, 6))
 
 
 def test_sqrt2_squared():
@@ -65,7 +64,7 @@ def test_floor_examples():
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        scalar_arith(Scalar(1), Scalar(0), "div")
+        Scalar(1) / Scalar(0)
 
 
 def test_mixed_discriminants_rejected():

@@ -1,0 +1,34 @@
+"""Smoke tests: every script in scripts/ runs to completion on a small input."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run_corpus.py", "--count", "3"),
+        ("paper_example_table.py", "--max-m", "2"),
+        ("volume_convergence.py", "--divisors", "2", "--multiples", "10,20"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_script_exits_zero(argv):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

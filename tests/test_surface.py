@@ -57,6 +57,13 @@ def test_model_rejects_duplicate_fibers():
         SurfaceModel(1, ("F1", "F1"))
 
 
+@pytest.mark.parametrize("label", ["E", "C"])
+def test_model_rejects_fiber_labelled_as_a_section(label):
+    # the label would name two components, and divisor() could only reach one
+    with pytest.raises(UnsupportedModel):
+        SurfaceModel(1, ("F1", label))
+
+
 def test_model_rejects_unknown_component():
     with pytest.raises(KeyError):
         MODEL1.divisor({"G": 1})

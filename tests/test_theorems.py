@@ -82,6 +82,18 @@ def test_a_surface_fiber_component_breaks_domination():
     assert statuses(rep)["i"] == "false"
 
 
+def test_a_surface_witness_is_first_failing_component_in_sorted_order():
+    D = MODEL1.divisor({"C": 1, "E": 1})
+    E = MODEL1.divisor({"E": 2, "F1": 1})  # E exceeds N = E, and F1 is off N
+    rep = check_theorem_a(MODEL1, D, E)
+    assert rep.clause_values["ii"].witness == {"component": "E"}
+
+
+def test_a_fan_witness_names_the_ray():
+    rep = check_theorem_a(F1, F1.divisor({"C": 1, "E": 1}), F1.divisor({"E": 2, "F": 1}))
+    assert rep.clause_values["ii"].witness == {"ray": "F"}
+
+
 # ---- checker B --------------------------------------------------------------
 
 

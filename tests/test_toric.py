@@ -8,16 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import ample_divisor, bplus_halving
-from rdiv.errors import NoSections, NonSimplicialCone, NotBig, NotNef, RdivError, UnsupportedDivisor
+from rdiv.errors import NoSections, NonSimplicialCone, NotBig, NotNef, RdivError
 from rdiv.polyhedra import lattice_point_list, vertices
 from rdiv.scalars import Scalar, sqrt
-from rdiv.surface import SurfaceModel
 from rdiv.theorems import generate_corpus
 from rdiv.toric import (
     Fan,
     bplus_div,
     h0,
-    hilbert_table,
     intersection_nef,
     intersection_nef_div,
     is_big,
@@ -85,6 +83,27 @@ def test_fan_rejects_nonsimplicial():
         Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1, 2), (1, 2), (2, 0)))
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ((("X", 7),), "outside"),
+        ((("X", -1),), "outside"),
+        ((("X", 0), ("X", 1)), "twice"),
+        ((("r1", 0),), "default label"),
+        ((("2", 1),), "default label"),
+    ],
+    ids=["past-the-end", "negative", "duplicate", "shadows-r1", "shadows-2"],
+)
+def test_fan_rejects_bad_names(names, message):
+    with pytest.raises(ValueError, match=message):
+        Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)), names)
+
+
+def test_fan_accepts_names_matching_their_default_label():
+    fan = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)), (("r1", 1), ("2", 2)))
+    assert fan.ray_index("r1") == 1 and fan.ray_index("2") == 2
+
+
 # ---- polytopes and h0 ------------------------------------------------------
 
 
@@ -144,24 +163,6 @@ def test_h0_at_huge_multiples_matches_closed_forms(fan, coeffs, factor, closed_f
     start = time.perf_counter()
     assert h0(D) == closed_form(m)
     assert time.perf_counter() - start < 0.5
-
-
-def test_hilbert_table_values():
-    rows = hilbert_table(H, [1, 2, 3])
-    assert [r.h0 for r in rows] == [3, 6, 10]
-    assert rows[0].normalized == Scalar(6)  # 2! * 3 / 1
-
-
-def test_hilbert_rejects_surface_divisor():
-    model = SurfaceModel(1, ("F1", "F2", "F3", "F4"))
-    D = model.divisor({"C": 1})
-    with pytest.raises(UnsupportedDivisor):
-        hilbert_table(D, [1])
-
-
-def test_hilbert_rejects_nonpositive_sample():
-    with pytest.raises(ValueError):
-        hilbert_table(H, [0])
 
 
 # ---- volume and positivity -------------------------------------------------
