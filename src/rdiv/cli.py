@@ -16,12 +16,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import surface as surf
 from . import theorems, toric
-from .errors import ExampleViolated, ParseError, RdivError
+from .errors import ExampleViolated, ParseError, RdivError, UnsupportedModel
 from .scalars import Scalar, parse_scalar
 from .toric import preset_fan
 
@@ -119,10 +118,7 @@ def _parse_variety(spec, path: str):
         fibers = spec.get("fibers", [])
         if not isinstance(fibers, list) or not all(isinstance(f, str) for f in fibers):
             raise ParseError("'fibers' must be a list of labels", f"{path}.fibers")
-        try:
-            return surf.SurfaceModel(spec["e"], tuple(fibers))
-        except RdivError as exc:
-            raise ParseError(str(exc), path)
+        return _surface_model(spec["e"], tuple(fibers), path)
     allowed = {"rays", "cones", "names"}
     unknown = set(spec) - allowed
     if unknown:
@@ -132,14 +128,26 @@ def _parse_variety(spec, path: str):
         cones = tuple(tuple(c) for c in spec["cones"])
     except (KeyError, TypeError):
         raise ParseError("fan needs 'rays' and 'cones' arrays", path)
+    if not all(_is_json_int(x) for r in rays + cones for x in r):
+        raise ParseError("'rays' and 'cones' must hold integers", path)
+    names = spec.get("names", {})
+    if not isinstance(names, dict) or not all(_is_json_int(v) for v in names.values()):
+        raise ParseError("'names' must map labels to integer ray indices", f"{path}.names")
     try:
-        names = tuple(sorted((str(k), int(v)) for k, v in spec.get("names", {}).items()))
-    except ValueError:
-        raise ParseError("'names' must map labels to ray indices", f"{path}.names")
-    try:
-        return toric.Fan(len(rays[0]) if rays else 0, rays, cones, names)
+        return toric.Fan(len(rays[0]) if rays else 0, rays, cones, tuple(sorted(names.items())))
     except (ValueError, RdivError) as exc:
         raise ParseError(f"InvariantViolation: {exc}", path)
+
+
+def _is_json_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _surface_model(e: int, fibers: tuple[str, ...], path: str):
+    try:
+        return surf.SurfaceModel(e, fibers)
+    except UnsupportedModel as exc:
+        raise ParseError(str(exc), path)
 
 
 def parse_problem(data: bytes | str) -> ProblemFile:
@@ -222,7 +230,8 @@ def _load_context(args):
             D = pf.divisor(spec)
         return variety, D, pf.disc
     if getattr(args, "e", None) is not None:
-        variety = surf.SurfaceModel(args.e, tuple(args.fibers.split(",")) if args.fibers else ("F1", "F2", "F3", "F4"))
+        fibers = tuple(args.fibers.split(",")) if args.fibers else ("F1", "F2", "F3", "F4")
+        variety = _surface_model(args.e, fibers, "--e")
     elif getattr(args, "preset", None):
         variety = _parse_variety(args.preset, "--preset")
     else:
@@ -274,24 +283,12 @@ def _cmd_h0(args):
     return EXIT_OK
 
 
-def _hilbert_row(task):
-    variety, D, m = task
-    return variety.h0(D.scale(m))
-
-
 def _cmd_hilbert(args):
     variety, D, disc = _load_context(args)
     samples = _parse_samples(args.samples, disc) or theorems.default_m_grid(disc)
-    tasks = [(variety, D, m) for m in samples]
-    # the pool forks all its workers up front, so never ask for more than can run
-    jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            counts = list(pool.map(_hilbert_row, tasks))
-    else:
-        counts = [_hilbert_row(t) for t in tasks]
     rows = []
-    for m, c in zip(samples, counts):
+    for m in samples:
+        c = variety.h0(D.scale(m))
         normalized = Scalar(math.factorial(variety.dim)) * c / m**variety.dim
         rows.append((m, c, normalized))
     payload = {"rows": [{"m": str(m), "h0": c, "normalized": str(v)} for m, c, v in rows]}
@@ -487,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument(
-        "--jobs", type=int, default=1, help="parallel sample evaluation, at most one worker per CPU"
+        "--jobs", type=int, default=1, help="ignored; samples are evaluated in this process"
     )
     subs = parser.add_subparsers(dest="command", required=True)
 

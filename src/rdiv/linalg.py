@@ -9,13 +9,12 @@ quadratic-field data.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 __all__ = [
     "solve_square",
-    "det",
     "matrix_rank",
-    "affine_rank",
     "nullspace_vector",
     "kernel_basis",
     "primitive",
@@ -47,29 +46,6 @@ def solve_square(matrix, rhs):
     return tuple(aug[i][n] / aug[i][i] for i in range(n))
 
 
-def det(matrix):
-    """Determinant by exact elimination."""
-    n = len(matrix)
-    a = [[_lift(x) for x in row] for row in matrix]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0) * result
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        pval = a[col][col]
-        result = pval * result
-        for r in range(col + 1, n):
-            f = a[r][col]
-            if f != 0:
-                ratio = f / pval
-                a[r] = [x - ratio * y for x, y in zip(a[r], a[col])]
-    return sign * result
-
-
 def matrix_rank(rows) -> int:
     rows = [[_lift(x) for x in r] for r in rows]
     if not rows:
@@ -93,16 +69,6 @@ def matrix_rank(rows) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of a point set (-1 for empty)."""
-    pts = list(points)
-    if not pts:
-        return -1
-    base = pts[0]
-    diffs = [[a - b for a, b in zip(p, base)] for p in pts[1:]]
-    return matrix_rank(diffs) if diffs else 0
 
 
 def nullspace_vector(rows, dim):
@@ -145,7 +111,8 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
-def kernel_basis(g) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=4096)
+def kernel_basis(g: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Z-basis of the lattice {x in Z^n : <g, x> = 0} for integer g != 0.
 
     Column-reduces g to gcd(g)*e_1 by unimodular operations tracked on the
@@ -162,7 +129,7 @@ def kernel_basis(g) -> list[tuple[int, ...]]:
             k = nonzero[0]
             w[0], w[k] = w[k], w[0]
             cols[0], cols[k] = cols[k], cols[0]
-            return [tuple(cols[j]) for j in range(1, n)]
+            return tuple(tuple(cols[j]) for j in range(1, n))
         i0 = min(nonzero, key=lambda i: abs(w[i]))
         for j in nonzero:
             if j == i0:

@@ -3,14 +3,21 @@
 Polytopes are given by integer normal vectors and Scalar offsets, with each
 row read as <u, normal> >= offset.  Everything is exact; when every offset
 is rational the internals run on plain Fractions for speed and results are
-wrapped back into Scalars at the API boundary.  Lattice counts never leave
-the integers: on a lattice point <u, normal> is an integer, so a row holds
-there exactly when <u, normal> >= ceil(offset), and each offset is rounded
-once per polytope.  A polygon is counted without its vertices: between
-consecutive crossings of its rows one lower and one upper edge are active,
-and the points over that stretch are two Euclid-like floor sums, so the cost
-does not grow with the dilation.  Dimension n >= 3 is sliced on its leading
-coordinates down to polygons.
+wrapped back into Scalars at the API boundary.
+
+Volumes come from Lasserre's recursion: n times the volume is the sum, over
+the rows, of the signed lattice distance of the origin from the row's
+hyperplane times the lattice volume of the face there, and each face is
+sliced into the lattice of its hyperplane and measured the same way, down
+to points.
+
+Lattice counts never leave the integers: on a lattice point <u, normal> is
+an integer, so a row holds there exactly when <u, normal> >= ceil(offset),
+and each offset is rounded once per polytope.  A polygon is counted without
+its vertices: between consecutive crossings of its rows one lower and one
+upper edge are active, and the points over that stretch are two Euclid-like
+floor sums, so the cost does not grow with the dilation.  Dimension n >= 3
+is sliced on its leading coordinates down to polygons.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import EmptyPolytope, UnboundedPolytope
-from .linalg import affine_rank, det, kernel_basis, nullspace_vector, solve_square
+from .linalg import kernel_basis, nullspace_vector, solve_square
 from .scalars import Scalar
 
 __all__ = [
@@ -31,10 +38,8 @@ __all__ = [
     "LPProblem",
     "LPResult",
     "lp_solve",
-    "vertices",
     "euclidean_volume",
     "lattice_points",
-    "lattice_point_list",
     "facet_lattice_volume",
     "is_bounded",
 ]
@@ -63,19 +68,10 @@ class HPolytope:
             if not any(g):
                 raise ValueError("zero normal vector in polytope row")
 
-    def contains(self, point) -> bool:
-        return all(sum(c * x for c, x in zip(g, point)) >= o for g, o in self.rows)
-
     def scale(self, factor) -> "HPolytope":
         """Dilation by factor > 0 about the origin."""
         f = _as_scalar(factor)
         return HPolytope(self.dim, tuple((g, o * f) for g, o in self.rows))
-
-    def translate(self, shift) -> "HPolytope":
-        return HPolytope(
-            self.dim,
-            tuple((g, o + sum(c * s for c, s in zip(g, shift))) for g, o in self.rows),
-        )
 
 
 def _offsets_for_field(p: HPolytope):
@@ -300,82 +296,61 @@ def _vertex_set(p: HPolytope) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(sorted(found))
 
 
-def vertices(p: HPolytope) -> set[tuple[Scalar, ...]]:
-    """Vertex set; raises on unbounded or empty input."""
-    vs = _vertex_set(p)
-    if not vs:
-        raise EmptyPolytope("polytope has no feasible point")
-    return set(vs)
-
-
 # ---------------------------------------------------------------------------
 # volume
 
 
-def _tight_sets(vert_list, rows, offs):
-    """For each row, indices of vertices lying on its hyperplane."""
+def _face_rows(rows, g, c):
+    """Rows of the face <u, g> = c of {<u, h> >= d}, in the coordinates of a
+    lattice basis of the hyperplane's direction, so that its volume there is
+    its lattice volume.  Rows parallel to g are checked on the hyperplane and
+    dropped; None when one of them excludes it."""
+    j = next(i for i, x in enumerate(g) if x)
+    shift = c / g[j]  # the base point shift * e_j lies on the hyperplane
+    basis = kernel_basis(g)
     out = []
-    for i, (g, _) in enumerate(rows):
-        out.append(
-            frozenset(
-                k
-                for k, v in enumerate(vert_list)
-                if sum(c * x for c, x in zip(g, v)) == offs[i]
-            )
-        )
+    # shift * int, not int * shift: Fraction's reflected operators take a
+    # slower path through an abstract-base-class check
+    for h, d in rows:
+        hb = tuple(sum(map(mul, h, b)) for b in basis)
+        if any(hb):
+            out.append((hb, d - shift * h[j] if h[j] else d))
+        elif d > shift * h[j]:
+            return None
     return out
 
 
-def _triangulate(face: frozenset, dim: int, vert_list, tight_by_row):
-    """Triangulate a dim-dimensional face into vertex-index simplices."""
-    if dim == 0:
-        return [(min(face),)]
-    apex = min(face)
-    seen = set()
-    simplices = []
-    for trow in tight_by_row:
-        sub = face & trow
-        if not sub or sub == face or apex in sub or sub in seen:
-            continue
-        if affine_rank([vert_list[k] for k in sub]) != dim - 1:
-            continue
-        seen.add(sub)
-        for s in _triangulate(sub, dim - 1, vert_list, tight_by_row):
-            simplices.append((apex,) + s)
-    return simplices
+def _volume(n: int, rows):
+    """Lattice n-volume of the bounded polytope {<u, g> >= c} (0 for None).
+
+    Lasserre's recursion: with each row divided by the gcd of its normal,
+    n * vol = sum over rows of -c * vol(face), the signed lattice distance
+    of the origin from the row's hyperplane times the lattice volume of its
+    face.  Faces of dimension below n - 1 measure 0.  Identical rows are
+    one hyperplane and are counted once: on a flat polytope the faces of a
+    hyperplane and of its opposite are the whole polytope, and their terms
+    cancel only in pairs."""
+    if rows is None:
+        return Fraction(0)
+    if n == 0:
+        return Fraction(1)
+    unique = {}
+    for g, c in rows:
+        k = math.gcd(*g)
+        unique[(g, c) if k == 1 else (tuple(x // k for x in g), c / k)] = None
+    total = Fraction(0)
+    for g, c in unique:
+        if c:
+            total = total - c * _volume(n - 1, _face_rows(unique, g, c))
+    return total / n
 
 
-@lru_cache(maxsize=None)
 def euclidean_volume(p: HPolytope) -> Scalar:
-    """Exact n-volume by coning facet triangulations over the vertex centroid."""
-    vs = _vertex_set(p)
-    if not vs:
+    """Exact n-volume by Lasserre's facet recursion; raises on unbounded or
+    empty input."""
+    if not _vertex_set(p):
         raise EmptyPolytope("cannot take the volume of an empty polytope")
-    n = p.dim
-    vert_list = [tuple(v) for v in vs]
-    if affine_rank(vert_list) < n:
-        return Scalar(0)
-    offs = [o for _, o in p.rows]
-    tight_by_row = _tight_sets(vert_list, p.rows, offs)
-    k = len(vert_list)
-    centroid = tuple(sum((v[j] for v in vert_list), Scalar(0)) / k for j in range(n))
-    total = Scalar(0)
-    nfact = math.factorial(n)
-    all_idx = frozenset(range(k))
-    done = set()
-    for trow in tight_by_row:
-        if trow in done or not trow or trow == all_idx:
-            continue
-        done.add(trow)
-        if affine_rank([vert_list[i] for i in trow]) != n - 1:
-            continue
-        for simplex in _triangulate(trow, n - 1, vert_list, tight_by_row):
-            mat = [
-                [vert_list[i][j] - centroid[j] for j in range(n)]
-                for i in simplex
-            ]
-            total = total + abs(det(mat)) / nfact
-    return total
+    return _as_scalar(_volume(p.dim, list(zip((g for g, _ in p.rows), _offsets_for_field(p)))))
 
 
 # ---------------------------------------------------------------------------
@@ -518,49 +493,17 @@ def lattice_points(p: HPolytope) -> int:
     return _count_slices(rows, boxes)
 
 
-def lattice_point_list(p: HPolytope) -> list[tuple[int, ...]]:
-    return [pre + (t,) for pre, lo, hi in _lattice_intervals(p) for t in range(lo, hi + 1)]
-
-
 # ---------------------------------------------------------------------------
 # facet volume against the induced lattice
 
 
+@lru_cache(maxsize=None)
 def facet_lattice_volume(p: HPolytope, facet_row: int) -> Scalar:
     """(n-1)-volume of a facet, measured in the lattice of its affine hull.
 
     Returns 0 when the row supports a face of dimension below n-1.
     """
-    g, c = p.rows[facet_row]
     if not is_bounded(p):
         raise UnboundedPolytope("facet volume needs a bounded polytope")
-    n = p.dim
-    g0 = 0
-    for x in g:
-        g0 = math.gcd(g0, abs(x))
-    gprim = tuple(x // g0 for x in g)
-    cprim = c / g0
-    if n == 1:
-        point = (cprim / gprim[0],)
-        return Scalar(1) if p.contains(point) else Scalar(0)
-    # base point of the hyperplane and a lattice basis of its direction
-    j = next(i for i, x in enumerate(gprim) if x)
-    u0 = [Scalar(0)] * n
-    u0[j] = cprim / gprim[j]
-    basis = kernel_basis(gprim)
-    slice_rows = []
-    for i, (h, d) in enumerate(p.rows):
-        if i == facet_row:
-            continue
-        hb = tuple(sum(hc * bc for hc, bc in zip(h, b)) for b in basis)
-        d2 = d - sum(hc * x for hc, x in zip(h, u0))
-        if not any(hb):
-            if d2 > 0:
-                return Scalar(0)
-            continue
-        slice_rows.append((hb, d2))
-    sliced = HPolytope(n - 1, tuple(slice_rows))
-    try:
-        return euclidean_volume(sliced)
-    except EmptyPolytope:
-        return Scalar(0)
+    rows = list(zip((g for g, _ in p.rows), _offsets_for_field(p)))
+    return _as_scalar(_volume(p.dim - 1, _face_rows(rows, *rows[facet_row])))

@@ -21,7 +21,6 @@ __all__ = [
     "parse_scalar",
     "scalar_cmp",
     "scalar_floor",
-    "scalar_ceil",
 ]
 
 
@@ -119,8 +118,10 @@ class Scalar:
         if o is None:
             return NotImplemented
         d = self._join_disc(o)
-        if not self.surd and not o.surd:
-            return Scalar._make(self.rat * o.rat, Fraction(0), 0)
+        if not o.surd:
+            return Scalar._make(self.rat * o.rat, self.surd * o.rat, d)
+        if not self.surd:
+            return Scalar._make(self.rat * o.rat, self.rat * o.surd, d)
         return Scalar._make(
             self.rat * o.rat + self.surd * o.surd * d,
             self.rat * o.surd + self.surd * o.rat,
@@ -317,7 +318,3 @@ def scalar_cmp(x, y) -> int:
 
 def scalar_floor(x) -> int:
     return math.floor(x if isinstance(x, Scalar) else Scalar(x))
-
-
-def scalar_ceil(x) -> int:
-    return math.ceil(x if isinstance(x, Scalar) else Scalar(x))

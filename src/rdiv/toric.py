@@ -21,17 +21,14 @@ from .errors import (
     RdivError,
     UnsupportedDivisor,
 )
-from .linalg import affine_rank, matrix_rank, primitive, solve_square
+from .linalg import matrix_rank, primitive, solve_square
 from .polyhedra import (
     HPolytope,
     LPProblem,
-    euclidean_volume,
     facet_lattice_volume,
     lattice_points,
     lp_solve,
     _lattice_intervals,
-    _tight_sets,
-    _vertex_set,
 )
 from .scalars import Scalar
 
@@ -287,18 +284,18 @@ def h0(D: TDivisor) -> int:
 
 
 def volume(D: TDivisor) -> Scalar:
-    """vol(D) = n! * euclidean volume of the section polytope (0 when empty)."""
-    _check_tdivisor(D)
+    """vol(D) = n! * euclidean volume of the section polytope, by Lasserre's
+    facet formula with the primitive rays as normals: the toric identity
+    D^n = sum_i a_i * D^(n-1).D_i, where D^(n-1).D_i is (n-1)! times the
+    lattice volume of the face on ray i (0 when the polytope is empty)."""
     p = polytope_of(D)
-    if not _vertex_set(p):
-        return Scalar(0)
-    return Scalar(math.factorial(D.fan.dim)) * euclidean_volume(p)
+    terms = (a * facet_lattice_volume(p, i) for i, a in enumerate(D.coeffs) if a)
+    return Scalar(math.factorial(D.fan.dim - 1)) * sum(terms, Scalar(0))
 
 
 def is_big(D: TDivisor) -> bool:
-    """Big iff the section polytope is full-dimensional."""
-    _check_tdivisor(D)
-    return affine_rank(_vertex_set(polytope_of(D))) == D.fan.dim
+    """Big iff the section polytope has positive volume."""
+    return volume(D) > 0
 
 
 def is_nef(D: TDivisor) -> bool:
@@ -362,22 +359,14 @@ def principal_divisor(fan: Fan, u) -> TDivisor:
 def bplus_div(D: TDivisor) -> frozenset[int]:
     """Divisorial augmented base locus of a big divisor: the rays whose face
     <u, ray> = -coeff of the section polytope is not a facet, i.e. has zero
-    restricted volume (Ein-Lazarsfeld-Mustata-Nakamaye-Popa).  A face is a
-    facet when its tight vertices have affine rank n - 1; an empty face has
-    rank -1.  The rule needs no ample divisor, so on a complete fan without
-    one (non-projective, dim >= 3) it still returns the rays of zero
-    restricted volume instead of raising."""
-    _check_tdivisor(D)
+    restricted volume (Ein-Lazarsfeld-Mustata-Nakamaye-Popa).  The rule
+    needs no ample divisor, so on a complete fan without one
+    (non-projective, dim >= 3) it still returns the rays of zero restricted
+    volume instead of raising."""
     if not is_big(D):
         raise NotBig("the divisorial augmented base locus needs a big divisor")
     p = polytope_of(D)
-    verts = _vertex_set(p)
-    n = D.fan.dim
-    return frozenset(
-        i
-        for i, tight in enumerate(_tight_sets(verts, p.rows, [o for _, o in p.rows]))
-        if affine_rank([verts[k] for k in tight]) < n - 1
-    )
+    return frozenset(i for i in range(D.fan.nrays) if not facet_lattice_volume(p, i))
 
 
 def intersection_nef(D: TDivisor, ray) -> Scalar:

@@ -3,19 +3,24 @@
 Most deliberately avoid the library's own code paths: small hand-rolled
 Cramer solves, exhaustive 2-subset vertex enumeration, shoelace areas,
 box-membership lattice counts and degree-by-degree section sums on F_e, all
-in exact arithmetic.  The B+ reference at the end is the older
-ample-divisor epsilon schedule, kept to cross-check the library's direct
-facet rule.
+in exact arithmetic.  Helpers that only tests use (vertex sets, lattice
+point lists, translation, ceilings) sit here too.  The references at the
+end are older library rules, kept to cross-check the direct ones that
+replaced them: the triangulated volume, vertex-rank bigness and tight-set
+B+ against the facet recursion, and the ample-divisor epsilon schedule
+against the facet rule for B+.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from rdiv.errors import NotBig, RdivError
-from rdiv.polyhedra import HPolytope, LPProblem, lp_solve
+from rdiv.errors import EmptyPolytope, NotBig, RdivError
+from rdiv.linalg import matrix_rank
+from rdiv.polyhedra import HPolytope, LPProblem, _lattice_intervals, _vertex_set, lp_solve
 from rdiv.scalars import Scalar
-from rdiv.toric import Fan, TDivisor, is_big, sigma
+from rdiv.toric import Fan, TDivisor, is_big, polytope_of, sigma
 
 
 def solve2(rows, rhs):
@@ -77,6 +82,29 @@ def naive_lattice_count(rows, dim, lo=-200, hi=200):
             count += 1
             pts.append(p)
     return count, pts
+
+
+def vertices(p: HPolytope) -> set:
+    """Vertex set; raises on unbounded or empty input."""
+    vs = _vertex_set(p)
+    if not vs:
+        raise EmptyPolytope("polytope has no feasible point")
+    return set(vs)
+
+
+def lattice_point_list(p: HPolytope) -> list:
+    return [pre + (t,) for pre, lo, hi in _lattice_intervals(p) for t in range(lo, hi + 1)]
+
+
+def translate(p: HPolytope, shift) -> HPolytope:
+    return HPolytope(
+        p.dim,
+        tuple((g, o + sum(c * s for c, s in zip(g, shift))) for g, o in p.rows),
+    )
+
+
+def scalar_ceil(x) -> int:
+    return math.ceil(x if isinstance(x, Scalar) else Scalar(x))
 
 
 def simplex_count(m):
@@ -163,4 +191,97 @@ def bplus_halving(D: TDivisor, max_halvings: int = 20):
         eps = eps / 2
     raise RdivError(
         f"support of the negative part did not stabilize within {max_halvings} halvings"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Volume, bigness and B+ from the vertex set: the references that the facet
+# recursion of polyhedra._volume and toric.volume/is_big/bplus_div must
+# agree with.  They run on the library's vertex enumeration.
+
+
+def det(matrix):
+    """Determinant by exact elimination."""
+    a = [[x if isinstance(x, Scalar) else Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    result = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            result = -result
+        result = a[col][col] * result
+        for r in range(col + 1, n):
+            ratio = a[r][col] / a[col][col]
+            a[r] = [x - ratio * y for x, y in zip(a[r], a[col])]
+    return result
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of a point set (-1 for empty)."""
+    pts = list(points)
+    if not pts:
+        return -1
+    return matrix_rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) if pts[1:] else 0
+
+
+def tight_sets(verts, rows):
+    """For each row, the indices of the vertices on its hyperplane."""
+    return [
+        frozenset(k for k, v in enumerate(verts) if sum(c * x for c, x in zip(g, v)) == o)
+        for g, o in rows
+    ]
+
+
+def _triangulate(face, dim, verts, tight):
+    """Simplices (vertex-index tuples) of a dim-dimensional face, coned from
+    its least vertex over the faces of its facets."""
+    if dim == 0:
+        return [(min(face),)]
+    apex = min(face)
+    seen = set()
+    out = []
+    for row in tight:
+        sub = face & row
+        if not sub or sub == face or apex in sub or sub in seen:
+            continue
+        if affine_rank([verts[k] for k in sub]) != dim - 1:
+            continue
+        seen.add(sub)
+        out += [(apex,) + s for s in _triangulate(sub, dim - 1, verts, tight)]
+    return out
+
+
+def triangulated_volume(p: HPolytope) -> Scalar:
+    """n-volume by coning facet triangulations over the vertex centroid."""
+    verts = sorted(vertices(p))
+    n = p.dim
+    if affine_rank(verts) < n:
+        return Scalar(0)
+    tight = tight_sets(verts, p.rows)
+    centroid = [sum((v[j] for v in verts), Scalar(0)) / len(verts) for j in range(n)]
+    total = Scalar(0)
+    for facet in set(tight):
+        if affine_rank([verts[k] for k in facet]) != n - 1:
+            continue
+        for simplex in _triangulate(facet, n - 1, verts, tight):
+            total += abs(det([[verts[k][j] - centroid[j] for j in range(n)] for k in simplex]))
+    return total / math.factorial(n)
+
+
+def vertex_rank_big(D: TDivisor) -> bool:
+    """Big iff the vertices of the section polytope span dimension n."""
+    return affine_rank(_vertex_set(polytope_of(D))) == D.fan.dim
+
+
+def tight_set_bplus(D: TDivisor) -> frozenset:
+    """Rays whose tight vertices have affine rank below n - 1."""
+    p = polytope_of(D)
+    verts = _vertex_set(p)
+    return frozenset(
+        i
+        for i, tight in enumerate(tight_sets(verts, p.rows))
+        if affine_rank([verts[k] for k in tight]) < D.fan.dim - 1
     )

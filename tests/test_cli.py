@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -77,33 +80,21 @@ def test_hilbert_jobs_parallel_matches(capsys):
     assert seq == par
 
 
-@pytest.mark.parametrize(
-    "cpus,samples,expected",
-    [(8, "1,2,3", 3), (2, "1,2,3,4,5", 2), (None, "1,2,3", None), (8, "1", None)],
-)
-def test_hilbert_jobs_clamped_to_cpus_and_tasks(capsys, monkeypatch, cpus, samples, expected):
-    started = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+@pytest.mark.parametrize("jobs,samples", [("100000", "1,2,3"), ("2", "1,2,3,4,5"), ("0", "1,2,3"), ("-3", "1")])
+def test_hilbert_jobs_is_ignored(capsys, jobs, samples):
     argv = ("hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", samples)
-    code, out, _ = invoke(capsys, *argv, "--jobs", "100000")
+    code, out, _ = invoke(capsys, *argv, "--jobs", jobs)
     assert code == EXIT_OK
     assert out == invoke(capsys, *argv)[1]
-    assert started == ([] if expected is None else [expected])
+    assert not hasattr(cli, "ProcessPoolExecutor")
+
+
+def test_cli_import_loads_no_process_pool():
+    code = "import sys, rdiv.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_nef_big_queries(capsys):
@@ -189,6 +180,8 @@ def test_missing_variety_exit(capsys):
         ("paper-example", "--samples", "1,0"),
         ("h0", "--file", "no-such-problem.json", "--divisor", "D"),
         ("hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", "0"),
+        ("h0", "--e", "-1", "--divisor", "C:1"),
+        ("h0", "--e", "1", "--fibers", "F1,F1", "--divisor", "C:1"),
     ],
 )
 def test_bad_user_input_is_a_parse_error(capsys, argv):
@@ -316,6 +309,41 @@ def test_file_with_bad_ray_names_is_a_parse_error(capsys, tmp_path, names, argv)
     assert code == EXIT_PARSE
     assert out == ""
     assert err.startswith("parse error:")
+
+
+@pytest.mark.parametrize(
+    "names",
+    [{"X": 1.7, "Y": True}, {"Y": True}, {"X": 1.0}, {"X": "1"}, {"X": None}, [["X", 1]]],
+    ids=["float-and-bool", "bool", "integral-float", "string", "null", "not-an-object"],
+)
+def test_file_names_must_be_json_integers(capsys, tmp_path, names):
+    fan = {"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [2, 0]], "names": names}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"variety": fan, "divisors": {}}))
+    argv = ("sigma", "--file", str(path), "--divisor", "r0:1,r1:1,r2:1", "--format", "json")
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: variety.names:")
+
+
+@pytest.mark.parametrize(
+    "rays, cones",
+    [
+        ([[1.9, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0]]),
+        ([[1, 0], [0, True], [-1, -1]], [[0, 1], [1, 2], [2, 0]]),
+        ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2.0], [2, 0]]),
+    ],
+    ids=["float-ray", "bool-ray", "float-cone"],
+)
+def test_file_fan_entries_must_be_json_integers(capsys, tmp_path, rays, cones):
+    doc = {"variety": {"rays": rays, "cones": cones}, "divisors": {"D": {"r2": "1"}}}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "h0", "--file", str(path), "--divisor", "D")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: variety:")
 
 
 def test_file_with_surface_model(capsys, tmp_path):

