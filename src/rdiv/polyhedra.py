@@ -5,6 +5,12 @@ row read as <u, normal> >= offset.  Everything is exact; when every offset
 is rational the internals run on plain Fractions for speed and results are
 wrapped back into Scalars at the API boundary.
 
+An LP over a bounded polytope attains its minimum at a vertex, so it is
+solved exactly as the least objective value over the cached vertex set; no
+simplex runs.  Boundedness itself needs no LP: the recession cone of full
+rank is the origin alone exactly when no kernel vector of n - 1 of its rows,
+of either sign, lies in it.
+
 Volumes come from Lasserre's recursion: n times the volume is the sum, over
 the rows, of the signed lattice distance of the origin from the row's
 hyperplane times the lattice volume of the face there, and each face is
@@ -30,7 +36,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import EmptyPolytope, UnboundedPolytope
-from .linalg import kernel_basis, nullspace_vector, solve_square
+from .linalg import kernel_basis, matrix_rank, nullspace_vector, solve_square
 from .scalars import Scalar
 
 __all__ = [
@@ -82,7 +88,7 @@ def _offsets_for_field(p: HPolytope):
 
 
 # ---------------------------------------------------------------------------
-# simplex
+# LP by the vertex minimum
 
 
 @dataclass(frozen=True)
@@ -102,168 +108,44 @@ class LPProblem:
 
 @dataclass(frozen=True)
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     value: Scalar | None = None
     point: tuple[Scalar, ...] | None = None
 
 
-def _pivot(tableau, basis, row, col):
-    prow = tableau[row]
-    pval = prow[col]
-    if pval != 1:
-        tableau[row] = prow = [x / pval for x in prow]
-    # rows are distinct lists: update each in place, on the pivot row's support
-    support = [j for j, b in enumerate(prow) if b]
-    for r, trow in enumerate(tableau):
-        if r != row and trow[col] != 0:
-            f = trow[col]
-            for j in support:
-                trow[j] -= f * prow[j]
-    basis[row] = col
-
-
-def _bland(tableau, basis, cost, allowed):
-    """Run simplex with Bland's rule; returns 'optimal' or 'unbounded'.
-
-    cost is the reduced-cost row (mutated in place), tableau rows end with
-    the rhs column.
-    """
-    m = len(tableau)
-    while True:
-        enter = next((j for j in allowed if cost[j] < 0), None)
-        if enter is None:
-            return "optimal"
-        best = None
-        for r in range(m):
-            a = tableau[r][enter]
-            if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[r] < basis[best[1]]):
-                    best = (ratio, r)
-        if best is None:
-            return "unbounded"
-        row = best[1]
-        _pivot(tableau, basis, row, enter)
-        f = cost[enter]
-        if f != 0:
-            prow = tableau[row]
-            for j in range(len(cost)):
-                cost[j] -= f * prow[j]
-
-
 def lp_solve(problem: LPProblem) -> LPResult:
-    """Exact two-phase simplex over the ordered field of the offsets."""
+    """Exact LP over a bounded polytope: its minimum is attained at a vertex,
+    so it is the least <objective, v> + constant over the vertex set, with
+    the first minimizing vertex in sorted order as the point.  Raises
+    UnboundedPolytope on unbounded input."""
     poly = problem.constraints
-    n = poly.dim
-    m = len(poly.rows)
-    offs = _offsets_for_field(poly)
-    zero = offs[0] * 0 if m else Fraction(0)
-
-    # columns: u+ (n) | u- (n) | slack (m) | artificial (m) | rhs
-    nstruct = 2 * n + m
-    ncols = nstruct + m
-    tableau = []
-    basis = []
-    for i, (g, _) in enumerate(poly.rows):
-        o = offs[i]
-        flip = -1 if o < 0 else 1
-        row = [zero] * (ncols + 1)
-        for j, c in enumerate(g):
-            row[j] = row[j] + flip * c
-            row[n + j] = row[n + j] - flip * c
-        row[2 * n + i] = row[2 * n + i] - flip
-        row[nstruct + i] = row[nstruct + i] + 1
-        row[-1] = flip * o
-        tableau.append(row)
-        basis.append(nstruct + i)
-
-    # phase 1: minimize sum of artificials
-    cost = [zero] * (ncols + 1)
-    for r in range(m):
-        cost = [c - t for c, t in zip(cost, tableau[r])]
-    for i in range(m):
-        cost[nstruct + i] = cost[nstruct + i] + 1
-    status = _bland(tableau, basis, cost, range(ncols))
-    if -cost[-1] > 0:
+    vs = _vertex_set(poly)
+    if not vs:
         return LPResult("infeasible")
-    for r in range(m):
-        if basis[r] >= nstruct:
-            col = next((j for j in range(nstruct) if tableau[r][j] != 0), None)
-            if col is not None:
-                _pivot(tableau, basis, r, col)
-    live = [r for r in range(m) if basis[r] < nstruct]
-    tableau = [tableau[r] for r in live]
-    basis = [basis[r] for r in live]
-
-    # phase 2
-    cost = [zero] * (ncols + 1)
-    for j, c in enumerate(problem.objective):
-        cost[j] = cost[j] + c
-        cost[n + j] = cost[n + j] - c
-    for r, b in enumerate(basis):
-        f = cost[b]
-        if f != 0:
-            cost = [a - f * t for a, t in zip(cost, tableau[r])]
-    status = _bland(tableau, basis, cost, range(nstruct))
-    if status == "unbounded":
-        return LPResult("unbounded")
-
-    values = {b: tableau[r][-1] for r, b in enumerate(basis)}
-    point = tuple(values.get(j, zero) - values.get(n + j, zero) for j in range(n))
-    point = _purify(poly, problem.objective, point)
-    value = sum((c * x for c, x in zip(problem.objective, point)), _as_scalar(zero) * 0)
-    return LPResult(
-        "optimal",
-        _as_scalar(value) + problem.constant,
-        tuple(_as_scalar(x) for x in point),
-    )
-
-
-def _purify(poly: HPolytope, objective, point):
-    """Walk within the optimal face until the point is a vertex.
-
-    Keeps the objective value fixed and only ever tightens constraints, so
-    the result is a vertex of the feasible region attaining the optimum
-    whenever the region is pointed.
-    """
-    offs = _offsets_for_field(poly)
-    n = poly.dim
-    for _ in range(n + 1):
-        slack = [sum(c * x for c, x in zip(g, point)) - offs[i] for i, (g, _) in enumerate(poly.rows)]
-        tight = [list(poly.rows[i][0]) for i in range(len(slack)) if slack[i] == 0]
-        d = nullspace_vector(tight + [list(objective)], n)
-        if d is None:
-            return point
-        moved = False
-        for direction in (d, tuple(-x for x in d)):
-            tmax = None
-            for i, (g, _) in enumerate(poly.rows):
-                gd = sum(c * x for c, x in zip(g, direction))
-                if gd < 0:
-                    t = slack[i] / (-gd)
-                    if tmax is None or t < tmax:
-                        tmax = t
-            if tmax is not None:
-                point = tuple(x + tmax * dx for x, dx in zip(point, direction))
-                moved = True
-                break
-        if not moved:
-            return point
-    return point
+    lane = [tuple(x.rat for x in v) for v in vs] if all(o.disc == 0 for _, o in poly.rows) else vs
+    values = [sum(map(mul, v, problem.objective)) for v in lane]
+    k = values.index(min(values))
+    return LPResult("optimal", _as_scalar(values[k]) + problem.constant, vs[k])
 
 
 # ---------------------------------------------------------------------------
 # vertices and feasibility
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _recession_bounded(normals: tuple[tuple[int, ...], ...], dim: int) -> bool:
-    """True iff {u : <u, g> >= 0 for all g} is the origin alone."""
-    cone = HPolytope(dim, tuple((g, Scalar(0)) for g in normals))
-    for axis in range(dim):
-        for sign in (1, -1):
-            obj = tuple(sign if j == axis else 0 for j in range(dim))
-            if lp_solve(LPProblem(obj, cone)).status == "unbounded":
+    """True iff {u : <u, g> >= 0 for all g} is the origin alone.
+
+    With normals of rank below dim the cone holds a line.  Otherwise it is
+    pointed, and if it is not the origin it has an extreme ray, on which
+    dim - 1 independent rows vanish: the ray is the kernel of those rows, up
+    to sign."""
+    if matrix_rank(normals) < dim:
+        return False
+    for rows in itertools.combinations(normals, dim - 1):
+        x = nullspace_vector(rows, dim)
+        for d in (x, tuple(-c for c in x)):
+            if all(sum(map(mul, d, g)) >= 0 for g in normals):
                 return False
     return True
 
@@ -272,7 +154,7 @@ def is_bounded(p: HPolytope) -> bool:
     return _recession_bounded(tuple(g for g, _ in p.rows), p.dim)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _vertex_set(p: HPolytope) -> tuple[tuple[Scalar, ...], ...]:
     """All vertices of a bounded polytope (empty tuple when infeasible)."""
     if not is_bounded(p):
@@ -497,7 +379,7 @@ def lattice_points(p: HPolytope) -> int:
 # facet volume against the induced lattice
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def facet_lattice_volume(p: HPolytope, facet_row: int) -> Scalar:
     """(n-1)-volume of a facet, measured in the lattice of its affine hull.
 

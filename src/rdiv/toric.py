@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     NoSections,
@@ -186,8 +187,16 @@ def _default_index(label: str) -> int | None:
 
 
 def preset_fan(name: str) -> Fan:
-    """Named fans: P2, P3, P1xP1 and the Hirzebruch series F1, F2, ..."""
-    key = name.replace("_", "").upper()
+    """Named fans: P2, P3, P1xP1 and the Hirzebruch series F1, F2, ...; one
+    shared immutable Fan per name, whatever its case and underscores."""
+    fan = _preset_fan(name.replace("_", "").upper())
+    if fan is None:
+        raise ValueError(f"unknown fan preset {name!r}")
+    return fan
+
+
+@lru_cache(maxsize=64)
+def _preset_fan(key: str) -> Fan | None:
     if key == "P2":
         return Fan(
             2,
@@ -217,7 +226,7 @@ def preset_fan(name: str) -> Fan:
             ((0, 1), (1, 2), (2, 3), (3, 0)),
             (("F", 0), ("E", 1), ("C", 3)),
         )
-    raise ValueError(f"unknown fan preset {name!r}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -316,7 +325,8 @@ def is_nef(D: TDivisor) -> bool:
 
 def sigma(D: TDivisor, ray) -> Scalar:
     """Infimum of the coefficient along the ray over the effective members
-    of the R-linear equivalence class; an exact LP over the section polytope."""
+    of the R-linear equivalence class: a_i + min <ray, u> over the section
+    polytope, an exact LP that lp_solve answers by the vertex minimum."""
     _check_tdivisor(D)
     if not is_big(D):
         raise NotBig("sigma is defined for big divisors only")
@@ -409,8 +419,7 @@ def sigma_limit_oracle(D: TDivisor, ray, m_list) -> list[Scalar]:
     a = D.coeffs[idx]
     out = []
     for m in m_list:
-        m = int(m)
-        if m <= 0:
+        if isinstance(m, bool) or not isinstance(m, int) or m <= 0:
             raise ValueError("multiples must be positive integers")
         # <ray, u> is affine in the last coordinate, so its minimum over each
         # interval of lattice points sits at an end

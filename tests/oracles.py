@@ -6,9 +6,10 @@ box-membership lattice counts and degree-by-degree section sums on F_e, all
 in exact arithmetic.  Helpers that only tests use (vertex sets, lattice
 point lists, translation, ceilings) sit here too.  The references at the
 end are older library rules, kept to cross-check the direct ones that
-replaced them: the triangulated volume, vertex-rank bigness and tight-set
-B+ against the facet recursion, and the ample-divisor epsilon schedule
-against the facet rule for B+.
+replaced them: the two-phase simplex against the vertex-minimum LP and
+the kernel boundedness rule, the triangulated volume, vertex-rank bigness
+and tight-set B+ against the facet recursion, and the ample-divisor
+epsilon schedule against the facet rule for B+.
 """
 
 import math
@@ -17,8 +18,16 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from rdiv.errors import EmptyPolytope, NotBig, RdivError
-from rdiv.linalg import matrix_rank
-from rdiv.polyhedra import HPolytope, LPProblem, _lattice_intervals, _vertex_set, lp_solve
+from rdiv.linalg import matrix_rank, nullspace_vector
+from rdiv.polyhedra import (
+    HPolytope,
+    LPProblem,
+    LPResult,
+    _as_scalar,
+    _lattice_intervals,
+    _offsets_for_field,
+    _vertex_set,
+)
 from rdiv.scalars import Scalar
 from rdiv.toric import Fan, TDivisor, is_big, polytope_of, sigma
 
@@ -120,8 +129,173 @@ def h0_class_loop(x, y, e):
 
 
 # ---------------------------------------------------------------------------
+# The two-phase simplex: the reference that polyhedra.lp_solve's vertex
+# minimum and polyhedra._recession_bounded's kernel rule must agree with.
+# It works on any H-polytope, bounded or not, and never enumerates vertices,
+# so ample_divisor's 17-variable LP runs on it.
+
+
+def _pivot(tableau, basis, row, col):
+    prow = tableau[row]
+    pval = prow[col]
+    if pval != 1:
+        tableau[row] = prow = [x / pval for x in prow]
+    # rows are distinct lists: update each in place, on the pivot row's support
+    support = [j for j, b in enumerate(prow) if b]
+    for r, trow in enumerate(tableau):
+        if r != row and trow[col] != 0:
+            f = trow[col]
+            for j in support:
+                trow[j] -= f * prow[j]
+    basis[row] = col
+
+
+def _bland(tableau, basis, cost, allowed):
+    """Run simplex with Bland's rule; returns 'optimal' or 'unbounded'.
+
+    cost is the reduced-cost row (mutated in place), tableau rows end with
+    the rhs column.
+    """
+    m = len(tableau)
+    while True:
+        enter = next((j for j in allowed if cost[j] < 0), None)
+        if enter is None:
+            return "optimal"
+        best = None
+        for r in range(m):
+            a = tableau[r][enter]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[r] < basis[best[1]]):
+                    best = (ratio, r)
+        if best is None:
+            return "unbounded"
+        row = best[1]
+        _pivot(tableau, basis, row, enter)
+        f = cost[enter]
+        if f != 0:
+            prow = tableau[row]
+            for j in range(len(cost)):
+                cost[j] -= f * prow[j]
+
+
+def simplex_solve(problem: LPProblem) -> LPResult:
+    """Exact two-phase simplex over the ordered field of the offsets; unlike
+    lp_solve it reports an unbounded objective as status "unbounded"."""
+    poly = problem.constraints
+    n = poly.dim
+    m = len(poly.rows)
+    offs = _offsets_for_field(poly)
+    zero = offs[0] * 0 if m else Fraction(0)
+
+    # columns: u+ (n) | u- (n) | slack (m) | artificial (m) | rhs
+    nstruct = 2 * n + m
+    ncols = nstruct + m
+    tableau = []
+    basis = []
+    for i, (g, _) in enumerate(poly.rows):
+        o = offs[i]
+        flip = -1 if o < 0 else 1
+        row = [zero] * (ncols + 1)
+        for j, c in enumerate(g):
+            row[j] = row[j] + flip * c
+            row[n + j] = row[n + j] - flip * c
+        row[2 * n + i] = row[2 * n + i] - flip
+        row[nstruct + i] = row[nstruct + i] + 1
+        row[-1] = flip * o
+        tableau.append(row)
+        basis.append(nstruct + i)
+
+    # phase 1: minimize sum of artificials
+    cost = [zero] * (ncols + 1)
+    for r in range(m):
+        cost = [c - t for c, t in zip(cost, tableau[r])]
+    for i in range(m):
+        cost[nstruct + i] = cost[nstruct + i] + 1
+    status = _bland(tableau, basis, cost, range(ncols))
+    if -cost[-1] > 0:
+        return LPResult("infeasible")
+    for r in range(m):
+        if basis[r] >= nstruct:
+            col = next((j for j in range(nstruct) if tableau[r][j] != 0), None)
+            if col is not None:
+                _pivot(tableau, basis, r, col)
+    live = [r for r in range(m) if basis[r] < nstruct]
+    tableau = [tableau[r] for r in live]
+    basis = [basis[r] for r in live]
+
+    # phase 2
+    cost = [zero] * (ncols + 1)
+    for j, c in enumerate(problem.objective):
+        cost[j] = cost[j] + c
+        cost[n + j] = cost[n + j] - c
+    for r, b in enumerate(basis):
+        f = cost[b]
+        if f != 0:
+            cost = [a - f * t for a, t in zip(cost, tableau[r])]
+    status = _bland(tableau, basis, cost, range(nstruct))
+    if status == "unbounded":
+        return LPResult("unbounded")
+
+    values = {b: tableau[r][-1] for r, b in enumerate(basis)}
+    point = tuple(values.get(j, zero) - values.get(n + j, zero) for j in range(n))
+    point = _purify(poly, problem.objective, point)
+    value = sum((c * x for c, x in zip(problem.objective, point)), _as_scalar(zero) * 0)
+    return LPResult(
+        "optimal",
+        _as_scalar(value) + problem.constant,
+        tuple(_as_scalar(x) for x in point),
+    )
+
+
+def _purify(poly: HPolytope, objective, point):
+    """Walk within the optimal face until the point is a vertex.
+
+    Keeps the objective value fixed and only ever tightens constraints, so
+    the result is a vertex of the feasible region attaining the optimum
+    whenever the region is pointed.
+    """
+    offs = _offsets_for_field(poly)
+    n = poly.dim
+    for _ in range(n + 1):
+        slack = [sum(c * x for c, x in zip(g, point)) - offs[i] for i, (g, _) in enumerate(poly.rows)]
+        tight = [list(poly.rows[i][0]) for i in range(len(slack)) if slack[i] == 0]
+        d = nullspace_vector(tight + [list(objective)], n)
+        if d is None:
+            return point
+        moved = False
+        for direction in (d, tuple(-x for x in d)):
+            tmax = None
+            for i, (g, _) in enumerate(poly.rows):
+                gd = sum(c * x for c, x in zip(g, direction))
+                if gd < 0:
+                    t = slack[i] / (-gd)
+                    if tmax is None or t < tmax:
+                        tmax = t
+            if tmax is not None:
+                point = tuple(x + tmax * dx for x, dx in zip(point, direction))
+                moved = True
+                break
+        if not moved:
+            return point
+    return point
+
+
+def simplex_recession_bounded(normals, dim) -> bool:
+    """True iff {u : <u, g> >= 0 for all g} is the origin alone: the simplex
+    finds every coordinate bounded in both directions over that cone."""
+    cone = HPolytope(dim, tuple((g, Scalar(0)) for g in normals))
+    for axis in range(dim):
+        for sign in (1, -1):
+            obj = tuple(sign if j == axis else 0 for j in range(dim))
+            if simplex_solve(LPProblem(obj, cone)).status == "unbounded":
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # B+ by the epsilon schedule: the reference that toric.bplus_div's facet rule
-# must agree with.  Unlike the oracles above it runs on the library's LP.
+# must agree with.  It runs on the simplex above and on the library's sigma.
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +335,7 @@ def ample_divisor(fan: Fan) -> TDivisor:
     rows.append(row([(tvar, -1)], -1))  # t <= 1
 
     objective = tuple(-1 if j == tvar else 0 for j in range(nvars))
-    result = lp_solve(LPProblem(objective, HPolytope(nvars, tuple(rows))))
+    result = simplex_solve(LPProblem(objective, HPolytope(nvars, tuple(rows))))
     if result.status != "optimal" or result.point[tvar].sign() <= 0:
         raise RdivError("fan admits no strictly convex support function")
     return TDivisor(fan, result.point[:R])

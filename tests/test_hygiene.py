@@ -1,6 +1,7 @@
 """Static checks over the library sources, with the standard library's ast:
 the package imports only the standard library and itself (no runtime
-dependencies), and every name a module imports is used."""
+dependencies), every name a module imports is used, and every cache has a
+finite size, so a long run cannot grow memory without limit."""
 
 import ast
 import sys
@@ -51,3 +52,32 @@ def test_every_imported_name_is_used(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
     unused = sorted({name for _, name in _imports(tree)} - used)
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def _bounded_cache_call(node) -> bool:
+    """lru_cache(maxsize=<positive int>) or lru_cache(<positive int>)."""
+    args = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+    return (
+        len(args) == 1
+        and isinstance(args[0], ast.Constant)
+        and type(args[0].value) is int
+        and args[0].value > 0
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_lru_cache_has_a_finite_maxsize(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bounded = {
+        id(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _bounded_cache_call(node)
+    }
+    uses = [
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in ("lru_cache", "cache"))
+        or (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"))
+    ]
+    unbounded = [node.lineno for node in uses if id(node) not in bounded]
+    assert not unbounded, f"{path.name}: cache without a finite maxsize on lines {unbounded}"

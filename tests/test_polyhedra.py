@@ -11,6 +11,8 @@ from oracles import (
     naive_lattice_count,
     shoelace,
     simplex_count,
+    simplex_recession_bounded,
+    simplex_solve,
     translate,
     vertices,
 )
@@ -19,6 +21,7 @@ from rdiv.polyhedra import (
     HPolytope,
     LPProblem,
     _floor_sum,
+    _recession_bounded,
     euclidean_volume,
     facet_lattice_volume,
     is_bounded,
@@ -67,8 +70,16 @@ def test_lp_sigma_shape():
 
 
 def test_lp_unbounded():
+    # the vertex minimum needs a bounded polytope; a half-line raises
     p = HPolytope(1, (((1,), Scalar(0)),))
-    assert lp_solve(LPProblem((-1,), p)).status == "unbounded"
+    with pytest.raises(UnboundedPolytope):
+        lp_solve(LPProblem((-1,), p))
+
+
+def test_simplex_oracle_reports_unbounded():
+    p = HPolytope(1, (((1,), Scalar(0)),))
+    assert simplex_solve(LPProblem((-1,), p)).status == "unbounded"
+    assert simplex_solve(LPProblem((1,), p)).value == Scalar(0)
 
 
 def test_lp_returns_vertex():
@@ -446,10 +457,10 @@ def test_facet_volume_matches_edge_length_oracle():
         checked += 1
 
 
-# ---- lp vs vertices invariant ----------------------------------------------
+# ---- lp vs the simplex oracle ------------------------------------------------
 
 
-def test_lp_matches_vertex_minimum():
+def test_lp_matches_simplex_oracle():
     rng = random.Random(23)
     fans = [preset_fan("P2"), preset_fan("F1")]
     checked = 0
@@ -457,14 +468,44 @@ def test_lp_matches_vertex_minimum():
         fan = rng.choice(fans)
         D = fan.divisor([Fraction(rng.randint(-3, 6), rng.choice((1, 2))) for _ in fan.rays])
         p = polytope_of(D)
-        try:
-            vs = vertices(p)
-        except EmptyPolytope:
-            continue
         obj = tuple(rng.randint(-3, 3) for _ in range(2))
-        res = lp_solve(LPProblem(obj, p))
-        assert res.status == "optimal"
-        best = min(sum(Scalar(c) * x for c, x in zip(obj, v)) for v in vs)
-        assert res.value == best
-        assert res.point in vs
+        res, ref = lp_solve(LPProblem(obj, p)), simplex_solve(LPProblem(obj, p))
+        assert res.status == ref.status
+        if res.status == "infeasible":
+            continue
+        assert res.value == ref.value
+        assert res.point in vertices(p)
         checked += 1
+
+
+def _random_normals(rng, dim):
+    """Integer normal sets that are often degenerate: a few rows with small
+    entries, sometimes a repeated row or a row and its negative."""
+    rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, dim + 3))]
+    rows = [g for g in rows if any(g)] or [(1,) * dim]
+    if rng.random() < 0.3:
+        rows.append(rng.choice(rows))
+    if rng.random() < 0.2:
+        rows.append(tuple(-c for c in rng.choice(rows)))
+    return tuple(rows)
+
+
+def test_recession_kernel_rule_matches_simplex():
+    rng = random.Random(31)
+    cases = [
+        (((1,),), 1),  # a half-line
+        (((1,), (-1,)), 1),
+        (((2,), (1,)), 1),
+        (((1, 0), (-1, 0)), 2),  # rank 1: holds the line of the second axis
+        (((1, 1), (-1, -1), (2, 2)), 2),
+        (((1, 0), (0, 1), (-1, -1), (-1, -1)), 2),  # a duplicate row
+        (((1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)), 3),  # rank 3, unbounded in e3
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), 3),
+    ]
+    cases += [(_random_normals(rng, dim), dim) for dim in (1, 2, 3) for _ in range(40)]
+    bounded = 0
+    for normals, dim in cases:
+        expected = simplex_recession_bounded(normals, dim)
+        assert _recession_bounded(normals, dim) == expected, normals
+        bounded += expected
+    assert 10 <= bounded <= len(cases) - 10

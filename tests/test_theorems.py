@@ -188,3 +188,29 @@ def test_corpus_instances_realize():
         fan, D, E = inst.realize()
         assert len(D.coeffs) == fan.nrays
         assert E.is_effective()
+
+
+# ---- long runs -----------------------------------------------------------------
+
+
+def test_library_caches_stay_bounded_over_a_corpus_run():
+    import rdiv.linalg
+    import rdiv.polyhedra
+    import rdiv.toric
+
+    corpus_run(2026, 200)
+    caches = {
+        f"{mod.__name__}.{name}": fn.cache_info()
+        for mod in (rdiv.linalg, rdiv.polyhedra, rdiv.toric)
+        for name, fn in vars(mod).items()
+        if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__
+    }
+    assert set(caches) >= {
+        "rdiv.linalg.kernel_basis",
+        "rdiv.polyhedra._recession_bounded",
+        "rdiv.polyhedra._vertex_set",
+        "rdiv.polyhedra.facet_lattice_volume",
+        "rdiv.toric._preset_fan",
+    }
+    for name, info in caches.items():
+        assert info.maxsize is not None and info.currsize <= info.maxsize, (name, info)

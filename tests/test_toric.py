@@ -11,13 +11,14 @@ from oracles import (
     ample_divisor,
     bplus_halving,
     lattice_point_list,
+    simplex_solve,
     tight_set_bplus,
     triangulated_volume,
     vertex_rank_big,
     vertices,
 )
 from rdiv.errors import EmptyPolytope, NoSections, NonSimplicialCone, NotBig, NotNef, RdivError
-from rdiv.polyhedra import _vertex_set, euclidean_volume
+from rdiv.polyhedra import LPProblem, _vertex_set, euclidean_volume
 from rdiv.scalars import Scalar, sqrt
 from rdiv.theorems import generate_corpus
 from rdiv.toric import (
@@ -66,6 +67,13 @@ def rand_big(fan, rng, lo=-3, hi=3):
 def test_presets_validate():
     for name in ("P2", "P3", "P1xP1", "F1", "F2", "F3"):
         preset_fan(name).validate()
+
+
+def test_preset_fan_is_one_shared_fan_per_name():
+    assert preset_fan("p_2") is preset_fan("P2") is P2
+    assert preset_fan("f_1") is F1
+    with pytest.raises(ValueError, match="unknown fan preset 'p_7'"):
+        preset_fan("p_7")
 
 
 def test_preset_aliases():
@@ -337,6 +345,40 @@ def test_facet_recursion_matches_triangulation_and_tight_sets_irrational():
         assert not _assert_facet_recursion_matches_vertex_oracles(X)
 
 
+def _assert_sigma_matches_simplex(X):
+    p = polytope_of(X)
+    for i, (ray, a) in enumerate(zip(X.fan.rays, X.coeffs)):
+        ref = simplex_solve(LPProblem(ray, p, a))
+        assert ref.status == "optimal"
+        assert sigma(X, i) == ref.value, (X.coeffs, i)
+
+
+def test_sigma_matches_simplex_on_corpus():
+    checked = 0
+    for inst in generate_corpus(2026, 40):
+        _, D, E = inst.realize()
+        for X in (D, D + E, D - E):
+            if is_big(X):
+                _assert_sigma_matches_simplex(X)
+                checked += 1
+    assert checked >= 100
+
+
+def test_sigma_matches_simplex_irrational():
+    rng = random.Random(37)
+    r2 = sqrt(2)
+    for fan in (P2, P1P1, F1, F2, P3):
+        for k in range(5):
+            scale = 10**30 if k >= 3 else 1
+            while True:
+                D = fan.divisor(
+                    [(rng.randint(-4, 6) * scale + rng.randint(-3, 3) * r2 * scale) / 2 for _ in fan.rays]
+                )
+                if is_big(D) and any(c.disc for c in D.coeffs):
+                    break
+            _assert_sigma_matches_simplex(D)
+
+
 def test_bplus_on_non_projective_fan_is_the_zero_restricted_volume_rays():
     # a triangular prism whose side squares are split by cyclically turning
     # diagonals: complete and simplicial, with no strictly convex support function
@@ -432,6 +474,12 @@ def test_sigma_limit_oracle_is_the_minimum_over_lattice_points(fan, coeffs, root
     for ray, (a, v) in enumerate(zip(D.coeffs, fan.rays)):
         expected = min(m * a + sum(c * x for c, x in zip(v, u)) for u in pts) / m
         assert sigma_limit_oracle(D, ray, [m]) == [expected]
+
+
+@pytest.mark.parametrize("m", [2.7, Fraction(5, 2), True, Scalar(5), 0, -3, "2"])
+def test_sigma_limit_oracle_rejects_multiples_that_are_not_positive_ints(m):
+    with pytest.raises(ValueError, match="multiples must be positive integers"):
+        sigma_limit_oracle(C + E, "E", [m])
 
 
 def test_sigma_limit_no_sections():
