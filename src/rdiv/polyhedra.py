@@ -15,7 +15,9 @@ Volumes come from Lasserre's recursion: n times the volume is the sum, over
 the rows, of the signed lattice distance of the origin from the row's
 hyperplane times the lattice volume of the face there, and each face is
 sliced into the lattice of its hyperplane and measured the same way, down
-to points.
+to points.  The lattice volumes of the faces on all rows of a polytope are
+measured together and kept as one record per polytope, in a bounded cache,
+so the callers that read several rows hash the polytope once.
 
 Lattice counts never leave the integers: on a lattice point <u, normal> is
 an integer, so a row holds there exactly when <u, normal> >= ceil(offset),
@@ -379,13 +381,22 @@ def lattice_points(p: HPolytope) -> int:
 # facet volume against the induced lattice
 
 
-@lru_cache(maxsize=4096)
-def facet_lattice_volume(p: HPolytope, facet_row: int) -> Scalar:
-    """(n-1)-volume of a facet, measured in the lattice of its affine hull.
-
-    Returns 0 when the row supports a face of dimension below n-1.
-    """
+@lru_cache(maxsize=256)
+def _facet_volumes(p: HPolytope) -> tuple[Scalar, ...]:
+    """The facet record of a bounded polytope: for each row, the (n-1)-volume
+    of its face in the lattice of its hyperplane, 0 when the face has lower
+    dimension.  One entry per polytope, so a caller that needs several rows
+    hashes the polytope once."""
     if not is_bounded(p):
         raise UnboundedPolytope("facet volume needs a bounded polytope")
     rows = list(zip((g for g, _ in p.rows), _offsets_for_field(p)))
-    return _as_scalar(_volume(p.dim - 1, _face_rows(rows, *rows[facet_row])))
+    return tuple(_as_scalar(_volume(p.dim - 1, _face_rows(rows, *row))) for row in rows)
+
+
+def facet_lattice_volume(p: HPolytope, facet_row: int) -> Scalar:
+    """(n-1)-volume of a facet, measured in the lattice of its affine hull:
+    one entry of the polytope's facet record.
+
+    Returns 0 when the row supports a face of dimension below n-1.
+    """
+    return _facet_volumes(p)[facet_row]

@@ -3,7 +3,9 @@
 A divisor is one Scalar coefficient per ray of a complete simplicial fan.
 Sections of its rounding are lattice points of the H-polytope with rows
 <u, ray> >= -coeff, which turns Hilbert functions, volumes, sigma
-multiplicities and base loci into exact polyhedral computations.
+multiplicities and base loci into exact polyhedral computations.  Nefness
+needs no polytope: it is one integer linear form in the coefficients per
+wall of the fan, computed once per fan.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .linalg import matrix_rank, primitive, solve_square
 from .polyhedra import (
     HPolytope,
     LPProblem,
-    facet_lattice_volume,
     lattice_points,
     lp_solve,
+    _facet_volumes,
     _lattice_intervals,
 )
 from .scalars import Scalar
@@ -86,19 +88,20 @@ class Fan:
             default = _default_index(name)
             if default is not None and default != idx:
                 raise ValueError(f"name {name!r} is the default label of ray {default}, not {idx}")
-        facets: dict[tuple[int, ...], int] = {}
         for cone in self.max_cones:
             if len(cone) != self.dim:
                 raise NonSimplicialCone(f"cone {cone} is not simplicial of full dimension")
             if matrix_rank([self.rays[i] for i in cone]) != self.dim:
                 raise NonSimplicialCone(f"cone {cone} has linearly dependent rays")
-            for facet in itertools.combinations(cone, self.dim - 1):
-                facets[facet] = facets.get(facet, 0) + 1
-        for facet, count in facets.items():
-            if count != 2:
-                raise ValueError(
-                    f"wall {facet} lies on {count} maximal cones; fan is not complete"
-                )
+        _wall_forms(self)
+        # walls on two cones each, with the opposite rays on opposite sides,
+        # still allow cones that wind around the origin more than once; the
+        # interior point sum(rays) of a cone then lies in another cone too
+        for cone in self.max_cones:
+            inner = [sum(col) for col in zip(*(self.rays[i] for i in cone))]
+            for other in self.max_cones:
+                if other != cone and all(x >= 0 for x in _cone_coordinates(self, other, inner)):
+                    raise ValueError(f"cones {cone} and {other} overlap")
 
     @property
     def nrays(self) -> int:
@@ -178,6 +181,43 @@ class Fan:
                 if any(v):
                     vecs.append(v)
         return [principal_divisor(self, v) for v in vecs]
+
+
+def _cone_coordinates(fan: Fan, cone, vec) -> tuple:
+    """The c with vec = sum of c_i * ray_i over the rays of a simplicial cone."""
+    return solve_square(list(zip(*(fan.rays[i] for i in cone))), vec)
+
+
+@lru_cache(maxsize=64)
+def _wall_forms(fan: Fan) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """One integer linear form in the coefficients per wall of the fan,
+    as (ray, weight) pairs; a divisor is nef iff every form is >= 0 on it.
+
+    For the wall tau shared by sigma = tau + rho and sigma' = tau + rho',
+    write v_rho' = sum over i in sigma of c_i v_i.  The support function is
+    convex across the wall iff a_rho' - sum c_i a_i >= 0 (Cox-Little-Schenck,
+    Toric Varieties, 6.1 and 6.3: D.C_tau >= 0 on the wall curve), and on a
+    complete fan convexity across every wall is convexity.  Each form is
+    scaled by the positive common denominator of its c_i.  Raises
+    ValueError unless every wall lies on exactly two maximal cones with rho
+    and rho' strictly on opposite sides of it, i.e. c_rho < 0."""
+    cones_at: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for cone in fan.max_cones:
+        for wall in itertools.combinations(cone, fan.dim - 1):
+            cones_at.setdefault(wall, []).append(cone)
+    forms = []
+    for wall, cones in cones_at.items():
+        if len(cones) != 2:
+            raise ValueError(f"wall {wall} lies on {len(cones)} maximal cones; fan is not complete")
+        cone, opposite = cones
+        (rho,) = set(cone) - set(wall)
+        (rho2,) = set(opposite) - set(wall)
+        c = dict(zip(cone, _cone_coordinates(fan, cone, fan.rays[rho2])))
+        if c[rho] >= 0:
+            raise ValueError(f"rays {rho} and {rho2} lie on one side of wall {wall}")
+        den = math.lcm(*(x.denominator for x in c.values()))
+        forms.append(((rho2, den),) + tuple((i, int(-x * den)) for i, x in c.items() if x))
+    return tuple(forms)
 
 
 def _default_index(label: str) -> int | None:
@@ -297,9 +337,14 @@ def volume(D: TDivisor) -> Scalar:
     facet formula with the primitive rays as normals: the toric identity
     D^n = sum_i a_i * D^(n-1).D_i, where D^(n-1).D_i is (n-1)! times the
     lattice volume of the face on ray i (0 when the polytope is empty)."""
-    p = polytope_of(D)
-    terms = (a * facet_lattice_volume(p, i) for i, a in enumerate(D.coeffs) if a)
-    return Scalar(math.factorial(D.fan.dim - 1)) * sum(terms, Scalar(0))
+    return _measure(D)[0]
+
+
+def _measure(D: TDivisor) -> tuple[Scalar, tuple[Scalar, ...]]:
+    """vol(D) and the facet record of its section polytope, read at once."""
+    vols = _facet_volumes(polytope_of(D))
+    terms = (a * v for a, v in zip(D.coeffs, vols) if a)
+    return Scalar(math.factorial(D.fan.dim - 1)) * sum(terms, Scalar(0)), vols
 
 
 def is_big(D: TDivisor) -> bool:
@@ -308,19 +353,14 @@ def is_big(D: TDivisor) -> bool:
 
 
 def is_nef(D: TDivisor) -> bool:
-    """Concavity of the support function across all maximal cones."""
+    """The wall rule: every wall form of the fan is >= 0 on the coefficients
+    (see _wall_forms), evaluated on Fractions when every coefficient is
+    rational."""
     _check_tdivisor(D)
-    fan = D.fan
-    for cone in fan.max_cones:
-        mat = [fan.rays[i] for i in cone]
-        rhs = [-D.coeffs[i] for i in cone]
-        u = solve_square(mat, rhs)
-        if u is None:
-            raise NonSimplicialCone(f"cone {cone} is degenerate")
-        for i, ray in enumerate(fan.rays):
-            if sum(c * x for c, x in zip(ray, u)) < -D.coeffs[i]:
-                return False
-    return True
+    a = D.coeffs
+    if all(c.disc == 0 for c in a):
+        a = [c.rat for c in a]
+    return all(sum(a[i] * w for i, w in form) >= 0 for form in _wall_forms(D.fan))
 
 
 def sigma(D: TDivisor, ray) -> Scalar:
@@ -331,7 +371,12 @@ def sigma(D: TDivisor, ray) -> Scalar:
     if not is_big(D):
         raise NotBig("sigma is defined for big divisors only")
     idx = D.fan.ray_index(ray)
-    result = lp_solve(LPProblem(D.fan.rays[idx], polytope_of(D), D.coeffs[idx]))
+    return _sigma_lp(D, polytope_of(D), idx)
+
+
+def _sigma_lp(D: TDivisor, p: HPolytope, idx: int) -> Scalar:
+    """sigma(D, idx) on the section polytope p of a D known to be big."""
+    result = lp_solve(LPProblem(D.fan.rays[idx], p, D.coeffs[idx]))
     if result.status != "optimal":
         raise RdivError(f"sigma LP unexpectedly {result.status}")
     return result.value
@@ -347,14 +392,20 @@ class SigmaDecomposition:
 
 
 def sigma_decomposition(D: TDivisor) -> SigmaDecomposition:
+    """N_sigma(D) = sum of sigma(D, i) D_i and P_sigma = D - N_sigma, each
+    sigma one vertex-minimum LP.  Bigness is checked once: P_sigma has the
+    section polytope of D, so it is big too.  Every sigma of P_sigma is
+    checked to be 0."""
     _check_tdivisor(D)
     if not is_big(D):
         raise NotBig("sigma decomposition is defined for big divisors only")
-    neg = TDivisor(D.fan, tuple(sigma(D, i) for i in range(D.fan.nrays)))
+    rays = range(D.fan.nrays)
+    p = polytope_of(D)
+    neg = TDivisor(D.fan, tuple(_sigma_lp(D, p, i) for i in rays))
     pos = D - neg
-    for i in range(D.fan.nrays):
-        if sigma(pos, i) != 0:
-            raise RdivError("positive part retained a nonzero sigma multiplicity")
+    p = polytope_of(pos)
+    if any(_sigma_lp(pos, p, i) for i in rays):
+        raise RdivError("positive part retained a nonzero sigma multiplicity")
     return SigmaDecomposition(D, neg, pos)
 
 
@@ -373,36 +424,42 @@ def bplus_div(D: TDivisor) -> frozenset[int]:
     needs no ample divisor, so on a complete fan without one
     (non-projective, dim >= 3) it still returns the rays of zero restricted
     volume instead of raising."""
-    if not is_big(D):
+    vol, vols = _measure(D)
+    if not vol > 0:
         raise NotBig("the divisorial augmented base locus needs a big divisor")
-    p = polytope_of(D)
-    return frozenset(i for i in range(D.fan.nrays) if not facet_lattice_volume(p, i))
+    return frozenset(i for i, v in enumerate(vols) if not v)
+
+
+def _nef_facet_volumes(D: TDivisor) -> tuple[Scalar, ...]:
+    """The facet record of a nef big D; (n-1)! times entry i is D^(n-1).D_i."""
+    vol, vols = _measure(D)
+    if not vol > 0:
+        raise NotBig("intersection numbers computed for big divisors")
+    if not is_nef(D):
+        raise NotNef("facet-volume intersection numbers need a nef divisor")
+    return vols
 
 
 def intersection_nef(D: TDivisor, ray) -> Scalar:
     """D^(n-1).D_ray for nef big D: a normalized facet volume of the
     section polytope."""
-    _check_tdivisor(D)
-    if not is_big(D):
-        raise NotBig("intersection numbers computed for big divisors")
-    if not is_nef(D):
-        raise NotNef("facet-volume intersection numbers need a nef divisor")
-    idx = D.fan.ray_index(ray)
-    n = D.fan.dim
-    return Scalar(math.factorial(n - 1)) * facet_lattice_volume(polytope_of(D), idx)
+    vols = _nef_facet_volumes(D)
+    return Scalar(math.factorial(D.fan.dim - 1)) * vols[D.fan.ray_index(ray)]
 
 
 def intersection_nef_div(D: TDivisor, E: TDivisor) -> Scalar:
-    """D^(n-1).E for nef big D and effective invariant E, by linearity."""
+    """D^(n-1).E for nef big D and effective invariant E, by linearity, with
+    bigness and nefness checked once (and not at all when E is 0)."""
     _check_tdivisor(D)
     _check_tdivisor(E)
     if not E.is_effective():
         raise NotEffective("intersection against a non-effective divisor")
-    total = Scalar(0)
-    for i, c in enumerate(E.coeffs):
-        if c:
-            total = total + c * intersection_nef(D, i)
-    return total
+    terms = [(i, c) for i, c in enumerate(E.coeffs) if c]
+    if not terms:
+        return Scalar(0)
+    vols = _nef_facet_volumes(D)
+    total = sum((c * vols[i] for i, c in terms), Scalar(0))
+    return Scalar(math.factorial(D.fan.dim - 1)) * total
 
 
 def sigma_limit_oracle(D: TDivisor, ray, m_list) -> list[Scalar]:

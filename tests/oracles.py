@@ -8,8 +8,9 @@ point lists, translation, ceilings) sit here too.  The references at the
 end are older library rules, kept to cross-check the direct ones that
 replaced them: the two-phase simplex against the vertex-minimum LP and
 the kernel boundedness rule, the triangulated volume, vertex-rank bigness
-and tight-set B+ against the facet recursion, and the ample-divisor
-epsilon schedule against the facet rule for B+.
+and tight-set B+ against the facet recursion, the ample-divisor epsilon
+schedule against the facet rule for B+, and per-cone nefness against the
+wall rule.
 """
 
 import math
@@ -17,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from rdiv.errors import EmptyPolytope, NotBig, RdivError
-from rdiv.linalg import matrix_rank, nullspace_vector
+from rdiv.errors import EmptyPolytope, NonSimplicialCone, NotBig, RdivError
+from rdiv.linalg import matrix_rank, nullspace_vector, solve_square
 from rdiv.polyhedra import (
     HPolytope,
     LPProblem,
@@ -459,3 +460,24 @@ def tight_set_bplus(D: TDivisor) -> frozenset:
         for i, tight in enumerate(tight_sets(verts, p.rows))
         if affine_rank([verts[k] for k in tight]) < D.fan.dim - 1
     )
+
+
+# ---------------------------------------------------------------------------
+# Nefness cone by cone: the reference for the wall rule of toric.is_nef.
+
+
+def is_nef_by_cones(D: TDivisor) -> bool:
+    """Convexity of the support function over every maximal cone: the
+    linear form m_sigma that matches -coeff on the rays of sigma must be
+    >= -coeff on every ray."""
+    fan = D.fan
+    for cone in fan.max_cones:
+        mat = [fan.rays[i] for i in cone]
+        rhs = [-D.coeffs[i] for i in cone]
+        u = solve_square(mat, rhs)
+        if u is None:
+            raise NonSimplicialCone(f"cone {cone} is degenerate")
+        for i, ray in enumerate(fan.rays):
+            if sum(c * x for c, x in zip(ray, u)) < -D.coeffs[i]:
+                return False
+    return True

@@ -330,6 +330,27 @@ def test_file_names_must_be_json_integers(capsys, tmp_path, names):
 @pytest.mark.parametrize(
     "rays, cones",
     [
+        (
+            [[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]],
+            [[0, 2], [2, 4], [4, 6], [6, 1], [1, 3], [3, 5], [5, 7], [7, 0]],
+        ),
+        ([[1, 0], [1, 1], [0, 1], [0, -1]], [[0, 2], [1, 2], [1, 3], [0, 3]]),
+    ],
+    ids=["double-cover", "folded"],
+)
+def test_file_fan_with_overlapping_cones_is_a_parse_error(capsys, tmp_path, rays, cones):
+    doc = {"variety": {"rays": rays, "cones": cones}, "divisors": {"D": {"r2": "1"}}}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "nef", "--file", str(path), "--divisor", "D")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error:")
+
+
+@pytest.mark.parametrize(
+    "rays, cones",
+    [
         ([[1.9, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0]]),
         ([[1, 0], [0, True], [-1, -1]], [[0, 1], [1, 2], [2, 0]]),
         ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2.0], [2, 0]]),

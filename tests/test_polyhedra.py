@@ -357,6 +357,27 @@ def test_lattice_empty_thin_polygon():
     assert lattice_points(poly([((1, 1), 3), ((-1, -1), -2), ((1, -1), -5), ((-1, 1), -5)])) == 0
 
 
+@given(
+    st.integers(10**29, 10**30),
+    st.integers(-2 * 10**29, 2 * 10**29),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**30), 10**30),
+    st.integers(0, 10**29 - 10**7),
+)
+# the lower row passes through the origin, slope just below 1
+@example(3 * 10**29 + 7, 3 * 10**29 + 6, 0, 0, 10**29)
+# both rows on the line y = x / 3 + 1: a segment with 7 points
+@example(3 * 10**29, 10**29, 0, 3 * 10**29, 0)
+@settings(max_examples=80)
+def test_lattice_count_of_thin_polygons_with_30_digit_rows(b, a, tilt, c, width):
+    # (a x + c) / b <= y <= ((a + tilt) x + c + width) / b over |x| <= 9: two
+    # nearly parallel rows with slopes below 2 and intercepts below 10 in size,
+    # less than 1 apart, that may cross inside the range
+    rows = [((-a, b), c), ((a + tilt, -b), -(c + width)), ((1, 0), -9), ((-1, 0), -9)]
+    expected, _ = naive_lattice_count(rows, 2, -30, 30)
+    assert lattice_points(poly(rows)) == expected
+
+
 def test_lattice_with_irrational_offsets():
     r2 = sqrt(2)
     # [-sqrt2, sqrt2]^2 box; integer points have coordinates in {-1, 0, 1}

@@ -209,7 +209,7 @@ def test_library_caches_stay_bounded_over_a_corpus_run():
         "rdiv.linalg.kernel_basis",
         "rdiv.polyhedra._recession_bounded",
         "rdiv.polyhedra._vertex_set",
-        "rdiv.polyhedra.facet_lattice_volume",
+        "rdiv.polyhedra._facet_volumes",
         "rdiv.toric._preset_fan",
     }
     for name, info in caches.items():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     ample_divisor,
     bplus_halving,
+    is_nef_by_cones,
     lattice_point_list,
     simplex_solve,
     tight_set_bplus,
@@ -97,6 +98,26 @@ def test_fan_rejects_incomplete():
 def test_fan_rejects_nonsimplicial():
     with pytest.raises(NonSimplicialCone):
         Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1, 2), (1, 2), (2, 0)))
+
+
+# eight rays, each cone a quarter turn: every wall lies on two cones with the
+# opposite rays on opposite sides, yet the cones cover the plane twice
+DOUBLE_COVER = (
+    ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)),
+    ((0, 2), (2, 4), (4, 6), (6, 1), (1, 3), (3, 5), (5, 7), (7, 0)),
+)
+# the cones (0, 2) and (1, 2) lie on one side of the wall through ray 2
+FOLDED = (((1, 0), (1, 1), (0, 1), (0, -1)), ((0, 2), (1, 2), (1, 3), (0, 3)))
+
+
+@pytest.mark.parametrize(
+    "rays, cones, message",
+    [(*DOUBLE_COVER, "overlap"), (*FOLDED, "one side of wall")],
+    ids=["double-cover", "folded"],
+)
+def test_fan_rejects_cones_that_overlap(rays, cones, message):
+    with pytest.raises(ValueError, match=message):
+        Fan(2, rays, cones)
 
 
 @pytest.mark.parametrize(
@@ -201,6 +222,50 @@ def test_nef_examples():
     assert not is_nef(C + E)
     assert is_nef(F1.divisor({}))
     assert is_nef(F)
+
+
+# a complete 2-D fan that is no preset: P2 blown up at its three fixed points
+HEXAGON = Fan(
+    2, ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)), tuple((i, (i + 1) % 6) for i in range(6))
+)
+
+
+def test_wall_rule_matches_per_cone_nefness_on_corpus():
+    verdicts = set()
+    for inst in generate_corpus(2026, 40):
+        _, D, E = inst.realize()
+        for X in (D, D + E, D - E):
+            assert is_nef(X) == is_nef_by_cones(X), inst.to_json()
+            verdicts.add(is_nef(X))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("scale", [1, 10**30], ids=["small", "30-digit-sqrt2"])
+@pytest.mark.parametrize(
+    "fan",
+    [P2, P1P1, F1, F2, preset_fan("F3"), P3, HEXAGON],
+    ids=["P2", "P1xP1", "F1", "F2", "F3", "P3", "hexagon"],
+)
+def test_wall_rule_matches_per_cone_nefness_on_sampled_divisors(fan, scale):
+    # a_i = -min over a point set M of <m, v_i> is nef on these fans (the
+    # minimum over M is superadditive); lowering one coefficient may break it
+    rng = random.Random(41)
+    r2 = sqrt(2) if scale > 1 else Scalar(0)
+
+    def number(lo, hi):
+        return (rng.randint(lo, hi) + rng.randint(lo, hi) * r2) * scale
+
+    verdicts = set()
+    for _ in range(20):
+        points = [[number(-3, 3) for _ in range(fan.dim)] for _ in range(rng.randint(1, 4))]
+        D = fan.divisor(
+            [-min(sum((m * v for m, v in zip(u, ray)), Scalar(0)) for u in points) for ray in fan.rays]
+        )
+        assert is_nef(D) and is_nef_by_cones(D), D.coeffs
+        X = D - fan.divisor({rng.randrange(fan.nrays): number(1, 4) / 2})
+        assert is_nef(X) == is_nef_by_cones(X), X.coeffs
+        verdicts.add(is_nef(X))
+    assert verdicts == {True, False}
 
 
 def test_volume_of_empty_polytope_is_zero():
