@@ -1,9 +1,10 @@
 """Small exact linear algebra helpers.
 
 All routines are generic over the entry type: python ints are lifted to
-Fractions on entry, and Fractions interoperate with Scalars through the
-arithmetic dunders, so the same Gaussian elimination serves rational and
-quadratic-field data.
+Fractions on entry, so integer data gives Fraction results.  A Scalar entry,
+such as a polytope offset, turns every result it reaches into a Scalar,
+because Fraction defers to Scalar's reflected dunders; so the same Gaussian
+elimination serves rational and quadratic-field data.
 """
 
 from __future__ import annotations

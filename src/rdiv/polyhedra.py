@@ -1,9 +1,9 @@
 """Exact H-polytope computations: LP, vertices, volumes, lattice points.
 
 Polytopes are given by integer normal vectors and Scalar offsets, with each
-row read as <u, normal> >= offset.  Everything is exact; when every offset
-is rational the internals run on plain Fractions for speed and results are
-wrapped back into Scalars at the API boundary.
+row read as <u, normal> >= offset.  Everything is exact, and every quantity
+takes one path: the internals compute on the Scalar offsets themselves,
+rational or not.
 
 An LP over a bounded polytope attains its minimum at a vertex, so it is
 solved exactly as the least objective value over the cached vertex set; no
@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -82,13 +81,6 @@ class HPolytope:
         return HPolytope(self.dim, tuple((g, o * f) for g, o in self.rows))
 
 
-def _offsets_for_field(p: HPolytope):
-    """Offsets as Fractions when possible (fast lane), else Scalars."""
-    if all(o.disc == 0 for _, o in p.rows):
-        return [o.rat for _, o in p.rows]
-    return [o for _, o in p.rows]
-
-
 # ---------------------------------------------------------------------------
 # LP by the vertex minimum
 
@@ -124,10 +116,9 @@ def lp_solve(problem: LPProblem) -> LPResult:
     vs = _vertex_set(poly)
     if not vs:
         return LPResult("infeasible")
-    lane = [tuple(x.rat for x in v) for v in vs] if all(o.disc == 0 for _, o in poly.rows) else vs
-    values = [sum(map(mul, v, problem.objective)) for v in lane]
+    values = [sum(map(mul, v, problem.objective)) for v in vs]
     k = values.index(min(values))
-    return LPResult("optimal", _as_scalar(values[k]) + problem.constant, vs[k])
+    return LPResult("optimal", values[k] + problem.constant, vs[k])
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +152,13 @@ def _vertex_set(p: HPolytope) -> tuple[tuple[Scalar, ...], ...]:
     """All vertices of a bounded polytope (empty tuple when infeasible)."""
     if not is_bounded(p):
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
-    offs = _offsets_for_field(p)
     n = p.dim
     found = {}
-    for idx in itertools.combinations(range(len(p.rows)), n):
-        mat = [p.rows[i][0] for i in idx]
-        sol = solve_square(mat, [offs[i] for i in idx])
-        if sol is None:
-            continue
-        ok = True
-        for i, (g, _) in enumerate(p.rows):
-            if sum(c * x for c, x in zip(g, sol)) < offs[i]:
-                ok = False
-                break
-        if ok:
-            key = tuple(_as_scalar(x) for x in sol)
-            found[key] = None
+    for rows in itertools.combinations(p.rows, n):
+        # the offsets are Scalars, so the solution is a tuple of Scalars
+        sol = solve_square([g for g, _ in rows], [o for _, o in rows])
+        if sol is not None and all(sum(map(mul, g, sol)) >= o for g, o in p.rows):
+            found[sol] = None
     return tuple(sorted(found))
 
 
@@ -193,8 +175,6 @@ def _face_rows(rows, g, c):
     shift = c / g[j]  # the base point shift * e_j lies on the hyperplane
     basis = kernel_basis(g)
     out = []
-    # shift * int, not int * shift: Fraction's reflected operators take a
-    # slower path through an abstract-base-class check
     for h, d in rows:
         hb = tuple(sum(map(mul, h, b)) for b in basis)
         if any(hb):
@@ -215,14 +195,14 @@ def _volume(n: int, rows):
     hyperplane and of its opposite are the whole polytope, and their terms
     cancel only in pairs."""
     if rows is None:
-        return Fraction(0)
+        return Scalar(0)
     if n == 0:
-        return Fraction(1)
+        return Scalar(1)
     unique = {}
     for g, c in rows:
         k = math.gcd(*g)
         unique[(g, c) if k == 1 else (tuple(x // k for x in g), c / k)] = None
-    total = Fraction(0)
+    total = Scalar(0)
     for g, c in unique:
         if c:
             total = total - c * _volume(n - 1, _face_rows(unique, g, c))
@@ -234,7 +214,7 @@ def euclidean_volume(p: HPolytope) -> Scalar:
     empty input."""
     if not _vertex_set(p):
         raise EmptyPolytope("cannot take the volume of an empty polytope")
-    return _as_scalar(_volume(p.dim, list(zip((g for g, _ in p.rows), _offsets_for_field(p)))))
+    return _volume(p.dim, p.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +369,7 @@ def _facet_volumes(p: HPolytope) -> tuple[Scalar, ...]:
     hashes the polytope once."""
     if not is_bounded(p):
         raise UnboundedPolytope("facet volume needs a bounded polytope")
-    rows = list(zip((g for g, _ in p.rows), _offsets_for_field(p)))
-    return tuple(_as_scalar(_volume(p.dim - 1, _face_rows(rows, *row))) for row in rows)
+    return tuple(_volume(p.dim - 1, _face_rows(p.rows, *row)) for row in p.rows)
 
 
 def facet_lattice_volume(p: HPolytope, facet_row: int) -> Scalar:

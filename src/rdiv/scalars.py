@@ -1,17 +1,22 @@
 """Exact arithmetic in Q and in a real quadratic field Q(sqrt(d)).
 
-A Scalar is a value rat + surd*sqrt(disc) with rational rat, surd and a
-square-free non-negative integer disc.  Rational values are canonicalized
-to disc = 0, so equality and hashing are structural.  One instance works
-inside a single field: combining scalars from distinct irrational fields
-raises MixedDiscriminant instead of building a compositum.
+A Scalar is a value (a + b*sqrt(disc)) / den held as plain integers, with
+den > 0, gcd(a, b, den) = 1 and a square-free disc > 1, or disc = 0 exactly
+when b = 0 (the rational values).  This reduced form is unique, so equality
+is structural, and field operations are integer cross-multiplications
+followed by one three-way gcd (Cohen, A Course in Computational Algebraic
+Number Theory, 1993).  Rational values hash like the equal int or Fraction.
+One instance works inside a single field: combining scalars from distinct
+irrational fields raises MixedDiscriminant instead of building a compositum.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
+from math import gcd, isqrt
 
 from .errors import DivisionByZero, MixedDiscriminant
 
@@ -22,6 +27,9 @@ __all__ = [
     "scalar_cmp",
     "scalar_floor",
 ]
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -38,12 +46,66 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, f * n
 
 
+def _new(a: int, b: int, den: int, disc: int) -> "Scalar":
+    """The reduced Scalar (a + b*sqrt(disc)) / den, for den != 0 and b = 0
+    whenever disc = 0."""
+    if den != 1:
+        g = gcd(a, b, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            a, b, den = a // g, b // g, den // g
+    self = object.__new__(Scalar)
+    self.a = a
+    self.b = b
+    self.den = den
+    self.disc = disc if b else 0
+    return self
+
+
+def _coerce(value):
+    """value as a Scalar when it is an int or a Fraction, else None."""
+    if isinstance(value, Scalar):
+        return value
+    if isinstance(value, int):
+        return _new(int(value), 0, 1, 0)
+    if isinstance(value, Fraction):
+        return _new(value.numerator, 0, value.denominator, 0)
+    return None
+
+
+def _join(d: int, e: int) -> int:
+    """The common disc of two distinct discs, one of which must be 0."""
+    if d and e:
+        raise MixedDiscriminant(d, e)
+    return d or e
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d)."""
+    if not b:
+        return (a > 0) - (a < 0)
+    if a >= 0 and b > 0:
+        return 1
+    if a <= 0 and b < 0:
+        return -1
+    # a and b have strictly opposite signs: compare a^2 with b^2 d
+    t = a * a - b * b * d
+    s = (t > 0) - (t < 0)
+    return s if a > 0 else -s
+
+
 class Scalar:
     """Immutable element of Q or Q(sqrt(d))."""
 
-    __slots__ = ("rat", "surd", "disc")
+    __slots__ = ("a", "b", "den", "disc")
 
     def __init__(self, rat=0, surd=0, disc: int = 0):
+        if type(rat) is int and type(surd) is int and not surd:
+            if disc < 0:
+                raise ValueError(f"negative discriminant {disc}")
+            self.a, self.b, self.den, self.disc = rat, 0, 1, 0
+            return
         rat = rat if isinstance(rat, Fraction) else Fraction(rat)
         surd = surd if isinstance(surd, Fraction) else Fraction(surd)
         if disc < 0:
@@ -57,100 +119,118 @@ class Scalar:
                 surd = Fraction(0)
                 disc = 0
         else:
-            surd = Fraction(0)
             disc = 0
-        self.rat = rat
-        self.surd = surd
+        p, q = rat.numerator, rat.denominator
+        r, s = surd.numerator, surd.denominator
+        den = q * s // gcd(q, s)
+        # rat and surd are in lowest terms, so a, b and den have no common factor
+        self.a = p * (den // q)
+        self.b = r * (den // s)
+        self.den = den
         self.disc = disc
 
-    # internal: operands already canonical Fractions, disc valid
-    @classmethod
-    def _make(cls, rat: Fraction, surd: Fraction, disc: int) -> "Scalar":
-        self = object.__new__(cls)
-        self.rat = rat
-        if surd:
-            self.surd = surd
-            self.disc = disc
-        else:
-            self.surd = Fraction(0)
-            self.disc = 0
-        return self
+    @property
+    def rat(self) -> Fraction:
+        """The rational part, a / den."""
+        return Fraction(self.a, self.den)
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar._make(Fraction(value), Fraction(0), 0)
-        return None
-
-    def _join_disc(self, other: "Scalar") -> int:
-        if self.disc and other.disc and self.disc != other.disc:
-            raise MixedDiscriminant(self.disc, other.disc)
-        return self.disc or other.disc
+    @property
+    def surd(self) -> Fraction:
+        """The coefficient of sqrt(disc), b / den."""
+        return Fraction(self.b, self.den)
 
     # ---- field operations ------------------------------------------------
+    # each takes a plain int operand without building a Scalar for it
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._join_disc(o)
-        return Scalar._make(self.rat + o.rat, self.surd + o.surd, d)
+        if type(other) is not Scalar:
+            if type(other) is int:
+                return _new(self.a + other * self.den, self.b, self.den, self.disc)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d = self.disc
+        if d != other.disc:
+            d = _join(d, other.disc)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _new(self.a + other.a, self.b + other.b, d1, d)
+        return _new(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._join_disc(o)
-        return Scalar._make(self.rat - o.rat, self.surd - o.surd, d)
+        if type(other) is not Scalar:
+            if type(other) is int:
+                return _new(self.a - other * self.den, self.b, self.den, self.disc)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d = self.disc
+        if d != other.disc:
+            d = _join(d, other.disc)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _new(self.a - other.a, self.b - other.b, d1, d)
+        return _new(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2, d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o.__sub__(self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._join_disc(o)
-        if not o.surd:
-            return Scalar._make(self.rat * o.rat, self.surd * o.rat, d)
-        if not self.surd:
-            return Scalar._make(self.rat * o.rat, self.rat * o.surd, d)
-        return Scalar._make(
-            self.rat * o.rat + self.surd * o.surd * d,
-            self.rat * o.surd + self.surd * o.rat,
-            d,
-        )
+        if type(other) is not Scalar:
+            if type(other) is int:
+                return _new(self.a * other, self.b * other, self.den, self.disc)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        d = self.disc
+        if d != other.disc:
+            d = _join(d, other.disc)
+        if not b2:
+            return _new(a1 * a2, b1 * a2, self.den * other.den, d)
+        if not b1:
+            return _new(a1 * a2, a1 * b2, self.den * other.den, d)
+        return _new(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, self.den * other.den, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.rat and not o.surd:
+        if type(other) is not Scalar:
+            if type(other) is int and other:
+                return _new(self.a, self.b, self.den * other, self.disc)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        if not a2 and not b2:
             raise DivisionByZero("scalar division by zero")
-        d = self._join_disc(o)
-        if not o.surd:
-            return Scalar._make(self.rat / o.rat, self.surd / o.rat, d)
+        d = self.disc
+        if d != other.disc:
+            d = _join(d, other.disc)
+        if not b2:
+            return _new(a1 * other.den, b1 * other.den, self.den * a2, d)
         # multiply by the conjugate; the norm is nonzero since sqrt(d) is irrational
-        norm = o.rat * o.rat - o.surd * o.surd * d
-        return self * Scalar._make(o.rat / norm, -o.surd / norm, d)
+        norm = a2 * a2 - b2 * b2 * d
+        return _new(
+            (a1 * a2 - b1 * b2 * d) * other.den,
+            (b1 * a2 - a1 * b2) * other.den,
+            self.den * norm,
+            d,
+        )
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o.__truediv__(self)
 
     def __neg__(self):
-        return Scalar._make(-self.rat, -self.surd, self.disc)
+        return _new(-self.a, -self.b, self.den, self.disc)
 
     def __pos__(self):
         return self
@@ -161,7 +241,7 @@ class Scalar:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = Scalar._make(Fraction(1), Fraction(0), 0)
+        out = _new(1, 0, 1, 0)
         for _ in range(n):
             out = out * self
         return out
@@ -170,29 +250,28 @@ class Scalar:
 
     def sign(self) -> int:
         """Exact sign of the real value: -1, 0 or 1."""
-        a, b = self.rat, self.surd
-        if not b:
-            return (a > 0) - (a < 0)
-        if a >= 0 and b > 0:
-            return 1
-        if a <= 0 and b < 0:
-            return -1
-        # a and b have strictly opposite signs: compare a^2 with b^2 d
-        t = a * a - b * b * self.disc
-        s = (t > 0) - (t < 0)
-        return s if a > 0 else -s
+        return _sign(self.a, self.b, self.disc)
 
     def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare Scalar with {type(other).__name__}")
-        return (self - o).sign()
+        if type(other) is not Scalar:
+            if type(other) is int:
+                return _sign(self.a - other * self.den, self.b, self.disc)
+            o = _coerce(other)
+            if o is None:
+                raise TypeError(f"cannot compare Scalar with {type(other).__name__}")
+            other = o
+        d = self.disc
+        if d != other.disc:
+            d = _join(d, other.disc)
+        d1, d2 = self.den, other.den
+        return _sign(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.rat, self.surd, self.disc) == (o.rat, o.surd, o.disc)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.den == other.den and self.disc == other.disc
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -211,31 +290,39 @@ class Scalar:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        return hash((self.rat, self.surd, self.disc))
+        if self.b:
+            return hash((self.a, self.b, self.den, self.disc))
+        if self.den == 1:
+            return hash(self.a)
+        # the numeric hash that int and Fraction share
+        try:
+            inv = pow(self.den, -1, _HASH_MODULUS)
+        except ValueError:
+            h = _HASH_INF
+        else:
+            h = hash(hash(abs(self.a)) * inv)
+        h = h if self.a >= 0 else -h
+        return -2 if h == -1 else h
 
     def __bool__(self):
-        return bool(self.rat) or bool(self.surd)
+        return bool(self.a or self.b)
 
     # ---- rounding --------------------------------------------------------
 
     def __floor__(self) -> int:
-        a, b = self.rat.numerator, self.rat.denominator
-        if not self.surd:
-            return a // b
-        # value = (a*q + m*sqrt(d)) / (b*q); floor(m*sqrt(d)) is an isqrt
-        p, q = self.surd.numerator, self.surd.denominator
-        m = p * b
-        t = math.isqrt(m * m * self.disc)
-        if m < 0:
-            # exact because disc is square-free and > 1 whenever surd != 0
-            t = -t - 1
-        return (a * q + t) // (b * q)
+        a, b = self.a, self.b
+        if b:
+            # floor(b*sqrt(d)) is an isqrt, exact because disc is square-free
+            # and > 1 whenever b != 0
+            t = isqrt(b * b * self.disc)
+            a += t if b > 0 else -t - 1
+        return a // self.den
 
     def __ceil__(self) -> int:
         return -math.floor(-self)
 
     def is_integer(self) -> bool:
-        return not self.surd and self.rat.denominator == 1
+        return not self.b and self.den == 1
 
     # ---- presentation ----------------------------------------------------
 
@@ -243,19 +330,19 @@ class Scalar:
         """Fixed-point decimal rendering (truncated), for display only."""
         scale = 10**digits
         approx = self.rat
-        if self.surd:
-            guard = Fraction(math.isqrt(self.disc * 10 ** (2 * digits + 20)), 10 ** (digits + 10))
-            approx = self.rat + self.surd * guard
+        if self.b:
+            guard = Fraction(isqrt(self.disc * 10 ** (2 * digits + 20)), 10 ** (digits + 10))
+            approx = approx + self.surd * guard
         n = math.floor(approx * scale)
         sign = "-" if n < 0 else ""
         n = abs(n)
         return f"{sign}{n // scale}.{n % scale:0{digits}d}"
 
     def __str__(self):
-        if not self.surd:
+        if not self.b:
             return _frac_str(self.rat)
-        head = _frac_str(self.rat) if self.rat else ""
-        op = "-" if self.surd < 0 else ("+" if head else "")
+        head = _frac_str(self.rat) if self.a else ""
+        op = "-" if self.b < 0 else ("+" if head else "")
         coef = abs(self.surd)
         body = "" if coef == 1 else _frac_str(coef) + "*"
         return f"{head}{op}{body}sqrt({self.disc})"

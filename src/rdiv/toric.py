@@ -354,12 +354,9 @@ def is_big(D: TDivisor) -> bool:
 
 def is_nef(D: TDivisor) -> bool:
     """The wall rule: every wall form of the fan is >= 0 on the coefficients
-    (see _wall_forms), evaluated on Fractions when every coefficient is
-    rational."""
+    (see _wall_forms)."""
     _check_tdivisor(D)
     a = D.coeffs
-    if all(c.disc == 0 for c in a):
-        a = [c.rat for c in a]
     return all(sum(a[i] * w for i, w in form) >= 0 for form in _wall_forms(D.fan))
 
 

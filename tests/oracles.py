@@ -9,8 +9,8 @@ end are older library rules, kept to cross-check the direct ones that
 replaced them: the two-phase simplex against the vertex-minimum LP and
 the kernel boundedness rule, the triangulated volume, vertex-rank bigness
 and tight-set B+ against the facet recursion, the ample-divisor epsilon
-schedule against the facet rule for B+, and per-cone nefness against the
-wall rule.
+schedule against the facet rule for B+, per-cone nefness against the
+wall rule, and the two-Fraction Scalar against the integer-triple one.
 """
 
 import math
@@ -18,7 +18,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from rdiv.errors import EmptyPolytope, NonSimplicialCone, NotBig, RdivError
+from rdiv.errors import (
+    DivisionByZero,
+    EmptyPolytope,
+    MixedDiscriminant,
+    NonSimplicialCone,
+    NotBig,
+    RdivError,
+)
 from rdiv.linalg import matrix_rank, nullspace_vector, solve_square
 from rdiv.polyhedra import (
     HPolytope,
@@ -26,10 +33,9 @@ from rdiv.polyhedra import (
     LPResult,
     _as_scalar,
     _lattice_intervals,
-    _offsets_for_field,
     _vertex_set,
 )
-from rdiv.scalars import Scalar
+from rdiv.scalars import Scalar, _frac_str, _squarefree_split
 from rdiv.toric import Fan, TDivisor, is_big, polytope_of, sigma
 
 
@@ -180,13 +186,22 @@ def _bland(tableau, basis, cost, allowed):
                 cost[j] -= f * prow[j]
 
 
+def _fraction_offsets(p: HPolytope):
+    """Offsets as Fractions when every one is rational, else Scalars, so
+    that the reference simplex runs on Fraction arithmetic, not on the
+    library's Scalar, whenever it can."""
+    if all(o.disc == 0 for _, o in p.rows):
+        return [o.rat for _, o in p.rows]
+    return [o for _, o in p.rows]
+
+
 def simplex_solve(problem: LPProblem) -> LPResult:
     """Exact two-phase simplex over the ordered field of the offsets; unlike
     lp_solve it reports an unbounded objective as status "unbounded"."""
     poly = problem.constraints
     n = poly.dim
     m = len(poly.rows)
-    offs = _offsets_for_field(poly)
+    offs = _fraction_offsets(poly)
     zero = offs[0] * 0 if m else Fraction(0)
 
     # columns: u+ (n) | u- (n) | slack (m) | artificial (m) | rhs
@@ -256,7 +271,7 @@ def _purify(poly: HPolytope, objective, point):
     the result is a vertex of the feasible region attaining the optimum
     whenever the region is pointed.
     """
-    offs = _offsets_for_field(poly)
+    offs = _fraction_offsets(poly)
     n = poly.dim
     for _ in range(n + 1):
         slack = [sum(c * x for c, x in zip(g, point)) - offs[i] for i, (g, _) in enumerate(poly.rows)]
@@ -481,3 +496,237 @@ def is_nef_by_cones(D: TDivisor) -> bool:
             if sum(c * x for c, x in zip(ray, u)) < -D.coeffs[i]:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Scalar on two Fractions: the reference for rdiv.scalars.Scalar, which holds
+# one reduced integer triple over a common denominator instead.
+
+
+class FractionScalar:
+    """Immutable element of Q or Q(sqrt(d)) as two Fractions: rat + surd*sqrt(disc)."""
+
+    __slots__ = ("rat", "surd", "disc")
+
+    def __init__(self, rat=0, surd=0, disc: int = 0):
+        rat = rat if isinstance(rat, Fraction) else Fraction(rat)
+        surd = surd if isinstance(surd, Fraction) else Fraction(surd)
+        if disc < 0:
+            raise ValueError(f"negative discriminant {disc}")
+        if surd:
+            s, f = _squarefree_split(disc)
+            surd *= s
+            disc = f
+            if disc <= 1:
+                rat += surd * disc
+                surd = Fraction(0)
+                disc = 0
+        else:
+            surd = Fraction(0)
+            disc = 0
+        self.rat = rat
+        self.surd = surd
+        self.disc = disc
+
+    # internal: operands already canonical Fractions, disc valid
+    @classmethod
+    def _make(cls, rat: Fraction, surd: Fraction, disc: int) -> "FractionScalar":
+        self = object.__new__(cls)
+        self.rat = rat
+        if surd:
+            self.surd = surd
+            self.disc = disc
+        else:
+            self.surd = Fraction(0)
+            self.disc = 0
+        return self
+
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, FractionScalar):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return FractionScalar._make(Fraction(value), Fraction(0), 0)
+        return None
+
+    def _join_disc(self, other: "FractionScalar") -> int:
+        if self.disc and other.disc and self.disc != other.disc:
+            raise MixedDiscriminant(self.disc, other.disc)
+        return self.disc or other.disc
+
+    # ---- field operations ------------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = self._join_disc(o)
+        return FractionScalar._make(self.rat + o.rat, self.surd + o.surd, d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = self._join_disc(o)
+        return FractionScalar._make(self.rat - o.rat, self.surd - o.surd, d)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o.__sub__(self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = self._join_disc(o)
+        if not o.surd:
+            return FractionScalar._make(self.rat * o.rat, self.surd * o.rat, d)
+        if not self.surd:
+            return FractionScalar._make(self.rat * o.rat, self.rat * o.surd, d)
+        return FractionScalar._make(
+            self.rat * o.rat + self.surd * o.surd * d,
+            self.rat * o.surd + self.surd * o.rat,
+            d,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if not o.rat and not o.surd:
+            raise DivisionByZero("scalar division by zero")
+        d = self._join_disc(o)
+        if not o.surd:
+            return FractionScalar._make(self.rat / o.rat, self.surd / o.rat, d)
+        # multiply by the conjugate; the norm is nonzero since sqrt(d) is irrational
+        norm = o.rat * o.rat - o.surd * o.surd * d
+        return self * FractionScalar._make(o.rat / norm, -o.surd / norm, d)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o.__truediv__(self)
+
+    def __neg__(self):
+        return FractionScalar._make(-self.rat, -self.surd, self.disc)
+
+    def __pos__(self):
+        return self
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        out = FractionScalar._make(Fraction(1), Fraction(0), 0)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    # ---- order -----------------------------------------------------------
+
+    def sign(self) -> int:
+        """Exact sign of the real value: -1, 0 or 1."""
+        a, b = self.rat, self.surd
+        if not b:
+            return (a > 0) - (a < 0)
+        if a >= 0 and b > 0:
+            return 1
+        if a <= 0 and b < 0:
+            return -1
+        # a and b have strictly opposite signs: compare a^2 with b^2 d
+        t = a * a - b * b * self.disc
+        s = (t > 0) - (t < 0)
+        return s if a > 0 else -s
+
+    def _cmp(self, other) -> int:
+        o = self._coerce(other)
+        if o is None:
+            raise TypeError(f"cannot compare FractionScalar with {type(other).__name__}")
+        return (self - o).sign()
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self.rat, self.surd, self.disc) == (o.rat, o.surd, o.disc)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def __hash__(self):
+        return hash((self.rat, self.surd, self.disc))
+
+    def __bool__(self):
+        return bool(self.rat) or bool(self.surd)
+
+    # ---- rounding --------------------------------------------------------
+
+    def __floor__(self) -> int:
+        a, b = self.rat.numerator, self.rat.denominator
+        if not self.surd:
+            return a // b
+        # value = (a*q + m*sqrt(d)) / (b*q); floor(m*sqrt(d)) is an isqrt
+        p, q = self.surd.numerator, self.surd.denominator
+        m = p * b
+        t = math.isqrt(m * m * self.disc)
+        if m < 0:
+            # exact because disc is square-free and > 1 whenever surd != 0
+            t = -t - 1
+        return (a * q + t) // (b * q)
+
+    def __ceil__(self) -> int:
+        return -math.floor(-self)
+
+    def is_integer(self) -> bool:
+        return not self.surd and self.rat.denominator == 1
+
+    # ---- presentation ----------------------------------------------------
+
+    def decimal(self, digits: int = 20) -> str:
+        """Fixed-point decimal rendering (truncated), for display only."""
+        scale = 10**digits
+        approx = self.rat
+        if self.surd:
+            guard = Fraction(math.isqrt(self.disc * 10 ** (2 * digits + 20)), 10 ** (digits + 10))
+            approx = self.rat + self.surd * guard
+        n = math.floor(approx * scale)
+        sign = "-" if n < 0 else ""
+        n = abs(n)
+        return f"{sign}{n // scale}.{n % scale:0{digits}d}"
+
+    def __str__(self):
+        if not self.surd:
+            return _frac_str(self.rat)
+        head = _frac_str(self.rat) if self.rat else ""
+        op = "-" if self.surd < 0 else ("+" if head else "")
+        coef = abs(self.surd)
+        body = "" if coef == 1 else _frac_str(coef) + "*"
+        return f"{head}{op}{body}sqrt({self.disc})"
+
+    def __repr__(self):
+        return f"FractionScalar('{self}')"
+
+    def __reduce__(self):
+        return (FractionScalar, (self.rat, self.surd, self.disc))

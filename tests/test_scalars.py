@@ -1,4 +1,6 @@
 import math
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scalar_ceil
+from oracles import FractionScalar, scalar_ceil
 from rdiv.errors import DivisionByZero, MixedDiscriminant
 from rdiv.scalars import (
     Scalar,
@@ -219,3 +221,148 @@ def test_pickle_roundtrip():
 
     x = Scalar(Fraction(3, 7), Fraction(-2, 5), 2)
     assert pickle.loads(pickle.dumps(x)) == x
+
+
+# ---- hashing agrees with equality ----------------------------------------
+
+
+def test_hash_agrees_with_equality_across_int_fraction_and_scalar():
+    values = [
+        0,
+        1,
+        -1,
+        7,
+        2**64 + 1,
+        Fraction(1, 2),
+        Fraction(-22, 7),
+        Fraction(10**30 + 1, 3),
+        Scalar(0),
+        Scalar(1),
+        Scalar(-1),
+        Scalar(7),
+        Scalar(2**64 + 1),
+        Scalar(Fraction(1, 2)),
+        Scalar(Fraction(-22, 7)),
+        Scalar(Fraction(10**30 + 1, 3)),
+        Scalar(0, 1, 4),
+        Scalar(Fraction(1, 2), 0, 3),
+        Scalar(0, 1, 2),
+        Scalar(0, 2, 2),
+        Scalar(0, 1, 8),
+        Scalar(1, Fraction(1, 2), 3),
+    ]
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    assert 1 in {Scalar(1)}
+    assert Scalar(2) in {2}
+    assert Fraction(1, 2) in {Scalar(Fraction(1, 2))}
+    assert {Scalar(Fraction(-22, 7)): "x"}[Fraction(-22, 7)] == "x"
+
+
+# ---- the integer triple against the two-Fraction reference ----------------
+
+
+def digits30():
+    return st.one_of(st.integers(-12, 12), st.integers(-(10**30), 10**30))
+
+
+def fractions30():
+    return st.builds(Fraction, digits30(), st.one_of(st.integers(1, 12), st.integers(1, 10**30)))
+
+
+def triples():
+    """(rat, surd, disc) over Q(sqrt 2), Q(sqrt 3) and Q(sqrt 5); a zero surd
+    gives a rational value."""
+    return st.tuples(fractions30(), st.one_of(st.just(Fraction(0)), fractions30()), st.sampled_from([2, 3, 5]))
+
+
+def operands():
+    return st.one_of(
+        triples().map(lambda t: ("scalar", t)),
+        digits30().map(lambda n: ("int", n)),
+        fractions30().map(lambda q: ("fraction", q)),
+    )
+
+
+def _build(operand, cls):
+    kind, value = operand
+    return cls(*value) if kind == "scalar" else value
+
+
+def _canon(value):
+    """A class-free image of a result, so Scalar and FractionScalar results
+    compare equal exactly when they agree in value, field and rendering.
+    A Scalar must also be in its reduced form."""
+    if isinstance(value, Scalar):
+        assert value.den > 0 and math.gcd(value.a, value.b, value.den) == 1
+        assert (value.b == 0) == (value.disc == 0)
+    if isinstance(value, (Scalar, FractionScalar)):
+        return ("scalar", value.rat, value.surd, value.disc, str(value))
+    return (type(value), value)
+
+
+def _outcome(fn):
+    try:
+        return _canon(fn())
+    except (DivisionByZero, MixedDiscriminant, ValueError, TypeError) as exc:
+        return type(exc)
+
+
+BINARY = [
+    operator.add,
+    operator.sub,
+    operator.mul,
+    operator.truediv,
+    operator.lt,
+    operator.le,
+    operator.eq,
+    operator.ne,
+    operator.gt,
+    operator.ge,
+    scalar_cmp,
+]
+
+
+@given(triples(), operands())
+@settings(max_examples=300, deadline=None)
+def test_binary_operations_match_the_fraction_reference(t, other):
+    x, ref = Scalar(*t), FractionScalar(*t)
+    o, oref = _build(other, Scalar), _build(other, FractionScalar)
+    for op in BINARY:
+        if op is scalar_cmp:
+            assert _outcome(lambda: x._cmp(o)) == _outcome(lambda: ref._cmp(oref))
+            continue
+        assert _outcome(lambda: op(x, o)) == _outcome(lambda: op(ref, oref)), op
+        assert _outcome(lambda: op(o, x)) == _outcome(lambda: op(oref, ref)), op
+
+
+@given(triples(), st.integers(0, 4), st.integers(0, 30))
+@settings(max_examples=300, deadline=None)
+def test_unary_operations_match_the_fraction_reference(t, n, digits):
+    x, ref = Scalar(*t), FractionScalar(*t)
+    for fn in (
+        operator.neg,
+        operator.pos,
+        abs,
+        lambda v: v**n,
+        lambda v: v.sign(),
+        math.floor,
+        math.ceil,
+        lambda v: v.is_integer(),
+        bool,
+        str,
+        lambda v: v.decimal(digits),
+        lambda v: (v.rat, v.surd, v.disc),
+        lambda v: pickle.loads(pickle.dumps(v)),
+    ):
+        assert _outcome(lambda: fn(x)) == _outcome(lambda: fn(ref))
+    if not x.surd:
+        assert hash(x) == hash(x.rat)
+
+
+@given(st.one_of(digits30(), fractions30()), st.one_of(digits30(), fractions30()), st.integers(-3, 50))
+@settings(max_examples=200, deadline=None)
+def test_construction_matches_the_fraction_reference(rat, surd, disc):
+    assert _outcome(lambda: Scalar(rat, surd, disc)) == _outcome(lambda: FractionScalar(rat, surd, disc))
