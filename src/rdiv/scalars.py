@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -27,10 +26,6 @@ __all__ = [
     "scalar_cmp",
     "scalar_floor",
 ]
-
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
-
 
 def _squarefree_split(n: int) -> tuple[int, int]:
     """n = s*s*f with f square-free; returns (s, f)."""
@@ -65,8 +60,6 @@ def _new(a: int, b: int, den: int, disc: int) -> "Scalar":
 
 def _coerce(value):
     """value as a Scalar when it is an int or a Fraction, else None."""
-    if isinstance(value, Scalar):
-        return value
     if isinstance(value, int):
         return _new(int(value), 0, 1, 0)
     if isinstance(value, Fraction):
@@ -294,15 +287,7 @@ class Scalar:
             return hash((self.a, self.b, self.den, self.disc))
         if self.den == 1:
             return hash(self.a)
-        # the numeric hash that int and Fraction share
-        try:
-            inv = pow(self.den, -1, _HASH_MODULUS)
-        except ValueError:
-            h = _HASH_INF
-        else:
-            h = hash(hash(abs(self.a)) * inv)
-        h = h if self.a >= 0 else -h
-        return -2 if h == -1 else h
+        return hash(Fraction(self.a, self.den))
 
     def __bool__(self):
         return bool(self.a or self.b)
