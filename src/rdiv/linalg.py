@@ -5,6 +5,11 @@ Fractions on entry, so integer data gives Fraction results.  A Scalar entry,
 such as a polytope offset, turns every result it reaches into a Scalar,
 because Fraction defers to Scalar's reflected dunders; so the same Gaussian
 elimination serves rational and quadratic-field data.
+
+In the library the elimination runs on integer data only: solve_square
+gives toric's cone coordinates and the inverses in the vertex table of
+polyhedra, both once per fan or normal set.  Elimination on Scalar offsets
+is left to the test oracles.
 """
 
 from __future__ import annotations

@@ -5,6 +5,15 @@ row read as <u, normal> >= offset.  Everything is exact, and every quantity
 takes one path: the internals compute on the Scalar offsets themselves,
 rational or not.
 
+What depends on the normals alone is computed once per normal set, in
+bounded caches, since the section polytopes of one fan share their normals
+and differ only in offsets.  The vertex table holds, for each nonsingular
+n-subset of rows, its inverse as an integer matrix over a positive integer
+denominator and the integer form that tests every other row on its
+candidate vertex, so a polytope's vertices cost integer-by-Scalar products
+and no elimination.  The face table holds the projections of the normals
+onto the lattice of a face's hyperplane, so a face only shifts offsets.
+
 An LP over a bounded polytope attains its minimum at a vertex, so it is
 solved exactly as the least objective value over the cached vertex set; no
 simplex runs.  Boundedness itself needs no LP: the recession cone of full
@@ -76,8 +85,12 @@ class HPolytope:
                 raise ValueError("zero normal vector in polytope row")
 
     def scale(self, factor) -> "HPolytope":
-        """Dilation by factor > 0 about the origin."""
+        """Dilation by factor > 0 about the origin.  Any other factor raises
+        ValueError: scaling the offsets by a negative one does not reflect
+        the polytope, and by 0 it turns an empty polytope into the origin."""
         f = _as_scalar(factor)
+        if not f > 0:
+            raise ValueError(f"dilation factor must be positive, got {f}")
         return HPolytope(self.dim, tuple((g, o * f) for g, o in self.rows))
 
 
@@ -147,18 +160,44 @@ def is_bounded(p: HPolytope) -> bool:
     return _recession_bounded(tuple(g for g, _ in p.rows), p.dim)
 
 
+@lru_cache(maxsize=256)
+def _vertex_table(normals: tuple[tuple[int, ...], ...], n: int):
+    """The normals-only part of vertex enumeration: for each nonsingular
+    n-subset S of the rows, (S, M, q, forms) with A_S^-1 = M / q for integer
+    M and q > 0, and forms the integer (r, w_r = g_r M) of every other row r.
+    The candidate vertex of S is M o_S / q, and <g_r, v> >= o_r there is
+    sum_k w_r,k o_S_k >= q o_r.  Column k of A_S^-1 solves A_S x = e_k;
+    clearing its denominators by their lcm keeps q > 0."""
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    table = []
+    for subset in itertools.combinations(range(len(normals)), n):
+        rows = [normals[s] for s in subset]
+        cols = [solve_square(rows, e) for e in units]
+        if cols[0] is None:
+            continue
+        q = math.lcm(*(x.denominator for col in cols for x in col))
+        inverse = tuple(tuple(int(col[i] * q) for col in cols) for i in range(n))
+        forms = tuple(
+            (r, tuple(sum(g[i] * inverse[i][k] for i in range(n)) for k in range(n)))
+            for r, g in enumerate(normals)
+            if r not in subset
+        )
+        table.append((subset, inverse, q, forms))
+    return tuple(table)
+
+
 @lru_cache(maxsize=4096)
 def _vertex_set(p: HPolytope) -> tuple[tuple[Scalar, ...], ...]:
-    """All vertices of a bounded polytope (empty tuple when infeasible)."""
+    """All vertices of a bounded polytope (empty tuple when infeasible), in
+    sorted order: the feasible candidates of the vertex table."""
     if not is_bounded(p):
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
-    n = p.dim
+    offsets = [o for _, o in p.rows]
     found = {}
-    for rows in itertools.combinations(p.rows, n):
-        # the offsets are Scalars, so the solution is a tuple of Scalars
-        sol = solve_square([g for g, _ in rows], [o for _, o in rows])
-        if sol is not None and all(sum(map(mul, g, sol)) >= o for g, o in p.rows):
-            found[sol] = None
+    for subset, inverse, q, forms in _vertex_table(tuple(g for g, _ in p.rows), p.dim):
+        o = [offsets[s] for s in subset]
+        if all(sum(map(mul, o, w)) >= offsets[r] * q for r, w in forms):
+            found[tuple(sum(map(mul, o, row)) / q for row in inverse)] = None
     return tuple(sorted(found))
 
 
@@ -166,20 +205,29 @@ def _vertex_set(p: HPolytope) -> tuple[tuple[Scalar, ...], ...]:
 # volume
 
 
+@lru_cache(maxsize=1024)
+def _face_table(normals: tuple[tuple[int, ...], ...], g: tuple[int, ...]):
+    """The normals-only part of _face_rows: the index j of the first nonzero
+    entry of g, and for each normal h its coordinates hb on the lattice
+    basis of the hyperplane's direction, with h[j]."""
+    j = next(i for i, x in enumerate(g) if x)
+    basis = kernel_basis(g)
+    return j, tuple((tuple(sum(map(mul, h, b)) for b in basis), h[j]) for h in normals)
+
+
 def _face_rows(rows, g, c):
     """Rows of the face <u, g> = c of {<u, h> >= d}, in the coordinates of a
     lattice basis of the hyperplane's direction, so that its volume there is
     its lattice volume.  Rows parallel to g are checked on the hyperplane and
-    dropped; None when one of them excludes it."""
-    j = next(i for i, x in enumerate(g) if x)
+    dropped; None when one of them excludes it.  Only the offsets are
+    shifted here; the projected normals come from the face table."""
+    j, table = _face_table(tuple(h for h, _ in rows), g)
     shift = c / g[j]  # the base point shift * e_j lies on the hyperplane
-    basis = kernel_basis(g)
     out = []
-    for h, d in rows:
-        hb = tuple(sum(map(mul, h, b)) for b in basis)
+    for (_, d), (hb, hj) in zip(rows, table):
         if any(hb):
-            out.append((hb, d - shift * h[j] if h[j] else d))
-        elif d > shift * h[j]:
+            out.append((hb, d - shift * hj if hj else d))
+        elif d > shift * hj:
             return None
     return out
 

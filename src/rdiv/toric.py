@@ -388,11 +388,13 @@ class SigmaDecomposition:
     psigma: TDivisor
 
 
+@lru_cache(maxsize=256)
 def sigma_decomposition(D: TDivisor) -> SigmaDecomposition:
     """N_sigma(D) = sum of sigma(D, i) D_i and P_sigma = D - N_sigma, each
     sigma one vertex-minimum LP.  Bigness is checked once: P_sigma has the
     section polytope of D, so it is big too.  Every sigma of P_sigma is
-    checked to be 0."""
+    checked to be 0.  One decomposition per divisor, kept in a bounded
+    cache that every caller shares; errors are raised again on every call."""
     _check_tdivisor(D)
     if not is_big(D):
         raise NotBig("sigma decomposition is defined for big divisors only")

@@ -3,8 +3,10 @@
 Most deliberately avoid the library's own code paths: small hand-rolled
 Cramer solves, exhaustive 2-subset vertex enumeration, shoelace areas,
 box-membership lattice counts and degree-by-degree section sums on F_e, all
-in exact arithmetic.  Helpers that only tests use (vertex sets, lattice
-point lists, translation, ceilings) sit here too.  The references at the
+in exact arithmetic.  Helpers that only tests use (lattice point lists,
+translation, ceilings) sit here too, and so does the vertex set by Scalar
+elimination of every n-subset of rows, the old library rule that the
+integer vertex table of polyhedra must match exactly.  The references at the
 end are older library rules, kept to cross-check the direct ones that
 replaced them: the two-phase simplex against the vertex-minimum LP and
 the kernel boundedness rule, the triangulated volume, vertex-rank bigness
@@ -25,6 +27,7 @@ from rdiv.errors import (
     NonSimplicialCone,
     NotBig,
     RdivError,
+    UnboundedPolytope,
 )
 from rdiv.linalg import matrix_rank, nullspace_vector, solve_square
 from rdiv.polyhedra import (
@@ -33,7 +36,7 @@ from rdiv.polyhedra import (
     LPResult,
     _as_scalar,
     _lattice_intervals,
-    _vertex_set,
+    is_bounded,
 )
 from rdiv.scalars import Scalar, _frac_str, _squarefree_split
 from rdiv.toric import Fan, TDivisor, is_big, polytope_of, sigma
@@ -100,9 +103,25 @@ def naive_lattice_count(rows, dim, lo=-200, hi=200):
     return count, pts
 
 
+def vertex_set_by_elimination(p: HPolytope) -> tuple:
+    """All vertices of a bounded polytope in sorted order (empty tuple when
+    infeasible): every n-subset of rows solved by Gaussian elimination in
+    Scalar arithmetic, and kept when it satisfies every row.  The reference
+    for the integer vertex table behind polyhedra._vertex_set."""
+    if not is_bounded(p):
+        raise UnboundedPolytope("polytope has a nontrivial recession cone")
+    found = {}
+    for rows in combinations(p.rows, p.dim):
+        # the offsets are Scalars, so the solution is a tuple of Scalars
+        sol = solve_square([g for g, _ in rows], [o for _, o in rows])
+        if sol is not None and all(sum(c * x for c, x in zip(g, sol)) >= o for g, o in p.rows):
+            found[sol] = None
+    return tuple(sorted(found))
+
+
 def vertices(p: HPolytope) -> set:
     """Vertex set; raises on unbounded or empty input."""
-    vs = _vertex_set(p)
+    vs = vertex_set_by_elimination(p)
     if not vs:
         raise EmptyPolytope("polytope has no feasible point")
     return set(vs)
@@ -387,7 +406,7 @@ def bplus_halving(D: TDivisor, max_halvings: int = 20):
 # ---------------------------------------------------------------------------
 # Volume, bigness and B+ from the vertex set: the references that the facet
 # recursion of polyhedra._volume and toric.volume/is_big/bplus_div must
-# agree with.  They run on the library's vertex enumeration.
+# agree with.  They run on the elimination vertex oracle above.
 
 
 def det(matrix):
@@ -463,13 +482,13 @@ def triangulated_volume(p: HPolytope) -> Scalar:
 
 def vertex_rank_big(D: TDivisor) -> bool:
     """Big iff the vertices of the section polytope span dimension n."""
-    return affine_rank(_vertex_set(polytope_of(D))) == D.fan.dim
+    return affine_rank(vertex_set_by_elimination(polytope_of(D))) == D.fan.dim
 
 
 def tight_set_bplus(D: TDivisor) -> frozenset:
     """Rays whose tight vertices have affine rank below n - 1."""
     p = polytope_of(D)
-    verts = _vertex_set(p)
+    verts = vertex_set_by_elimination(p)
     return frozenset(
         i
         for i, tight in enumerate(tight_sets(verts, p.rows))

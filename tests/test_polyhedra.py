@@ -14,6 +14,7 @@ from oracles import (
     simplex_recession_bounded,
     simplex_solve,
     translate,
+    vertex_set_by_elimination,
     vertices,
 )
 from rdiv.errors import EmptyPolytope, UnboundedPolytope
@@ -22,6 +23,7 @@ from rdiv.polyhedra import (
     LPProblem,
     _floor_sum,
     _recession_bounded,
+    _vertex_set,
     euclidean_volume,
     facet_lattice_volume,
     is_bounded,
@@ -29,6 +31,7 @@ from rdiv.polyhedra import (
     lp_solve,
 )
 from rdiv.scalars import Scalar, sqrt
+from rdiv.theorems import generate_corpus
 from rdiv.toric import polytope_of, preset_fan
 
 
@@ -530,3 +533,69 @@ def test_recession_kernel_rule_matches_simplex():
         assert _recession_bounded(normals, dim) == expected, normals
         bounded += expected
     assert 10 <= bounded <= len(cases) - 10
+
+
+# ---- the vertex table against Scalar elimination ---------------------------
+
+
+def _vertex_table_cases():
+    """Polytopes on which the integer vertex table must reproduce the
+    elimination oracle: corpus section polytopes and their dilations, P3,
+    30-digit Q(sqrt 2) offsets, duplicate rows, degenerate vertices, empty
+    polytopes and the 1-dimensional fan."""
+    r2 = sqrt(2)
+    for inst in generate_corpus(2026, 40):
+        _, D, _ = inst.realize()
+        for m in (Scalar(1), Scalar(Fraction(5, 2)), r2):
+            yield polytope_of(D.scale(m))
+    P3 = preset_fan("P3")
+    yield polytope_of(P3.divisor([1, 0, Fraction(1, 2), r2]))
+    yield polytope_of(P3.divisor([0, 0, 0, 3]).scale(7))
+    big = 10**30
+    for fan in ("P2", "F1", "P3"):
+        f = preset_fan(fan)
+        coeffs = [Scalar(big + k, 3 * big - k, 2) / (k + 2) for k in range(f.nrays)]
+        yield polytope_of(f.divisor(coeffs))
+    # duplicate rows, with equal and with different offsets
+    yield poly([((1, 0), 0), ((0, 1), 0), ((-1, -1), -2), ((-1, -1), -2), ((1, 0), -1)])
+    # degenerate vertices: three or four rows through one vertex
+    yield poly([((1, 0), 0), ((0, 1), 0), ((1, 1), 0), ((-1, -1), -1)])
+    yield poly(
+        [((a, b, c), -1) for a in (1, -1) for b in (1, -1) for c in (1, -1)], dim=3
+    )  # the octahedron: four facets at each vertex
+    yield poly([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), 0)], dim=3)
+    # empty polytopes
+    yield poly([((1, 0), 1), ((0, 1), 0), ((-1, -1), 0)])
+    yield poly([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), 1)], dim=3)
+    # the 1-dimensional fan: a segment, a point, an empty interval
+    for lo, hi in ((Fraction(-1, 2), r2), (3, 3), (2, 1)):
+        yield HPolytope(1, (((1,), lo), ((-1,), -hi)))
+
+
+def test_vertex_table_matches_elimination_oracle():
+    checked = 0
+    for p in _vertex_table_cases():
+        assert _vertex_set(p) == vertex_set_by_elimination(p), p
+        checked += 1
+    assert checked > 120
+
+
+def test_vertex_table_keeps_raising_on_unbounded_input():
+    for p in (
+        poly([((1, 0), 0), ((0, 1), 0)]),
+        poly([((1, 0), 0), ((-1, 0), -1)]),
+        HPolytope(1, (((1,), 0), ((2,), 1))),
+    ):
+        with pytest.raises(UnboundedPolytope):
+            _vertex_set(p)
+        with pytest.raises(UnboundedPolytope):
+            vertex_set_by_elimination(p)
+
+
+def test_scale_rejects_a_negative_factor():
+    unit = HPolytope(1, (((1,), 0), ((-1,), -1)))
+    assert lattice_points(unit) == 2
+    assert lattice_points(unit.scale(Fraction(1, 2))) == 1
+    for factor in (-1, Scalar(1, -1, 2), 0):
+        with pytest.raises(ValueError):
+            unit.scale(factor)

@@ -1,8 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from rdiv import toric
 from rdiv.errors import NotBig, NotEffective
 from rdiv.scalars import sqrt
 from rdiv.surface import SurfaceModel
@@ -210,7 +212,36 @@ def test_library_caches_stay_bounded_over_a_corpus_run():
         "rdiv.polyhedra._recession_bounded",
         "rdiv.polyhedra._vertex_set",
         "rdiv.polyhedra._facet_volumes",
+        "rdiv.polyhedra._vertex_table",
+        "rdiv.polyhedra._face_table",
         "rdiv.toric._preset_fan",
+        "rdiv.toric.sigma_decomposition",
     }
     for name, info in caches.items():
         assert info.maxsize is not None and info.currsize <= info.maxsize, (name, info)
+
+
+# ---- pinned exact values ---------------------------------------------------------
+
+
+def test_library_values_over_a_corpus_are_pinned():
+    """volume, N_sigma, B+ and h0 at the default multiples of 60 corpus
+    divisors, pinned by the sha256 of their JSON rendering: any change to an
+    exact value moves the digest."""
+    entries = []
+    for inst in generate_corpus(2026, 60):
+        _, D, _ = inst.realize()
+        entries.append(
+            [
+                str(toric.volume(D)),
+                [str(c) for c in toric.sigma_decomposition(D).nsigma.coeffs],
+                sorted(toric.bplus_div(D)),
+                [toric.h0(D.scale(m)) for m in default_m_grid(2)],
+            ]
+        )
+    assert entries[0] == ["49/16", ["0", "0", "0"], [], [3, 10, 21, 15, 3]]
+    blob = json.dumps(entries, sort_keys=True).encode()
+    assert (
+        hashlib.sha256(blob).hexdigest()
+        == "236d01e49d390c12cc0f1dbe4dcd59c3ad4602f861dca203b4852c2997aaed21"
+    )

@@ -18,9 +18,19 @@ from oracles import (
     vertex_rank_big,
     vertices,
 )
-from rdiv.errors import EmptyPolytope, NoSections, NonSimplicialCone, NotBig, NotNef, RdivError
+from rdiv import toric
+from rdiv.errors import (
+    EmptyPolytope,
+    NoSections,
+    NonSimplicialCone,
+    NotBig,
+    NotNef,
+    RdivError,
+    UnsupportedDivisor,
+)
 from rdiv.polyhedra import LPProblem, _vertex_set, euclidean_volume
 from rdiv.scalars import Scalar, sqrt
+from rdiv.surface import SurfaceModel
 from rdiv.theorems import generate_corpus
 from rdiv.toric import (
     Fan,
@@ -299,6 +309,40 @@ def test_sigma_decomposition_examples():
 
     dec = sigma_decomposition(C + E.scale(2))
     assert dec.nsigma.coeffs == E.scale(2).coeffs
+
+
+def test_sigma_decomposition_errors_are_raised_on_every_call():
+    surface_divisor = SurfaceModel(1).divisor({"C": 1})
+    for _ in range(3):
+        with pytest.raises(NotBig):
+            sigma_decomposition(F)
+        with pytest.raises(UnsupportedDivisor):
+            sigma_decomposition(surface_divisor)
+
+
+def test_sigma_decomposition_cache_equals_a_fresh_decomposition():
+    sigma_decomposition.cache_clear()
+    for inst in generate_corpus(2026, 40):
+        _, D, _ = inst.realize()
+        first = sigma_decomposition(D)
+        assert sigma_decomposition(D) is first
+        fresh = sigma_decomposition.__wrapped__(D)
+        assert (first.nsigma, first.psigma) == (fresh.nsigma, fresh.psigma)
+    info = sigma_decomposition.cache_info()
+    assert info.hits >= 40 and info.currsize <= info.maxsize
+
+
+def test_sigma_decomposition_checks_the_positive_part_of_each_computed_result(monkeypatch):
+    # a cached decomposition would skip the patched LP, so the cache is
+    # cleared before the patch and again after it
+    D = C + E.scale(3)
+    sigma_decomposition.cache_clear()
+    monkeypatch.setattr(toric, "_sigma_lp", lambda D, p, idx: Scalar(1))
+    try:
+        with pytest.raises(RdivError, match="positive part"):
+            sigma_decomposition(D)
+    finally:
+        sigma_decomposition.cache_clear()
 
 
 def test_sigma_irrational_coefficients():
