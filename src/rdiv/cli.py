@@ -483,9 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rdiv", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument(
-        "--jobs", type=int, default=1, help="ignored; samples are evaluated in this process"
-    )
     subs = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, extra in (

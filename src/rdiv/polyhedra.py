@@ -1,18 +1,21 @@
 """Exact H-polytope computations: LP, vertices, volumes, lattice points.
 
-Polytopes are given by integer normal vectors and Scalar offsets, with each
-row read as <u, normal> >= offset.  Everything is exact, and every quantity
-takes one path: the internals compute on the Scalar offsets themselves,
-rational or not.
+Polytopes are given by integer normal vectors and offsets, with each row
+read as <u, normal> >= offset.  Everything is exact, and every quantity
+takes one path, on the polytope's offset record: each offset is
+(A_i + B_i sqrt(disc)) / den for integers A_i and B_i over one positive
+den.  The internals compute on those integers, rational or not; a Scalar
+is built only for a value handed back (a vertex, an LP value, a volume).
 
 What depends on the normals alone is computed once per normal set, in
 bounded caches, since the section polytopes of one fan share their normals
 and differ only in offsets.  The vertex table holds, for each nonsingular
 n-subset of rows, its inverse as an integer matrix over a positive integer
 denominator and the integer form that tests every other row on its
-candidate vertex, so a polytope's vertices cost integer-by-Scalar products
-and no elimination.  The face table holds the projections of the normals
-onto the lattice of a face's hyperplane, so a face only shifts offsets.
+candidate vertex, so a polytope's vertices cost integer products and one
+sign test per row, and no elimination.  The face table holds the
+projections of the normals onto the lattice of a face's hyperplane, so a
+face only shifts numerators.
 
 An LP over a bounded polytope attains its minimum at a vertex, so it is
 solved exactly as the least objective value over the cached vertex set; no
@@ -24,17 +27,20 @@ Volumes come from Lasserre's recursion: n times the volume is the sum, over
 the rows, of the signed lattice distance of the origin from the row's
 hyperplane times the lattice volume of the face there, and each face is
 sliced into the lattice of its hyperplane and measured the same way, down
-to points.  The lattice volumes of the faces on all rows of a polytope are
+to points.  A face's rows stay integer numerators over a common
+denominator, and a volume stays an unreduced integer fraction until it is
+returned.  The lattice volumes of the faces on all rows of a polytope are
 measured together and kept as one record per polytope, in a bounded cache,
 so the callers that read several rows hash the polytope once.
 
 Lattice counts never leave the integers: on a lattice point <u, normal> is
 an integer, so a row holds there exactly when <u, normal> >= ceil(offset),
-and each offset is rounded once per polytope.  A polygon is counted without
-its vertices: between consecutive crossings of its rows one lower and one
-upper edge are active, and the points over that stretch are two Euclid-like
-floor sums, so the cost does not grow with the dilation.  Dimension n >= 3
-is sliced on its leading coordinates down to polygons.
+and each offset is rounded once per polytope, by one isqrt and one floor
+division.  A polygon is counted without its vertices: between consecutive
+crossings of its rows one lower and one upper edge are active, and the
+points over that stretch are two Euclid-like floor sums, so the cost does
+not grow with the dilation.  Dimension n >= 3 is sliced on its leading
+coordinates down to polygons.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from operator import mul
 
 from .errors import EmptyPolytope, UnboundedPolytope
 from .linalg import kernel_basis, matrix_rank, nullspace_vector, solve_square
-from .scalars import Scalar
+from .scalars import Scalar, _floor, _join, _new, _sign
 
 __all__ = [
     "HPolytope",
@@ -65,24 +71,56 @@ def _as_scalar(x) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HPolytope:
-    """{u in R^dim : <u, normal_i> >= offset_i for every row i}."""
+    """{u in R^dim : <u, normal_i> >= offset_i for every row i}, held as its
+    offset record: offset_i = (A_i + B_i sqrt(disc)) / den for integers A_i
+    and B_i, one den > 0 (the lcm of the reduced offset denominators) and
+    one disc (0 when every offset is rational).  The record is canonical, so
+    equality and hashing read it."""
 
     dim: int
-    rows: tuple[tuple[tuple[int, ...], Scalar], ...]
+    normals: tuple[tuple[int, ...], ...]
+    den: int
+    disc: int
+    A: tuple[int, ...]
+    B: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "rows",
-            tuple((tuple(int(c) for c in g), _as_scalar(o)) for g, o in self.rows),
-        )
-        for g, _ in self.rows:
-            if len(g) != self.dim:
-                raise ValueError(f"normal {g} has wrong length for dim {self.dim}")
+    def __init__(self, dim: int, rows):
+        rows = tuple(rows)
+        normals = tuple(tuple(int(c) for c in g) for g, _ in rows)
+        for g in normals:
+            if len(g) != dim:
+                raise ValueError(f"normal {g} has wrong length for dim {dim}")
             if not any(g):
                 raise ValueError("zero normal vector in polytope row")
+        self._fill(dim, normals, [_as_scalar(o) for _, o in rows], 1)
+
+    @classmethod
+    def _of(cls, dim: int, normals, offsets, sign: int) -> "HPolytope":
+        """The polytope of checked integer normals and Scalar offsets, each
+        taken times sign = +-1."""
+        p = object.__new__(cls)
+        p._fill(dim, normals, offsets, sign)
+        return p
+
+    def _fill(self, dim, normals, offsets, sign):
+        den = math.lcm(*[o.den for o in offsets])
+        disc, A, B = 0, [], []
+        for o in offsets:
+            t = sign * (den // o.den)
+            A.append(o.a * t)
+            B.append(o.b * t)
+            if o.disc != disc and o.disc:
+                disc = _join(disc, o.disc)
+        # frozen: the fields are set once, here, past the dataclass's guard
+        vars(self).update(dim=dim, normals=normals, den=den, disc=disc, A=tuple(A), B=tuple(B))
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, ...], Scalar], ...]:
+        """(normal, offset) per row, the offsets built as Scalars."""
+        den, disc = self.den, self.disc
+        return tuple((g, _new(a, b, den, disc)) for g, a, b in zip(self.normals, self.A, self.B))
 
     def scale(self, factor) -> "HPolytope":
         """Dilation by factor > 0 about the origin.  Any other factor raises
@@ -129,9 +167,20 @@ def lp_solve(problem: LPProblem) -> LPResult:
     vs = _vertex_set(poly)
     if not vs:
         return LPResult("infeasible")
-    values = [sum(map(mul, v, problem.objective)) for v in vs]
-    k = values.index(min(values))
-    return LPResult("optimal", values[k] + problem.constant, vs[k])
+    disc, best = poly.disc, None
+    # <objective, v> = (x + y sqrt(disc)) / q over the lcm q of v's denominators
+    for k, v in enumerate(vs):
+        q = math.lcm(*(c.den for c in v))
+        x = sum(w * c.a * (q // c.den) for w, c in zip(problem.objective, v))
+        y = sum(w * c.b * (q // c.den) for w, c in zip(problem.objective, v))
+        if best is None or _sign(x * best[2] - best[0] * q, y * best[2] - best[1] * q, disc) < 0:
+            best = x, y, q, k
+    x, y, q, k = best
+    c = problem.constant
+    d = disc if y else 0
+    if d != c.disc:
+        d = _join(d, c.disc)
+    return LPResult("optimal", _new(x * c.den + c.a * q, y * c.den + c.b * q, q * c.den, d), vs[k])
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +206,7 @@ def _recession_bounded(normals: tuple[tuple[int, ...], ...], dim: int) -> bool:
 
 
 def is_bounded(p: HPolytope) -> bool:
-    return _recession_bounded(tuple(g for g, _ in p.rows), p.dim)
+    return _recession_bounded(p.normals, p.dim)
 
 
 @lru_cache(maxsize=256)
@@ -189,16 +238,26 @@ def _vertex_table(normals: tuple[tuple[int, ...], ...], n: int):
 @lru_cache(maxsize=4096)
 def _vertex_set(p: HPolytope) -> tuple[tuple[Scalar, ...], ...]:
     """All vertices of a bounded polytope (empty tuple when infeasible), in
-    sorted order: the feasible candidates of the vertex table."""
+    sorted order: the feasible candidates of the vertex table.  On the
+    offset record the test of row r is the sign of an integer pair, and a
+    vertex is (M A_S + M B_S sqrt(disc)) / (q den)."""
     if not is_bounded(p):
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
-    offsets = [o for _, o in p.rows]
+    A, B, disc = p.A, p.B, p.disc
     found = {}
-    for subset, inverse, q, forms in _vertex_table(tuple(g for g, _ in p.rows), p.dim):
-        o = [offsets[s] for s in subset]
-        if all(sum(map(mul, o, w)) >= offsets[r] * q for r, w in forms):
-            found[tuple(sum(map(mul, o, row)) / q for row in inverse)] = None
-    return tuple(sorted(found))
+    for subset, inverse, q, forms in _vertex_table(p.normals, p.dim):
+        a = [A[s] for s in subset]
+        b = [B[s] for s in subset]
+        if all(
+            _sign(sum(map(mul, a, w)) - q * A[r], sum(map(mul, b, w)) - q * B[r], disc) >= 0
+            for r, w in forms
+        ):
+            qd = q * p.den
+            v = tuple(
+                _new(sum(map(mul, a, row)), sum(map(mul, b, row)), qd, disc) for row in inverse
+            )
+            found[tuple((c.a, c.b, c.den) for c in v)] = v
+    return tuple(sorted(found.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -207,54 +266,75 @@ def _vertex_set(p: HPolytope) -> tuple[tuple[Scalar, ...], ...]:
 
 @lru_cache(maxsize=1024)
 def _face_table(normals: tuple[tuple[int, ...], ...], g: tuple[int, ...]):
-    """The normals-only part of _face_rows: the index j of the first nonzero
-    entry of g, and for each normal h its coordinates hb on the lattice
-    basis of the hyperplane's direction, with h[j]."""
+    """The normals-only part of _face_rows: |g_j| for the first nonzero entry
+    g_j of g, and for each normal h its coordinates hb on the lattice basis
+    of the hyperplane's direction (() when h is parallel to g), with
+    h_j sign(g_j)."""
     j = next(i for i, x in enumerate(g) if x)
     basis = kernel_basis(g)
-    return j, tuple((tuple(sum(map(mul, h, b)) for b in basis), h[j]) for h in normals)
+    sign = 1 if g[j] > 0 else -1
+    table = []
+    for h in normals:
+        hb = tuple(sum(map(mul, h, b)) for b in basis)
+        table.append((hb if any(hb) else (), h[j] * sign))
+    return abs(g[j]), tuple(table)
 
 
-def _face_rows(rows, g, c):
-    """Rows of the face <u, g> = c of {<u, h> >= d}, in the coordinates of a
-    lattice basis of the hyperplane's direction, so that its volume there is
-    its lattice volume.  Rows parallel to g are checked on the hyperplane and
-    dropped; None when one of them excludes it.  Only the offsets are
-    shifted here; the projected normals come from the face table."""
-    j, table = _face_table(tuple(h for h, _ in rows), g)
-    shift = c / g[j]  # the base point shift * e_j lies on the hyperplane
+def _face_rows(rows, den, disc, g, a, b):
+    """The face <u, g> = (a + b sqrt(disc)) / den of {<u, h> >= (A + B
+    sqrt(disc)) / den}, as (rows, den) in the coordinates of a lattice basis
+    of the hyperplane's direction, so that its volume there is its lattice
+    volume; None when a row parallel to g excludes the hyperplane.  The base
+    point (a + b sqrt(disc)) / (den g_j) e_j lies on it, so each numerator
+    shifts to (A g_j - a h_j) sign(g_j) over den |g_j|; the projected
+    normals come from the face table."""
+    m, table = _face_table(tuple([h for h, _, _ in rows]), g)
     out = []
-    for (_, d), (hb, hj) in zip(rows, table):
-        if any(hb):
-            out.append((hb, d - shift * hj if hj else d))
-        elif d > shift * hj:
+    for (_, x, y), (hb, t) in zip(rows, table):
+        x, y = x * m - a * t, y * m - b * t
+        if hb:
+            out.append((hb, x, y))
+        elif _sign(x, y, disc) > 0:
             return None
-    return out
+    return out, den * m
 
 
-def _volume(n: int, rows):
-    """Lattice n-volume of the bounded polytope {<u, g> >= c} (0 for None).
+def _volume(n: int, face, disc: int) -> tuple[int, int, int]:
+    """Lattice n-volume of the bounded polytope face = (rows, den), read
+    {<u, g> >= (A + B sqrt(disc)) / den} for rows (g, A, B), as an
+    unreduced (X, Y, Q) meaning (X + Y sqrt(disc)) / Q; 0 for face None.
 
-    Lasserre's recursion: with each row divided by the gcd of its normal,
+    Lasserre's recursion: with each row divided by the gcd k of its normal,
     n * vol = sum over rows of -c * vol(face), the signed lattice distance
     of the origin from the row's hyperplane times the lattice volume of its
-    face.  Faces of dimension below n - 1 measure 0.  Identical rows are
-    one hyperplane and are counted once: on a flat polytope the faces of a
-    hyperplane and of its opposite are the whole polytope, and their terms
-    cancel only in pairs."""
-    if rows is None:
-        return Scalar(0)
+    face.  Dividing by k puts every row over den * lcm(k).  Faces of
+    dimension below n - 1 measure 0.  Identical rows are one hyperplane and
+    are counted once: on a flat polytope the faces of a hyperplane and of
+    its opposite are the whole polytope, and their terms cancel only in
+    pairs."""
+    if face is None:
+        return 0, 0, 1
     if n == 0:
-        return Scalar(1)
-    unique = {}
-    for g, c in rows:
-        k = math.gcd(*g)
-        unique[(g, c) if k == 1 else (tuple(x // k for x in g), c / k)] = None
-    total = Scalar(0)
-    for g, c in unique:
-        if c:
-            total = total - c * _volume(n - 1, _face_rows(unique, g, c))
-    return total / n
+        return 1, 0, 1
+    rows, den = face
+    ks = [math.gcd(*g) for g, _, _ in rows]
+    lcm = math.lcm(*ks)
+    if lcm == 1:
+        unique = dict.fromkeys(rows)
+    else:
+        unique = {}
+        for (g, a, b), k in zip(rows, ks):
+            t = lcm // k
+            unique[(g if k == 1 else tuple(x // k for x in g), a * t, b * t)] = None
+        den *= lcm
+    terms = []
+    for g, a, b in unique:
+        if a or b:
+            x, y, q = _volume(n - 1, _face_rows(unique, den, disc, g, a, b), disc)
+            if x or y:
+                terms.append((-a * x - b * y * disc, -a * y - b * x, den * q))
+    q = math.lcm(*(t[2] for t in terms))
+    return sum(x * (q // t) for x, _, t in terms), sum(y * (q // t) for _, y, t in terms), q * n
 
 
 def euclidean_volume(p: HPolytope) -> Scalar:
@@ -262,7 +342,7 @@ def euclidean_volume(p: HPolytope) -> Scalar:
     empty input."""
     if not _vertex_set(p):
         raise EmptyPolytope("cannot take the volume of an empty polytope")
-    return _volume(p.dim, p.rows)
+    return _new(*_volume(p.dim, (tuple(zip(p.normals, p.A, p.B)), p.den), p.disc), p.disc)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +358,7 @@ def _lattice_intervals(p: HPolytope):
     if not vs:
         return
     boxes = [range(math.ceil(min(col)), math.floor(max(col)) + 1) for col in list(zip(*vs))[:-1]]
-    scan = [(g[:-1], math.ceil(o), g[-1]) for g, o in p.rows]
+    scan = [(g[:-1], c, g[-1]) for g, c in _ceiled(p)]
     filters = [row for row in scan if row[2] == 0]
     lower = [row for row in scan if row[2] > 0]
     upper = [row for row in scan if row[2] < 0]
@@ -383,6 +463,13 @@ def _count_slices(rows, boxes) -> int:
     return total
 
 
+def _ceiled(p: HPolytope) -> list[tuple[tuple[int, ...], int]]:
+    """(normal, ceil(offset)) per row: on a lattice point <u, normal> is an
+    integer, so the row holds there exactly when it clears the ceiling."""
+    den, disc = p.den, p.disc
+    return [(g, -_floor(-a, -b, den, disc)) for g, a, b in zip(p.normals, p.A, p.B)]
+
+
 def lattice_points(p: HPolytope) -> int:
     """Number of integer points; 0 for empty, error when unbounded.
 
@@ -391,7 +478,7 @@ def lattice_points(p: HPolytope) -> int:
     and slices of the vertex box down to dimension 2 above that."""
     if not is_bounded(p):
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
-    rows = [(g, math.ceil(o)) for g, o in p.rows]
+    rows = _ceiled(p)
     if p.dim == 1:
         lo = max(-(-c // a) for (a,), c in rows if a > 0)
         hi = min(c // a for (a,), c in rows if a < 0)
@@ -417,7 +504,10 @@ def _facet_volumes(p: HPolytope) -> tuple[Scalar, ...]:
     hashes the polytope once."""
     if not is_bounded(p):
         raise UnboundedPolytope("facet volume needs a bounded polytope")
-    return tuple(_volume(p.dim - 1, _face_rows(p.rows, *row)) for row in p.rows)
+    rows, den, disc = tuple(zip(p.normals, p.A, p.B)), p.den, p.disc
+    return tuple(
+        _new(*_volume(p.dim - 1, _face_rows(rows, den, disc, *row), disc), disc) for row in rows
+    )
 
 
 def facet_lattice_volume(p: HPolytope, facet_row: int) -> Scalar:

@@ -27,10 +27,22 @@ __all__ = [
     "scalar_floor",
 ]
 
+# A disc is factored by trial division up to its cube root, about 10**5
+# steps at this bound; larger ones are refused rather than left to hang.
+MAX_DISC_DIGITS = 15
+
+
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = s*s*f with f square-free; returns (s, f)."""
+    """n = s*s*f with f square-free; returns (s, f).  Raises ValueError when
+    n has more than MAX_DISC_DIGITS digits.
+
+    Trial division runs up to the cube root of what is left, so the cofactor
+    has at most two prime factors: it is 1, p, p*q or p*p, and an isqrt
+    tells the square apart."""
+    if n >= 10**MAX_DISC_DIGITS:
+        raise ValueError(f"sqrt({n}): discriminants have at most {MAX_DISC_DIGITS} digits")
     s, f, k = 1, 1, 2
-    while k * k <= n:
+    while k * k * k <= n:
         while n % (k * k) == 0:
             n //= k * k
             s *= k
@@ -38,6 +50,9 @@ def _squarefree_split(n: int) -> tuple[int, int]:
             n //= k
             f *= k
         k += 1
+    r = isqrt(n)
+    if r > 1 and r * r == n:
+        return s * r, f
     return s, f * n
 
 
@@ -86,6 +101,15 @@ def _sign(a: int, b: int, d: int) -> int:
     t = a * a - b * b * d
     s = (t > 0) - (t < 0)
     return s if a > 0 else -s
+
+
+def _floor(a: int, b: int, den: int, disc: int) -> int:
+    """floor((a + b*sqrt(disc)) / den) for den > 0, with disc square-free and
+    > 1 whenever b != 0, so that floor(b*sqrt(disc)) is an exact isqrt."""
+    if b:
+        t = isqrt(b * b * disc)
+        a += t if b > 0 else -t - 1
+    return a // den
 
 
 class Scalar:
@@ -295,13 +319,7 @@ class Scalar:
     # ---- rounding --------------------------------------------------------
 
     def __floor__(self) -> int:
-        a, b = self.a, self.b
-        if b:
-            # floor(b*sqrt(d)) is an isqrt, exact because disc is square-free
-            # and > 1 whenever b != 0
-            t = isqrt(b * b * self.disc)
-            a += t if b > 0 else -t - 1
-        return a // self.den
+        return _floor(self.a, self.b, self.den, self.disc)
 
     def __ceil__(self) -> int:
         return -math.floor(-self)
@@ -312,7 +330,8 @@ class Scalar:
     # ---- presentation ----------------------------------------------------
 
     def decimal(self, digits: int = 20) -> str:
-        """Fixed-point decimal rendering (truncated), for display only."""
+        """Fixed-point decimal rendering, rounded down toward -infinity (so
+        -sqrt(2) shows as -1.4143 at 4 digits), for display only."""
         scale = 10**digits
         approx = self.rat
         if self.b:

@@ -324,7 +324,7 @@ def _check_tdivisor(D):
 def polytope_of(D: TDivisor) -> HPolytope:
     """Section polytope {u : <u, v_ray> >= -coeff} of the divisor."""
     _check_tdivisor(D)
-    return HPolytope(D.fan.dim, tuple((ray, -c) for ray, c in zip(D.fan.rays, D.coeffs)))
+    return HPolytope._of(D.fan.dim, D.fan.rays, D.coeffs, -1)
 
 
 def h0(D: TDivisor) -> int:

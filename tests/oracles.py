@@ -10,9 +10,11 @@ integer vertex table of polyhedra must match exactly.  The references at the
 end are older library rules, kept to cross-check the direct ones that
 replaced them: the two-phase simplex against the vertex-minimum LP and
 the kernel boundedness rule, the triangulated volume, vertex-rank bigness
-and tight-set B+ against the facet recursion, the ample-divisor epsilon
-schedule against the facet rule for B+, per-cone nefness against the
-wall rule, and the two-Fraction Scalar against the integer-triple one.
+and tight-set B+ against the facet recursion, Lasserre's recursion in
+Scalar arithmetic against the one on integer offset records, the
+ample-divisor epsilon schedule against the facet rule for B+, per-cone
+nefness against the wall rule, and the two-Fraction Scalar against the
+integer-triple one.
 """
 
 import math
@@ -29,7 +31,7 @@ from rdiv.errors import (
     RdivError,
     UnboundedPolytope,
 )
-from rdiv.linalg import matrix_rank, nullspace_vector, solve_square
+from rdiv.linalg import kernel_basis, matrix_rank, nullspace_vector, solve_square
 from rdiv.polyhedra import (
     HPolytope,
     LPProblem,
@@ -494,6 +496,54 @@ def tight_set_bplus(D: TDivisor) -> frozenset:
         for i, tight in enumerate(tight_sets(verts, p.rows))
         if affine_rank([verts[k] for k in tight]) < D.fan.dim - 1
     )
+
+
+# ---------------------------------------------------------------------------
+# Lasserre's recursion in Scalar arithmetic: the reference for the integer
+# offset-record recursion of polyhedra._volume and polyhedra._face_rows.  It
+# projects every face with its own kernel basis and shifts Scalar offsets.
+
+
+def _scalar_face_rows(rows, g, c):
+    """Rows of the face <u, g> = c of {<u, h> >= d} in the coordinates of a
+    lattice basis of the hyperplane's direction; None when a row parallel to
+    g excludes the hyperplane."""
+    j = next(i for i, x in enumerate(g) if x)
+    shift = c / g[j]  # the base point shift * e_j lies on the hyperplane
+    basis = kernel_basis(g)
+    out = []
+    for h, d in rows:
+        hb = tuple(sum(x * y for x, y in zip(h, b)) for b in basis)
+        if any(hb):
+            out.append((hb, d - shift * h[j] if h[j] else d))
+        elif d > shift * h[j]:
+            return None
+    return out
+
+
+def scalar_lasserre_volume(n: int, rows) -> Scalar:
+    """Lattice n-volume of the bounded polytope {<u, g> >= c} for Scalar
+    offsets c (0 for None): n * vol = sum over the distinct gcd-normalised
+    rows of -c * vol(face)."""
+    if rows is None:
+        return Scalar(0)
+    if n == 0:
+        return Scalar(1)
+    unique = {}
+    for g, c in rows:
+        k = math.gcd(*g)
+        unique[(g, c) if k == 1 else (tuple(x // k for x in g), c / k)] = None
+    total = Scalar(0)
+    for g, c in unique:
+        if c:
+            total = total - c * scalar_lasserre_volume(n - 1, _scalar_face_rows(unique, g, c))
+    return total / n
+
+
+def scalar_facet_volumes(p: HPolytope) -> tuple:
+    """The facet record of a bounded polytope by the Scalar recursion."""
+    rows = p.rows
+    return tuple(scalar_lasserre_volume(p.dim - 1, _scalar_face_rows(rows, g, c)) for g, c in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -72,21 +72,31 @@ def test_hilbert_json_exact(capsys):
 
 
 def test_hilbert_jobs_parallel_matches(capsys):
-    code, seq, _ = invoke(capsys, "hilbert", "--preset", "F1", "--divisor", "C:1", "--samples", "1,2,3")
-    code2, par, _ = invoke(
+    # the removed --jobs option is rejected like any unknown option
+    code, out, err = invoke(
         capsys, "hilbert", "--preset", "F1", "--divisor", "C:1", "--samples", "1,2,3", "--jobs", "2"
     )
-    assert code == code2 == EXIT_OK
-    assert seq == par
+    assert code == EXIT_PARSE and out == ""
+    assert "--jobs" in err
 
 
 @pytest.mark.parametrize("jobs,samples", [("100000", "1,2,3"), ("2", "1,2,3,4,5"), ("0", "1,2,3"), ("-3", "1")])
 def test_hilbert_jobs_is_ignored(capsys, jobs, samples):
     argv = ("hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", samples)
+    assert invoke(capsys, *argv)[0] == EXIT_OK
     code, out, _ = invoke(capsys, *argv, "--jobs", jobs)
-    assert code == EXIT_OK
-    assert out == invoke(capsys, *argv)[1]
+    assert code == EXIT_PARSE and out == ""
     assert not hasattr(cli, "ProcessPoolExecutor")
+
+
+def test_a_huge_sqrt_literal_is_a_parse_error_in_bounded_time():
+    # trial division up to the square root of 10**16 + 61 ran for minutes
+    argv = ["h0", "--preset", "P2", "--divisor", "H:sqrt(10000000000000061)"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    cmd = [sys.executable, "-m", "rdiv.cli", *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == EXIT_PARSE, proc.stderr
+    assert "digits" in proc.stderr and proc.stdout == ""
 
 
 def test_cli_import_loads_no_process_pool():

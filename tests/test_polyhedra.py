@@ -1,4 +1,5 @@
 import random
+from operator import mul
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from oracles import (
     brute_vertices_2d,
     lattice_point_list,
     naive_lattice_count,
+    scalar_facet_volumes,
+    scalar_lasserre_volume,
     shoelace,
     simplex_count,
     simplex_recession_bounded,
@@ -17,10 +20,11 @@ from oracles import (
     vertex_set_by_elimination,
     vertices,
 )
-from rdiv.errors import EmptyPolytope, UnboundedPolytope
+from rdiv.errors import EmptyPolytope, MixedDiscriminant, UnboundedPolytope
 from rdiv.polyhedra import (
     HPolytope,
     LPProblem,
+    _facet_volumes,
     _floor_sum,
     _recession_bounded,
     _vertex_set,
@@ -32,7 +36,7 @@ from rdiv.polyhedra import (
 )
 from rdiv.scalars import Scalar, sqrt
 from rdiv.theorems import generate_corpus
-from rdiv.toric import polytope_of, preset_fan
+from rdiv.toric import h0, polytope_of, preset_fan
 
 
 def poly(rows, dim=2):
@@ -599,3 +603,85 @@ def test_scale_rejects_a_negative_factor():
     for factor in (-1, Scalar(1, -1, 2), 0):
         with pytest.raises(ValueError):
             unit.scale(factor)
+
+
+# ---- the offset record against Scalar arithmetic ---------------------------
+
+
+def test_facet_volumes_match_the_scalar_lasserre_oracle():
+    checked = 0
+    for p in _vertex_table_cases():
+        assert _facet_volumes(p) == scalar_facet_volumes(p), p
+        if _vertex_set(p):
+            assert euclidean_volume(p) == scalar_lasserre_volume(p.dim, p.rows), p
+        checked += 1
+    assert checked > 120
+
+
+@given(small_polytopes())
+@settings(max_examples=60)
+def test_facet_volumes_match_the_scalar_lasserre_oracle_on_small_polytopes(p):
+    assert _facet_volumes(p) == scalar_facet_volumes(p)
+    assert _vertex_set(p) == vertex_set_by_elimination(p)
+    if _vertex_set(p):
+        assert euclidean_volume(p) == scalar_lasserre_volume(p.dim, p.rows)
+
+
+def test_rows_mixing_two_surds_raise_mixed_discriminant():
+    with pytest.raises(MixedDiscriminant):
+        HPolytope(1, (((1,), -sqrt(2)), ((-1,), -sqrt(3))))
+    D = preset_fan("F1").divisor({"C": sqrt(2), "E": sqrt(3)})
+    with pytest.raises(MixedDiscriminant):
+        polytope_of(D)
+    with pytest.raises(MixedDiscriminant):
+        h0(D)
+    # one surd, or a surd beside rationals, is one field
+    assert HPolytope(1, (((1,), -sqrt(2)), ((-1,), Fraction(-1, 2)))).disc == 2
+
+
+def test_equal_offsets_in_any_form_give_one_polytope():
+    def square(o):
+        return HPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-1, 0), o), ((0, -1), -2)))
+
+    for forms in (
+        (Scalar(-1), -1, Fraction(-2, 2)),
+        (Scalar(Fraction(-3, 2)), Fraction(-6, 4)),
+        (Scalar(-1, -1, 8), -1 - 2 * sqrt(2)),
+    ):
+        polys = [square(o) for o in forms]
+        assert all(p == polys[0] and hash(p) == hash(polys[0]) for p in polys)
+        assert len({*polys}) == 1
+    for inst in generate_corpus(2026, 20):
+        _, D, _ = inst.realize()
+        p = polytope_of(D)
+        public = HPolytope(D.fan.dim, [(r, -c) for r, c in zip(D.fan.rays, D.coeffs)])
+        assert p == public and hash(p) == hash(public)
+        assert p.rows == public.rows == tuple((r, -c) for r, c in zip(D.fan.rays, D.coeffs))
+
+
+def test_lp_matches_simplex_oracle_on_sqrt2_polytopes():
+    rng = random.Random(41)
+    fans = [preset_fan("P2"), preset_fan("F1"), preset_fan("P3")]
+    checked = 0
+    while checked < 24:
+        fan = rng.choice(fans)
+        coeffs = [
+            Scalar(
+                Fraction(rng.randint(-3, 6), rng.choice((1, 2))),
+                Fraction(rng.randint(-2, 3), rng.choice((1, 3))),
+                2,
+            )
+            for _ in fan.rays
+        ]
+        p = polytope_of(fan.divisor(coeffs))
+        obj = tuple(rng.randint(-3, 3) for _ in range(fan.dim))
+        problem = LPProblem(obj, p, Scalar(rng.randint(-2, 2), rng.randint(-1, 1), 2))
+        res, ref = lp_solve(problem), simplex_solve(problem)
+        assert res.status == ref.status
+        if res.status == "infeasible":
+            continue
+        assert res.value == ref.value
+        # the point is the first minimizing vertex in sorted order
+        best = res.value - problem.constant
+        assert res.point == min(v for v in _vertex_set(p) if sum(map(mul, v, obj)) == best)
+        checked += 1

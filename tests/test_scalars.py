@@ -1,6 +1,7 @@
 import math
 import operator
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from oracles import FractionScalar, scalar_ceil
 from rdiv.errors import DivisionByZero, MixedDiscriminant
 from rdiv.scalars import (
+    MAX_DISC_DIGITS,
     Scalar,
+    _squarefree_split,
     parse_scalar,
     scalar_cmp,
     scalar_floor,
@@ -366,3 +369,50 @@ def test_unary_operations_match_the_fraction_reference(t, n, digits):
 @settings(max_examples=200, deadline=None)
 def test_construction_matches_the_fraction_reference(rat, surd, disc):
     assert _outcome(lambda: Scalar(rat, surd, disc)) == _outcome(lambda: FractionScalar(rat, surd, disc))
+
+
+# ---- large discriminants ------------------------------------------------------
+
+
+def test_a_discriminant_past_the_digit_bound_raises_value_error_at_once():
+    start = time.perf_counter()
+    for d in (10**16 + 61, 10**MAX_DISC_DIGITS, 10**40):
+        with pytest.raises(ValueError):
+            Scalar(0, 1, d)
+        with pytest.raises(ValueError):
+            parse_scalar(f"1+sqrt({d})")
+    assert time.perf_counter() - start < 1
+
+
+def test_a_discriminant_at_the_digit_bound_splits_quickly():
+    # 10**14 + 31 took 1.4 s by trial division up to its square root
+    start = time.perf_counter()
+    assert Scalar(0, 1, 10**14 + 31).disc == 10**14 + 31
+    assert Scalar(0, 1, 10**MAX_DISC_DIGITS - 11).disc == 10**MAX_DISC_DIGITS - 11  # a prime
+    assert time.perf_counter() - start < 1
+
+
+def _split_by_sympy(n):
+    s, f = 1, 1
+    for p, e in sympy.factorint(n).items():
+        s *= p ** (e // 2)
+        f *= p ** (e % 2)
+    return s, f
+
+
+@given(
+    st.one_of(
+        st.integers(1, 10**MAX_DISC_DIGITS - 1),
+        # the cofactor left by trial division is a prime, a square of one or
+        # a product of two
+        st.builds(
+            lambda k, p, q: k * p * q,
+            st.sampled_from((1, 2, 12, 49, 360)),
+            st.sampled_from((1, 99991, 100003, 999983)),
+            st.sampled_from((1, 99991, 100003, 1000003)),
+        ),
+    )
+)
+@settings(max_examples=80)
+def test_squarefree_split_matches_sympy(n):
+    assert _squarefree_split(n) == _split_by_sympy(n)
