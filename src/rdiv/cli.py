@@ -243,7 +243,7 @@ def _load_context(args):
     return variety, D, DEFAULT_DISC if disc is None else disc
 
 
-def _parse_samples(raw: str | None, disc: int) -> list[Scalar] | None:
+def _parse_samples(raw: str | None) -> list[Scalar] | None:
     if raw is None:
         return None
     out = []
@@ -255,6 +255,13 @@ def _parse_samples(raw: str | None, disc: int) -> list[Scalar] | None:
                 raise ParseError(f"sample {m} is not positive")
             out.append(m)
     return out
+
+
+def _default_grid(D, disc: int) -> list[Scalar]:
+    """The default sample grid, its sqrt(d) sample taken from the field of
+    D's irrational coefficients when it has any, so that every mD stays in
+    one field; from disc otherwise."""
+    return theorems.default_m_grid(next((c.disc for c in D.coeff_map().values() if c.disc), disc))
 
 
 def _emit(args, payload: dict, csv_lines: list[str]):
@@ -285,7 +292,7 @@ def _cmd_h0(args):
 
 def _cmd_hilbert(args):
     variety, D, disc = _load_context(args)
-    samples = _parse_samples(args.samples, disc) or theorems.default_m_grid(disc)
+    samples = _parse_samples(args.samples) or _default_grid(D, disc)
     rows = []
     for m in samples:
         c = variety.h0(D.scale(m))
@@ -409,7 +416,7 @@ def _check_common(args, which: str):
     if args.effective is None:
         raise ParseError("--effective is required")
     E = _build_divisor(variety, _parse_inline_coeffs(args.effective))
-    samples = _parse_samples(args.samples, disc) or theorems.default_m_grid(disc)
+    samples = _parse_samples(args.samples) or _default_grid(D, disc)
     if which == "A":
         report = theorems.check_theorem_a(variety, D, E, m_grid=samples)
     else:
@@ -443,8 +450,7 @@ def _cmd_corpus(args):
 
 
 def _cmd_paper_example(args):
-    disc = 2
-    samples = _parse_samples(args.samples, disc)
+    samples = _parse_samples(args.samples)
     try:
         rows = surf.paper_example(args.e, samples=samples)
     except ExampleViolated as exc:

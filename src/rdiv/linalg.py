@@ -1,110 +1,48 @@
-"""Small exact linear algebra helpers.
+"""Small exact integer linear algebra.
 
-All routines are generic over the entry type: python ints are lifted to
-Fractions on entry, so integer data gives Fraction results.  A Scalar entry,
-such as a polytope offset, turns every result it reaches into a Scalar,
-because Fraction defers to Scalar's reflected dunders; so the same Gaussian
-elimination serves rational and quadratic-field data.
-
-In the library the elimination runs on integer data only: solve_square
-gives toric's cone coordinates and the inverses in the vertex table of
-polyhedra, both once per fan or normal set.  Elimination on Scalar offsets
-is left to the test oracles.
+inverse is the library's one linear solve: every normals-only fact the
+toric side needs comes from inverting a square integer matrix, namely the
+vertices and boundedness of a section polytope (polyhedra's vertex table)
+and the cone coordinates behind the fan's simplicial, overlap and wall
+tests (toric).  It runs fraction-free, so every entry stays an integer.
+kernel_basis gives a lattice basis of a hyperplane, for the faces that
+Lasserre's recursion measures.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-__all__ = [
-    "solve_square",
-    "matrix_rank",
-    "nullspace_vector",
-    "kernel_basis",
-    "primitive",
-]
+__all__ = ["inverse", "kernel_basis", "primitive"]
 
 
-def _lift(x):
-    return Fraction(x) if isinstance(x, int) else x
+def inverse(rows):
+    """rows^-1 = M / q for a square integer matrix, as (M, q) with integer
+    rows M, q > 0 and gcd(q, M) = 1; None when the matrix is singular.
 
-
-def solve_square(matrix, rhs):
-    """Solve an n x n system exactly; returns None when singular."""
-    n = len(rhs)
-    aug = [[_lift(x) for x in matrix[i]] + [_lift(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    Fraction-free Gauss-Jordan on [rows | I] (Bareiss, Math. Comp. 22,
+    1968): each step divides exactly by the previous pivot, so the left
+    block ends as d I and the right block as d rows^-1, with d = +-det."""
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col]
-        pval = prow[col]
+        a[k], a[piv] = a[piv], a[k]
+        pk = a[k]
+        p = pk[k]
         for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f != 0:
-                ratio = f / pval
-                aug[r] = [a - ratio * b for a, b in zip(aug[r], prow)]
-    return tuple(aug[i][n] / aug[i][i] for i in range(n))
-
-
-def matrix_rank(rows) -> int:
-    rows = [[_lift(x) for x in r] for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pval = prow[col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            if f != 0:
-                ratio = f / pval
-                rows[r] = [a - ratio * b for a, b in zip(rows[r], prow)]
-        rank += 1
-        col += 1
-    return rank
-
-
-def nullspace_vector(rows, dim):
-    """One nonzero vector orthogonal to all rows, or None if none exists."""
-    rows = [[_lift(x) for x in r] for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(dim):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pval = rows[rank][col]
-        rows[rank] = [x / pval for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    if rank == dim:
-        return None
-    free = next(c for c in range(dim) if c not in pivots)
-    vec = [Fraction(0)] * dim
-    vec[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        vec[col] = -rows[r][free]
-    return tuple(vec)
+            if r != k:
+                f = a[r][k]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], pk)]
+        prev = p
+    g = gcd(prev, *(x for r in a for x in r[n:]))
+    if prev < 0:
+        g = -g
+    return tuple(tuple(x // g for x in r[n:]) for r in a), prev // g
 
 
 def primitive(vec) -> tuple[int, ...]:

@@ -10,18 +10,23 @@ is built only for a value handed back (a vertex, an LP value, a volume).
 What depends on the normals alone is computed once per normal set, in
 bounded caches, since the section polytopes of one fan share their normals
 and differ only in offsets.  The vertex table holds, for each nonsingular
-n-subset of rows, its inverse as an integer matrix over a positive integer
-denominator and the integer form that tests every other row on its
-candidate vertex, so a polytope's vertices cost integer products and one
-sign test per row, and no elimination.  The face table holds the
-projections of the normals onto the lattice of a face's hyperplane, so a
-face only shifts numerators.
+n-subset of rows, its inverse M / q from the integer linalg.inverse (an
+integer matrix over a positive integer denominator) and the integer forms
+g_r M that test every other row r on the subset's candidate vertex, so a
+polytope's vertices cost integer products and one sign test per row, and
+no elimination.  The face table holds the projections of the normals onto
+the lattice of a face's hyperplane, so a face only shifts numerators.
+
+Boundedness is read off the same table, once per normal set.  Column k of
+M is the edge direction of the subset's cone on which every row of the
+subset but the k-th vanishes, and the forms give its products with the
+other rows; the recession cone {u : <u, g> >= 0} is the origin alone
+exactly when the table is not empty (the normals have full rank) and no
+such column has a nonnegative product with every other row.
 
 An LP over a bounded polytope attains its minimum at a vertex, so it is
 solved exactly as the least objective value over the cached vertex set; no
-simplex runs.  Boundedness itself needs no LP: the recession cone of full
-rank is the origin alone exactly when no kernel vector of n - 1 of its rows,
-of either sign, lies in it.
+simplex runs.
 
 Volumes come from Lasserre's recursion: n times the volume is the sum, over
 the rows, of the signed lattice distance of the origin from the row's
@@ -51,8 +56,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .errors import EmptyPolytope, UnboundedPolytope
-from .linalg import kernel_basis, matrix_rank, nullspace_vector, solve_square
+from .errors import UnboundedPolytope
+from .linalg import inverse, kernel_basis
 from .scalars import Scalar, _floor, _join, _new, _sign
 
 __all__ = [
@@ -60,7 +65,6 @@ __all__ = [
     "LPProblem",
     "LPResult",
     "lp_solve",
-    "euclidean_volume",
     "lattice_points",
     "facet_lattice_volume",
     "is_bounded",
@@ -122,15 +126,6 @@ class HPolytope:
         den, disc = self.den, self.disc
         return tuple((g, _new(a, b, den, disc)) for g, a, b in zip(self.normals, self.A, self.B))
 
-    def scale(self, factor) -> "HPolytope":
-        """Dilation by factor > 0 about the origin.  Any other factor raises
-        ValueError: scaling the offsets by a negative one does not reflect
-        the polytope, and by 0 it turns an empty polytope into the origin."""
-        f = _as_scalar(factor)
-        if not f > 0:
-            raise ValueError(f"dilation factor must be positive, got {f}")
-        return HPolytope(self.dim, tuple((g, o * f) for g, o in self.rows))
-
 
 # ---------------------------------------------------------------------------
 # LP by the vertex minimum
@@ -188,51 +183,41 @@ def lp_solve(problem: LPProblem) -> LPResult:
 
 
 @lru_cache(maxsize=256)
-def _recession_bounded(normals: tuple[tuple[int, ...], ...], dim: int) -> bool:
-    """True iff {u : <u, g> >= 0 for all g} is the origin alone.
-
-    With normals of rank below dim the cone holds a line.  Otherwise it is
-    pointed, and if it is not the origin it has an extreme ray, on which
-    dim - 1 independent rows vanish: the ray is the kernel of those rows, up
-    to sign."""
-    if matrix_rank(normals) < dim:
-        return False
-    for rows in itertools.combinations(normals, dim - 1):
-        x = nullspace_vector(rows, dim)
-        for d in (x, tuple(-c for c in x)):
-            if all(sum(map(mul, d, g)) >= 0 for g in normals):
-                return False
-    return True
-
-
-def is_bounded(p: HPolytope) -> bool:
-    return _recession_bounded(p.normals, p.dim)
-
-
-@lru_cache(maxsize=256)
 def _vertex_table(normals: tuple[tuple[int, ...], ...], n: int):
-    """The normals-only part of vertex enumeration: for each nonsingular
-    n-subset S of the rows, (S, M, q, forms) with A_S^-1 = M / q for integer
-    M and q > 0, and forms the integer (r, w_r = g_r M) of every other row r.
-    The candidate vertex of S is M o_S / q, and <g_r, v> >= o_r there is
-    sum_k w_r,k o_S_k >= q o_r.  Column k of A_S^-1 solves A_S x = e_k;
-    clearing its denominators by their lcm keeps q > 0."""
-    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    """The normals-only part of vertex enumeration, as (bounded, table): for
+    each nonsingular n-subset S of the rows, the table holds (S, M, q,
+    forms) with A_S^-1 = M / q from linalg.inverse, and forms the integer
+    (r, w_r = g_r M) of every other row r.  The candidate vertex of S is
+    M o_S / q, and <g_r, v> >= o_r there is sum_k w_r,k o_S_k >= q o_r.
+
+    bounded is True iff the recession cone {u : <u, g> >= 0 for all g} is
+    the origin alone.  Column k of M is zero on every row of S but s_k and
+    meets s_k positively, so it lies in the cone exactly when w_r,k >= 0
+    for every other row r.  With normals of rank below n the table is empty
+    and the cone holds a line.  Otherwise the cone is pointed, and if it is
+    not the origin it has an extreme ray, on which n - 1 independent rows
+    vanish: the ray is column k of the entry of those rows and one more."""
     table = []
     for subset in itertools.combinations(range(len(normals)), n):
-        rows = [normals[s] for s in subset]
-        cols = [solve_square(rows, e) for e in units]
-        if cols[0] is None:
+        inv = inverse([normals[s] for s in subset])
+        if inv is None:
             continue
-        q = math.lcm(*(x.denominator for col in cols for x in col))
-        inverse = tuple(tuple(int(col[i] * q) for col in cols) for i in range(n))
+        M, q = inv
+        cols = list(zip(*M))
         forms = tuple(
-            (r, tuple(sum(g[i] * inverse[i][k] for i in range(n)) for k in range(n)))
+            (r, tuple(sum(map(mul, g, col)) for col in cols))
             for r, g in enumerate(normals)
             if r not in subset
         )
-        table.append((subset, inverse, q, forms))
-    return tuple(table)
+        table.append((subset, M, q, forms))
+    bounded = bool(table) and not any(
+        all(w[k] >= 0 for _, w in entry[3]) for entry in table for k in range(n)
+    )
+    return bounded, tuple(table)
+
+
+def is_bounded(p: HPolytope) -> bool:
+    return _vertex_table(p.normals, p.dim)[0]
 
 
 @lru_cache(maxsize=4096)
@@ -241,11 +226,12 @@ def _vertex_set(p: HPolytope) -> tuple[tuple[Scalar, ...], ...]:
     sorted order: the feasible candidates of the vertex table.  On the
     offset record the test of row r is the sign of an integer pair, and a
     vertex is (M A_S + M B_S sqrt(disc)) / (q den)."""
-    if not is_bounded(p):
+    bounded, table = _vertex_table(p.normals, p.dim)
+    if not bounded:
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
     A, B, disc = p.A, p.B, p.disc
     found = {}
-    for subset, inverse, q, forms in _vertex_table(p.normals, p.dim):
+    for subset, M, q, forms in table:
         a = [A[s] for s in subset]
         b = [B[s] for s in subset]
         if all(
@@ -254,7 +240,7 @@ def _vertex_set(p: HPolytope) -> tuple[tuple[Scalar, ...], ...]:
         ):
             qd = q * p.den
             v = tuple(
-                _new(sum(map(mul, a, row)), sum(map(mul, b, row)), qd, disc) for row in inverse
+                _new(sum(map(mul, a, row)), sum(map(mul, b, row)), qd, disc) for row in M
             )
             found[tuple((c.a, c.b, c.den) for c in v)] = v
     return tuple(sorted(found.values()))
@@ -335,14 +321,6 @@ def _volume(n: int, face, disc: int) -> tuple[int, int, int]:
                 terms.append((-a * x - b * y * disc, -a * y - b * x, den * q))
     q = math.lcm(*(t[2] for t in terms))
     return sum(x * (q // t) for x, _, t in terms), sum(y * (q // t) for _, y, t in terms), q * n
-
-
-def euclidean_volume(p: HPolytope) -> Scalar:
-    """Exact n-volume by Lasserre's facet recursion; raises on unbounded or
-    empty input."""
-    if not _vertex_set(p):
-        raise EmptyPolytope("cannot take the volume of an empty polytope")
-    return _new(*_volume(p.dim, (tuple(zip(p.normals, p.A, p.B)), p.den), p.disc), p.disc)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import (
     RdivError,
     UnsupportedDivisor,
 )
-from .linalg import matrix_rank, primitive, solve_square
+from .linalg import inverse, primitive
 from .polyhedra import (
     HPolytope,
     LPProblem,
@@ -71,6 +71,8 @@ class Fan:
         self.validate()
 
     def validate(self):
+        if self.dim < 1:
+            raise ValueError(f"fan dimension must be at least 1, got {self.dim}")
         for r in self.rays:
             if len(r) != self.dim:
                 raise ValueError(f"ray {r} has wrong dimension")
@@ -88,20 +90,19 @@ class Fan:
             default = _default_index(name)
             if default is not None and default != idx:
                 raise ValueError(f"name {name!r} is the default label of ray {default}, not {idx}")
+        if not self.max_cones:
+            raise ValueError("fan has no maximal cones")
         for cone in self.max_cones:
+            for i in cone:
+                if not 0 <= i < self.nrays:
+                    raise ValueError(f"cone {cone}: ray {i} is outside 0..{self.nrays - 1}")
             if len(cone) != self.dim:
                 raise NonSimplicialCone(f"cone {cone} is not simplicial of full dimension")
-            if matrix_rank([self.rays[i] for i in cone]) != self.dim:
-                raise NonSimplicialCone(f"cone {cone} has linearly dependent rays")
+        covered = {i for cone in self.max_cones for i in cone}
+        for i in range(self.nrays):
+            if i not in covered:
+                raise ValueError(f"ray {i} lies in no maximal cone")
         _wall_forms(self)
-        # walls on two cones each, with the opposite rays on opposite sides,
-        # still allow cones that wind around the origin more than once; the
-        # interior point sum(rays) of a cone then lies in another cone too
-        for cone in self.max_cones:
-            inner = [sum(col) for col in zip(*(self.rays[i] for i in cone))]
-            for other in self.max_cones:
-                if other != cone and all(x >= 0 for x in _cone_coordinates(self, other, inner)):
-                    raise ValueError(f"cones {cone} and {other} overlap")
 
     @property
     def nrays(self) -> int:
@@ -183,11 +184,6 @@ class Fan:
         return [principal_divisor(self, v) for v in vecs]
 
 
-def _cone_coordinates(fan: Fan, cone, vec) -> tuple:
-    """The c with vec = sum of c_i * ray_i over the rays of a simplicial cone."""
-    return solve_square(list(zip(*(fan.rays[i] for i in cone))), vec)
-
-
 @lru_cache(maxsize=64)
 def _wall_forms(fan: Fan) -> tuple[tuple[tuple[int, int], ...], ...]:
     """One integer linear form in the coefficients per wall of the fan,
@@ -198,9 +194,27 @@ def _wall_forms(fan: Fan) -> tuple[tuple[tuple[int, int], ...], ...]:
     convex across the wall iff a_rho' - sum c_i a_i >= 0 (Cox-Little-Schenck,
     Toric Varieties, 6.1 and 6.3: D.C_tau >= 0 on the wall curve), and on a
     complete fan convexity across every wall is convexity.  Each form is
-    scaled by the positive common denominator of its c_i.  Raises
-    ValueError unless every wall lies on exactly two maximal cones with rho
-    and rho' strictly on opposite sides of it, i.e. c_rho < 0."""
+    scaled by the positive common denominator of its c_i.
+
+    The cone coordinates come from one integer inverse per maximal cone:
+    with R the matrix of the cone's rays as rows and R^-1 = M / q, the
+    coordinates of v are v M / q.  The fan is checked on the way, so
+    Fan.validate runs this once per fan.  Raises NonSimplicialCone when a
+    cone's rays are dependent, and ValueError unless every wall lies on
+    exactly two maximal cones with rho and rho' strictly on opposite sides
+    of it, i.e. c_rho < 0, and no two cones overlap."""
+    inverses = {}
+    for cone in fan.max_cones:
+        inv = inverse([fan.rays[i] for i in cone])
+        if inv is None:
+            raise NonSimplicialCone(f"cone {cone} has linearly dependent rays")
+        inverses[cone] = inv
+
+    def coordinates(cone, v):
+        """The numerators x with v = sum of x_i / q * ray_i over the cone."""
+        M, q = inverses[cone]
+        return [sum(a * M[j][i] for j, a in enumerate(v)) for i in range(fan.dim)], q
+
     cones_at: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for cone in fan.max_cones:
         for wall in itertools.combinations(cone, fan.dim - 1):
@@ -212,11 +226,20 @@ def _wall_forms(fan: Fan) -> tuple[tuple[tuple[int, int], ...], ...]:
         cone, opposite = cones
         (rho,) = set(cone) - set(wall)
         (rho2,) = set(opposite) - set(wall)
-        c = dict(zip(cone, _cone_coordinates(fan, cone, fan.rays[rho2])))
+        x, q = coordinates(cone, fan.rays[rho2])
+        c = dict(zip(cone, x))
         if c[rho] >= 0:
             raise ValueError(f"rays {rho} and {rho2} lie on one side of wall {wall}")
-        den = math.lcm(*(x.denominator for x in c.values()))
-        forms.append(((rho2, den),) + tuple((i, int(-x * den)) for i, x in c.items() if x))
+        g = math.gcd(q, *x)
+        forms.append(((rho2, q // g),) + tuple((i, -xi // g) for i, xi in c.items() if xi))
+    # walls on two cones each, with the opposite rays on opposite sides,
+    # still allow cones that wind around the origin more than once; the
+    # interior point sum(rays) of a cone then lies in another cone too
+    for cone in fan.max_cones:
+        inner = [sum(col) for col in zip(*(fan.rays[i] for i in cone))]
+        for other in fan.max_cones:
+            if other != cone and all(x >= 0 for x in coordinates(other, inner)[0]):
+                raise ValueError(f"cones {cone} and {other} overlap")
     return tuple(forms)
 
 

@@ -1,20 +1,22 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Most deliberately avoid the library's own code paths: small hand-rolled
-Cramer solves, exhaustive 2-subset vertex enumeration, shoelace areas,
-box-membership lattice counts and degree-by-degree section sums on F_e, all
-in exact arithmetic.  Helpers that only tests use (lattice point lists,
-translation, ceilings) sit here too, and so does the vertex set by Scalar
-elimination of every n-subset of rows, the old library rule that the
+Most deliberately avoid the library's own code paths: Gaussian
+elimination over the Fractions (the reference for the integer
+linalg.inverse), small hand-rolled Cramer solves, exhaustive 2-subset
+vertex enumeration, shoelace areas, box-membership lattice counts and
+degree-by-degree section sums on F_e, all in exact arithmetic.  Helpers
+that only tests use (lattice point lists, translation, dilation, the
+Euclidean volume, ceilings) sit here too, and so does the vertex set by
+Scalar elimination of every n-subset of rows, the old library rule that the
 integer vertex table of polyhedra must match exactly.  The references at the
 end are older library rules, kept to cross-check the direct ones that
 replaced them: the two-phase simplex against the vertex-minimum LP and
-the kernel boundedness rule, the triangulated volume, vertex-rank bigness
+the table's boundedness rule, the triangulated volume, vertex-rank bigness
 and tight-set B+ against the facet recursion, Lasserre's recursion in
 Scalar arithmetic against the one on integer offset records, the
 ample-divisor epsilon schedule against the facet rule for B+, per-cone
-nefness against the wall rule, and the two-Fraction Scalar against the
-integer-triple one.
+nefness and Fraction cone coordinates against the wall rule, and the
+two-Fraction Scalar against the integer-triple one.
 """
 
 import math
@@ -31,17 +33,111 @@ from rdiv.errors import (
     RdivError,
     UnboundedPolytope,
 )
-from rdiv.linalg import kernel_basis, matrix_rank, nullspace_vector, solve_square
+from rdiv.linalg import kernel_basis
 from rdiv.polyhedra import (
     HPolytope,
     LPProblem,
     LPResult,
     _as_scalar,
     _lattice_intervals,
+    _vertex_set,
+    _volume,
     is_bounded,
 )
-from rdiv.scalars import Scalar, _frac_str, _squarefree_split
+from rdiv.scalars import Scalar, _frac_str, _new, _squarefree_split
 from rdiv.toric import Fan, TDivisor, is_big, polytope_of, sigma
+
+
+# ---------------------------------------------------------------------------
+# Gaussian elimination over Fractions, generic over the entry type: python
+# ints are lifted to Fractions, and a Scalar entry turns every result it
+# reaches into a Scalar, because Fraction defers to Scalar's reflected
+# dunders.  The library's own solve is the integer linalg.inverse; these
+# are the references it and the rules built on it must agree with.
+
+
+def _lift(x):
+    return Fraction(x) if isinstance(x, int) else x
+
+
+def solve_square(matrix, rhs):
+    """Solve an n x n system exactly; returns None when singular."""
+    n = len(rhs)
+    aug = [[_lift(x) for x in matrix[i]] + [_lift(rhs[i])] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        prow = aug[col]
+        pval = prow[col]
+        for r in range(n):
+            if r == col:
+                continue
+            f = aug[r][col]
+            if f != 0:
+                ratio = f / pval
+                aug[r] = [a - ratio * b for a, b in zip(aug[r], prow)]
+    return tuple(aug[i][n] / aug[i][i] for i in range(n))
+
+
+def matrix_rank(rows) -> int:
+    rows = [[_lift(x) for x in r] for r in rows]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    while col < ncols and rank < len(rows):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        pval = prow[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f != 0:
+                ratio = f / pval
+                rows[r] = [a - ratio * b for a, b in zip(rows[r], prow)]
+        rank += 1
+        col += 1
+    return rank
+
+
+def nullspace_vector(rows, dim):
+    """One nonzero vector orthogonal to all rows, or None if none exists."""
+    rows = [[_lift(x) for x in r] for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(dim):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pval = rows[rank][col]
+        rows[rank] = [x / pval for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    if rank == dim:
+        return None
+    free = next(c for c in range(dim) if c not in pivots)
+    vec = [Fraction(0)] * dim
+    vec[free] = Fraction(1)
+    for r, col in enumerate(pivots):
+        vec[col] = -rows[r][free]
+    return tuple(vec)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force references and test-only helpers.
 
 
 def solve2(rows, rhs):
@@ -133,6 +229,24 @@ def lattice_point_list(p: HPolytope) -> list:
     return [pre + (t,) for pre, lo, hi in _lattice_intervals(p) for t in range(lo, hi + 1)]
 
 
+def scale(p: HPolytope, factor) -> HPolytope:
+    """Dilation by factor > 0 about the origin.  Any other factor raises
+    ValueError: scaling the offsets by a negative one does not reflect the
+    polytope, and by 0 it turns an empty polytope into the origin."""
+    f = _as_scalar(factor)
+    if not f > 0:
+        raise ValueError(f"dilation factor must be positive, got {f}")
+    return HPolytope(p.dim, tuple((g, o * f) for g, o in p.rows))
+
+
+def euclidean_volume(p: HPolytope) -> Scalar:
+    """Exact n-volume by the library's Lasserre recursion on the offset
+    record; raises on unbounded or empty input."""
+    if not _vertex_set(p):
+        raise EmptyPolytope("cannot take the volume of an empty polytope")
+    return _new(*_volume(p.dim, (tuple(zip(p.normals, p.A, p.B)), p.den), p.disc), p.disc)
+
+
 def translate(p: HPolytope, shift) -> HPolytope:
     return HPolytope(
         p.dim,
@@ -158,7 +272,7 @@ def h0_class_loop(x, y, e):
 
 # ---------------------------------------------------------------------------
 # The two-phase simplex: the reference that polyhedra.lp_solve's vertex
-# minimum and polyhedra._recession_bounded's kernel rule must agree with.
+# minimum and the boundedness rule of polyhedra._vertex_table must agree with.
 # It works on any H-polytope, bounded or not, and never enumerates vertices,
 # so ample_divisor's 17-variable LP runs on it.
 
@@ -547,7 +661,28 @@ def scalar_facet_volumes(p: HPolytope) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Nefness cone by cone: the reference for the wall rule of toric.is_nef.
+# Nefness cone by cone and the wall forms by Fraction elimination: the
+# references for the wall rule of toric.is_nef and the integer cone
+# coordinates behind it.
+
+
+def wall_forms_by_elimination(fan: Fan) -> tuple:
+    """toric._wall_forms with each wall's cone coordinates solved over the
+    Fractions: for the wall shared by cone = wall + rho and opposite = wall
+    + rho2, v_rho2 = sum of c_i v_i over the cone, and the form is
+    (rho2, den) then (i, -c_i den) for the lcm den of the c_i's
+    denominators.  Assumes a valid fan."""
+    cones_at = {}
+    for cone in fan.max_cones:
+        for wall in combinations(cone, fan.dim - 1):
+            cones_at.setdefault(wall, []).append(cone)
+    forms = []
+    for wall, (cone, opposite) in cones_at.items():
+        (rho2,) = set(opposite) - set(wall)
+        c = dict(zip(cone, solve_square(list(zip(*(fan.rays[i] for i in cone))), fan.rays[rho2])))
+        den = math.lcm(*(x.denominator for x in c.values()))
+        forms.append(((rho2, den),) + tuple((i, int(-x * den)) for i, x in c.items() if x))
+    return tuple(forms)
 
 
 def is_nef_by_cones(D: TDivisor) -> bool:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdiv import cli
 from rdiv.cli import (
@@ -69,6 +73,32 @@ def test_hilbert_json_exact(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["rows"] == [{"m": "2", "h0": 6, "normalized": "3"}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hilbert", "--preset", "P2", "--divisor", "H:sqrt(3)"),
+        ("hilbert", "--e", "1", "--divisor", "C:sqrt(3)"),
+        ("check-b", "--preset", "F1", "--divisor", "C:sqrt(3)", "--effective", "E:1"),
+        ("check-a", "--preset", "F1", "--divisor", "C:1,E:sqrt(5)", "--effective", "E:1"),
+    ],
+    ids=["hilbert-fan", "hilbert-surface", "check-b", "check-a"],
+)
+def test_default_grid_takes_its_surd_from_the_divisor_field(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_OK, err
+    if argv[0] == "hilbert":
+        # floor(sqrt(3) * sqrt(3)) = 3: ten sections of 3H on P2, and of 3C on F1
+        assert out.splitlines()[-1].startswith("sqrt(3),10,")
+
+
+def test_default_grid_of_a_rational_divisor_keeps_the_resolved_disc(capsys, monkeypatch):
+    _, out, _ = invoke(capsys, "hilbert", "--preset", "P2", "--divisor", "H:1")
+    assert out.splitlines()[-1].startswith("sqrt(2),3,")
+    monkeypatch.setenv("RDIV_DISC", "5")
+    _, out, _ = invoke(capsys, "hilbert", "--preset", "P2", "--divisor", "H:1")
+    assert out.splitlines()[-1].startswith("sqrt(5),")
 
 
 def test_hilbert_jobs_parallel_matches(capsys):
@@ -356,6 +386,80 @@ def test_file_fan_with_overlapping_cones_is_a_parse_error(capsys, tmp_path, rays
     assert code == EXIT_PARSE
     assert out == ""
     assert err.startswith("parse error:")
+
+
+P2_RAYS = [[1, 0], [0, 1], [-1, -1]]
+P2_CONES = [[0, 1], [1, 2], [2, 0]]
+R012 = {"r0": "1", "r1": "1", "r2": "1"}
+
+
+@pytest.mark.parametrize(
+    "fan, divisor",
+    [
+        ({"rays": P2_RAYS, "cones": [[0, 1], [1, 5], [2, 0]]}, R012),
+        ({"rays": P2_RAYS, "cones": [[0, 1], [1, -1], [-1, 0]]}, R012),
+        ({"rays": [], "cones": []}, {}),
+        ({"rays": P2_RAYS, "cones": []}, R012),
+        ({"rays": P2_RAYS + [[1, 1]], "cones": P2_CONES}, R012),
+    ],
+    ids=["index-past-the-end", "negative-index", "empty-fan", "no-cones", "uncovered-ray"],
+)
+def test_file_fan_with_malformed_cones_is_a_parse_error(capsys, tmp_path, fan, divisor):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"variety": fan, "divisors": {"D": divisor}}))
+    code, out, err = invoke(capsys, "h0", "--file", str(path), "--divisor", "D")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: variety:")
+
+
+# complete fans of dimensions 1-3, which the strategy below perturbs
+BASE_FANS = [
+    ([[1], [-1]], [[0], [1]]),
+    (P2_RAYS, P2_CONES),
+    ([[1, 0], [0, 1], [-1, 2], [0, -1]], [[0, 1], [1, 2], [2, 3], [3, 0]]),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+]
+
+
+@st.composite
+def fan_files(draw):
+    """Problem files of small fans, dimensions 0-3: a complete fan, perhaps
+    with an entry of one cone moved to any index in -2..nrays+1 (negative
+    and out of range included), a cone dropped or a ray added, or random
+    rays and cones."""
+    if draw(st.booleans()):
+        rays, cones = draw(st.sampled_from(BASE_FANS))
+        rays, cones = [list(r) for r in rays], [list(c) for c in cones]
+        edit = draw(st.sampled_from(["none", "none", "index", "drop", "ray"]))
+        if edit == "index":
+            cone = draw(st.sampled_from(cones))
+            cone[draw(st.integers(0, len(cone) - 1))] = draw(st.integers(-2, len(rays) + 1))
+        elif edit == "drop":
+            cones.pop(draw(st.integers(0, len(cones) - 1)))
+        elif edit == "ray":
+            rays.append(draw(st.lists(st.integers(-2, 2), min_size=len(rays[0]), max_size=len(rays[0]))))
+    else:
+        dim = draw(st.integers(0, 3))
+        rays = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), max_size=5))
+        index = st.integers(-2, len(rays) + 1)
+        cones = draw(st.lists(st.lists(index, min_size=dim, max_size=dim), max_size=5))
+    coeffs = draw(st.lists(st.integers(-1, 2), min_size=len(rays), max_size=len(rays)))
+    divisor = {f"r{i}": str(c) for i, c in enumerate(coeffs)}
+    return {"variety": {"rays": rays, "cones": cones}, "divisors": {"D": divisor}}
+
+
+@given(fan_files(), st.sampled_from(["h0", "volume", "nef", "bplus"]))
+@settings(max_examples=150, deadline=None)
+def test_fan_files_keep_the_exit_code_contract(tmp_path_factory, doc, command):
+    """Any fan file gives exit 0, 2 or 3 and never an uncaught exception."""
+    path = tmp_path_factory.getbasetemp() / "fan.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run([command, "--file", str(path), "--divisor", "D"])
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_PARSE), (doc, err.getvalue())
+    if code == EXIT_PARSE:
+        assert err.getvalue().startswith("parse error:")
 
 
 @pytest.mark.parametrize(

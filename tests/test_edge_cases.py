@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import translate, vertices
+from oracles import euclidean_volume, translate, vertices
 from rdiv.cli import EXIT_OK, run
 from rdiv.errors import EmptyPolytope
 from rdiv.polyhedra import (
     HPolytope,
     LPProblem,
-    euclidean_volume,
     facet_lattice_volume,
     lattice_points,
     lp_solve,

@@ -1,3 +1,4 @@
+import math
 import random
 from operator import mul
 from fractions import Fraction
@@ -8,27 +9,29 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_vertices_2d,
+    euclidean_volume,
     lattice_point_list,
     naive_lattice_count,
     scalar_facet_volumes,
     scalar_lasserre_volume,
+    scale,
     shoelace,
     simplex_count,
     simplex_recession_bounded,
     simplex_solve,
+    solve_square,
     translate,
     vertex_set_by_elimination,
     vertices,
 )
 from rdiv.errors import EmptyPolytope, MixedDiscriminant, UnboundedPolytope
+from rdiv.linalg import inverse
 from rdiv.polyhedra import (
     HPolytope,
     LPProblem,
     _facet_volumes,
     _floor_sum,
-    _recession_bounded,
     _vertex_set,
-    euclidean_volume,
     facet_lattice_volume,
     is_bounded,
     lattice_points,
@@ -201,7 +204,7 @@ def test_volume_3d_cube_and_simplex():
 @settings(max_examples=30)
 def test_volume_dilation_homogeneity(num, den):
     lam = Fraction(num, den)
-    assert euclidean_volume(TRIANGLE.scale(lam)) == Scalar(lam**2 * Fraction(1, 2))
+    assert euclidean_volume(scale(TRIANGLE, lam)) == Scalar(lam**2 * Fraction(1, 2))
 
 
 def _random_unimodular(rng, n=2):
@@ -241,7 +244,7 @@ def test_lattice_unit_simplex():
 def test_lattice_dilated_simplex_binomial():
     m = 5
     assert simplex_count(m) == 21
-    assert lattice_points(SIMPLEX.scale(m)) == 21
+    assert lattice_points(scale(SIMPLEX, m)) == 21
 
 
 def test_lattice_empty():
@@ -334,7 +337,7 @@ def test_lattice_edges_crossing_at_a_lattice_vertex():
     diamond = poly([((1, 1), -1), ((-1, 1), -1), ((1, -1), -1), ((-1, -1), -1)])
     assert lattice_points(diamond) == 5
     # the same through a non-lattice vertex: |x| + |y| <= 3/2
-    assert lattice_points(diamond.scale(Fraction(3, 2))) == 5
+    assert lattice_points(scale(diamond, Fraction(3, 2))) == 5
 
 
 def test_lattice_one_point_polytope():
@@ -404,7 +407,7 @@ def test_lattice_convergence_to_volume():
         vol = euclidean_volume(p)
         errors = []
         for m in (10, 20, 40, 80):
-            approx = Scalar(Fraction(lattice_points(p.scale(m)), m**2))
+            approx = Scalar(Fraction(lattice_points(scale(p, m)), m**2))
             errors.append(abs(approx - vol))
         assert all(errors[i + 1] <= errors[i] for i in range(len(errors) - 1))
 
@@ -506,6 +509,44 @@ def test_lp_matches_simplex_oracle():
         checked += 1
 
 
+# ---- the integer inverse against Fraction elimination -----------------------
+
+
+@st.composite
+def square_matrices(draw):
+    """Small integer n x n matrices, n = 1..4, with determinants of both
+    signs; a row is sometimes a multiple of another or zero, so that
+    singular matrices are common, and the rows are shuffled so that the
+    dependent row can be the first pivot."""
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(-2, 2))
+        rows[draw(st.integers(1, n - 1))] = [k * x for x in rows[0]]
+    return draw(st.permutations(rows))
+
+
+@given(square_matrices())
+@settings(max_examples=300)
+@example([[1]])
+@example([[0]])
+@example([[-3]])
+@example([[0, 1], [1, 0]])  # determinant -1
+@example([[2, 4], [1, 2]])
+@example([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+@example([[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 3, 0, 0]])
+def test_inverse_matches_fraction_elimination(rows):
+    n = len(rows)
+    cols = [solve_square(rows, [int(i == k) for i in range(n)]) for k in range(n)]
+    inv = inverse(rows)
+    if cols[0] is None:
+        assert inv is None
+        return
+    M, q = inv
+    assert q > 0 and math.gcd(q, *(x for row in M for x in row)) == 1
+    assert all(Fraction(M[i][k], q) == cols[k][i] for i in range(n) for k in range(n))
+
+
 def _random_normals(rng, dim):
     """Integer normal sets that are often degenerate: a few rows with small
     entries, sometimes a repeated row or a row and its negative."""
@@ -529,12 +570,15 @@ def test_recession_kernel_rule_matches_simplex():
         (((1, 0), (0, 1), (-1, -1), (-1, -1)), 2),  # a duplicate row
         (((1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)), 3),  # rank 3, unbounded in e3
         (((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), 3),
+        (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)), 4),
+        (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, -1, 0), (0, 0, 0, 1)), 4),
     ]
-    cases += [(_random_normals(rng, dim), dim) for dim in (1, 2, 3) for _ in range(40)]
+    cases += [(_random_normals(rng, dim), dim) for dim in (1, 2, 3, 4) for _ in range(40)]
     bounded = 0
     for normals, dim in cases:
         expected = simplex_recession_bounded(normals, dim)
-        assert _recession_bounded(normals, dim) == expected, normals
+        cone = HPolytope(dim, tuple((g, 0) for g in normals))
+        assert is_bounded(cone) == expected, normals
         bounded += expected
     assert 10 <= bounded <= len(cases) - 10
 
@@ -599,10 +643,10 @@ def test_vertex_table_keeps_raising_on_unbounded_input():
 def test_scale_rejects_a_negative_factor():
     unit = HPolytope(1, (((1,), 0), ((-1,), -1)))
     assert lattice_points(unit) == 2
-    assert lattice_points(unit.scale(Fraction(1, 2))) == 1
+    assert lattice_points(scale(unit, Fraction(1, 2))) == 1
     for factor in (-1, Scalar(1, -1, 2), 0):
         with pytest.raises(ValueError):
-            unit.scale(factor)
+            scale(unit, factor)
 
 
 # ---- the offset record against Scalar arithmetic ---------------------------

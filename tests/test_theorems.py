@@ -209,7 +209,6 @@ def test_library_caches_stay_bounded_over_a_corpus_run():
     }
     assert set(caches) >= {
         "rdiv.linalg.kernel_basis",
-        "rdiv.polyhedra._recession_bounded",
         "rdiv.polyhedra._vertex_set",
         "rdiv.polyhedra._facet_volumes",
         "rdiv.polyhedra._vertex_table",

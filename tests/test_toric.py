@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     ample_divisor,
     bplus_halving,
+    euclidean_volume,
     is_nef_by_cones,
     lattice_point_list,
     simplex_solve,
@@ -17,6 +18,7 @@ from oracles import (
     triangulated_volume,
     vertex_rank_big,
     vertices,
+    wall_forms_by_elimination,
 )
 from rdiv import toric
 from rdiv.errors import (
@@ -28,7 +30,7 @@ from rdiv.errors import (
     RdivError,
     UnsupportedDivisor,
 )
-from rdiv.polyhedra import LPProblem, _vertex_set, euclidean_volume
+from rdiv.polyhedra import LPProblem, _vertex_set
 from rdiv.scalars import Scalar, sqrt
 from rdiv.surface import SurfaceModel
 from rdiv.theorems import generate_corpus
@@ -103,6 +105,22 @@ def test_fan_rejects_nonprimitive_ray():
 def test_fan_rejects_incomplete():
     with pytest.raises(ValueError):
         Fan(2, ((1, 0), (0, 1)), (((0, 1)),))
+
+
+@pytest.mark.parametrize(
+    "dim, rays, cones, message",
+    [
+        (2, P2.rays, ((0, 1), (1, 5), (2, 0)), "ray 5 is outside 0..2"),
+        (2, P2.rays, ((0, 1), (1, -1), (-1, 0)), "ray -1 is outside 0..2"),
+        (0, (), (), "dimension must be at least 1"),
+        (2, P2.rays, (), "no maximal cones"),
+        (2, P2.rays + ((1, 1),), P2.max_cones, "ray 3 lies in no maximal cone"),
+    ],
+    ids=["index-past-the-end", "negative-index", "empty-fan", "no-cones", "uncovered-ray"],
+)
+def test_fan_rejects_malformed_cone_lists(dim, rays, cones, message):
+    with pytest.raises(ValueError, match=message):
+        Fan(dim, rays, cones)
 
 
 def test_fan_rejects_nonsimplicial():
@@ -276,6 +294,31 @@ def test_wall_rule_matches_per_cone_nefness_on_sampled_divisors(fan, scale):
         assert is_nef(X) == is_nef_by_cones(X), X.coeffs
         verdicts.add(is_nef(X))
     assert verdicts == {True, False}
+
+
+# the non-unimodular 3-D fan over the faces of the simplex with vertices
+# e1, e2, e3 and (-1, -2, -3): its cone coordinates have denominators
+WEIGHTED = Fan(
+    3,
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -2, -3)),
+    ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)),
+)
+
+
+@pytest.mark.parametrize(
+    "fan",
+    [P2, P3, P1P1, F1, F2, preset_fan("F5"), WEIGHTED, HEXAGON],
+    ids=["P2", "P3", "P1xP1", "F1", "F2", "F5", "weighted", "hexagon"],
+)
+def test_wall_forms_match_fraction_elimination(fan):
+    forms = toric._wall_forms(fan)
+    assert forms == wall_forms_by_elimination(fan)
+    assert len(forms) == len(fan.max_cones) * fan.dim // 2
+
+
+def test_wall_forms_of_the_weighted_fan():
+    # e1 = -2 e2 - 3 e3 - (-1, -2, -3): the wall (1, 2) between cones on 0 and 3
+    assert ((3, 1), (0, 1), (1, 2), (2, 3)) in toric._wall_forms(WEIGHTED)
 
 
 def test_volume_of_empty_polytope_is_zero():
