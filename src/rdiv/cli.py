@@ -208,7 +208,10 @@ def _parse_inline_coeffs(text: str) -> dict[str, Scalar]:
         if ":" not in part:
             raise ParseError(f"divisor terms look like 'C:1', got {part!r}")
         key, _, raw = part.partition(":")
-        out[key.strip()] = _parse_scalar_field(raw.strip(), key.strip())
+        key = key.strip()
+        if key in out:
+            raise ParseError(f"component {key!r} is given twice")
+        out[key] = _parse_scalar_field(raw.strip(), key)
     return out
 
 
@@ -254,6 +257,8 @@ def _parse_samples(raw: str | None) -> list[Scalar] | None:
             if m.sign() <= 0:
                 raise ParseError(f"sample {m} is not positive")
             out.append(m)
+    if not out:
+        raise ParseError("no sample listed", "--samples")
     return out
 
 
@@ -450,12 +455,7 @@ def _cmd_corpus(args):
 
 
 def _cmd_paper_example(args):
-    samples = _parse_samples(args.samples)
-    try:
-        rows = surf.paper_example(args.e, samples=samples)
-    except ExampleViolated as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return EXIT_COUNTEREXAMPLE
+    rows = surf.paper_example(args.e, samples=_parse_samples(args.samples))
     payload = {
         "rows": [
             {
@@ -476,13 +476,12 @@ def _cmd_paper_example(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_variety_args(sub, divisor=True):
+def _add_variety_args(sub):
     sub.add_argument("--preset", help="fan preset: P2, P3, P1xP1, F1, F2, ...")
     sub.add_argument("--file", help="JSON problem file")
     sub.add_argument("--e", type=int, help="Hirzebruch surface invariant (surface model)")
     sub.add_argument("--fibers", help="comma list of fiber labels for --e")
-    if divisor:
-        sub.add_argument("--divisor", help="inline coefficients 'C:1,E:1' or a name from --file")
+    sub.add_argument("--divisor", help="inline coefficients 'C:1,E:1' or a name from --file")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,11 +41,17 @@ so the callers that read several rows hash the polytope once.
 Lattice counts never leave the integers: on a lattice point <u, normal> is
 an integer, so a row holds there exactly when <u, normal> >= ceil(offset),
 and each offset is rounded once per polytope, by one isqrt and one floor
-division.  A polygon is counted without its vertices: between consecutive
-crossings of its rows one lower and one upper edge are active, and the
-points over that stretch are two Euclid-like floor sums, so the cost does
-not grow with the dilation.  Dimension n >= 3 is sliced on its leading
-coordinates down to polygons.
+division.  Every lattice scan runs through one slicer, _slices(p, keep): it
+walks the integer prefixes of the leading n - keep coordinates over the
+vertex box, one coordinate at a time and one product per row, and yields
+the integer rows of each slice on the last keep coordinates.  On one
+coordinate a slice is an interval.  A polygon is counted without its
+vertices: between consecutive crossings of its rows one lower and one
+upper edge are active, and the points over that stretch are two
+Euclid-like floor sums, so the cost does not grow with the dilation.  So a
+count is an interval in dimension 1 and a sum over the polygons of
+_slices(p, 2) above that, and toric's sigma limit oracle minimizes over the
+intervals of _slices(p, 1).
 """
 
 from __future__ import annotations
@@ -327,27 +333,6 @@ def _volume(n: int, face, disc: int) -> tuple[int, int, int]:
 # lattice points
 
 
-def _lattice_intervals(p: HPolytope):
-    """Yield (prefix, lo, hi) for each integer prefix of the leading
-    coordinates in the vertex box: the integer points over the prefix are
-    prefix + (t,) for lo <= t <= hi (none when hi < lo).  Each offset is
-    rounded up once; the scan itself is integer arithmetic."""
-    vs = _vertex_set(p)
-    if not vs:
-        return
-    boxes = [range(math.ceil(min(col)), math.floor(max(col)) + 1) for col in list(zip(*vs))[:-1]]
-    scan = [(g[:-1], c, g[-1]) for g, c in _ceiled(p)]
-    filters = [row for row in scan if row[2] == 0]
-    lower = [row for row in scan if row[2] > 0]
-    upper = [row for row in scan if row[2] < 0]
-    for prefix in itertools.product(*boxes):
-        if any(sum(map(mul, h, prefix)) < c for h, c, _ in filters):
-            continue
-        lo = max(-((sum(map(mul, h, prefix)) - c) // gl) for h, c, gl in lower)
-        hi = min((c - sum(map(mul, h, prefix))) // gl for h, c, gl in upper)
-        yield prefix, lo, hi
-
-
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     """sum of floor((a*i + b) / m) over 0 <= i < n, for n >= 0 and m >= 1.
 
@@ -421,53 +406,63 @@ def _count_2d(rows) -> int:
     return total
 
 
-def _count_slices(rows, boxes) -> int:
-    """Integer points of {<u, g> >= c} for integer rows (g, c), slicing the
-    leading coordinate over boxes[0] and recursing until two remain.  Rows
-    that vanish on a slice are checked there, not passed down."""
-    if not boxes:
-        return _count_2d(rows)
-    total = 0
-    for t in boxes[0]:
-        sliced = []
-        for g, c in rows:
-            rest, c = g[1:], c - g[0] * t
-            if any(rest):
-                sliced.append((rest, c))
-            elif c > 0:
-                break
-        else:
-            total += _count_slices(sliced, boxes[1:])
-    return total
+def _interval(rows) -> range:
+    """The integers t with a*t >= c for every one-dimensional integer row
+    ((a,), c), rows bounding t on both sides."""
+    lo = max(-(-c // a) for (a,), c in rows if a > 0)
+    hi = min(c // a for (a,), c in rows if a < 0)
+    return range(lo, hi + 1)
 
 
-def _ceiled(p: HPolytope) -> list[tuple[tuple[int, ...], int]]:
-    """(normal, ceil(offset)) per row: on a lattice point <u, normal> is an
-    integer, so the row holds there exactly when it clears the ceiling."""
+def _slices(p: HPolytope, keep: int):
+    """Yield (prefix, rows) for each integer prefix of the leading dim - keep
+    coordinates in the vertex box that no row vanishing on the last keep
+    coordinates excludes: the integer points over the prefix are those of
+    the integer rows (h, c), read <v, h> >= c on the last keep coordinates.
+    Each offset is rounded up once, since on a lattice point <u, g> is an
+    integer; with keep == dim the one empty prefix is yielded and no vertex
+    is read."""
+    if not is_bounded(p):
+        raise UnboundedPolytope("polytope has a nontrivial recession cone")
     den, disc = p.den, p.disc
-    return [(g, -_floor(-a, -b, den, disc)) for g, a, b in zip(p.normals, p.A, p.B)]
+    rows = [(g, -_floor(-a, -b, den, disc)) for g, a, b in zip(p.normals, p.A, p.B)]
+    lead = p.dim - keep
+    if not lead:
+        yield (), rows
+        return
+    vs = _vertex_set(p)
+    if vs:
+        # each coordinate's box as the two rows t >= ceil(min) and -t >= -floor(max)
+        boxes = [
+            [((1,), math.ceil(min(col))), ((-1,), -math.floor(max(col)))]
+            for col in list(zip(*vs))[:lead]
+        ]
+        yield from _sliced(rows, boxes, ())
+
+
+def _sliced(rows, boxes, prefix):
+    """_slices past its set-up: the leading coordinate t runs over the
+    interval of its box and of the rows that vanish beyond it, each other
+    row moves its offset by one product, and the next box slices on."""
+    free = [((g[0],), c) for g, c in rows if not any(g[1:])]
+    cut = [(g[0], g[1:], c) for g, c in rows if any(g[1:])]
+    for t in _interval(free + boxes[0]):
+        sliced = [(g, c - h * t) for h, g, c in cut]
+        if len(boxes) > 1:
+            yield from _sliced(sliced, boxes[1:], prefix + (t,))
+        else:
+            yield prefix + (t,), sliced
 
 
 def lattice_points(p: HPolytope) -> int:
     """Number of integer points; 0 for empty, error when unbounded.
 
-    Counts with <u, g> >= ceil(o) for every row, so no point is listed: an
-    interval in dimension 1, floor sums in dimension 2 (no vertices needed),
-    and slices of the vertex box down to dimension 2 above that."""
-    if not is_bounded(p):
-        raise UnboundedPolytope("polytope has a nontrivial recession cone")
-    rows = _ceiled(p)
+    No point is listed: an interval in dimension 1, floor sums on each
+    polygon of _slices(p, 2) above that (the polygon itself when dim is 2,
+    so no vertex is needed there)."""
     if p.dim == 1:
-        lo = max(-(-c // a) for (a,), c in rows if a > 0)
-        hi = min(c // a for (a,), c in rows if a < 0)
-        return max(0, hi - lo + 1)
-    boxes = []
-    if p.dim > 2:
-        vs = _vertex_set(p)
-        if not vs:
-            return 0
-        boxes = [range(math.ceil(min(col)), math.floor(max(col)) + 1) for col in list(zip(*vs))[:-2]]
-    return _count_slices(rows, boxes)
+        return sum(len(_interval(rows)) for _, rows in _slices(p, 1))
+    return sum(_count_2d(rows) for _, rows in _slices(p, 2))
 
 
 # ---------------------------------------------------------------------------

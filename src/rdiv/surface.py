@@ -295,24 +295,10 @@ class PaperExampleRow:
     h0_straight: int
 
 
-def _twisted_divisor(model: SurfaceModel) -> SDivisor:
-    """C + (F1 - F2) + sqrt(2)(F3 - F4) against the model's first four fibers."""
-    if len(model.fibers) < 4:
-        raise UnsupportedModel("need at least four named fibers")
-    root2 = Scalar(0, 1, 2)
-    coeffs = {
-        "C": Scalar(1),
-        model.fibers[0]: Scalar(1),
-        model.fibers[1]: Scalar(-1),
-        model.fibers[2]: root2,
-        model.fibers[3]: -root2,
-    }
-    return model.divisor(coeffs)
-
-
-def paper_example(e: int, samples=None, model: SurfaceModel | None = None) -> list[PaperExampleRow]:
-    """The irrational twist of the positive section: same R-linear
-    equivalence class as C, strictly fewer sections at every positive m.
+def paper_example(e: int, samples=None) -> list[PaperExampleRow]:
+    """The irrational twist C + (F1 - F2) + sqrt(2)(F3 - F4) of the positive
+    section: same R-linear equivalence class as C, strictly fewer sections
+    at every positive m.
 
     For each sample m the rounded twist meets E in floor(m) + floor(-m) +
     floor(sqrt(2) m) + floor(-sqrt(2) m) <= -1, and the section count drops
@@ -320,9 +306,9 @@ def paper_example(e: int, samples=None, model: SurfaceModel | None = None) -> li
     """
     if e < 1:
         raise UnsupportedModel("a negative section needs e >= 1")
-    if model is None:
-        model = SurfaceModel(e, ("F1", "F2", "F3", "F4"))
-    D = _twisted_divisor(model)
+    model = SurfaceModel(e, ("F1", "F2", "F3", "F4"))
+    root2 = Scalar(0, 1, 2)
+    D = model.divisor({"C": 1, "F1": 1, "F2": -1, "F3": root2, "F4": -root2})
     C = model.divisor({"C": 1})
     if samples is None:
         samples = [Scalar(1), Scalar(2), Scalar(Fraction(5, 2)), Scalar(0, 1, 2), Scalar(3)]

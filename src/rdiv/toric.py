@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import (
     NoSections,
@@ -31,7 +32,8 @@ from .polyhedra import (
     lattice_points,
     lp_solve,
     _facet_volumes,
-    _lattice_intervals,
+    _interval,
+    _slices,
 )
 from .scalars import Scalar
 
@@ -128,13 +130,17 @@ class Fan:
         return f"r{idx}"
 
     def divisor(self, coeffs) -> "TDivisor":
-        """Build a divisor from a sequence or a {ray: coefficient} mapping."""
+        """Build a divisor from a sequence or a {ray: coefficient} mapping;
+        KeyError when a key names no ray or two keys name one ray."""
         if isinstance(coeffs, dict):
-            vec = [Scalar(0)] * self.nrays
+            vec, keys = [Scalar(0)] * self.nrays, {}
             for key, val in coeffs.items():
-                vec[self.ray_index(key)] = val if isinstance(val, Scalar) else Scalar(val)
-            return TDivisor(self, tuple(vec))
-        return TDivisor(self, tuple(c if isinstance(c, Scalar) else Scalar(c) for c in coeffs))
+                i = self.ray_index(key)
+                if i in keys:
+                    raise KeyError(f"{keys[i]!r} and {key!r} both name ray {i}")
+                keys[i], vec[i] = key, val
+            coeffs = vec
+        return TDivisor(self, tuple(coeffs))
 
     # The variety protocol, shared with surface.SurfaceModel.  Each query is a
     # call to this module's function, looked up at call time, so a patched or
@@ -452,26 +458,16 @@ def bplus_div(D: TDivisor) -> frozenset[int]:
     return frozenset(i for i, v in enumerate(vols) if not v)
 
 
-def _nef_facet_volumes(D: TDivisor) -> tuple[Scalar, ...]:
-    """The facet record of a nef big D; (n-1)! times entry i is D^(n-1).D_i."""
-    vol, vols = _measure(D)
-    if not vol > 0:
-        raise NotBig("intersection numbers computed for big divisors")
-    if not is_nef(D):
-        raise NotNef("facet-volume intersection numbers need a nef divisor")
-    return vols
-
-
 def intersection_nef(D: TDivisor, ray) -> Scalar:
-    """D^(n-1).D_ray for nef big D: a normalized facet volume of the
-    section polytope."""
-    vols = _nef_facet_volumes(D)
-    return Scalar(math.factorial(D.fan.dim - 1)) * vols[D.fan.ray_index(ray)]
+    """D^(n-1).D_ray for nef big D: intersection_nef_div against the ray's
+    prime divisor."""
+    return intersection_nef_div(D, _check_tdivisor(D).fan.divisor({ray: 1}))
 
 
 def intersection_nef_div(D: TDivisor, E: TDivisor) -> Scalar:
-    """D^(n-1).E for nef big D and effective invariant E, by linearity, with
-    bigness and nefness checked once (and not at all when E is 0)."""
+    """D^(n-1).E for nef big D and effective invariant E, by linearity:
+    (n-1)! times entry i of the facet record of D is D^(n-1).D_i.  Bigness
+    and nefness are checked once, and not at all when E is 0."""
     _check_tdivisor(D)
     _check_tdivisor(E)
     if not E.is_effective():
@@ -479,7 +475,11 @@ def intersection_nef_div(D: TDivisor, E: TDivisor) -> Scalar:
     terms = [(i, c) for i, c in enumerate(E.coeffs) if c]
     if not terms:
         return Scalar(0)
-    vols = _nef_facet_volumes(D)
+    vol, vols = _measure(D)
+    if not vol > 0:
+        raise NotBig("intersection numbers computed for big divisors")
+    if not is_nef(D):
+        raise NotNef("facet-volume intersection numbers need a nef divisor")
     total = sum((c * vols[i] for i, c in terms), Scalar(0))
     return Scalar(math.factorial(D.fan.dim - 1)) * total
 
@@ -494,7 +494,7 @@ def sigma_limit_oracle(D: TDivisor, ray, m_list) -> list[Scalar]:
     if not is_big(D):
         raise NotBig("the limit oracle needs a big divisor")
     idx = D.fan.ray_index(ray)
-    ray_vec = D.fan.rays[idx]
+    *lead, last = D.fan.rays[idx]
     a = D.coeffs[idx]
     out = []
     for m in m_list:
@@ -504,9 +504,9 @@ def sigma_limit_oracle(D: TDivisor, ray, m_list) -> list[Scalar]:
         # interval of lattice points sits at an end
         best = min(
             (
-                sum(c * x for c, x in zip(ray_vec, pre)) + min(ray_vec[-1] * lo, ray_vec[-1] * hi)
-                for pre, lo, hi in _lattice_intervals(polytope_of(D.scale(m)))
-                if lo <= hi
+                sum(map(mul, lead, prefix)) + min(last * ts[0], last * ts[-1])
+                for prefix, rows in _slices(polytope_of(D.scale(m)), 1)
+                if (ts := _interval(rows))
             ),
             default=None,
         )

@@ -4,9 +4,10 @@ Most deliberately avoid the library's own code paths: Gaussian
 elimination over the Fractions (the reference for the integer
 linalg.inverse), small hand-rolled Cramer solves, exhaustive 2-subset
 vertex enumeration, shoelace areas, box-membership lattice counts and
+point lists (sharing nothing with the library's slicer) and
 degree-by-degree section sums on F_e, all in exact arithmetic.  Helpers
-that only tests use (lattice point lists, translation, dilation, the
-Euclidean volume, ceilings) sit here too, and so does the vertex set by
+that only tests use (translation, dilation, the Euclidean volume,
+ceilings) sit here too, and so does the vertex set by
 Scalar elimination of every n-subset of rows, the old library rule that the
 integer vertex table of polyhedra must match exactly.  The references at the
 end are older library rules, kept to cross-check the direct ones that
@@ -39,7 +40,6 @@ from rdiv.polyhedra import (
     LPProblem,
     LPResult,
     _as_scalar,
-    _lattice_intervals,
     _vertex_set,
     _volume,
     is_bounded,
@@ -226,7 +226,18 @@ def vertices(p: HPolytope) -> set:
 
 
 def lattice_point_list(p: HPolytope) -> list:
-    return [pre + (t,) for pre, lo, hi in _lattice_intervals(p) for t in range(lo, hi + 1)]
+    """The integer points of a bounded polytope in lexicographic order: a
+    membership test, in Scalar arithmetic, of every point of the box of
+    vertex_set_by_elimination."""
+    vs = vertex_set_by_elimination(p)
+    if not vs:
+        return []
+    box = [range(math.ceil(min(col)), math.floor(max(col)) + 1) for col in zip(*vs)]
+    return [
+        u
+        for u in product(*box)
+        if all(sum(c * x for c, x in zip(g, u)) >= o for g, o in p.rows)
+    ]
 
 
 def scale(p: HPolytope, factor) -> HPolytope:

@@ -222,11 +222,21 @@ def test_missing_variety_exit(capsys):
         ("hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", "0"),
         ("h0", "--e", "-1", "--divisor", "C:1"),
         ("h0", "--e", "1", "--fibers", "F1,F1", "--divisor", "C:1"),
+        ("h0", "--preset", "P2", "--divisor", "H:1,r2:2"),
+        ("h0", "--preset", "P2", "--divisor", "r0:1,0:3"),
+        ("h0", "--preset", "P2", "--divisor", "H:1,H:2"),
+        ("h0", "--e", "1", "--divisor", "C:1,C:2"),
+        ("intersect", "--preset", "F1", "--divisor", "C:1", "--with", "E:1,r1:1"),
+        ("hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", ","),
+        ("check-a", "--preset", "F1", "--divisor", "C:1,E:1", "--effective", "E:1", "--samples", " , "),
+        ("check-b", "--preset", "F1", "--divisor", "C:1,E:1", "--effective", "E:1", "--samples", ",,"),
+        ("paper-example", "--samples", ","),
     ],
 )
 def test_bad_user_input_is_a_parse_error(capsys, argv):
-    code, _, err = invoke(capsys, *argv)
+    code, out, err = invoke(capsys, *argv)
     assert code == EXIT_PARSE
+    assert out == ""
     assert err.startswith("parse error:")
 
 
@@ -244,6 +254,15 @@ def test_unknown_label_message_has_no_key_error_quotes(capsys, argv, line):
     assert code == EXIT_PARSE
     assert out == ""
     assert err == line + "\n"
+
+
+def test_file_divisor_naming_one_ray_twice_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"variety": "P2", "divisors": {"D": {"H": "1", "r2": "2"}}}))
+    code, out, err = invoke(capsys, "h0", "--file", str(path), "--divisor", "D")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "parse error: divisors: 'H' and 'r2' both name ray 2\n"
 
 
 def test_library_value_error_is_not_relabelled_as_parse_error(capsys, monkeypatch):

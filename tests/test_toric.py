@@ -63,6 +63,15 @@ E = F1.divisor({"E": 1})
 F = F1.divisor({"F": 1})
 
 
+@pytest.mark.parametrize(
+    "fan, coeffs",
+    [(P2, {"H": 1, "r2": 2}), (P2, {2: 1, "H": 1}), (P2, {"r0": 1, 0: 1}), (F1, {"E": 1, "r1": 1})],
+)
+def test_fan_divisor_rejects_two_keys_for_one_ray(fan, coeffs):
+    with pytest.raises(KeyError, match="both name ray"):
+        fan.divisor(coeffs)
+
+
 def rand_divisor(fan, rng, lo=-3, hi=3):
     return fan.divisor([Fraction(rng.randint(lo * 2, hi * 2), 2) for _ in fan.rays])
 
@@ -571,6 +580,15 @@ def test_intersection_examples():
 def test_intersection_requires_nef():
     with pytest.raises(NotNef):
         intersection_nef(C + E, "E")
+
+
+def test_intersection_errors():
+    with pytest.raises(UnsupportedDivisor):
+        intersection_nef(SurfaceModel(1).divisor({"C": 1}), "E")
+    with pytest.raises(NotBig):
+        intersection_nef(F, "E")
+    with pytest.raises(KeyError):
+        intersection_nef(C, "Z")
 
 
 def test_intersection_linearity():
