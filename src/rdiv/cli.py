@@ -455,6 +455,7 @@ def _cmd_corpus(args):
 
 
 def _cmd_paper_example(args):
+    _surface_model(args.e, (), "--e")  # a negative --e is bad input, as for the other commands
     rows = surf.paper_example(args.e, samples=_parse_samples(args.samples))
     payload = {
         "rows": [

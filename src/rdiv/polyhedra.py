@@ -64,7 +64,7 @@ from operator import mul
 
 from .errors import UnboundedPolytope
 from .linalg import inverse, kernel_basis
-from .scalars import Scalar, _floor, _join, _new, _sign
+from .scalars import Scalar, _floor, _join, _new, _record, _sign
 
 __all__ = [
     "HPolytope",
@@ -86,8 +86,8 @@ class HPolytope:
     """{u in R^dim : <u, normal_i> >= offset_i for every row i}, held as its
     offset record: offset_i = (A_i + B_i sqrt(disc)) / den for integers A_i
     and B_i, one den > 0 (the lcm of the reduced offset denominators) and
-    one disc (0 when every offset is rational).  The record is canonical, so
-    equality and hashing read it."""
+    one disc (0 when every offset is rational), built by scalars._record.
+    The record is canonical, so equality and hashing read it."""
 
     dim: int
     normals: tuple[tuple[int, ...], ...]
@@ -104,27 +104,19 @@ class HPolytope:
                 raise ValueError(f"normal {g} has wrong length for dim {dim}")
             if not any(g):
                 raise ValueError("zero normal vector in polytope row")
-        self._fill(dim, normals, [_as_scalar(o) for _, o in rows], 1)
+        self._set(dim, normals, *_record([_as_scalar(o) for _, o in rows]))
 
     @classmethod
-    def _of(cls, dim: int, normals, offsets, sign: int) -> "HPolytope":
-        """The polytope of checked integer normals and Scalar offsets, each
-        taken times sign = +-1."""
+    def _of_record(cls, dim: int, normals, den: int, disc: int, A, B) -> "HPolytope":
+        """The polytope of checked integer normals and a canonical offset
+        record, as scalars._record builds it."""
         p = object.__new__(cls)
-        p._fill(dim, normals, offsets, sign)
+        p._set(dim, normals, den, disc, A, B)
         return p
 
-    def _fill(self, dim, normals, offsets, sign):
-        den = math.lcm(*[o.den for o in offsets])
-        disc, A, B = 0, [], []
-        for o in offsets:
-            t = sign * (den // o.den)
-            A.append(o.a * t)
-            B.append(o.b * t)
-            if o.disc != disc and o.disc:
-                disc = _join(disc, o.disc)
+    def _set(self, dim, normals, den, disc, A, B):
         # frozen: the fields are set once, here, past the dataclass's guard
-        vars(self).update(dim=dim, normals=normals, den=den, disc=disc, A=tuple(A), B=tuple(B))
+        vars(self).update(dim=dim, normals=normals, den=den, disc=disc, A=A, B=B)
 
     @property
     def rows(self) -> tuple[tuple[tuple[int, ...], Scalar], ...]:
@@ -454,12 +446,15 @@ def _sliced(rows, boxes, prefix):
             yield prefix + (t,), sliced
 
 
+@lru_cache(maxsize=2048)
 def lattice_points(p: HPolytope) -> int:
     """Number of integer points; 0 for empty, error when unbounded.
 
     No point is listed: an interval in dimension 1, floor sums on each
     polygon of _slices(p, 2) above that (the polygon itself when dim is 2,
-    so no vertex is needed there)."""
+    so no vertex is needed there).  One count per polytope, kept in a
+    bounded cache keyed by the canonical record like _vertex_set, since
+    callers comparing D, its multiples and its shifts ask again."""
     if p.dim == 1:
         return sum(len(_interval(rows)) for _, rows in _slices(p, 1))
     return sum(_count_2d(rows) for _, rows in _slices(p, 2))

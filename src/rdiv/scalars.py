@@ -112,6 +112,36 @@ def _floor(a: int, b: int, den: int, disc: int) -> int:
     return a // den
 
 
+# A vector of Scalars of one field is held as one record (den, disc, A, B):
+# entry i is (A_i + B_i*sqrt(disc)) / den for integers A_i and B_i over one
+# den > 0, with gcd(den, A, B) = 1 and disc = 0 exactly when every B_i is 0.
+# That form is unique, so records compare and hash structurally.
+
+
+def _record(values) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """The record of a sequence of Scalars, over the lcm of their reduced
+    denominators (which leaves no common factor).  Raises MixedDiscriminant
+    when two values lie in distinct irrational fields."""
+    den = math.lcm(*[v.den for v in values])
+    disc, A, B = 0, [], []
+    for v in values:
+        t = den // v.den
+        A.append(v.a * t)
+        B.append(v.b * t)
+        if v.disc != disc and v.disc:
+            disc = _join(disc, v.disc)
+    return den, disc, tuple(A), tuple(B)
+
+
+def _reduce(den: int, disc: int, A, B) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """The record of integer arithmetic's result (A_i + B_i*sqrt(disc)) / den
+    for den > 0: one gcd divides out the common factor."""
+    g = gcd(den, *A, *B)
+    if g != 1:
+        den, A, B = den // g, tuple(a // g for a in A), tuple(b // g for b in B)
+    return den, disc if any(B) else 0, tuple(A), tuple(B)
+
+
 class Scalar:
     """Immutable element of Q or Q(sqrt(d))."""
 

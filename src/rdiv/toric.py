@@ -1,11 +1,19 @@
 """Divisor calculus on complete toric varieties.
 
-A divisor is one Scalar coefficient per ray of a complete simplicial fan.
+A divisor is one coefficient per ray of a complete simplicial fan.
 Sections of its rounding are lattice points of the H-polytope with rows
 <u, ray> >= -coeff, which turns Hilbert functions, volumes, sigma
 multiplicities and base loci into exact polyhedral computations.  Nefness
 needs no polytope: it is one integer linear form in the coefficients per
 wall of the fan, computed once per fan.
+
+The coefficients are held as the integer record that the section polytope
+computes on: coefficient i is (A_i + B_i sqrt(disc)) / den over one den
+> 0, in the canonical form of scalars._record.  Multiples, sums,
+differences and principal divisors are integer products and sums plus one
+gcd, the section polytope takes the record negated, a wall form is one
+sign test on it, and the volume sums the facet record against it; the
+Scalar coefficients are built only when asked for.
 """
 
 from __future__ import annotations
@@ -14,9 +22,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import (
+    MixedDiscriminant,
     NoSections,
     NonSimplicialCone,
     NotBig,
@@ -35,7 +44,7 @@ from .polyhedra import (
     _interval,
     _slices,
 )
-from .scalars import Scalar
+from .scalars import Scalar, _new, _record, _reduce, _sign
 
 __all__ = [
     "Fan",
@@ -298,35 +307,92 @@ def _preset_fan(key: str) -> Fan | None:
     return None
 
 
-@dataclass(frozen=True)
 class TDivisor:
-    """Torus-invariant R-divisor: one coefficient per ray."""
+    """Torus-invariant R-divisor: one coefficient per ray, held as the
+    integer record of its section polytope.  Coefficient i is (A_i + B_i
+    sqrt(disc)) / den, canonical as scalars._record and _reduce make it, so
+    equality and hashing read the record, and scale, +, - and
+    principal_divisor are integer products and sums plus one gcd.  coeffs
+    builds the reduced Scalars on first use.
 
-    fan: Fan
-    coeffs: tuple[Scalar, ...]
+    Coefficients from two irrational fields have no record (den, disc, A
+    and B are None): such a divisor keeps its coefficients, combines
+    coefficient by coefficient, and raises MixedDiscriminant where its
+    polytope or a wall form is needed."""
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.fan.nrays:
+    __slots__ = ("fan", "den", "disc", "A", "B", "_coeffs")
+
+    def __init__(self, fan: Fan, coeffs):
+        if len(coeffs) != fan.nrays:
             raise ValueError("coefficient count does not match ray count")
-        object.__setattr__(
-            self, "coeffs", tuple(c if isinstance(c, Scalar) else Scalar(c) for c in self.coeffs)
+        coeffs = tuple(c if isinstance(c, Scalar) else Scalar(c) for c in coeffs)
+        self.fan, self._coeffs = fan, coeffs
+        try:
+            self.den, self.disc, self.A, self.B = _record(coeffs)
+        except MixedDiscriminant:
+            self.den = self.disc = self.A = self.B = None
+
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        if self._coeffs is None:
+            den, disc = self.den, self.disc
+            self._coeffs = tuple(_new(a, b, den, disc) for a, b in zip(self.A, self.B))
+        return self._coeffs
+
+    def __eq__(self, other):
+        if type(other) is not TDivisor:
+            return NotImplemented
+        if self.A is None or other.A is None:
+            return self.fan == other.fan and self.coeffs == other.coeffs
+        return (
+            self.A == other.A
+            and self.B == other.B
+            and self.den == other.den
+            and self.disc == other.disc
+            and self.fan == other.fan
         )
 
+    def __hash__(self):
+        if self.A is None:
+            return hash(self._coeffs)
+        return hash((self.den, self.disc, self.A, self.B))
+
+    def __repr__(self):
+        return f"TDivisor(fan={self.fan!r}, coeffs={self.coeffs!r})"
+
     def __add__(self, other: "TDivisor") -> "TDivisor":
-        self._same_fan(other)
-        return TDivisor(self.fan, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, add)
 
     def __sub__(self, other: "TDivisor") -> "TDivisor":
-        self._same_fan(other)
-        return TDivisor(self.fan, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, sub)
+
+    def _combine(self, other, op):
+        """self op other for op = add or sub, over the lcm of the dens."""
+        if self.fan != other.fan:
+            raise ValueError("divisors live on different fans")
+        disc = _common_disc(self.disc, other.disc)
+        if disc is None:
+            return TDivisor(self.fan, tuple(map(op, self.coeffs, other.coeffs)))
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        A = [op(x * s, y * t) for x, y in zip(self.A, other.A)]
+        B = [op(x * s, y * t) for x, y in zip(self.B, other.B)]
+        return _divisor(self.fan, den, disc, A, B)
 
     def scale(self, m) -> "TDivisor":
         m = m if isinstance(m, Scalar) else Scalar(m)
-        return TDivisor(self.fan, tuple(m * c for c in self.coeffs))
-
-    def _same_fan(self, other):
-        if self.fan != other.fan:
-            raise ValueError("divisors live on different fans")
+        disc = _common_disc(self.disc, m.disc)
+        if disc is None:
+            return TDivisor(self.fan, tuple(m * c for c in self.coeffs))
+        a, b = m.a, m.b
+        if b:
+            bd = b * disc
+            A = [x * a + y * bd for x, y in zip(self.A, self.B)]
+            B = [x * b + y * a for x, y in zip(self.A, self.B)]
+        else:
+            A = [x * a for x in self.A]
+            B = [y * a for y in self.B]
+        return _divisor(self.fan, self.den * m.den, disc, A, B)
 
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
@@ -341,6 +407,23 @@ class TDivisor:
         return {self.fan.ray_name(i): c for i, c in enumerate(self.coeffs)}
 
 
+def _divisor(fan: Fan, den: int, disc: int, A, B) -> TDivisor:
+    """The divisor of the integer arithmetic's record (A_i + B_i sqrt(disc))
+    / den, reduced by scalars._reduce."""
+    D = object.__new__(TDivisor)
+    D.fan, D._coeffs = fan, None
+    D.den, D.disc, D.A, D.B = _reduce(den, disc, A, B)
+    return D
+
+
+def _common_disc(d, e):
+    """The disc of the field holding two records' values, None when either
+    has no record or the two lie in distinct irrational fields."""
+    if d is None or e is None or (d and e and d != e):
+        return None
+    return d or e
+
+
 def _check_tdivisor(D):
     if not isinstance(D, TDivisor):
         raise UnsupportedDivisor(
@@ -351,9 +434,18 @@ def _check_tdivisor(D):
 
 
 def polytope_of(D: TDivisor) -> HPolytope:
-    """Section polytope {u : <u, v_ray> >= -coeff} of the divisor."""
+    """Section polytope {u : <u, v_ray> >= -coeff} of the divisor: its
+    offset record is the divisor's, negated."""
     _check_tdivisor(D)
-    return HPolytope._of(D.fan.dim, D.fan.rays, D.coeffs, -1)
+    _check_record(D)
+    return HPolytope._of_record(
+        D.fan.dim, D.fan.rays, D.den, D.disc, tuple(-a for a in D.A), tuple(-b for b in D.B)
+    )
+
+
+def _check_record(D: TDivisor):
+    if D.A is None:
+        _record(D.coeffs)  # raises MixedDiscriminant, naming the two fields
 
 
 def h0(D: TDivisor) -> int:
@@ -370,10 +462,18 @@ def volume(D: TDivisor) -> Scalar:
 
 
 def _measure(D: TDivisor) -> tuple[Scalar, tuple[Scalar, ...]]:
-    """vol(D) and the facet record of its section polytope, read at once."""
+    """vol(D) and the facet record of its section polytope, read at once.
+    The facet volumes lie in D's field, so the sum runs on D's record, over
+    the lcm q of their denominators."""
     vols = _facet_volumes(polytope_of(D))
-    terms = (a * v for a, v in zip(D.coeffs, vols) if a)
-    return Scalar(math.factorial(D.fan.dim - 1)) * sum(terms, Scalar(0)), vols
+    q = math.lcm(*[v.den for v in vols])
+    disc, x, y = D.disc, 0, 0
+    for a, b, v in zip(D.A, D.B, vols):
+        t = q // v.den
+        x += (a * v.a + b * v.b * disc) * t
+        y += (a * v.b + b * v.a) * t
+    f = math.factorial(D.fan.dim - 1)
+    return _new(f * x, f * y, D.den * q, disc), vols
 
 
 def is_big(D: TDivisor) -> bool:
@@ -385,8 +485,12 @@ def is_nef(D: TDivisor) -> bool:
     """The wall rule: every wall form of the fan is >= 0 on the coefficients
     (see _wall_forms)."""
     _check_tdivisor(D)
-    a = D.coeffs
-    return all(sum(a[i] * w for i, w in form) >= 0 for form in _wall_forms(D.fan))
+    _check_record(D)
+    A, B, disc = D.A, D.B, D.disc
+    return all(
+        _sign(sum(A[i] * w for i, w in form), sum(B[i] * w for i, w in form), disc) >= 0
+        for form in _wall_forms(D.fan)
+    )
 
 
 def sigma(D: TDivisor, ray) -> Scalar:
@@ -438,10 +542,18 @@ def sigma_decomposition(D: TDivisor) -> SigmaDecomposition:
 
 
 def principal_divisor(fan: Fan, u) -> TDivisor:
-    """div of the character u: coefficient <u, ray> on each ray."""
+    """div of the character u: coefficient <u, ray> on each ray, on u's
+    record.  Raises ValueError unless u has one entry per coordinate."""
     u = tuple(x if isinstance(x, Scalar) else Scalar(x) for x in u)
-    return TDivisor(
-        fan, tuple(sum((a * b for a, b in zip(u, ray)), Scalar(0)) for ray in fan.rays)
+    if len(u) != fan.dim:
+        raise ValueError(f"a character of a {fan.dim}-fold has {fan.dim} entries, not {len(u)}")
+    den, disc, A, B = _record(u)
+    return _divisor(
+        fan,
+        den,
+        disc,
+        [sum(map(mul, A, ray)) for ray in fan.rays],
+        [sum(map(mul, B, ray)) for ray in fan.rays],
     )
 
 

@@ -51,6 +51,20 @@ def test_paper_example_exit_zero(capsys):
     assert "sqrt(2)" in lines[3]
 
 
+def test_paper_example_negative_e_is_a_parse_error(capsys):
+    code, out, err = invoke(capsys, "paper-example", "--e", "-1")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: --e: ")
+
+
+def test_paper_example_e_zero_is_a_domain_error(capsys):
+    code, out, err = invoke(capsys, "paper-example", "--e", "0")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err == "error: a negative section needs e >= 1\n"
+
+
 def test_hilbert_csv_format(capsys):
     code, out, _ = invoke(capsys, "hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", "1,2,3")
     assert code == EXIT_OK

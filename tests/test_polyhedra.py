@@ -729,3 +729,13 @@ def test_lp_matches_simplex_oracle_on_sqrt2_polytopes():
         best = res.value - problem.constant
         assert res.point == min(v for v in _vertex_set(p) if sum(map(mul, v, obj)) == best)
         checked += 1
+
+
+def test_lattice_point_cache_equals_a_fresh_count():
+    root2 = sqrt(2)
+    for inst in generate_corpus(2026, 20):
+        _, D, _ = inst.realize()
+        for m in (1, 3, root2):
+            p = polytope_of(D.scale(m))
+            first = lattice_points(p)
+            assert lattice_points(p) == first == lattice_points.__wrapped__(p)

@@ -726,3 +726,64 @@ def test_negative_part_additivity():
     assert dec2.nsigma.coeffs == (dec.nsigma + Eadd).coeffs
     for m in (1, 2, 3):
         assert h0((D + Eadd).scale(m)) == h0(D.scale(m))
+
+
+# ---- the divisor's integer record ------------------------------------------------
+
+
+@pytest.mark.parametrize("u", [(), (1,), (1, 2, 3)], ids=["empty", "short", "long"])
+def test_principal_divisor_needs_one_entry_per_coordinate(u):
+    with pytest.raises(ValueError, match="character"):
+        principal_divisor(P2, u)
+
+
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+# rational values and values of Q(sqrt(2)), so both records and joins are drawn
+_COEFFS = st.one_of(
+    _RATIONALS.map(Scalar),
+    st.tuples(_RATIONALS, _RATIONALS).map(lambda t: Scalar(t[0], t[1], 2)),
+)
+
+
+@st.composite
+def _two_divisors(draw):
+    fan = draw(st.sampled_from((P2, F1, P1P1, P3)))
+    a = [draw(_COEFFS) for _ in fan.rays]
+    b = [draw(_COEFFS) for _ in fan.rays]
+    return fan, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_divisors(), _COEFFS, st.integers(-3, 3), st.lists(_COEFFS, min_size=3, max_size=3))
+def test_record_arithmetic_matches_coefficientwise_scalars(pair, m, k, u):
+    fan, a, b = pair
+    D, E = fan.divisor(a), fan.divisor(b)
+    assert D.coeffs == tuple(a)
+    assert (D + E).coeffs == tuple(x + y for x, y in zip(a, b))
+    assert (D - E).coeffs == tuple(x - y for x, y in zip(a, b))
+    assert D.scale(m).coeffs == tuple(m * x for x in a)
+    assert D.scale(k).coeffs == tuple(k * x for x in a)
+    assert D.scale(Fraction(k, 7)).coeffs == tuple(Fraction(k, 7) * x for x in a)
+    u = u[: fan.dim]
+    expected = tuple(sum((x * w for x, w in zip(u, ray)), Scalar(0)) for ray in fan.rays)
+    assert principal_divisor(fan, u).coeffs == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_divisors())
+def test_equal_divisors_built_along_different_paths_are_equal_and_hash_alike(pair):
+    fan, a, b = pair
+    D, E = fan.divisor(a), fan.divisor(b)
+    root2 = sqrt(2)
+    pairs = [
+        (D.scale(2), D + D),
+        ((D + E) - E, D),
+        (D - D, fan.divisor([0] * fan.nrays)),
+        (D.scale(root2).scale(root2), D.scale(2)),
+        (D.scale(Fraction(1, 3)).scale(3), D),
+        (fan.divisor((D + E).coeffs), D + E),
+    ]
+    for X, Y in pairs:
+        assert X == Y and hash(X) == hash(Y)
+        assert (X.den, X.disc, X.A, X.B) == (Y.den, Y.disc, Y.A, Y.B)
+    assert (D + D == D) == D.is_zero()
