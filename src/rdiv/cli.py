@@ -113,7 +113,7 @@ def _parse_variety(spec, path: str):
         unknown = set(spec) - allowed
         if unknown:
             raise ParseError(f"unknown keys {sorted(unknown)}", path)
-        if not isinstance(spec.get("e"), int):
+        if not _is_json_int(spec.get("e")):
             raise ParseError("'e' must be an integer", f"{path}.e")
         fibers = spec.get("fibers", [])
         if not isinstance(fibers, list) or not all(isinstance(f, str) for f in fibers):
@@ -150,12 +150,23 @@ def _surface_model(e: int, fibers: tuple[str, ...], path: str):
         raise ParseError(str(exc), path)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict, ParseError when it repeats a key."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"key {key!r} is given twice")
+        out[key] = value
+    return out
+
+
 def parse_problem(data: bytes | str) -> ProblemFile:
-    """Parse and validate a JSON problem file; unknown keys are rejected."""
+    """Parse and validate a JSON problem file; unknown and repeated keys are
+    rejected."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
@@ -171,10 +182,13 @@ def parse_problem(data: bytes | str) -> ProblemFile:
         disc = _env_disc()
     if disc is None:
         disc = DEFAULT_DISC
-    if not isinstance(disc, int) or disc < 0:
+    if not _is_json_int(disc) or disc < 0:
         raise ParseError("'disc' must be a non-negative integer", "disc")
+    specs = doc.get("divisors", {})
+    if not isinstance(specs, dict):
+        raise ParseError("must map names to divisors", "divisors")
     divisors = {}
-    for name, coeffs in doc.get("divisors", {}).items():
+    for name, coeffs in specs.items():
         if not isinstance(coeffs, dict):
             raise ParseError("divisor must map components to literals", f"divisors.{name}")
         parsed = {}
@@ -443,6 +457,8 @@ def _cmd_check_b(args):
 
 
 def _cmd_corpus(args):
+    if args.count < 0:
+        raise ParseError(f"must be a non-negative integer, got {args.count}", "--count")
     summary = theorems.corpus_run(args.seed, args.count, which=args.which)
     if args.format == "json":
         print(theorems.summary_to_json(summary))

@@ -7,13 +7,13 @@ multiplicities and base loci into exact polyhedral computations.  Nefness
 needs no polytope: it is one integer linear form in the coefficients per
 wall of the fan, computed once per fan.
 
-The coefficients are held as the integer record that the section polytope
-computes on: coefficient i is (A_i + B_i sqrt(disc)) / den over one den
-> 0, in the canonical form of scalars._record.  Multiples, sums,
-differences and principal divisors are integer products and sums plus one
-gcd, the section polytope takes the record negated, a wall form is one
-sign test on it, and the volume sums the facet record against it; the
-Scalar coefficients are built only when asked for.
+A divisor holds its section polytope, built once: the polytope's offset
+record is the coefficients negated, in the canonical form of
+scalars._record, so all of a divisor's coefficients lie in one field.
+Multiples, sums, differences and principal divisors are integer products
+and sums plus one gcd on that record, a wall form is one sign test on it,
+and the volume sums the facet record against it; the Scalar coefficients
+are built only when asked for.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from functools import lru_cache
 from operator import add, mul, sub
 
 from .errors import (
-    MixedDiscriminant,
     NoSections,
     NonSimplicialCone,
     NotBig,
@@ -44,7 +43,7 @@ from .polyhedra import (
     _interval,
     _slices,
 )
-from .scalars import Scalar, _new, _record, _reduce, _sign
+from .scalars import Scalar, _join, _new, _record, _reduce, _sign
 
 __all__ = [
     "Fan",
@@ -140,7 +139,8 @@ class Fan:
 
     def divisor(self, coeffs) -> "TDivisor":
         """Build a divisor from a sequence or a {ray: coefficient} mapping;
-        KeyError when a key names no ray or two keys name one ray."""
+        KeyError when a key names no ray or two keys name one ray, and
+        MixedDiscriminant when two coefficients lie in distinct fields."""
         if isinstance(coeffs, dict):
             vec, keys = [Scalar(0)] * self.nrays, {}
             for key, val in coeffs.items():
@@ -308,54 +308,41 @@ def _preset_fan(key: str) -> Fan | None:
 
 
 class TDivisor:
-    """Torus-invariant R-divisor: one coefficient per ray, held as the
-    integer record of its section polytope.  Coefficient i is (A_i + B_i
-    sqrt(disc)) / den, canonical as scalars._record and _reduce make it, so
-    equality and hashing read the record, and scale, +, - and
-    principal_divisor are integer products and sums plus one gcd.  coeffs
-    builds the reduced Scalars on first use.
+    """Torus-invariant R-divisor: one coefficient per ray, held as its
+    section polytope {u : <u, ray> >= -coeff}.  The polytope's offset record
+    (A_i + B_i sqrt(disc)) / den is the coefficients negated, canonical as
+    scalars._record and _reduce make it, so equality and hashing read the
+    polytope, and scale, +, - and principal_divisor are integer products and
+    sums plus one gcd on its record.  The coefficients lie in one field:
+    two irrational fields raise MixedDiscriminant, as they do for an
+    HPolytope.  coeffs builds the reduced Scalars on first use."""
 
-    Coefficients from two irrational fields have no record (den, disc, A
-    and B are None): such a divisor keeps its coefficients, combines
-    coefficient by coefficient, and raises MixedDiscriminant where its
-    polytope or a wall form is needed."""
-
-    __slots__ = ("fan", "den", "disc", "A", "B", "_coeffs")
+    __slots__ = ("fan", "polytope", "_coeffs")
 
     def __init__(self, fan: Fan, coeffs):
         if len(coeffs) != fan.nrays:
             raise ValueError("coefficient count does not match ray count")
         coeffs = tuple(c if isinstance(c, Scalar) else Scalar(c) for c in coeffs)
+        den, disc, A, B = _record(coeffs)
         self.fan, self._coeffs = fan, coeffs
-        try:
-            self.den, self.disc, self.A, self.B = _record(coeffs)
-        except MixedDiscriminant:
-            self.den = self.disc = self.A = self.B = None
+        self.polytope = HPolytope._of_record(
+            fan.dim, fan.rays, den, disc, tuple(-a for a in A), tuple(-b for b in B)
+        )
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
         if self._coeffs is None:
-            den, disc = self.den, self.disc
-            self._coeffs = tuple(_new(a, b, den, disc) for a, b in zip(self.A, self.B))
+            p = self.polytope
+            self._coeffs = tuple(_new(-a, -b, p.den, p.disc) for a, b in zip(p.A, p.B))
         return self._coeffs
 
     def __eq__(self, other):
         if type(other) is not TDivisor:
             return NotImplemented
-        if self.A is None or other.A is None:
-            return self.fan == other.fan and self.coeffs == other.coeffs
-        return (
-            self.A == other.A
-            and self.B == other.B
-            and self.den == other.den
-            and self.disc == other.disc
-            and self.fan == other.fan
-        )
+        return self.polytope == other.polytope and self.fan == other.fan
 
     def __hash__(self):
-        if self.A is None:
-            return hash(self._coeffs)
-        return hash((self.den, self.disc, self.A, self.B))
+        return hash(self.polytope)
 
     def __repr__(self):
         return f"TDivisor(fan={self.fan!r}, coeffs={self.coeffs!r})"
@@ -370,29 +357,27 @@ class TDivisor:
         """self op other for op = add or sub, over the lcm of the dens."""
         if self.fan != other.fan:
             raise ValueError("divisors live on different fans")
-        disc = _common_disc(self.disc, other.disc)
-        if disc is None:
-            return TDivisor(self.fan, tuple(map(op, self.coeffs, other.coeffs)))
-        den = math.lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        A = [op(x * s, y * t) for x, y in zip(self.A, other.A)]
-        B = [op(x * s, y * t) for x, y in zip(self.B, other.B)]
+        p, q = self.polytope, other.polytope
+        disc = p.disc if p.disc == q.disc else _join(p.disc, q.disc)
+        den = math.lcm(p.den, q.den)
+        s, t = den // p.den, den // q.den
+        A = [op(x * s, y * t) for x, y in zip(p.A, q.A)]
+        B = [op(x * s, y * t) for x, y in zip(p.B, q.B)]
         return _divisor(self.fan, den, disc, A, B)
 
     def scale(self, m) -> "TDivisor":
         m = m if isinstance(m, Scalar) else Scalar(m)
-        disc = _common_disc(self.disc, m.disc)
-        if disc is None:
-            return TDivisor(self.fan, tuple(m * c for c in self.coeffs))
+        p = self.polytope
+        disc = p.disc if p.disc == m.disc else _join(p.disc, m.disc)
         a, b = m.a, m.b
         if b:
             bd = b * disc
-            A = [x * a + y * bd for x, y in zip(self.A, self.B)]
-            B = [x * b + y * a for x, y in zip(self.A, self.B)]
+            A = [x * a + y * bd for x, y in zip(p.A, p.B)]
+            B = [x * b + y * a for x, y in zip(p.A, p.B)]
         else:
-            A = [x * a for x in self.A]
-            B = [y * a for y in self.B]
-        return _divisor(self.fan, self.den * m.den, disc, A, B)
+            A = [x * a for x in p.A]
+            B = [y * a for y in p.B]
+        return _divisor(self.fan, p.den * m.den, disc, A, B)
 
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
@@ -408,20 +393,12 @@ class TDivisor:
 
 
 def _divisor(fan: Fan, den: int, disc: int, A, B) -> TDivisor:
-    """The divisor of the integer arithmetic's record (A_i + B_i sqrt(disc))
-    / den, reduced by scalars._reduce."""
+    """The divisor whose section polytope has the integer arithmetic's
+    offset record (A_i + B_i sqrt(disc)) / den, reduced by scalars._reduce."""
     D = object.__new__(TDivisor)
     D.fan, D._coeffs = fan, None
-    D.den, D.disc, D.A, D.B = _reduce(den, disc, A, B)
+    D.polytope = HPolytope._of_record(fan.dim, fan.rays, *_reduce(den, disc, A, B))
     return D
-
-
-def _common_disc(d, e):
-    """The disc of the field holding two records' values, None when either
-    has no record or the two lie in distinct irrational fields."""
-    if d is None or e is None or (d and e and d != e):
-        return None
-    return d or e
 
 
 def _check_tdivisor(D):
@@ -434,18 +411,8 @@ def _check_tdivisor(D):
 
 
 def polytope_of(D: TDivisor) -> HPolytope:
-    """Section polytope {u : <u, v_ray> >= -coeff} of the divisor: its
-    offset record is the divisor's, negated."""
-    _check_tdivisor(D)
-    _check_record(D)
-    return HPolytope._of_record(
-        D.fan.dim, D.fan.rays, D.den, D.disc, tuple(-a for a in D.A), tuple(-b for b in D.B)
-    )
-
-
-def _check_record(D: TDivisor):
-    if D.A is None:
-        _record(D.coeffs)  # raises MixedDiscriminant, naming the two fields
+    """Section polytope {u : <u, v_ray> >= -coeff} of the divisor."""
+    return _check_tdivisor(D).polytope
 
 
 def h0(D: TDivisor) -> int:
@@ -463,17 +430,18 @@ def volume(D: TDivisor) -> Scalar:
 
 def _measure(D: TDivisor) -> tuple[Scalar, tuple[Scalar, ...]]:
     """vol(D) and the facet record of its section polytope, read at once.
-    The facet volumes lie in D's field, so the sum runs on D's record, over
-    the lcm q of their denominators."""
-    vols = _facet_volumes(polytope_of(D))
+    The facet volumes lie in D's field, so the sum runs on the polytope's
+    record, negated, over the lcm q of their denominators."""
+    p = polytope_of(D)
+    vols = _facet_volumes(p)
     q = math.lcm(*[v.den for v in vols])
-    disc, x, y = D.disc, 0, 0
-    for a, b, v in zip(D.A, D.B, vols):
+    disc, x, y = p.disc, 0, 0
+    for a, b, v in zip(p.A, p.B, vols):
         t = q // v.den
         x += (a * v.a + b * v.b * disc) * t
         y += (a * v.b + b * v.a) * t
-    f = math.factorial(D.fan.dim - 1)
-    return _new(f * x, f * y, D.den * q, disc), vols
+    f = -math.factorial(D.fan.dim - 1)
+    return _new(f * x, f * y, p.den * q, disc), vols
 
 
 def is_big(D: TDivisor) -> bool:
@@ -483,12 +451,11 @@ def is_big(D: TDivisor) -> bool:
 
 def is_nef(D: TDivisor) -> bool:
     """The wall rule: every wall form of the fan is >= 0 on the coefficients
-    (see _wall_forms)."""
-    _check_tdivisor(D)
-    _check_record(D)
-    A, B, disc = D.A, D.B, D.disc
+    (see _wall_forms), so <= 0 on the section polytope's record."""
+    p = polytope_of(D)
+    A, B, disc = p.A, p.B, p.disc
     return all(
-        _sign(sum(A[i] * w for i, w in form), sum(B[i] * w for i, w in form), disc) >= 0
+        _sign(sum(A[i] * w for i, w in form), sum(B[i] * w for i, w in form), disc) <= 0
         for form in _wall_forms(D.fan)
     )
 
@@ -542,8 +509,9 @@ def sigma_decomposition(D: TDivisor) -> SigmaDecomposition:
 
 
 def principal_divisor(fan: Fan, u) -> TDivisor:
-    """div of the character u: coefficient <u, ray> on each ray, on u's
-    record.  Raises ValueError unless u has one entry per coordinate."""
+    """div of the character u: coefficient <u, ray> on each ray, so offset
+    -<u, ray> on u's record.  Raises ValueError unless u has one entry per
+    coordinate."""
     u = tuple(x if isinstance(x, Scalar) else Scalar(x) for x in u)
     if len(u) != fan.dim:
         raise ValueError(f"a character of a {fan.dim}-fold has {fan.dim} entries, not {len(u)}")
@@ -552,8 +520,8 @@ def principal_divisor(fan: Fan, u) -> TDivisor:
         fan,
         den,
         disc,
-        [sum(map(mul, A, ray)) for ray in fan.rays],
-        [sum(map(mul, B, ray)) for ray in fan.rays],
+        [-sum(map(mul, A, ray)) for ray in fan.rays],
+        [-sum(map(mul, B, ray)) for ray in fan.rays],
     )
 
 

@@ -171,6 +171,14 @@ def test_intersect(capsys):
     assert code == EXIT_OK and out.strip() == "0"
 
 
+def test_a_divisor_mixing_two_surds_is_a_domain_error(capsys):
+    argv = ("intersect", "--preset", "F1", "--divisor", "C:1", "--with", "E:sqrt(3),F:sqrt(2)")
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: incompatible discriminants")
+
+
 def test_zariski_surface(capsys):
     code, out, _ = invoke(capsys, "zariski", "--e", "1", "--divisor", "C:1,E:2", "--format", "json")
     assert code == EXIT_OK
@@ -245,6 +253,7 @@ def test_missing_variety_exit(capsys):
         ("check-a", "--preset", "F1", "--divisor", "C:1,E:1", "--effective", "E:1", "--samples", " , "),
         ("check-b", "--preset", "F1", "--divisor", "C:1,E:1", "--effective", "E:1", "--samples", ",,"),
         ("paper-example", "--samples", ","),
+        ("corpus", "--count", "-1"),
     ],
 )
 def test_bad_user_input_is_a_parse_error(capsys, argv):
@@ -277,6 +286,51 @@ def test_file_divisor_naming_one_ray_twice_is_a_parse_error(capsys, tmp_path):
     assert code == EXIT_PARSE
     assert out == ""
     assert err == "parse error: divisors: 'H' and 'r2' both name ray 2\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (
+            '{"variety": "P2", "divisors": {"D": {"H": "1", "H": "2"}}}',
+            "parse error: key 'H' is given twice",
+        ),
+        (
+            '{"variety": "P2", "divisors": {"D": {"H": "1"}, "D": {"H": "2"}}}',
+            "parse error: key 'D' is given twice",
+        ),
+        (
+            '{"variety": "F1", "variety": "P2", "divisors": {"D": {"H": "1"}}}',
+            "parse error: key 'variety' is given twice",
+        ),
+        ('{"variety": "P2", "divisors": []}', "parse error: divisors: must map names to divisors"),
+        ('{"variety": "P2", "divisors": "D"}', "parse error: divisors: must map names to divisors"),
+        (
+            '{"variety": {"kind": "hirzebruch", "e": true}, "divisors": {"D": {"C": "1"}}}',
+            "parse error: variety.e: 'e' must be an integer",
+        ),
+        (
+            '{"variety": "P2", "divisors": {"D": {"H": "1"}}, "disc": true}',
+            "parse error: disc: 'disc' must be a non-negative integer",
+        ),
+    ],
+    ids=[
+        "repeated-coefficient",
+        "repeated-divisor",
+        "repeated-variety",
+        "divisors-list",
+        "divisors-string",
+        "bool-e",
+        "bool-disc",
+    ],
+)
+def test_malformed_problem_file_is_a_parse_error(capsys, tmp_path, text, line):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    code, out, err = invoke(capsys, "h0", "--file", str(path), "--divisor", "D")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == line + "\n"
 
 
 def test_library_value_error_is_not_relabelled_as_parse_error(capsys, monkeypatch):

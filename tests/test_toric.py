@@ -23,6 +23,7 @@ from oracles import (
 from rdiv import toric
 from rdiv.errors import (
     EmptyPolytope,
+    MixedDiscriminant,
     NoSections,
     NonSimplicialCone,
     NotBig,
@@ -737,6 +738,22 @@ def test_principal_divisor_needs_one_entry_per_coordinate(u):
         principal_divisor(P2, u)
 
 
+def test_a_divisor_lies_in_one_field():
+    D, E = F1.divisor({"C": sqrt(2), "E": 1}), F1.divisor({"E": sqrt(3)})
+    with pytest.raises(MixedDiscriminant):
+        F1.divisor({"C": sqrt(2), "E": sqrt(3)})
+    with pytest.raises(MixedDiscriminant):
+        D + E
+    with pytest.raises(MixedDiscriminant):
+        D - E
+    with pytest.raises(MixedDiscriminant):
+        D.scale(sqrt(3))
+    # a rational divisor joins either field
+    R = F1.divisor({"F": Fraction(1, 2)})
+    assert (R + E).coeffs == (Fraction(1, 2), sqrt(3), 0, 0)
+    assert R.scale(sqrt(3)).coeffs == (sqrt(3) / 2, 0, 0, 0)
+
+
 _RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 # rational values and values of Q(sqrt(2)), so both records and joins are drawn
 _COEFFS = st.one_of(
@@ -785,5 +802,6 @@ def test_equal_divisors_built_along_different_paths_are_equal_and_hash_alike(pai
     ]
     for X, Y in pairs:
         assert X == Y and hash(X) == hash(Y)
-        assert (X.den, X.disc, X.A, X.B) == (Y.den, Y.disc, Y.A, Y.B)
+        p, q = polytope_of(X), polytope_of(Y)
+        assert (p.den, p.disc, p.A, p.B) == (q.den, q.disc, q.A, q.B)
     assert (D + D == D) == D.is_zero()
