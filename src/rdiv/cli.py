@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -32,16 +31,6 @@ EXIT_COUNTEREXAMPLE = 4
 DEFAULT_DISC = 2
 
 
-def _env_disc() -> int | None:
-    raw = os.environ.get("RDIV_DISC")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"RDIV_DISC must be an integer, got {raw!r}")
-
-
 # ---------------------------------------------------------------------------
 # problem files
 
@@ -51,31 +40,13 @@ class ProblemFile:
     """Validated problem description: a variety plus named divisors."""
 
     variety: object  # Fan | SurfaceModel
-    divisors: dict[str, dict[str, Scalar]]
+    divisors: dict[str, object]  # TDivisor | SDivisor, built and validated
     disc: int
 
     def divisor(self, name: str):
         if name not in self.divisors:
             raise ParseError(f"unknown divisor {name!r}", "divisors")
-        return _build_divisor(self.variety, self.divisors[name])
-
-    def to_json(self) -> dict:
-        out = {"divisors": {n: {k: str(v) for k, v in sorted(d.items())} for n, d in sorted(self.divisors.items())}}
-        if isinstance(self.variety, toric.Fan):
-            fan = self.variety
-            out["variety"] = {
-                "rays": [list(r) for r in fan.rays],
-                "cones": [list(c) for c in fan.max_cones],
-                "names": {n: i for n, i in fan.names},
-            }
-        else:
-            out["variety"] = {
-                "kind": "hirzebruch",
-                "e": self.variety.e,
-                "fibers": list(self.variety.fibers),
-            }
-        out["disc"] = self.disc
-        return out
+        return self.divisors[name]
 
 
 def _build_divisor(variety, coeffs: dict[str, Scalar]):
@@ -179,11 +150,12 @@ def parse_problem(data: bytes | str) -> ProblemFile:
     variety = _parse_variety(doc["variety"], "variety")
     disc = doc.get("disc")
     if disc is None:
-        disc = _env_disc()
-    if disc is None:
         disc = DEFAULT_DISC
     if not _is_json_int(disc) or disc < 0:
         raise ParseError("'disc' must be a non-negative integer", "disc")
+    root = _parse_scalar_field(f"sqrt({disc})", "disc")
+    if disc and root.disc != disc:
+        raise ParseError(f"sqrt({disc}) is {root}; 'disc' must be 0 or a square-free integer above 1", "disc")
     specs = doc.get("divisors", {})
     if not isinstance(specs, dict):
         raise ParseError("must map names to divisors", "divisors")
@@ -200,13 +172,8 @@ def parse_problem(data: bytes | str) -> ProblemFile:
                     f"divisors.{name}.{key}",
                 )
             parsed[key] = val
-        _build_divisor(variety, parsed)  # validates component names
-        divisors[name] = parsed
+        divisors[name] = _build_divisor(variety, parsed)
     return ProblemFile(variety, divisors, disc)
-
-
-def serialize_problem(pf: ProblemFile) -> str:
-    return json.dumps(pf.to_json(), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +197,9 @@ def _parse_inline_coeffs(text: str) -> dict[str, Scalar]:
 
 
 def _load_context(args):
-    """Resolve (variety, divisor D) from --file/--preset/--e plus --divisor."""
-    if getattr(args, "file", None):
+    """Resolve (variety, divisor D, disc) from --file/--preset/--e plus
+    --divisor; disc is the file's, or DEFAULT_DISC without a file."""
+    if getattr(args, "file", None) is not None:
         try:
             with open(args.file, "rb") as fh:
                 pf = parse_problem(fh.read())
@@ -249,15 +217,13 @@ def _load_context(args):
     if getattr(args, "e", None) is not None:
         fibers = tuple(args.fibers.split(",")) if args.fibers else ("F1", "F2", "F3", "F4")
         variety = _surface_model(args.e, fibers, "--e")
-    elif getattr(args, "preset", None):
+    elif getattr(args, "preset", None) is not None:
         variety = _parse_variety(args.preset, "--preset")
     else:
         raise ParseError("need --preset, --e or --file")
     if args.divisor is None:
         raise ParseError("--divisor is required")
-    D = _build_divisor(variety, _parse_inline_coeffs(args.divisor))
-    disc = _env_disc()
-    return variety, D, DEFAULT_DISC if disc is None else disc
+    return variety, _build_divisor(variety, _parse_inline_coeffs(args.divisor)), DEFAULT_DISC
 
 
 def _parse_samples(raw: str | None) -> list[Scalar] | None:
@@ -276,11 +242,12 @@ def _parse_samples(raw: str | None) -> list[Scalar] | None:
     return out
 
 
-def _default_grid(D, disc: int) -> list[Scalar]:
-    """The default sample grid, its sqrt(d) sample taken from the field of
-    D's irrational coefficients when it has any, so that every mD stays in
-    one field; from disc otherwise."""
-    return theorems.default_m_grid(next((c.disc for c in D.coeff_map().values() if c.disc), disc))
+def _default_grid(disc: int, *divisors) -> list[Scalar]:
+    """The default sample grid.  Its sqrt(d) sample is taken from the first
+    irrational coefficient of the divisors, in order, so that every multiple
+    stays in their field; from disc when they are all rational."""
+    surds = (c.disc for X in divisors for c in X.coeff_map().values() if c.disc)
+    return theorems.default_m_grid(next(surds, disc))
 
 
 def _emit(args, payload: dict, csv_lines: list[str]):
@@ -296,7 +263,7 @@ def _emit(args, payload: dict, csv_lines: list[str]):
 
 
 def _maybe_scale(D, args):
-    if getattr(args, "scale", None):
+    if getattr(args, "scale", None) is not None:
         return D.scale(_parse_scalar_field(args.scale, "scale"))
     return D
 
@@ -311,7 +278,7 @@ def _cmd_h0(args):
 
 def _cmd_hilbert(args):
     variety, D, disc = _load_context(args)
-    samples = _parse_samples(args.samples) or _default_grid(D, disc)
+    samples = _parse_samples(args.samples) or _default_grid(disc, D)
     rows = []
     for m in samples:
         c = variety.h0(D.scale(m))
@@ -435,7 +402,7 @@ def _check_common(args, which: str):
     if args.effective is None:
         raise ParseError("--effective is required")
     E = _build_divisor(variety, _parse_inline_coeffs(args.effective))
-    samples = _parse_samples(args.samples) or _default_grid(D, disc)
+    samples = _parse_samples(args.samples) or _default_grid(disc, D, E)
     if which == "A":
         report = theorems.check_theorem_a(variety, D, E, m_grid=samples)
     else:

@@ -320,10 +320,6 @@ class Scalar:
                 return NotImplemented
         return self.a == other.a and self.b == other.b and self.den == other.den and self.disc == other.disc
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __lt__(self, other):
         return self._cmp(other) < 0
 
