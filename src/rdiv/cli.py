@@ -7,21 +7,23 @@ theorem checkers, the randomized corpus and the irrational-twist example.
 
 Exit codes: 0 ok, 2 domain error, 3 parse error, 4 counterexample
 candidate or violated example.
+
+Each subcommand imports the layers it runs on when it runs: a fan query
+loads toric and the polytope layers under it, a surface query loads the
+surface model alone, and only the checkers and the corpus load theorems.
+The variety's label_kind ("ray" on a fan, "component" on a surface model)
+tells the two apart without importing either class.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import surface as surf
-from . import theorems, toric
 from .errors import ExampleViolated, ParseError, RdivError, UnsupportedModel
 from .scalars import Scalar, parse_scalar
-from .toric import preset_fan
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -35,13 +37,11 @@ DEFAULT_DISC = 2
 # problem files
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    """Validated problem description: a variety plus named divisors."""
+class ProblemFile(namedtuple("ProblemFile", "variety divisors disc")):
+    """Validated problem description: a variety (a Fan or a SurfaceModel),
+    its named divisors, built and validated, and the file's disc."""
 
-    variety: object  # Fan | SurfaceModel
-    divisors: dict[str, object]  # TDivisor | SDivisor, built and validated
-    disc: int
+    __slots__ = ()
 
     def divisor(self, name: str):
         if name not in self.divisors:
@@ -67,6 +67,8 @@ def _parse_scalar_field(raw, path: str) -> Scalar:
 
 def _parse_variety(spec, path: str):
     if isinstance(spec, str):
+        from .toric import preset_fan
+
         try:
             return preset_fan(spec)
         except ValueError as exc:
@@ -104,8 +106,10 @@ def _parse_variety(spec, path: str):
     names = spec.get("names", {})
     if not isinstance(names, dict) or not all(_is_json_int(v) for v in names.values()):
         raise ParseError("'names' must map labels to integer ray indices", f"{path}.names")
+    from .toric import Fan
+
     try:
-        return toric.Fan(len(rays[0]) if rays else 0, rays, cones, tuple(sorted(names.items())))
+        return Fan(len(rays[0]) if rays else 0, rays, cones, tuple(sorted(names.items())))
     except (ValueError, RdivError) as exc:
         raise ParseError(f"InvariantViolation: {exc}", path)
 
@@ -115,8 +119,10 @@ def _is_json_int(v) -> bool:
 
 
 def _surface_model(e: int, fibers: tuple[str, ...], path: str):
+    from .surface import SurfaceModel
+
     try:
-        return surf.SurfaceModel(e, fibers)
+        return SurfaceModel(e, fibers)
     except UnsupportedModel as exc:
         raise ParseError(str(exc), path)
 
@@ -134,6 +140,8 @@ def _unique_keys(pairs) -> dict:
 def parse_problem(data: bytes | str) -> ProblemFile:
     """Parse and validate a JSON problem file; unknown and repeated keys are
     rejected."""
+    import json
+
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -215,7 +223,7 @@ def _load_context(args):
             D = pf.divisor(spec)
         return variety, D, pf.disc
     if getattr(args, "e", None) is not None:
-        fibers = tuple(args.fibers.split(",")) if args.fibers else ("F1", "F2", "F3", "F4")
+        fibers = tuple(args.fibers.split(",")) if args.fibers is not None else ("F1", "F2", "F3", "F4")
         variety = _surface_model(args.e, fibers, "--e")
     elif getattr(args, "preset", None) is not None:
         variety = _parse_variety(args.preset, "--preset")
@@ -246,12 +254,16 @@ def _default_grid(disc: int, *divisors) -> list[Scalar]:
     """The default sample grid.  Its sqrt(d) sample is taken from the first
     irrational coefficient of the divisors, in order, so that every multiple
     stays in their field; from disc when they are all rational."""
+    from .theorems import default_m_grid
+
     surds = (c.disc for X in divisors for c in X.coeff_map().values() if c.disc)
-    return theorems.default_m_grid(next(surds, disc))
+    return default_m_grid(next(surds, disc))
 
 
 def _emit(args, payload: dict, csv_lines: list[str]):
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in csv_lines:
@@ -326,9 +338,9 @@ def _cmd_sigma(args):
         value = variety.sigma(D, _resolve_ray(variety, args.ray))
         _emit(args, {"sigma": str(value)}, [str(value)])
         return EXIT_OK
-    if isinstance(variety, surf.SurfaceModel):
+    if variety.label_kind != "ray":
         raise ParseError("--ray is required")
-    values = {variety.ray_name(i): toric.sigma(D, i) for i in range(variety.nrays)}
+    values = {variety.ray_name(i): variety.sigma(D, i) for i in range(variety.nrays)}
     payload = {"sigma": {k: str(v) for k, v in values.items()}}
     csv_lines = ["ray,sigma"] + [f"{k},{v}" for k, v in values.items()]
     _emit(args, payload, csv_lines)
@@ -337,8 +349,10 @@ def _cmd_sigma(args):
 
 def _cmd_nsigma(args):
     variety, D, _ = _load_context(args)
-    if isinstance(variety, surf.SurfaceModel):
-        pair = surf.zariski(D)
+    if variety.label_kind != "ray":
+        from .surface import zariski
+
+        pair = zariski(D)
         payload = {
             "N": {"E": str(pair.N.cE)},
             "P_class": {"E": str(pair.P[0]), "F": str(pair.P[1])},
@@ -346,7 +360,9 @@ def _cmd_nsigma(args):
         csv_lines = ["part,component,coefficient", f"N,E,{pair.N.cE}", f"P,E,{pair.P[0]}", f"P,F,{pair.P[1]}"]
         _emit(args, payload, csv_lines)
         return EXIT_OK
-    dec = toric.sigma_decomposition(D)
+    from .toric import sigma_decomposition
+
+    dec = sigma_decomposition(D)
     names = [variety.ray_name(i) for i in range(variety.nrays)]
     payload = {
         "N": {n: str(c) for n, c in zip(names, dec.nsigma.coeffs)},
@@ -378,9 +394,11 @@ def _cmd_intersect(args):
 
 def _cmd_zariski(args):
     variety, D, _ = _load_context(args)
-    if isinstance(variety, toric.Fan):
+    if variety.label_kind == "ray":
         raise ParseError("zariski runs on the surface model; use --e or a hirzebruch file")
-    pair = surf.zariski(D)
+    from .surface import zariski
+
+    pair = zariski(D)
     payload = {
         "P_class": {"E": str(pair.P[0]), "F": str(pair.P[1])},
         "N": {"E": str(pair.N.cE)},
@@ -398,6 +416,8 @@ def _cmd_zariski(args):
 
 
 def _check_common(args, which: str):
+    from . import theorems
+
     variety, D, disc = _load_context(args)
     if args.effective is None:
         raise ParseError("--effective is required")
@@ -426,6 +446,8 @@ def _cmd_check_b(args):
 def _cmd_corpus(args):
     if args.count < 0:
         raise ParseError(f"must be a non-negative integer, got {args.count}", "--count")
+    from . import theorems
+
     summary = theorems.corpus_run(args.seed, args.count, which=args.which)
     if args.format == "json":
         print(theorems.summary_to_json(summary))
@@ -438,8 +460,10 @@ def _cmd_corpus(args):
 
 
 def _cmd_paper_example(args):
+    from .surface import paper_example
+
     _surface_model(args.e, (), "--e")  # a negative --e is bad input, as for the other commands
-    rows = surf.paper_example(args.e, samples=_parse_samples(args.samples))
+    rows = paper_example(args.e, samples=_parse_samples(args.samples))
     payload = {
         "rows": [
             {

@@ -58,13 +58,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
 from .errors import UnboundedPolytope
 from .linalg import inverse, kernel_basis
-from .scalars import Scalar, _floor, _join, _new, _record, _sign
+from .scalars import Scalar, _floor, _Frozen, _join, _new, _record, _sign
 
 __all__ = [
     "HPolytope",
@@ -81,20 +81,15 @@ def _as_scalar(x) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar(x)
 
 
-@dataclass(frozen=True, init=False)
-class HPolytope:
+class HPolytope(_Frozen):
     """{u in R^dim : <u, normal_i> >= offset_i for every row i}, held as its
     offset record: offset_i = (A_i + B_i sqrt(disc)) / den for integers A_i
     and B_i, one den > 0 (the lcm of the reduced offset denominators) and
     one disc (0 when every offset is rational), built by scalars._record.
-    The record is canonical, so equality and hashing read it."""
+    The record is canonical, so equality and hashing read it.  Immutable:
+    the fields are set once, by _set."""
 
-    dim: int
-    normals: tuple[tuple[int, ...], ...]
-    den: int
-    disc: int
-    A: tuple[int, ...]
-    B: tuple[int, ...]
+    __slots__ = ("dim", "normals", "den", "disc", "A", "B")
 
     def __init__(self, dim: int, rows):
         rows = tuple(rows)
@@ -115,8 +110,23 @@ class HPolytope:
         return p
 
     def _set(self, dim, normals, den, disc, A, B):
-        # frozen: the fields are set once, here, past the dataclass's guard
-        vars(self).update(dim=dim, normals=normals, den=den, disc=disc, A=A, B=B)
+        put = object.__setattr__
+        put(self, "dim", dim)
+        put(self, "normals", normals)
+        put(self, "den", den)
+        put(self, "disc", disc)
+        put(self, "A", A)
+        put(self, "B", B)
+
+    def __eq__(self, other):
+        if type(other) is not HPolytope:
+            return NotImplemented
+        return (self.dim, self.normals, self.den, self.disc, self.A, self.B) == (
+            other.dim, other.normals, other.den, other.disc, other.A, other.B
+        )
+
+    def __hash__(self):
+        return hash((self.dim, self.normals, self.den, self.disc, self.A, self.B))
 
     @property
     def rows(self) -> tuple[tuple[tuple[int, ...], Scalar], ...]:
@@ -129,26 +139,35 @@ class HPolytope:
 # LP by the vertex minimum
 
 
-@dataclass(frozen=True)
-class LPProblem:
+class LPProblem(_Frozen):
     """Minimize <objective, u> + constant over an HPolytope."""
 
-    objective: tuple[int, ...]
-    constraints: HPolytope
-    constant: Scalar = Scalar(0)
+    __slots__ = ("objective", "constraints", "constant")
 
-    def __post_init__(self):
-        object.__setattr__(self, "objective", tuple(int(c) for c in self.objective))
-        object.__setattr__(self, "constant", _as_scalar(self.constant))
-        if len(self.objective) != self.constraints.dim:
+    def __init__(self, objective, constraints: HPolytope, constant=0):
+        objective = tuple(int(c) for c in objective)
+        if len(objective) != constraints.dim:
             raise ValueError("objective length does not match constraint dimension")
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "constant", _as_scalar(constant))
+
+    def __eq__(self, other):
+        if type(other) is not LPProblem:
+            return NotImplemented
+        return (self.objective, self.constraints, self.constant) == (
+            other.objective, other.constraints, other.constant
+        )
+
+    def __hash__(self):
+        return hash((self.objective, self.constraints, self.constant))
 
 
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal" | "infeasible"
-    value: Scalar | None = None
-    point: tuple[Scalar, ...] | None = None
+class LPResult(namedtuple("LPResult", "status value point", defaults=(None, None))):
+    """status "optimal" or "infeasible"; the least value and a point
+    attaining it when optimal."""
+
+    __slots__ = ()
 
 
 def lp_solve(problem: LPProblem) -> LPResult:

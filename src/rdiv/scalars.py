@@ -142,6 +142,38 @@ def _reduce(den: int, disc: int, A, B) -> tuple[int, int, tuple[int, ...], tuple
     return den, disc if any(B) else 0, tuple(A), tuple(B)
 
 
+class _Frozen:
+    """Base of the library's immutable value classes.  The fields are the
+    subclass's __slots__, set once in __init__ through object.__setattr__;
+    assigning or deleting one afterwards raises AttributeError.  The repr
+    lists each field as name=value, in slot order, and a pickle stores the
+    fields.  Each subclass writes its own __eq__ (same class, else
+    NotImplemented) and __hash__, over a direct tuple of its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return _unpickle, (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+
+def _unpickle(cls, values):
+    """The _Frozen instance of class cls with these field values."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class Scalar:
     """Immutable element of Q or Q(sqrt(d))."""
 

@@ -11,11 +11,11 @@ computable exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ExampleViolated, NotBig, NotPseudoeffective, UnsupportedModel
-from .scalars import Scalar
+from .scalars import Scalar, _Frozen
 
 __all__ = [
     "SurfaceModel",
@@ -36,21 +36,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    """F_e together with an ordered list of distinct fiber labels."""
+class SurfaceModel(_Frozen):
+    """F_e together with an ordered list of distinct, nonempty fiber labels.
+  """
 
-    e: int
-    fibers: tuple[str, ...] = ()
+    __slots__ = ("e", "fibers")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fibers", tuple(self.fibers))
-        if self.e < 0:
+    def __init__(self, e: int, fibers=()):
+        fibers = tuple(fibers)
+        if e < 0:
             raise UnsupportedModel("the ruling invariant e must be non-negative")
-        if len(set(self.fibers)) != len(self.fibers):
+        if len(set(fibers)) != len(fibers):
             raise UnsupportedModel("fiber labels must be distinct")
-        if {"E", "C"} & set(self.fibers):
+        if "" in fibers:
+            raise UnsupportedModel("fiber labels must be nonempty")
+        if {"E", "C"} & set(fibers):
             raise UnsupportedModel("E and C name the sections, not fibers")
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "fibers", fibers)
+
+    def __eq__(self, other):
+        if type(other) is not SurfaceModel:
+            return NotImplemented
+        return (self.e, self.fibers) == (other.e, other.fibers)
+
+    def __hash__(self):
+        return hash((self.e, self.fibers))
 
     def component(self, label: str) -> str:
         """label itself when it names E, C or a fiber; KeyError otherwise."""
@@ -116,21 +127,29 @@ class SurfaceModel:
         return out
 
 
-@dataclass(frozen=True)
-class SDivisor:
+class SDivisor(_Frozen):
     """cE*E + cC*C + sum b_i * F_{p_i} on a fixed surface model."""
 
-    model: SurfaceModel
-    cE: Scalar
-    cC: Scalar
-    fiber_coeffs: tuple[Scalar, ...] = ()
+    __slots__ = ("model", "cE", "cC", "fiber_coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cE", _sc(self.cE))
-        object.__setattr__(self, "cC", _sc(self.cC))
-        object.__setattr__(self, "fiber_coeffs", tuple(_sc(b) for b in self.fiber_coeffs))
-        if len(self.fiber_coeffs) != len(self.model.fibers):
+    def __init__(self, model: SurfaceModel, cE, cC, fiber_coeffs=()):
+        fiber_coeffs = tuple(_sc(b) for b in fiber_coeffs)
+        if len(fiber_coeffs) != len(model.fibers):
             raise ValueError("fiber coefficient count does not match the model")
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "cE", _sc(cE))
+        object.__setattr__(self, "cC", _sc(cC))
+        object.__setattr__(self, "fiber_coeffs", fiber_coeffs)
+
+    def __eq__(self, other):
+        if type(other) is not SDivisor:
+            return NotImplemented
+        return (self.model, self.cE, self.cC, self.fiber_coeffs) == (
+            other.model, other.cE, other.cC, other.fiber_coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.model, self.cE, self.cC, self.fiber_coeffs))
 
     def __add__(self, other: "SDivisor") -> "SDivisor":
         self._same_model(other)
@@ -227,12 +246,11 @@ def is_big_class(cls: tuple[Scalar, Scalar], e: int) -> bool:
     return x.sign() > 0 and y.sign() > 0
 
 
-@dataclass(frozen=True)
-class ZariskiPair:
-    """D = P + N with P nef, N effective on the negative section."""
+class ZariskiPair(namedtuple("ZariskiPair", "P N")):
+    """D = P + N with P nef, given by its class coordinates (x, y) for
+    x*E + y*F, and N effective on the negative section."""
 
-    P: tuple[Scalar, Scalar]  # class coordinates x*E + y*F
-    N: SDivisor
+    __slots__ = ()
 
     def volume(self) -> Scalar:
         e = self.N.model.e
@@ -287,12 +305,11 @@ def bplus_surface(D: SDivisor) -> frozenset[str]:
     return frozenset()
 
 
-@dataclass(frozen=True)
-class PaperExampleRow:
-    m: Scalar
-    floor_dot_e: int  # floor(m D').E
-    h0_twisted: int
-    h0_straight: int
+class PaperExampleRow(namedtuple("PaperExampleRow", "m floor_dot_e h0_twisted h0_straight")):
+    """One sample m of the twist D': floor(mD').E and the section counts
+    of mD' and of mC."""
+
+    __slots__ = ()
 
 
 def paper_example(e: int, samples=None) -> list[PaperExampleRow]:

@@ -10,17 +10,17 @@ flagged as a counterexample candidate for replay.
 
 The checkers take the variety X as a toric.Fan or a surface.SurfaceModel and
 ask it only the queries of their shared protocol (h0, volume, nsigma, bplus,
-is_big, is_nef, intersect, shifts, labels), so both models run one path.
+is_big, is_nef, intersect, shifts, labels), so both models run one path, and
+checking a surface divisor never loads the toric layers.  Only the randomized
+corpus, drawn on preset fans, imports toric, when it runs.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from . import toric
 from .errors import NotBig, NotEffective
 from .scalars import Scalar, parse_scalar
 
@@ -49,11 +49,11 @@ def default_m_grid(disc: int = 0) -> list[Scalar]:
 R_GRID = [Scalar(1), Scalar(Fraction(1, 2))]
 
 
-@dataclass(frozen=True)
-class ClauseValue:
-    status: str  # "true" | "false" | "skipped"
-    witness: dict | None = None
-    reason: str | None = None
+class ClauseValue(namedtuple("ClauseValue", "status witness reason", defaults=(None, None))):
+    """status "true", "false" or "skipped"; a witness dict for a false
+    clause and a reason for a skipped one."""
+
+    __slots__ = ()
 
     @property
     def is_true(self):
@@ -75,11 +75,11 @@ class ClauseValue:
 _TRUE = ClauseValue("true")
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    theorem: str  # "A" | "B"
-    clause_values: dict[str, ClauseValue]
-    verdict: str
+class TheoremReport(namedtuple("TheoremReport", "theorem clause_values verdict")):
+    """The clause values of checker "A" or "B" by clause name, and the
+    verdict drawn from them."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -225,16 +225,15 @@ def negsections_check(X, D, E, m_grid=None) -> bool:
 # randomized corpus
 
 
-@dataclass(frozen=True)
-class CorpusInstance:
-    index: int
-    preset: str
-    D_coeffs: tuple[str, ...]
-    E_coeffs: tuple[str, ...]
-    nef_constructed: bool
+class CorpusInstance(namedtuple("CorpusInstance", "index preset D_coeffs E_coeffs nef_constructed")):
+    """One corpus instance: D and E as coefficient literals on a preset fan."""
+
+    __slots__ = ()
 
     def realize(self):
-        fan = toric.preset_fan(self.preset)
+        from .toric import preset_fan
+
+        fan = preset_fan(self.preset)
         D = fan.divisor([parse_scalar(c) for c in self.D_coeffs])
         E = fan.divisor([parse_scalar(c) for c in self.E_coeffs])
         return fan, D, E
@@ -257,8 +256,11 @@ def _rand_fraction(rng, lo=-3, hi=3, dens=(1, 2, 4)):
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def _nef_big_divisor(fan: toric.Fan, preset: str, rng) -> toric.TDivisor:
-    """Random point of the nef cone interior, dressed with a principal shift."""
+def _nef_big_divisor(fan, preset: str, rng):
+    """Random point of the nef cone interior of a preset fan, dressed with a
+    principal shift."""
+    from .toric import principal_divisor
+
     if preset == "P2":
         D = fan.divisor({"H": Scalar(_rand_fraction(rng, 1, 3))})
     elif preset == "P3":
@@ -272,18 +274,20 @@ def _nef_big_divisor(fan: toric.Fan, preset: str, rng) -> toric.TDivisor:
             {"C": Scalar(_rand_fraction(rng, 1, 2)), "F": Scalar(_rand_fraction(rng, 0, 1))}
         )
     shift = tuple(rng.randint(-1, 1) for _ in range(fan.dim))
-    return D + toric.principal_divisor(fan, shift)
+    return D + principal_divisor(fan, shift)
 
 
-def _random_big_divisor(fan: toric.Fan, rng) -> toric.TDivisor:
+def _random_big_divisor(fan, rng):
+    from .toric import is_big
+
     for _ in range(200):
         D = fan.divisor([Scalar(_rand_fraction(rng)) for _ in range(fan.nrays)])
-        if toric.is_big(D):
+        if is_big(D):
             return D
     raise RuntimeError("could not sample a big divisor")
 
 
-def _random_effective(fan: toric.Fan, rng) -> toric.TDivisor:
+def _random_effective(fan, rng):
     coeffs = []
     for _ in range(fan.nrays):
         if rng.random() < 0.5:
@@ -296,11 +300,13 @@ def _random_effective(fan: toric.Fan, rng) -> toric.TDivisor:
 def generate_corpus(seed: int, count: int) -> list[CorpusInstance]:
     """Deterministic instance list; about 30% of the divisors are drawn
     from the nef cone so the nef clauses get exercised."""
+    from .toric import preset_fan
+
     rng = random.Random(seed)
     out = []
     for index in range(count):
         preset = rng.choice(_PRESETS)
-        fan = toric.preset_fan(preset)
+        fan = preset_fan(preset)
         nef_wanted = rng.random() < 0.3
         D = _nef_big_divisor(fan, preset, rng) if nef_wanted else _random_big_divisor(fan, rng)
         E = _random_effective(fan, rng)
@@ -324,6 +330,8 @@ def corpus_run(seed: int, count: int, which: str = "both") -> dict:
     Returns a JSON-ready summary; any counterexample candidate is embedded
     in full for replay.
     """
+    from .toric import is_nef, sigma_decomposition
+
     instances = generate_corpus(seed, count)
     shift_rng = random.Random(seed + 1)
     m_grid = default_m_grid(2)
@@ -343,9 +351,9 @@ def corpus_run(seed: int, count: int, which: str = "both") -> dict:
             reports["A"] = check_theorem_a(fan, D, E, m_grid=m_grid, rng=shift_rng)
         if which in ("B", "both"):
             reports["B"] = check_theorem_b(fan, D, E, m_grid=m_grid, rng=shift_rng)
-        if toric.is_nef(D):
+        if is_nef(D):
             summary["nef_instances"] += 1
-        dec = toric.sigma_decomposition(D)
+        dec = sigma_decomposition(D)
         if E.support() and E.support() <= dec.nsigma.support():
             summary["negsections_checked"] += 1
             if not negsections_check(fan, D, E, m_grid=m_grid):
@@ -367,4 +375,6 @@ def corpus_run(seed: int, count: int, which: str = "both") -> dict:
 
 
 def summary_to_json(summary: dict) -> str:
+    import json
+
     return json.dumps(summary, sort_keys=True, indent=2)

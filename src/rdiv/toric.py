@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import add, mul, sub
 
@@ -43,7 +43,7 @@ from .polyhedra import (
     _interval,
     _slices,
 )
-from .scalars import Scalar, _join, _new, _record, _reduce, _sign
+from .scalars import Scalar, _Frozen, _join, _new, _record, _reduce, _sign
 
 __all__ = [
     "Fan",
@@ -65,20 +65,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(_Frozen):
     """Complete simplicial rational fan, rays primitive."""
 
-    dim: int
-    rays: tuple[tuple[int, ...], ...]
-    max_cones: tuple[tuple[int, ...], ...]
-    names: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("dim", "rays", "max_cones", "names")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in self.rays))
-        object.__setattr__(self, "max_cones", tuple(tuple(sorted(c)) for c in self.max_cones))
-        object.__setattr__(self, "names", tuple(self.names))
+    def __init__(self, dim: int, rays, max_cones, names=()):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in rays))
+        object.__setattr__(self, "max_cones", tuple(tuple(sorted(c)) for c in max_cones))
+        object.__setattr__(self, "names", tuple(names))
         self.validate()
+
+    def __eq__(self, other):
+        if type(other) is not Fan:
+            return NotImplemented
+        return (self.dim, self.rays, self.max_cones, self.names) == (
+            other.dim, other.rays, other.max_cones, other.names
+        )
+
+    def __hash__(self):
+        return hash((self.dim, self.rays, self.max_cones, self.names))
 
     def validate(self):
         if self.dim < 1:
@@ -479,13 +486,10 @@ def _sigma_lp(D: TDivisor, p: HPolytope, idx: int) -> Scalar:
     return result.value
 
 
-@dataclass(frozen=True)
-class SigmaDecomposition:
+class SigmaDecomposition(namedtuple("SigmaDecomposition", "original nsigma psigma")):
     """D = psigma + nsigma with nsigma carrying the sigma multiplicities."""
 
-    original: TDivisor
-    nsigma: TDivisor
-    psigma: TDivisor
+    __slots__ = ()
 
 
 @lru_cache(maxsize=256)

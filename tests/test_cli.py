@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdiv
+import rdiv.toric
 from rdiv import cli
 from rdiv.cli import (
     EXIT_DOMAIN,
@@ -178,6 +180,60 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "False"
 
 
+# The rdiv modules a cold `python -m rdiv.cli <subcommand>` loads besides the
+# front end, which runs as __main__: the layers under the variety it names,
+# plus theorems for the checkers.
+_FAN_LAYERS = {"rdiv", "rdiv.errors", "rdiv.scalars", "rdiv.linalg", "rdiv.polyhedra", "rdiv.toric"}
+_SURFACE_LAYERS = {"rdiv", "rdiv.errors", "rdiv.scalars", "rdiv.surface"}
+
+# runs `python -m rdiv.cli ARGS`, then writes the names in sys.modules to stderr
+_LOADED_BY_CLI = """
+import runpy, sys
+code = 0
+try:
+    runpy.run_module("rdiv.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write("\\n" + " ".join(sys.modules))
+sys.exit(code)
+"""
+
+
+def _loaded_modules(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    cmd = [sys.executable, "-c", _LOADED_BY_CLI, *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return set(proc.stderr.rpartition("\n")[2].split())
+
+
+@pytest.mark.parametrize("argv", CLI_GOLDEN["argv"], ids=" ".join)
+def test_a_cold_subcommand_loads_only_the_layers_it_uses(argv):
+    loaded = _loaded_modules(*argv)
+    expected = _SURFACE_LAYERS if "--e" in argv or argv[0] == "paper-example" else _FAN_LAYERS
+    if argv[0].startswith("check-"):
+        expected = expected | {"rdiv.theorems"}
+    assert {m for m in loaded if m.split(".")[0] == "rdiv"} == expected
+    assert "dataclasses" not in loaded
+
+
+def test_import_rdiv_loads_no_submodule():
+    code = "import sys, rdiv; print(sorted(m for m in sys.modules if m.split('.')[0] == 'rdiv'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['rdiv']"
+
+
+def test_every_public_name_resolves_and_is_listed():
+    for name in rdiv.__all__:
+        assert getattr(rdiv, name) is not None
+        assert name in dir(rdiv)
+    assert rdiv.Fan is rdiv.toric.Fan and rdiv.SurfaceModel.__module__ == "rdiv.surface"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rdiv.no_such_name
+
+
 def test_nef_big_queries(capsys):
     assert invoke(capsys, "nef", "--preset", "F1", "--divisor", "C:1")[1].strip() == "true"
     assert invoke(capsys, "nef", "--preset", "F1", "--divisor", "C:1,E:1")[1].strip() == "false"
@@ -284,6 +340,8 @@ def test_missing_variety_exit(capsys):
         ("h0", "--preset", "P2", "--divisor", "H:1", "--scale", ""),
         ("h0", "--preset", "P2", "--file", "", "--divisor", "H:1"),
         ("h0", "--preset", "", "--divisor", "H:1"),
+        ("h0", "--e", "1", "--fibers", "", "--divisor", "C:1,F1:1"),
+        ("h0", "--e", "1", "--fibers", "p1,", "--divisor", "C:1"),
     ],
 )
 def test_bad_user_input_is_a_parse_error(capsys, argv):
@@ -389,7 +447,7 @@ def test_library_value_error_is_not_relabelled_as_parse_error(capsys, monkeypatc
     def broken(D):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(cli.toric, "h0", broken)
+    monkeypatch.setattr(rdiv.toric, "h0", broken)
     with pytest.raises(ValueError, match="internal bug"):
         run(["h0", "--preset", "P2", "--divisor", "H:1"])
 
