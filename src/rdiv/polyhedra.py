@@ -40,18 +40,28 @@ so the callers that read several rows hash the polytope once.
 
 Lattice counts never leave the integers: on a lattice point <u, normal> is
 an integer, so a row holds there exactly when <u, normal> >= ceil(offset),
-and each offset is rounded once per polytope, by one isqrt and one floor
-division.  Every lattice scan runs through one slicer, _slices(p, keep): it
-walks the integer prefixes of the leading n - keep coordinates over the
-vertex box, one coordinate at a time and one product per row, and yields
-the integer rows of each slice on the last keep coordinates.  On one
-coordinate a slice is an interval.  A polygon is counted without its
-vertices: between consecutive crossings of its rows one lower and one
-upper edge are active, and the points over that stretch are two
-Euclid-like floor sums, so the cost does not grow with the dilation.  So a
-count is an interval in dimension 1 and a sum over the polygons of
-_slices(p, 2) above that, and toric's sigma limit oracle minimizes over the
-intervals of _slices(p, 1).
+and each offset is rounded once per polytope, by one floor division (and
+one isqrt in Q(sqrt d)).  A count is then taken once per class of the
+round-down.  Translating by an integer vector w adds <w, normal> to every
+rounded offset and carries lattice points to lattice points, so
+lattice_form picks one translate per class, read off the vertex table's
+first subset, and the count is cached on that.  On a fan this is exact:
+the rounded offsets are the round-down of the divisor, negated, its class
+in Cl(X) is its orbit under the principal divisors div(u) for integer u
+(Cox-Little-Schenck, Toric Varieties, Thm 4.1.3), and h0 depends on the
+class alone.  A real translation is never taken out: D + sqrt(2) div(u)
+has the volume of D but not its sections.
+
+Every lattice scan runs through one slicer, _slices(p, keep): it walks the
+integer prefixes of the leading n - keep coordinates over the vertex box,
+one coordinate at a time and one product per row, and yields the integer
+rows of each slice on the last keep coordinates.  On one coordinate a slice
+is an interval.  A polygon is counted without its vertices: between
+consecutive crossings of its rows one lower and one upper edge are active,
+and the points over that stretch are two Euclid-like floor sums, so the
+cost does not grow with the dilation.  So a count is an interval in
+dimension 1 and a sum over the polygons of _slices(p, 2) above that, and
+toric's sigma limit oracle minimizes over the intervals of _slices(p, 1).
 """
 
 from __future__ import annotations
@@ -72,6 +82,7 @@ __all__ = [
     "LPResult",
     "lp_solve",
     "lattice_points",
+    "lattice_form",
     "facet_lattice_volume",
     "is_bounded",
 ]
@@ -110,13 +121,14 @@ class HPolytope(_Frozen):
         return p
 
     def _set(self, dim, normals, den, disc, A, B):
-        put = object.__setattr__
-        put(self, "dim", dim)
-        put(self, "normals", normals)
-        put(self, "den", den)
-        put(self, "disc", disc)
-        put(self, "A", A)
-        put(self, "B", B)
+        # each slot's own setter: one C call, with no attribute lookup by name
+        d, g, q, s, a, b = _SLOT_SETTERS
+        d(self, dim)
+        g(self, normals)
+        q(self, den)
+        s(self, disc)
+        a(self, A)
+        b(self, B)
 
     def __eq__(self, other):
         if type(other) is not HPolytope:
@@ -133,6 +145,9 @@ class HPolytope(_Frozen):
         """(normal, offset) per row, the offsets built as Scalars."""
         den, disc = self.den, self.disc
         return tuple((g, _new(a, b, den, disc)) for g, a, b in zip(self.normals, self.A, self.B))
+
+
+_SLOT_SETTERS = tuple(HPolytope.__dict__[name].__set__ for name in HPolytope.__slots__)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +365,9 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     The Euclid-like recursion: reduce a and b modulo m, then swap the roles
     of a and m on the transposed lattice-point count; O(log m) steps, any
     signs of a and b."""
+    if m == 1:
+        # no remainder: the sum is arithmetic, as on every row with |b| = 1
+        return a * (n * (n - 1) // 2) + b * n
     total = 0
     while True:
         q, a = divmod(a, m)
@@ -374,7 +392,9 @@ def _count_2d(rows) -> int:
     (b < 0) are active, compared at the piece's midpoint by integer
     cross-multiplication; the piece holds sum floor(upper) - sum ceil(lower)
     + length points when upper >= lower there, and none otherwise."""
-    lo, hi = -math.inf, math.inf
+    # the rows with b = 0 keep x in [lo, end), a bound being None when no row
+    # sets it; the bounds stay integers, which compare faster than with inf
+    lo = end = None
     lower, upper = [], []
     for (a, b), c in rows:
         if b > 0:
@@ -382,11 +402,15 @@ def _count_2d(rows) -> int:
         elif b < 0:
             upper.append((a, b, c))
         elif a > 0:
-            lo = max(lo, -(-c // a))
+            t = -(-c // a)
+            if lo is None or t > lo:
+                lo = t
         else:
-            hi = min(hi, c // a)
+            t = c // a + 1
+            if end is None or t < end:
+                end = t
     slanted = lower + upper
-    cuts = {lo, hi + 1} - {-math.inf, math.inf}
+    cuts = set()
     for i, (a, b, c) in enumerate(slanted):
         for a2, b2, c2 in slanted[:i]:
             det = a * b2 - a2 * b
@@ -394,9 +418,13 @@ def _count_2d(rows) -> int:
                 num = c * b2 - c2 * b
                 cuts.add(-(-num // det))
                 cuts.add(num // det + 1)
+    if lo is not None:
+        cuts = {t for t in cuts if t >= lo} | {lo}
+    if end is not None:
+        cuts = {t for t in cuts if t <= end} | {end}
     # the leftmost and rightmost vertices are crossings or lie on b = 0 rows,
     # so every integer point has its x in [cuts[0], cuts[-1])
-    cuts = sorted(t for t in cuts if lo <= t <= hi + 1)
+    cuts = sorted(cuts)
     total = 0
     for p, end in zip(cuts, cuts[1:]):
         s = p + end - 1  # twice the midpoint of the piece [p, end - 1]
@@ -425,18 +453,35 @@ def _interval(rows) -> range:
     return range(lo, hi + 1)
 
 
+def _ceil_offsets(p: HPolytope):
+    """ceil(offset) for every row of p's record; an integer record's own
+    numerators, unrounded."""
+    den, disc = p.den, p.disc
+    if disc:
+        return [-_floor(-a, -b, den, disc) for a, b in zip(p.A, p.B)]
+    if den == 1:
+        return p.A
+    return [-(-a // den) for a in p.A]
+
+
+def _integer_rows(p: HPolytope):
+    """The rows (g, ceil(offset)) of a bounded polytope, with the lattice
+    points of p, since on a lattice point <u, g> is an integer; an integer
+    record (a lattice form) is not rounded again.  Raises UnboundedPolytope
+    on unbounded input."""
+    if not is_bounded(p):
+        raise UnboundedPolytope("polytope has a nontrivial recession cone")
+    return list(zip(p.normals, _ceil_offsets(p)))
+
+
 def _slices(p: HPolytope, keep: int):
     """Yield (prefix, rows) for each integer prefix of the leading dim - keep
     coordinates in the vertex box that no row vanishing on the last keep
     coordinates excludes: the integer points over the prefix are those of
-    the integer rows (h, c), read <v, h> >= c on the last keep coordinates.
-    Each offset is rounded up once, since on a lattice point <u, g> is an
-    integer; with keep == dim the one empty prefix is yielded and no vertex
-    is read."""
-    if not is_bounded(p):
-        raise UnboundedPolytope("polytope has a nontrivial recession cone")
-    den, disc = p.den, p.disc
-    rows = [(g, -_floor(-a, -b, den, disc)) for g, a, b in zip(p.normals, p.A, p.B)]
+    the integer rows (h, c) of _integer_rows, sliced, read <v, h> >= c on
+    the last keep coordinates.  With keep == dim the one empty prefix is
+    yielded and no vertex is read."""
+    rows = _integer_rows(p)
     lead = p.dim - keep
     if not lead:
         yield (), rows
@@ -465,17 +510,50 @@ def _sliced(rows, boxes, prefix):
             yield prefix + (t,), sliced
 
 
+def lattice_form(p: HPolytope) -> HPolytope:
+    """The integer polytope {<u, g> >= c'} with the lattice points of p,
+    translated by an integer vector chosen from the class alone.
+
+    With c = ceil(offset) and A_S^-1 = M / q for the first subset S of the
+    vertex table, c' = c - G t for t = floor(M c_S / q).  Replacing c by
+    c + G w for an integer w moves M c_S / q by exactly w, so c' is the
+    same for every integer translate of p: the lattice points of p and of
+    lattice_form(p) differ by the translation -t, and translates share a
+    form.  With normals of rank below n the table is empty and the rounded
+    rows are kept as they are, so that lattice_points still raises."""
+    c = _ceil_offsets(p)
+    table = _vertex_table(p.normals, p.dim)[1]
+    if table:
+        subset, M, q, forms = table[0]
+        cs = [c[s] for s in subset]
+        if q == 1:
+            # t = M c_S, so c' is 0 on S and c_r - <g_r M, c_S> on every
+            # other row r, whose g_r M the table holds
+            form = [0] * len(c)
+            for r, w in forms:
+                form[r] = c[r] - sum(map(mul, w, cs))
+            c = form
+        else:
+            t = [sum(map(mul, row, cs)) // q for row in M]
+            c = [x - sum(map(mul, g, t)) for g, x in zip(p.normals, c)]
+    return HPolytope._of_record(p.dim, p.normals, 1, 0, tuple(c), (0,) * len(c))
+
+
 @lru_cache(maxsize=2048)
 def lattice_points(p: HPolytope) -> int:
     """Number of integer points; 0 for empty, error when unbounded.
 
-    No point is listed: an interval in dimension 1, floor sums on each
-    polygon of _slices(p, 2) above that (the polygon itself when dim is 2,
-    so no vertex is needed there).  One count per polytope, kept in a
-    bounded cache keyed by the canonical record like _vertex_set, since
-    callers comparing D, its multiples and its shifts ask again."""
+    No point is listed: an interval in dimension 1, floor sums on the
+    polygon in dimension 2 (no vertex is needed there), and on each polygon
+    of _slices(p, 2) above that.  One count per record, kept in a bounded
+    cache keyed by the canonical record like _vertex_set.  Asked on
+    lattice_form(p), as toric.h0 asks, that is one count per class of the
+    round-down: D, its shifts D + div(u) for integer u, and every divisor
+    whose round-down is linearly equivalent to D's share one entry."""
     if p.dim == 1:
-        return sum(len(_interval(rows)) for _, rows in _slices(p, 1))
+        return len(_interval(_integer_rows(p)))
+    if p.dim == 2:
+        return _count_2d(_integer_rows(p))
     return sum(_count_2d(rows) for _, rows in _slices(p, 2))
 
 

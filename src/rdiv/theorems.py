@@ -141,7 +141,8 @@ def check_theorem_a(X, D, E, m_grid=None, rng=None) -> TheoremReport:
     for shift_idx, Dp in enumerate([None] + X.shifts(rng)):
         base = D if Dp is None else D + Dp
         for m in m_grid:
-            if X.h0(base.scale(m) - E.scale(m)) != X.h0(base.scale(m)):
+            scaled = base.scale(m)
+            if X.h0(scaled - E.scale(m)) != X.h0(scaled):
                 witness = {"m": str(m)}
                 if Dp is not None:
                     witness["shift"] = shift_idx
@@ -186,10 +187,11 @@ def check_theorem_b(X, D, E, m_grid=None, rng=None) -> TheoremReport:
     for shift_idx, Dp in enumerate([None] + X.shifts(rng)):
         base = D if Dp is None else D + Dp
         for m in m_grid:
-            h_base = X.h0(base.scale(m))
+            scaled = base.scale(m)
+            h_base = X.h0(scaled)
             r_values = [m] if Dp is None else [m] + R_GRID
             for r in r_values:
-                if X.h0(base.scale(m) + E.scale(r)) != h_base:
+                if X.h0(scaled + E.scale(r)) != h_base:
                     witness = {"m": str(m), "r": str(r)}
                     if Dp is not None:
                         witness["shift"] = shift_idx

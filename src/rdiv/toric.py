@@ -37,6 +37,7 @@ from .linalg import inverse, primitive
 from .polyhedra import (
     HPolytope,
     LPProblem,
+    lattice_form,
     lattice_points,
     lp_solve,
     _facet_volumes,
@@ -423,8 +424,12 @@ def polytope_of(D: TDivisor) -> HPolytope:
 
 
 def h0(D: TDivisor) -> int:
-    """Dimension of global sections of the rounded-down divisor."""
-    return lattice_points(polytope_of(D))
+    """Dimension of global sections of the rounded-down divisor, counted
+    once per class of the round-down: h0 depends only on the linear
+    equivalence class of the round-down, and polyhedra.lattice_form keys
+    the count by that class, so D and D + div(u) for an integer u share one
+    cached count (but D + sqrt(2) div(u) does not)."""
+    return lattice_points(lattice_form(polytope_of(D)))
 
 
 def volume(D: TDivisor) -> Scalar:
@@ -585,7 +590,8 @@ def sigma_limit_oracle(D: TDivisor, ray, m_list) -> list[Scalar]:
         if isinstance(m, bool) or not isinstance(m, int) or m <= 0:
             raise ValueError("multiples must be positive integers")
         # <ray, u> is affine in the last coordinate, so its minimum over each
-        # interval of lattice points sits at an end
+        # interval of lattice points sits at an end; the polytope is mD's own,
+        # not its lattice form, since a translation moves the minimum
         best = min(
             (
                 sum(map(mul, lead, prefix)) + min(last * ts[0], last * ts[-1])

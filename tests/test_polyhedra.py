@@ -32,8 +32,10 @@ from rdiv.polyhedra import (
     _facet_volumes,
     _floor_sum,
     _vertex_set,
+    _vertex_table,
     facet_lattice_volume,
     is_bounded,
+    lattice_form,
     lattice_points,
     lp_solve,
 )
@@ -300,6 +302,61 @@ def small_polytopes(draw):
         assume(any(g))
         rows.append((tuple(g), draw(offsets(-6, 6))))
     return HPolytope(dim, tuple(rows))
+
+
+# normals of P2, F1, P3 and the non-unimodular P2/mu3, whose first vertex
+# table entry has q = 3, with a box around their section polytopes for
+# offsets in [-4, 4 + sqrt 2]
+FORM_NORMALS = {
+    "P2": (((1, 0), (0, 1), (-1, -1)), (-6, 15)),
+    "F1": (((1, 0), (0, 1), (-1, 1), (0, -1)), (-10, 15)),
+    "P3": (((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), (-6, 16)),
+    "P2/mu3": (((2, -1), (-1, 2), (-1, -1)), (-15, 15)),
+}
+
+
+@st.composite
+def section_polytopes(draw):
+    """A polytope on the normals of FORM_NORMALS, with rational or Q(sqrt 2)
+    offsets in [-4, 4 + sqrt 2]; some are empty.  Returns (p, box)."""
+    normals, box = FORM_NORMALS[draw(st.sampled_from(sorted(FORM_NORMALS)))]
+    return HPolytope(len(normals[0]), [(g, draw(offsets(-4, 4))) for g in normals]), box
+
+
+def test_lattice_form_of_the_mu3_normals_divides_by_q():
+    p = HPolytope(2, [(g, Fraction(1, 3)) for g in FORM_NORMALS["P2/mu3"][0]])
+    assert _vertex_table(p.normals, 2)[1][0][2] == 3
+    assert lattice_form(p) == lattice_form(translate(p, (5, -7)))
+
+
+@given(section_polytopes(), st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+@settings(max_examples=80, deadline=None)
+# x, y >= 2 and x + y <= -2: empty
+@example((HPolytope(2, [(g, Scalar(2)) for g in FORM_NORMALS["P2"][0]]), (-6, 15)), [1, -2, 0])
+def test_lattice_form_counts_the_polytope_and_forgets_integer_translations(drawn, shift):
+    p, (lo, hi) = drawn
+    form = lattice_form(p)
+    assert (form.normals, form.den, form.disc) == (p.normals, 1, 0)
+    expected, _ = naive_lattice_count(p.rows, p.dim, lo, hi)
+    assert lattice_points(form) == lattice_points.__wrapped__(p) == expected
+    assert lattice_form(translate(p, shift[: p.dim])) == form
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # normals of rank 1: an empty vertex table
+        [((1, 0), 0), ((-1, 0), -2)],
+        [((1, 0), Fraction(1, 2)), ((-1, 0), -2), ((2, 0), sqrt(2))],
+        # full rank, with a nonzero recession cone (e1 lies in both)
+        [((1, 0), 0), ((0, 1), Fraction(-1, 3))],
+        [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((1, 1, -1), -5)],
+    ],
+)
+def test_lattice_form_of_an_unbounded_polytope_still_raises(rows):
+    p = poly(rows, dim=len(rows[0][0]))
+    with pytest.raises(UnboundedPolytope):
+        lattice_points(lattice_form(p))
 
 
 def test_rows_free_in_the_last_coordinate_filter_prefixes():

@@ -31,7 +31,7 @@ from rdiv.errors import (
     RdivError,
     UnsupportedDivisor,
 )
-from rdiv.polyhedra import LPProblem, _vertex_set
+from rdiv.polyhedra import LPProblem, _vertex_set, lattice_form, lattice_points
 from rdiv.scalars import Scalar, sqrt
 from rdiv.surface import SurfaceModel
 from rdiv.theorems import generate_corpus
@@ -238,6 +238,29 @@ def test_h0_at_huge_multiples_matches_closed_forms(fan, coeffs, factor, closed_f
     start = time.perf_counter()
     assert h0(D) == closed_form(m)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("first", ["D", "D'"])
+def test_h0_tells_a_real_translate_from_the_divisor(first):
+    """The paper's example: D = H and D' = D + sqrt2 div(x^(1, 0)) on P2 are
+    R-linearly equivalent with equal volumes, yet h0(mD') != h0(mD) for every
+    m.  Only an integer character moves the round-down within its class, so
+    the lattice form keeps D and D' apart and merges D with D + div(x^u)."""
+    D = P2.divisor({"H": 1})
+    Dp = D + principal_divisor(P2, (sqrt(2), 0))
+    assert Dp.coeffs == (sqrt(2), Scalar(0), 1 - sqrt(2))
+    assert volume(D) == volume(Dp) == 1
+    counts = {"D": [3, 6, 10, 15, 21, 28], "D'": [1, 3, 6, 10, 15, 21]}
+    divisors = {"D": D, "D'": Dp}
+    lattice_points.cache_clear()
+    for name in (first, *(n for n in counts if n != first)):
+        assert [h0(divisors[name].scale(m)) for m in range(1, 7)] == counts[name]
+    for m in range(1, 7):
+        form = lattice_form(polytope_of(D.scale(m)))
+        assert lattice_form(polytope_of(Dp.scale(m))) != form
+        for u in ((1, 0), (-2, 3), (5, 7)):
+            shifted = (D + principal_divisor(P2, u)).scale(m)
+            assert lattice_form(polytope_of(shifted)) == form
 
 
 # ---- volume and positivity -------------------------------------------------
