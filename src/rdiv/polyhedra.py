@@ -32,11 +32,12 @@ Volumes come from Lasserre's recursion: n times the volume is the sum, over
 the rows, of the signed lattice distance of the origin from the row's
 hyperplane times the lattice volume of the face there, and each face is
 sliced into the lattice of its hyperplane and measured the same way, down
-to points.  A face's rows stay integer numerators over a common
-denominator, and a volume stays an unreduced integer fraction until it is
-returned.  The lattice volumes of the faces on all rows of a polytope are
-measured together and kept as one record per polytope, in a bounded cache,
-so the callers that read several rows hash the polytope once.
+to intervals, whose length is read off their two ends.  A face's rows stay
+integer numerators over a common denominator, and a volume stays an
+unreduced integer fraction until it is returned.  The lattice volumes of
+the faces on all rows of a polytope are measured together and kept as one
+record per polytope, in a bounded cache, so the callers that read several
+rows hash the polytope once.
 
 Lattice counts never leave the integers: on a lattice point <u, normal> is
 an integer, so a row holds there exactly when <u, normal> >= ceil(offset),
@@ -329,12 +330,33 @@ def _volume(n: int, face, disc: int) -> tuple[int, int, int]:
     dimension below n - 1 measure 0.  Identical rows are one hyperplane and
     are counted once: on a flat polytope the faces of a hyperplane and of
     its opposite are the whole polytope, and their terms cancel only in
-    pairs."""
+    pairs.
+
+    The recursion ends at intervals.  In dimension 1 a row ((k,), A, B)
+    bounds u by (A + B sqrt(disc)) / (den k), from below when k > 0, and the
+    length is the least upper end minus the greatest lower end, or 0 when
+    they meet or cross.  Two ends on one side have k's of one sign, so they
+    compare by the sign of their numerators cross-multiplied by the k's,
+    with no gcd taken.  A bounded interval has both ends."""
     if face is None:
         return 0, 0, 1
     if n == 0:
         return 1, 0, 1
     rows, den = face
+    if n == 1:
+        # kl or kh is 0 while that side has no end yet, as no row has k = 0
+        kl = kh = 0
+        for (k,), a, b in rows:
+            if k > 0:
+                if not kl or _sign(a * kl - al * k, b * kl - bl * k, disc) > 0:
+                    kl, al, bl = k, a, b
+            elif not kh or _sign(a * kh - ah * k, b * kh - bh * k, disc) < 0:
+                kh, ah, bh = k, a, b
+        # upper minus lower end over den kh kl, negated, since kh kl < 0
+        x, y = al * kh - ah * kl, bl * kh - bh * kl
+        if _sign(x, y, disc) <= 0:
+            return 0, 0, 1
+        return x, y, -den * kh * kl
     ks = [math.gcd(*g) for g, _, _ in rows]
     lcm = math.lcm(*ks)
     if lcm == 1:
@@ -579,6 +601,9 @@ def facet_lattice_volume(p: HPolytope, facet_row: int) -> Scalar:
     """(n-1)-volume of a facet, measured in the lattice of its affine hull:
     one entry of the polytope's facet record.
 
-    Returns 0 when the row supports a face of dimension below n-1.
+    Returns 0 when the row supports a face of dimension below n-1, and
+    raises IndexError for a row index that is negative or a bool.
     """
+    if isinstance(facet_row, bool) or facet_row < 0:
+        raise IndexError(f"row index {facet_row!r} out of range")
     return _facet_volumes(p)[facet_row]

@@ -127,7 +127,8 @@ class Fan(_Frozen):
         return len(self.rays)
 
     def ray_index(self, key) -> int:
-        if isinstance(key, int):
+        # a bool is an int, but no ray index
+        if isinstance(key, int) and not isinstance(key, bool):
             if not 0 <= key < self.nrays:
                 raise KeyError(f"ray index {key} out of range")
             return key

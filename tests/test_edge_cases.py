@@ -39,6 +39,14 @@ def test_facet_volume_non_primitive_row():
     assert facet_lattice_volume(doubled, 0) == facet_lattice_volume(plain, 0) == Scalar(1)
 
 
+@pytest.mark.parametrize("row", [4, -1, -4, True, False])
+def test_facet_lattice_volume_rejects_a_row_outside_the_rows(row):
+    # a negative index would wrap to a row from the end, and a bool would
+    # read as row 0 or 1
+    with pytest.raises(IndexError):
+        facet_lattice_volume(UNIT_SQUARE, row)
+
+
 def test_duplicate_rows_are_harmless():
     doubled = poly(
         [((1, 0), 0), ((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1), ((-1, 0), -1)]

@@ -33,13 +33,14 @@ from rdiv.polyhedra import (
     _floor_sum,
     _vertex_set,
     _vertex_table,
+    _volume,
     facet_lattice_volume,
     is_bounded,
     lattice_form,
     lattice_points,
     lp_solve,
 )
-from rdiv.scalars import Scalar, sqrt
+from rdiv.scalars import Scalar, _new, sqrt
 from rdiv.theorems import generate_corpus
 from rdiv.toric import polytope_of, preset_fan
 
@@ -719,13 +720,73 @@ def test_facet_volumes_match_the_scalar_lasserre_oracle():
     assert checked > 120
 
 
-@given(small_polytopes())
-@settings(max_examples=60)
+R2 = sqrt(2)
+BIG = 10**30
+
+
+# cut boxes, and the section polytopes of the corpus fans' normals
+@given(st.one_of(small_polytopes(), section_polytopes().map(lambda drawn: drawn[0])))
+@settings(max_examples=140, deadline=None)
+# P3's simplex 0, 0, -1/2 <= u and u1 + u2 + u3 <= 2 + sqrt(2): four triangles
+@example(HPolytope(3, zip(FORM_NORMALS["P3"][0], (0, 0, Fraction(-1, 2), -2 - R2))))
 def test_facet_volumes_match_the_scalar_lasserre_oracle_on_small_polytopes(p):
     assert _facet_volumes(p) == scalar_facet_volumes(p)
     assert _vertex_set(p) == vertex_set_by_elimination(p)
     if _vertex_set(p):
         assert euclidean_volume(p) == scalar_lasserre_volume(p.dim, p.rows)
+
+
+# ---- Lasserre's recursion ends at intervals --------------------------------
+
+
+def _interval_length(p):
+    """_volume(1, ...) on the rows of a 1-dimensional polytope, as a Scalar."""
+    return _new(*_volume(1, (tuple(zip(p.normals, p.A, p.B)), p.den), p.disc), p.disc)
+
+
+@pytest.mark.parametrize(
+    "rows, length",
+    [
+        ([(1, 2), (-1, -1)], 0),  # 2 <= u <= 1: the ends cross
+        ([(-3, -3), (2, 3)], 0),  # 3/2 <= u <= 1, non-primitive
+        ([(1, 3), (-1, -3)], 0),  # a single point
+        ([(2, 6), (-5, -15), (1, 3)], 0),
+        # duplicate and redundant bounds on both sides, largest numerators
+        # on the redundant rows: 2 <= u <= 4
+        ([(1, 0), (1, 0), (2, 3), (1, 2), (3, 1), (-1, -4), (-1, -4), (-2, -9), (-3, -13)], 2),
+        ([(-3, -13), (-1, -4), (3, 1), (1, 2), (-2, -9), (2, 3)], 2),
+        ([(2, 1), (-3, -5)], Fraction(7, 6)),  # 1/2 <= u <= 5/3
+        ([(1, -R2 / 2), (-1, -1 - R2)], 1 + R2 * Fraction(3, 2)),
+        # sqrt(2) > 7/5 and 1 + sqrt(2)/3 < 3/2: the surd decides both ends
+        ([(1, Fraction(7, 5)), (2, 2 * R2), (-2, -3), (-3, -3 - R2)], 1 - R2 * Fraction(2, 3)),
+        ([(1, BIG + Fraction(1, 3)), (-7, -7 * BIG - 5)], Fraction(8, 21)),
+        ([(3, 3 * BIG * R2), (-2, -2 * BIG * R2 - 2 * BIG), (1, BIG * R2 - 1)], BIG),
+    ],
+)
+def test_interval_length_is_read_off_the_ends(rows, length):
+    p = HPolytope(1, [((k,), o) for k, o in rows])
+    assert _interval_length(p) == scalar_lasserre_volume(1, p.rows) == length
+
+
+@st.composite
+def interval_rows(draw):
+    """1-dimensional rows (k, offset) in random order, with k in [-4, 4]
+    nonzero and at least one k of each sign, and rational or Q(sqrt 2)
+    offsets; half the time both ends sit near 10**30."""
+    ks = [draw(st.integers(1, 4)), -draw(st.integers(1, 4))]
+    ks += draw(st.lists(st.integers(-4, 4).filter(bool), max_size=4))
+    shift = draw(st.sampled_from((0, BIG)))
+    return draw(st.permutations([(k, draw(offsets(-4, 4)) + shift * k) for k in ks]))
+
+
+@given(interval_rows())
+@settings(max_examples=200)
+def test_interval_length_matches_the_recursion_to_points(rows):
+    lo = max(o / k for k, o in rows if k > 0)
+    hi = min(o / k for k, o in rows if k < 0)
+    expected = hi - lo if hi > lo else Scalar(0)
+    p = HPolytope(1, [((k,), o) for k, o in rows])
+    assert _interval_length(p) == scalar_lasserre_volume(1, p.rows) == expected
 
 
 def test_rows_mixing_two_surds_raise_mixed_discriminant():

@@ -107,6 +107,19 @@ def test_preset_aliases():
     assert P2.ray_index("H") == 2
 
 
+@pytest.mark.parametrize("key", [True, False])
+def test_a_bool_names_no_ray(key):
+    # True == 1 and False == 0, but a flag is not a ray index
+    with pytest.raises(KeyError, match="unknown ray"):
+        P2.ray_index(key)
+    with pytest.raises(KeyError):
+        P2.divisor({key: 1})
+    with pytest.raises(KeyError):
+        sigma(P2.divisor({"H": 1}), key)
+    with pytest.raises(KeyError):
+        sigma_limit_oracle(P2.divisor({"H": 1}), key, [1])
+
+
 def test_fan_rejects_nonprimitive_ray():
     with pytest.raises(ValueError):
         Fan(2, ((2, 2), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
