@@ -5,8 +5,11 @@ toric side needs comes from inverting a square integer matrix, namely the
 vertices and boundedness of a section polytope (polyhedra's vertex table)
 and the cone coordinates behind the fan's simplicial, overlap and wall
 tests (toric).  It runs fraction-free, so every entry stays an integer.
-kernel_basis gives a lattice basis of a hyperplane, for the faces that
-Lasserre's recursion measures.
+unimodular_basis completes an integer vector g to a lattice basis whose
+first vector y has <g, y> = gcd(g) and whose others span g's kernel: the
+kernel basis gives the lattice of a hyperplane, for the faces that
+Lasserre's recursion measures, and the whole basis puts <g, u> on the first
+coordinate, for polyhedra's lattice minimum.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-__all__ = ["inverse", "kernel_basis", "primitive"]
+__all__ = ["inverse", "kernel_basis", "primitive", "unimodular_basis"]
 
 
 def inverse(rows):
@@ -55,12 +58,13 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
-@lru_cache(maxsize=4096)
-def kernel_basis(g: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Z-basis of the lattice {x in Z^n : <g, x> = 0} for integer g != 0.
+def unimodular_basis(g: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Z-basis (y, k_1, ..., k_(n-1)) of Z^n for integer g != 0, with
+    <g, y> = gcd(g) and <g, k_i> = 0: the columns of a unimodular matrix, so
+    the k_i span the kernel lattice.
 
-    Column-reduces g to gcd(g)*e_1 by unimodular operations tracked on the
-    identity; the remaining columns span the kernel lattice.
+    Column-reduces g to +-gcd(g)*e_1 by unimodular operations tracked on the
+    identity; the first column, negated if needed, is y.
     """
     n = len(g)
     w = list(g)
@@ -71,9 +75,10 @@ def kernel_basis(g: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             raise ValueError("zero vector")
         if len(nonzero) == 1:
             k = nonzero[0]
-            w[0], w[k] = w[k], w[0]
             cols[0], cols[k] = cols[k], cols[0]
-            return tuple(tuple(cols[j]) for j in range(1, n))
+            if w[k] < 0:
+                cols[0] = [-x for x in cols[0]]
+            return tuple(map(tuple, cols))
         i0 = min(nonzero, key=lambda i: abs(w[i]))
         for j in nonzero:
             if j == i0:
@@ -82,3 +87,10 @@ def kernel_basis(g: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             if q:
                 w[j] -= q * w[i0]
                 cols[j] = [a - q * b for a, b in zip(cols[j], cols[i0])]
+
+
+@lru_cache(maxsize=4096)
+def kernel_basis(g: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Z-basis of the lattice {x in Z^n : <g, x> = 0} for integer g != 0:
+    the last n - 1 columns of unimodular_basis(g)."""
+    return unimodular_basis(g)[1:]

@@ -61,8 +61,14 @@ is an interval.  A polygon is counted without its vertices: between
 consecutive crossings of its rows one lower and one upper edge are active,
 and the points over that stretch are two Euclid-like floor sums, so the
 cost does not grow with the dilation.  So a count is an interval in
-dimension 1 and a sum over the polygons of _slices(p, 2) above that, and
-toric's sigma limit oracle minimizes over the intervals of _slices(p, 1).
+dimension 1 and a sum over the polygons of _slices(p, 2) above that.
+
+toric's sigma limit oracle asks for the least <g, u> over the lattice
+points, for a ray g.  _lattice_min changes coordinates unimodularly so that
+<g, u> / gcd(g) is the first one, which keeps the lattice and the offset
+record, and stops at the first slice that holds a lattice point: the first
+coordinate rises from its lower box end, so that slice is the minimum, and
+its cost does not grow with the dilation either.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import UnboundedPolytope
-from .linalg import inverse, kernel_basis
+from .linalg import inverse, kernel_basis, unimodular_basis
 from .scalars import Scalar, _floor, _Frozen, _join, _new, _record, _sign
 
 __all__ = [
@@ -253,17 +259,16 @@ def is_bounded(p: HPolytope) -> bool:
     return _vertex_table(p.normals, p.dim)[0]
 
 
-@lru_cache(maxsize=4096)
-def _vertex_set(p: HPolytope) -> tuple[tuple[Scalar, ...], ...]:
-    """All vertices of a bounded polytope (empty tuple when infeasible), in
-    sorted order: the feasible candidates of the vertex table.  On the
-    offset record the test of row r is the sign of an integer pair, and a
-    vertex is (M A_S + M B_S sqrt(disc)) / (q den)."""
+def _feasible(p: HPolytope):
+    """Yield (a, b, M, q) for each entry of the vertex table whose candidate
+    vertex satisfies every row of p: a and b are the offset numerators of
+    the subset S, A_S^-1 = M / q, and the vertex is (M a + M b sqrt(disc)) /
+    (q den).  On the offset record the test of row r is the sign of an
+    integer pair.  Raises UnboundedPolytope on unbounded input."""
     bounded, table = _vertex_table(p.normals, p.dim)
     if not bounded:
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
     A, B, disc = p.A, p.B, p.disc
-    found = {}
     for subset, M, q, forms in table:
         a = [A[s] for s in subset]
         b = [B[s] for s in subset]
@@ -271,11 +276,18 @@ def _vertex_set(p: HPolytope) -> tuple[tuple[Scalar, ...], ...]:
             _sign(sum(map(mul, a, w)) - q * A[r], sum(map(mul, b, w)) - q * B[r], disc) >= 0
             for r, w in forms
         ):
-            qd = q * p.den
-            v = tuple(
-                _new(sum(map(mul, a, row)), sum(map(mul, b, row)), qd, disc) for row in M
-            )
-            found[tuple((c.a, c.b, c.den) for c in v)] = v
+            yield a, b, M, q
+
+
+@lru_cache(maxsize=4096)
+def _vertex_set(p: HPolytope) -> tuple[tuple[Scalar, ...], ...]:
+    """All vertices of a bounded polytope (empty tuple when infeasible), in
+    sorted order: the feasible candidates of the vertex table."""
+    disc, found = p.disc, {}
+    for a, b, M, q in _feasible(p):
+        qd = q * p.den
+        v = tuple(_new(sum(map(mul, a, row)), sum(map(mul, b, row)), qd, disc) for row in M)
+        found[tuple((c.a, c.b, c.den) for c in v)] = v
     return tuple(sorted(found.values()))
 
 
@@ -508,12 +520,18 @@ def _slices(p: HPolytope, keep: int):
     if not lead:
         yield (), rows
         return
-    vs = _vertex_set(p)
-    if vs:
+    # the integer ends (ceil, floor) of each leading coordinate of each
+    # feasible candidate vertex, read off the vertex table's numerators, so
+    # no vertex is built and none is compared: ceil(min) = min(ceil)
+    disc, ends = p.disc, []
+    for a, b, M, q in _feasible(p):
+        qd = q * p.den
+        xy = [(sum(map(mul, a, row)), sum(map(mul, b, row))) for row in M[:lead]]
+        ends.append([(-_floor(-x, -y, qd, disc), _floor(x, y, qd, disc)) for x, y in xy])
+    if ends:
         # each coordinate's box as the two rows t >= ceil(min) and -t >= -floor(max)
         boxes = [
-            [((1,), math.ceil(min(col))), ((-1,), -math.floor(max(col)))]
-            for col in list(zip(*vs))[:lead]
+            [((1,), min(c for c, _ in col)), ((-1,), -max(f for _, f in col))] for col in zip(*ends)
         ]
         yield from _sliced(rows, boxes, ())
 
@@ -530,6 +548,34 @@ def _sliced(rows, boxes, prefix):
             yield from _sliced(sliced, boxes[1:], prefix + (t,))
         else:
             yield prefix + (t,), sliced
+
+
+@lru_cache(maxsize=256)
+def _ray_normals(normals: tuple[tuple[int, ...], ...], g: tuple[int, ...]):
+    """The normals in the coordinates of linalg.unimodular_basis(g): each
+    normal h becomes W^T h for the basis W = (y, kernel of g), so a row
+    <u, h> >= o reads <v, W^T h> >= o at u = W v, and <g, u> = gcd(g) v_1."""
+    basis = unimodular_basis(g)
+    return tuple(tuple(sum(map(mul, h, w)) for w in basis) for h in normals)
+
+
+def _lattice_min(p: HPolytope, g: tuple[int, ...]):
+    """The least <g, u> over the lattice points u of a bounded polytope, for
+    integer g != 0; None when p has no lattice point.
+
+    The unimodular change of coordinates of _ray_normals puts <g, u> / gcd(g)
+    on the first coordinate and keeps the lattice and the offset record.
+    The slices then rise from the first coordinate's lower box end, and the
+    first one holding a lattice point is the minimum: an interval in
+    dimension 2, and a polygon, counted by _count_2d without its points,
+    above that.  So the cost does not grow with the dilation."""
+    q = HPolytope._of_record(p.dim, _ray_normals(p.normals, g), p.den, p.disc, p.A, p.B)
+    k = math.gcd(*g)
+    if p.dim == 1:
+        ts = _interval(_integer_rows(q))
+        return k * ts[0] if ts else None
+    keep, holds = (1, _interval) if p.dim == 2 else (2, _count_2d)
+    return next((k * prefix[0] for prefix, rows in _slices(q, keep) if holds(rows)), None)
 
 
 def lattice_form(p: HPolytope) -> HPolytope:

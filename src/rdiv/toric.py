@@ -41,8 +41,7 @@ from .polyhedra import (
     lattice_points,
     lp_solve,
     _facet_volumes,
-    _interval,
-    _slices,
+    _lattice_min,
 )
 from .scalars import Scalar, _Frozen, _join, _new, _record, _reduce, _sign
 
@@ -578,29 +577,25 @@ def sigma_limit_oracle(D: TDivisor, ray, m_list) -> list[Scalar]:
     """Finite-level approximations (1/m) min mult_ray over sections of mD.
 
     Each value dominates sigma(D, ray) and the sequence converges to it
-    along doubling chains.
+    along doubling chains.  Every multiple is checked before any is
+    counted, and each costs one lattice minimum, whose cost does not grow
+    with m.
     """
     _check_tdivisor(D)
     if not is_big(D):
         raise NotBig("the limit oracle needs a big divisor")
     idx = D.fan.ray_index(ray)
-    *lead, last = D.fan.rays[idx]
+    v = D.fan.rays[idx]
     a = D.coeffs[idx]
-    out = []
     for m in m_list:
         if isinstance(m, bool) or not isinstance(m, int) or m <= 0:
             raise ValueError("multiples must be positive integers")
-        # <ray, u> is affine in the last coordinate, so its minimum over each
-        # interval of lattice points sits at an end; the polytope is mD's own,
-        # not its lattice form, since a translation moves the minimum
-        best = min(
-            (
-                sum(map(mul, lead, prefix)) + min(last * ts[0], last * ts[-1])
-                for prefix, rows in _slices(polytope_of(D.scale(m)), 1)
-                if (ts := _interval(rows))
-            ),
-            default=None,
-        )
+    out = []
+    for m in m_list:
+        # the section of u vanishes to order m a + <v, u> on the ray's divisor;
+        # the polytope is mD's own, not its lattice form, since a translation
+        # moves the minimum
+        best = _lattice_min(polytope_of(D.scale(m)), v)
         if best is None:
             raise NoSections(m)
         out.append((m * a + best) / m)

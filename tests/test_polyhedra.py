@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_vertices_2d,
+    det,
     euclidean_volume,
     lattice_point_list,
     naive_lattice_count,
@@ -25,12 +26,13 @@ from oracles import (
     vertices,
 )
 from rdiv.errors import EmptyPolytope, MixedDiscriminant, UnboundedPolytope
-from rdiv.linalg import inverse
+from rdiv.linalg import inverse, primitive, unimodular_basis
 from rdiv.polyhedra import (
     HPolytope,
     LPProblem,
     _facet_volumes,
     _floor_sum,
+    _lattice_min,
     _vertex_set,
     _vertex_table,
     _volume,
@@ -305,10 +307,11 @@ def small_polytopes(draw):
     return HPolytope(dim, tuple(rows))
 
 
-# normals of P2, F1, P3 and the non-unimodular P2/mu3, whose first vertex
-# table entry has q = 3, with a box around their section polytopes for
-# offsets in [-4, 4 + sqrt 2]
+# normals of P1, P2, F1, P3 and the non-unimodular P2/mu3, whose first
+# vertex table entry has q = 3, with a box around their section polytopes
+# for offsets in [-4, 4 + sqrt 2]
 FORM_NORMALS = {
+    "P1": (((1,), (-1,)), (-6, 15)),
     "P2": (((1, 0), (0, 1), (-1, -1)), (-6, 15)),
     "F1": (((1, 0), (0, 1), (-1, 1), (0, -1)), (-10, 15)),
     "P3": (((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), (-6, 16)),
@@ -341,6 +344,34 @@ def test_lattice_form_counts_the_polytope_and_forgets_integer_translations(drawn
     expected, _ = naive_lattice_count(p.rows, p.dim, lo, hi)
     assert lattice_points(form) == lattice_points.__wrapped__(p) == expected
     assert lattice_form(translate(p, shift[: p.dim])) == form
+
+
+@given(section_polytopes(), st.lists(st.integers(-4, 4), min_size=3, max_size=3))
+@settings(max_examples=150, deadline=None)
+# x, y >= 2 and x + y <= -2: empty
+@example((HPolytope(2, [(g, Scalar(2)) for g in FORM_NORMALS["P2"][0]]), (-6, 15)), [2, -1, 0])
+# 1/3 <= u <= 2/3 and the triangle sqrt(2)/4 <= x, y and x + y <= 5/4: no lattice point
+@example((HPolytope(1, [((1,), Fraction(1, 3)), ((-1,), Fraction(-2, 3))]), (-6, 15)), [3, 0, 0])
+@example(
+    (HPolytope(2, zip(FORM_NORMALS["P2"][0], (sqrt(2) / 4, sqrt(2) / 4, Fraction(-5, 4)))), (-6, 15)),
+    [1, 1, 0],
+)
+def test_lattice_min_is_the_least_value_over_the_lattice_points(drawn, g):
+    p, _ = drawn
+    pts = lattice_point_list(p)
+    g = tuple(g[: p.dim])
+    # every normal, a random vector when it is not zero, and its primitive form
+    for h in p.normals + ((g, primitive(g)) if any(g) else ()):
+        expected = min((sum(map(mul, h, u)) for u in pts), default=None)
+        assert _lattice_min(p, h) == expected, h
+
+
+@pytest.mark.parametrize("g", [(1,), (-3,), (0, -1), (6, -4), (2, 3, 0), (0, 0, -5), (3, -7, 12, 5)])
+def test_unimodular_basis_puts_the_gcd_on_its_first_vector(g):
+    y, *kernel = basis = unimodular_basis(g)
+    assert sum(map(mul, g, y)) == math.gcd(*g)
+    assert all(sum(map(mul, g, k)) == 0 for k in kernel)
+    assert abs(det(basis)) == 1
 
 
 @pytest.mark.parametrize(

@@ -664,8 +664,12 @@ def test_sigma_limit_dominates_lp():
                 assert v >= lp_value
 
 
+# P2/mu3: the quotient of P2 by mu3, a complete fan whose cones have index 3
+MU3 = Fan(2, ((2, -1), (-1, 2), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
+
+
 @given(
-    st.sampled_from((P2, F1, P1P1, P3)),
+    st.sampled_from((P2, F1, P1P1, P3, MU3)),
     st.lists(st.fractions(-1, 3, max_denominator=4), min_size=4, max_size=4),
     st.booleans(),
     st.integers(1, 5),
@@ -687,6 +691,33 @@ def test_sigma_limit_oracle_is_the_minimum_over_lattice_points(fan, coeffs, root
 def test_sigma_limit_oracle_rejects_multiples_that_are_not_positive_ints(m):
     with pytest.raises(ValueError, match="multiples must be positive integers"):
         sigma_limit_oracle(C + E, "E", [m])
+
+
+def test_sigma_limit_oracle_checks_every_multiple_before_it_counts(monkeypatch):
+    # a bad multiple anywhere in the list fails before the first one is counted
+    def scaled(D, m):
+        raise AssertionError(f"the oracle scaled by {m} before it checked the multiples")
+
+    monkeypatch.setattr(toric.TDivisor, "scale", scaled)
+    with pytest.raises(ValueError, match="multiples must be positive integers"):
+        sigma_limit_oracle(C + E, "E", [10**6, 0])
+
+
+@pytest.mark.parametrize("root2", [False, True], ids=["rational", "sqrt2"])
+@pytest.mark.parametrize("m", [10**3, 10**9])
+@pytest.mark.parametrize("fan", [P2, P3], ids=["P2", "P3"])
+def test_sigma_limit_oracle_cost_does_not_grow_with_m(fan, m, root2):
+    # on P2 and P3 the slice u_1 = ceil(-m a_0) holds a lattice point once the
+    # round-downs of m a_i sum to >= 0, so the value is the fractional part
+    # of m a_0 over m
+    coeffs = [Scalar(c) for c in (Fraction(1, 3), Fraction(2, 7), Fraction(-1, 5), Fraction(1, 2))]
+    if root2:
+        coeffs[0] = coeffs[0] + sqrt(2) / 3
+    D = fan.divisor(coeffs[: fan.nrays])
+    a = m * D.coeffs[0]
+    start = time.perf_counter()
+    assert sigma_limit_oracle(D, 0, [m]) == [(a - math.floor(a)) / m]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sigma_limit_no_sections():
