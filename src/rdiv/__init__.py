@@ -18,7 +18,6 @@ __all__ = [
     "scalar_floor",
     "sqrt",
     "HPolytope",
-    "LPProblem",
     "lp_solve",
     "Fan",
     "TDivisor",
@@ -37,7 +36,6 @@ _ORIGIN = {
     "scalar_floor": "scalars",
     "sqrt": "scalars",
     "HPolytope": "polyhedra",
-    "LPProblem": "polyhedra",
     "lp_solve": "polyhedra",
     "Fan": "toric",
     "TDivisor": "toric",

@@ -25,10 +25,6 @@ class UnboundedPolytope(RdivError):
     pass
 
 
-class EmptyPolytope(RdivError):
-    pass
-
-
 class NotBig(RdivError):
     pass
 

@@ -24,9 +24,11 @@ other rows; the recession cone {u : <u, g> >= 0} is the origin alone
 exactly when the table is not empty (the normals have full rank) and no
 such column has a nonnegative product with every other row.
 
-An LP over a bounded polytope attains its minimum at a vertex, so it is
-solved exactly as the least objective value over the cached vertex set; no
-simplex runs.
+A bounded polytope attains the minimum of a linear objective at a vertex,
+so lp_solve reads the cached vertex set once for a whole list of integer
+objectives, each vertex put over the lcm of its denominators once, and
+takes every objective's least value from that read; no simplex runs.
+toric's sigma decomposition asks for all of a fan's rays in one call.
 
 Volumes come from Lasserre's recursion: n times the volume is the sum, over
 the rows, of the signed lattice distance of the origin from the row's
@@ -75,18 +77,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 
 from .errors import UnboundedPolytope
 from .linalg import inverse, kernel_basis, unimodular_basis
-from .scalars import Scalar, _floor, _Frozen, _join, _new, _record, _sign
+from .scalars import Scalar, _floor, _Frozen, _new, _record, _sign
 
 __all__ = [
     "HPolytope",
-    "LPProblem",
-    "LPResult",
     "lp_solve",
     "lattice_points",
     "lattice_form",
@@ -161,60 +160,34 @@ _SLOT_SETTERS = tuple(HPolytope.__dict__[name].__set__ for name in HPolytope.__s
 # LP by the vertex minimum
 
 
-class LPProblem(_Frozen):
-    """Minimize <objective, u> + constant over an HPolytope."""
-
-    __slots__ = ("objective", "constraints", "constant")
-
-    def __init__(self, objective, constraints: HPolytope, constant=0):
-        objective = tuple(int(c) for c in objective)
-        if len(objective) != constraints.dim:
-            raise ValueError("objective length does not match constraint dimension")
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "constant", _as_scalar(constant))
-
-    def __eq__(self, other):
-        if type(other) is not LPProblem:
-            return NotImplemented
-        return (self.objective, self.constraints, self.constant) == (
-            other.objective, other.constraints, other.constant
-        )
-
-    def __hash__(self):
-        return hash((self.objective, self.constraints, self.constant))
-
-
-class LPResult(namedtuple("LPResult", "status value point", defaults=(None, None))):
-    """status "optimal" or "infeasible"; the least value and a point
-    attaining it when optimal."""
-
-    __slots__ = ()
-
-
-def lp_solve(problem: LPProblem) -> LPResult:
-    """Exact LP over a bounded polytope: its minimum is attained at a vertex,
-    so it is the least <objective, v> + constant over the vertex set, with
-    the first minimizing vertex in sorted order as the point.  Raises
-    UnboundedPolytope on unbounded input."""
-    poly = problem.constraints
-    vs = _vertex_set(poly)
+def lp_solve(p: HPolytope, objectives) -> tuple[Scalar, ...] | None:
+    """The least <g, v> over the vertices v of a bounded polytope, for each
+    integer objective g, in objective order; None when p is empty.  A
+    bounded polytope attains each minimum at a vertex, so one read of the
+    cached vertex set answers every objective.  Raises TypeError for an
+    entry that is not an integer, ValueError when an objective's length is
+    not p's dimension, and UnboundedPolytope on unbounded input."""
+    objectives = [tuple(map(index, g)) for g in objectives]
+    if any(len(g) != p.dim for g in objectives):
+        raise ValueError("objective length does not match the polytope's dimension")
+    vs = _vertex_set(p)
     if not vs:
-        return LPResult("infeasible")
-    disc, best = poly.disc, None
-    # <objective, v> = (x + y sqrt(disc)) / q over the lcm q of v's denominators
-    for k, v in enumerate(vs):
+        return None
+    # each vertex as numerators (a, b) over the lcm q of its denominators,
+    # so <g, v> = (<g, a> + <g, b> sqrt(disc)) / q
+    lanes = []
+    for v in vs:
         q = math.lcm(*(c.den for c in v))
-        x = sum(w * c.a * (q // c.den) for w, c in zip(problem.objective, v))
-        y = sum(w * c.b * (q // c.den) for w, c in zip(problem.objective, v))
-        if best is None or _sign(x * best[2] - best[0] * q, y * best[2] - best[1] * q, disc) < 0:
-            best = x, y, q, k
-    x, y, q, k = best
-    c = problem.constant
-    d = disc if y else 0
-    if d != c.disc:
-        d = _join(d, c.disc)
-    return LPResult("optimal", _new(x * c.den + c.a * q, y * c.den + c.b * q, q * c.den, d), vs[k])
+        lanes.append(([c.a * (q // c.den) for c in v], [c.b * (q // c.den) for c in v], q))
+    disc, out = p.disc, []
+    for g in objectives:
+        best = None
+        for a, b, q in lanes:
+            x, y = sum(map(mul, g, a)), sum(map(mul, g, b))
+            if best is None or _sign(x * best[2] - best[0] * q, y * best[2] - best[1] * q, disc) < 0:
+                best = x, y, q
+        out.append(_new(*best, disc))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

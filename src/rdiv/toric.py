@@ -36,7 +36,6 @@ from .errors import (
 from .linalg import inverse, primitive
 from .polyhedra import (
     HPolytope,
-    LPProblem,
     lattice_form,
     lattice_points,
     lp_solve,
@@ -475,20 +474,12 @@ def is_nef(D: TDivisor) -> bool:
 def sigma(D: TDivisor, ray) -> Scalar:
     """Infimum of the coefficient along the ray over the effective members
     of the R-linear equivalence class: a_i + min <ray, u> over the section
-    polytope, an exact LP that lp_solve answers by the vertex minimum."""
+    polytope, one objective of one lp_solve call, read off its vertex set."""
     _check_tdivisor(D)
     if not is_big(D):
         raise NotBig("sigma is defined for big divisors only")
     idx = D.fan.ray_index(ray)
-    return _sigma_lp(D, polytope_of(D), idx)
-
-
-def _sigma_lp(D: TDivisor, p: HPolytope, idx: int) -> Scalar:
-    """sigma(D, idx) on the section polytope p of a D known to be big."""
-    result = lp_solve(LPProblem(D.fan.rays[idx], p, D.coeffs[idx]))
-    if result.status != "optimal":
-        raise RdivError(f"sigma LP unexpectedly {result.status}")
-    return result.value
+    return D.coeffs[idx] + lp_solve(polytope_of(D), [D.fan.rays[idx]])[0]
 
 
 class SigmaDecomposition(namedtuple("SigmaDecomposition", "original nsigma psigma")):
@@ -499,20 +490,20 @@ class SigmaDecomposition(namedtuple("SigmaDecomposition", "original nsigma psigm
 
 @lru_cache(maxsize=256)
 def sigma_decomposition(D: TDivisor) -> SigmaDecomposition:
-    """N_sigma(D) = sum of sigma(D, i) D_i and P_sigma = D - N_sigma, each
-    sigma one vertex-minimum LP.  Bigness is checked once: P_sigma has the
-    section polytope of D, so it is big too.  Every sigma of P_sigma is
-    checked to be 0.  One decomposition per divisor, kept in a bounded
-    cache that every caller shares; errors are raised again on every call."""
+    """N_sigma(D) = sum of sigma(D, i) D_i and P_sigma = D - N_sigma.  Every
+    sigma minimises over one section polytope, so one lp_solve call reads
+    its vertex set once for all the rays.  Bigness is checked once: P_sigma
+    has the section polytope of D, so it is big too.  Every sigma of P_sigma
+    is checked to be 0, by a second call on its own polytope.  One
+    decomposition per divisor, kept in a bounded cache that every caller
+    shares; errors are raised again on every call."""
     _check_tdivisor(D)
     if not is_big(D):
         raise NotBig("sigma decomposition is defined for big divisors only")
-    rays = range(D.fan.nrays)
-    p = polytope_of(D)
-    neg = TDivisor(D.fan, tuple(_sigma_lp(D, p, i) for i in rays))
+    rays = D.fan.rays
+    neg = TDivisor(D.fan, tuple(map(add, D.coeffs, lp_solve(polytope_of(D), rays))))
     pos = D - neg
-    p = polytope_of(pos)
-    if any(_sigma_lp(pos, p, i) for i in rays):
+    if any(map(add, pos.coeffs, lp_solve(polytope_of(pos), rays))):
         raise RdivError("positive part retained a nonzero sigma multiplicity")
     return SigmaDecomposition(D, neg, pos)
 
@@ -554,11 +545,14 @@ def intersection_nef(D: TDivisor, ray) -> Scalar:
 
 
 def intersection_nef_div(D: TDivisor, E: TDivisor) -> Scalar:
-    """D^(n-1).E for nef big D and effective invariant E, by linearity:
-    (n-1)! times entry i of the facet record of D is D^(n-1).D_i.  Bigness
-    and nefness are checked once, and not at all when E is 0."""
+    """D^(n-1).E for nef big D and effective invariant E on D's fan, by
+    linearity: (n-1)! times entry i of the facet record of D is
+    D^(n-1).D_i.  Bigness and nefness are checked once, and not at all when
+    E is 0; divisors on two fans raise ValueError before either."""
     _check_tdivisor(D)
     _check_tdivisor(E)
+    if D.fan != E.fan:
+        raise ValueError("divisors live on different fans")
     if not E.is_effective():
         raise NotEffective("intersection against a non-effective divisor")
     terms = [(i, c) for i, c in enumerate(E.coeffs) if c]
@@ -587,6 +581,8 @@ def sigma_limit_oracle(D: TDivisor, ray, m_list) -> list[Scalar]:
     idx = D.fan.ray_index(ray)
     v = D.fan.rays[idx]
     a = D.coeffs[idx]
+    # a generator or an iterator would be used up by the checks
+    m_list = list(m_list)
     for m in m_list:
         if isinstance(m, bool) or not isinstance(m, int) or m <= 0:
             raise ValueError("multiples must be positive integers")

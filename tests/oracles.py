@@ -7,27 +7,28 @@ vertex enumeration, shoelace areas, box-membership lattice counts and
 point lists (sharing nothing with the library's slicer) and
 degree-by-degree section sums on F_e, all in exact arithmetic.  Helpers
 that only tests use (translation, dilation, the Euclidean volume,
-ceilings) sit here too, and so does the vertex set by
-Scalar elimination of every n-subset of rows, the old library rule that the
+ceilings) sit here too, with the EmptyPolytope error that only the
+vertex and volume oracles raise, and so does the vertex set by Scalar
+elimination of every n-subset of rows, the old library rule that the
 integer vertex table of polyhedra must match exactly.  The references at the
 end are older library rules, kept to cross-check the direct ones that
-replaced them: the two-phase simplex against the vertex-minimum LP and
-the table's boundedness rule, the triangulated volume, vertex-rank bigness
-and tight-set B+ against the facet recursion, Lasserre's recursion in
-Scalar arithmetic against the one on integer offset records, the
-ample-divisor epsilon schedule against the facet rule for B+, per-cone
-nefness and Fraction cone coordinates against the wall rule, and the
-two-Fraction Scalar against the integer-triple one.
+replaced them: the two-phase simplex, with its LPProblem and LPResult
+records, against the vertex-minimum LP and the table's boundedness rule,
+the triangulated volume, vertex-rank bigness and tight-set B+ against the
+facet recursion, Lasserre's recursion in Scalar arithmetic against the one
+on integer offset records, the ample-divisor epsilon schedule against the
+facet rule for B+, per-cone nefness and Fraction cone coordinates against
+the wall rule, and the two-Fraction Scalar against the integer-triple one.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
 from rdiv.errors import (
     DivisionByZero,
-    EmptyPolytope,
     MixedDiscriminant,
     NonSimplicialCone,
     NotBig,
@@ -37,14 +38,12 @@ from rdiv.errors import (
 from rdiv.linalg import kernel_basis
 from rdiv.polyhedra import (
     HPolytope,
-    LPProblem,
-    LPResult,
     _as_scalar,
     _vertex_set,
     _volume,
     is_bounded,
 )
-from rdiv.scalars import Scalar, _frac_str, _new, _squarefree_split
+from rdiv.scalars import Scalar, _frac_str, _Frozen, _new, _squarefree_split
 from rdiv.toric import Fan, TDivisor, is_big, polytope_of, sigma
 
 
@@ -217,6 +216,10 @@ def vertex_set_by_elimination(p: HPolytope) -> tuple:
     return tuple(sorted(found))
 
 
+class EmptyPolytope(RdivError):
+    """An oracle that needs a point was given an empty polytope."""
+
+
 def vertices(p: HPolytope) -> set:
     """Vertex set; raises on unbounded or empty input."""
     vs = vertex_set_by_elimination(p)
@@ -286,6 +289,37 @@ def h0_class_loop(x, y, e):
 # minimum and the boundedness rule of polyhedra._vertex_table must agree with.
 # It works on any H-polytope, bounded or not, and never enumerates vertices,
 # so ample_divisor's 17-variable LP runs on it.
+
+
+class LPProblem(_Frozen):
+    """Minimize <objective, u> + constant over an HPolytope."""
+
+    __slots__ = ("objective", "constraints", "constant")
+
+    def __init__(self, objective, constraints: HPolytope, constant=0):
+        objective = tuple(int(c) for c in objective)
+        if len(objective) != constraints.dim:
+            raise ValueError("objective length does not match constraint dimension")
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "constant", _as_scalar(constant))
+
+    def __eq__(self, other):
+        if type(other) is not LPProblem:
+            return NotImplemented
+        return (self.objective, self.constraints, self.constant) == (
+            other.objective, other.constraints, other.constant
+        )
+
+    def __hash__(self):
+        return hash((self.objective, self.constraints, self.constant))
+
+
+class LPResult(namedtuple("LPResult", "status value point", defaults=(None, None))):
+    """status "optimal" or "infeasible"; the least value and a point
+    attaining it when optimal."""
+
+    __slots__ = ()
 
 
 def _pivot(tableau, basis, row, col):

@@ -4,10 +4,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    EmptyPolytope,
+    LPProblem,
     ample_divisor,
     bplus_halving,
     euclidean_volume,
@@ -22,7 +24,6 @@ from oracles import (
 )
 from rdiv import toric
 from rdiv.errors import (
-    EmptyPolytope,
     MixedDiscriminant,
     NoSections,
     NonSimplicialCone,
@@ -31,7 +32,7 @@ from rdiv.errors import (
     RdivError,
     UnsupportedDivisor,
 )
-from rdiv.polyhedra import LPProblem, _vertex_set, lattice_form, lattice_points
+from rdiv.polyhedra import _vertex_set, lattice_form, lattice_points
 from rdiv.scalars import Scalar, sqrt
 from rdiv.surface import SurfaceModel
 from rdiv.theorems import generate_corpus
@@ -422,16 +423,46 @@ def test_sigma_decomposition_cache_equals_a_fresh_decomposition():
 
 
 def test_sigma_decomposition_checks_the_positive_part_of_each_computed_result(monkeypatch):
-    # a cached decomposition would skip the patched LP, so the cache is
+    # the first LP call, on D, is true and the second, on P_sigma, is off by
+    # 1; a cached decomposition would skip the patched LP, so the cache is
     # cleared before the patch and again after it
     D = C + E.scale(3)
+    calls, solve = [], toric.lp_solve
+
+    def shifted(p, objectives):
+        calls.append(p)
+        values = solve(p, objectives)
+        return values if len(calls) == 1 else tuple(v + 1 for v in values)
+
     sigma_decomposition.cache_clear()
-    monkeypatch.setattr(toric, "_sigma_lp", lambda D, p, idx: Scalar(1))
+    monkeypatch.setattr(toric, "lp_solve", shifted)
     try:
         with pytest.raises(RdivError, match="positive part"):
             sigma_decomposition(D)
     finally:
         sigma_decomposition.cache_clear()
+    assert calls == [polytope_of(D), polytope_of(C)]
+
+
+def test_sigma_reads_one_vertex_set_and_a_decomposition_two(monkeypatch):
+    # sigma asks one LP for its ray; a decomposition asks one for every ray
+    # on D's polytope and one on P_sigma's for the zero check
+    D = C + E.scale(3)
+    calls, solve = [], toric.lp_solve
+
+    def counted(p, objectives):
+        calls.append((p, len(objectives)))
+        return solve(p, objectives)
+
+    sigma_decomposition.cache_clear()
+    monkeypatch.setattr(toric, "lp_solve", counted)
+    try:
+        assert sigma(D, "E") == 3
+        assert calls == [(polytope_of(D), 1)]
+        sigma_decomposition(D)
+    finally:
+        sigma_decomposition.cache_clear()
+    assert calls[1:] == [(polytope_of(D), 4), (polytope_of(C), 4)]
 
 
 def test_sigma_irrational_coefficients():
@@ -628,6 +659,18 @@ def test_intersection_errors():
         intersection_nef(C, "Z")
 
 
+@pytest.mark.parametrize(
+    "other",
+    [F1.divisor({"E": 1}), P1P1.divisor({"r3": 1}), F1.divisor({})],
+    ids=["F1", "P1xP1", "zero"],
+)
+def test_intersection_needs_divisors_on_one_fan(other):
+    # E's ray indices would read D's facet record: 1 on F1, an IndexError on
+    # P1xP1, whose fourth ray P2 lacks
+    with pytest.raises(ValueError, match="different fans"):
+        intersection_nef_div(H, other)
+
+
 def test_intersection_linearity():
     D = P2.divisor({"r0": 1, "r1": 2})  # ~ 3H, nef and big
     assert intersection_nef_div(D, P2.divisor({"r2": 2})) == Scalar(6)
@@ -703,6 +746,15 @@ def test_sigma_limit_oracle_checks_every_multiple_before_it_counts(monkeypatch):
         sigma_limit_oracle(C + E, "E", [10**6, 0])
 
 
+def test_sigma_limit_oracle_reads_its_multiples_once():
+    # a generator or an iterator of multiples gives the values of the list
+    D = P2.divisor({"r0": sqrt(2), "H": 1})
+    expected = [sqrt(2) - Fraction(7, 5), sqrt(2) - Fraction(141, 100)]
+    assert sigma_limit_oracle(D, "r0", [10, 100]) == expected
+    assert sigma_limit_oracle(D, "r0", (m for m in (10, 100))) == expected
+    assert sigma_limit_oracle(D, "r0", iter([10, 100])) == expected
+
+
 @pytest.mark.parametrize("root2", [False, True], ids=["rational", "sqrt2"])
 @pytest.mark.parametrize("m", [10**3, 10**9])
 @pytest.mark.parametrize("fan", [P2, P3], ids=["P2", "P3"])
@@ -761,6 +813,42 @@ def test_volume_invariant_under_principal_shift():
         D = rand_big(fan, rng)
         w = [rng.randint(-2, 2) for _ in range(fan.dim)]
         assert volume(D + principal_divisor(fan, w)) == volume(D)
+
+
+# values of Q(sqrt 2) for coefficients and characters, and a positive scale
+_SQRT2 = st.builds(
+    Scalar,
+    st.fractions(-1, 3, max_denominator=4),
+    st.fractions(-1, 1, max_denominator=3),
+    st.just(2),
+)
+_SCALES = st.builds(
+    Scalar,
+    st.fractions(1, 3, max_denominator=4),
+    st.fractions(Fraction(-1, 2), 2, max_denominator=2),
+    st.just(2),
+)
+
+
+@given(
+    st.sampled_from((P2, P3, P1P1, F1, F2, MU3, WEIGHTED)),
+    st.lists(_SQRT2, min_size=4, max_size=4),
+    st.lists(_SQRT2, min_size=3, max_size=3),
+    _SCALES,
+)
+@settings(max_examples=40, deadline=None)
+# D = C + 3E on F1, u = (sqrt 2, 1), t = 1 + sqrt 2
+@example(F1, [Scalar(0), Scalar(3), Scalar(0), Scalar(1)], [sqrt(2), Scalar(1), Scalar(0)], 1 + sqrt(2))
+def test_nsigma_is_invariant_under_real_linear_equivalence_and_scales(fan, coeffs, u, t):
+    # N_sigma depends only on the R-linear class of D, which keeps vol, and
+    # is homogeneous of degree 1; t >= 1 - sqrt(2)/2 > 0
+    D = fan.divisor(coeffs[: fan.nrays])
+    assume(is_big(D))
+    N = sigma_decomposition(D).nsigma
+    moved = D + principal_divisor(fan, u[: fan.dim])
+    assert sigma_decomposition(moved).nsigma == N
+    assert volume(moved) == volume(D)
+    assert sigma_decomposition(D.scale(t)).nsigma == N.scale(t)
 
 
 def test_sigma_subadditive_and_nonnegative():

@@ -1,13 +1,15 @@
-"""Value semantics of the library's immutable classes: equal fields give equal
-objects with equal hashes, an object of another class never compares equal,
-fields cannot be assigned or deleted, the repr reads like a constructor call
-and a pickle round trip gives an equal object."""
+"""Value semantics of the library's immutable classes, and of the simplex
+oracle's LPProblem: equal fields give equal objects with equal hashes, an
+object of another class never compares equal, fields cannot be assigned or
+deleted, the repr reads like a constructor call and a pickle round trip
+gives an equal object."""
 
 import pickle
 
 import pytest
 
-from rdiv.polyhedra import HPolytope, LPProblem
+from oracles import LPProblem
+from rdiv.polyhedra import HPolytope
 from rdiv.scalars import Scalar
 from rdiv.surface import SDivisor, SurfaceModel, ZariskiPair, zariski
 from rdiv.toric import Fan
