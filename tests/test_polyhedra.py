@@ -617,6 +617,36 @@ def test_lp_matches_simplex_oracle(drawn, g):
         assert values == tuple(ref.value for ref in refs)
 
 
+def test_lp_matches_simplex_oracle_on_sqrt2_polytopes():
+    rng = random.Random(41)
+    fans = [preset_fan("P2"), preset_fan("F1"), preset_fan("P3")]
+    checked = 0
+    while checked < 24:
+        fan = rng.choice(fans)
+        coeffs = [
+            Scalar(
+                Fraction(rng.randint(-3, 6), rng.choice((1, 2))),
+                Fraction(rng.randint(-2, 3), rng.choice((1, 3))),
+                2,
+            )
+            for _ in fan.rays
+        ]
+        p = polytope_of(fan.divisor(coeffs))
+        obj = tuple(rng.randint(-3, 3) for _ in range(fan.dim))
+        problem = LPProblem(obj, p, Scalar(rng.randint(-2, 2), rng.randint(-1, 1), 2))
+        values, ref = lp_solve(p, [obj]), simplex_solve(problem)
+        if values is None:
+            assert ref.status == "infeasible"
+            continue
+        assert ref.status == "optimal"
+        (value,) = values
+        assert value + problem.constant == ref.value
+        # the simplex's purified optimum is one of the cached vertices
+        assert ref.point in _vertex_set(p)
+        assert sum(map(mul, ref.point, obj)) == value
+        checked += 1
+
+
 # ---- the integer inverse against Fraction elimination -----------------------
 
 
