@@ -6,18 +6,18 @@ vertices and boundedness of a section polytope (polyhedra's vertex table)
 and the cone coordinates behind the fan's simplicial, overlap and wall
 tests (toric).  It runs fraction-free, so every entry stays an integer.
 unimodular_basis completes an integer vector g to a lattice basis whose
-first vector y has <g, y> = gcd(g) and whose others span g's kernel: the
-kernel basis gives the lattice of a hyperplane, for the faces that
-Lasserre's recursion measures, and the whole basis puts <g, u> on the first
+first vector y has <g, y> = gcd(g) and whose others span g's kernel.  Its
+last n - 1 vectors give the lattice of a hyperplane, for the faces that
+Lasserre's recursion measures (polyhedra's face table, cached there per
+normal set and g), and the whole basis puts <g, u> on the first
 coordinate, for polyhedra's lattice minimum.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
-__all__ = ["inverse", "kernel_basis", "primitive", "unimodular_basis"]
+__all__ = ["inverse", "primitive", "unimodular_basis"]
 
 
 def inverse(rows):
@@ -87,10 +87,3 @@ def unimodular_basis(g: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             if q:
                 w[j] -= q * w[i0]
                 cols[j] = [a - q * b for a, b in zip(cols[j], cols[i0])]
-
-
-@lru_cache(maxsize=4096)
-def kernel_basis(g: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Z-basis of the lattice {x in Z^n : <g, x> = 0} for integer g != 0:
-    the last n - 1 columns of unimodular_basis(g)."""
-    return unimodular_basis(g)[1:]

@@ -5,7 +5,7 @@ read as <u, normal> >= offset.  Everything is exact, and every quantity
 takes one path, on the polytope's offset record: each offset is
 (A_i + B_i sqrt(disc)) / den for integers A_i and B_i over one positive
 den.  The internals compute on those integers, rational or not; a Scalar
-is built only for a value handed back (a vertex, an LP value, a volume).
+is built only for a value handed back (an LP value, a volume).
 
 What depends on the normals alone is computed once per normal set, in
 bounded caches, since the section polytopes of one fan share their normals
@@ -24,11 +24,11 @@ other rows; the recession cone {u : <u, g> >= 0} is the origin alone
 exactly when the table is not empty (the normals have full rank) and no
 such column has a nonnegative product with every other row.
 
-A bounded polytope attains the minimum of a linear objective at a vertex,
-so lp_solve reads the cached vertex set once for a whole list of integer
-objectives, each vertex put over the lcm of its denominators once, and
-takes every objective's least value from that read; no simplex runs.
-toric's sigma decomposition asks for all of a fan's rays in one call.
+Vertices have one form, the integer numerators (X + Y sqrt(disc)) / Q
+of _vertices, never built as Scalars or cached.  A linear objective's
+minimum over a bounded polytope is at a vertex, so lp_solve answers a
+list of integer objectives (all rays, for toric's sigma decomposition) in
+one pass over them, with no simplex, and the slicer reads its box off them.
 
 Volumes come from Lasserre's recursion: n times the volume is the sum, over
 the rows, of the signed lattice distance of the origin from the row's
@@ -81,7 +81,7 @@ from functools import lru_cache
 from operator import index, mul
 
 from .errors import UnboundedPolytope
-from .linalg import inverse, kernel_basis, unimodular_basis
+from .linalg import inverse, unimodular_basis
 from .scalars import Scalar, _floor, _Frozen, _new, _record, _sign
 
 __all__ = [
@@ -109,8 +109,11 @@ class HPolytope(_Frozen):
     __slots__ = ("dim", "normals", "den", "disc", "A", "B")
 
     def __init__(self, dim: int, rows):
+        dim = index(dim)
+        if dim < 1:
+            raise ValueError(f"polytope dimension must be at least 1, got {dim}")
         rows = tuple(rows)
-        normals = tuple(tuple(int(c) for c in g) for g, _ in rows)
+        normals = tuple(tuple(map(index, g)) for g, _ in rows)
         for g in normals:
             if len(g) != dim:
                 raise ValueError(f"normal {g} has wrong length for dim {dim}")
@@ -162,32 +165,26 @@ _SLOT_SETTERS = tuple(HPolytope.__dict__[name].__set__ for name in HPolytope.__s
 
 def lp_solve(p: HPolytope, objectives) -> tuple[Scalar, ...] | None:
     """The least <g, v> over the vertices v of a bounded polytope, for each
-    integer objective g, in objective order; None when p is empty.  A
-    bounded polytope attains each minimum at a vertex, so one read of the
-    cached vertex set answers every objective.  Raises TypeError for an
-    entry that is not an integer, ValueError when an objective's length is
-    not p's dimension, and UnboundedPolytope on unbounded input."""
+    integer objective g, in objective order; None when p is empty.  Each
+    minimum is attained at a vertex, so one pass over _vertices answers
+    every objective: <g, v> = (<g, X> + <g, Y> sqrt(disc)) / Q, and two
+    values compare by the sign of their cross-multiplied difference.
+    Raises TypeError for an entry that is not an integer, ValueError when
+    an objective's length is not p's dimension, and UnboundedPolytope on
+    unbounded input."""
     objectives = [tuple(map(index, g)) for g in objectives]
     if any(len(g) != p.dim for g in objectives):
         raise ValueError("objective length does not match the polytope's dimension")
-    vs = _vertex_set(p)
-    if not vs:
-        return None
-    # each vertex as numerators (a, b) over the lcm q of its denominators,
-    # so <g, v> = (<g, a> + <g, b> sqrt(disc)) / q
-    lanes = []
-    for v in vs:
-        q = math.lcm(*(c.den for c in v))
-        lanes.append(([c.a * (q // c.den) for c in v], [c.b * (q // c.den) for c in v], q))
-    disc, out = p.disc, []
-    for g in objectives:
-        best = None
-        for a, b, q in lanes:
-            x, y = sum(map(mul, g, a)), sum(map(mul, g, b))
-            if best is None or _sign(x * best[2] - best[0] * q, y * best[2] - best[1] * q, disc) < 0:
-                best = x, y, q
-        out.append(_new(*best, disc))
-    return tuple(out)
+    disc, best = p.disc, None
+    for X, Y, Q in _vertices(p):
+        values = [
+            (sum(map(mul, g, X)), sum(map(mul, g, Y)) if disc else 0, Q) for g in objectives
+        ]
+        best = values if best is None else [
+            (x, y, Q) if _sign(x * q - a * Q, y * q - b * Q, disc) < 0 else (a, b, q)
+            for (x, y, _), (a, b, q) in zip(values, best)
+        ]
+    return None if best is None else tuple(_new(*v, disc) for v in best)
 
 
 # ---------------------------------------------------------------------------
@@ -232,36 +229,28 @@ def is_bounded(p: HPolytope) -> bool:
     return _vertex_table(p.normals, p.dim)[0]
 
 
-def _feasible(p: HPolytope):
-    """Yield (a, b, M, q) for each entry of the vertex table whose candidate
-    vertex satisfies every row of p: a and b are the offset numerators of
-    the subset S, A_S^-1 = M / q, and the vertex is (M a + M b sqrt(disc)) /
-    (q den).  On the offset record the test of row r is the sign of an
-    integer pair.  Raises UnboundedPolytope on unbounded input."""
+def _vertices(p: HPolytope):
+    """Yield (X, Y, Q) for each entry of the vertex table whose candidate
+    vertex satisfies every row of p: the vertex is (X + Y sqrt(disc)) / Q,
+    with X = M a, Y = M b and Q = q den for the offset numerators a and b
+    of the subset S and A_S^-1 = M / q.  Each row's test is one sign test
+    (one comparison when disc = 0, where Y is 0), and a vertex on more than
+    n rows comes once per entry.  Raises UnboundedPolytope on unbounded input."""
     bounded, table = _vertex_table(p.normals, p.dim)
     if not bounded:
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
-    A, B, disc = p.A, p.B, p.disc
+    A, B, den, disc = p.A, p.B, p.den, p.disc
     for subset, M, q, forms in table:
         a = [A[s] for s in subset]
+        if not disc:
+            # every B_i is 0, so each row's test is one integer comparison
+            if all(sum(map(mul, a, w)) >= q * A[r] for r, w in forms):
+                yield [sum(map(mul, a, row)) for row in M], [0] * len(M), q * den
+            continue
         b = [B[s] for s in subset]
-        if all(
-            _sign(sum(map(mul, a, w)) - q * A[r], sum(map(mul, b, w)) - q * B[r], disc) >= 0
-            for r, w in forms
-        ):
-            yield a, b, M, q
-
-
-@lru_cache(maxsize=4096)
-def _vertex_set(p: HPolytope) -> tuple[tuple[Scalar, ...], ...]:
-    """All vertices of a bounded polytope (empty tuple when infeasible), in
-    sorted order: the feasible candidates of the vertex table."""
-    disc, found = p.disc, {}
-    for a, b, M, q in _feasible(p):
-        qd = q * p.den
-        v = tuple(_new(sum(map(mul, a, row)), sum(map(mul, b, row)), qd, disc) for row in M)
-        found[tuple((c.a, c.b, c.den) for c in v)] = v
-    return tuple(sorted(found.values()))
+        tests = ((sum(map(mul, a, w)) - q * A[r], sum(map(mul, b, w)) - q * B[r]) for r, w in forms)
+        if all(_sign(x, y, disc) >= 0 for x, y in tests):
+            yield [sum(map(mul, a, row)) for row in M], [sum(map(mul, b, row)) for row in M], q * den
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +264,7 @@ def _face_table(normals: tuple[tuple[int, ...], ...], g: tuple[int, ...]):
     of the hyperplane's direction (() when h is parallel to g), with
     h_j sign(g_j)."""
     j = next(i for i, x in enumerate(g) if x)
-    basis = kernel_basis(g)
+    basis = unimodular_basis(g)[1:]
     sign = 1 if g[j] > 0 else -1
     table = []
     for h in normals:
@@ -494,13 +483,13 @@ def _slices(p: HPolytope, keep: int):
         yield (), rows
         return
     # the integer ends (ceil, floor) of each leading coordinate of each
-    # feasible candidate vertex, read off the vertex table's numerators, so
-    # no vertex is built and none is compared: ceil(min) = min(ceil)
+    # vertex, read off its numerators, so no vertex is built and none is
+    # compared: ceil(min) = min(ceil)
     disc, ends = p.disc, []
-    for a, b, M, q in _feasible(p):
-        qd = q * p.den
-        xy = [(sum(map(mul, a, row)), sum(map(mul, b, row))) for row in M[:lead]]
-        ends.append([(-_floor(-x, -y, qd, disc), _floor(x, y, qd, disc)) for x, y in xy])
+    for X, Y, Q in _vertices(p):
+        ends.append(
+            [(-_floor(-x, -y, Q, disc), _floor(x, y, Q, disc)) for x, y in zip(X[:lead], Y[:lead])]
+        )
     if ends:
         # each coordinate's box as the two rows t >= ceil(min) and -t >= -floor(max)
         boxes = [
@@ -587,7 +576,7 @@ def lattice_points(p: HPolytope) -> int:
     No point is listed: an interval in dimension 1, floor sums on the
     polygon in dimension 2 (no vertex is needed there), and on each polygon
     of _slices(p, 2) above that.  One count per record, kept in a bounded
-    cache keyed by the canonical record like _vertex_set.  Asked on
+    cache keyed by the canonical record.  Asked on
     lattice_form(p), as toric.h0 asks, that is one count per class of the
     round-down: D, its shifts D + div(u) for integer u, and every divisor
     whose round-down is linearly equivalent to D's share one entry."""

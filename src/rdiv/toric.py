@@ -22,7 +22,7 @@ import itertools
 import math
 from collections import namedtuple
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 from .errors import (
     NoSections,
@@ -70,10 +70,10 @@ class Fan(_Frozen):
     __slots__ = ("dim", "rays", "max_cones", "names")
 
     def __init__(self, dim: int, rays, max_cones, names=()):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in rays))
-        object.__setattr__(self, "max_cones", tuple(tuple(sorted(c)) for c in max_cones))
-        object.__setattr__(self, "names", tuple(names))
+        object.__setattr__(self, "dim", index(dim))
+        object.__setattr__(self, "rays", tuple(tuple(map(index, r)) for r in rays))
+        object.__setattr__(self, "max_cones", tuple(tuple(sorted(map(index, c))) for c in max_cones))
+        object.__setattr__(self, "names", tuple((name, index(i)) for name, i in names))
         self.validate()
 
     def __eq__(self, other):
@@ -474,7 +474,8 @@ def is_nef(D: TDivisor) -> bool:
 def sigma(D: TDivisor, ray) -> Scalar:
     """Infimum of the coefficient along the ray over the effective members
     of the R-linear equivalence class: a_i + min <ray, u> over the section
-    polytope, one objective of one lp_solve call, read off its vertex set."""
+    polytope, one objective of one lp_solve call, read off the vertex
+    numerators of polyhedra._vertices."""
     _check_tdivisor(D)
     if not is_big(D):
         raise NotBig("sigma is defined for big divisors only")
@@ -491,12 +492,12 @@ class SigmaDecomposition(namedtuple("SigmaDecomposition", "original nsigma psigm
 @lru_cache(maxsize=256)
 def sigma_decomposition(D: TDivisor) -> SigmaDecomposition:
     """N_sigma(D) = sum of sigma(D, i) D_i and P_sigma = D - N_sigma.  Every
-    sigma minimises over one section polytope, so one lp_solve call reads
-    its vertex set once for all the rays.  Bigness is checked once: P_sigma
-    has the section polytope of D, so it is big too.  Every sigma of P_sigma
-    is checked to be 0, by a second call on its own polytope.  One
-    decomposition per divisor, kept in a bounded cache that every caller
-    shares; errors are raised again on every call."""
+    sigma minimises over one section polytope, so one lp_solve call makes
+    one pass over its vertex numerators for all the rays.  Bigness is
+    checked once: P_sigma has the section polytope of D, so it is big too.
+    Every sigma of P_sigma is checked to be 0, by a second call on its own
+    polytope.  One decomposition per divisor, kept in a bounded cache that
+    every caller shares; errors are raised again on every call."""
     _check_tdivisor(D)
     if not is_big(D):
         raise NotBig("sigma decomposition is defined for big divisors only")

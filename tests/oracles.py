@@ -10,7 +10,8 @@ that only tests use (translation, dilation, the Euclidean volume,
 ceilings) sit here too, with the EmptyPolytope error that only the
 vertex and volume oracles raise, and so does the vertex set by Scalar
 elimination of every n-subset of rows, the old library rule that the
-integer vertex table of polyhedra must match exactly.  The references at the
+integer vertex table of polyhedra must match exactly once its numerators
+are built as Scalars (vertex_set_from_table).  The references at the
 end are older library rules, kept to cross-check the direct ones that
 replaced them: the two-phase simplex, with its LPProblem and LPResult
 records, against the vertex-minimum LP and the table's boundedness rule,
@@ -35,11 +36,11 @@ from rdiv.errors import (
     RdivError,
     UnboundedPolytope,
 )
-from rdiv.linalg import kernel_basis
+from rdiv.linalg import unimodular_basis
 from rdiv.polyhedra import (
     HPolytope,
     _as_scalar,
-    _vertex_set,
+    _vertices,
     _volume,
     is_bounded,
 )
@@ -204,7 +205,7 @@ def vertex_set_by_elimination(p: HPolytope) -> tuple:
     """All vertices of a bounded polytope in sorted order (empty tuple when
     infeasible): every n-subset of rows solved by Gaussian elimination in
     Scalar arithmetic, and kept when it satisfies every row.  The reference
-    for the integer vertex table behind polyhedra._vertex_set."""
+    for the integer vertex table behind polyhedra._vertices."""
     if not is_bounded(p):
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
     found = {}
@@ -213,6 +214,15 @@ def vertex_set_by_elimination(p: HPolytope) -> tuple:
         sol = solve_square([g for g, _ in rows], [o for _, o in rows])
         if sol is not None and all(sum(c * x for c, x in zip(g, sol)) >= o for g, o in p.rows):
             found[sol] = None
+    return tuple(sorted(found))
+
+
+def vertex_set_from_table(p: HPolytope) -> tuple:
+    """The vertices that polyhedra._vertices yields, built as Scalars from
+    their integer numerators, distinct and sorted (empty tuple when
+    infeasible): the library's vertex table in the form of
+    vertex_set_by_elimination."""
+    found = {tuple(_new(x, y, q, p.disc) for x, y in zip(X, Y)) for X, Y, q in _vertices(p)}
     return tuple(sorted(found))
 
 
@@ -256,7 +266,7 @@ def scale(p: HPolytope, factor) -> HPolytope:
 def euclidean_volume(p: HPolytope) -> Scalar:
     """Exact n-volume by the library's Lasserre recursion on the offset
     record; raises on unbounded or empty input."""
-    if not _vertex_set(p):
+    if not vertex_set_from_table(p):
         raise EmptyPolytope("cannot take the volume of an empty polytope")
     return _new(*_volume(p.dim, (tuple(zip(p.normals, p.A, p.B)), p.den), p.disc), p.disc)
 
@@ -669,7 +679,7 @@ def _scalar_face_rows(rows, g, c):
     g excludes the hyperplane."""
     j = next(i for i, x in enumerate(g) if x)
     shift = c / g[j]  # the base point shift * e_j lies on the hyperplane
-    basis = kernel_basis(g)
+    basis = unimodular_basis(g)[1:]
     out = []
     for h, d in rows:
         hb = tuple(sum(x * y for x, y in zip(h, b)) for b in basis)

@@ -25,6 +25,7 @@ from oracles import (
     solve_square,
     translate,
     vertex_set_by_elimination,
+    vertex_set_from_table,
     vertices,
 )
 from rdiv.errors import MixedDiscriminant, UnboundedPolytope
@@ -34,7 +35,6 @@ from rdiv.polyhedra import (
     _facet_volumes,
     _floor_sum,
     _lattice_min,
-    _vertex_set,
     _vertex_table,
     _volume,
     facet_lattice_volume,
@@ -128,6 +128,29 @@ def test_lp_irrational_offsets():
     r2 = sqrt(2)
     p = HPolytope(1, (((1,), -r2), ((-1,), -r2)))
     assert lp_solve(p, [(1,), (-1,)]) == (-r2, -r2)
+
+
+# ---- construction ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "dim, rows",
+    [(1, [((1.5,), 0), ((-1,), -3)]), (1.0, [((1,), 0), ((-1,), -3)])],
+    ids=["float-normal", "float-dimension"],
+)
+def test_polytope_rejects_entries_that_are_not_integers(dim, rows):
+    # int() would truncate the normal 1.5 to 1, and the float dimension
+    # would be stored and fail only at the first query
+    with pytest.raises(TypeError):
+        HPolytope(dim, rows)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_polytope_rejects_a_dimension_below_one(dim):
+    # at 0 a lattice count would index a missing coordinate, and below 0
+    # every query would fail inside itertools
+    with pytest.raises(ValueError, match="at least 1"):
+        HPolytope(dim, [])
 
 
 # ---- vertices --------------------------------------------------------------
@@ -641,8 +664,8 @@ def test_lp_matches_simplex_oracle_on_sqrt2_polytopes():
         assert ref.status == "optimal"
         (value,) = values
         assert value + problem.constant == ref.value
-        # the simplex's purified optimum is one of the cached vertices
-        assert ref.point in _vertex_set(p)
+        # the simplex's purified optimum is one of the table's vertices
+        assert ref.point in vertex_set_from_table(p)
         assert sum(map(mul, ref.point, obj)) == value
         checked += 1
 
@@ -761,7 +784,7 @@ def _vertex_table_cases():
 def test_vertex_table_matches_elimination_oracle():
     checked = 0
     for p in _vertex_table_cases():
-        assert _vertex_set(p) == vertex_set_by_elimination(p), p
+        assert vertex_set_from_table(p) == vertex_set_by_elimination(p), p
         checked += 1
     assert checked > 120
 
@@ -773,7 +796,7 @@ def test_vertex_table_keeps_raising_on_unbounded_input():
         HPolytope(1, (((1,), 0), ((2,), 1))),
     ):
         with pytest.raises(UnboundedPolytope):
-            _vertex_set(p)
+            vertex_set_from_table(p)
         with pytest.raises(UnboundedPolytope):
             vertex_set_by_elimination(p)
 
@@ -794,7 +817,7 @@ def test_facet_volumes_match_the_scalar_lasserre_oracle():
     checked = 0
     for p in _vertex_table_cases():
         assert _facet_volumes(p) == scalar_facet_volumes(p), p
-        if _vertex_set(p):
+        if vertex_set_from_table(p):
             assert euclidean_volume(p) == scalar_lasserre_volume(p.dim, p.rows), p
         checked += 1
     assert checked > 120
@@ -811,8 +834,9 @@ BIG = 10**30
 @example(HPolytope(3, zip(FORM_NORMALS["P3"][0], (0, 0, Fraction(-1, 2), -2 - R2))))
 def test_facet_volumes_match_the_scalar_lasserre_oracle_on_small_polytopes(p):
     assert _facet_volumes(p) == scalar_facet_volumes(p)
-    assert _vertex_set(p) == vertex_set_by_elimination(p)
-    if _vertex_set(p):
+    vs = vertex_set_from_table(p)
+    assert vs == vertex_set_by_elimination(p)
+    if vs:
         assert euclidean_volume(p) == scalar_lasserre_volume(p.dim, p.rows)
 
 

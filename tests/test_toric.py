@@ -19,6 +19,7 @@ from oracles import (
     tight_set_bplus,
     triangulated_volume,
     vertex_rank_big,
+    vertex_set_from_table,
     vertices,
     wall_forms_by_elimination,
 )
@@ -32,10 +33,10 @@ from rdiv.errors import (
     RdivError,
     UnsupportedDivisor,
 )
-from rdiv.polyhedra import _vertex_set, lattice_form, lattice_points
+from rdiv.polyhedra import lattice_form, lattice_points
 from rdiv.scalars import Scalar, sqrt
 from rdiv.surface import SurfaceModel
-from rdiv.theorems import generate_corpus
+from rdiv.theorems import check_theorem_a, check_theorem_b, generate_corpus
 from rdiv.toric import (
     Fan,
     bplus_div,
@@ -186,6 +187,23 @@ def test_fan_rejects_cones_that_overlap(rays, cones, message):
 def test_fan_rejects_bad_names(names, message):
     with pytest.raises(ValueError, match=message):
         Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)), names)
+
+
+@pytest.mark.parametrize(
+    "dim, rays, cones, names",
+    [
+        (2, ((1.9, 0.2), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)), ()),
+        (2.0, P2.rays, P2.max_cones, ()),
+        (2, P2.rays, ((0.0, 1), (1, 2), (2, 0)), ()),
+        (2, P2.rays, P2.max_cones, (("X", 1.0),)),
+    ],
+    ids=["float-ray", "float-dimension", "float-cone-index", "float-name-index"],
+)
+def test_fan_rejects_entries_that_are_not_integers(dim, rays, cones, names):
+    # int() would truncate the first fan's rays to P2's, and the others
+    # would be stored as floats and fail later, or not at all
+    with pytest.raises(TypeError):
+        Fan(dim, rays, cones, names)
 
 
 def test_fan_accepts_names_matching_their_default_label():
@@ -535,7 +553,7 @@ def _assert_facet_recursion_matches_vertex_oracles(X):
     vol, big = volume(X), is_big(X)
     assert isinstance(vol, Scalar)
     assert big == vertex_rank_big(X)
-    if _vertex_set(p):
+    if vertex_set_from_table(p):
         expected = triangulated_volume(p)
         assert vol == math.factorial(X.fan.dim) * expected
         assert euclidean_volume(p) == expected and isinstance(euclidean_volume(p), Scalar)
@@ -830,25 +848,58 @@ _SCALES = st.builds(
 )
 
 
+# nonnegative values of Q(sqrt 2), for an effective divisor
+_EFFECTIVE = st.sampled_from((Scalar(0), Scalar(0), Scalar(1), Scalar(Fraction(1, 2)), sqrt(2)))
+
+
 @given(
     st.sampled_from((P2, P3, P1P1, F1, F2, MU3, WEIGHTED)),
     st.lists(_SQRT2, min_size=4, max_size=4),
     st.lists(_SQRT2, min_size=3, max_size=3),
     _SCALES,
+    st.lists(_EFFECTIVE, min_size=4, max_size=4),
+    st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+    st.integers(1, 3),
 )
 @settings(max_examples=40, deadline=None)
-# D = C + 3E on F1, u = (sqrt 2, 1), t = 1 + sqrt 2
-@example(F1, [Scalar(0), Scalar(3), Scalar(0), Scalar(1)], [sqrt(2), Scalar(1), Scalar(0)], 1 + sqrt(2))
-def test_nsigma_is_invariant_under_real_linear_equivalence_and_scales(fan, coeffs, u, t):
-    # N_sigma depends only on the R-linear class of D, which keeps vol, and
-    # is homogeneous of degree 1; t >= 1 - sqrt(2)/2 > 0
+# D = C + 3E on F1, u = (sqrt 2, 1), t = 1 + sqrt 2, E = D_1 + sqrt(2) D_3
+@example(
+    F1,
+    [Scalar(0), Scalar(3), Scalar(0), Scalar(1)],
+    [sqrt(2), Scalar(1), Scalar(0)],
+    1 + sqrt(2),
+    [Scalar(0), Scalar(1), Scalar(0), sqrt(2)],
+    [1, -2, 0],
+    2,
+)
+def test_nsigma_is_invariant_under_real_linear_equivalence_and_scales(fan, coeffs, u, t, e, w, m):
+    # N_sigma, bigness, nefness, B+, D^(n-1).E and the decidable clauses
+    # depend only on the R-linear class of D, which keeps vol; N_sigma is
+    # homogeneous of degree 1 and vol of degree n; t >= 1 - sqrt(2)/2 > 0.
+    # Sections are kept by integer shifts only: clause iv samples h0, and
+    # h0(mD') may differ from h0(mD) for a real shift
     D = fan.divisor(coeffs[: fan.nrays])
+    moved = D + principal_divisor(fan, u[: fan.dim])
+    assert is_big(moved) == is_big(D)
     assume(is_big(D))
     N = sigma_decomposition(D).nsigma
-    moved = D + principal_divisor(fan, u[: fan.dim])
     assert sigma_decomposition(moved).nsigma == N
     assert volume(moved) == volume(D)
-    assert sigma_decomposition(D.scale(t)).nsigma == N.scale(t)
+    assert is_nef(moved) == is_nef(D)
+    assert bplus_div(moved) == bplus_div(D)
+    E = fan.divisor(e[: fan.nrays])
+    if is_nef(D):
+        assert intersection_nef_div(moved, E) == intersection_nef_div(D, E)
+    for check in (check_theorem_a, check_theorem_b):
+        before, after = check(fan, D, E, [1]), check(fan, moved, E, [1])
+        for clause in ("i", "ii", "v"):
+            assert after.clause_values[clause].status == before.clause_values[clause].status
+    scaled = D.scale(t)
+    assert sigma_decomposition(scaled).nsigma == N.scale(t)
+    assert volume(scaled) == t**fan.dim * volume(D)
+    assert bplus_div(scaled) == bplus_div(D)
+    shifted = D + principal_divisor(fan, w[: fan.dim])
+    assert h0(shifted.scale(m)) == h0(D.scale(m))
 
 
 def test_sigma_subadditive_and_nonnegative():
