@@ -177,9 +177,7 @@ def lp_solve(p: HPolytope, objectives) -> tuple[Scalar, ...] | None:
         raise ValueError("objective length does not match the polytope's dimension")
     disc, best = p.disc, None
     for X, Y, Q in _vertices(p):
-        values = [
-            (sum(map(mul, g, X)), sum(map(mul, g, Y)) if disc else 0, Q) for g in objectives
-        ]
+        values = [(sum(map(mul, g, X)), sum(map(mul, g, Y)), Q) for g in objectives]
         best = values if best is None else [
             (x, y, Q) if _sign(x * q - a * Q, y * q - b * Q, disc) < 0 else (a, b, q)
             for (x, y, _), (a, b, q) in zip(values, best)
@@ -233,20 +231,15 @@ def _vertices(p: HPolytope):
     """Yield (X, Y, Q) for each entry of the vertex table whose candidate
     vertex satisfies every row of p: the vertex is (X + Y sqrt(disc)) / Q,
     with X = M a, Y = M b and Q = q den for the offset numerators a and b
-    of the subset S and A_S^-1 = M / q.  Each row's test is one sign test
-    (one comparison when disc = 0, where Y is 0), and a vertex on more than
-    n rows comes once per entry.  Raises UnboundedPolytope on unbounded input."""
+    of the subset S and A_S^-1 = M / q.  Each row's test is one sign test,
+    and a vertex on more than n rows comes once per entry.  Raises
+    UnboundedPolytope on unbounded input."""
     bounded, table = _vertex_table(p.normals, p.dim)
     if not bounded:
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
     A, B, den, disc = p.A, p.B, p.den, p.disc
     for subset, M, q, forms in table:
         a = [A[s] for s in subset]
-        if not disc:
-            # every B_i is 0, so each row's test is one integer comparison
-            if all(sum(map(mul, a, w)) >= q * A[r] for r, w in forms):
-                yield [sum(map(mul, a, row)) for row in M], [0] * len(M), q * den
-            continue
         b = [B[s] for s in subset]
         tests = ((sum(map(mul, a, w)) - q * A[r], sum(map(mul, b, w)) - q * B[r]) for r, w in forms)
         if all(_sign(x, y, disc) >= 0 for x, y in tests):
