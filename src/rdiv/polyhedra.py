@@ -24,11 +24,15 @@ other rows; the recession cone {u : <u, g> >= 0} is the origin alone
 exactly when the table is not empty (the normals have full rank) and no
 such column has a nonnegative product with every other row.
 
-Vertices have one form, the integer numerators (X + Y sqrt(disc)) / Q
-of _vertices, never built as Scalars or cached.  A linear objective's
-minimum over a bounded polytope is at a vertex, so lp_solve answers a
-list of integer objectives (all rays, for toric's sigma decomposition) in
-one pass over them, with no simplex, and the slicer reads its box off them.
+A polytope's row test runs in one place, _feasible, which keeps each
+row's slack <g_r, v> - o_r at each feasible candidate v as integers.
+_has_interior reads full dimension off them (the test with offsets o + eps,
+toric's bigness), and _least_slacks every row's least slack (toric's sigma,
+as o_r = -a_r).  Vertices have one form, the integer numerators (X + Y
+sqrt(disc)) / Q of _vertices, never built as Scalars or cached.  A linear
+objective's minimum over a bounded polytope is at a vertex, so lp_solve
+answers a list of integer objectives in one pass over them, with no
+simplex, and the slicer reads its box off them.
 
 Volumes come from Lasserre's recursion: n times the volume is the sum, over
 the rows, of the signed lattice distance of the origin from the row's
@@ -227,23 +231,60 @@ def is_bounded(p: HPolytope) -> bool:
     return _vertex_table(p.normals, p.dim)[0]
 
 
-def _vertices(p: HPolytope):
-    """Yield (X, Y, Q) for each entry of the vertex table whose candidate
-    vertex satisfies every row of p: the vertex is (X + Y sqrt(disc)) / Q,
-    with X = M a, Y = M b and Q = q den for the offset numerators a and b
-    of the subset S and A_S^-1 = M / q.  Each row's test is one sign test,
-    and a vertex on more than n rows comes once per entry.  Raises
-    UnboundedPolytope on unbounded input."""
+def _feasible(p: HPolytope):
+    """Yield (entry, a, b, slacks) for each entry (S, M, q, forms) of the
+    vertex table whose candidate vertex v satisfies every row of p: a and b
+    are S's offset numerators, and slacks the row test's (x, y) for each row
+    r of forms, <g_r, v> - o_r = (x + y sqrt(disc)) / (q den) >= 0.  A vertex
+    on more than n rows comes once per entry.  Raises UnboundedPolytope."""
     bounded, table = _vertex_table(p.normals, p.dim)
     if not bounded:
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
-    A, B, den, disc = p.A, p.B, p.den, p.disc
-    for subset, M, q, forms in table:
-        a = [A[s] for s in subset]
-        b = [B[s] for s in subset]
-        tests = ((sum(map(mul, a, w)) - q * A[r], sum(map(mul, b, w)) - q * B[r]) for r, w in forms)
-        if all(_sign(x, y, disc) >= 0 for x, y in tests):
-            yield [sum(map(mul, a, row)) for row in M], [sum(map(mul, b, row)) for row in M], q * den
+    A, B, disc = p.A, p.B, p.disc
+    for entry in table:
+        subset, _, q, forms = entry
+        a, b, slacks = [A[s] for s in subset], [B[s] for s in subset], []
+        for r, w in forms:
+            x, y = sum(map(mul, a, w)) - q * A[r], sum(map(mul, b, w)) - q * B[r]
+            if _sign(x, y, disc) < 0:
+                break
+            slacks.append((x, y))
+        else:
+            yield entry, a, b, slacks
+
+
+def _vertices(p: HPolytope):
+    """Yield the vertex (X + Y sqrt(disc)) / Q of each feasible entry, with
+    X = M a, Y = M b and Q = q den."""
+    for (_, M, q, _), a, b, _ in _feasible(p):
+        yield [sum(map(mul, a, row)) for row in M], [sum(map(mul, b, row)) for row in M], q * p.den
+
+
+def _has_interior(p: HPolytope) -> bool:
+    """True iff p has an interior point (positive volume), i.e. iff p with
+    offsets o + eps is nonempty for small eps > 0.  That adds eps (sum_k
+    w_r,k - q) to each slack, so some entry passes every row with a slack
+    > 0, or with a slack 0 and sum_k w_r,k >= q."""
+    return any(
+        all(x or y or sum(w) >= q for (_, w), (x, y) in zip(forms, slacks))
+        for (_, _, q, forms), _, _, slacks in _feasible(p)
+    )
+
+
+def _least_slacks(p: HPolytope):
+    """The least <g_r, v> - o_r over the vertices v of p for each row r, as
+    (x, y, Q) meaning (x + y sqrt(disc)) / Q: the least slack over the
+    feasible entries, 0 on an entry's own rows; None when p is empty."""
+    disc, best = p.disc, None
+    for (_, _, q, forms), _, _, slacks in _feasible(p):
+        values = [(0, 0, 1)] * len(p.normals)
+        for (r, _), (x, y) in zip(forms, slacks):
+            values[r] = (x, y, q)
+        best = values if best is None else [
+            (x, y, s) if _sign(x * t - a * s, y * t - b * s, disc) < 0 else (a, b, t)
+            for (x, y, s), (a, b, t) in zip(values, best)
+        ]
+    return None if best is None else [(x, y, q * p.den) for x, y, q in best]
 
 
 # ---------------------------------------------------------------------------

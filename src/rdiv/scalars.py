@@ -175,7 +175,8 @@ def _unpickle(cls, values):
 
 
 class Scalar:
-    """Immutable element of Q or Q(sqrt(d))."""
+    """Immutable element of Q or Q(sqrt(d)), rat + surd sqrt(disc), from
+    exact parts: a float part raises TypeError."""
 
     __slots__ = ("a", "b", "den", "disc")
 
@@ -185,6 +186,9 @@ class Scalar:
                 raise ValueError(f"negative discriminant {disc}")
             self.a, self.b, self.den, self.disc = rat, 0, 1, 0
             return
+        if isinstance(rat, float) or isinstance(surd, float):
+            # a float is a binary fraction: 0.1 would become 3602879701896397/2**55
+            raise TypeError(f"Scalar parts must be exact, not float: {rat!r}, {surd!r}")
         rat = rat if isinstance(rat, Fraction) else Fraction(rat)
         surd = surd if isinstance(surd, Fraction) else Fraction(surd)
         if disc < 0:

@@ -40,7 +40,9 @@ from .polyhedra import (
     lattice_points,
     lp_solve,
     _facet_volumes,
+    _has_interior,
     _lattice_min,
+    _least_slacks,
 )
 from .scalars import Scalar, _Frozen, _join, _new, _record, _reduce, _sign
 
@@ -435,13 +437,8 @@ def volume(D: TDivisor) -> Scalar:
     """vol(D) = n! * euclidean volume of the section polytope, by Lasserre's
     facet formula with the primitive rays as normals: the toric identity
     D^n = sum_i a_i * D^(n-1).D_i, where D^(n-1).D_i is (n-1)! times the
-    lattice volume of the face on ray i (0 when the polytope is empty)."""
-    return _measure(D)[0]
-
-
-def _measure(D: TDivisor) -> tuple[Scalar, tuple[Scalar, ...]]:
-    """vol(D) and the facet record of its section polytope, read at once.
-    The facet volumes lie in D's field, so the sum runs on the polytope's
+    lattice volume of the face on ray i (0 when the polytope is empty).  The
+    facet volumes lie in D's field, so the sum runs on the polytope's
     record, negated, over the lcm q of their denominators."""
     p = polytope_of(D)
     vols = _facet_volumes(p)
@@ -452,12 +449,13 @@ def _measure(D: TDivisor) -> tuple[Scalar, tuple[Scalar, ...]]:
         x += (a * v.a + b * v.b * disc) * t
         y += (a * v.b + b * v.a) * t
     f = -math.factorial(D.fan.dim - 1)
-    return _new(f * x, f * y, p.den * q, disc), vols
+    return _new(f * x, f * y, p.den * q, disc)
 
 
 def is_big(D: TDivisor) -> bool:
-    """Big iff the section polytope has positive volume."""
-    return volume(D) > 0
+    """Big iff the section polytope has an interior point (positive volume),
+    read off the vertex table's row test with no volume: _has_interior."""
+    return _has_interior(polytope_of(D))
 
 
 def is_nef(D: TDivisor) -> bool:
@@ -473,14 +471,10 @@ def is_nef(D: TDivisor) -> bool:
 
 def sigma(D: TDivisor, ray) -> Scalar:
     """Infimum of the coefficient along the ray over the effective members
-    of the R-linear equivalence class: a_i + min <ray, u> over the section
-    polytope, one objective of one lp_solve call, read off the vertex
-    numerators of polyhedra._vertices."""
+    of the R-linear equivalence class, a_i + min <ray, u> over the section
+    polytope: its coefficient in N_sigma of the cached sigma_decomposition."""
     _check_tdivisor(D)
-    if not is_big(D):
-        raise NotBig("sigma is defined for big divisors only")
-    idx = D.fan.ray_index(ray)
-    return D.coeffs[idx] + lp_solve(polytope_of(D), [D.fan.rays[idx]])[0]
+    return sigma_decomposition(D).nsigma.coeffs[D.fan.ray_index(ray)]
 
 
 class SigmaDecomposition(namedtuple("SigmaDecomposition", "original nsigma psigma")):
@@ -491,20 +485,23 @@ class SigmaDecomposition(namedtuple("SigmaDecomposition", "original nsigma psigm
 
 @lru_cache(maxsize=256)
 def sigma_decomposition(D: TDivisor) -> SigmaDecomposition:
-    """N_sigma(D) = sum of sigma(D, i) D_i and P_sigma = D - N_sigma.  Every
-    sigma minimises over one section polytope, so one lp_solve call makes
-    one pass over its vertex numerators for all the rays.  Bigness is
-    checked once: P_sigma has the section polytope of D, so it is big too.
-    Every sigma of P_sigma is checked to be 0, by a second call on its own
-    polytope.  One decomposition per divisor, kept in a bounded cache that
-    every caller shares; errors are raised again on every call."""
-    _check_tdivisor(D)
+    """N_sigma(D) = sum of sigma(D, i) D_i and P_sigma = D - N_sigma.  As
+    a_i = -o_i, sigma(D, i) = a_i + min <v_i, u> is row i's least slack, and
+    polyhedra._least_slacks reads all of them as integers in one pass over
+    the vertex table.  Bigness is checked once: P_sigma has the section
+    polytope of D, so it is big too.  Every sigma of P_sigma is checked to be
+    0 by lp_solve on its own polytope, a read apart from the slacks.  One
+    decomposition per divisor, in a shared bounded cache; errors are not cached."""
     if not is_big(D):
         raise NotBig("sigma decomposition is defined for big divisors only")
-    rays = D.fan.rays
-    neg = TDivisor(D.fan, tuple(map(add, D.coeffs, lp_solve(polytope_of(D), rays))))
+    least = _least_slacks(D.polytope)
+    q = math.lcm(*[t for _, _, t in least])
+    # N_sigma's offsets are the sigmas negated, over q
+    A, B = [-x * (q // t) for x, _, t in least], [-y * (q // t) for _, y, t in least]
+    neg = _divisor(D.fan, q, D.polytope.disc, A, B)
     pos = D - neg
-    if any(map(add, pos.coeffs, lp_solve(polytope_of(pos), rays))):
+    values = lp_solve(pos.polytope, D.fan.rays)
+    if values is None or any(map(add, pos.coeffs, values)):
         raise RdivError("positive part retained a nonzero sigma multiplicity")
     return SigmaDecomposition(D, neg, pos)
 
@@ -533,10 +530,9 @@ def bplus_div(D: TDivisor) -> frozenset[int]:
     needs no ample divisor, so on a complete fan without one
     (non-projective, dim >= 3) it still returns the rays of zero restricted
     volume instead of raising."""
-    vol, vols = _measure(D)
-    if not vol > 0:
+    if not is_big(D):
         raise NotBig("the divisorial augmented base locus needs a big divisor")
-    return frozenset(i for i, v in enumerate(vols) if not v)
+    return frozenset(i for i, v in enumerate(_facet_volumes(D.polytope)) if not v)
 
 
 def intersection_nef(D: TDivisor, ray) -> Scalar:
@@ -559,11 +555,11 @@ def intersection_nef_div(D: TDivisor, E: TDivisor) -> Scalar:
     terms = [(i, c) for i, c in enumerate(E.coeffs) if c]
     if not terms:
         return Scalar(0)
-    vol, vols = _measure(D)
-    if not vol > 0:
+    if not is_big(D):
         raise NotBig("intersection numbers computed for big divisors")
     if not is_nef(D):
         raise NotNef("facet-volume intersection numbers need a nef divisor")
+    vols = _facet_volumes(D.polytope)
     total = sum((c * vols[i] for i, c in terms), Scalar(0))
     return Scalar(math.factorial(D.fan.dim - 1)) * total
 
@@ -576,7 +572,6 @@ def sigma_limit_oracle(D: TDivisor, ray, m_list) -> list[Scalar]:
     counted, and each costs one lattice minimum, whose cost does not grow
     with m.
     """
-    _check_tdivisor(D)
     if not is_big(D):
         raise NotBig("the limit oracle needs a big divisor")
     idx = D.fan.ray_index(ray)

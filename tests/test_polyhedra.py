@@ -34,6 +34,7 @@ from rdiv.polyhedra import (
     HPolytope,
     _facet_volumes,
     _floor_sum,
+    _has_interior,
     _lattice_min,
     _vertex_table,
     _volume,
@@ -367,6 +368,14 @@ def section_polytopes(draw):
     offsets in [-4, 4 + sqrt 2]; some are empty.  Returns (p, box)."""
     normals, box = FORM_NORMALS[draw(st.sampled_from(sorted(FORM_NORMALS)))]
     return HPolytope(len(normals[0]), [(g, draw(offsets(-4, 4))) for g in normals]), box
+
+
+@given(section_polytopes())
+@settings(max_examples=80, deadline=None)
+def test_interior_by_the_eps_rule_is_positive_volume(drawn):
+    p, _ = drawn
+    volume = scalar_lasserre_volume(p.dim, p.rows) if vertex_set_by_elimination(p) else 0
+    assert _has_interior(p) == (volume > 0)
 
 
 def test_lattice_form_of_the_mu3_normals_divides_by_q():

@@ -72,6 +72,15 @@ def test_division_by_zero():
         Scalar(1) / Scalar(0)
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, float("nan"), float("inf")], ids=repr)
+def test_scalar_rejects_a_float_part(value):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10; nan and
+    # inf raised Fraction's own ValueError and OverflowError
+    for args in ((value,), (0, value, 2), (Fraction(1, 2), value, 2)):
+        with pytest.raises(TypeError, match="float"):
+            Scalar(*args)
+
+
 def test_mixed_discriminants_rejected():
     with pytest.raises(MixedDiscriminant):
         sqrt(2) + sqrt(3)

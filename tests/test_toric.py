@@ -15,10 +15,12 @@ from oracles import (
     euclidean_volume,
     is_nef_by_cones,
     lattice_point_list,
+    scalar_lasserre_volume,
     simplex_solve,
     tight_set_bplus,
     triangulated_volume,
     vertex_rank_big,
+    vertex_set_by_elimination,
     vertex_set_from_table,
     vertices,
     wall_forms_by_elimination,
@@ -34,7 +36,7 @@ from rdiv.errors import (
     UnsupportedDivisor,
 )
 from rdiv.polyhedra import lattice_form, lattice_points
-from rdiv.scalars import Scalar, sqrt
+from rdiv.scalars import Scalar, _new, sqrt
 from rdiv.surface import SurfaceModel
 from rdiv.theorems import check_theorem_a, check_theorem_b, generate_corpus
 from rdiv.toric import (
@@ -204,6 +206,18 @@ def test_fan_rejects_entries_that_are_not_integers(dim, rays, cones, names):
     # would be stored as floats and fail later, or not at all
     with pytest.raises(TypeError):
         Fan(dim, rays, cones, names)
+
+
+@pytest.mark.parametrize("value", [0.1, float("nan"), float("inf")], ids=repr)
+def test_divisors_reject_a_float_coefficient(value):
+    # each reaches Scalar, which refuses a float instead of reading its
+    # binary expansion
+    with pytest.raises(TypeError, match="float"):
+        P2.divisor({"H": value})
+    with pytest.raises(TypeError, match="float"):
+        H.scale(value)
+    with pytest.raises(TypeError, match="float"):
+        principal_divisor(P2, (value, 0))
 
 
 def test_fan_accepts_names_matching_their_default_label():
@@ -441,46 +455,65 @@ def test_sigma_decomposition_cache_equals_a_fresh_decomposition():
 
 
 def test_sigma_decomposition_checks_the_positive_part_of_each_computed_result(monkeypatch):
-    # the first LP call, on D, is true and the second, on P_sigma, is off by
-    # 1; a cached decomposition would skip the patched LP, so the cache is
-    # cleared before the patch and again after it
+    # the check on P_sigma catches a wrong sigma read and a wrong LP on
+    # P_sigma's polytope alike; a cached decomposition would skip both, so
+    # the cache is cleared before each patch and again after them
     D = C + E.scale(3)
-    calls, solve = [], toric.lp_solve
+    least, solve = toric._least_slacks, toric.lp_solve
 
-    def shifted(p, objectives):
+    def shifted_least(shift):
+        # every ray's least slack (x, y, Q) moved by shift[i] over Q
+        return lambda p: [(x + k * q, y, q) for (x, y, q), k in zip(least(p), shift)]
+
+    calls = []
+
+    def shifted_solve(p, objectives):
         calls.append(p)
-        values = solve(p, objectives)
-        return values if len(calls) == 1 else tuple(v + 1 for v in values)
+        return tuple(v + 1 for v in solve(p, objectives))
 
-    sigma_decomposition.cache_clear()
-    monkeypatch.setattr(toric, "lp_solve", shifted)
-    try:
-        with pytest.raises(RdivError, match="positive part"):
-            sigma_decomposition(D)
-    finally:
+    # sigma_E read as 2: P_sigma = C + E keeps sigma_E = 1; every sigma read
+    # 1 too high: P_sigma = -F - E - D_2 has an empty polytope
+    for patch in (
+        (toric, "_least_slacks", shifted_least((0, -1, 0, 0))),
+        (toric, "_least_slacks", shifted_least((1, 1, 1, 1))),
+        (toric, "lp_solve", shifted_solve),
+    ):
         sigma_decomposition.cache_clear()
-    assert calls == [polytope_of(D), polytope_of(C)]
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            try:
+                with pytest.raises(RdivError, match="positive part"):
+                    sigma_decomposition(D)
+            finally:
+                sigma_decomposition.cache_clear()
+    assert calls == [polytope_of(C)]
 
 
 def test_sigma_reads_one_vertex_set_and_a_decomposition_two(monkeypatch):
-    # sigma asks one LP for its ray; a decomposition asks one for every ray
-    # on D's polytope and one on P_sigma's for the zero check
+    # sigma reads its ray off the cached decomposition, which reads every
+    # ray's sigma off one slack read of D's polytope and checks them by one
+    # lp_solve call on P_sigma's; a second sigma or decomposition reads none
     D = C + E.scale(3)
-    calls, solve = [], toric.lp_solve
+    calls, least, solve = [], toric._least_slacks, toric.lp_solve
 
-    def counted(p, objectives):
-        calls.append((p, len(objectives)))
+    def counted_least(p):
+        calls.append(("slacks", p))
+        return least(p)
+
+    def counted_solve(p, objectives):
+        calls.append(("lp", p, len(objectives)))
         return solve(p, objectives)
 
     sigma_decomposition.cache_clear()
-    monkeypatch.setattr(toric, "lp_solve", counted)
+    monkeypatch.setattr(toric, "_least_slacks", counted_least)
+    monkeypatch.setattr(toric, "lp_solve", counted_solve)
     try:
         assert sigma(D, "E") == 3
-        assert calls == [(polytope_of(D), 1)]
+        assert sigma(D, "C") == 0
         sigma_decomposition(D)
     finally:
         sigma_decomposition.cache_clear()
-    assert calls[1:] == [(polytope_of(D), 4), (polytope_of(C), 4)]
+    assert calls == [("slacks", polytope_of(D)), ("lp", polytope_of(C), 4)]
 
 
 def test_sigma_irrational_coefficients():
@@ -900,6 +933,51 @@ def test_nsigma_is_invariant_under_real_linear_equivalence_and_scales(fan, coeff
     assert bplus_div(scaled) == bplus_div(D)
     shifted = D + principal_divisor(fan, w[: fan.dim])
     assert h0(shifted.scale(m)) == h0(D.scale(m))
+
+
+_FANS = (P2, P3, P1P1, F1, F2, MU3, WEIGHTED, HEXAGON)
+# each ray (0, 1), (-1, 0), (0, -1) is the midpoint of its two neighbours
+MIDPOINTS = Fan(
+    2, ((1, 0), (0, 1), (-1, 2), (-1, 0), (-1, -2), (0, -1)), tuple((i, (i + 1) % 6) for i in range(6))
+)
+
+
+@given(st.sampled_from(_FANS), st.lists(_SQRT2, min_size=6, max_size=6))
+@settings(max_examples=60, deadline=None)
+@example(F1, [Scalar(0)] * 4)  # the zero divisor: the origin, on every row
+@example(F1, [Scalar(1), Scalar(0), Scalar(0), Scalar(0)])  # F alone: a segment
+@example(P3, [sqrt(2), -sqrt(2), Scalar(0), Scalar(0)])  # the point (-sqrt 2, sqrt 2, 0)
+@example(P2, [Scalar(0), Scalar(0), Scalar(-1), Scalar(0)])  # -H: empty
+@example(F1, [Scalar(0), Scalar(0), Scalar(0), Scalar(1)])  # C: the origin on three rows
+# the triangle 0 <= u1, u2 and u1 + u2 <= 1, each of whose vertices lies on
+# three rows, so no entry passes with every slack positive
+@example(HEXAGON, [Scalar(0)] * 3 + [Scalar(1)] * 3)
+# the triangle (0, 0), (0, 2), (2, 1): at each vertex the midpoint row is
+# tight and stays tight with the offsets o + eps, as its eps coefficient
+# sum_k w_k - q is 0
+@example(MIDPOINTS, [Scalar(c) for c in (0, 0, 0, 2, 4, 2)])
+def test_bigness_by_the_eps_rule_is_positive_volume(fan, coeffs):
+    # the vertex table's row test with offsets o + eps against the Scalar
+    # Lasserre recursion, which needs a nonempty polytope
+    D = fan.divisor(coeffs[: fan.nrays])
+    p = polytope_of(D)
+    volume = scalar_lasserre_volume(fan.dim, p.rows) if vertex_set_by_elimination(p) else 0
+    assert is_big(D) == (volume > 0)
+
+
+@given(st.sampled_from(_FANS), st.lists(_SQRT2, min_size=6, max_size=6))
+@settings(max_examples=40, deadline=None)
+@example(F1, [Scalar(0), Scalar(3), Scalar(0), Scalar(1)])  # C + 3E: sigma_E = 3
+@example(P3, [sqrt(2), -sqrt(2), Scalar(0), Scalar(0)])  # a point on four rows
+def test_least_slack_of_every_ray_is_its_coefficient_plus_the_simplex_minimum(fan, coeffs):
+    D = fan.divisor(coeffs[: fan.nrays])
+    p = polytope_of(D)
+    least = toric._least_slacks(p)
+    refs = [simplex_solve(LPProblem(ray, p, a)) for ray, a in zip(fan.rays, D.coeffs)]
+    if least is None:
+        assert {ref.status for ref in refs} == {"infeasible"}
+        return
+    assert [_new(x, y, q, p.disc) for x, y, q in least] == [ref.value for ref in refs]
 
 
 def test_sigma_subadditive_and_nonnegative():
