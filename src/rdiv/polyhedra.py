@@ -86,7 +86,7 @@ from operator import index, mul
 
 from .errors import UnboundedPolytope
 from .linalg import inverse, unimodular_basis
-from .scalars import Scalar, _floor, _Frozen, _new, _record, _sign
+from .scalars import Scalar, _as_scalar, _floor, _Frozen, _new, _record, _sign
 
 __all__ = [
     "HPolytope",
@@ -96,10 +96,6 @@ __all__ = [
     "facet_lattice_volume",
     "is_bounded",
 ]
-
-
-def _as_scalar(x) -> Scalar:
-    return x if isinstance(x, Scalar) else Scalar(x)
 
 
 class HPolytope(_Frozen):

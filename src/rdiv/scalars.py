@@ -3,11 +3,12 @@
 A Scalar is a value (a + b*sqrt(disc)) / den held as plain integers, with
 den > 0, gcd(a, b, den) = 1 and a square-free disc > 1, or disc = 0 exactly
 when b = 0 (the rational values).  This reduced form is unique, so equality
-is structural, and field operations are integer cross-multiplications
-followed by one three-way gcd (Cohen, A Course in Computational Algebraic
-Number Theory, 1993).  Rational values hash like the equal int or Fraction.
-One instance works inside a single field: combining scalars from distinct
-irrational fields raises MixedDiscriminant instead of building a compositum.
+is structural.  Each field operation reads its operand (a Scalar, an int or
+a Fraction) through _coerce and runs one formula: integer products and one
+three-way gcd (Cohen, A Course in Computational Algebraic Number Theory,
+1993).  Rational values hash like the equal int or Fraction.  One instance
+works inside a single field: combining scalars from distinct irrational
+fields raises MixedDiscriminant instead of building a compositum.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import re
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import index
 
 from .errors import DivisionByZero, MixedDiscriminant
 
@@ -74,17 +76,23 @@ def _new(a: int, b: int, den: int, disc: int) -> "Scalar":
 
 
 def _coerce(value):
-    """value as a Scalar when it is an int or a Fraction, else None."""
-    if isinstance(value, int):
-        return _new(int(value), 0, 1, 0)
-    if isinstance(value, Fraction):
+    """The operand of every field operation: value as a Scalar when it is a
+    Scalar, an int (bool included) or a Fraction, else None."""
+    if isinstance(value, Scalar):
+        return value
+    if isinstance(value, (int, Fraction)):
         return _new(value.numerator, 0, value.denominator, 0)
     return None
 
 
+def _as_scalar(x) -> "Scalar":
+    """x as a Scalar: a Scalar passes through, anything else goes to Scalar(x)."""
+    return x if isinstance(x, Scalar) else Scalar(x)
+
+
 def _join(d: int, e: int) -> int:
-    """The common disc of two distinct discs, one of which must be 0."""
-    if d and e:
+    """The common disc of two discs, which are equal or have one 0."""
+    if d and e and d != e:
         raise MixedDiscriminant(d, e)
     return d or e
 
@@ -128,8 +136,7 @@ def _record(values) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
         t = den // v.den
         A.append(v.a * t)
         B.append(v.b * t)
-        if v.disc != disc and v.disc:
-            disc = _join(disc, v.disc)
+        disc = _join(disc, v.disc)
     return den, disc, tuple(A), tuple(B)
 
 
@@ -181,9 +188,9 @@ class Scalar:
     __slots__ = ("a", "b", "den", "disc")
 
     def __init__(self, rat=0, surd=0, disc: int = 0):
+        if disc < 0:
+            raise ValueError(f"negative discriminant {disc}")
         if type(rat) is int and type(surd) is int and not surd:
-            if disc < 0:
-                raise ValueError(f"negative discriminant {disc}")
             self.a, self.b, self.den, self.disc = rat, 0, 1, 0
             return
         if isinstance(rat, float) or isinstance(surd, float):
@@ -191,8 +198,6 @@ class Scalar:
             raise TypeError(f"Scalar parts must be exact, not float: {rat!r}, {surd!r}")
         rat = rat if isinstance(rat, Fraction) else Fraction(rat)
         surd = surd if isinstance(surd, Fraction) else Fraction(surd)
-        if disc < 0:
-            raise ValueError(f"negative discriminant {disc}")
         if surd:
             s, f = _squarefree_split(disc)
             surd *= s
@@ -223,88 +228,46 @@ class Scalar:
         return Fraction(self.b, self.den)
 
     # ---- field operations ------------------------------------------------
-    # each takes a plain int operand without building a Scalar for it
 
     def __add__(self, other):
-        if type(other) is not Scalar:
-            if type(other) is int:
-                return _new(self.a + other * self.den, self.b, self.den, self.disc)
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        d = self.disc
-        if d != other.disc:
-            d = _join(d, other.disc)
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return _new(self.a + other.a, self.b + other.b, d1, d)
-        return _new(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2, d)
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        d1, d2 = self.den, o.den
+        return _new(self.a * d2 + o.a * d1, self.b * d2 + o.b * d1, d1 * d2, _join(self.disc, o.disc))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not Scalar:
-            if type(other) is int:
-                return _new(self.a - other * self.den, self.b, self.den, self.disc)
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        d = self.disc
-        if d != other.disc:
-            d = _join(d, other.disc)
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return _new(self.a - other.a, self.b - other.b, d1, d)
-        return _new(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2, d)
-
-    def __rsub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o.__sub__(self)
+        return self.__add__(-o)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        if type(other) is not Scalar:
-            if type(other) is int:
-                return _new(self.a * other, self.b * other, self.den, self.disc)
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        d = self.disc
-        if d != other.disc:
-            d = _join(d, other.disc)
-        if not b2:
-            return _new(a1 * a2, b1 * a2, self.den * other.den, d)
-        if not b1:
-            return _new(a1 * a2, a1 * b2, self.den * other.den, d)
-        return _new(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, self.den * other.den, d)
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
+        d = _join(self.disc, o.disc)
+        return _new(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, self.den * o.den, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if type(other) is not Scalar:
-            if type(other) is int and other:
-                return _new(self.a, self.b, self.den * other, self.disc)
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        if not a2 and not b2:
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        if not o:
             raise DivisionByZero("scalar division by zero")
-        d = self.disc
-        if d != other.disc:
-            d = _join(d, other.disc)
-        if not b2:
-            return _new(a1 * other.den, b1 * other.den, self.den * a2, d)
-        # multiply by the conjugate; the norm is nonzero since sqrt(d) is irrational
-        norm = a2 * a2 - b2 * b2 * d
-        return _new(
-            (a1 * a2 - b1 * b2 * d) * other.den,
-            (b1 * a2 - a1 * b2) * other.den,
-            self.den * norm,
-            d,
-        )
+        # times the inverse: the conjugate n*(a2 - b2 sqrt(d)) over the norm
+        # a2^2 - b2^2 d, which is nonzero since sqrt(d) is irrational
+        a1, b1, a2, b2, n = self.a, self.b, o.a, o.b, o.den
+        d = _join(self.disc, o.disc)
+        return _new((a1 * a2 - b1 * b2 * d) * n, (b1 * a2 - a1 * b2) * n, self.den * (a2 * a2 - b2 * b2 * d), d)
 
     def __rtruediv__(self, other):
         o = _coerce(other)
@@ -336,25 +299,17 @@ class Scalar:
         return _sign(self.a, self.b, self.disc)
 
     def _cmp(self, other) -> int:
-        if type(other) is not Scalar:
-            if type(other) is int:
-                return _sign(self.a - other * self.den, self.b, self.disc)
-            o = _coerce(other)
-            if o is None:
-                raise TypeError(f"cannot compare Scalar with {type(other).__name__}")
-            other = o
-        d = self.disc
-        if d != other.disc:
-            d = _join(d, other.disc)
-        d1, d2 = self.den, other.den
-        return _sign(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d)
+        o = _coerce(other)
+        if o is None:
+            raise TypeError(f"cannot compare Scalar with {type(other).__name__}")
+        d1, d2 = self.den, o.den
+        return _sign(self.a * d2 - o.a * d1, self.b * d2 - o.b * d1, _join(self.disc, o.disc))
 
     def __eq__(self, other):
-        if type(other) is not Scalar:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        return self.a == other.a and self.b == other.b and self.den == other.den and self.disc == other.disc
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.a == o.a and self.b == o.b and self.den == o.den and self.disc == o.disc
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -371,8 +326,6 @@ class Scalar:
     def __hash__(self):
         if self.b:
             return hash((self.a, self.b, self.den, self.disc))
-        if self.den == 1:
-            return hash(self.a)
         return hash(Fraction(self.a, self.den))
 
     def __bool__(self):
@@ -393,13 +346,13 @@ class Scalar:
 
     def decimal(self, digits: int = 20) -> str:
         """Fixed-point decimal rendering, rounded down toward -infinity (so
-        -sqrt(2) shows as -1.4143 at 4 digits), for display only."""
+        -sqrt(2) shows as -1.4143 at 4 digits), for display only.  Raises
+        ValueError for a negative digit count."""
+        digits = index(digits)
+        if digits < 0:
+            raise ValueError(f"decimal needs digits >= 0, got {digits}")
         scale = 10**digits
-        approx = self.rat
-        if self.b:
-            guard = Fraction(isqrt(self.disc * 10 ** (2 * digits + 20)), 10 ** (digits + 10))
-            approx = approx + self.surd * guard
-        n = math.floor(approx * scale)
+        n = _floor(self.a * scale, self.b * scale, self.den, self.disc)
         sign = "-" if n < 0 else ""
         n = abs(n)
         return f"{sign}{n // scale}.{n % scale:0{digits}d}"
@@ -465,9 +418,8 @@ def parse_scalar(text: str) -> Scalar:
 
 def scalar_cmp(x, y) -> int:
     """-1 (LT), 0 (EQ) or 1 (GT), exactly."""
-    x = x if isinstance(x, Scalar) else Scalar(x)
-    return x._cmp(y)
+    return _as_scalar(x)._cmp(y)
 
 
 def scalar_floor(x) -> int:
-    return math.floor(x if isinstance(x, Scalar) else Scalar(x))
+    return math.floor(_as_scalar(x))

@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ExampleViolated, NotBig, NotPseudoeffective, UnsupportedModel
-from .scalars import Scalar, _Frozen
+from .scalars import Scalar, _as_scalar, _Frozen
 
 __all__ = [
     "SurfaceModel",
@@ -73,7 +73,7 @@ class SurfaceModel(_Frozen):
         cE = cC = Scalar(0)
         fib = {}
         for key, val in coeffs.items():
-            val = val if isinstance(val, Scalar) else Scalar(val)
+            val = _as_scalar(val)
             if self.component(key) == "E":
                 cE = val
             elif key == "C":
@@ -133,12 +133,12 @@ class SDivisor(_Frozen):
     __slots__ = ("model", "cE", "cC", "fiber_coeffs")
 
     def __init__(self, model: SurfaceModel, cE, cC, fiber_coeffs=()):
-        fiber_coeffs = tuple(_sc(b) for b in fiber_coeffs)
+        fiber_coeffs = tuple(_as_scalar(b) for b in fiber_coeffs)
         if len(fiber_coeffs) != len(model.fibers):
             raise ValueError("fiber coefficient count does not match the model")
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "cE", _sc(cE))
-        object.__setattr__(self, "cC", _sc(cC))
+        object.__setattr__(self, "cE", _as_scalar(cE))
+        object.__setattr__(self, "cC", _as_scalar(cC))
         object.__setattr__(self, "fiber_coeffs", fiber_coeffs)
 
     def __eq__(self, other):
@@ -170,7 +170,7 @@ class SDivisor(_Frozen):
         )
 
     def scale(self, m) -> "SDivisor":
-        m = _sc(m)
+        m = _as_scalar(m)
         return SDivisor(
             self.model, m * self.cE, m * self.cC, tuple(m * b for b in self.fiber_coeffs)
         )
@@ -200,10 +200,6 @@ class SDivisor(_Frozen):
 
     def coeff_map(self) -> dict[str, Scalar]:
         return {"E": self.cE, "C": self.cC, **dict(zip(self.model.fibers, self.fiber_coeffs))}
-
-
-def _sc(x) -> Scalar:
-    return x if isinstance(x, Scalar) else Scalar(x)
 
 
 def class_of(D: SDivisor) -> tuple[Scalar, Scalar]:
@@ -331,7 +327,7 @@ def paper_example(e: int, samples=None) -> list[PaperExampleRow]:
         samples = [Scalar(1), Scalar(2), Scalar(Fraction(5, 2)), Scalar(0, 1, 2), Scalar(3)]
     rows = []
     for m in samples:
-        m = _sc(m)
+        m = _as_scalar(m)
         if m.sign() <= 0:
             raise ValueError(f"sample {m} is not positive")
         floored = D.scale(m).floor()

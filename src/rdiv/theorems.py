@@ -22,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NotBig, NotEffective
-from .scalars import Scalar, parse_scalar
+from .scalars import Scalar, _as_scalar, parse_scalar
 
 __all__ = [
     "ClauseValue",
@@ -111,7 +111,7 @@ def _support_clause(X, E, fails) -> ClauseValue:
 def _as_grid(values, fallback):
     if values is None:
         return list(fallback)
-    return [v if isinstance(v, Scalar) else Scalar(v) for v in values]
+    return [_as_scalar(v) for v in values]
 
 
 def check_theorem_a(X, D, E, m_grid=None, rng=None) -> TheoremReport:

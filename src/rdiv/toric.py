@@ -44,7 +44,7 @@ from .polyhedra import (
     _lattice_min,
     _least_slacks,
 )
-from .scalars import Scalar, _Frozen, _join, _new, _record, _reduce, _sign
+from .scalars import Scalar, _as_scalar, _Frozen, _join, _new, _record, _reduce, _sign
 
 __all__ = [
     "Fan",
@@ -331,7 +331,7 @@ class TDivisor:
     def __init__(self, fan: Fan, coeffs):
         if len(coeffs) != fan.nrays:
             raise ValueError("coefficient count does not match ray count")
-        coeffs = tuple(c if isinstance(c, Scalar) else Scalar(c) for c in coeffs)
+        coeffs = tuple(map(_as_scalar, coeffs))
         den, disc, A, B = _record(coeffs)
         self.fan, self._coeffs = fan, coeffs
         self.polytope = HPolytope._of_record(
@@ -367,7 +367,7 @@ class TDivisor:
         if self.fan != other.fan:
             raise ValueError("divisors live on different fans")
         p, q = self.polytope, other.polytope
-        disc = p.disc if p.disc == q.disc else _join(p.disc, q.disc)
+        disc = _join(p.disc, q.disc)
         den = math.lcm(p.den, q.den)
         s, t = den // p.den, den // q.den
         A = [op(x * s, y * t) for x, y in zip(p.A, q.A)]
@@ -375,9 +375,9 @@ class TDivisor:
         return _divisor(self.fan, den, disc, A, B)
 
     def scale(self, m) -> "TDivisor":
-        m = m if isinstance(m, Scalar) else Scalar(m)
+        m = _as_scalar(m)
         p = self.polytope
-        disc = p.disc if p.disc == m.disc else _join(p.disc, m.disc)
+        disc = _join(p.disc, m.disc)
         a, b = m.a, m.b
         if b:
             bd = b * disc
@@ -510,7 +510,7 @@ def principal_divisor(fan: Fan, u) -> TDivisor:
     """div of the character u: coefficient <u, ray> on each ray, so offset
     -<u, ray> on u's record.  Raises ValueError unless u has one entry per
     coordinate."""
-    u = tuple(x if isinstance(x, Scalar) else Scalar(x) for x in u)
+    u = tuple(map(_as_scalar, u))
     if len(u) != fan.dim:
         raise ValueError(f"a character of a {fan.dim}-fold has {fan.dim} entries, not {len(u)}")
     den, disc, A, B = _record(u)

@@ -39,12 +39,11 @@ from rdiv.errors import (
 from rdiv.linalg import unimodular_basis
 from rdiv.polyhedra import (
     HPolytope,
-    _as_scalar,
     _vertices,
     _volume,
     is_bounded,
 )
-from rdiv.scalars import Scalar, _frac_str, _Frozen, _new, _squarefree_split
+from rdiv.scalars import Scalar, _as_scalar, _frac_str, _Frozen, _new, _squarefree_split
 from rdiv.toric import Fan, TDivisor, is_big, polytope_of, sigma
 
 
@@ -966,11 +965,7 @@ class FractionScalar:
     def decimal(self, digits: int = 20) -> str:
         """Fixed-point decimal rendering (truncated), for display only."""
         scale = 10**digits
-        approx = self.rat
-        if self.surd:
-            guard = Fraction(math.isqrt(self.disc * 10 ** (2 * digits + 20)), 10 ** (digits + 10))
-            approx = self.rat + self.surd * guard
-        n = math.floor(approx * scale)
+        n = math.floor(self * scale)
         sign = "-" if n < 0 else ""
         n = abs(n)
         return f"{sign}{n // scale}.{n % scale:0{digits}d}"

@@ -139,6 +139,19 @@ def test_decimal_rendering():
     assert Scalar(Fraction(1, 2)).decimal(4) == "0.5000"
     assert R2.decimal(8) == "1.41421356"
     assert (-R2).decimal(4) == "-1.4143"  # truncation toward -inf
+    # a 30-digit surd needs sqrt(2) to far more than digits + 10 places
+    assert Scalar(0, 10**30, 2).decimal(4) == "1414213562373095048801688724209.6980"
+    assert Scalar(0, -(10**30), 2).decimal(4) == "-1414213562373095048801688724209.6981"
+
+
+def test_decimal_rejects_a_negative_or_inexact_digit_count():
+    # refused before 10**digits can turn into float arithmetic
+    with pytest.raises(ValueError, match="digits >= 0"):
+        Scalar(7).decimal(-1)
+    with pytest.raises(ValueError, match="digits >= 0"):
+        R2.decimal(-3)
+    with pytest.raises(TypeError):
+        Scalar(7).decimal(2.0)
 
 
 # ---- properties ------------------------------------------------------------
@@ -179,7 +192,7 @@ def test_division_inverts_multiplication(a, b):
 @given(st.one_of(scalars(), fractions().map(Scalar)), st.one_of(scalars(), fractions().map(Scalar)))
 @settings(max_examples=150)
 def test_mul_matches_sympy(a, b):
-    # rational factors take their own branches of Scalar.__mul__
+    # rational factors too, with b = 0 on either side
     assert sympy.simplify(to_sympy(a * b) - to_sympy(a) * to_sympy(b)) == 0
 
 
@@ -295,6 +308,8 @@ def operands():
         triples().map(lambda t: ("scalar", t)),
         digits30().map(lambda n: ("int", n)),
         fractions30().map(lambda q: ("fraction", q)),
+        st.booleans().map(lambda b: ("bool", b)),
+        st.sampled_from([0.5, "a", None]).map(lambda v: ("unsupported", v)),
     )
 
 

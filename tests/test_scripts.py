@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize(
     "argv",
     [
-        ("run_corpus.py", "--count", "3"),
         ("paper_example_table.py", "--max-m", "2"),
         ("volume_convergence.py", "--divisors", "2", "--multiples", "10,20"),
     ],
