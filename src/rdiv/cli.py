@@ -8,6 +8,10 @@ theorem checkers, the randomized corpus and the irrational-twist example.
 Exit codes: 0 ok, 2 domain error, 3 parse error, 4 counterexample
 candidate or violated example.
 
+The one-value subcommands (h0, volume, big, nef, bplus) share one handler,
+which reads the protocol method to ask and the rendering of its value off
+a table; check-a and check-b share another.
+
 Each subcommand imports the layers it runs on when it runs: a fan query
 loads toric and the polytope layers under it, a surface query loads the
 surface model alone, and only the checkers and the corpus load theorems.
@@ -207,6 +211,7 @@ def _parse_inline_coeffs(text: str) -> dict[str, Scalar]:
 def _load_context(args):
     """Resolve (variety, divisor D, disc) from --file/--preset/--e plus
     --divisor; disc is the file's, or DEFAULT_DISC without a file."""
+    pf = None
     if getattr(args, "file", None) is not None:
         try:
             with open(args.file, "rb") as fh:
@@ -214,15 +219,7 @@ def _load_context(args):
         except OSError as exc:
             raise ParseError(str(exc), "--file")
         variety = pf.variety
-        spec = args.divisor
-        if spec is None:
-            raise ParseError("--divisor is required")
-        if ":" in spec:
-            D = _build_divisor(variety, _parse_inline_coeffs(spec))
-        else:
-            D = pf.divisor(spec)
-        return variety, D, pf.disc
-    if getattr(args, "e", None) is not None:
+    elif getattr(args, "e", None) is not None:
         fibers = tuple(args.fibers.split(",")) if args.fibers is not None else ("F1", "F2", "F3", "F4")
         variety = _surface_model(args.e, fibers, "--e")
     elif getattr(args, "preset", None) is not None:
@@ -231,7 +228,11 @@ def _load_context(args):
         raise ParseError("need --preset, --e or --file")
     if args.divisor is None:
         raise ParseError("--divisor is required")
-    return variety, _build_divisor(variety, _parse_inline_coeffs(args.divisor)), DEFAULT_DISC
+    # with a file, --divisor is a name from it unless it has inline terms
+    if pf is not None and ":" not in args.divisor:
+        return variety, pf.divisor(args.divisor), pf.disc
+    D = _build_divisor(variety, _parse_inline_coeffs(args.divisor))
+    return variety, D, DEFAULT_DISC if pf is None else pf.disc
 
 
 def _parse_samples(raw: str | None) -> list[Scalar] | None:
@@ -274,17 +275,28 @@ def _emit(args, payload: dict, csv_lines: list[str]):
 # subcommands
 
 
-def _maybe_scale(D, args):
-    if getattr(args, "scale", None) is not None:
-        return D.scale(_parse_scalar_field(args.scale, "scale"))
-    return D
+def _bool_csv(value: bool) -> str:
+    return "true" if value else "false"
 
 
-def _cmd_h0(args):
+# The one-value subcommands: the protocol method each one asks, and how its
+# value is written as the JSON value and as the CSV line.
+_QUERIES = {
+    "h0": ("h0", int, str),
+    "volume": ("volume", str, str),
+    "big": ("is_big", bool, _bool_csv),
+    "nef": ("is_nef", bool, _bool_csv),
+    "bplus": ("bplus", sorted, lambda locus: ",".join(sorted(locus)) or "(empty)"),
+}
+
+
+def _cmd_query(args):
     variety, D, _ = _load_context(args)
-    D = _maybe_scale(D, args)
-    value = variety.h0(D)
-    _emit(args, {"h0": value}, [str(value)])
+    if getattr(args, "scale", None) is not None:
+        D = D.scale(_parse_scalar_field(args.scale, "scale"))
+    method, as_json, as_csv = _QUERIES[args.command]
+    value = getattr(variety, method)(D)
+    _emit(args, {args.command: as_json(value)}, [as_csv(value)])
     return EXIT_OK
 
 
@@ -299,28 +311,6 @@ def _cmd_hilbert(args):
     payload = {"rows": [{"m": str(m), "h0": c, "normalized": str(v)} for m, c, v in rows]}
     csv_lines = ["m,h0,normalized"] + [f"{m},{c},{v.decimal(20)}" for m, c, v in rows]
     _emit(args, payload, csv_lines)
-    return EXIT_OK
-
-
-def _cmd_volume(args):
-    variety, D, _ = _load_context(args)
-    D = _maybe_scale(D, args)
-    value = variety.volume(D)
-    _emit(args, {"volume": str(value)}, [str(value)])
-    return EXIT_OK
-
-
-def _cmd_big(args):
-    variety, D, _ = _load_context(args)
-    value = variety.is_big(D)
-    _emit(args, {"big": value}, ["true" if value else "false"])
-    return EXIT_OK
-
-
-def _cmd_nef(args):
-    variety, D, _ = _load_context(args)
-    value = variety.is_nef(D)
-    _emit(args, {"nef": value}, ["true" if value else "false"])
     return EXIT_OK
 
 
@@ -375,13 +365,6 @@ def _cmd_nsigma(args):
     return EXIT_OK
 
 
-def _cmd_bplus(args):
-    variety, D, _ = _load_context(args)
-    locus = sorted(variety.bplus(D))
-    _emit(args, {"bplus": locus}, [",".join(locus) if locus else "(empty)"])
-    return EXIT_OK
-
-
 def _cmd_intersect(args):
     variety, D, _ = _load_context(args)
     if args.with_divisor is None:
@@ -415,7 +398,7 @@ def _cmd_zariski(args):
     return EXIT_OK
 
 
-def _check_common(args, which: str):
+def _cmd_check(args):
     from . import theorems
 
     variety, D, disc = _load_context(args)
@@ -423,24 +406,12 @@ def _check_common(args, which: str):
         raise ParseError("--effective is required")
     E = _build_divisor(variety, _parse_inline_coeffs(args.effective))
     samples = _parse_samples(args.samples) or _default_grid(disc, D, E)
-    if which == "A":
-        report = theorems.check_theorem_a(variety, D, E, m_grid=samples)
-    else:
-        report = theorems.check_theorem_b(variety, D, E, m_grid=samples)
-    payload = report.to_json()
-    csv_lines = [f"clause,{'status'}"]
-    csv_lines += [f"{k},{v.status}" for k, v in sorted(report.clause_values.items())]
+    check = theorems.check_theorem_a if args.command == "check-a" else theorems.check_theorem_b
+    report = check(variety, D, E, m_grid=samples)
+    csv_lines = ["clause,status"] + [f"{k},{v.status}" for k, v in sorted(report.clause_values.items())]
     csv_lines.append(f"verdict,{report.verdict}")
-    _emit(args, payload, csv_lines)
+    _emit(args, report.to_json(), csv_lines)
     return EXIT_OK if report.verdict == theorems.CONSISTENT else EXIT_COUNTEREXAMPLE
-
-
-def _cmd_check_a(args):
-    return _check_common(args, "A")
-
-
-def _cmd_check_b(args):
-    return _check_common(args, "B")
 
 
 def _cmd_corpus(args):
@@ -492,6 +463,16 @@ def _add_variety_args(sub):
     sub.add_argument("--divisor", help="inline coefficients 'C:1,E:1' or a name from --file")
 
 
+# The options a subcommand takes besides the variety's, by flag.
+_OPTIONS = {
+    "--scale": {"help": "scalar multiplier applied to the divisor"},
+    "--samples": {"help": "comma list of positive scalar literals"},
+    "--ray": {"help": "ray name or index"},
+    "--with": {"dest": "with_divisor", "help": "second divisor 'E:1'"},
+    "--effective": {"help": "effective divisor 'E:1'"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rdiv", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
@@ -499,31 +480,23 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, extra in (
-        ("h0", _cmd_h0, ("scale",)),
-        ("hilbert", _cmd_hilbert, ("samples",)),
-        ("volume", _cmd_volume, ("scale",)),
-        ("sigma", _cmd_sigma, ("ray",)),
+        ("h0", _cmd_query, ("--scale",)),
+        ("hilbert", _cmd_hilbert, ("--samples",)),
+        ("volume", _cmd_query, ("--scale",)),
+        ("sigma", _cmd_sigma, ("--ray",)),
         ("nsigma", _cmd_nsigma, ()),
-        ("bplus", _cmd_bplus, ()),
-        ("nef", _cmd_nef, ()),
-        ("big", _cmd_big, ()),
-        ("intersect", _cmd_intersect, ("with",)),
+        ("bplus", _cmd_query, ()),
+        ("nef", _cmd_query, ()),
+        ("big", _cmd_query, ()),
+        ("intersect", _cmd_intersect, ("--with",)),
         ("zariski", _cmd_zariski, ()),
-        ("check-a", _cmd_check_a, ("effective", "samples")),
-        ("check-b", _cmd_check_b, ("effective", "samples")),
+        ("check-a", _cmd_check, ("--samples", "--effective")),
+        ("check-b", _cmd_check, ("--samples", "--effective")),
     ):
         sub = subs.add_parser(name, parents=[common])
         _add_variety_args(sub)
-        if "scale" in extra:
-            sub.add_argument("--scale", help="scalar multiplier applied to the divisor")
-        if "samples" in extra:
-            sub.add_argument("--samples", help="comma list of positive scalar literals")
-        if "ray" in extra:
-            sub.add_argument("--ray", help="ray name or index")
-        if "with" in extra:
-            sub.add_argument("--with", dest="with_divisor", help="second divisor 'E:1'")
-        if "effective" in extra:
-            sub.add_argument("--effective", help="effective divisor 'E:1'")
+        for flag in extra:
+            sub.add_argument(flag, **_OPTIONS[flag])
         sub.set_defaults(fn=fn)
 
     sub = subs.add_parser("corpus", parents=[common])
@@ -534,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("paper-example", parents=[common])
     sub.add_argument("--e", type=int, default=1)
-    sub.add_argument("--samples", help="comma list of positive scalar literals")
+    sub.add_argument("--samples", **_OPTIONS["--samples"])
     sub.set_defaults(fn=_cmd_paper_example)
 
     return parser

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import ExampleViolated, NotBig, NotPseudoeffective, UnsupportedModel
 from .scalars import Scalar, _as_scalar, _Frozen
@@ -152,21 +153,20 @@ class SDivisor(_Frozen):
         return hash((self.model, self.cE, self.cC, self.fiber_coeffs))
 
     def __add__(self, other: "SDivisor") -> "SDivisor":
-        self._same_model(other)
-        return SDivisor(
-            self.model,
-            self.cE + other.cE,
-            self.cC + other.cC,
-            tuple(a + b for a, b in zip(self.fiber_coeffs, other.fiber_coeffs)),
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other: "SDivisor") -> "SDivisor":
-        self._same_model(other)
+        return self._combine(other, sub)
+
+    def _combine(self, other, op):
+        """self op other for op = add or sub, component by component."""
+        if self.model != other.model:
+            raise ValueError("divisors live on different surface models")
         return SDivisor(
             self.model,
-            self.cE - other.cE,
-            self.cC - other.cC,
-            tuple(a - b for a, b in zip(self.fiber_coeffs, other.fiber_coeffs)),
+            op(self.cE, other.cE),
+            op(self.cC, other.cC),
+            tuple(map(op, self.fiber_coeffs, other.fiber_coeffs)),
         )
 
     def scale(self, m) -> "SDivisor":
@@ -174,10 +174,6 @@ class SDivisor(_Frozen):
         return SDivisor(
             self.model, m * self.cE, m * self.cC, tuple(m * b for b in self.fiber_coeffs)
         )
-
-    def _same_model(self, other):
-        if self.model != other.model:
-            raise ValueError("divisors live on different surface models")
 
     def is_effective(self) -> bool:
         return self.cE >= 0 and self.cC >= 0 and all(b >= 0 for b in self.fiber_coeffs)

@@ -6,7 +6,12 @@ E against the divisorial augmented base locus.  Clauses i) and ii) are
 exact and authoritative; the "for all m" section-count clauses are sampled
 on a finite grid and can only falsify.  A report whose decidable clauses
 disagree, or whose sampled clause contradicts a decidable true clause, is
-flagged as a counterexample candidate for replay.
+flagged as a counterexample candidate for replay.  The grid's multiples
+must be positive, and there must be one.
+
+The two checkers share their preconditions, the volume clause and one walk
+of the sampled clause over D and its principal shifts, which stops at the
+first witness; each passes the walk its own comparison at one mD'.
 
 The checkers take the variety X as a toric.Fan or a surface.SurfaceModel and
 ask it only the queries of their shared protocol (h0, volume, nsigma, bplus,
@@ -108,10 +113,49 @@ def _support_clause(X, E, fails) -> ClauseValue:
     return _TRUE if bad is None else ClauseValue("false", {X.label_kind: bad})
 
 
-def _as_grid(values, fallback):
-    if values is None:
-        return list(fallback)
-    return [_as_scalar(v) for v in values]
+def _as_grid(values) -> list[Scalar]:
+    """The sample multiples, default_m_grid() when values is None.  A "for
+    all m > 0" clause proves nothing at m <= 0 or at no m, so ValueError
+    unless there is one sample and every one is positive."""
+    grid = default_m_grid() if values is None else [_as_scalar(v) for v in values]
+    if not grid:
+        raise ValueError("no sample listed")
+    for m in grid:
+        if m.sign() <= 0:
+            raise ValueError(f"sample {m} is not positive")
+    return grid
+
+
+def _checker_grid(X, D, E, m_grid) -> list[Scalar]:
+    """A checker's preconditions, D big and E effective, then its grid."""
+    if not X.is_big(D):
+        raise NotBig("checker needs a big divisor D")
+    if not E.is_effective():
+        raise NotEffective("checker needs an effective divisor E")
+    return _as_grid(m_grid)
+
+
+def _volume_clause(vol_d, vol_other, key: str) -> ClauseValue:
+    """Clause i): vol_other = vol(D), with both volumes as the witness."""
+    if vol_other == vol_d:
+        return _TRUE
+    return ClauseValue("false", {"vol_D": str(vol_d), key: str(vol_other)})
+
+
+def _sampled_clause(X, D, m_grid, rng, witness_at) -> ClauseValue:
+    """Clause iv) sampled over D, then each principal shift D + X.shifts(rng)
+    in turn, at each m of the grid: witness_at(mD', m, shifted) returns a
+    witness dict where the clause fails at mD', else None.  False at the
+    first witness, which names the shift's index when there is one."""
+    for shift_idx, Dp in enumerate([None] + X.shifts(rng)):
+        base = D if Dp is None else D + Dp
+        for m in m_grid:
+            witness = witness_at(base.scale(m), m, Dp is not None)
+            if witness is not None:
+                if Dp is not None:
+                    witness["shift"] = shift_idx
+                return ClauseValue("false", witness)
+    return _TRUE
 
 
 def check_theorem_a(X, D, E, m_grid=None, rng=None) -> TheoremReport:
@@ -121,36 +165,17 @@ def check_theorem_a(X, D, E, m_grid=None, rng=None) -> TheoremReport:
     h0(mD'-mE) = h0(mD') over the grid, with D' ranging over the divisor
     and a few principal shifts of it; v) E = 0, evaluated when D is nef.
     """
-    if not X.is_big(D):
-        raise NotBig("checker needs a big divisor D")
-    if not E.is_effective():
-        raise NotEffective("checker needs an effective divisor E")
-    m_grid = _as_grid(m_grid, default_m_grid())
-
-    clauses = {}
-    vol_d, vol_sub = X.volume(D), X.volume(D - E)
-    clauses["i"] = (
-        _TRUE
-        if vol_sub == vol_d
-        else ClauseValue("false", {"vol_D": str(vol_d), "vol_D_minus_E": str(vol_sub)})
-    )
+    m_grid = _checker_grid(X, D, E, m_grid)
+    clauses = {"i": _volume_clause(X.volume(D), X.volume(D - E), "vol_D_minus_E")}
     N, coeffs = X.nsigma(D).coeff_map(), E.coeff_map()
     clauses["ii"] = _support_clause(X, E, lambda label: coeffs[label] > N[label])
 
-    clauses["iv"] = _TRUE
-    for shift_idx, Dp in enumerate([None] + X.shifts(rng)):
-        base = D if Dp is None else D + Dp
-        for m in m_grid:
-            scaled = base.scale(m)
-            if X.h0(scaled - E.scale(m)) != X.h0(scaled):
-                witness = {"m": str(m)}
-                if Dp is not None:
-                    witness["shift"] = shift_idx
-                clauses["iv"] = ClauseValue("false", witness)
-                break
-        if clauses["iv"].is_false:
-            break
+    def witness_at(scaled, m, shifted):
+        if X.h0(scaled - E.scale(m)) != X.h0(scaled):
+            return {"m": str(m)}
+        return None
 
+    clauses["iv"] = _sampled_clause(X, D, m_grid, rng, witness_at)
     if X.is_nef(D):
         clauses["v"] = _TRUE if E.is_zero() else ClauseValue("false", {"E": "nonzero"})
     else:
@@ -164,44 +189,22 @@ def check_theorem_b(X, D, E, m_grid=None, rng=None) -> TheoremReport:
 
     Clauses: i) vol(D+E) = vol(D); ii) Supp(E) inside the divisorial
     augmented base locus of D; iv) sampled h0(mD'+rE) = h0(mD') with r
-    running over m itself and R_GRID, D' over principal shifts;
+    running over m itself and, on the principal shifts D', also R_GRID;
     v) D^(n-1).E = 0, evaluated when D is nef.
     """
-    if not X.is_big(D):
-        raise NotBig("checker needs a big divisor D")
-    if not E.is_effective():
-        raise NotEffective("checker needs an effective divisor E")
-    m_grid = _as_grid(m_grid, default_m_grid())
-
-    clauses = {}
-    vol_d, vol_add = X.volume(D), X.volume(D + E)
-    clauses["i"] = (
-        _TRUE
-        if vol_add == vol_d
-        else ClauseValue("false", {"vol_D": str(vol_d), "vol_D_plus_E": str(vol_add)})
-    )
+    m_grid = _checker_grid(X, D, E, m_grid)
+    clauses = {"i": _volume_clause(X.volume(D), X.volume(D + E), "vol_D_plus_E")}
     locus = X.bplus(D)
     clauses["ii"] = _support_clause(X, E, lambda label: label not in locus)
 
-    clauses["iv"] = _TRUE
-    for shift_idx, Dp in enumerate([None] + X.shifts(rng)):
-        base = D if Dp is None else D + Dp
-        for m in m_grid:
-            scaled = base.scale(m)
-            h_base = X.h0(scaled)
-            r_values = [m] if Dp is None else [m] + R_GRID
-            for r in r_values:
-                if X.h0(scaled + E.scale(r)) != h_base:
-                    witness = {"m": str(m), "r": str(r)}
-                    if Dp is not None:
-                        witness["shift"] = shift_idx
-                    clauses["iv"] = ClauseValue("false", witness)
-                    break
-            if clauses["iv"].is_false:
-                break
-        if clauses["iv"].is_false:
-            break
+    def witness_at(scaled, m, shifted):
+        h_base = X.h0(scaled)
+        for r in ([m] + R_GRID if shifted else [m]):
+            if X.h0(scaled + E.scale(r)) != h_base:
+                return {"m": str(m), "r": str(r)}
+        return None
 
+    clauses["iv"] = _sampled_clause(X, D, m_grid, rng, witness_at)
     if X.is_nef(D):
         pairing = X.intersect(D, E)
         clauses["v"] = _TRUE if pairing == 0 else ClauseValue("false", {"intersection": str(pairing)})
@@ -214,7 +217,7 @@ def check_theorem_b(X, D, E, m_grid=None, rng=None) -> TheoremReport:
 def negsections_check(X, D, E, m_grid=None) -> bool:
     """When Supp(E) sits inside Supp(N_sigma(D)): the negative part grows by
     exactly E and section counts are untouched at every sampled multiple."""
-    m_grid = _as_grid(m_grid, default_m_grid())
+    m_grid = _as_grid(m_grid)
     N = X.nsigma(D)
     if not E.support() <= N.support():
         raise ValueError("E is not supported inside the negative part")

@@ -322,7 +322,8 @@ class TDivisor:
     (A_i + B_i sqrt(disc)) / den is the coefficients negated, canonical as
     scalars._record and _reduce make it, so equality and hashing read the
     polytope, and scale, +, - and principal_divisor are integer products and
-    sums plus one gcd on its record.  The coefficients lie in one field:
+    sums plus one gcd on its record; the signs of the coefficients are
+    those of the offsets, negated.  The coefficients lie in one field:
     two irrational fields raise MixedDiscriminant, as they do for an
     HPolytope.  coeffs builds the reduced Scalars on first use."""
 
@@ -389,13 +390,15 @@ class TDivisor:
         return _divisor(self.fan, p.den * m.den, disc, A, B)
 
     def is_effective(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
+        p = self.polytope
+        return all(_sign(a, b, p.disc) <= 0 for a, b in zip(p.A, p.B))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not (any(self.polytope.A) or any(self.polytope.B))
 
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(self.coeffs) if c)
+        p = self.polytope
+        return frozenset(i for i, (a, b) in enumerate(zip(p.A, p.B)) if a or b)
 
     def coeff_map(self) -> dict[str, Scalar]:
         return {self.fan.ray_name(i): c for i, c in enumerate(self.coeffs)}
@@ -436,20 +439,28 @@ def h0(D: TDivisor) -> int:
 def volume(D: TDivisor) -> Scalar:
     """vol(D) = n! * euclidean volume of the section polytope, by Lasserre's
     facet formula with the primitive rays as normals: the toric identity
-    D^n = sum_i a_i * D^(n-1).D_i, where D^(n-1).D_i is (n-1)! times the
-    lattice volume of the face on ray i (0 when the polytope is empty).  The
-    facet volumes lie in D's field, so the sum runs on the polytope's
-    record, negated, over the lcm q of their denominators."""
+    D^n = D^(n-1).D = sum_i a_i * D^(n-1).D_i, which _facet_sum sums on the
+    polytope's record (0 when the polytope is empty)."""
     p = polytope_of(D)
+    return _facet_sum(p, p)
+
+
+def _facet_sum(p: HPolytope, e: HPolytope) -> Scalar:
+    """D^(n-1).E = (n-1)! sum_i c_i vol_i for the section polytopes p of D
+    and e of E, with vol_i p's facet record and c_i = -offset_i on e's: one
+    integer sum over the lcm of the vol_i's denominators, in the field of e
+    and of the vol_i it meets, not p's, whose faces may be rational."""
     vols = _facet_volumes(p)
     q = math.lcm(*[v.den for v in vols])
-    disc, x, y = p.disc, 0, 0
-    for a, b, v in zip(p.A, p.B, vols):
-        t = q // v.den
-        x += (a * v.a + b * v.b * disc) * t
-        y += (a * v.b + b * v.a) * t
-    f = -math.factorial(D.fan.dim - 1)
-    return _new(f * x, f * y, p.den * q, disc)
+    disc, x, y = e.disc, 0, 0
+    for a, b, v in zip(e.A, e.B, vols):
+        if a or b:
+            disc = _join(disc, v.disc)
+            t = q // v.den
+            x += (a * v.a + b * v.b * disc) * t
+            y += (a * v.b + b * v.a) * t
+    f = -math.factorial(p.dim - 1)
+    return _new(f * x, f * y, e.den * q, disc)
 
 
 def is_big(D: TDivisor) -> bool:
@@ -544,24 +555,22 @@ def intersection_nef(D: TDivisor, ray) -> Scalar:
 def intersection_nef_div(D: TDivisor, E: TDivisor) -> Scalar:
     """D^(n-1).E for nef big D and effective invariant E on D's fan, by
     linearity: (n-1)! times entry i of the facet record of D is
-    D^(n-1).D_i.  Bigness and nefness are checked once, and not at all when
-    E is 0; divisors on two fans raise ValueError before either."""
+    D^(n-1).D_i, and _facet_sum sums them against E.  Bigness and nefness
+    are checked once, and not at all when E is 0; divisors on two fans raise
+    ValueError before either."""
     _check_tdivisor(D)
     _check_tdivisor(E)
     if D.fan != E.fan:
         raise ValueError("divisors live on different fans")
     if not E.is_effective():
         raise NotEffective("intersection against a non-effective divisor")
-    terms = [(i, c) for i, c in enumerate(E.coeffs) if c]
-    if not terms:
+    if E.is_zero():
         return Scalar(0)
     if not is_big(D):
         raise NotBig("intersection numbers computed for big divisors")
     if not is_nef(D):
         raise NotNef("facet-volume intersection numbers need a nef divisor")
-    vols = _facet_volumes(D.polytope)
-    total = sum((c * vols[i] for i, c in terms), Scalar(0))
-    return Scalar(math.factorial(D.fan.dim - 1)) * total
+    return _facet_sum(D.polytope, E.polytope)
 
 
 def sigma_limit_oracle(D: TDivisor, ray, m_list) -> list[Scalar]:

@@ -278,6 +278,45 @@ def test_check_a_consistent_exit(capsys):
     assert doc["verdict"] == "ConsistentWithPaper"
 
 
+# each one-value query and each checker, on a preset fan and on the surface
+# model, in csv and in json: the exit code and stdout, byte for byte
+QUERY_PINS = [
+        ('h0 --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --scale 3 --format csv', 0, '36\n'),
+        ('h0 --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --scale 3 --format csv', 0, '36\n'),
+        ('volume --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --scale sqrt(2) --format csv', 0, '6+4*sqrt(2)\n'),
+        ('volume --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --scale sqrt(2) --format csv', 0, '6+4*sqrt(2)\n'),
+        ('big --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --format csv', 0, 'true\n'),
+        ('big --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --format csv', 0, 'true\n'),
+        ('nef --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --format csv', 0, 'false\n'),
+        ('nef --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --format csv', 0, 'false\n'),
+        ('bplus --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --format csv', 0, 'E\n'),
+        ('bplus --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --format csv', 0, 'E\n'),
+        ('check-a --preset F1 --divisor C:1,F:1/2 --effective F:1/2 --format csv', 0, 'clause,status\ni,false\nii,false\niv,false\nv,false\nverdict,ConsistentWithPaper\n'),
+        ('check-a --e 1 --divisor C:1,F1:1/2 --effective F1:1/2 --format csv', 0, 'clause,status\ni,false\nii,false\niv,false\nv,false\nverdict,ConsistentWithPaper\n'),
+        ('check-b --preset F1 --divisor C:1,F:1/2 --effective F:1/2 --format csv', 0, 'clause,status\ni,false\nii,false\niv,false\nv,false\nverdict,ConsistentWithPaper\n'),
+        ('check-b --e 1 --divisor C:1,F1:1/2 --effective F1:1/2 --format csv', 0, 'clause,status\ni,false\nii,false\niv,false\nv,false\nverdict,ConsistentWithPaper\n'),
+        ('h0 --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --scale 3 --format json', 0, '{"h0": 36}\n'),
+        ('h0 --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --scale 3 --format json', 0, '{"h0": 36}\n'),
+        ('volume --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --scale sqrt(2) --format json', 0, '{"volume": "6+4*sqrt(2)"}\n'),
+        ('volume --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --scale sqrt(2) --format json', 0, '{"volume": "6+4*sqrt(2)"}\n'),
+        ('big --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --format json', 0, '{"big": true}\n'),
+        ('big --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --format json', 0, '{"big": true}\n'),
+        ('nef --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --format json', 0, '{"nef": false}\n'),
+        ('nef --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --format json', 0, '{"nef": false}\n'),
+        ('bplus --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --format json', 0, '{"bplus": ["E"]}\n'),
+        ('bplus --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --format json', 0, '{"bplus": ["E"]}\n'),
+        ('check-a --preset F1 --divisor C:1,F:1/2 --effective F:1/2 --format json', 0, '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "2", "vol_D_minus_E": "1"}}, "ii": {"status": "false", "witness": {"ray": "F"}}, "iv": {"status": "false", "witness": {"m": "2"}}, "v": {"status": "false", "witness": {"E": "nonzero"}}}, "theorem": "A", "verdict": "ConsistentWithPaper"}\n'),
+        ('check-a --e 1 --divisor C:1,F1:1/2 --effective F1:1/2 --format json', 0, '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "2", "vol_D_minus_E": "1"}}, "ii": {"status": "false", "witness": {"component": "F1"}}, "iv": {"status": "false", "witness": {"m": "2"}}, "v": {"status": "false", "witness": {"E": "nonzero"}}}, "theorem": "A", "verdict": "ConsistentWithPaper"}\n'),
+        ('check-b --preset F1 --divisor C:1,F:1/2 --effective F:1/2 --format json', 0, '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "2", "vol_D_plus_E": "3"}}, "ii": {"status": "false", "witness": {"ray": "F"}}, "iv": {"status": "false", "witness": {"m": "1", "r": "1"}}, "v": {"status": "false", "witness": {"intersection": "1/2"}}}, "theorem": "B", "verdict": "ConsistentWithPaper"}\n'),
+        ('check-b --e 1 --divisor C:1,F1:1/2 --effective F1:1/2 --format json', 0, '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "2", "vol_D_plus_E": "3"}}, "ii": {"status": "false", "witness": {"component": "F1"}}, "iv": {"status": "false", "witness": {"m": "1", "r": "1"}}, "v": {"status": "false", "witness": {"intersection": "1/2"}}}, "theorem": "B", "verdict": "ConsistentWithPaper"}\n'),
+]
+
+
+@pytest.mark.parametrize("line,code,stdout", QUERY_PINS, ids=[p[0] for p in QUERY_PINS])
+def test_query_and_check_outputs_are_pinned(capsys, line, code, stdout):
+    assert invoke(capsys, *line.split())[:2] == (code, stdout)
+
+
 def test_corpus_runs(capsys):
     code, out, _ = invoke(capsys, "corpus", "--seed", "1", "--count", "3")
     assert code == EXIT_OK

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from rdiv.scalars import sqrt
 from rdiv.surface import SurfaceModel
 from rdiv.theorems import (
     CONSISTENT,
+    R_GRID,
     check_theorem_a,
     check_theorem_b,
     corpus_run,
@@ -139,6 +141,79 @@ def test_report_json_shape():
     assert doc["verdict"] == CONSISTENT
     assert set(doc["clauses"]) == {"i", "ii", "iv", "v"}
     json.dumps(doc)  # serializable
+
+
+# ---- the sampled clause iv ---------------------------------------------------
+
+
+class OffByOneAt:
+    """A model's protocol with h0 one too large at a single divisor, and a
+    log of every divisor h0 is asked about."""
+
+    def __init__(self, X, target):
+        self.X, self.target, self.seen = X, target, []
+
+    def __getattr__(self, name):
+        return getattr(self.X, name)
+
+    def h0(self, D):
+        self.seen.append(D)
+        return self.X.h0(D) + (D == self.target)
+
+
+@pytest.mark.parametrize("X", [F1, MODEL1], ids=["fan", "surface"])
+def test_a_witness_names_the_multiple_and_the_shift_and_stops_there(X):
+    D, E = X.divisor({"C": 1, "E": 1}), X.divisor({"E": 1})
+    grid = [Fraction(1), Fraction(2), Fraction(3)]
+    shift = X.shifts(None)[1]
+    probe = OffByOneAt(X, (D + shift).scale(2) - E.scale(2))
+    iv = check_theorem_a(probe, D, E, m_grid=grid).clause_values["iv"]
+    assert iv == ("false", {"m": "2", "shift": 2}, None)
+    # D and the first shift at three multiples, then the second shift at two
+    assert len(probe.seen) == 2 * (3 + 3 + 2)
+    probe = OffByOneAt(X, D.scale(3) - E.scale(3))
+    assert check_theorem_a(probe, D, E, m_grid=grid).clause_values["iv"].witness == {"m": "3"}
+
+
+@pytest.mark.parametrize("X", [F1, MODEL1], ids=["fan", "surface"])
+def test_b_witness_names_the_multiple_the_step_and_the_shift_and_stops_there(X):
+    D, E = X.divisor({"C": 1, "E": 1}), X.divisor({"E": 1})
+    grid = [Fraction(1), Fraction(2)]
+    shift = X.shifts(None)[0]
+    probe = OffByOneAt(X, (D + shift).scale(2) + E.scale(R_GRID[1]))
+    iv = check_theorem_b(probe, D, E, m_grid=grid).clause_values["iv"]
+    assert iv == ("false", {"m": "2", "r": "1/2", "shift": 1}, None)
+    # D: base and r = m at two multiples; the first shift: base and three r at
+    # m = 1, then base and r = m, 1, 1/2 at m = 2
+    assert len(probe.seen) == 2 * 2 + 4 + 4
+    probe = OffByOneAt(X, D.scale(2) + E.scale(2))
+    assert check_theorem_b(probe, D, E, m_grid=grid).clause_values["iv"].witness == {"m": "2", "r": "2"}
+    probe = OffByOneAt(X, X.divisor({}))
+    assert check_theorem_b(probe, D, E, m_grid=grid).clause_values["iv"].is_true
+
+
+def test_checker_reports_over_a_corpus_are_pinned():
+    """Both reports, witnesses included, for 60 corpus instances with random
+    shifts drawn from one stream, pinned by the sha256 of their JSON."""
+    rng, grid, docs = random.Random(2027), default_m_grid(2), []
+    for inst in generate_corpus(2026, 60):
+        fan, D, E = inst.realize()
+        for check in (check_theorem_a, check_theorem_b):
+            docs.append(check(fan, D, E, m_grid=grid, rng=rng).to_json())
+    blob = json.dumps(docs, sort_keys=True).encode()
+    assert (
+        hashlib.sha256(blob).hexdigest()
+        == "66a45c5be8ad167a4b0ffc3c4d9770a4c5e01b1aa4508578ba8d5e5e306aef70"
+    )
+
+
+@pytest.mark.parametrize("grid", [[0], [-1], [Fraction(-2)], [1, 0], []], ids=str)
+@pytest.mark.parametrize("check", [check_theorem_a, check_theorem_b, negsections_check])
+def test_a_grid_without_a_positive_multiple_is_rejected(check, grid):
+    # "for all m > 0" sampled at m <= 0, or at no m, proves nothing
+    D, E = F1.divisor({"C": 1, "E": 1}), F1.divisor({"E": 1})
+    with pytest.raises(ValueError, match="is not positive|no sample"):
+        check(F1, D, E, m_grid=grid)
 
 
 # ---- lemma: adding inside the negative part ----------------------------------

@@ -733,6 +733,35 @@ def test_intersection_p3():
     assert intersection_nef_div(HH.scale(2), P3.divisor({"H": 1})) == Scalar(4)
 
 
+def test_intersection_takes_its_field_from_the_facets_and_e():
+    # D's record lies in Q(sqrt 2), but D ~ H has the facet volumes 1, 1, 1,
+    # so the pairing with a Q(sqrt 3) divisor is defined
+    D = H + principal_divisor(P2, (sqrt(2), 0))
+    assert polytope_of(D).disc == 2
+    assert intersection_nef_div(D, P2.divisor({0: sqrt(3)})) == sqrt(3)
+    # C + sqrt(2) F on F1 meets F in 1 but C in 1 + sqrt(2): only the facets
+    # that E meets set the field
+    D = F1.divisor({"C": 1, "F": sqrt(2)})
+    assert intersection_nef_div(D, F1.divisor({"F": sqrt(3)})) == sqrt(3)
+    with pytest.raises(MixedDiscriminant):
+        intersection_nef_div(D, F1.divisor({"C": sqrt(3)}))
+
+
+@pytest.mark.parametrize(
+    "D,vol",
+    [
+        (F1.divisor({"C": 1, "F": sqrt(2)}), 1 + 2 * sqrt(2)),
+        (P2.divisor({"H": 1 + sqrt(2), "r1": sqrt(2)}), 9 + 4 * sqrt(2)),  # (1 + 2 sqrt 2) H
+        (P3.divisor({"H": sqrt(2), "r0": 1, "r1": sqrt(2) - 1}), 16 * sqrt(2)),  # 2 sqrt(2) H
+        (P1P1.divisor({"H1": 1, "H2": sqrt(2), "r0": sqrt(2) / 2}), 2 + 2 * sqrt(2)),
+    ],
+    ids=["F1", "P2", "P3", "P1xP1"],
+)
+def test_self_intersection_of_a_nef_big_divisor_is_its_volume(D, vol):
+    assert is_nef(D) and is_big(D)
+    assert intersection_nef_div(D, D) == volume(D) == vol
+
+
 # ---- sigma limit oracle ----------------------------------------------------
 
 
@@ -1068,6 +1097,20 @@ def test_record_arithmetic_matches_coefficientwise_scalars(pair, m, k, u):
     u = u[: fan.dim]
     expected = tuple(sum((x * w for x, w in zip(u, ray)), Scalar(0)) for ray in fan.rays)
     assert principal_divisor(fan, u).coeffs == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_divisors())
+@example((F1, [Scalar(3, -2, 2), Scalar(-1, 1, 2), Scalar(0), Scalar(0)], [Scalar(0)] * 4))
+@example((F1, [Scalar(0, 1, 2), Scalar(1, -1, 2), Scalar(0), Scalar(0)], [Scalar(0)] * 4))
+def test_effective_zero_and_support_read_off_the_record_match_the_scalars(pair):
+    # 3 - 2 sqrt(2) and sqrt(2) - 1 are positive, 1 - sqrt(2) is negative
+    fan, a, b = pair
+    for D in (fan.divisor(a), fan.divisor(a) - fan.divisor(b)):
+        coeffs = D.coeffs
+        assert D.is_effective() == all(c >= 0 for c in coeffs)
+        assert D.is_zero() == (not any(coeffs))
+        assert D.support() == frozenset(i for i, c in enumerate(coeffs) if c)
 
 
 @settings(max_examples=150, deadline=None)
