@@ -340,16 +340,7 @@ def _cmd_sigma(args):
 def _cmd_nsigma(args):
     variety, D, _ = _load_context(args)
     if variety.label_kind != "ray":
-        from .surface import zariski
-
-        pair = zariski(D)
-        payload = {
-            "N": {"E": str(pair.N.cE)},
-            "P_class": {"E": str(pair.P[0]), "F": str(pair.P[1])},
-        }
-        csv_lines = ["part,component,coefficient", f"N,E,{pair.N.cE}", f"P,E,{pair.P[0]}", f"P,F,{pair.P[1]}"]
-        _emit(args, payload, csv_lines)
-        return EXIT_OK
+        return _cmd_zariski(args)
     from .toric import sigma_decomposition
 
     dec = sigma_decomposition(D)

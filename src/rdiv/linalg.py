@@ -2,15 +2,13 @@
 
 inverse is the library's one linear solve: every normals-only fact the
 toric side needs comes from inverting a square integer matrix, namely the
-vertices and boundedness of a section polytope (polyhedra's vertex table)
-and the cone coordinates behind the fan's simplicial, overlap and wall
+vertices, boundedness and facet-record weights of a section polytope
+(polyhedra's vertex table, which also reads the determinant) and the cone
+coordinates behind the fan's simplicial, overlap and wall
 tests (toric).  It runs fraction-free, so every entry stays an integer.
 unimodular_basis completes an integer vector g to a lattice basis whose
-first vector y has <g, y> = gcd(g) and whose others span g's kernel.  Its
-last n - 1 vectors give the lattice of a hyperplane, for the faces that
-Lasserre's recursion measures (polyhedra's face table, cached there per
-normal set and g), and the whole basis puts <g, u> on the first
-coordinate, for polyhedra's lattice minimum.
+first vector y has <g, y> = gcd(g) and whose others span g's kernel, so
+it puts <g, u> on the first coordinate, for polyhedra's lattice minimum.
 """
 
 from __future__ import annotations
@@ -21,8 +19,9 @@ __all__ = ["inverse", "primitive", "unimodular_basis"]
 
 
 def inverse(rows):
-    """rows^-1 = M / q for a square integer matrix, as (M, q) with integer
-    rows M, q > 0 and gcd(q, M) = 1; None when the matrix is singular.
+    """rows^-1 = M / q for a square integer matrix, as (M, q, |det rows|)
+    with integer rows M, q > 0 and gcd(q, M) = 1; None when the matrix is
+    singular.
 
     Fraction-free Gauss-Jordan on [rows | I] (Bareiss, Math. Comp. 22,
     1968): each step divides exactly by the previous pivot, so the left
@@ -45,7 +44,7 @@ def inverse(rows):
     g = gcd(prev, *(x for r in a for x in r[n:]))
     if prev < 0:
         g = -g
-    return tuple(tuple(x // g for x in r[n:]) for r in a), prev // g
+    return tuple(tuple(x // g for x in r[n:]) for r in a), prev // g, abs(prev)
 
 
 def primitive(vec) -> tuple[int, ...]:

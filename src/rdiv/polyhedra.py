@@ -7,15 +7,14 @@ takes one path, on the polytope's offset record: each offset is
 den.  The internals compute on those integers, rational or not; a Scalar
 is built only for a value handed back (an LP value, a volume).
 
-What depends on the normals alone is computed once per normal set, in
-bounded caches, since the section polytopes of one fan share their normals
+What depends on the normals alone is computed once per normal set, in a
+bounded cache, since the section polytopes of one fan share their normals
 and differ only in offsets.  The vertex table holds, for each nonsingular
 n-subset of rows, its inverse M / q from the integer linalg.inverse (an
 integer matrix over a positive integer denominator) and the integer forms
 g_r M that test every other row r on the subset's candidate vertex, so a
 polytope's vertices cost integer products and one sign test per row, and
-no elimination.  The face table holds the projections of the normals onto
-the lattice of a face's hyperplane, so a face only shifts numerators.
+no elimination.
 
 Boundedness is read off the same table, once per normal set.  Column k of
 M is the edge direction of the subset's cone on which every row of the
@@ -26,23 +25,24 @@ such column has a nonnegative product with every other row.
 
 A polytope's row test runs in one place, _feasible, which keeps each
 row's slack <g_r, v> - o_r at each feasible candidate v as integers.
-_has_interior reads full dimension off them (the test with offsets o + eps,
-toric's bigness), and _least_slacks every row's least slack (toric's sigma,
-as o_r = -a_r).  Vertices have one form, the integer numerators (X + Y
+_least_slacks reads every row's least slack off them (toric's sigma, as
+o_r = -a_r).  Vertices have one form, the integer numerators (X + Y
 sqrt(disc)) / Q of _vertices, never built as Scalars or cached.  A linear
 objective's minimum over a bounded polytope is at a vertex, so lp_solve
 answers a list of integer objectives in one pass over them, with no
 simplex, and the slicer reads its box off them.
 
-Volumes come from Lasserre's recursion: n times the volume is the sum, over
-the rows, of the signed lattice distance of the origin from the row's
-hyperplane times the lattice volume of the face there, and each face is
-sliced into the lattice of its hyperplane and measured the same way, down
-to intervals, whose length is read off their two ends.  A face's rows stay
-integer numerators over a common denominator, and a volume stays an
-unreduced integer fraction until it is returned.  The lattice volumes of
-the faces on all rows of a polytope are measured together and kept as one
-record per polytope, in a bounded cache, so the callers that read several
+Bigness and the facet record come from one lexicographic selection on
+those slacks, _selected.  With each offset o_i moved to o_i + eps^(i+1)
+the polytope is simple for small eps > 0, and its vertices are the
+feasible entries whose rows of slack 0 pass a sign test the table holds
+per row.  _has_interior is "some entry is selected", since the moved
+polytope is empty exactly when p lies in a hyperplane.  The facet record,
+each row's face measured in the lattice of its hyperplane, is Lawrence's
+volume formula (Math. Comp. 57, 1991; Bueler-Enge-Fukuda 2000)
+differentiated in the row's offset: one sum over the selected entries, on
+integer numerators over one denominator per normal set, kept as one
+record per polytope in a bounded cache, so the callers that read several
 rows hash the polytope once.
 
 Lattice counts never leave the integers: on a lattice point <u, normal> is
@@ -191,11 +191,28 @@ def lp_solve(p: HPolytope, objectives) -> tuple[Scalar, ...] | None:
 
 @lru_cache(maxsize=256)
 def _vertex_table(normals: tuple[tuple[int, ...], ...], n: int):
-    """The normals-only part of vertex enumeration, as (bounded, table): for
-    each nonsingular n-subset S of the rows, the table holds (S, M, q,
-    forms) with A_S^-1 = M / q from linalg.inverse, and forms the integer
-    (r, w_r = g_r M) of every other row r.  The candidate vertex of S is
-    M o_S / q, and <g_r, v> >= o_r there is sum_k w_r,k o_S_k >= q o_r.
+    """The normals-only part of vertex enumeration and of the facet record,
+    as (bounded, table, scale, parallel).  For each nonsingular n-subset S
+    of the rows, in increasing order, the table holds (S, M, q, forms, lex,
+    cm, weights) with A_S^-1 = M / q from linalg.inverse, and forms the
+    integer (r, w_r = g_r M) of every other row r.  The candidate vertex of
+    S is M o_S / q, and <g_r, v> >= o_r there is sum_k w_r,k o_S_k >= q o_r.
+
+    lex holds, per row of forms, the lexicographic test of _selected: with
+    offsets o_i + eps^(i+1), a row r that S's vertex meets with slack 0
+    keeps the slack (sum_k w_r,k eps^(S_k+1) - q eps^(r+1)) / q, whose sign
+    for small eps is that of its lowest power of eps.  As S is increasing,
+    that is the first nonzero w_r,k when S_k < r, and -q otherwise.
+
+    cm and weights serve Lawrence's formula (see _facet_volumes): cm holds
+    <c, m_k> for the columns m_k of M, the edge directions of S's cone, with
+    c = (1, t, t^2, ...) for the least t >= 2 that no column of the table is
+    orthogonal to, and weights the integer -<c, m_j> gcd(g_S_j) L / (|det
+    A_S| prod_k -<c, m_k>) per row S_j of S, for L the lcm of those
+    denominators; scale is L (n-1)!.  parallel lists each set of two or more
+    rows with one primitive normal, as pairs (i, K / gcd(g_i)) in row order,
+    for K the lcm of the set's gcds: o_i K / gcd(g_i) is one value on the
+    rows of one hyperplane.
 
     bounded is True iff the recession cone {u : <u, g> >= 0 for all g} is
     the origin alone.  Column k of M is zero on every row of S but s_k and
@@ -204,23 +221,41 @@ def _vertex_table(normals: tuple[tuple[int, ...], ...], n: int):
     and the cone holds a line.  Otherwise the cone is pointed, and if it is
     not the origin it has an extreme ray, on which n - 1 independent rows
     vanish: the ray is column k of the entry of those rows and one more."""
+    bases = [
+        (subset, *inv)
+        for subset in itertools.combinations(range(len(normals)), n)
+        if (inv := inverse([normals[s] for s in subset])) is not None
+    ]
+    cols = [list(zip(*M)) for _, M, _, _ in bases]
+    for t in itertools.count(2):
+        cms = [tuple(sum(x * t**i for i, x in enumerate(m)) for m in ms) for ms in cols]
+        if all(map(all, cms)):
+            break
+    dens = [det * math.prod(-x for x in cm) for (*_, det), cm in zip(bases, cms)]
+    lcm = math.lcm(*map(abs, dens))
     table = []
-    for subset in itertools.combinations(range(len(normals)), n):
-        inv = inverse([normals[s] for s in subset])
-        if inv is None:
-            continue
-        M, q = inv
-        cols = list(zip(*M))
+    for (subset, M, q, _), ms, cm, d in zip(bases, cols, cms, dens):
         forms = tuple(
-            (r, tuple(sum(map(mul, g, col)) for col in cols))
+            (r, tuple(sum(map(mul, g, m)) for m in ms))
             for r, g in enumerate(normals)
             if r not in subset
         )
-        table.append((subset, M, q, forms))
+        lex = tuple(next((s < r and x > 0 for s, x in zip(subset, w) if x), False) for r, w in forms)
+        weights = tuple(-x * math.gcd(*normals[s]) * lcm // d for s, x in zip(subset, cm))
+        table.append((subset, M, q, forms, lex, cm, weights))
     bounded = bool(table) and not any(
         all(w[k] >= 0 for _, w in entry[3]) for entry in table for k in range(n)
     )
-    return bounded, tuple(table)
+    by_normal = {}
+    for i, g in enumerate(normals):
+        k = math.gcd(*g)
+        by_normal.setdefault(tuple(x // k for x in g), []).append((i, k))
+    parallel = tuple(
+        tuple((i, math.lcm(*(k for _, k in rows)) // k) for i, k in rows)
+        for rows in by_normal.values()
+        if len(rows) > 1
+    )
+    return bounded, tuple(table), lcm * math.factorial(n - 1), parallel
 
 
 def is_bounded(p: HPolytope) -> bool:
@@ -228,17 +263,18 @@ def is_bounded(p: HPolytope) -> bool:
 
 
 def _feasible(p: HPolytope):
-    """Yield (entry, a, b, slacks) for each entry (S, M, q, forms) of the
-    vertex table whose candidate vertex v satisfies every row of p: a and b
-    are S's offset numerators, and slacks the row test's (x, y) for each row
-    r of forms, <g_r, v> - o_r = (x + y sqrt(disc)) / (q den) >= 0.  A vertex
-    on more than n rows comes once per entry.  Raises UnboundedPolytope."""
-    bounded, table = _vertex_table(p.normals, p.dim)
+    """Yield (entry, a, b, slacks) for each entry (S, M, q, forms, ...) of
+    the vertex table whose candidate vertex v satisfies every row of p: a
+    and b are S's offset numerators, and slacks the row test's (x, y) for
+    each row r of forms, <g_r, v> - o_r = (x + y sqrt(disc)) / (q den) >= 0.
+    A vertex on more than n rows comes once per entry.  Raises
+    UnboundedPolytope."""
+    bounded, table, _, _ = _vertex_table(p.normals, p.dim)
     if not bounded:
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
     A, B, disc = p.A, p.B, p.disc
     for entry in table:
-        subset, _, q, forms = entry
+        subset, _, q, forms, *_ = entry
         a, b, slacks = [A[s] for s in subset], [B[s] for s in subset], []
         for r, w in forms:
             x, y = sum(map(mul, a, w)) - q * A[r], sum(map(mul, b, w)) - q * B[r]
@@ -249,22 +285,34 @@ def _feasible(p: HPolytope):
             yield entry, a, b, slacks
 
 
+def _selected(p: HPolytope):
+    """Yield (entry, a, b) of _feasible for each entry whose vertex stays a
+    vertex with offsets o_i + eps^(i+1), for every small eps > 0: each row
+    of forms passes with a slack > 0, or with a slack 0 and its lex test
+    (see _vertex_table).  That perturbed polytope is simple, since n + 1 of
+    its rows meet only where a nonzero polynomial in eps vanishes, so its
+    vertices are these entries, once each."""
+    for entry, a, b, slacks in _feasible(p):
+        if all(x or y or ok for ok, (x, y) in zip(entry[4], slacks)):
+            yield entry, a, b
+
+
 def _vertices(p: HPolytope):
     """Yield the vertex (X + Y sqrt(disc)) / Q of each feasible entry, with
     X = M a, Y = M b and Q = q den."""
-    for (_, M, q, _), a, b, _ in _feasible(p):
+    for (_, M, q, *_), a, b, _ in _feasible(p):
         yield [sum(map(mul, a, row)) for row in M], [sum(map(mul, b, row)) for row in M], q * p.den
 
 
 def _has_interior(p: HPolytope) -> bool:
-    """True iff p has an interior point (positive volume), i.e. iff p with
-    offsets o + eps is nonempty for small eps > 0.  That adds eps (sum_k
-    w_r,k - q) to each slack, so some entry passes every row with a slack
-    > 0, or with a slack 0 and sum_k w_r,k >= q."""
-    return any(
-        all(x or y or sum(w) >= q for (_, w), (x, y) in zip(forms, slacks))
-        for (_, _, q, forms), _, _, slacks in _feasible(p)
-    )
+    """True iff p has an interior point (positive volume), i.e. iff some
+    entry is selected.  The polytope with offsets o_i + eps^(i+1) lies in p
+    and is empty exactly when p has no interior point.  An interior point
+    of p passes every row with room to spare.  A nonempty p without one
+    has an implicit equality: weights l_i >= 0, not all 0, with sum l_i g_i
+    = 0 and sum l_i o_i = 0, so a point of the moved polytope would give
+    0 >= sum l_i eps^(i+1) > 0."""
+    return next(_selected(p), None) is not None
 
 
 def _least_slacks(p: HPolytope):
@@ -272,7 +320,7 @@ def _least_slacks(p: HPolytope):
     (x, y, Q) meaning (x + y sqrt(disc)) / Q: the least slack over the
     feasible entries, 0 on an entry's own rows; None when p is empty."""
     disc, best = p.disc, None
-    for (_, _, q, forms), _, _, slacks in _feasible(p):
+    for (_, _, q, forms, *_), _, _, slacks in _feasible(p):
         values = [(0, 0, 1)] * len(p.normals)
         for (r, _), (x, y) in zip(forms, slacks):
             values[r] = (x, y, q)
@@ -281,104 +329,6 @@ def _least_slacks(p: HPolytope):
             for (x, y, s), (a, b, t) in zip(values, best)
         ]
     return None if best is None else [(x, y, q * p.den) for x, y, q in best]
-
-
-# ---------------------------------------------------------------------------
-# volume
-
-
-@lru_cache(maxsize=1024)
-def _face_table(normals: tuple[tuple[int, ...], ...], g: tuple[int, ...]):
-    """The normals-only part of _face_rows: |g_j| for the first nonzero entry
-    g_j of g, and for each normal h its coordinates hb on the lattice basis
-    of the hyperplane's direction (() when h is parallel to g), with
-    h_j sign(g_j)."""
-    j = next(i for i, x in enumerate(g) if x)
-    basis = unimodular_basis(g)[1:]
-    sign = 1 if g[j] > 0 else -1
-    table = []
-    for h in normals:
-        hb = tuple(sum(map(mul, h, b)) for b in basis)
-        table.append((hb if any(hb) else (), h[j] * sign))
-    return abs(g[j]), tuple(table)
-
-
-def _face_rows(rows, den, disc, g, a, b):
-    """The face <u, g> = (a + b sqrt(disc)) / den of {<u, h> >= (A + B
-    sqrt(disc)) / den}, as (rows, den) in the coordinates of a lattice basis
-    of the hyperplane's direction, so that its volume there is its lattice
-    volume; None when a row parallel to g excludes the hyperplane.  The base
-    point (a + b sqrt(disc)) / (den g_j) e_j lies on it, so each numerator
-    shifts to (A g_j - a h_j) sign(g_j) over den |g_j|; the projected
-    normals come from the face table."""
-    m, table = _face_table(tuple([h for h, _, _ in rows]), g)
-    out = []
-    for (_, x, y), (hb, t) in zip(rows, table):
-        x, y = x * m - a * t, y * m - b * t
-        if hb:
-            out.append((hb, x, y))
-        elif _sign(x, y, disc) > 0:
-            return None
-    return out, den * m
-
-
-def _volume(n: int, face, disc: int) -> tuple[int, int, int]:
-    """Lattice n-volume of the bounded polytope face = (rows, den), read
-    {<u, g> >= (A + B sqrt(disc)) / den} for rows (g, A, B), as an
-    unreduced (X, Y, Q) meaning (X + Y sqrt(disc)) / Q; 0 for face None.
-
-    Lasserre's recursion: with each row divided by the gcd k of its normal,
-    n * vol = sum over rows of -c * vol(face), the signed lattice distance
-    of the origin from the row's hyperplane times the lattice volume of its
-    face.  Dividing by k puts every row over den * lcm(k).  Faces of
-    dimension below n - 1 measure 0.  Identical rows are one hyperplane and
-    are counted once: on a flat polytope the faces of a hyperplane and of
-    its opposite are the whole polytope, and their terms cancel only in
-    pairs.
-
-    The recursion ends at intervals.  In dimension 1 a row ((k,), A, B)
-    bounds u by (A + B sqrt(disc)) / (den k), from below when k > 0, and the
-    length is the least upper end minus the greatest lower end, or 0 when
-    they meet or cross.  Two ends on one side have k's of one sign, so they
-    compare by the sign of their numerators cross-multiplied by the k's,
-    with no gcd taken.  A bounded interval has both ends."""
-    if face is None:
-        return 0, 0, 1
-    if n == 0:
-        return 1, 0, 1
-    rows, den = face
-    if n == 1:
-        # kl or kh is 0 while that side has no end yet, as no row has k = 0
-        kl = kh = 0
-        for (k,), a, b in rows:
-            if k > 0:
-                if not kl or _sign(a * kl - al * k, b * kl - bl * k, disc) > 0:
-                    kl, al, bl = k, a, b
-            elif not kh or _sign(a * kh - ah * k, b * kh - bh * k, disc) < 0:
-                kh, ah, bh = k, a, b
-        # upper minus lower end over den kh kl, negated, since kh kl < 0
-        x, y = al * kh - ah * kl, bl * kh - bh * kl
-        if _sign(x, y, disc) <= 0:
-            return 0, 0, 1
-        return x, y, -den * kh * kl
-    ks = [math.gcd(*g) for g, _, _ in rows]
-    lcm = math.lcm(*ks)
-    if lcm == 1:
-        unique = dict.fromkeys(rows)
-    else:
-        unique = {}
-        for (g, a, b), k in zip(rows, ks):
-            t = lcm // k
-            unique[(g if k == 1 else tuple(x // k for x in g), a * t, b * t)] = None
-        den *= lcm
-    terms = []
-    for g, a, b in unique:
-        if a or b:
-            x, y, q = _volume(n - 1, _face_rows(unique, den, disc, g, a, b), disc)
-            if x or y:
-                terms.append((-a * x - b * y * disc, -a * y - b * x, den * q))
-    q = math.lcm(*(t[2] for t in terms))
-    return sum(x * (q // t) for x, _, t in terms), sum(y * (q // t) for _, y, t in terms), q * n
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +534,7 @@ def lattice_form(p: HPolytope) -> HPolytope:
     c = _ceil_offsets(p)
     table = _vertex_table(p.normals, p.dim)[1]
     if table:
-        subset, M, q, forms = table[0]
+        subset, M, q, forms, *_ = table[0]
         cs = [c[s] for s in subset]
         if q == 1:
             # t = M c_S, so c' is 0 on S and c_r - <g_r M, c_S> on every
@@ -625,22 +575,50 @@ def lattice_points(p: HPolytope) -> int:
 def _facet_volumes(p: HPolytope) -> tuple[Scalar, ...]:
     """The facet record of a bounded polytope: for each row, the (n-1)-volume
     of its face in the lattice of its hyperplane, 0 when the face has lower
-    dimension.  One entry per polytope, so a caller that needs several rows
-    hashes the polytope once."""
-    if not is_bounded(p):
-        raise UnboundedPolytope("facet volume needs a bounded polytope")
-    rows, den, disc = tuple(zip(p.normals, p.A, p.B)), p.den, p.disc
-    return tuple(
-        _new(*_volume(p.dim - 1, _face_rows(rows, den, disc, *row), disc), disc) for row in rows
-    )
+    dimension, and 0 on every row when p has no interior point.  One entry
+    per polytope, so a caller that needs several rows hashes the polytope
+    once.
+
+    Lawrence's formula (Math. Comp. 57, 1991) sums over the vertices v of
+    a simple polytope: vol = sum_v <c, v>^n / (n! |det A_S| prod_k -<c, m_k>
+    / q), for the rows S at v, A_S^-1 = M / q and m_k the columns of M.
+    The polytope of _selected is simple and tends to p, and the derivative
+    of its volume in o_S_j, times -gcd(g_S_j), is row S_j's entry:
+    <c, v>^(n-1) gcd(g_S_j) / ((n-1)! |det A_S| prod_(k != j) -<c, m_k> /
+    q).  With <c, v> = (X + Y sqrt(disc)) / (q den) for X = sum_k <c, m_k>
+    A_S_k (and Y on B), the q's cancel, and the entry is (X + Y
+    sqrt(disc))^(n-1) times the table's weight over scale den^(n-1).  Of
+    the rows of one hyperplane only the lowest keeps a facet once moved,
+    and the others copy its value.  Raises UnboundedPolytope."""
+    _, _, scale, parallel = _vertex_table(p.normals, p.dim)
+    A, B, disc = p.A, p.B, p.disc
+    xs, ys, power = [0] * len(A), [0] * len(A), range(p.dim - 1)
+    for (subset, _, _, _, _, cm, weights), a, b in _selected(p):
+        X, Y = sum(map(mul, cm, a)), sum(map(mul, cm, b))
+        x, y = 1, 0
+        for _ in power:
+            x, y = x * X + y * Y * disc, x * Y + y * X
+        for i, w in zip(subset, weights):
+            xs[i] += w * x
+            ys[i] += w * y
+    for rows in parallel:
+        shared = {}
+        for i, t in rows:
+            xs[i], ys[i] = shared.setdefault((A[i] * t, B[i] * t), (xs[i], ys[i]))
+    Q = scale * p.den ** (p.dim - 1)
+    return tuple(_new(x, y, Q, disc) for x, y in zip(xs, ys))
 
 
 def facet_lattice_volume(p: HPolytope, facet_row: int) -> Scalar:
     """(n-1)-volume of a facet, measured in the lattice of its affine hull:
     one entry of the polytope's facet record.
 
-    Returns 0 when the row supports a face of dimension below n-1, and
-    raises IndexError for a row index that is negative or a bool.
+    Returns 0 when the row supports a face of dimension below n-1, and on
+    every row of a polytope with no interior point, where no face is a
+    facet (the 1-dimensional point {u >= 3, -u >= -3} reads 0 on both
+    rows, not the 0-volume 1 of a point); the rows of one hyperplane share
+    its value.  Raises IndexError for a row index that is negative or a
+    bool.
     """
     if isinstance(facet_row, bool) or facet_row < 0:
         raise IndexError(f"row index {facet_row!r} out of range")

@@ -236,7 +236,7 @@ def _wall_forms(fan: Fan) -> tuple[tuple[tuple[int, int], ...], ...]:
 
     def coordinates(cone, v):
         """The numerators x with v = sum of x_i / q * ray_i over the cone."""
-        M, q = inverses[cone]
+        M, q, _ = inverses[cone]
         return [sum(a * M[j][i] for j, a in enumerate(v)) for i in range(fan.dim)], q
 
     cones_at: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -437,10 +437,10 @@ def h0(D: TDivisor) -> int:
 
 
 def volume(D: TDivisor) -> Scalar:
-    """vol(D) = n! * euclidean volume of the section polytope, by Lasserre's
-    facet formula with the primitive rays as normals: the toric identity
+    """vol(D) = n! * euclidean volume of the section polytope, read off its
+    facet record with the primitive rays as normals: the toric identity
     D^n = D^(n-1).D = sum_i a_i * D^(n-1).D_i, which _facet_sum sums on the
-    polytope's record (0 when the polytope is empty)."""
+    polytope's record (0 when the polytope has no interior point)."""
     p = polytope_of(D)
     return _facet_sum(p, p)
 

@@ -16,8 +16,8 @@ end are older library rules, kept to cross-check the direct ones that
 replaced them: the two-phase simplex, with its LPProblem and LPResult
 records, against the vertex-minimum LP and the table's boundedness rule,
 the triangulated volume, vertex-rank bigness and tight-set B+ against the
-facet recursion, Lasserre's recursion in Scalar arithmetic against the one
-on integer offset records, the ample-divisor epsilon schedule against the
+facet record, Lasserre's recursion in Scalar arithmetic against the facet
+record by Lawrence's formula, the ample-divisor epsilon schedule against the
 facet rule for B+, per-cone nefness and Fraction cone coordinates against
 the wall rule, and the two-Fraction Scalar against the integer-triple one.
 """
@@ -37,12 +37,7 @@ from rdiv.errors import (
     UnboundedPolytope,
 )
 from rdiv.linalg import unimodular_basis
-from rdiv.polyhedra import (
-    HPolytope,
-    _vertices,
-    _volume,
-    is_bounded,
-)
+from rdiv.polyhedra import HPolytope, _vertices, is_bounded
 from rdiv.scalars import Scalar, _as_scalar, _frac_str, _Frozen, _new, _squarefree_split
 from rdiv.toric import Fan, TDivisor, is_big, polytope_of, sigma
 
@@ -263,11 +258,11 @@ def scale(p: HPolytope, factor) -> HPolytope:
 
 
 def euclidean_volume(p: HPolytope) -> Scalar:
-    """Exact n-volume by the library's Lasserre recursion on the offset
-    record; raises on unbounded or empty input."""
+    """Exact n-volume by Lasserre's recursion in Scalar arithmetic
+    (scalar_lasserre_volume); raises on unbounded or empty input."""
     if not vertex_set_from_table(p):
         raise EmptyPolytope("cannot take the volume of an empty polytope")
-    return _new(*_volume(p.dim, (tuple(zip(p.normals, p.A, p.B)), p.den), p.disc), p.disc)
+    return scalar_lasserre_volume(p.dim, p.rows)
 
 
 def translate(p: HPolytope, shift) -> HPolytope:
@@ -575,8 +570,8 @@ def bplus_halving(D: TDivisor, max_halvings: int = 20):
 
 # ---------------------------------------------------------------------------
 # Volume, bigness and B+ from the vertex set: the references that the facet
-# recursion of polyhedra._volume and toric.volume/is_big/bplus_div must
-# agree with.  They run on the elimination vertex oracle above.
+# record of polyhedra and toric.volume/is_big/bplus_div must agree with.
+# They run on the elimination vertex oracle above.
 
 
 def det(matrix):
@@ -667,9 +662,11 @@ def tight_set_bplus(D: TDivisor) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Lasserre's recursion in Scalar arithmetic: the reference for the integer
-# offset-record recursion of polyhedra._volume and polyhedra._face_rows.  It
-# projects every face with its own kernel basis and shifts Scalar offsets.
+# Lasserre's recursion in Scalar arithmetic: the reference for the facet
+# record that polyhedra reads off the vertex table by Lawrence's formula.
+# It projects every face with its own kernel basis and shifts Scalar
+# offsets, and measures the faces of a flat polytope on their hyperplanes,
+# where the record reads 0.
 
 
 def _scalar_face_rows(rows, g, c):

@@ -269,6 +269,40 @@ def test_zariski_surface(capsys):
     assert doc == {"P_class": {"E": "1", "F": "1"}, "N": {"E": "2"}, "volume": "1"}
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_nsigma_on_a_surface_prints_the_zariski_pair(capsys, fmt):
+    argv = ("--e", "1", "--divisor", "C:1,E:2", "--format", fmt)
+    code, out, _ = invoke(capsys, "nsigma", *argv)
+    assert code == EXIT_OK
+    assert (code, out) == invoke(capsys, "zariski", *argv)[:2]
+
+
+# P3 blown up at a torus-fixed point: r4 = (1, 1, 1) subdivides the cone of
+# r0, r1, r2, so four rows of r3:1's section polytope meet at the origin
+BLOWUP = {
+    "variety": {
+        "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 1]],
+        "cones": [[0, 1, 4], [0, 2, 4], [1, 2, 4], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+    },
+    "divisors": {},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("volume", "--divisor", "r3:1"), "1"),
+        (("bplus", "--divisor", "r3:1", "--format", "json"), '{"bplus": ["r4"]}'),
+        (("volume", "--divisor", "r3:2,r4:-1/2*sqrt(2)"), "8-1/4*sqrt(2)"),
+    ],
+)
+def test_a_non_simple_vertex_of_a_3_fold(capsys, tmp_path, argv, expected):
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(BLOWUP))
+    code, out, _ = invoke(capsys, *argv, "--file", str(path))
+    assert code == EXIT_OK and out.strip() == expected
+
+
 def test_check_a_consistent_exit(capsys):
     code, out, _ = invoke(
         capsys, "check-a", "--preset", "F1", "--divisor", "C:1,E:1", "--effective", "E:1", "--format", "json"

@@ -285,7 +285,6 @@ def test_library_caches_stay_bounded_over_a_corpus_run():
     assert set(caches) >= {
         "rdiv.polyhedra._facet_volumes",
         "rdiv.polyhedra._vertex_table",
-        "rdiv.polyhedra._face_table",
         "rdiv.polyhedra.lattice_points",
         "rdiv.toric._preset_fan",
         "rdiv.toric.sigma_decomposition",
