@@ -23,20 +23,20 @@ other rows; the recession cone {u : <u, g> >= 0} is the origin alone
 exactly when the table is not empty (the normals have full rank) and no
 such column has a nonnegative product with every other row.
 
-A polytope's row test runs in one place, _feasible, which keeps each
-row's slack <g_r, v> - o_r at each feasible candidate v as integers.
-_least_slacks reads every row's least slack off them (toric's sigma, as
-o_r = -a_r).  Vertices have one form, the integer numerators (X + Y
-sqrt(disc)) / Q of _vertices, never built as Scalars or cached.  A linear
-objective's minimum over a bounded polytope is at a vertex, so lp_solve
-answers a list of integer objectives in one pass over them, with no
-simplex, and the slicer reads its box off them.
+A polytope's row test runs in one place, _feasible: it tests every row
+r at each candidate v as <g_r, v> - o_r >= 0 on integers, and yields the
+feasible candidates with the rows they meet with slack 0.  Vertices have
+one form, the integer numerators (X + Y sqrt(disc)) / Q of _vertices,
+never built as Scalars or cached.  A linear objective's minimum over a
+bounded polytope is at a vertex, so lp_solve answers a list of integer
+objectives in one pass over them, with no simplex (toric's sigma, every
+ray at once), and the slicer reads its box off them.
 
 Bigness and the facet record come from one lexicographic selection on
-those slacks, _selected.  With each offset o_i moved to o_i + eps^(i+1)
-the polytope is simple for small eps > 0, and its vertices are the
-feasible entries whose rows of slack 0 pass a sign test the table holds
-per row.  _has_interior is "some entry is selected", since the moved
+those rows of slack 0, _selected.  With each offset o_i moved to o_i +
+eps^(i+1) the polytope is simple for small eps > 0, and its vertices are
+the feasible entries whose rows of slack 0 pass a sign test the table
+holds per row.  _has_interior is "some entry is selected", since the moved
 polytope is empty exactly when p lies in a hyperplane.  The facet record,
 each row's face measured in the lattice of its hyperplane, is Lawrence's
 volume formula (Math. Comp. 57, 1991; Bueler-Enge-Fukuda 2000)
@@ -169,6 +169,7 @@ def lp_solve(p: HPolytope, objectives) -> tuple[Scalar, ...] | None:
     minimum is attained at a vertex, so one pass over _vertices answers
     every objective: <g, v> = (<g, X> + <g, Y> sqrt(disc)) / Q, and two
     values compare by the sign of their cross-multiplied difference.
+    toric.sigma_decomposition asks it for every ray of a fan at once.
     Raises TypeError for an entry that is not an integer, ValueError when
     an objective's length is not p's dimension, and UnboundedPolytope on
     unbounded input."""
@@ -263,26 +264,27 @@ def is_bounded(p: HPolytope) -> bool:
 
 
 def _feasible(p: HPolytope):
-    """Yield (entry, a, b, slacks) for each entry (S, M, q, forms, ...) of
-    the vertex table whose candidate vertex v satisfies every row of p: a
-    and b are S's offset numerators, and slacks the row test's (x, y) for
-    each row r of forms, <g_r, v> - o_r = (x + y sqrt(disc)) / (q den) >= 0.
-    A vertex on more than n rows comes once per entry.  Raises
-    UnboundedPolytope."""
+    """Yield (entry, a, b, tight) for each entry (S, M, q, forms, ...) of the
+    vertex table whose candidate vertex v satisfies every row of p: a and b
+    are S's offset numerators, and tight the positions in forms of the rows
+    r that v meets with slack 0, where the row test's <g_r, v> - o_r = (x +
+    y sqrt(disc)) / (q den) has x = y = 0.  A vertex on more than n rows
+    comes once per entry.  Raises UnboundedPolytope."""
     bounded, table, _, _ = _vertex_table(p.normals, p.dim)
     if not bounded:
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
     A, B, disc = p.A, p.B, p.disc
     for entry in table:
         subset, _, q, forms, *_ = entry
-        a, b, slacks = [A[s] for s in subset], [B[s] for s in subset], []
-        for r, w in forms:
+        a, b, tight = [A[s] for s in subset], [B[s] for s in subset], []
+        for k, (r, w) in enumerate(forms):
             x, y = sum(map(mul, a, w)) - q * A[r], sum(map(mul, b, w)) - q * B[r]
-            if _sign(x, y, disc) < 0:
+            if not (x or y):
+                tight.append(k)
+            elif _sign(x, y, disc) < 0:
                 break
-            slacks.append((x, y))
         else:
-            yield entry, a, b, slacks
+            yield entry, a, b, tight
 
 
 def _selected(p: HPolytope):
@@ -292,8 +294,9 @@ def _selected(p: HPolytope):
     (see _vertex_table).  That perturbed polytope is simple, since n + 1 of
     its rows meet only where a nonzero polynomial in eps vanishes, so its
     vertices are these entries, once each."""
-    for entry, a, b, slacks in _feasible(p):
-        if all(x or y or ok for ok, (x, y) in zip(entry[4], slacks)):
+    for entry, a, b, tight in _feasible(p):
+        lex = entry[4]
+        if all(lex[k] for k in tight):
             yield entry, a, b
 
 
@@ -313,22 +316,6 @@ def _has_interior(p: HPolytope) -> bool:
     = 0 and sum l_i o_i = 0, so a point of the moved polytope would give
     0 >= sum l_i eps^(i+1) > 0."""
     return next(_selected(p), None) is not None
-
-
-def _least_slacks(p: HPolytope):
-    """The least <g_r, v> - o_r over the vertices v of p for each row r, as
-    (x, y, Q) meaning (x + y sqrt(disc)) / Q: the least slack over the
-    feasible entries, 0 on an entry's own rows; None when p is empty."""
-    disc, best = p.disc, None
-    for (_, _, q, forms, *_), _, _, slacks in _feasible(p):
-        values = [(0, 0, 1)] * len(p.normals)
-        for (r, _), (x, y) in zip(forms, slacks):
-            values[r] = (x, y, q)
-        best = values if best is None else [
-            (x, y, s) if _sign(x * t - a * s, y * t - b * s, disc) < 0 else (a, b, t)
-            for (x, y, s), (a, b, t) in zip(values, best)
-        ]
-    return None if best is None else [(x, y, q * p.den) for x, y, q in best]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import add, sub
+from operator import add, index, sub
 
 from .errors import ExampleViolated, NotBig, NotPseudoeffective, UnsupportedModel
 from .scalars import Scalar, _as_scalar, _Frozen
@@ -39,12 +39,13 @@ __all__ = [
 
 class SurfaceModel(_Frozen):
     """F_e together with an ordered list of distinct, nonempty fiber labels.
-  """
+    e is read through operator.index, as Fan reads dim: a Fraction, a float
+    or a str raises TypeError."""
 
     __slots__ = ("e", "fibers")
 
     def __init__(self, e: int, fibers=()):
-        fibers = tuple(fibers)
+        e, fibers = index(e), tuple(fibers)
         if e < 0:
             raise UnsupportedModel("the ruling invariant e must be non-negative")
         if len(set(fibers)) != len(fibers):
@@ -313,7 +314,7 @@ def paper_example(e: int, samples=None) -> list[PaperExampleRow]:
     floor(sqrt(2) m) + floor(-sqrt(2) m) <= -1, and the section count drops
     strictly below that of mC.  A violation raises ExampleViolated.
     """
-    if e < 1:
+    if index(e) < 1:
         raise UnsupportedModel("a negative section needs e >= 1")
     model = SurfaceModel(e, ("F1", "F2", "F3", "F4"))
     root2 = Scalar(0, 1, 2)

@@ -30,7 +30,6 @@ from .errors import (
     NotBig,
     NotNef,
     NotEffective,
-    RdivError,
     UnsupportedDivisor,
 )
 from .linalg import inverse, primitive
@@ -42,7 +41,6 @@ from .polyhedra import (
     _facet_volumes,
     _has_interior,
     _lattice_min,
-    _least_slacks,
 )
 from .scalars import Scalar, _as_scalar, _Frozen, _join, _new, _record, _reduce, _sign
 
@@ -496,25 +494,17 @@ class SigmaDecomposition(namedtuple("SigmaDecomposition", "original nsigma psigm
 
 @lru_cache(maxsize=256)
 def sigma_decomposition(D: TDivisor) -> SigmaDecomposition:
-    """N_sigma(D) = sum of sigma(D, i) D_i and P_sigma = D - N_sigma.  As
-    a_i = -o_i, sigma(D, i) = a_i + min <v_i, u> is row i's least slack, and
-    polyhedra._least_slacks reads all of them as integers in one pass over
-    the vertex table.  Bigness is checked once: P_sigma has the section
-    polytope of D, so it is big too.  Every sigma of P_sigma is checked to be
-    0 by lp_solve on its own polytope, a read apart from the slacks.  One
-    decomposition per divisor, in a shared bounded cache; errors are not cached."""
+    """N_sigma(D) = sum of sigma(D, i) D_i and P_sigma = D - N_sigma, with
+    sigma(D, i) = a_i + min <v_i, u> over D's section polytope: lp_solve
+    reads every ray's minimum in one pass over that polytope's vertices.
+    Bigness is checked once.  P_sigma has no sigma by construction, as its
+    section polytope is D's with every row moved up to touch it (Nakayama,
+    Zariski-decomposition and abundance, III.1).  One decomposition per
+    divisor, in a shared bounded cache; errors are not cached."""
     if not is_big(D):
         raise NotBig("sigma decomposition is defined for big divisors only")
-    least = _least_slacks(D.polytope)
-    q = math.lcm(*[t for _, _, t in least])
-    # N_sigma's offsets are the sigmas negated, over q
-    A, B = [-x * (q // t) for x, _, t in least], [-y * (q // t) for _, y, t in least]
-    neg = _divisor(D.fan, q, D.polytope.disc, A, B)
-    pos = D - neg
-    values = lp_solve(pos.polytope, D.fan.rays)
-    if values is None or any(map(add, pos.coeffs, values)):
-        raise RdivError("positive part retained a nonzero sigma multiplicity")
-    return SigmaDecomposition(D, neg, pos)
+    neg = TDivisor(D.fan, tuple(map(add, D.coeffs, lp_solve(D.polytope, D.fan.rays))))
+    return SigmaDecomposition(D, neg, D - neg)
 
 
 def principal_divisor(fan: Fan, u) -> TDivisor:

@@ -294,6 +294,12 @@ BLOWUP = {
         (("volume", "--divisor", "r3:1"), "1"),
         (("bplus", "--divisor", "r3:1", "--format", "json"), '{"bplus": ["r4"]}'),
         (("volume", "--divisor", "r3:2,r4:-1/2*sqrt(2)"), "8-1/4*sqrt(2)"),
+        # a sqrt(2) sigma > 0: this polytope is a simplex on the rows of
+        # r0..r3, and r4's row misses it
+        (
+            ("sigma", "--divisor", "r3:3+sqrt(2),r4:5/2,r0:-1/2*sqrt(2)", "--format", "json"),
+            '{"sigma": {"r0": "0", "r1": "0", "r2": "0", "r3": "0", "r4": "5/2+1/2*sqrt(2)"}}',
+        ),
     ],
 )
 def test_a_non_simple_vertex_of_a_3_fold(capsys, tmp_path, argv, expected):

@@ -64,6 +64,18 @@ def test_model_rejects_fiber_labelled_as_a_section(label):
         SurfaceModel(1, ("F1", label))
 
 
+@pytest.mark.parametrize(
+    "e", [Fraction(3, 2), 1.5, "1", Fraction(1, 2)], ids=["fraction", "float", "str", "below-1"]
+)
+def test_model_reads_e_as_an_integer(e):
+    # F_e exists for integer e only: an "F_{3/2}" gave h0(2C + E) = 8 and vol 6,
+    # and paper_example reads e as an integer before it asks for e >= 1
+    with pytest.raises(TypeError):
+        SurfaceModel(e, ("A", "B"))
+    with pytest.raises(TypeError):
+        paper_example(e)
+
+
 def test_model_rejects_unknown_component():
     with pytest.raises(KeyError):
         MODEL1.divisor({"G": 1})

@@ -36,7 +36,7 @@ from rdiv.errors import (
     UnsupportedDivisor,
 )
 from rdiv.polyhedra import lattice_form, lattice_points
-from rdiv.scalars import Scalar, _new, sqrt
+from rdiv.scalars import Scalar, sqrt
 from rdiv.surface import SurfaceModel
 from rdiv.theorems import check_theorem_a, check_theorem_b, generate_corpus
 from rdiv.toric import (
@@ -454,58 +454,18 @@ def test_sigma_decomposition_cache_equals_a_fresh_decomposition():
     assert info.hits >= 40 and info.currsize <= info.maxsize
 
 
-def test_sigma_decomposition_checks_the_positive_part_of_each_computed_result(monkeypatch):
-    # the check on P_sigma catches a wrong sigma read and a wrong LP on
-    # P_sigma's polytope alike; a cached decomposition would skip both, so
-    # the cache is cleared before each patch and again after them
-    D = C + E.scale(3)
-    least, solve = toric._least_slacks, toric.lp_solve
-
-    def shifted_least(shift):
-        # every ray's least slack (x, y, Q) moved by shift[i] over Q
-        return lambda p: [(x + k * q, y, q) for (x, y, q), k in zip(least(p), shift)]
-
-    calls = []
-
-    def shifted_solve(p, objectives):
-        calls.append(p)
-        return tuple(v + 1 for v in solve(p, objectives))
-
-    # sigma_E read as 2: P_sigma = C + E keeps sigma_E = 1; every sigma read
-    # 1 too high: P_sigma = -F - E - D_2 has an empty polytope
-    for patch in (
-        (toric, "_least_slacks", shifted_least((0, -1, 0, 0))),
-        (toric, "_least_slacks", shifted_least((1, 1, 1, 1))),
-        (toric, "lp_solve", shifted_solve),
-    ):
-        sigma_decomposition.cache_clear()
-        with monkeypatch.context() as m:
-            m.setattr(*patch)
-            try:
-                with pytest.raises(RdivError, match="positive part"):
-                    sigma_decomposition(D)
-            finally:
-                sigma_decomposition.cache_clear()
-    assert calls == [polytope_of(C)]
-
-
-def test_sigma_reads_one_vertex_set_and_a_decomposition_two(monkeypatch):
+def test_sigma_and_its_decomposition_read_one_vertex_set(monkeypatch):
     # sigma reads its ray off the cached decomposition, which reads every
-    # ray's sigma off one slack read of D's polytope and checks them by one
-    # lp_solve call on P_sigma's; a second sigma or decomposition reads none
+    # ray's sigma off one lp_solve call on D's polytope, with one objective
+    # per ray; a second sigma or decomposition reads none
     D = C + E.scale(3)
-    calls, least, solve = [], toric._least_slacks, toric.lp_solve
-
-    def counted_least(p):
-        calls.append(("slacks", p))
-        return least(p)
+    calls, solve = [], toric.lp_solve
 
     def counted_solve(p, objectives):
-        calls.append(("lp", p, len(objectives)))
+        calls.append((p, len(objectives)))
         return solve(p, objectives)
 
     sigma_decomposition.cache_clear()
-    monkeypatch.setattr(toric, "_least_slacks", counted_least)
     monkeypatch.setattr(toric, "lp_solve", counted_solve)
     try:
         assert sigma(D, "E") == 3
@@ -513,7 +473,7 @@ def test_sigma_reads_one_vertex_set_and_a_decomposition_two(monkeypatch):
         sigma_decomposition(D)
     finally:
         sigma_decomposition.cache_clear()
-    assert calls == [("slacks", polytope_of(D)), ("lp", polytope_of(C), 4)]
+    assert calls == [(polytope_of(D), 4)]
 
 
 def test_sigma_irrational_coefficients():
@@ -994,19 +954,47 @@ def test_bigness_by_the_eps_rule_is_positive_volume(fan, coeffs):
     assert is_big(D) == (volume > 0)
 
 
+# P3 blown up at a torus-fixed point: r4 = (1, 1, 1) subdivides the cone of
+# r0, r1, r2, so a vertex of a section polytope can lie on four rows
+BLOWUP = Fan(
+    3,
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)),
+    ((0, 1, 4), (0, 2, 4), (1, 2, 4), (0, 1, 3), (0, 2, 3), (1, 2, 3)),
+)
+
+
 @given(st.sampled_from(_FANS), st.lists(_SQRT2, min_size=6, max_size=6))
 @settings(max_examples=40, deadline=None)
 @example(F1, [Scalar(0), Scalar(3), Scalar(0), Scalar(1)])  # C + 3E: sigma_E = 3
 @example(P3, [sqrt(2), -sqrt(2), Scalar(0), Scalar(0)])  # a point on four rows
-def test_least_slack_of_every_ray_is_its_coefficient_plus_the_simplex_minimum(fan, coeffs):
+def test_nsigma_of_every_ray_is_its_coefficient_plus_the_simplex_minimum(fan, coeffs):
     D = fan.divisor(coeffs[: fan.nrays])
-    p = polytope_of(D)
-    least = toric._least_slacks(p)
-    refs = [simplex_solve(LPProblem(ray, p, a)) for ray, a in zip(fan.rays, D.coeffs)]
-    if least is None:
-        assert {ref.status for ref in refs} == {"infeasible"}
+    if not is_big(D):
+        with pytest.raises(NotBig):
+            sigma_decomposition(D)
         return
-    assert [_new(x, y, q, p.disc) for x, y, q in least] == [ref.value for ref in refs]
+    p = polytope_of(D)
+    refs = [simplex_solve(LPProblem(ray, p, a)).value for ray, a in zip(fan.rays, D.coeffs)]
+    assert list(sigma_decomposition(D).nsigma.coeffs) == refs
+
+
+@given(st.sampled_from(_FANS), st.lists(_SQRT2, min_size=6, max_size=6))
+@settings(max_examples=40, deadline=None)
+@example(F1, [Scalar(0), Scalar(3), Scalar(0), Scalar(1)])  # C + 3E: P_sigma = C
+@example(P3, [sqrt(2), -sqrt(2), Scalar(0), Scalar(0)])  # a point on four rows: not big
+@example(BLOWUP, [Scalar(c) for c in (0, 0, 0, 2, 3, 0)])  # r3:2,r4:3
+def test_positive_part_has_no_sigma_by_the_simplex(fan, coeffs):
+    # P_sigma's section polytope is D's with every row moved up to touch it
+    # (Nakayama III.1), so its least <ray, u> + coeff is 0 on every ray
+    D = fan.divisor(coeffs[: fan.nrays])
+    if not is_big(D):
+        with pytest.raises(NotBig):
+            sigma_decomposition(D)
+        return
+    pos = sigma_decomposition(D).psigma
+    p = polytope_of(pos)
+    for ray, a in zip(fan.rays, pos.coeffs):
+        assert simplex_solve(LPProblem(ray, p, a)).value == 0
 
 
 def test_sigma_subadditive_and_nonnegative():
