@@ -128,6 +128,11 @@ class SurfaceModel(_Frozen):
             out.append(self.divisor({self.fibers[i]: t, self.fibers[j]: -t}))
         return out
 
+    def shift_is_integral(self, P, m) -> bool:
+        """m P ~_Z 0 for a shift P = t(F_i - F_j) of shifts: the fibers are
+        linearly equivalent, so exactly when m t is an integer."""
+        return all((b * m).is_integer() for b in P.fiber_coeffs)
+
 
 class SDivisor(_Frozen):
     """cE*E + cC*C + sum b_i * F_{p_i} on a fixed surface model."""

@@ -10,14 +10,18 @@ flagged as a counterexample candidate for replay.  The grid's multiples
 must be positive, and there must be one.
 
 The two checkers share their preconditions, the volume clause and one walk
-of the sampled clause over D and its principal shifts, which stops at the
-first witness; each passes the walk its own comparison at one mD'.
+of the sampled clause over D and its principal shifts D' = D + P, which
+stops at the first witness: each compares h0(mD') with h0(m(D' - E)) (A)
+or h0(m(D' + E)) and h0(mD' + rE) (B).  Section counts depend only on the
+Z-linear class (not on the R-linear one), so the walk skips a shifted point
+where mP ~_Z 0, whose counts are those of mD.
 
 The checkers take the variety X as a toric.Fan or a surface.SurfaceModel and
 ask it only the queries of their shared protocol (h0, volume, nsigma, bplus,
-is_big, is_nef, intersect, shifts, labels), so both models run one path, and
-checking a surface divisor never loads the toric layers.  Only the randomized
-corpus, drawn on preset fans, imports toric, when it runs.
+is_big, is_nef, intersect, shifts, shift_is_integral, labels), so both
+models run one path, and checking a surface divisor never loads the toric
+layers.  Only the randomized corpus, drawn on preset fans, imports toric,
+when it runs.
 """
 
 from __future__ import annotations
@@ -142,20 +146,51 @@ def _volume_clause(vol_d, vol_other, key: str) -> ClauseValue:
     return ClauseValue("false", {"vol_D": str(vol_d), key: str(vol_other)})
 
 
-def _sampled_clause(X, D, m_grid, rng, witness_at) -> ClauseValue:
-    """Clause iv) sampled over D, then each principal shift D + X.shifts(rng)
-    in turn, at each m of the grid: witness_at(mD', m, shifted) returns a
-    witness dict where the clause fails at mD', else None.  False at the
-    first witness, which names the shift's index when there is one."""
-    for shift_idx, Dp in enumerate([None] + X.shifts(rng)):
-        base = D if Dp is None else D + Dp
-        for m in m_grid:
-            witness = witness_at(base.scale(m), m, Dp is not None)
-            if witness is not None:
-                if Dp is not None:
-                    witness["shift"] = shift_idx
-                return ClauseValue("false", witness)
+def _sampled_clause(X, D, F, m_grid, rng, steps=()) -> ClauseValue:
+    """Clause iv) sampled over D, then each principal shift D' = D + P of
+    X.shifts(rng) in turn, at each m of the grid: false at the first point
+    where h0(m(D' + F)) != h0(mD'), with F = -E for checker A and E for B,
+    or, on a shift, where h0(mD' + G) != h0(mD') for one of B's steps
+    (r, G = rE).  The witness names m, r (m itself or the step's) when
+    there are steps, and the shift's index.
+
+    The shifts are drawn before the walk, as a corpus shares one rng
+    between instances; D' + F is built once per D' and each step once per
+    walk.  Where X.shift_is_integral(P, m), mP ~_Z 0, so every h0 at the
+    point is the plain walk's at m: its comparison of m(D' + F) repeats one
+    already passed and is skipped, and its steps, which do not depend on P,
+    are compared once per m, at the first such shift, on the plain mD."""
+    plain = {}  # k: (mD, h0(mD)) for the k-th m, until a shift is trivial at m
+    for shift_idx, P in enumerate([None] + X.shifts(rng)):
+        base = D if P is None else D + P
+        moved = base + F
+        for k, m in enumerate(m_grid):
+            if P is not None and X.shift_is_integral(P, m):
+                if k not in plain:
+                    continue
+                scaled, h = plain.pop(k)
+            else:
+                scaled = base.scale(m)
+                h = X.h0(scaled)
+                if X.h0(moved.scale(m)) != h:
+                    return _sampled_witness(m, m if steps else None, shift_idx)
+                if P is None:
+                    plain[k] = scaled, h
+                    continue
+            for r, G in steps:
+                if X.h0(scaled + G) != h:
+                    return _sampled_witness(m, r, shift_idx)
     return _TRUE
+
+
+def _sampled_witness(m, r, shift_idx) -> ClauseValue:
+    """Clause iv) false at m, naming r unless None and the shift unless 0."""
+    witness = {"m": str(m)}
+    if r is not None:
+        witness["r"] = str(r)
+    if shift_idx:
+        witness["shift"] = shift_idx
+    return ClauseValue("false", witness)
 
 
 def check_theorem_a(X, D, E, m_grid=None, rng=None) -> TheoremReport:
@@ -170,12 +205,7 @@ def check_theorem_a(X, D, E, m_grid=None, rng=None) -> TheoremReport:
     N, coeffs = X.nsigma(D).coeff_map(), E.coeff_map()
     clauses["ii"] = _support_clause(X, E, lambda label: coeffs[label] > N[label])
 
-    def witness_at(scaled, m, shifted):
-        if X.h0(scaled - E.scale(m)) != X.h0(scaled):
-            return {"m": str(m)}
-        return None
-
-    clauses["iv"] = _sampled_clause(X, D, m_grid, rng, witness_at)
+    clauses["iv"] = _sampled_clause(X, D, E.scale(-1), m_grid, rng)
     if X.is_nef(D):
         clauses["v"] = _TRUE if E.is_zero() else ClauseValue("false", {"E": "nonzero"})
     else:
@@ -197,14 +227,8 @@ def check_theorem_b(X, D, E, m_grid=None, rng=None) -> TheoremReport:
     locus = X.bplus(D)
     clauses["ii"] = _support_clause(X, E, lambda label: label not in locus)
 
-    def witness_at(scaled, m, shifted):
-        h_base = X.h0(scaled)
-        for r in ([m] + R_GRID if shifted else [m]):
-            if X.h0(scaled + E.scale(r)) != h_base:
-                return {"m": str(m), "r": str(r)}
-        return None
-
-    clauses["iv"] = _sampled_clause(X, D, m_grid, rng, witness_at)
+    steps = [(r, E.scale(r)) for r in R_GRID]
+    clauses["iv"] = _sampled_clause(X, D, E, m_grid, rng, steps)
     if X.is_nef(D):
         pairing = X.intersect(D, E)
         clauses["v"] = _TRUE if pairing == 0 else ClauseValue("false", {"intersection": str(pairing)})

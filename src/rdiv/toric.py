@@ -193,8 +193,9 @@ class Fan(_Frozen):
         return intersection_nef_div(D, E)
 
     def shifts(self, rng) -> list["TDivisor"]:
-        """Two principal divisors of small characters, trivial on the class:
-        the first unit vectors, or random nonzero vectors in {-1, 0, 1}^n."""
+        """Two principal divisors div(v) of small characters, trivial on the
+        class: v the first unit vectors, or random nonzero vectors in
+        {-1, 0, 1}^n, with offsets -<v, ray> over den 1."""
         if rng is None:
             vecs = [tuple(int(j == i) for j in range(self.dim)) for i in range(min(2, self.dim))]
         else:
@@ -203,7 +204,15 @@ class Fan(_Frozen):
                 v = tuple(rng.randint(-1, 1) for _ in range(self.dim))
                 if any(v):
                     vecs.append(v)
-        return [principal_divisor(self, v) for v in vecs]
+        offsets = [[-sum(map(mul, v, ray)) for ray in self.rays] for v in vecs]
+        return [_divisor(self, 1, 0, A, (0,) * self.nrays) for A in offsets]
+
+    def shift_is_integral(self, P, m) -> bool:
+        """m P ~_Z 0 for a shift P = div(v) of shifts: v is an integer
+        character, so m P = div(m v) is principal when m is an integer.
+        Integer coefficients of m P would not do: on a fan whose rays span
+        a sublattice, they can leave a torsion class."""
+        return _as_scalar(m).is_integer()
 
 
 @lru_cache(maxsize=64)

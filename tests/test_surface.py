@@ -23,6 +23,7 @@ from rdiv.surface import (
     volume_surface,
     zariski,
 )
+from rdiv.theorems import R_GRID, default_m_grid
 from rdiv.toric import h0 as toric_h0
 from rdiv.toric import preset_fan, volume as toric_volume
 
@@ -319,3 +320,26 @@ def test_nef_big_class_predicates():
     assert not is_nef_class((Scalar(2), Scalar(1)), 1)  # (C+E).E = -1
     assert is_big_class((Scalar(1), Scalar(1)), 1)
     assert not is_big_class((Scalar(0), Scalar(1)), 1)
+
+
+@given(
+    st.sampled_from((MODEL1, MODEL2)),
+    st.lists(
+        st.sampled_from((Scalar(0), Scalar(1), Scalar(Fraction(1, 2)), R2, -R2)), min_size=6, max_size=6
+    ),
+    st.sampled_from((Scalar(0), Scalar(Fraction(1, 2)), Scalar(1), R2)),
+    st.sampled_from(default_m_grid(2) + [Scalar(Fraction(1, 2))]),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_shift_the_query_calls_integral_keeps_every_sampled_h0(model, coeffs, e, m, seed):
+    # the shifts t(F1 - F2), t(F3 - F4) have half-integer t drawn from the
+    # rng; where m t is an integer, h0 at m(D + P) +- rE is h0 at mD +- rE
+    # for r = m and every R_GRID step
+    D = model.divisor(dict(zip(("E", "C") + model.fibers, coeffs)))
+    E = model.divisor({"E": e})
+    for P in model.shifts(random.Random(seed)):
+        if model.shift_is_integral(P, m):
+            for r in [m] + R_GRID:
+                for step in (E.scale(r), E.scale(-r)):
+                    assert h0_surface((D + P).scale(m) + step) == h0_surface(D.scale(m) + step)

@@ -7,7 +7,7 @@ import pytest
 
 from rdiv import toric
 from rdiv.errors import NotBig, NotEffective
-from rdiv.scalars import sqrt
+from rdiv.scalars import Scalar, sqrt
 from rdiv.surface import SurfaceModel
 from rdiv.theorems import (
     CONSISTENT,
@@ -164,13 +164,14 @@ class OffByOneAt:
 @pytest.mark.parametrize("X", [F1, MODEL1], ids=["fan", "surface"])
 def test_a_witness_names_the_multiple_and_the_shift_and_stops_there(X):
     D, E = X.divisor({"C": 1, "E": 1}), X.divisor({"E": 1})
-    grid = [Fraction(1), Fraction(2), Fraction(3)]
+    grid = [Fraction(1), Fraction(5, 2), Fraction(3)]
     shift = X.shifts(None)[1]
-    probe = OffByOneAt(X, (D + shift).scale(2) - E.scale(2))
+    probe = OffByOneAt(X, (D + shift).scale(Fraction(5, 2)) - E.scale(Fraction(5, 2)))
     iv = check_theorem_a(probe, D, E, m_grid=grid).clause_values["iv"]
-    assert iv == ("false", {"m": "2", "shift": 2}, None)
-    # D and the first shift at three multiples, then the second shift at two
-    assert len(probe.seen) == 2 * (3 + 3 + 2)
+    assert iv == ("false", {"m": "5/2", "shift": 2}, None)
+    # D at three multiples; each unit shift is Z-linearly trivial at the
+    # integers, so each is asked only at m = 5/2, and the second fails there
+    assert len(probe.seen) == 2 * (3 + 1 + 1)
     probe = OffByOneAt(X, D.scale(3) - E.scale(3))
     assert check_theorem_a(probe, D, E, m_grid=grid).clause_values["iv"].witness == {"m": "3"}
 
@@ -178,18 +179,43 @@ def test_a_witness_names_the_multiple_and_the_shift_and_stops_there(X):
 @pytest.mark.parametrize("X", [F1, MODEL1], ids=["fan", "surface"])
 def test_b_witness_names_the_multiple_the_step_and_the_shift_and_stops_there(X):
     D, E = X.divisor({"C": 1, "E": 1}), X.divisor({"E": 1})
-    grid = [Fraction(1), Fraction(2)]
+    grid = [Fraction(1), Fraction(5, 2)]
     shift = X.shifts(None)[0]
-    probe = OffByOneAt(X, (D + shift).scale(2) + E.scale(R_GRID[1]))
+    probe = OffByOneAt(X, (D + shift).scale(Fraction(5, 2)) + E.scale(R_GRID[1]))
     iv = check_theorem_b(probe, D, E, m_grid=grid).clause_values["iv"]
-    assert iv == ("false", {"m": "2", "r": "1/2", "shift": 1}, None)
-    # D: base and r = m at two multiples; the first shift: base and three r at
-    # m = 1, then base and r = m, 1, 1/2 at m = 2
-    assert len(probe.seen) == 2 * 2 + 4 + 4
-    probe = OffByOneAt(X, D.scale(2) + E.scale(2))
-    assert check_theorem_b(probe, D, E, m_grid=grid).clause_values["iv"].witness == {"m": "2", "r": "2"}
+    assert iv == ("false", {"m": "5/2", "r": "1/2", "shift": 1}, None)
+    # D: base and r = m at two multiples; the first shift is trivial at
+    # m = 1, so the two R_GRID steps are asked there on D itself, then
+    # base and r = m, 1, 1/2 at m = 5/2
+    assert len(probe.seen) == 2 * 2 + 2 + 4
+    probe = OffByOneAt(X, D.scale(Fraction(5, 2)) + E.scale(Fraction(5, 2)))
+    witness = check_theorem_b(probe, D, E, m_grid=grid).clause_values["iv"].witness
+    assert witness == {"m": "5/2", "r": "5/2"}
+    # an R_GRID step on D itself is named by the first shift trivial at m
+    probe = OffByOneAt(X, D + E.scale(R_GRID[1]))
+    witness = check_theorem_b(probe, D, E, m_grid=grid).clause_values["iv"].witness
+    assert witness == {"m": "1", "r": "1/2", "shift": 1}
     probe = OffByOneAt(X, X.divisor({}))
     assert check_theorem_b(probe, D, E, m_grid=grid).clause_values["iv"].is_true
+
+
+@pytest.mark.parametrize("X", [F1, MODEL1], ids=["fan", "surface"])
+def test_a_defect_at_a_z_linearly_trivial_shifted_point_is_never_asked(X):
+    # m P ~_Z 0 at an integer m for a unit shift P, so h0 at m(D + P) is
+    # h0 at mD, which the plain walk already compared
+    D, E = X.divisor({"C": 1, "E": 1}), X.divisor({"E": 1})
+    grid = [Fraction(1), Fraction(5, 2), Fraction(3)]
+    shift = X.shifts(None)[1]
+    assert X.shift_is_integral(shift, Scalar(3))
+    for check, target in (
+        (check_theorem_a, (D + shift).scale(3) - E.scale(3)),
+        (check_theorem_b, (D + shift).scale(3) + E.scale(3)),
+        (check_theorem_b, (D + shift).scale(3) + E.scale(R_GRID[1])),
+        (check_theorem_b, (D + shift).scale(3)),
+    ):
+        probe = OffByOneAt(X, target)
+        assert check(probe, D, E, m_grid=grid).clause_values["iv"].is_true
+        assert target not in probe.seen
 
 
 def test_checker_reports_over_a_corpus_are_pinned():

@@ -38,7 +38,7 @@ from rdiv.errors import (
 from rdiv.polyhedra import lattice_form, lattice_points
 from rdiv.scalars import Scalar, sqrt
 from rdiv.surface import SurfaceModel
-from rdiv.theorems import check_theorem_a, check_theorem_b, generate_corpus
+from rdiv.theorems import R_GRID, check_theorem_a, check_theorem_b, default_m_grid, generate_corpus
 from rdiv.toric import (
     Fan,
     bplus_div,
@@ -995,6 +995,25 @@ def test_positive_part_has_no_sigma_by_the_simplex(fan, coeffs):
     p = polytope_of(pos)
     for ray, a in zip(fan.rays, pos.coeffs):
         assert simplex_solve(LPProblem(ray, p, a)).value == 0
+
+
+@given(
+    st.sampled_from(_FANS),
+    st.lists(_SQRT2, min_size=6, max_size=6),
+    st.lists(_EFFECTIVE, min_size=6, max_size=6),
+    st.sampled_from(default_m_grid(2)),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_shift_the_query_calls_integral_keeps_every_sampled_h0(fan, coeffs, e, m, seed):
+    # the sampled clause skips a shifted point where m P ~_Z 0: there h0 at
+    # m(D + P) +- rE must be h0 at mD +- rE for r = m and every R_GRID step
+    D, E = fan.divisor(coeffs[: fan.nrays]), fan.divisor(e[: fan.nrays])
+    for P in fan.shifts(None) + fan.shifts(random.Random(seed)):
+        if fan.shift_is_integral(P, m):
+            for r in [m] + R_GRID:
+                for step in (E.scale(r), E.scale(-r)):
+                    assert h0((D + P).scale(m) + step) == h0(D.scale(m) + step)
 
 
 def test_sigma_subadditive_and_nonnegative():
