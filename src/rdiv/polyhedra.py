@@ -103,8 +103,8 @@ class HPolytope(_Frozen):
     offset record: offset_i = (A_i + B_i sqrt(disc)) / den for integers A_i
     and B_i, one den > 0 (the lcm of the reduced offset denominators) and
     one disc (0 when every offset is rational), built by scalars._record.
-    The record is canonical, so equality and hashing read it.  Immutable:
-    the fields are set once, by _set."""
+    The record is canonical, so equality and hashing, which _Frozen writes
+    over the fields, read it."""
 
     __slots__ = ("dim", "normals", "den", "disc", "A", "B")
 
@@ -129,34 +129,11 @@ class HPolytope(_Frozen):
         p._set(dim, normals, den, disc, A, B)
         return p
 
-    def _set(self, dim, normals, den, disc, A, B):
-        # each slot's own setter: one C call, with no attribute lookup by name
-        d, g, q, s, a, b = _SLOT_SETTERS
-        d(self, dim)
-        g(self, normals)
-        q(self, den)
-        s(self, disc)
-        a(self, A)
-        b(self, B)
-
-    def __eq__(self, other):
-        if type(other) is not HPolytope:
-            return NotImplemented
-        return (self.dim, self.normals, self.den, self.disc, self.A, self.B) == (
-            other.dim, other.normals, other.den, other.disc, other.A, other.B
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.normals, self.den, self.disc, self.A, self.B))
-
     @property
     def rows(self) -> tuple[tuple[tuple[int, ...], Scalar], ...]:
         """(normal, offset) per row, the offsets built as Scalars."""
         den, disc = self.den, self.disc
         return tuple((g, _new(a, b, den, disc)) for g, a, b in zip(self.normals, self.A, self.B))
-
-
-_SLOT_SETTERS = tuple(HPolytope.__dict__[name].__set__ for name in HPolytope.__slots__)
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +419,9 @@ def _slices(p: HPolytope, keep: int):
     coordinates in the vertex box that no row vanishing on the last keep
     coordinates excludes: the integer points over the prefix are those of
     the integer rows (h, c) of _integer_rows, sliced, read <v, h> >= c on
-    the last keep coordinates.  With keep == dim the one empty prefix is
-    yielded and no vertex is read."""
+    the last keep coordinates, for keep < dim."""
     rows = _integer_rows(p)
     lead = p.dim - keep
-    if not lead:
-        yield (), rows
-        return
     # the integer ends (ceil, floor) of each leading coordinate of each
     # vertex, read off its numerators, so no vertex is built and none is
     # compared: ceil(min) = min(ceil)

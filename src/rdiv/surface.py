@@ -54,16 +54,7 @@ class SurfaceModel(_Frozen):
             raise UnsupportedModel("fiber labels must be nonempty")
         if {"E", "C"} & set(fibers):
             raise UnsupportedModel("E and C name the sections, not fibers")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "fibers", fibers)
-
-    def __eq__(self, other):
-        if type(other) is not SurfaceModel:
-            return NotImplemented
-        return (self.e, self.fibers) == (other.e, other.fibers)
-
-    def __hash__(self):
-        return hash((self.e, self.fibers))
+        self._set(e, fibers)
 
     def component(self, label: str) -> str:
         """label itself when it names E, C or a fiber; KeyError otherwise."""
@@ -143,20 +134,7 @@ class SDivisor(_Frozen):
         fiber_coeffs = tuple(_as_scalar(b) for b in fiber_coeffs)
         if len(fiber_coeffs) != len(model.fibers):
             raise ValueError("fiber coefficient count does not match the model")
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "cE", _as_scalar(cE))
-        object.__setattr__(self, "cC", _as_scalar(cC))
-        object.__setattr__(self, "fiber_coeffs", fiber_coeffs)
-
-    def __eq__(self, other):
-        if type(other) is not SDivisor:
-            return NotImplemented
-        return (self.model, self.cE, self.cC, self.fiber_coeffs) == (
-            other.model, other.cE, other.cC, other.fiber_coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.model, self.cE, self.cC, self.fiber_coeffs))
+        self._set(model, _as_scalar(cE), _as_scalar(cC), fiber_coeffs)
 
     def __add__(self, other: "SDivisor") -> "SDivisor":
         return self._combine(other, add)
@@ -226,10 +204,10 @@ def h0_class(x: int, y: int, e: int) -> int:
 
 
 def h0_surface(D: SDivisor) -> int:
-    """Round down per prime component, then count through the class."""
-    x, y = class_of(D.floor())
-    assert x.is_integer() and y.is_integer()
-    return h0_class(math.floor(x), math.floor(y), D.model.e)
+    """Round down per prime component and count through the class of the
+    round-down: x = floor(cE) + floor(cC), y = e floor(cC) + sum floor(b_i)."""
+    e, c = D.model.e, math.floor(D.cC)
+    return h0_class(math.floor(D.cE) + c, e * c + sum(map(math.floor, D.fiber_coeffs)), e)
 
 
 def is_nef_class(cls: tuple[Scalar, Scalar], e: int) -> bool:

@@ -70,21 +70,10 @@ class Fan(_Frozen):
     __slots__ = ("dim", "rays", "max_cones", "names")
 
     def __init__(self, dim: int, rays, max_cones, names=()):
-        object.__setattr__(self, "dim", index(dim))
-        object.__setattr__(self, "rays", tuple(tuple(map(index, r)) for r in rays))
-        object.__setattr__(self, "max_cones", tuple(tuple(sorted(map(index, c))) for c in max_cones))
-        object.__setattr__(self, "names", tuple((name, index(i)) for name, i in names))
+        rays = tuple(tuple(map(index, r)) for r in rays)
+        max_cones = tuple(tuple(sorted(map(index, c))) for c in max_cones)
+        self._set(index(dim), rays, max_cones, tuple((name, index(i)) for name, i in names))
         self.validate()
-
-    def __eq__(self, other):
-        if type(other) is not Fan:
-            return NotImplemented
-        return (self.dim, self.rays, self.max_cones, self.names) == (
-            other.dim, other.rays, other.max_cones, other.names
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.rays, self.max_cones, self.names))
 
     def validate(self):
         if self.dim < 1:

@@ -304,19 +304,7 @@ class LPProblem(_Frozen):
         objective = tuple(int(c) for c in objective)
         if len(objective) != constraints.dim:
             raise ValueError("objective length does not match constraint dimension")
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "constant", _as_scalar(constant))
-
-    def __eq__(self, other):
-        if type(other) is not LPProblem:
-            return NotImplemented
-        return (self.objective, self.constraints, self.constant) == (
-            other.objective, other.constraints, other.constant
-        )
-
-    def __hash__(self):
-        return hash((self.objective, self.constraints, self.constant))
+        self._set(objective, constraints, _as_scalar(constant))
 
 
 class LPResult(namedtuple("LPResult", "status value point", defaults=(None, None))):

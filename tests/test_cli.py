@@ -14,6 +14,7 @@ import rdiv
 import rdiv.toric
 from rdiv import cli
 from rdiv.cli import (
+    EXIT_COUNTEREXAMPLE,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_PARSE,
@@ -367,6 +368,25 @@ def test_corpus_deterministic_output(capsys):
     _, out1, _ = invoke(capsys, "corpus", "--seed", "2", "--count", "4", "--format", "json")
     _, out2, _ = invoke(capsys, "corpus", "--seed", "2", "--count", "4", "--format", "json")
     assert out1 == out2
+
+
+def test_a_counterexample_candidate_exits_4(capsys, monkeypatch):
+    import rdiv.theorems as theorems
+
+    def flagged(theorem):
+        clauses = {"i": theorems.ClauseValue("true"), "ii": theorems.ClauseValue("false")}
+        return lambda *args, **kwargs: theorems.TheoremReport(theorem, clauses, theorems.CANDIDATE)
+
+    monkeypatch.setattr(theorems, "check_theorem_a", flagged("A"))
+    code, out, _ = invoke(capsys, "check-a", "--preset", "F1", "--divisor", "C:1,E:1", "--effective", "E:1")
+    assert code == EXIT_COUNTEREXAMPLE
+    assert out == "clause,status\ni,true\nii,false\nverdict,CounterexampleCandidate\n"
+    code, out, _ = invoke(capsys, "corpus", "--seed", "1", "--count", "2", "--which", "A")
+    assert (code, out) == (EXIT_COUNTEREXAMPLE, "count,2\nconsistent,0\ncandidates,2\nnef_instances,2\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(theorems, "negsections_check", lambda *args, **kwargs: False)
+    code, out, _ = invoke(capsys, "corpus", "--seed", "10", "--count", "4")
+    assert (code, out) == (EXIT_COUNTEREXAMPLE, "count,4\nconsistent,3\ncandidates,1\nnef_instances,2\n")
 
 
 # ---- exit codes ---------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Static checks over the library sources, with the standard library's ast:
 the package imports only the standard library and itself (no runtime
-dependencies), every name a module imports is used, and every cache has a
-finite size, so a long run cannot grow memory without limit."""
+dependencies), every name a module imports is used, every cache has a
+finite size, so a long run cannot grow memory without limit, and value
+equality has one rule per kind of value."""
 
 import ast
 import sys
@@ -81,3 +82,42 @@ def test_every_lru_cache_has_a_finite_maxsize(path):
     ]
     unbounded = [node.lineno for node in uses if id(node) not in bounded]
     assert not unbounded, f"{path.name}: cache without a finite maxsize on lines {unbounded}"
+
+
+# scalars._Frozen writes __eq__ and __hash__ for every frozen class; Scalar
+# compares numerically and TDivisor by its polytope, so they keep their own
+OWN_EQUALITY = {"_Frozen", "Scalar", "TDivisor"}
+
+
+def _class_names(cls):
+    """The names a class body binds by def or by plain assignment."""
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            yield item.name
+        elif isinstance(item, ast.Assign):
+            yield from (t.id for t in item.targets if isinstance(t, ast.Name))
+
+
+def test_only_the_value_rules_define_equality():
+    owners = {
+        node.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and {"__eq__", "__hash__"} & set(_class_names(node))
+    }
+    assert owners <= OWN_EQUALITY, sorted(owners - OWN_EQUALITY)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_field_is_set_around_the_value_rule(path):
+    """_Frozen's _set stores every field; object.__setattr__ would bypass it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    ]
+    assert not calls, f"{path.name}: object.__setattr__ on lines {calls}"

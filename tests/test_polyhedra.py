@@ -154,6 +154,16 @@ def test_polytope_rejects_a_dimension_below_one(dim):
         HPolytope(dim, [])
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [([((1, 0, 0), 0)], "wrong length"), ([((1, 0), 0), ((0, 0), 1)], "zero normal")],
+    ids=["long-normal", "zero-normal"],
+)
+def test_polytope_rejects_a_normal_it_cannot_read(rows, message):
+    with pytest.raises(ValueError, match=message):
+        HPolytope(2, rows)
+
+
 # ---- vertices --------------------------------------------------------------
 
 
@@ -423,6 +433,14 @@ def test_unimodular_basis_puts_the_gcd_on_its_first_vector(g):
     assert sum(map(mul, g, y)) == math.gcd(*g)
     assert all(sum(map(mul, g, k)) == 0 for k in kernel)
     assert abs(det(basis)) == 1
+
+
+@pytest.mark.parametrize("zero", [(0,), (0, 0, 0)])
+def test_the_zero_vector_has_no_primitive_form_and_no_basis(zero):
+    with pytest.raises(ValueError, match="zero vector"):
+        primitive(zero)
+    with pytest.raises(ValueError, match="zero vector"):
+        unimodular_basis(zero)
 
 
 @pytest.mark.parametrize(

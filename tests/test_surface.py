@@ -11,7 +11,9 @@ from rdiv.errors import NotBig, NotPseudoeffective, UnsupportedModel
 from rdiv.scalars import Scalar, scalar_floor, sqrt
 from rdiv.surface import (
     PaperExampleRow,
+    SDivisor,
     SurfaceModel,
+    bplus_surface,
     class_of,
     h0_class,
     h0_surface,
@@ -80,6 +82,13 @@ def test_model_reads_e_as_an_integer(e):
 def test_model_rejects_unknown_component():
     with pytest.raises(KeyError):
         MODEL1.divisor({"G": 1})
+
+
+def test_a_divisor_needs_one_coefficient_per_fiber_and_one_model():
+    with pytest.raises(ValueError, match="fiber coefficient count"):
+        SDivisor(MODEL1, 1, 0, (0, 0))
+    with pytest.raises(ValueError, match="different surface models"):
+        MODEL1.divisor({"C": 1}) + MODEL2.divisor({"C": 1})
 
 
 # ---- section counts --------------------------------------------------------
@@ -156,6 +165,11 @@ def test_zariski_not_big():
         zariski(MODEL1.divisor({"F1": 1}))
     with pytest.raises(NotBig):
         zariski(MODEL1.divisor({"E": 1}))
+
+
+def test_bplus_surface_requires_big():
+    with pytest.raises(NotBig):
+        bplus_surface(MODEL1.divisor({"F1": 1}))
 
 
 def test_zariski_not_pseudoeffective():

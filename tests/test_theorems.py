@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from rdiv import toric
+from rdiv import theorems, toric
 from rdiv.errors import NotBig, NotEffective
 from rdiv.scalars import Scalar, sqrt
 from rdiv.surface import SurfaceModel
 from rdiv.theorems import (
+    CANDIDATE,
     CONSISTENT,
     R_GRID,
+    ClauseValue,
+    TheoremReport,
+    _verdict,
     check_theorem_a,
     check_theorem_b,
     corpus_run,
@@ -262,6 +266,46 @@ def test_negsections_rejects_outside_support():
         negsections_check(F1, F1.divisor({"C": 1, "E": 1}), F1.divisor({"F": 1}))
 
 
+# ---- the verdict ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "i, ii, iv, v, verdict",
+    [
+        ("true", "false", "true", None, CANDIDATE),
+        ("false", "true", "true", None, CANDIDATE),
+        ("true", "true", "false", None, CANDIDATE),
+        ("true", "true", "true", "false", CANDIDATE),
+        ("false", "false", "false", "true", CANDIDATE),
+        ("true", "true", "true", None, CONSISTENT),
+        ("true", "true", "true", "true", CONSISTENT),
+        ("false", "false", "false", "false", CONSISTENT),
+        ("false", "false", "true", "skipped", CONSISTENT),
+        ("false", "false", "false", None, CONSISTENT),
+    ],
+    ids=[
+        "i-true-ii-false",
+        "i-false-ii-true",
+        "ii-true-iv-false",
+        "v-false-i-true",
+        "v-true-i-false",
+        "all-true-no-v",
+        "all-true",
+        "all-false",
+        "v-skipped",
+        "iv-false-under-ii-false",
+    ],
+)
+def test_the_verdict_flags_each_contradiction(i, ii, iv, v, verdict):
+    """Three rules make a candidate: i and ii disagree, iv falsifies a true
+    ii, or a decided v disagrees with i.  A skipped v decides nothing, and
+    a false iv under a false ii contradicts nothing."""
+    clauses = {"i": ClauseValue(i), "ii": ClauseValue(ii), "iv": ClauseValue(iv)}
+    if v is not None:
+        clauses["v"] = ClauseValue(v, reason="D is not nef" if v == "skipped" else None)
+    assert _verdict(clauses) == verdict
+
+
 # ---- corpus ------------------------------------------------------------------
 
 
@@ -291,6 +335,68 @@ def test_corpus_instances_realize():
         fan, D, E = inst.realize()
         assert len(D.coeffs) == fan.nrays
         assert E.is_effective()
+
+
+FLAGGED = TheoremReport(
+    "B",
+    {"i": ClauseValue("true"), "ii": ClauseValue("false", {"ray": "r0"}), "iv": ClauseValue("true")},
+    CANDIDATE,
+)
+
+
+def test_a_flagged_report_is_embedded_for_replay(monkeypatch):
+    monkeypatch.setattr(theorems, "check_theorem_b", lambda *args, **kwargs: FLAGGED)
+    summary = corpus_run(1, 2, which="B")
+    assert summary["consistent"] == 0
+    clauses = {
+        "i": {"status": "true"},
+        "ii": {"status": "false", "witness": {"ray": "r0"}},
+        "iv": {"status": "true"},
+    }
+    reports = {"B": {"theorem": "B", "clauses": clauses, "verdict": CANDIDATE}}
+    assert summary["candidates"] == [
+        {
+            "instance": {
+                "index": 0,
+                "preset": "P1xP1",
+                "D": ["1", "3/2", "0", "2"],
+                "E": ["1/2", "0", "5/4", "0"],
+                "nef_constructed": False,
+            },
+            "reports": reports,
+        },
+        {
+            "instance": {
+                "index": 1,
+                "preset": "P3",
+                "D": ["0", "0", "1", "1"],
+                "E": ["0", "0", "3/2", "2"],
+                "nef_constructed": True,
+            },
+            "reports": reports,
+        },
+    ]
+    assert json.loads(summary_to_json(summary))["candidates"] == summary["candidates"]
+
+
+def test_a_failed_negative_part_check_is_a_candidate(monkeypatch):
+    # of corpus 10's first 4 instances, only the third has E inside N_sigma(D)
+    monkeypatch.setattr(theorems, "negsections_check", lambda *args, **kwargs: False)
+    summary = corpus_run(10, 4)
+    assert summary["negsections_checked"] == 1
+    assert summary["consistent"] == 3
+    assert summary["candidates"] == [
+        {
+            "instance": {
+                "index": 2,
+                "preset": "F2",
+                "D": ["5/4", "0", "-5/2", "3/2"],
+                "E": ["0", "1", "0", "0"],
+                "nef_constructed": False,
+            },
+            "failure": "negative-part additivity",
+        }
+    ]
 
 
 # ---- long runs -----------------------------------------------------------------

@@ -31,6 +31,7 @@ from rdiv.errors import (
     NoSections,
     NonSimplicialCone,
     NotBig,
+    NotEffective,
     NotNef,
     RdivError,
     UnsupportedDivisor,
@@ -41,6 +42,7 @@ from rdiv.surface import SurfaceModel
 from rdiv.theorems import R_GRID, check_theorem_a, check_theorem_b, default_m_grid, generate_corpus
 from rdiv.toric import (
     Fan,
+    TDivisor,
     bplus_div,
     h0,
     intersection_nef,
@@ -142,8 +144,9 @@ def test_fan_rejects_incomplete():
         (0, (), (), "dimension must be at least 1"),
         (2, P2.rays, (), "no maximal cones"),
         (2, P2.rays + ((1, 1),), P2.max_cones, "ray 3 lies in no maximal cone"),
+        (2, ((1, 0), (0, 1, 0), (-1, -1)), P2.max_cones, "wrong dimension"),
     ],
-    ids=["index-past-the-end", "negative-index", "empty-fan", "no-cones", "uncovered-ray"],
+    ids=["index-past-the-end", "negative-index", "empty-fan", "no-cones", "uncovered-ray", "3-d-ray"],
 )
 def test_fan_rejects_malformed_cone_lists(dim, rays, cones, message):
     with pytest.raises(ValueError, match=message):
@@ -153,6 +156,19 @@ def test_fan_rejects_malformed_cone_lists(dim, rays, cones, message):
 def test_fan_rejects_nonsimplicial():
     with pytest.raises(NonSimplicialCone):
         Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1, 2), (1, 2), (2, 0)))
+
+
+def test_fan_rejects_a_cone_of_dependent_rays():
+    # (1, 0) and (-1, 0) span a line, not a cone of full dimension
+    with pytest.raises(NonSimplicialCone, match="dependent"):
+        Fan(2, P1P1.rays, ((0, 2), (1, 2), (2, 3), (3, 0)))
+
+
+def test_a_divisor_needs_one_coefficient_per_ray_and_one_fan():
+    with pytest.raises(ValueError, match="coefficient count"):
+        TDivisor(P2, (1, 2))
+    with pytest.raises(ValueError, match="different fans"):
+        H + C
 
 
 # eight rays, each cone a quarter turn: every wall lies on two cones with the
@@ -682,6 +698,11 @@ def test_intersection_needs_divisors_on_one_fan(other):
         intersection_nef_div(H, other)
 
 
+def test_intersection_needs_an_effective_divisor():
+    with pytest.raises(NotEffective):
+        intersection_nef_div(H, P2.divisor({"r0": -1}))
+
+
 def test_intersection_linearity():
     D = P2.divisor({"r0": 1, "r1": 2})  # ~ 3H, nef and big
     assert intersection_nef_div(D, P2.divisor({"r2": 2})) == Scalar(6)
@@ -734,6 +755,11 @@ def test_sigma_limit_oracle_examples():
     s = sigma(C + E, "F")
     for m, v in zip([1, 2, 4], vals):
         assert Scalar(0) <= v - s <= Scalar(Fraction(1, m))
+
+
+def test_sigma_limit_oracle_requires_big():
+    with pytest.raises(NotBig):
+        sigma_limit_oracle(F, "E", [1])
 
 
 def test_sigma_limit_dominates_lp():

@@ -1,10 +1,12 @@
-"""Value semantics of the library's immutable classes, and of the simplex
-oracle's LPProblem: equal fields give equal objects with equal hashes, an
-object of another class never compares equal, fields cannot be assigned or
-deleted, the repr reads like a constructor call and a pickle round trip
-gives an equal object."""
+"""Value semantics of the library's value classes, of TDivisor and of the
+simplex oracle's LPProblem: equal fields give equal objects with equal
+hashes, an object of another class never compares equal, the repr reads
+like a constructor call and a pickle round trip gives an equal object.
+Fields cannot be assigned or deleted, except on TDivisor, which is not
+frozen."""
 
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +14,7 @@ from oracles import LPProblem
 from rdiv.polyhedra import HPolytope
 from rdiv.scalars import Scalar
 from rdiv.surface import SDivisor, SurfaceModel, ZariskiPair, zariski
-from rdiv.toric import Fan
+from rdiv.toric import Fan, TDivisor
 
 
 def _fan():
@@ -33,6 +35,10 @@ def _sdivisor():
 
 def _lp():
     return LPProblem((1, 1), _polytope())
+
+
+def _tdivisor():
+    return TDivisor(_fan(), (1, Fraction(1, 2), Scalar(0, 1, 2)))
 
 
 # (factory, the same fields in a tuple, repr as the former dataclasses printed it)
@@ -64,7 +70,15 @@ CASES = {
         "LPProblem(objective=(1, 1), constraints=HPolytope(dim=2, normals=((1, 0), (0, 1), (-1, -1)), "
         "den=1, disc=2, A=(0, 1, -3), B=(0, 2, 0)), constant=Scalar('0'))",
     ),
+    "TDivisor": (
+        _tdivisor,
+        lambda v: (v.fan, v.coeffs),
+        "TDivisor(fan=Fan(dim=2, rays=((1, 0), (0, 1), (-1, -1)), max_cones=((0, 1), (1, 2), (0, 2)), "
+        "names=(('H', 2),)), coeffs=(Scalar('1'), Scalar('1/2'), Scalar('sqrt(2)')))",
+    ),
 }
+# TDivisor's fields can still be assigned: it is not a _Frozen class
+FROZEN = [name for name in CASES if name != "TDivisor"]
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -75,6 +89,20 @@ def test_equal_fields_give_equal_objects_with_equal_hashes(name):
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_every_field_takes_part_in_equality_and_hash(name):
+    """The hash is that of the field tuple, and a value that differs in any
+    one field is another value."""
+    make, fields, _ = CASES[name]
+    a = make()
+    assert hash(a) == hash(fields(a))
+    values = fields(a)
+    for i in range(len(values)):
+        b = object.__new__(type(a))
+        b._set(*values[:i], object(), *values[i + 1 :])
+        assert a != b and not a == b
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -88,7 +116,7 @@ def test_another_class_never_compares_equal(name):
             assert a != CASES[other][0]()
 
 
-@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("name", FROZEN)
 def test_fields_cannot_be_assigned_or_deleted(name):
     make, fields, _ = CASES[name]
     a = make()
