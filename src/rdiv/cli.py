@@ -524,6 +524,10 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # answers are exact: print one of any length, past Python's default
+    # limit on int-to-str conversion (3.10.7 and later)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -102,7 +102,8 @@ class HPolytope(_Frozen):
     """{u in R^dim : <u, normal_i> >= offset_i for every row i}, held as its
     offset record: offset_i = (A_i + B_i sqrt(disc)) / den for integers A_i
     and B_i, one den > 0 (the lcm of the reduced offset denominators) and
-    one disc (0 when every offset is rational), built by scalars._record.
+    one disc (0 when every offset is rational), built by scalars._record,
+    or passed to HPolytope._make already canonical with checked normals.
     The record is canonical, so equality and hashing, which _Frozen writes
     over the fields, read it."""
 
@@ -120,14 +121,6 @@ class HPolytope(_Frozen):
             if not any(g):
                 raise ValueError("zero normal vector in polytope row")
         self._set(dim, normals, *_record([_as_scalar(o) for _, o in rows]))
-
-    @classmethod
-    def _of_record(cls, dim: int, normals, den: int, disc: int, A, B) -> "HPolytope":
-        """The polytope of checked integer normals and a canonical offset
-        record, as scalars._record builds it."""
-        p = object.__new__(cls)
-        p._set(dim, normals, den, disc, A, B)
-        return p
 
     @property
     def rows(self) -> tuple[tuple[tuple[int, ...], Scalar], ...]:
@@ -471,7 +464,7 @@ def _lattice_min(p: HPolytope, g: tuple[int, ...]):
     first one holding a lattice point is the minimum: an interval in
     dimension 2, and a polygon, counted by _count_2d without its points,
     above that.  So the cost does not grow with the dilation."""
-    q = HPolytope._of_record(p.dim, _ray_normals(p.normals, g), p.den, p.disc, p.A, p.B)
+    q = HPolytope._make(p.dim, _ray_normals(p.normals, g), p.den, p.disc, p.A, p.B)
     k = math.gcd(*g)
     if p.dim == 1:
         ts = _interval(_integer_rows(q))
@@ -506,7 +499,7 @@ def lattice_form(p: HPolytope) -> HPolytope:
         else:
             t = [sum(map(mul, row, cs)) // q for row in M]
             c = [x - sum(map(mul, g, t)) for g, x in zip(p.normals, c)]
-    return HPolytope._of_record(p.dim, p.normals, 1, 0, tuple(c), (0,) * len(c))
+    return HPolytope._make(p.dim, p.normals, 1, 0, tuple(c), (0,) * len(c))
 
 
 @lru_cache(maxsize=2048)

@@ -153,24 +153,29 @@ class _Frozen:
     """Base of the library's immutable value classes.  A value is its
     fields, the subclass's __slots__: _set(self, *fields) stores them once,
     in slot order, and assigning or deleting one afterwards raises
-    AttributeError.  __eq__ holds for the same class with equal fields
-    (another class gets NotImplemented), __hash__ is the hash of the field
-    tuple, the repr lists each field as name=value and a pickle stores the
-    fields.  __init_subclass__ writes _set, __eq__ and __hash__ out as
-    source and compiles them once per class, as collections.namedtuple
-    does: the caches key on these values, and a generic rule reading the
-    slots through operator.attrgetter makes == about 1.5 times as slow."""
+    AttributeError.  cls._make(*fields) is the one maker of a value from
+    fields that are already checked, as namedtuple's _make is: a new
+    instance, no __init__, and each field stored through its slot.
+    __eq__ holds for the same class with equal fields (another class gets
+    NotImplemented), __hash__ is the hash of the field tuple, the repr
+    lists each field as name=value and a pickle stores the fields.
+    __init_subclass__ writes _set, _make, __eq__ and __hash__ out as source
+    and compiles them once per class, as collections.namedtuple does: the
+    caches key on these values, and a generic rule reading the slots
+    through operator.attrgetter makes == about 1.5 times as slow."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         names = cls.__slots__
+        fields = ", ".join(names)
+        stores = "".join(f"    _set_{name}(self, {name})\n" for name in names)
         mine, theirs = ("".join(f"{obj}.{name}, " for name in names) for obj in ("self", "other"))
         source = (
-            f"def _set(self, {', '.join(names)}):\n"
-            + "".join(f"    _set_{name}(self, {name})\n" for name in names)
-            + "def __eq__(self, other):\n"
+            f"def _set(self, {fields}):\n{stores}"
+            f"def _make({fields}):\n    self = _new(cls)\n{stores}    return self\n"
+            "def __eq__(self, other):\n"
             "    if type(other) is not cls:\n"
             "        return NotImplemented\n"
             f"    return ({mine}) == ({theirs})\n"
@@ -178,11 +183,12 @@ class _Frozen:
             f"    return hash(({mine}))\n"
         )
         namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
-        namespace.update(cls=cls, __name__=cls.__module__)
+        namespace.update(cls=cls, _new=object.__new__, __name__=cls.__module__)
         exec(source, namespace)
-        for method in ("_set", "__eq__", "__hash__"):
-            namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
-            setattr(cls, method, namespace[method])
+        for method in ("_set", "_make", "__eq__", "__hash__"):
+            function = namespace[method]
+            function.__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method, staticmethod(function) if method == "_make" else function)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
@@ -200,9 +206,7 @@ class _Frozen:
 
 def _unpickle(cls, values):
     """The _Frozen instance of class cls with these field values."""
-    obj = object.__new__(cls)
-    obj._set(*values)
-    return obj
+    return cls._make(*values)
 
 
 class Scalar:
@@ -311,9 +315,14 @@ class Scalar:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = _new(1, 0, 1, 0)
-        for _ in range(n):
-            out = out * self
+        # square and multiply: one product per bit of n
+        out, base = _new(1, 0, 1, 0), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     # ---- order -----------------------------------------------------------

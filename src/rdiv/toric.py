@@ -312,43 +312,32 @@ def _preset_fan(key: str) -> Fan | None:
     return None
 
 
-class TDivisor:
+class TDivisor(_Frozen):
     """Torus-invariant R-divisor: one coefficient per ray, held as its
-    section polytope {u : <u, ray> >= -coeff}.  The polytope's offset record
+    section polytope {u : <u, ray> >= -coeff}.  A divisor is a _Frozen value
+    of two fields, its fan and that polytope, whose offset record
     (A_i + B_i sqrt(disc)) / den is the coefficients negated, canonical as
-    scalars._record and _reduce make it, so equality and hashing read the
-    polytope, and scale, +, - and principal_divisor are integer products and
-    sums plus one gcd on its record; the signs of the coefficients are
-    those of the offsets, negated.  The coefficients lie in one field:
+    scalars._record and _reduce make it; so equality and hashing read the
+    fan and the record, and scale, +, - and principal_divisor are integer
+    products and sums plus one gcd on it.  The signs of the coefficients
+    are those of the offsets, negated.  The coefficients lie in one field:
     two irrational fields raise MixedDiscriminant, as they do for an
-    HPolytope.  coeffs builds the reduced Scalars on first use."""
+    HPolytope.  coeffs builds the reduced Scalars off the record on each
+    call; nothing is kept beside the two fields."""
 
-    __slots__ = ("fan", "polytope", "_coeffs")
+    __slots__ = ("fan", "polytope")
 
     def __init__(self, fan: Fan, coeffs):
         if len(coeffs) != fan.nrays:
             raise ValueError("coefficient count does not match ray count")
-        coeffs = tuple(map(_as_scalar, coeffs))
-        den, disc, A, B = _record(coeffs)
-        self.fan, self._coeffs = fan, coeffs
-        self.polytope = HPolytope._of_record(
-            fan.dim, fan.rays, den, disc, tuple(-a for a in A), tuple(-b for b in B)
-        )
+        den, disc, A, B = _record(tuple(map(_as_scalar, coeffs)))
+        polytope = HPolytope._make(fan.dim, fan.rays, den, disc, tuple(-a for a in A), tuple(-b for b in B))
+        self._set(fan, polytope)
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
-        if self._coeffs is None:
-            p = self.polytope
-            self._coeffs = tuple(_new(-a, -b, p.den, p.disc) for a, b in zip(p.A, p.B))
-        return self._coeffs
-
-    def __eq__(self, other):
-        if type(other) is not TDivisor:
-            return NotImplemented
-        return self.polytope == other.polytope and self.fan == other.fan
-
-    def __hash__(self):
-        return hash(self.polytope)
+        p = self.polytope
+        return tuple(_new(-a, -b, p.den, p.disc) for a, b in zip(p.A, p.B))
 
     def __repr__(self):
         return f"TDivisor(fan={self.fan!r}, coeffs={self.coeffs!r})"
@@ -403,10 +392,7 @@ class TDivisor:
 def _divisor(fan: Fan, den: int, disc: int, A, B) -> TDivisor:
     """The divisor whose section polytope has the integer arithmetic's
     offset record (A_i + B_i sqrt(disc)) / den, reduced by scalars._reduce."""
-    D = object.__new__(TDivisor)
-    D.fan, D._coeffs = fan, None
-    D.polytope = HPolytope._of_record(fan.dim, fan.rays, *_reduce(den, disc, A, B))
-    return D
+    return TDivisor._make(fan, HPolytope._make(fan.dim, fan.rays, *_reduce(den, disc, A, B)))
 
 
 def _check_tdivisor(D):
@@ -492,17 +478,19 @@ class SigmaDecomposition(namedtuple("SigmaDecomposition", "original nsigma psigm
 
 @lru_cache(maxsize=256)
 def sigma_decomposition(D: TDivisor) -> SigmaDecomposition:
-    """N_sigma(D) = sum of sigma(D, i) D_i and P_sigma = D - N_sigma, with
-    sigma(D, i) = a_i + min <v_i, u> over D's section polytope: lp_solve
-    reads every ray's minimum in one pass over that polytope's vertices.
-    Bigness is checked once.  P_sigma has no sigma by construction, as its
-    section polytope is D's with every row moved up to touch it (Nakayama,
-    Zariski-decomposition and abundance, III.1).  One decomposition per
-    divisor, in a shared bounded cache; errors are not cached."""
+    """P_sigma(D) has coefficient -min <v_i, u> over D's section polytope on
+    each ray i, and N_sigma = D - P_sigma = sum of sigma(D, i) D_i, with
+    sigma(D, i) = a_i + min <v_i, u>.  lp_solve reads every ray's minimum
+    in one pass over the polytope's vertices, and those minima are P_sigma's
+    offset record as it stands.  Bigness is checked once.  P_sigma has no
+    sigma by construction, as its section polytope is D's with every row
+    moved up to touch it (Nakayama, Zariski-decomposition and abundance,
+    III.1).  One decomposition per divisor, in a shared bounded cache;
+    errors are not cached."""
     if not is_big(D):
         raise NotBig("sigma decomposition is defined for big divisors only")
-    neg = TDivisor(D.fan, tuple(map(add, D.coeffs, lp_solve(D.polytope, D.fan.rays))))
-    return SigmaDecomposition(D, neg, D - neg)
+    pos = _divisor(D.fan, *_record(lp_solve(D.polytope, D.fan.rays)))
+    return SigmaDecomposition(D, D - pos, pos)
 
 
 def principal_divisor(fan: Fan, u) -> TDivisor:

@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -171,6 +173,27 @@ def test_a_huge_sqrt_literal_is_a_parse_error_in_bounded_time():
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == EXIT_PARSE, proc.stderr
     assert "digits" in proc.stderr and proc.stdout == ""
+
+
+def _digits(text: str) -> int:
+    """The integer a decimal string writes, read digit by digit, since int()
+    refuses strings over sys.get_int_max_str_digits() digits."""
+    return functools.reduce(lambda n, d: 10 * n + int(d), text, 0)
+
+
+@pytest.mark.parametrize("command", ["volume", "h0"])
+def test_an_exact_answer_over_the_str_digit_limit_is_printed(command):
+    # vol(mH) = m^2 = 10**5000 and h0(mH) = C(m + 2, 2) on P2 have over the
+    # 4,300 digits Python converts by default; the answer is still exact
+    m = 10**2500
+    argv = [command, "--preset", "P2", "--divisor", "H:1", "--scale", "1" + "0" * 2500]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    cmd = [sys.executable, "-m", "rdiv.cli", *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    out = proc.stdout.strip()
+    assert _digits(out) == (m * m if command == "volume" else math.comb(m + 2, 2))
 
 
 def test_cli_import_loads_no_process_pool():

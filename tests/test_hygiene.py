@@ -1,8 +1,9 @@
 """Static checks over the library sources, with the standard library's ast:
 the package imports only the standard library and itself (no runtime
 dependencies), every name a module imports is used, every cache has a
-finite size, so a long run cannot grow memory without limit, and value
-equality has one rule per kind of value."""
+finite size, so a long run cannot grow memory without limit, value
+equality has one rule per kind of value, no instance is made around the
+makers in scalars, and no assert statement is left for python -O to strip."""
 
 import ast
 import sys
@@ -85,8 +86,8 @@ def test_every_lru_cache_has_a_finite_maxsize(path):
 
 
 # scalars._Frozen writes __eq__ and __hash__ for every frozen class; Scalar
-# compares numerically and TDivisor by its polytope, so they keep their own
-OWN_EQUALITY = {"_Frozen", "Scalar", "TDivisor"}
+# compares numerically, so it keeps its own
+OWN_EQUALITY = {"_Frozen", "Scalar"}
 
 
 def _class_names(cls):
@@ -108,16 +109,37 @@ def test_only_the_value_rules_define_equality():
     assert owners <= OWN_EQUALITY, sorted(owners - OWN_EQUALITY)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_field_is_set_around_the_value_rule(path):
-    """_Frozen's _set stores every field; object.__setattr__ would bypass it."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    calls = [
+def _reads_of_object(tree, attr):
+    """The lines that read object.<attr>."""
+    return [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
-        and node.attr == "__setattr__"
+        and node.attr == attr
         and isinstance(node.value, ast.Name)
         and node.value.id == "object"
     ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_field_is_set_around_the_value_rule(path):
+    """_Frozen's _set stores every field; object.__setattr__ would bypass it."""
+    calls = _reads_of_object(ast.parse(path.read_text(encoding="utf-8")), "__setattr__")
     assert not calls, f"{path.name}: object.__setattr__ on lines {calls}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "scalars.py"], ids=lambda p: p.name)
+def test_no_instance_is_made_around_the_makers(path):
+    """scalars holds the two makers of a value from checked fields, Scalar's
+    _new and _Frozen's generated _make; object.__new__ elsewhere is a third."""
+    calls = _reads_of_object(ast.parse(path.read_text(encoding="utf-8")), "__new__")
+    assert not calls, f"{path.name}: object.__new__ on lines {calls}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    """python -O strips assert statements, so a check the library needs
+    raises instead."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not asserts, f"{path.name}: assert on lines {asserts}"

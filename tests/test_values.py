@@ -1,9 +1,8 @@
-"""Value semantics of the library's value classes, of TDivisor and of the
-simplex oracle's LPProblem: equal fields give equal objects with equal
-hashes, an object of another class never compares equal, the repr reads
-like a constructor call and a pickle round trip gives an equal object.
-Fields cannot be assigned or deleted, except on TDivisor, which is not
-frozen."""
+"""Value semantics of the library's value classes and of the simplex
+oracle's LPProblem: equal fields give equal objects with equal hashes,
+_make builds the value its fields name, an object of another class never
+compares equal, the repr reads like a constructor call, a pickle round
+trip gives an equal object, and fields cannot be assigned or deleted."""
 
 import pickle
 from fractions import Fraction
@@ -72,13 +71,11 @@ CASES = {
     ),
     "TDivisor": (
         _tdivisor,
-        lambda v: (v.fan, v.coeffs),
+        lambda v: (v.fan, v.polytope),
         "TDivisor(fan=Fan(dim=2, rays=((1, 0), (0, 1), (-1, -1)), max_cones=((0, 1), (1, 2), (0, 2)), "
         "names=(('H', 2),)), coeffs=(Scalar('1'), Scalar('1/2'), Scalar('sqrt(2)')))",
     ),
 }
-# TDivisor's fields can still be assigned: it is not a _Frozen class
-FROZEN = [name for name in CASES if name != "TDivisor"]
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -91,17 +88,17 @@ def test_equal_fields_give_equal_objects_with_equal_hashes(name):
     assert len({a, b}) == 1
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", CASES)
 def test_every_field_takes_part_in_equality_and_hash(name):
-    """The hash is that of the field tuple, and a value that differs in any
-    one field is another value."""
+    """The hash is that of the field tuple, _make builds the value of its
+    fields, and a value that differs in any one field is another value."""
     make, fields, _ = CASES[name]
     a = make()
     assert hash(a) == hash(fields(a))
     values = fields(a)
+    assert type(a)._make(*values) == a
     for i in range(len(values)):
-        b = object.__new__(type(a))
-        b._set(*values[:i], object(), *values[i + 1 :])
+        b = type(a)._make(*values[:i], object(), *values[i + 1 :])
         assert a != b and not a == b
 
 
@@ -116,7 +113,7 @@ def test_another_class_never_compares_equal(name):
             assert a != CASES[other][0]()
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", CASES)
 def test_fields_cannot_be_assigned_or_deleted(name):
     make, fields, _ = CASES[name]
     a = make()
@@ -141,6 +138,19 @@ def test_pickle_round_trip(name):
     a = CASES[name][0]()
     b = pickle.loads(pickle.dumps(a))
     assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+
+
+def test_a_divisor_cannot_be_moved_off_its_coefficients():
+    """Assigning a divisor's polytope would leave it equal to one divisor
+    while its coefficients read another's; the assignment raises, and the
+    coefficients are always the offsets of the polytope's record, negated."""
+    fan = _fan()
+    D, twice = fan.divisor({"H": 1}), fan.divisor({"H": 2})
+    with pytest.raises(AttributeError):
+        D.polytope = twice.polytope
+    assert D != twice and D.coeffs == (0, 0, 1)
+    for X in (D, twice, _tdivisor(), D.scale(Scalar(0, 1, 2)) - twice):
+        assert X.coeffs == tuple(-o for _, o in X.polytope.rows)
 
 
 def test_a_record_is_a_read_only_named_tuple():
