@@ -14,8 +14,6 @@ __all__ = [
     "RdivError",
     "Scalar",
     "parse_scalar",
-    "scalar_cmp",
-    "scalar_floor",
     "sqrt",
     "HPolytope",
     "lp_solve",
@@ -32,8 +30,6 @@ _ORIGIN = {
     "RdivError": "errors",
     "Scalar": "scalars",
     "parse_scalar": "scalars",
-    "scalar_cmp": "scalars",
-    "scalar_floor": "scalars",
     "sqrt": "scalars",
     "HPolytope": "polyhedra",
     "lp_solve": "polyhedra",

@@ -93,7 +93,6 @@ __all__ = [
     "lp_solve",
     "lattice_points",
     "lattice_form",
-    "facet_lattice_volume",
     "is_bounded",
 ]
 
@@ -560,19 +559,3 @@ def _facet_volumes(p: HPolytope) -> tuple[Scalar, ...]:
             xs[i], ys[i] = shared.setdefault((A[i] * t, B[i] * t), (xs[i], ys[i]))
     Q = scale * p.den ** (p.dim - 1)
     return tuple(_new(x, y, Q, disc) for x, y in zip(xs, ys))
-
-
-def facet_lattice_volume(p: HPolytope, facet_row: int) -> Scalar:
-    """(n-1)-volume of a facet, measured in the lattice of its affine hull:
-    one entry of the polytope's facet record.
-
-    Returns 0 when the row supports a face of dimension below n-1, and on
-    every row of a polytope with no interior point, where no face is a
-    facet (the 1-dimensional point {u >= 3, -u >= -3} reads 0 on both
-    rows, not the 0-volume 1 of a point); the rows of one hyperplane share
-    its value.  Raises IndexError for a row index that is negative or a
-    bool.
-    """
-    if isinstance(facet_row, bool) or facet_row < 0:
-        raise IndexError(f"row index {facet_row!r} out of range")
-    return _facet_volumes(p)[facet_row]

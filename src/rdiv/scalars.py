@@ -25,8 +25,6 @@ __all__ = [
     "Scalar",
     "sqrt",
     "parse_scalar",
-    "scalar_cmp",
-    "scalar_floor",
 ]
 
 # A disc is factored by trial division up to its cube root, about 10**5
@@ -445,12 +443,3 @@ def parse_scalar(text: str) -> Scalar:
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
     return Scalar(rat, surd, disc)
-
-
-def scalar_cmp(x, y) -> int:
-    """-1 (LT), 0 (EQ) or 1 (GT), exactly."""
-    return _as_scalar(x)._cmp(y)
-
-
-def scalar_floor(x) -> int:
-    return math.floor(_as_scalar(x))

@@ -31,7 +31,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NotBig, NotEffective
-from .scalars import Scalar, _as_scalar, parse_scalar
+from .scalars import Scalar, _as_scalar
 
 __all__ = [
     "ClauseValue",
@@ -254,25 +254,22 @@ def negsections_check(X, D, E, m_grid=None) -> bool:
 # randomized corpus
 
 
-class CorpusInstance(namedtuple("CorpusInstance", "index preset D_coeffs E_coeffs nef_constructed")):
-    """One corpus instance: D and E as coefficient literals on a preset fan."""
+class CorpusInstance(namedtuple("CorpusInstance", "index preset D E nef_constructed")):
+    """One corpus instance: the divisors D and E on a preset fan, as drawn.
+    realize() hands them to the checkers as they are; to_json() renders
+    their coefficients as literals, which parse back to them."""
 
     __slots__ = ()
 
     def realize(self):
-        from .toric import preset_fan
-
-        fan = preset_fan(self.preset)
-        D = fan.divisor([parse_scalar(c) for c in self.D_coeffs])
-        E = fan.divisor([parse_scalar(c) for c in self.E_coeffs])
-        return fan, D, E
+        return self.D.fan, self.D, self.E
 
     def to_json(self):
         return {
             "index": self.index,
             "preset": self.preset,
-            "D": list(self.D_coeffs),
-            "E": list(self.E_coeffs),
+            "D": [str(c) for c in self.D.coeffs],
+            "E": [str(c) for c in self.E.coeffs],
             "nef_constructed": self.nef_constructed,
         }
 
@@ -339,15 +336,7 @@ def generate_corpus(seed: int, count: int) -> list[CorpusInstance]:
         nef_wanted = rng.random() < 0.3
         D = _nef_big_divisor(fan, preset, rng) if nef_wanted else _random_big_divisor(fan, rng)
         E = _random_effective(fan, rng)
-        out.append(
-            CorpusInstance(
-                index,
-                preset,
-                tuple(str(c) for c in D.coeffs),
-                tuple(str(c) for c in E.coeffs),
-                nef_wanted,
-            )
-        )
+        out.append(CorpusInstance(index, preset, D, E, nef_wanted))
     return out
 
 

@@ -57,7 +57,6 @@ __all__ = [
     "sigma",
     "sigma_decomposition",
     "bplus_div",
-    "intersection_nef",
     "intersection_nef_div",
     "sigma_limit_oracle",
     "principal_divisor",
@@ -465,13 +464,16 @@ def is_nef(D: TDivisor) -> bool:
 def sigma(D: TDivisor, ray) -> Scalar:
     """Infimum of the coefficient along the ray over the effective members
     of the R-linear equivalence class, a_i + min <ray, u> over the section
-    polytope: its coefficient in N_sigma of the cached sigma_decomposition."""
-    _check_tdivisor(D)
-    return sigma_decomposition(D).nsigma.coeffs[D.fan.ray_index(ray)]
+    polytope: its coefficient in N_sigma of the cached sigma_decomposition,
+    read off N_sigma's record alone."""
+    i = _check_tdivisor(D).fan.ray_index(ray)
+    p = sigma_decomposition(D).nsigma.polytope
+    return _new(-p.A[i], -p.B[i], p.den, p.disc)
 
 
-class SigmaDecomposition(namedtuple("SigmaDecomposition", "original nsigma psigma")):
-    """D = psigma + nsigma with nsigma carrying the sigma multiplicities."""
+class SigmaDecomposition(namedtuple("SigmaDecomposition", "nsigma psigma")):
+    """D = psigma + nsigma with nsigma carrying the sigma multiplicities; D
+    itself is the cache key of sigma_decomposition, not a field."""
 
     __slots__ = ()
 
@@ -490,7 +492,7 @@ def sigma_decomposition(D: TDivisor) -> SigmaDecomposition:
     if not is_big(D):
         raise NotBig("sigma decomposition is defined for big divisors only")
     pos = _divisor(D.fan, *_record(lp_solve(D.polytope, D.fan.rays)))
-    return SigmaDecomposition(D, D - pos, pos)
+    return SigmaDecomposition(D - pos, pos)
 
 
 def principal_divisor(fan: Fan, u) -> TDivisor:
@@ -520,12 +522,6 @@ def bplus_div(D: TDivisor) -> frozenset[int]:
     if not is_big(D):
         raise NotBig("the divisorial augmented base locus needs a big divisor")
     return frozenset(i for i, v in enumerate(_facet_volumes(D.polytope)) if not v)
-
-
-def intersection_nef(D: TDivisor, ray) -> Scalar:
-    """D^(n-1).D_ray for nef big D: intersection_nef_div against the ray's
-    prime divisor."""
-    return intersection_nef_div(D, _check_tdivisor(D).fan.divisor({ray: 1}))
 
 
 def intersection_nef_div(D: TDivisor, E: TDivisor) -> Scalar:
@@ -561,7 +557,8 @@ def sigma_limit_oracle(D: TDivisor, ray, m_list) -> list[Scalar]:
         raise NotBig("the limit oracle needs a big divisor")
     idx = D.fan.ray_index(ray)
     v = D.fan.rays[idx]
-    a = D.coeffs[idx]
+    p = D.polytope
+    a = _new(-p.A[idx], -p.B[idx], p.den, p.disc)
     # a generator or an iterator would be used up by the checks
     m_list = list(m_list)
     for m in m_list:

@@ -12,12 +12,12 @@ from oracles import EmptyPolytope, euclidean_volume, translate, vertices
 from rdiv.cli import EXIT_OK, run
 from rdiv.polyhedra import (
     HPolytope,
-    facet_lattice_volume,
+    _facet_volumes,
     lattice_points,
     lp_solve,
 )
 from rdiv.scalars import Scalar, sqrt
-from rdiv.toric import intersection_nef, preset_fan
+from rdiv.toric import intersection_nef_div, preset_fan
 
 
 def poly(rows, dim=2):
@@ -34,15 +34,7 @@ def test_facet_volume_non_primitive_row():
     # (2,0) >= 2 cuts the same facet as (1,0) >= 1; lattice length must agree
     doubled = poly([((2, 0), 2), ((0, 1), 0), ((-1, 0), -2), ((0, -1), -1)])
     plain = poly([((1, 0), 1), ((0, 1), 0), ((-1, 0), -2), ((0, -1), -1)])
-    assert facet_lattice_volume(doubled, 0) == facet_lattice_volume(plain, 0) == Scalar(1)
-
-
-@pytest.mark.parametrize("row", [4, -1, -4, True, False])
-def test_facet_lattice_volume_rejects_a_row_outside_the_rows(row):
-    # a negative index would wrap to a row from the end, and a bool would
-    # read as row 0 or 1
-    with pytest.raises(IndexError):
-        facet_lattice_volume(UNIT_SQUARE, row)
+    assert _facet_volumes(doubled)[0] == _facet_volumes(plain)[0] == Scalar(1)
 
 
 def test_duplicate_rows_are_harmless():
@@ -52,7 +44,7 @@ def test_duplicate_rows_are_harmless():
     assert euclidean_volume(doubled) == Scalar(1)
     assert lattice_points(doubled) == 4
     assert vertices(doubled) == vertices(UNIT_SQUARE)
-    assert facet_lattice_volume(doubled, 0) == Scalar(1)
+    assert _facet_volumes(doubled)[0] == Scalar(1)
 
 
 def test_volume_invariant_under_scalar_translation():
@@ -107,9 +99,9 @@ def test_intersection_on_p1xp1():
     fan = preset_fan("P1xP1")
     D = fan.divisor({"H1": 2, "H2": 3})
     # pairing against one ruling picks up the other factor's degree
-    assert intersection_nef(D, "H1") == Scalar(3)
-    assert intersection_nef(D, "H2") == Scalar(2)
-    assert intersection_nef(D, 0) == Scalar(3)
+    assert intersection_nef_div(D, fan.divisor({"H1": 1})) == Scalar(3)
+    assert intersection_nef_div(D, fan.divisor({"H2": 1})) == Scalar(2)
+    assert intersection_nef_div(D, fan.divisor({0: 1})) == Scalar(3)
 
 
 def test_f3_preset_sigma():

@@ -38,7 +38,6 @@ from rdiv.polyhedra import (
     _has_interior,
     _lattice_min,
     _vertex_table,
-    facet_lattice_volume,
     is_bounded,
     lattice_form,
     lattice_points,
@@ -575,26 +574,26 @@ def test_lattice_convergence_to_volume():
 
 def test_facet_unit_square_top_edge():
     idx = UNIT_SQUARE.rows.index(((0, -1), Scalar(-1)))
-    assert facet_lattice_volume(UNIT_SQUARE, idx) == Scalar(1)
+    assert _facet_volumes(UNIT_SQUARE)[idx] == Scalar(1)
 
 
 def test_facet_vertex_only_is_zero():
     # row y >= 0 of {0 <= x <= y <= 1} touches only the vertex (0,0)
     p = poly([((1, 0), 0), ((0, 1), 0), ((-1, 1), 0), ((0, -1), -1)])
     idx = p.rows.index(((0, 1), Scalar(0)))
-    assert facet_lattice_volume(p, idx) == Scalar(0)
+    assert _facet_volumes(p)[idx] == Scalar(0)
 
 
 def test_facet_skew_edge_lattice_length():
     # edge from (0,0) to (2,2) along x - y = 0 has lattice length 2
     p = poly([((1, -1), 0), ((-1, 0), -2), ((0, 1), 0), ((1, 1), 0)])
     idx = 0
-    assert facet_lattice_volume(p, idx) == Scalar(2)
+    assert _facet_volumes(p)[idx] == Scalar(2)
 
 
 def test_facet_slack_row_is_zero():
     slack = poly([((1, 0), 0), ((0, 1), 0), ((-1, -1), -1), ((1, 1), -5)])
-    assert facet_lattice_volume(slack, 3) == Scalar(0)
+    assert _facet_volumes(slack)[3] == Scalar(0)
 
 
 def test_facet_3d_area():
@@ -606,7 +605,7 @@ def test_facet_3d_area():
             for s, c in ((1, 0), (-1, -2))
         ),
     )
-    assert facet_lattice_volume(cube, 1) == Scalar(4)
+    assert _facet_volumes(cube)[1] == Scalar(4)
 
 
 def _edge_lattice_length(v1, v2):
@@ -647,7 +646,7 @@ def test_facet_volume_matches_edge_length_oracle():
                 )
             elif len(tight) > 2:
                 continue  # cannot happen for a 2d polytope edge
-            assert facet_lattice_volume(p, row_idx) == Scalar(expected)
+            assert _facet_volumes(p)[row_idx] == Scalar(expected)
         checked += 1
 
 

@@ -16,8 +16,6 @@ from rdiv.scalars import (
     Scalar,
     _squarefree_split,
     parse_scalar,
-    scalar_cmp,
-    scalar_floor,
     sqrt,
 )
 
@@ -56,15 +54,15 @@ def test_sqrt2_squared():
 
 
 def test_cmp_examples():
-    assert scalar_cmp(R2, Scalar(Fraction(141, 100))) == 1
-    assert scalar_cmp(Scalar(Fraction(3, 2)), Scalar(Fraction(3, 2))) == 0
-    assert scalar_cmp(Scalar(1) - R2, Scalar(0)) == -1
+    assert R2._cmp(Scalar(Fraction(141, 100))) == 1
+    assert Scalar(Fraction(3, 2))._cmp(Scalar(Fraction(3, 2))) == 0
+    assert (Scalar(1) - R2)._cmp(Scalar(0)) == -1
 
 
 def test_floor_examples():
-    assert scalar_floor(R2) == 1
-    assert scalar_floor(-R2) == -2
-    assert scalar_floor(3 * R2) == 4
+    assert math.floor(R2) == 1
+    assert math.floor(-R2) == -2
+    assert math.floor(3 * R2) == 4
 
 
 def test_division_by_zero():
@@ -85,7 +83,7 @@ def test_mixed_discriminants_rejected():
     with pytest.raises(MixedDiscriminant):
         sqrt(2) + sqrt(3)
     with pytest.raises(MixedDiscriminant):
-        scalar_cmp(sqrt(2), sqrt(5))
+        sqrt(2)._cmp(sqrt(5))
 
 
 def test_rational_operand_joins_any_disc():
@@ -160,14 +158,14 @@ def test_decimal_rejects_a_negative_or_inexact_digit_count():
 @given(scalars())
 @settings(max_examples=200)
 def test_floor_bounds(x):
-    f = scalar_floor(x)
+    f = math.floor(x)
     assert Scalar(f) <= x < Scalar(f + 1)
 
 
 @given(scalars())
 @settings(max_examples=200)
 def test_floor_reflection(x):
-    s = scalar_floor(x) + scalar_floor(-x)
+    s = math.floor(x) + math.floor(-x)
     assert s in (0, -1)
     assert (s == 0) == x.is_integer()
 
@@ -200,13 +198,13 @@ def test_mul_matches_sympy(a, b):
 @settings(max_examples=150)
 def test_cmp_matches_sympy(a, b):
     expected = sympy.sign(to_sympy(a) - to_sympy(b))
-    assert scalar_cmp(a, b) == int(expected)
+    assert a._cmp(b) == int(expected)
 
 
 @given(scalars())
 @settings(max_examples=100)
 def test_floor_matches_sympy(x):
-    assert scalar_floor(x) == int(sympy.floor(to_sympy(x)))
+    assert math.floor(x) == int(sympy.floor(to_sympy(x)))
     assert scalar_ceil(x) == int(sympy.ceiling(to_sympy(x)))
 
 
@@ -219,25 +217,25 @@ def test_sign_analysis_opposite_parts():
 
 def test_floor_of_large_values():
     big = Scalar(Fraction(10**12), Fraction(10**6), 2)
-    f = scalar_floor(big)
+    f = math.floor(big)
     assert Scalar(f) <= big < Scalar(f + 1)
 
 
 def test_floor_of_huge_irrational_values_is_exact():
     # far past what a fixed-precision estimate of sqrt(d) can round correctly
     n = 10**24 + 1
-    assert scalar_floor(Scalar(0, n, 2)) == math.isqrt(2 * n * n)
-    assert scalar_floor(Scalar(0, -n, 2)) == -math.isqrt(2 * n * n) - 1
+    assert math.floor(Scalar(0, n, 2)) == math.isqrt(2 * n * n)
+    assert math.floor(Scalar(0, -n, 2)) == -math.isqrt(2 * n * n) - 1
     # 30-digit parts that nearly cancel: 10^30*sqrt(2) minus its own floor
     k = 10**30
     frac = Scalar(-math.isqrt(2 * k * k), k, 2)
-    assert scalar_floor(frac) == 0 and scalar_floor(-frac) == -1
+    assert math.floor(frac) == 0 and math.floor(-frac) == -1
     for x in (
         Scalar(Fraction(10**30 + 7, 3), Fraction(-(10**29) - 11, 7), 2),
         Scalar(Fraction(-(10**30) + 1, 13), Fraction(10**30 - 3, 11), 3),
         Scalar(Fraction(123456789012345678901234567890, 7), Fraction(1, 10**30), 5),
     ):
-        f = scalar_floor(x)
+        f = math.floor(x)
         assert x._cmp(f) >= 0 and x._cmp(f + 1) < 0
 
 
@@ -348,7 +346,6 @@ BINARY = [
     operator.ne,
     operator.gt,
     operator.ge,
-    scalar_cmp,
 ]
 
 
@@ -358,11 +355,9 @@ def test_binary_operations_match_the_fraction_reference(t, other):
     x, ref = Scalar(*t), FractionScalar(*t)
     o, oref = _build(other, Scalar), _build(other, FractionScalar)
     for op in BINARY:
-        if op is scalar_cmp:
-            assert _outcome(lambda: x._cmp(o)) == _outcome(lambda: ref._cmp(oref))
-            continue
         assert _outcome(lambda: op(x, o)) == _outcome(lambda: op(ref, oref)), op
         assert _outcome(lambda: op(o, x)) == _outcome(lambda: op(oref, ref)), op
+    assert _outcome(lambda: x._cmp(o)) == _outcome(lambda: ref._cmp(oref))
 
 
 @given(triples(), st.integers(0, 4), st.integers(0, 30))

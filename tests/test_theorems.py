@@ -7,7 +7,7 @@ import pytest
 
 from rdiv import theorems, toric
 from rdiv.errors import NotBig, NotEffective
-from rdiv.scalars import Scalar, sqrt
+from rdiv.scalars import Scalar, parse_scalar, sqrt
 from rdiv.surface import SurfaceModel
 from rdiv.theorems import (
     CANDIDATE,
@@ -335,6 +335,27 @@ def test_corpus_instances_realize():
         fan, D, E = inst.realize()
         assert len(D.coeffs) == fan.nrays
         assert E.is_effective()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6, 2026])
+def test_corpus_json_replays_each_instance(seed):
+    # to_json renders the divisors an instance holds; its literals parse
+    # back, on the named preset, to the divisors realize() hands over
+    for inst in generate_corpus(seed, 200):
+        fan, D, E = inst.realize()
+        doc = inst.to_json()
+        replay = preset_fan(doc["preset"])
+        assert replay is fan
+        assert replay.divisor([parse_scalar(c) for c in doc["D"]]) == D
+        assert replay.divisor([parse_scalar(c) for c in doc["E"]]) == E
+
+
+def test_corpus_json_is_pinned():
+    blob = json.dumps([inst.to_json() for inst in generate_corpus(2026, 200)], sort_keys=True)
+    assert (
+        hashlib.sha256(blob.encode()).hexdigest()
+        == "414e8d6f047ca3ccd61665699c463e156e3b9e53e8c43061cd10f2900ab9cb2b"
+    )
 
 
 FLAGGED = TheoremReport(

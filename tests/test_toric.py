@@ -45,7 +45,6 @@ from rdiv.toric import (
     TDivisor,
     bplus_div,
     h0,
-    intersection_nef,
     intersection_nef_div,
     is_big,
     is_nef,
@@ -666,24 +665,24 @@ def test_ample_divisor_is_ample():
 
 
 def test_intersection_examples():
-    assert intersection_nef(C, "E") == Scalar(0)
-    assert intersection_nef(C, "F") == Scalar(1)
+    assert intersection_nef_div(C, E) == Scalar(0)
+    assert intersection_nef_div(C, F) == Scalar(1)
     for i in range(P2.nrays):
-        assert intersection_nef(H, i) == Scalar(1)
+        assert intersection_nef_div(H, P2.divisor({i: 1})) == Scalar(1)
 
 
 def test_intersection_requires_nef():
     with pytest.raises(NotNef):
-        intersection_nef(C + E, "E")
+        intersection_nef_div(C + E, E)
 
 
 def test_intersection_errors():
     with pytest.raises(UnsupportedDivisor):
-        intersection_nef(SurfaceModel(1).divisor({"C": 1}), "E")
+        intersection_nef_div(SurfaceModel(1).divisor({"C": 1}), E)
     with pytest.raises(NotBig):
-        intersection_nef(F, "E")
+        intersection_nef_div(F, E)
     with pytest.raises(KeyError):
-        intersection_nef(C, "Z")
+        intersection_nef_div(C, F1.divisor({"Z": 1}))
 
 
 @pytest.mark.parametrize(
@@ -710,7 +709,7 @@ def test_intersection_linearity():
 
 def test_intersection_p3():
     HH = P3.divisor({"H": 1})
-    assert intersection_nef(HH, 0) == Scalar(1)  # H^2 . plane = 1
+    assert intersection_nef_div(HH, P3.divisor({0: 1})) == Scalar(1)  # H^2 . plane = 1
     assert intersection_nef_div(HH.scale(2), P3.divisor({"H": 1})) == Scalar(4)
 
 
