@@ -524,8 +524,10 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    # answers are exact: print one of any length, past Python's default
-    # limit on int-to-str conversion (3.10.7 and later)
+    """The rdiv process: run(argv) with Python's limit on int-to-str
+    conversion (3.10.7 and later) lifted.  A Scalar answer prints at any
+    length without it, but a plain int does not: an h0 count past 4,300
+    digits, in CSV or as a JSON number, still needs the lift."""
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))

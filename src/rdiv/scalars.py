@@ -3,12 +3,14 @@
 A Scalar is a value (a + b*sqrt(disc)) / den held as plain integers, with
 den > 0, gcd(a, b, den) = 1 and a square-free disc > 1, or disc = 0 exactly
 when b = 0 (the rational values).  This reduced form is unique, so equality
-is structural.  Each field operation reads its operand (a Scalar, an int or
-a Fraction) through _coerce and runs one formula: integer products and one
-three-way gcd (Cohen, A Course in Computational Algebraic Number Theory,
-1993).  Rational values hash like the equal int or Fraction.  One instance
-works inside a single field: combining scalars from distinct irrational
-fields raises MixedDiscriminant instead of building a compositum.
+is structural.  A Scalar is built from the numerators and denominators of
+its parts, and written as text from its triple at any length.  Each field
+operation reads its operand (a Scalar, an int or a Fraction) through
+_coerce and runs one formula: integer products and one three-way gcd
+(Cohen, A Course in Computational Algebraic Number Theory, 1993).
+Rational values hash like the equal int or Fraction.  One instance works
+inside a single field: combining scalars from distinct irrational fields
+raises MixedDiscriminant instead of building a compositum.
 """
 
 from __future__ import annotations
@@ -209,7 +211,10 @@ def _unpickle(cls, values):
 
 class Scalar:
     """Immutable element of Q or Q(sqrt(d)), rat + surd sqrt(disc), from
-    exact parts: a float part raises TypeError."""
+    exact parts: an int or a Fraction part is read as its numerator and
+    denominator, and the reduced triple is built from those integers and
+    one gcd (any other part goes through Fraction(part) first); a float
+    part raises TypeError."""
 
     __slots__ = ("a", "b", "den", "disc")
 
@@ -222,26 +227,14 @@ class Scalar:
         if isinstance(rat, float) or isinstance(surd, float):
             # a float is a binary fraction: 0.1 would become 3602879701896397/2**55
             raise TypeError(f"Scalar parts must be exact, not float: {rat!r}, {surd!r}")
-        rat = rat if isinstance(rat, Fraction) else Fraction(rat)
-        surd = surd if isinstance(surd, Fraction) else Fraction(surd)
-        if surd:
-            s, f = _squarefree_split(disc)
-            surd *= s
-            disc = f
-            if disc <= 1:
-                rat += surd * disc
-                surd = Fraction(0)
-                disc = 0
-        else:
-            disc = 0
-        p, q = rat.numerator, rat.denominator
-        r, s = surd.numerator, surd.denominator
-        den = q * s // gcd(q, s)
-        # rat and surd are in lowest terms, so a, b and den have no common factor
-        self.a = p * (den // q)
-        self.b = r * (den // s)
-        self.den = den
-        self.disc = disc
+        p, q = _ratio(rat)
+        r, s = _ratio(surd)
+        if not r:  # p/q is an int's or a Fraction's, so in lowest terms
+            self.a, self.b, self.den, self.disc = p, 0, q, 0
+            return
+        a, b, den, disc = _triple(p, q, r, s, disc)
+        g = gcd(a, b, den)
+        self.a, self.b, self.den, self.disc = a // g, b // g, den // g, disc
 
     @property
     def rat(self) -> Fraction:
@@ -377,24 +370,37 @@ class Scalar:
 
     def decimal(self, digits: int = 20) -> str:
         """Fixed-point decimal rendering, rounded down toward -infinity (so
-        -sqrt(2) shows as -1.4143 at 4 digits), for display only.  Raises
-        ValueError for a negative digit count."""
+        -sqrt(2) shows as -1.4143 at 4 digits), for display only, and at
+        any length, as __str__ is.  Raises ValueError for a negative digit
+        count."""
         digits = index(digits)
         if digits < 0:
             raise ValueError(f"decimal needs digits >= 0, got {digits}")
         scale = 10**digits
         n = _floor(self.a * scale, self.b * scale, self.den, self.disc)
         sign = "-" if n < 0 else ""
-        n = abs(n)
-        return f"{sign}{n // scale}.{n % scale:0{digits}d}"
+        whole, frac = divmod(abs(n), scale)
+        try:
+            return f"{sign}{whole}.{frac:0{digits}d}"
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            return f"{sign}{_long_digits(whole)}.{_long_digits(frac).rjust(digits, '0')}"
 
     def __str__(self):
-        if not self.b:
-            return _frac_str(self.rat)
-        head = _frac_str(self.rat) if self.a else ""
-        op = "-" if self.b < 0 else ("+" if head else "")
-        coef = abs(self.surd)
-        body = "" if coef == 1 else _frac_str(coef) + "*"
+        """The literal parse_scalar reads back: p/q, and [p/q+-][r/s*]sqrt(d)
+        with the rational part left out when 0, written from the reduced
+        triple with one gcd per irrational part (a rational triple is in
+        lowest terms already).  Any length prints without touching the
+        interpreter: str(int) below its int-to-str digit limit, _long_digits
+        past it."""
+        a, b, den = self.a, self.b, self.den
+        if not b:
+            return _quotient(a, den)  # the triple is reduced: gcd(a, den) = 1
+        g = gcd(a, den)
+        head = _quotient(a // g, den // g) if a else ""
+        op = "-" if b < 0 else ("+" if head else "")
+        b = abs(b)
+        g = gcd(b, den)
+        body = "" if b == den else _quotient(b // g, den // g) + "*"
         return f"{head}{op}{body}sqrt({self.disc})"
 
     def __repr__(self):
@@ -404,8 +410,62 @@ class Scalar:
         return (Scalar, (self.rat, self.surd, self.disc))
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _ratio(x) -> tuple[int, int]:
+    """The numerator and positive denominator of an exact part: an int
+    (bool included) or a Fraction as it stands, anything else through
+    Fraction(x), which reads a numbers.Rational, a Decimal or a string."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _triple(p: int, q: int, r: int, s: int, disc: int) -> tuple[int, int, int, int]:
+    """(a, b, den, disc) with (a + b*sqrt(disc)) / den = p/q + r/s*sqrt(disc)
+    for q, s > 0 and disc >= 0, not reduced: den > 0, and disc square-free
+    and > 1 when b != 0, 0 when b = 0.  Raises ValueError for a disc past
+    MAX_DISC_DIGITS under a nonzero r."""
+    if not r:
+        return p, 0, q, 0
+    root, disc = _squarefree_split(disc)
+    a, b, den = p * s, r * root * q, q * s
+    if disc <= 1:  # sqrt(0) = 0 and sqrt(1) = 1
+        return a + b * disc, 0, den, 0
+    return a, b, den, disc
+
+
+# Pieces of at most this many digits convert with str(): the interpreter's
+# digit limit is 0 (none) or at least 640.
+_PIECE_DIGITS = 512
+
+
+def _long_digits(n: int) -> str:
+    """str(n) at any length, without the interpreter's limit on int-to-str
+    conversion: split n at 10**h with h about half its digits, recursively,
+    down to pieces of at most _PIECE_DIGITS digits, each a str() call."""
+    if n < 0:
+        return "-" + _long_digits(-n)
+    powers = {}
+
+    def digits(n: int, width: int) -> str:
+        """n < 10**width, written with exactly width digits."""
+        if width <= _PIECE_DIGITS:
+            return str(n).zfill(width)
+        h = width // 2
+        if h not in powers:
+            powers[h] = 10**h
+        hi, lo = divmod(n, powers[h])
+        return digits(hi, width - h) + digits(lo, h)
+
+    # 4/13 > log10(2), so this width has room for every digit of n
+    return digits(n, n.bit_length() * 4 // 13 + 1).lstrip("0") or "0"
+
+
+def _quotient(n: int, d: int) -> str:
+    """n/d as a literal, n alone when d = 1, at any length."""
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        return _long_digits(n) if d == 1 else f"{_long_digits(n)}/{_long_digits(d)}"
 
 
 def sqrt(d: int) -> Scalar:
@@ -431,15 +491,16 @@ def parse_scalar(text: str) -> Scalar:
     if not m or not compact:
         raise ValueError(f"bad scalar literal {text!r}")
     a, sign, b, d = m.group("a"), m.group("sign"), m.group("b"), m.group("d")
-    try:
-        rat = Fraction(a) if a is not None else Fraction(0)
-        surd = Fraction(0)
-        disc = 0
-        if d is not None:
-            surd = Fraction(b) if b is not None else Fraction(1)
-            if sign == "-":
-                surd = -surd
-            disc = int(d)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-    return Scalar(rat, surd, disc)
+    p, q = _literal_ratio(a or "0")
+    r, s = _literal_ratio(b or "1") if d is not None else (0, 1)
+    if not q or not s:
+        raise ValueError(f"zero denominator in {text!r}")
+    if sign == "-":
+        r = -r
+    return _new(*_triple(p, q, r, s, int(d) if d is not None else 0))
+
+
+def _literal_ratio(text: str) -> tuple[int, int]:
+    """The numerator and denominator that a matched '[+-]p[/q]' writes."""
+    num, _, den = text.partition("/")
+    return int(num), int(den) if den else 1

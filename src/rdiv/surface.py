@@ -103,6 +103,12 @@ class SurfaceModel(_Frozen):
     def nsigma(self, D):
         return zariski(D).N
 
+    def excess(self, E, N) -> str | None:
+        """The first component of Supp(E), sorted, whose coefficient in E
+        exceeds its coefficient in N, or None when there is none."""
+        e, n = E.coeff_map(), N.coeff_map()
+        return next((label for label in self.labels(E) if e[label] > n[label]), None)
+
     def bplus(self, D) -> frozenset[str]:
         return bplus_surface(D)
 

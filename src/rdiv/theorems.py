@@ -17,8 +17,8 @@ Z-linear class (not on the R-linear one), so the walk skips a shifted point
 where mP ~_Z 0, whose counts are those of mD.
 
 The checkers take the variety X as a toric.Fan or a surface.SurfaceModel and
-ask it only the queries of their shared protocol (h0, volume, nsigma, bplus,
-is_big, is_nef, intersect, shifts, shift_is_integral, labels), so both
+ask it only the queries of their shared protocol (h0, volume, nsigma, excess,
+bplus, is_big, is_nef, intersect, shifts, shift_is_integral, labels), so both
 models run one path, and checking a surface divisor never loads the toric
 layers.  Only the randomized corpus, drawn on preset fans, imports toric,
 when it runs.
@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .errors import NotBig, NotEffective
 from .scalars import Scalar, _as_scalar
@@ -110,10 +111,9 @@ def _verdict(clauses: dict[str, ClauseValue]) -> str:
     return CONSISTENT
 
 
-def _support_clause(X, E, fails) -> ClauseValue:
-    """True unless some component of Supp(E) fails; the witness is the first
-    failing label in the model's order."""
-    bad = next((label for label in X.labels(E) if fails(label)), None)
+def _support_clause(X, bad) -> ClauseValue:
+    """Clause ii): true when no component of Supp(E) fails (bad is None),
+    else false with the first failing label, in the model's order."""
     return _TRUE if bad is None else ClauseValue("false", {X.label_kind: bad})
 
 
@@ -202,8 +202,7 @@ def check_theorem_a(X, D, E, m_grid=None, rng=None) -> TheoremReport:
     """
     m_grid = _checker_grid(X, D, E, m_grid)
     clauses = {"i": _volume_clause(X.volume(D), X.volume(D - E), "vol_D_minus_E")}
-    N, coeffs = X.nsigma(D).coeff_map(), E.coeff_map()
-    clauses["ii"] = _support_clause(X, E, lambda label: coeffs[label] > N[label])
+    clauses["ii"] = _support_clause(X, X.excess(E, X.nsigma(D)))
 
     clauses["iv"] = _sampled_clause(X, D, E.scale(-1), m_grid, rng)
     if X.is_nef(D):
@@ -225,7 +224,7 @@ def check_theorem_b(X, D, E, m_grid=None, rng=None) -> TheoremReport:
     m_grid = _checker_grid(X, D, E, m_grid)
     clauses = {"i": _volume_clause(X.volume(D), X.volume(D + E), "vol_D_plus_E")}
     locus = X.bplus(D)
-    clauses["ii"] = _support_clause(X, E, lambda label: label not in locus)
+    clauses["ii"] = _support_clause(X, next((label for label in X.labels(E) if label not in locus), None))
 
     steps = [(r, E.scale(r)) for r in R_GRID]
     clauses["iv"] = _sampled_clause(X, D, E, m_grid, rng, steps)
@@ -277,55 +276,63 @@ class CorpusInstance(namedtuple("CorpusInstance", "index preset D E nef_construc
 _PRESETS = ("P2", "P1xP1", "F1", "F2", "P3")
 
 
-def _rand_fraction(rng, lo=-3, hi=3, dens=(1, 2, 4)):
-    den = rng.choice(dens)
-    return Fraction(rng.randint(lo * den, hi * den), den)
+# The nef cone interior of each preset, as a range [lo, hi] per named ray
+# (aC + bF with a > 0, b >= 0 on F_e), drawn in this order.
+_NEF_BOXES = {
+    "P2": (("H", 1, 3),),
+    "P3": (("H", 1, 2),),
+    "P1xP1": (("H1", 1, 2), ("H2", 1, 2)),
+}
+_FE_BOX = (("C", 1, 2), ("F", 0, 1))
+
+
+def _rand_quarters(rng, lo=-3, hi=3) -> int:
+    """4 times a random rational in [lo, hi] over 1, 2 or 4: the denominator
+    is drawn, then the numerator over it, as integers."""
+    den = rng.choice((1, 2, 4))
+    return rng.randint(lo * den, hi * den) * (4 // den)
+
+
+def _quarters_divisor(fan, quarters):
+    """The divisor with coefficient q_i / 4 on ray i: its offset record is
+    -q_i over 4, which toric._divisor reduces by its gcd."""
+    from .toric import _divisor
+
+    return _divisor(fan, 4, 0, [-q for q in quarters], (0,) * fan.nrays)
 
 
 def _nef_big_divisor(fan, preset: str, rng):
     """Random point of the nef cone interior of a preset fan, dressed with a
-    principal shift."""
-    from .toric import principal_divisor
-
-    if preset == "P2":
-        D = fan.divisor({"H": Scalar(_rand_fraction(rng, 1, 3))})
-    elif preset == "P3":
-        D = fan.divisor({"H": Scalar(_rand_fraction(rng, 1, 2))})
-    elif preset == "P1xP1":
-        D = fan.divisor(
-            {"H1": Scalar(_rand_fraction(rng, 1, 2)), "H2": Scalar(_rand_fraction(rng, 1, 2))}
-        )
-    else:  # F_e: aC + bF with a > 0, b >= 0
-        D = fan.divisor(
-            {"C": Scalar(_rand_fraction(rng, 1, 2)), "F": Scalar(_rand_fraction(rng, 0, 1))}
-        )
-    shift = tuple(rng.randint(-1, 1) for _ in range(fan.dim))
-    return D + principal_divisor(fan, shift)
+    principal shift div(u), u in {-1, 0, 1}^n, which adds <u, ray> to the
+    coefficient on each ray."""
+    quarters = [0] * fan.nrays
+    for name, lo, hi in _NEF_BOXES.get(preset, _FE_BOX):
+        quarters[fan.ray_index(name)] = _rand_quarters(rng, lo, hi)
+    u = [rng.randint(-1, 1) for _ in range(fan.dim)]
+    return _quarters_divisor(fan, [q + 4 * sum(map(mul, u, ray)) for q, ray in zip(quarters, fan.rays)])
 
 
 def _random_big_divisor(fan, rng):
     from .toric import is_big
 
     for _ in range(200):
-        D = fan.divisor([Scalar(_rand_fraction(rng)) for _ in range(fan.nrays)])
+        D = _quarters_divisor(fan, [_rand_quarters(rng) for _ in range(fan.nrays)])
         if is_big(D):
             return D
     raise RuntimeError("could not sample a big divisor")
 
 
 def _random_effective(fan, rng):
-    coeffs = []
-    for _ in range(fan.nrays):
-        if rng.random() < 0.5:
-            coeffs.append(Scalar(0))
-        else:
-            coeffs.append(Scalar(_rand_fraction(rng, 0, 2)))
-    return fan.divisor(coeffs)
+    quarters = [0 if rng.random() < 0.5 else _rand_quarters(rng, 0, 2) for _ in range(fan.nrays)]
+    return _quarters_divisor(fan, quarters)
 
 
 def generate_corpus(seed: int, count: int) -> list[CorpusInstance]:
     """Deterministic instance list; about 30% of the divisors are drawn
-    from the nef cone so the nef clauses get exercised."""
+    from the nef cone so the nef clauses get exercised.  Every coefficient
+    is a rational over 1, 2 or 4, drawn as an integer count of quarters, and
+    every divisor is built straight from its integer offset record, with no
+    Fraction or Scalar on the way."""
     from .toric import preset_fan
 
     rng = random.Random(seed)

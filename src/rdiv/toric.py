@@ -174,6 +174,18 @@ class Fan(_Frozen):
     def nsigma(self, D):
         return sigma_decomposition(D).nsigma
 
+    def excess(self, E: "TDivisor", N: "TDivisor") -> str | None:
+        """The first ray of Supp(E), in ray order, whose coefficient in E
+        exceeds its coefficient in N, or None when there is none: one sign
+        per ray of Supp(E) on the two offset records, which are the
+        coefficients negated."""
+        e, n = E.polytope, N.polytope
+        disc = _join(e.disc, n.disc)
+        for i, (ea, eb, na, nb) in enumerate(zip(e.A, e.B, n.A, n.B)):
+            if (ea or eb) and _sign(na * e.den - ea * n.den, nb * e.den - eb * n.den, disc) > 0:
+                return self.ray_name(i)
+        return None
+
     def bplus(self, D) -> frozenset[str]:
         return frozenset(self.ray_name(i) for i in bplus_div(D))
 

@@ -19,10 +19,13 @@ the triangulated volume, vertex-rank bigness and tight-set B+ against the
 facet record, Lasserre's recursion in Scalar arithmetic against the facet
 record by Lawrence's formula, the ample-divisor epsilon schedule against the
 facet rule for B+, per-cone nefness and Fraction cone coordinates against
-the wall rule, and the two-Fraction Scalar against the integer-triple one.
+the wall rule, the two-Fraction Scalar against the integer-triple one, and
+the corpus generator that drew Scalar coefficients against the one that
+draws integer offset records.
 """
 
 import math
+import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -38,8 +41,9 @@ from rdiv.errors import (
 )
 from rdiv.linalg import unimodular_basis
 from rdiv.polyhedra import HPolytope, _vertices, is_bounded
-from rdiv.scalars import Scalar, _as_scalar, _frac_str, _Frozen, _new, _squarefree_split
-from rdiv.toric import Fan, TDivisor, is_big, polytope_of, sigma
+from rdiv.scalars import Scalar, _as_scalar, _Frozen, _new, _squarefree_split
+from rdiv.theorems import _PRESETS, CorpusInstance
+from rdiv.toric import Fan, TDivisor, is_big, polytope_of, preset_fan, principal_divisor, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +750,10 @@ def is_nef_by_cones(D: TDivisor) -> bool:
 # one reduced integer triple over a common denominator instead.
 
 
+def _frac_str(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
 class FractionScalar:
     """Immutable element of Q or Q(sqrt(d)) as two Fractions: rat + surd*sqrt(disc)."""
 
@@ -969,3 +977,69 @@ class FractionScalar:
 
     def __reduce__(self):
         return (FractionScalar, (self.rat, self.surd, self.disc))
+
+
+# ---------------------------------------------------------------------------
+# The corpus generator that builds each coefficient as a Fraction, then a
+# Scalar, and each divisor through Fan.divisor and principal_divisor: the
+# reference for theorems.generate_corpus, which draws the same integers in
+# the same order and builds each divisor straight from its offset record.
+# It draws instances equal to the library's, with equal to_json().  It is
+# kept as it stood in the library, but for its imports, which are global here.
+
+
+def _rand_fraction(rng, lo=-3, hi=3, dens=(1, 2, 4)):
+    den = rng.choice(dens)
+    return Fraction(rng.randint(lo * den, hi * den), den)
+
+
+def _nef_big_divisor(fan, preset: str, rng):
+    """Random point of the nef cone interior of a preset fan, dressed with a
+    principal shift."""
+    if preset == "P2":
+        D = fan.divisor({"H": Scalar(_rand_fraction(rng, 1, 3))})
+    elif preset == "P3":
+        D = fan.divisor({"H": Scalar(_rand_fraction(rng, 1, 2))})
+    elif preset == "P1xP1":
+        D = fan.divisor(
+            {"H1": Scalar(_rand_fraction(rng, 1, 2)), "H2": Scalar(_rand_fraction(rng, 1, 2))}
+        )
+    else:  # F_e: aC + bF with a > 0, b >= 0
+        D = fan.divisor(
+            {"C": Scalar(_rand_fraction(rng, 1, 2)), "F": Scalar(_rand_fraction(rng, 0, 1))}
+        )
+    shift = tuple(rng.randint(-1, 1) for _ in range(fan.dim))
+    return D + principal_divisor(fan, shift)
+
+
+def _random_big_divisor(fan, rng):
+    for _ in range(200):
+        D = fan.divisor([Scalar(_rand_fraction(rng)) for _ in range(fan.nrays)])
+        if is_big(D):
+            return D
+    raise RuntimeError("could not sample a big divisor")
+
+
+def _random_effective(fan, rng):
+    coeffs = []
+    for _ in range(fan.nrays):
+        if rng.random() < 0.5:
+            coeffs.append(Scalar(0))
+        else:
+            coeffs.append(Scalar(_rand_fraction(rng, 0, 2)))
+    return fan.divisor(coeffs)
+
+
+def generate_corpus_by_scalars(seed: int, count: int) -> list[CorpusInstance]:
+    """Deterministic instance list; about 30% of the divisors are drawn
+    from the nef cone so the nef clauses get exercised."""
+    rng = random.Random(seed)
+    out = []
+    for index in range(count):
+        preset = rng.choice(_PRESETS)
+        fan = preset_fan(preset)
+        nef_wanted = rng.random() < 0.3
+        D = _nef_big_divisor(fan, preset, rng) if nef_wanted else _random_big_divisor(fan, rng)
+        E = _random_effective(fan, rng)
+        out.append(CorpusInstance(index, preset, D, E, nef_wanted))
+    return out

@@ -196,6 +196,25 @@ def test_an_exact_answer_over_the_str_digit_limit_is_printed(command):
     assert _digits(out) == (m * m if command == "volume" else math.comb(m + 2, 2))
 
 
+def test_an_exact_answer_over_the_str_digit_limit_is_printed_in_process():
+    # cli.run leaves the interpreter's digit limit as it is; Scalar prints
+    # the 5,001 digits of vol(10**2500 H) = 10**5000 on P2 on its own
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["volume", "--preset", "P2", "--divisor", "H:1", "--scale", "1" + "0" * 2500])
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == 4300
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert code == EXIT_OK, err.getvalue()
+    assert out.getvalue() == "1" + "0" * 5000 + "\n"
+
+
 def test_cli_import_loads_no_process_pool():
     code = "import sys, rdiv.cli; print('concurrent.futures' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

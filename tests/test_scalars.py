@@ -1,6 +1,7 @@
 import math
 import operator
 import pickle
+import sys
 import time
 from fractions import Fraction
 
@@ -140,6 +141,46 @@ def test_decimal_rendering():
     # a 30-digit surd needs sqrt(2) to far more than digits + 10 places
     assert Scalar(0, 10**30, 2).decimal(4) == "1414213562373095048801688724209.6980"
     assert Scalar(0, -(10**30), 2).decimal(4) == "-1414213562373095048801688724209.6981"
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default 4,300-digit limit on int-to-str conversion, in force
+    for the test (3.10.7 and later; earlier versions have no limit)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "x,text",
+    [
+        (Scalar(10**5000), "1" + "0" * 5000),
+        (Scalar(-(10**5000)), "-1" + "0" * 5000),
+        (Scalar(Fraction(1, 10**5000)), "1/1" + "0" * 5000),
+        (Scalar(10**5000, -3, 2), "1" + "0" * 5000 + "-3*sqrt(2)"),
+        (Scalar(0, Fraction(7, 10**4400), 2), "7/1" + "0" * 4400 + "*sqrt(2)"),
+        (Scalar(10**4299 + 1), "1" + "0" * 4298 + "1"),
+    ],
+    ids=["int", "negative", "fraction", "surd", "small-surd", "at-the-limit"],
+)
+def test_str_prints_any_length_without_lifting_the_digit_limit(default_digit_limit, x, text):
+    assert str(x) == text
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert sys.get_int_max_str_digits() == 4300
+
+
+def test_decimal_prints_any_length_without_lifting_the_digit_limit(default_digit_limit):
+    assert Scalar(10**5000).decimal(2) == "1" + "0" * 5000 + ".00"
+    assert Scalar(Fraction(1, 3)).decimal(5000) == "0." + "3" * 5000
+    assert (-R2).decimal(4500)[:9] == "-1.414213"
+    assert Scalar(Fraction(-1, 10**4400)).decimal(4400) == "-0." + "0" * 4399 + "1"
 
 
 def test_decimal_rejects_a_negative_or_inexact_digit_count():
@@ -388,6 +429,20 @@ def test_unary_operations_match_the_fraction_reference(t, n, digits):
 @settings(max_examples=200, deadline=None)
 def test_construction_matches_the_fraction_reference(rat, surd, disc):
     assert _outcome(lambda: Scalar(rat, surd, disc)) == _outcome(lambda: FractionScalar(rat, surd, disc))
+
+
+@given(
+    st.one_of(digits30(), fractions30()),
+    st.one_of(digits30(), fractions30()),
+    st.sampled_from([0, 1, 2, 4, 8, 12, 18, 10**6]),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_construction_matches_the_fraction_reference_and_parses_back(rat, surd, disc):
+    # int and Fraction parts build the triple from their integers; square
+    # factors of disc move into the surd, and disc 0, 1 and 4 leave Q
+    x = Scalar(rat, surd, disc)
+    assert _canon(x) == _canon(FractionScalar(rat, surd, disc))
+    assert parse_scalar(str(x)) == x
 
 
 # ---- powers -------------------------------------------------------------------

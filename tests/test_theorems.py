@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from oracles import generate_corpus_by_scalars
 
 from rdiv import theorems, toric
 from rdiv.errors import NotBig, NotEffective
@@ -100,6 +102,66 @@ def test_a_surface_witness_is_first_failing_component_in_sorted_order():
 def test_a_fan_witness_names_the_ray():
     rep = check_theorem_a(F1, F1.divisor({"C": 1, "E": 1}), F1.divisor({"E": 2, "F": 1}))
     assert rep.clause_values["ii"].witness == {"ray": "F"}
+
+
+def _excess_by_coefficients(X, E, N):
+    """The first label of Supp(E), in X's order, where E's Scalar coefficient
+    exceeds N's: clause ii as it read the two coefficient maps."""
+    e, n = E.coeff_map(), N.coeff_map()
+    return next((label for label in X.labels(E) if e[label] > n[label]), None)
+
+
+def test_excess_on_a_fan_reads_the_records_as_the_coefficient_maps_do():
+    r2 = sqrt(2)
+    cases = [
+        (F1, F1.divisor({"C": 1, "E": 1}), F1.divisor({"E": 2, "F": 1})),
+        (F1, F1.divisor({"C": 1, "E": 3, "F": r2 / 2}), F1.divisor({"E": 3 - r2 / 2})),
+        (F1, F1.divisor({"C": 1, "E": 3, "F": r2 / 2}), F1.divisor({"E": Fraction(5, 2)})),
+        (F1, F1.divisor({"C": 1, "E": 3, "F": r2 / 2}), F1.divisor({"E": 3 - r2 / 2, "C": r2 / 10**9})),
+        (P2, P2.divisor({"H": 1}), P2.divisor({})),
+    ]
+    for inst in generate_corpus(2026, 60):
+        fan, D, E = inst.realize()
+        cases.append((fan, D, E))
+    seen = set()
+    for X, D, E in cases:
+        N = X.nsigma(D)
+        bad = X.excess(E, N)
+        assert bad == _excess_by_coefficients(X, E, N)
+        assert X.excess(N, N) is None
+        seen.add(bad is None)
+    assert seen == {True, False}
+
+
+def test_excess_on_a_surface_reads_the_coefficient_maps():
+    r2 = sqrt(2)
+    D = MODEL1.divisor({"C": 1, "E": 3, "F1": r2 / 2})
+    N = MODEL1.nsigma(D)
+    for coeffs, bad in [
+        ({"E": N.cE + 1, "F1": 1}, "E"),
+        ({"E": 2, "F1": 1}, "F1"),
+        ({"E": N.cE}, None),
+        ({"E": N.cE + r2 / 10**9}, "E"),
+        ({"F2": Fraction(1, 2)}, "F2"),
+        ({}, None),
+    ]:
+        E = MODEL1.divisor(coeffs)
+        assert MODEL1.excess(E, N) == bad == _excess_by_coefficients(MODEL1, E, N)
+
+
+def test_checker_a_reads_no_coefficient_tuple_over_a_corpus(monkeypatch):
+    # clause ii compares N_sigma(D) and E on their offset records
+    calls = []
+    coeffs = toric.TDivisor.coeffs
+
+    def counted(D):
+        calls.append(D)
+        return coeffs.fget(D)
+
+    monkeypatch.setattr(toric.TDivisor, "coeffs", property(counted))
+    summary = corpus_run(2026, 30)
+    assert summary["consistent"] == 30
+    assert calls == []
 
 
 # ---- checker B --------------------------------------------------------------
@@ -348,6 +410,35 @@ def test_corpus_json_replays_each_instance(seed):
         assert replay is fan
         assert replay.divisor([parse_scalar(c) for c in doc["D"]]) == D
         assert replay.divisor([parse_scalar(c) for c in doc["E"]]) == E
+
+
+# the six 160-instance corpora of the benchmark's deck, and a few small ones
+DRAWN_CORPORA = [(s, 160) for s in range(2026, 2032)] + [(0, 40), (1, 40), (5, 12), (9, 8)]
+
+
+@pytest.mark.parametrize("seed,count", DRAWN_CORPORA)
+def test_corpus_draws_the_instances_of_the_scalar_built_reference(seed, count):
+    drawn, reference = generate_corpus(seed, count), generate_corpus_by_scalars(seed, count)
+    assert drawn == reference
+    assert [inst.to_json() for inst in drawn] == [inst.to_json() for inst in reference]
+
+
+def test_corpus_draws_build_no_fraction_scalar_or_coefficient_tuple():
+    # each divisor is built straight from its integer offset record
+    builders = {Fraction.__new__.__code__, Scalar.__init__.__code__, toric.TDivisor.__init__.__code__}
+    built = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code in builders:
+            built.append(frame.f_code.co_qualname)
+
+    sys.setprofile(watch)
+    try:
+        instances = generate_corpus(2026, 40)
+    finally:
+        sys.setprofile(None)
+    assert len(instances) == 40
+    assert built == []
 
 
 def test_corpus_json_is_pinned():
