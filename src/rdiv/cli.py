@@ -505,6 +505,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
+    """Run one command and return its exit code.  Python's limit on
+    int-to-str conversion (3.10.7 and later) is lifted for the command and
+    put back after it, so an int answer of any length, an h0 count or a
+    hilbert row in CSV or as a JSON number, prints, and the caller keeps
+    its limit.  A Scalar answer prints at any length without the lift."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -524,12 +540,7 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    """The rdiv process: run(argv) with Python's limit on int-to-str
-    conversion (3.10.7 and later) lifted.  A Scalar answer prints at any
-    length without it, but a plain int does not: an h0 count past 4,300
-    digits, in CSV or as a JSON number, still needs the lift."""
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    """The rdiv process."""
     sys.exit(run(sys.argv[1:]))
 
 

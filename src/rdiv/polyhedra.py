@@ -30,7 +30,7 @@ one form, the integer numerators (X + Y sqrt(disc)) / Q of _vertices,
 never built as Scalars or cached.  A linear objective's minimum over a
 bounded polytope is at a vertex, so lp_solve answers a list of integer
 objectives in one pass over them, with no simplex (toric's sigma, every
-ray at once), and the slicer reads its box off them.
+ray at once), and _lattice_min's slicer reads its box off them.
 
 Bigness and the facet record come from one lexicographic selection on
 those rows of slack 0, _selected.  With each offset o_i moved to o_i +
@@ -59,22 +59,30 @@ in Cl(X) is its orbit under the principal divisors div(u) for integer u
 class alone.  A real translation is never taken out: D + sqrt(2) div(u)
 has the volume of D but not its sections.
 
-Every lattice scan runs through one slicer, _slices(p, keep): it walks the
-integer prefixes of the leading n - keep coordinates over the vertex box,
-one coordinate at a time and one product per row, and yields the integer
-rows of each slice on the last keep coordinates.  On one coordinate a slice
-is an interval.  A polygon is counted without its vertices: between
-consecutive crossings of its rows one lower and one upper edge are active,
-and the points over that stretch are two Euclid-like floor sums, so the
-cost does not grow with the dilation.  So a count is an interval in
-dimension 1 and a sum over the polygons of _slices(p, 2) above that.
+A count is an interval in dimension 1 and a polygon in dimension 2,
+counted without its vertices: between consecutive crossings of its rows
+one lower and one upper edge are active, and the points over that stretch
+are two Euclid-like floor sums, so the cost does not grow with the
+dilation.  Above that it is a chamber sum over the first coordinate t,
+_count_by_chambers.  The heights of the vertices split t's range into
+stretches on which the slices keep their tangent cones, and on each
+residue class of a stretch modulo the vertex table's period (the lcm of
+the (n-1)-minors of the slice normals) the slice count is a polynomial of
+degree at most n - 1 in t, by Brion's theorem, so its first n values and
+their differences sum the class (Clauss-Loechner's parametric count).  So a
+count costs a few slices per stretch and class, each counted by the same
+rule one dimension down, and its cost does not grow with the dilation
+either.
 
 toric's sigma limit oracle asks for the least <g, u> over the lattice
 points, for a ray g.  _lattice_min changes coordinates unimodularly so that
 <g, u> / gcd(g) is the first one, which keeps the lattice and the offset
-record, and stops at the first slice that holds a lattice point: the first
-coordinate rises from its lower box end, so that slice is the minimum, and
-its cost does not grow with the dilation either.
+record, and walks the slicer, _slices(p, keep): it runs the integer
+prefixes of the leading n - keep coordinates over the vertex box, one
+coordinate at a time and one product per row, and yields the integer rows
+of each slice on the last keep coordinates.  The first coordinate rises
+from its lower box end, so the first slice that holds a lattice point is
+the minimum, and the cost does not grow with the dilation either.
 """
 
 from __future__ import annotations
@@ -161,12 +169,13 @@ def lp_solve(p: HPolytope, objectives) -> tuple[Scalar, ...] | None:
 
 @lru_cache(maxsize=256)
 def _vertex_table(normals: tuple[tuple[int, ...], ...], n: int):
-    """The normals-only part of vertex enumeration and of the facet record,
-    as (bounded, table, scale, parallel).  For each nonsingular n-subset S
-    of the rows, in increasing order, the table holds (S, M, q, forms, lex,
-    cm, weights) with A_S^-1 = M / q from linalg.inverse, and forms the
-    integer (r, w_r = g_r M) of every other row r.  The candidate vertex of
-    S is M o_S / q, and <g_r, v> >= o_r there is sum_k w_r,k o_S_k >= q o_r.
+    """The normals-only part of vertex enumeration, of the facet record and
+    of the lattice count, as (bounded, table, scale, parallel, period).  For
+    each nonsingular n-subset S of the rows, in increasing order, the table
+    holds (S, M, q, forms, lex, cm, weights) with A_S^-1 = M / q from
+    linalg.inverse, and forms the integer (r, w_r = g_r M) of every other
+    row r.  The candidate vertex of S is M o_S / q, and <g_r, v> >= o_r
+    there is sum_k w_r,k o_S_k >= q o_r.
 
     lex holds, per row of forms, the lexicographic test of _selected: with
     offsets o_i + eps^(i+1), a row r that S's vertex meets with slack 0
@@ -182,7 +191,11 @@ def _vertex_table(normals: tuple[tuple[int, ...], ...], n: int):
     denominators; scale is L (n-1)!.  parallel lists each set of two or more
     rows with one primitive normal, as pairs (i, K / gcd(g_i)) in row order,
     for K the lcm of the set's gcds: o_i K / gcd(g_i) is one value on the
-    rows of one hyperplane.
+    rows of one hyperplane.  period is the lcm of |det| over the nonsingular
+    (n-1)-subsets of the slice normals, each normal less its first entry:
+    a slice's vertices are those subsets' inverses applied to its offsets,
+    so moving the first coordinate by period moves every one of them by an
+    integer vector (see _count_by_chambers).
 
     bounded is True iff the recession cone {u : <u, g> >= 0 for all g} is
     the origin alone.  Column k of M is zero on every row of S but s_k and
@@ -225,7 +238,11 @@ def _vertex_table(normals: tuple[tuple[int, ...], ...], n: int):
         for rows in by_normal.values()
         if len(rows) > 1
     )
-    return bounded, tuple(table), lcm * math.factorial(n - 1), parallel
+    heads = [g[1:] for g in normals]
+    period = math.lcm(
+        *(inv[2] for rows in itertools.combinations(heads, n - 1) if (inv := inverse(rows)))
+    )
+    return bounded, tuple(table), lcm * math.factorial(n - 1), parallel, period
 
 
 def is_bounded(p: HPolytope) -> bool:
@@ -239,7 +256,7 @@ def _feasible(p: HPolytope):
     r that v meets with slack 0, where the row test's <g_r, v> - o_r = (x +
     y sqrt(disc)) / (q den) has x = y = 0.  A vertex on more than n rows
     comes once per entry.  Raises UnboundedPolytope."""
-    bounded, table, _, _ = _vertex_table(p.normals, p.dim)
+    bounded, table, *_ = _vertex_table(p.normals, p.dim)
     if not bounded:
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
     A, B, disc = p.A, p.B, p.disc
@@ -444,6 +461,61 @@ def _sliced(rows, boxes, prefix):
             yield prefix + (t,), sliced
 
 
+def _count_by_chambers(rows) -> int:
+    """Integer points of the bounded polytope of integer rows (g, c), by a
+    chamber sum over the first coordinate t in dimension n >= 3 (the
+    parametric count of Clauss and Loechner, J. VLSI Signal Processing 19,
+    1998).
+
+    The slice at t is the (n-1)-polytope of the rows (h, c_i - a_i t) for
+    g_i = (a_i, h) with h != 0; a row with h = 0 bounds t alone, and holds
+    between the lowest and the highest vertex, where t runs.  The events
+    are the heights of the polytope's vertices, the first coordinates of
+    the feasible vertex-table candidates M c_S / q.  Between two of them every slice vertex is where one edge
+    crosses height t, tight on that edge's rows, so the slices keep their
+    tangent cones, and each vertex is H^-1 (c_T - a_T t) for n - 1 of those
+    rows T, whose slice normals H are nonsingular as the edge is not level.
+    On a residue class t0 + s period of such a stretch each slice vertex
+    therefore moves by s times an integer vector (see _vertex_table), and
+    by Brion's theorem the slice count f is a polynomial of degree at most
+    n - 1 in s: its N terms sum to sum_j C(N, j+1) Delta^j f(t0) over its
+    first n values.  An integer event, and a class of at most n terms, is
+    counted slice by slice.  Each slice is counted by the same rule, down to
+    _count_2d in dimension 2."""
+    n = len(rows[0][0])
+    if n == 2:
+        return _count_2d(rows)
+    _, table, _, _, period = _vertex_table(tuple(g for g, _ in rows), n)
+    c = [o for _, o in rows]
+    # each event e cuts before ceil(e) and after floor(e): an integer event
+    # is a stretch of its own, and the stretches cover [min e, max e]
+    cuts = set()
+    for subset, M, q, forms, *_ in table:
+        cs = [c[s] for s in subset]
+        if all(sum(map(mul, w, cs)) >= q * c[r] for r, w in forms):
+            x = sum(map(mul, M[0], cs))
+            cuts.add(-(-x // q))
+            cuts.add(x // q + 1)
+    cuts = sorted(cuts)
+    cut = [(g[0], g[1:], o) for g, o in rows if any(g[1:])]
+
+    def f(t):
+        return _count_by_chambers([(h, o - a * t) for a, h, o in cut])
+
+    total = 0
+    for start, end in zip(cuts, cuts[1:]):
+        for t0 in range(start, min(end, start + period)):
+            terms = (end - 1 - t0) // period + 1
+            if terms <= n:
+                total += sum(f(t0 + period * s) for s in range(terms))
+                continue
+            diffs = [f(t0 + period * s) for s in range(n)]
+            for j in range(n):
+                total += math.comb(terms, j + 1) * diffs[0]
+                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return total
+
+
 @lru_cache(maxsize=256)
 def _ray_normals(normals: tuple[tuple[int, ...], ...], g: tuple[int, ...]):
     """The normals in the coordinates of linalg.unimodular_basis(g): each
@@ -506,17 +578,18 @@ def lattice_points(p: HPolytope) -> int:
     """Number of integer points; 0 for empty, error when unbounded.
 
     No point is listed: an interval in dimension 1, floor sums on the
-    polygon in dimension 2 (no vertex is needed there), and on each polygon
-    of _slices(p, 2) above that.  One count per record, kept in a bounded
-    cache keyed by the canonical record.  Asked on
-    lattice_form(p), as toric.h0 asks, that is one count per class of the
-    round-down: D, its shifts D + div(u) for integer u, and every divisor
-    whose round-down is linearly equivalent to D's share one entry."""
+    polygon in dimension 2 (no vertex is needed there), and a chamber sum
+    over the first coordinate above that (_count_by_chambers), which counts
+    a few slices per stretch between the vertex table's events, so its cost
+    does not grow with the dilation.  One count per record, kept in a
+    bounded cache keyed by the canonical record.  Asked on lattice_form(p),
+    as toric.h0 asks, that is one count per class of the round-down: D, its
+    shifts D + div(u) for integer u, and every divisor whose round-down is
+    linearly equivalent to D's share one entry."""
+    rows = _integer_rows(p)
     if p.dim == 1:
-        return len(_interval(_integer_rows(p)))
-    if p.dim == 2:
-        return _count_2d(_integer_rows(p))
-    return sum(_count_2d(rows) for _, rows in _slices(p, 2))
+        return len(_interval(rows))
+    return _count_by_chambers(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +615,7 @@ def _facet_volumes(p: HPolytope) -> tuple[Scalar, ...]:
     sqrt(disc))^(n-1) times the table's weight over scale den^(n-1).  Of
     the rows of one hyperplane only the lowest keeps a facet once moved,
     and the others copy its value.  Raises UnboundedPolytope."""
-    _, _, scale, parallel = _vertex_table(p.normals, p.dim)
+    _, _, scale, parallel, _ = _vertex_table(p.normals, p.dim)
     A, B, disc = p.A, p.B, p.disc
     xs, ys, power = [0] * len(A), [0] * len(A), range(p.dim - 1)
     for (subset, _, _, _, _, cm, weights), a, b in _selected(p):

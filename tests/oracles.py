@@ -15,13 +15,14 @@ are built as Scalars (vertex_set_from_table).  The references at the
 end are older library rules, kept to cross-check the direct ones that
 replaced them: the two-phase simplex, with its LPProblem and LPResult
 records, against the vertex-minimum LP and the table's boundedness rule,
-the triangulated volume, vertex-rank bigness and tight-set B+ against the
-facet record, Lasserre's recursion in Scalar arithmetic against the facet
-record by Lawrence's formula, the ample-divisor epsilon schedule against the
-facet rule for B+, per-cone nefness and Fraction cone coordinates against
-the wall rule, the two-Fraction Scalar against the integer-triple one, and
-the corpus generator that drew Scalar coefficients against the one that
-draws integer offset records.
+the per-slice lattice count against the chamber sum, the triangulated
+volume, vertex-rank bigness and tight-set B+ against the facet record,
+Lasserre's recursion in Scalar arithmetic against the facet record by
+Lawrence's formula, the ample-divisor epsilon schedule against the facet
+rule for B+, per-cone nefness and Fraction cone coordinates against the
+wall rule, the two-Fraction Scalar against the integer-triple one, and the
+corpus generator that drew Scalar coefficients against the one that draws
+integer offset records.
 """
 
 import math
@@ -40,7 +41,7 @@ from rdiv.errors import (
     UnboundedPolytope,
 )
 from rdiv.linalg import unimodular_basis
-from rdiv.polyhedra import HPolytope, _vertices, is_bounded
+from rdiv.polyhedra import HPolytope, _count_2d, _slices, _vertices, is_bounded
 from rdiv.scalars import Scalar, _as_scalar, _Frozen, _new, _squarefree_split
 from rdiv.theorems import _PRESETS, CorpusInstance
 from rdiv.toric import Fan, TDivisor, is_big, polytope_of, preset_fan, principal_divisor, sigma
@@ -483,6 +484,19 @@ def simplex_recession_bounded(normals, dim) -> bool:
             if simplex_solve(LPProblem(obj, cone)).status == "unbounded":
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The per-slice lattice count: the reference that polyhedra.lattice_points'
+# chamber sum must agree with.
+
+
+def lattice_points_by_slices(p: HPolytope) -> int:
+    """The integer points of a bounded polytope of dimension 3 or more, one
+    polygon of polyhedra._slices(p, 2) per integer value of the leading
+    coordinates, each counted by its floor sums, so the cost grows as the
+    dilation to the power n - 2."""
+    return sum(_count_2d(polygon) for _, polygon in _slices(p, 2))
 
 
 # ---------------------------------------------------------------------------

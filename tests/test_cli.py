@@ -196,23 +196,65 @@ def test_an_exact_answer_over_the_str_digit_limit_is_printed(command):
     assert _digits(out) == (m * m if command == "volume" else math.comb(m + 2, 2))
 
 
-def test_an_exact_answer_over_the_str_digit_limit_is_printed_in_process():
-    # cli.run leaves the interpreter's digit limit as it is; Scalar prints
-    # the 5,001 digits of vol(10**2500 H) = 10**5000 on P2 on its own
+def _run_at_the_default_digit_limit(argv):
+    """(exit code, stdout, stderr) of cli.run(argv) under the interpreter's
+    default limit of 4,300 digits on int-to-str conversion, which cli.run
+    must leave as it found it."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(4300)
     try:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(["volume", "--preset", "P2", "--divisor", "H:1", "--scale", "1" + "0" * 2500])
+            code = run(argv)
         if limit is not None:
             assert sys.get_int_max_str_digits() == 4300
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-    assert code == EXIT_OK, err.getvalue()
-    assert out.getvalue() == "1" + "0" * 5000 + "\n"
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_an_exact_answer_over_the_str_digit_limit_is_printed_in_process():
+    # Scalar prints the 5,001 digits of vol(10**2500 H) = 10**5000 on P2 on its own
+    code, out, err = _run_at_the_default_digit_limit(
+        ["volume", "--preset", "P2", "--divisor", "H:1", "--scale", "1" + "0" * 2500]
+    )
+    assert code == EXIT_OK, err
+    assert out == "1" + "0" * 5000 + "\n"
+
+
+P2_H = ["--preset", "P2", "--divisor", "H:1"]
+
+
+@pytest.mark.parametrize(
+    "argv, read, expected",
+    [
+        # h0(mH) = C(m + 2, 2) on P2 at m = 10**2500, in CSV and as a JSON number
+        (["h0", *P2_H, "--scale", "1" + "0" * 2500], str.strip, math.comb(10**2500 + 2, 2)),
+        (
+            ["h0", *P2_H, "--scale", "1" + "0" * 2500, "--format", "json"],
+            lambda out: out.strip().removeprefix('{"h0": ').removesuffix("}"),
+            math.comb(10**2500 + 2, 2),
+        ),
+        (
+            ["hilbert", *P2_H, "--samples", "1" + "0" * 2500],
+            lambda out: out.splitlines()[1].split(",")[1],
+            math.comb(10**2500 + 2, 2),
+        ),
+        # a 3-fold at m = 10**1500: C(m + 3, 3) has 4,500 digits
+        (
+            ["h0", "--preset", "P3", "--divisor", "H:1", "--scale", "1" + "0" * 1500],
+            str.strip,
+            math.comb(10**1500 + 3, 3),
+        ),
+    ],
+    ids=["h0-csv", "h0-json", "hilbert-csv", "h0-P3"],
+)
+def test_an_int_answer_over_the_str_digit_limit_is_printed_in_process(argv, read, expected):
+    code, out, err = _run_at_the_default_digit_limit(argv)
+    assert code == EXIT_OK, err
+    assert _digits(read(out)) == expected
 
 
 def test_cli_import_loads_no_process_pool():

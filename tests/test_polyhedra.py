@@ -15,6 +15,7 @@ from oracles import (
     det,
     euclidean_volume,
     lattice_point_list,
+    lattice_points_by_slices,
     naive_lattice_count,
     scalar_facet_volumes,
     scalar_lasserre_volume,
@@ -473,6 +474,64 @@ def test_interval_count_matches_membership_oracle(p):
     expected, pts = naive_lattice_count(p.rows, p.dim, -5, 5)
     assert lattice_points(p) == expected
     assert sorted(lattice_point_list(p)) == pts
+
+
+# slice normals, each set with a chamber-sum period (the lcm of |det| over
+# its (n-1)-subsets) of 1, 2 or 3
+SLICE_NORMALS = {
+    3: (
+        ((1, 0), (0, 1), (-1, -1)),
+        ((1, 0), (0, 1), (-1, 1), (0, -1)),
+        ((1, 0), (1, 2), (-1, -1)),
+        ((2, -1), (-1, 2), (-1, -1)),
+    ),
+    4: (
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+        ((1, 0, 0), (0, 1, 0), (1, 1, 2), (-1, -1, -1)),
+    ),
+}
+
+
+@st.composite
+def wide_polytopes(draw):
+    """A 3-D or 4-D polytope 20 to 200 wide (20 to 40 in 4-D, where the
+    per-slice oracle counts one polygon per pair of leading coordinates),
+    so that its stretches outrun n slices per residue class and the chamber
+    sum samples.  Its rows are a set of SLICE_NORMALS and up to two copies
+    of its members, each led by a first entry in [-2, 2], so that parallel
+    slice rows trade places, and the two rows +-t >= c that bound t.  One
+    of four options then moves every offset by a rational in [-1, 1] with
+    a sqrt 2 part half the time, keeps them integers, adds the row g_0 +
+    g_1 on c_0 + c_1 through every point where rows 0 and 1 meet (non-simple
+    vertices), or presses the polytope flat on the opposite of row 0."""
+    dim = draw(st.sampled_from([3, 4]))
+    width = draw(st.integers(20, 200 if dim == 3 else 40))
+    heads = draw(st.sampled_from(SLICE_NORMALS[dim]))
+    heads += tuple(draw(st.lists(st.sampled_from(heads), max_size=2)))
+    ends = [(1,) + (0,) * (dim - 1), (-1,) + (0,) * (dim - 1)]
+    normals = [(draw(st.integers(-2, 2)),) + h for h in heads] + ends
+    # t spans width / 2 to width; a slice row sits up to width / 2 from the
+    # t axis, on either side, and tilts with t
+    quarters = [draw(st.integers(-1, 2)) for _ in heads] + [draw(st.integers(1, 2)) for _ in ends]
+    c = [-(width * k // 4) for k in quarters]
+    option = draw(st.sampled_from(["moved", "integer", "non-simple", "flat"]))
+    if option == "moved":
+        c = [x + draw(offsets(-1, 1)) for x in c]
+    elif option == "non-simple":
+        g = tuple(a + b for a, b in zip(normals[0], normals[1]))
+        assume(any(g))
+        normals, c = normals + [g], c + [c[0] + c[1]]
+    elif option == "flat":
+        normals, c = normals + [tuple(-x for x in normals[0])], c + [-c[0]]
+    return HPolytope(dim, zip(normals, c))
+
+
+@given(wide_polytopes())
+@settings(max_examples=60, deadline=None)
+# P3 blown up at a fixed point, 30 H - E: four rows meet at the origin
+@example(poly([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -30), ((1, 1, 1), 0)], dim=3))
+def test_chamber_sum_matches_the_per_slice_count(p):
+    assert lattice_points(p) == lattice_points_by_slices(p)
 
 
 @given(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -279,6 +280,14 @@ def _triangle_count(k):
     return (k + 1) * (k + 2) // 2
 
 
+# P4: the rays e_1, ..., e_4 and -(e_1 + ... + e_4), every four of them a cone
+P4 = Fan(
+    4,
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)),
+    tuple(itertools.combinations(range(5), 4)),
+)
+
+
 @pytest.mark.parametrize("m", [10**6, 10**9])
 @pytest.mark.parametrize(
     "fan, coeffs, factor, closed_form",
@@ -291,8 +300,23 @@ def _triangle_count(k):
         # floor(m*sqrt2*H) = k*H with k = isqrt(2 m^2)
         (P2, [0, 0, 1], sqrt(2), lambda m: _triangle_count(math.isqrt(2 * m * m))),
         (F1, [0, 0, Fraction(1, 2), sqrt(2)], 1, lambda m: _hirzebruch_count(m // 2, math.isqrt(2 * m * m), 1)),
+        # on P^n, floor(m D) is k H for k = sum floor(m a_i), with C(k + n, n) sections
+        (P3, [Fraction(1, 2), Fraction(2, 3), 0, 1], 1, lambda m: math.comb(m // 2 + 2 * m // 3 + m + 3, 3)),
+        (P3, [sqrt(2), 0, Fraction(1, 4), 0], 1, lambda m: math.comb(math.isqrt(2 * m * m) + m // 4 + 3, 3)),
+        (P4, [Fraction(1, 3), 0, 1, 0, sqrt(2)], 1, lambda m: math.comb(m // 3 + m + math.isqrt(2 * m * m) + 4, 4)),
     ],
-    ids=["P2", "P1xP1", "F1", "F2", "F2-3,2", "P2-sqrt2-multiple", "F1-sqrt2-coefficient"],
+    ids=[
+        "P2",
+        "P1xP1",
+        "F1",
+        "F2",
+        "F2-3,2",
+        "P2-sqrt2-multiple",
+        "F1-sqrt2-coefficient",
+        "P3",
+        "P3-sqrt2-coefficient",
+        "P4-sqrt2-coefficient",
+    ],
 )
 def test_h0_at_huge_multiples_matches_closed_forms(fan, coeffs, factor, closed_form, m):
     D = fan.divisor(coeffs).scale(m * factor)
