@@ -305,7 +305,7 @@ def _cmd_hilbert(args):
     samples = _parse_samples(args.samples) or _default_grid(disc, D)
     rows = []
     for m in samples:
-        c = variety.h0(D.scale(m))
+        c = variety.h0(D, m)
         normalized = Scalar(math.factorial(variety.dim)) * c / m**variety.dim
         rows.append((m, c, normalized))
     payload = {"rows": [{"m": str(m), "h0": c, "normalized": str(v)} for m, c, v in rows]}
@@ -424,8 +424,9 @@ def _cmd_corpus(args):
 def _cmd_paper_example(args):
     from .surface import paper_example
 
-    _surface_model(args.e, (), "--e")  # a negative --e is bad input, as for the other commands
-    rows = paper_example(args.e, samples=_parse_samples(args.samples))
+    e = 1 if args.e is None else args.e
+    _surface_model(e, (), "--e")  # a negative --e is bad input, as for the other commands
+    rows = paper_example(e, samples=_parse_samples(args.samples))
     payload = {
         "rows": [
             {
@@ -446,61 +447,51 @@ def _cmd_paper_example(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_variety_args(sub):
-    sub.add_argument("--preset", help="fan preset: P2, P3, P1xP1, F1, F2, ...")
-    sub.add_argument("--file", help="JSON problem file")
-    sub.add_argument("--e", type=int, help="Hirzebruch surface invariant (surface model)")
-    sub.add_argument("--fibers", help="comma list of fiber labels for --e")
-    sub.add_argument("--divisor", help="inline coefficients 'C:1,E:1' or a name from --file")
-
-
-# The options a subcommand takes besides the variety's, by flag.
+# The options by flag, and each subcommand's handler and flags besides
+# --format, the variety's first for every subcommand that reads a divisor.
 _OPTIONS = {
+    "--preset": {"help": "fan preset: P2, P3, P1xP1, F1, F2, ..."},
+    "--file": {"help": "JSON problem file"},
+    "--e": {"type": int, "help": "Hirzebruch surface invariant (surface model)"},
+    "--fibers": {"help": "comma list of fiber labels for --e"},
+    "--divisor": {"help": "inline coefficients 'C:1,E:1' or a name from --file"},
     "--scale": {"help": "scalar multiplier applied to the divisor"},
     "--samples": {"help": "comma list of positive scalar literals"},
     "--ray": {"help": "ray name or index"},
     "--with": {"dest": "with_divisor", "help": "second divisor 'E:1'"},
     "--effective": {"help": "effective divisor 'E:1'"},
+    "--seed": {"type": int, "default": 1},
+    "--count": {"type": int, "default": 10},
+    "--which": {"choices": ("A", "B", "both"), "default": "both"},
+}
+_VARIETY = ("--preset", "--file", "--e", "--fibers", "--divisor")
+_COMMANDS = {
+    "h0": (_cmd_query, _VARIETY + ("--scale",)),
+    "hilbert": (_cmd_hilbert, _VARIETY + ("--samples",)),
+    "volume": (_cmd_query, _VARIETY + ("--scale",)),
+    "sigma": (_cmd_sigma, _VARIETY + ("--ray",)),
+    "nsigma": (_cmd_nsigma, _VARIETY),
+    "bplus": (_cmd_query, _VARIETY),
+    "nef": (_cmd_query, _VARIETY),
+    "big": (_cmd_query, _VARIETY),
+    "intersect": (_cmd_intersect, _VARIETY + ("--with",)),
+    "zariski": (_cmd_zariski, _VARIETY),
+    "check-a": (_cmd_check, _VARIETY + ("--samples", "--effective")),
+    "check-b": (_cmd_check, _VARIETY + ("--samples", "--effective")),
+    "corpus": (_cmd_corpus, ("--seed", "--count", "--which")),
+    "paper-example": (_cmd_paper_example, ("--e", "--samples")),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rdiv", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, fn, extra in (
-        ("h0", _cmd_query, ("--scale",)),
-        ("hilbert", _cmd_hilbert, ("--samples",)),
-        ("volume", _cmd_query, ("--scale",)),
-        ("sigma", _cmd_sigma, ("--ray",)),
-        ("nsigma", _cmd_nsigma, ()),
-        ("bplus", _cmd_query, ()),
-        ("nef", _cmd_query, ()),
-        ("big", _cmd_query, ()),
-        ("intersect", _cmd_intersect, ("--with",)),
-        ("zariski", _cmd_zariski, ()),
-        ("check-a", _cmd_check, ("--samples", "--effective")),
-        ("check-b", _cmd_check, ("--samples", "--effective")),
-    ):
-        sub = subs.add_parser(name, parents=[common])
-        _add_variety_args(sub)
-        for flag in extra:
-            sub.add_argument(flag, **_OPTIONS[flag])
-        sub.set_defaults(fn=fn)
-
-    sub = subs.add_parser("corpus", parents=[common])
-    sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--count", type=int, default=10)
-    sub.add_argument("--which", choices=("A", "B", "both"), default="both")
-    sub.set_defaults(fn=_cmd_corpus)
-
-    sub = subs.add_parser("paper-example", parents=[common])
-    sub.add_argument("--e", type=int, default=1)
-    sub.add_argument("--samples", **_OPTIONS["--samples"])
-    sub.set_defaults(fn=_cmd_paper_example)
-
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, named by the command line: a run
+    builds only the parser it uses."""
+    fn, flags = _COMMANDS[command]
+    parser = argparse.ArgumentParser(prog=f"rdiv {command}")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    for flag in flags:
+        parser.add_argument(flag, **_OPTIONS[flag])
+    parser.set_defaults(command=command, fn=fn)
     return parser
 
 
@@ -521,9 +512,14 @@ def run(argv) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
+    # the command name picks the parser that reads the rest of argv, so
+    # "rdiv --help" lists the subcommands and "rdiv h0 --help" the options
+    top = argparse.ArgumentParser(prog="rdiv", description=__doc__)
+    top.add_argument("command", choices=_COMMANDS)
+    top.add_argument("args", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
     try:
-        args = parser.parse_args(argv)
+        head = top.parse_args(argv)
+        args = build_parser(head.command).parse_args(head.args)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -402,15 +402,14 @@ def _interval(rows) -> range:
     return range(lo, hi + 1)
 
 
-def _ceil_offsets(p: HPolytope):
-    """ceil(offset) for every row of p's record; an integer record's own
-    numerators, unrounded."""
-    den, disc = p.den, p.disc
+def _ceil_offsets(den: int, disc: int, A, B):
+    """ceil((A_i + B_i sqrt(disc)) / den) for every row of an offset record,
+    reduced or not; an integer record's own numerators, unrounded."""
     if disc:
-        return [-_floor(-a, -b, den, disc) for a, b in zip(p.A, p.B)]
+        return [-_floor(-a, -b, den, disc) for a, b in zip(A, B)]
     if den == 1:
-        return p.A
-    return [-(-a // den) for a in p.A]
+        return A
+    return [-(-a // den) for a in A]
 
 
 def _integer_rows(p: HPolytope):
@@ -420,7 +419,7 @@ def _integer_rows(p: HPolytope):
     on unbounded input."""
     if not is_bounded(p):
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
-    return list(zip(p.normals, _ceil_offsets(p)))
+    return list(zip(p.normals, _ceil_offsets(p.den, p.disc, p.A, p.B)))
 
 
 def _slices(p: HPolytope, keep: int):
@@ -544,9 +543,12 @@ def _lattice_min(p: HPolytope, g: tuple[int, ...]):
     return next((k * prefix[0] for prefix, rows in _slices(q, keep) if holds(rows)), None)
 
 
-def lattice_form(p: HPolytope) -> HPolytope:
+def lattice_form(p: HPolytope, c=None) -> HPolytope:
     """The integer polytope {<u, g> >= c'} with the lattice points of p,
-    translated by an integer vector chosen from the class alone.
+    translated by an integer vector chosen from the class alone.  Given c,
+    the integer offsets of rows on p's normals, the form is that of the
+    polytope {<u, g> >= c}, and p's own offsets are not read: toric.h0
+    rounds the offsets of mD + G straight off the records that way.
 
     With c = ceil(offset) and A_S^-1 = M / q for the first subset S of the
     vertex table, c' = c - G t for t = floor(M c_S / q).  Replacing c by
@@ -555,16 +557,19 @@ def lattice_form(p: HPolytope) -> HPolytope:
     lattice_form(p) differ by the translation -t, and translates share a
     form.  With normals of rank below n the table is empty and the rounded
     rows are kept as they are, so that lattice_points still raises."""
-    c = _ceil_offsets(p)
+    if c is None:
+        c = _ceil_offsets(p.den, p.disc, p.A, p.B)
     table = _vertex_table(p.normals, p.dim)[1]
     if table:
-        subset, M, q, forms, *_ = table[0]
+        # indexed, not unpacked: this runs once per count, hits included
+        entry = table[0]
+        subset, M, q = entry[0], entry[1], entry[2]
         cs = [c[s] for s in subset]
         if q == 1:
             # t = M c_S, so c' is 0 on S and c_r - <g_r M, c_S> on every
             # other row r, whose g_r M the table holds
             form = [0] * len(c)
-            for r, w in forms:
+            for r, w in entry[3]:
                 form[r] = c[r] - sum(map(mul, w, cs))
             c = form
         else:

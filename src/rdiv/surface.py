@@ -85,8 +85,10 @@ class SurfaceModel(_Frozen):
         """Labels of the components in the support of D, sorted."""
         return sorted(D.support())
 
-    def h0(self, D):
-        return h0_surface(D)
+    def h0(self, D, m=1, G=None):
+        """h0 of the round-down of mD + G, with G None for no step."""
+        D = D.scale(m)
+        return h0_surface(D if G is None else D + G)
 
     def volume(self, D):
         return volume_surface(D)

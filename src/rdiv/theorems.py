@@ -17,8 +17,9 @@ Z-linear class (not on the R-linear one), so the walk skips a shifted point
 where mP ~_Z 0, whose counts are those of mD.
 
 The checkers take the variety X as a toric.Fan or a surface.SurfaceModel and
-ask it only the queries of their shared protocol (h0, volume, nsigma, excess,
-bplus, is_big, is_nef, intersect, shifts, shift_is_integral, labels), so both
+ask it only the queries of their shared protocol (h0(D, m=1, G=None), the
+count of the round-down of mD + G, and volume, nsigma, excess, bplus,
+is_big, is_nef, intersect, shifts, shift_is_integral, labels), so both
 models run one path, and checking a surface divisor never loads the toric
 layers.  Only the randomized corpus, drawn on preset fans, imports toric,
 when it runs.
@@ -156,11 +157,13 @@ def _sampled_clause(X, D, F, m_grid, rng, steps=()) -> ClauseValue:
 
     The shifts are drawn before the walk, as a corpus shares one rng
     between instances; D' + F is built once per D' and each step once per
-    walk.  Where X.shift_is_integral(P, m), mP ~_Z 0, so every h0 at the
+    walk, and no multiple is built: the walk asks X.h0(D', m),
+    X.h0(D' + F, m) and X.h0(D', m, G), which round mD' + G off the
+    records.  Where X.shift_is_integral(P, m), mP ~_Z 0, so every h0 at the
     point is the plain walk's at m: its comparison of m(D' + F) repeats one
     already passed and is skipped, and its steps, which do not depend on P,
     are compared once per m, at the first such shift, on the plain mD."""
-    plain = {}  # k: (mD, h0(mD)) for the k-th m, until a shift is trivial at m
+    plain = {}  # k: h0(mD) for the k-th m, until a shift is trivial at m
     for shift_idx, P in enumerate([None] + X.shifts(rng)):
         base = D if P is None else D + P
         moved = base + F
@@ -168,17 +171,16 @@ def _sampled_clause(X, D, F, m_grid, rng, steps=()) -> ClauseValue:
             if P is not None and X.shift_is_integral(P, m):
                 if k not in plain:
                     continue
-                scaled, h = plain.pop(k)
+                at, h = D, plain.pop(k)
             else:
-                scaled = base.scale(m)
-                h = X.h0(scaled)
-                if X.h0(moved.scale(m)) != h:
+                at, h = base, X.h0(base, m)
+                if X.h0(moved, m) != h:
                     return _sampled_witness(m, m if steps else None, shift_idx)
                 if P is None:
-                    plain[k] = scaled, h
+                    plain[k] = h
                     continue
             for r, G in steps:
-                if X.h0(scaled + G) != h:
+                if X.h0(at, m, G) != h:
                     return _sampled_witness(m, r, shift_idx)
     return _TRUE
 
@@ -239,14 +241,17 @@ def check_theorem_b(X, D, E, m_grid=None, rng=None) -> TheoremReport:
 
 def negsections_check(X, D, E, m_grid=None) -> bool:
     """When Supp(E) sits inside Supp(N_sigma(D)): the negative part grows by
-    exactly E and section counts are untouched at every sampled multiple."""
+    exactly E and section counts are untouched at every sampled multiple,
+    h0(m(D + E)) = h0(mD), each asked as X.h0(D + E, m) and X.h0(D, m) on
+    the records, with D + E built once."""
     m_grid = _as_grid(m_grid)
     N = X.nsigma(D)
     if not E.support() <= N.support():
         raise ValueError("E is not supported inside the negative part")
-    if X.nsigma(D + E) != N + E:
+    DE = D + E
+    if X.nsigma(DE) != N + E:
         return False
-    return all(X.h0((D + E).scale(m)) == X.h0(D.scale(m)) for m in m_grid)
+    return all(X.h0(DE, m) == X.h0(D, m) for m in m_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .polyhedra import (
     lattice_form,
     lattice_points,
     lp_solve,
+    _ceil_offsets,
     _facet_volumes,
     _has_interior,
     _lattice_min,
@@ -156,8 +157,10 @@ class Fan(_Frozen):
         """Names of the rays in the support of D, in ray order."""
         return [self.ray_name(i) for i in sorted(D.support())]
 
-    def h0(self, D):
-        return h0(D)
+    def h0(self, D, *m_and_G):
+        """h0(D, m=1, G=None), the count of the round-down of mD + G off the
+        records (see h0); m and G are passed on only when given."""
+        return h0(D, *m_and_G)
 
     def volume(self, D):
         return volume(D)
@@ -361,29 +364,12 @@ class TDivisor(_Frozen):
 
     def _combine(self, other, op):
         """self op other for op = add or sub, over the lcm of the dens."""
-        if self.fan != other.fan:
-            raise ValueError("divisors live on different fans")
-        p, q = self.polytope, other.polytope
-        disc = _join(p.disc, q.disc)
-        den = math.lcm(p.den, q.den)
-        s, t = den // p.den, den // q.den
-        A = [op(x * s, y * t) for x, y in zip(p.A, q.A)]
-        B = [op(x * s, y * t) for x, y in zip(p.B, q.B)]
-        return _divisor(self.fan, den, disc, A, B)
+        p = self.polytope
+        return _divisor(self.fan, *_summed(self.fan, p.den, p.disc, p.A, p.B, other, op))
 
     def scale(self, m) -> "TDivisor":
-        m = _as_scalar(m)
         p = self.polytope
-        disc = _join(p.disc, m.disc)
-        a, b = m.a, m.b
-        if b:
-            bd = b * disc
-            A = [x * a + y * bd for x, y in zip(p.A, p.B)]
-            B = [x * b + y * a for x, y in zip(p.A, p.B)]
-        else:
-            A = [x * a for x in p.A]
-            B = [y * a for y in p.B]
-        return _divisor(self.fan, p.den * m.den, disc, A, B)
+        return _divisor(self.fan, *_scaled(p.den, p.disc, p.A, p.B, m))
 
     def is_effective(self) -> bool:
         p = self.polytope
@@ -398,6 +384,37 @@ class TDivisor(_Frozen):
 
     def coeff_map(self) -> dict[str, Scalar]:
         return {self.fan.ray_name(i): c for i, c in enumerate(self.coeffs)}
+
+
+def _scaled(den: int, disc: int, A, B, m):
+    """The offset record of m times a canonical record (A_i + B_i
+    sqrt(disc)) / den, unreduced, with disc 0 when the product is rational.
+    Distinct irrational fields raise MixedDiscriminant."""
+    m = _as_scalar(m)
+    a, b = m.a, m.b
+    if b:
+        disc = _join(disc, m.disc)
+        bd = b * disc
+        A, B = [x * a + y * bd for x, y in zip(A, B)], [x * b + y * a for x, y in zip(A, B)]
+        return den * m.den, disc if any(B) else 0, A, B
+    if disc and a:
+        return den * m.den, disc, [x * a for x in A], [y * a for y in B]
+    # a rational record, or m = 0: the product is rational
+    return den * m.den, 0, [x * a for x in A], (0,) * len(B)
+
+
+def _summed(fan: Fan, den: int, disc: int, A, B, other: TDivisor, op):
+    """The offset record of op(record, other's) for op = add or sub, over
+    the lcm of the dens, unreduced; ValueError when other lives on another
+    fan, and MixedDiscriminant when the fields differ."""
+    if fan is not other.fan and fan != other.fan:
+        raise ValueError("divisors live on different fans")
+    q = other.polytope
+    disc = _join(disc, q.disc)
+    lcm = math.lcm(den, q.den)
+    s, t = lcm // den, lcm // q.den
+    A = [op(x * s, y * t) for x, y in zip(A, q.A)]
+    return lcm, disc, A, [op(x * s, y * t) for x, y in zip(B, q.B)] if disc else B
 
 
 def _divisor(fan: Fan, den: int, disc: int, A, B) -> TDivisor:
@@ -420,13 +437,26 @@ def polytope_of(D: TDivisor) -> HPolytope:
     return _check_tdivisor(D).polytope
 
 
-def h0(D: TDivisor) -> int:
-    """Dimension of global sections of the rounded-down divisor, counted
-    once per class of the round-down: h0 depends only on the linear
-    equivalence class of the round-down, and polyhedra.lattice_form keys
-    the count by that class, so D and D + div(u) for an integer u share one
-    cached count (but D + sqrt(2) div(u) does not)."""
-    return lattice_points(lattice_form(polytope_of(D)))
+def h0(D: TDivisor, m=1, G: TDivisor | None = None) -> int:
+    """Dimension of global sections of the round-down of mD + G, for a real
+    m and a divisor G on D's fan, counted once per class of the round-down.
+    The offsets of mD + G are read off D's record, m's triple and G's
+    record, as D.scale(m) + G would join them (so distinct irrational
+    fields raise the same MixedDiscriminant), and rounded with one _floor
+    per row: no divisor or polytope is built before the lattice form, and
+    h0(D) is the case m = 1.  h0 depends only on the linear equivalence
+    class of the round-down, and polyhedra.lattice_form keys the count by
+    that class, so D and D + div(u) for an integer u share one cached count
+    (but D + sqrt(2) div(u) does not)."""
+    p = polytope_of(D)
+    record = p.den, p.disc, p.A, p.B
+    # the int 1 of a one-argument call multiplies nothing; a Scalar m is
+    # multiplied without asking whether it is 1
+    if type(m) is not int or m != 1:
+        record = _scaled(*record, m)
+    if G is not None:
+        record = _summed(D.fan, *record, _check_tdivisor(G), add)
+    return lattice_points(lattice_form(p, _ceil_offsets(*record)))
 
 
 def volume(D: TDivisor) -> Scalar:

@@ -626,6 +626,73 @@ def test_malformed_problem_file_is_a_parse_error(capsys, tmp_path, text, line):
     assert err == line + "\n"
 
 
+VARIETY_FLAGS = ("--format", "--preset", "--file", "--e", "--fibers", "--divisor")
+SUBCOMMAND_FLAGS = {
+    "h0": VARIETY_FLAGS + ("--scale",),
+    "hilbert": VARIETY_FLAGS + ("--samples",),
+    "volume": VARIETY_FLAGS + ("--scale",),
+    "sigma": VARIETY_FLAGS + ("--ray",),
+    "nsigma": VARIETY_FLAGS,
+    "bplus": VARIETY_FLAGS,
+    "nef": VARIETY_FLAGS,
+    "big": VARIETY_FLAGS,
+    "intersect": VARIETY_FLAGS + ("--with",),
+    "zariski": VARIETY_FLAGS,
+    "check-a": VARIETY_FLAGS + ("--samples", "--effective"),
+    "check-b": VARIETY_FLAGS + ("--samples", "--effective"),
+    "corpus": ("--format", "--seed", "--count", "--which"),
+    "paper-example": ("--format", "--e", "--samples"),
+}
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    code, out, _ = invoke(capsys, "--help")
+    assert code == EXIT_OK
+    listed = out.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert listed == list(SUBCOMMAND_FLAGS)
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
+def test_each_subcommand_help_shows_its_options(capsys, command):
+    code, out, _ = invoke(capsys, command, "--help")
+    assert code == EXIT_OK
+    assert out.startswith(f"usage: rdiv {command} ")
+    shown = [word for word in out.split() if word.startswith("--") and word != "--help"]
+    assert sorted(set(shown)) == sorted(SUBCOMMAND_FLAGS[command])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bogus"], [], ["h0", "--bogus"], ["corpus", "--preset", "P2"], ["paper-example", "--e", "x"], ["--format", "json"]],
+    ids=str,
+)
+def test_an_unknown_subcommand_or_bad_option_is_a_parse_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_PARSE and out == ""
+    assert "error:" in err
+
+
+def test_a_run_builds_the_parser_of_its_subcommand_alone(capsys, monkeypatch):
+    # the top level reads the command name, and that command's parser, the
+    # only one built, reads the rest; the other 13 are never built
+    made, commands = [], []
+    make, build = cli.argparse.ArgumentParser.__init__, cli.build_parser
+
+    def counted_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        make(self, *args, **kwargs)
+
+    def counted_build(command):
+        commands.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    code, out, _ = invoke(capsys, "h0", "--preset", "P2", "--divisor", "H:1", "--scale", "2")
+    assert (code, out) == (EXIT_OK, "6\n")
+    assert (made, commands) == (["rdiv", "rdiv h0"], ["h0"])
+
+
 def test_library_value_error_is_not_relabelled_as_parse_error(capsys, monkeypatch):
     def broken(D):
         raise ValueError("internal bug")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import h0_class_loop
-from rdiv.errors import NotBig, NotPseudoeffective, UnsupportedModel
+from rdiv.errors import MixedDiscriminant, NotBig, NotPseudoeffective, UnsupportedModel
 from rdiv.scalars import Scalar, sqrt
 from rdiv.surface import (
     PaperExampleRow,
@@ -358,3 +358,41 @@ def test_a_shift_the_query_calls_integral_keeps_every_sampled_h0(model, coeffs, 
             for r in [m] + R_GRID:
                 for step in (E.scale(r), E.scale(-r)):
                     assert h0_surface((D + P).scale(m) + step) == h0_surface(D.scale(m) + step)
+
+
+def _in_field(d):
+    return st.builds(
+        lambda a, b: Scalar(a, b, d),
+        st.fractions(-3, 3, max_denominator=4),
+        st.sampled_from((0, 0, 1, Fraction(-1, 2))),
+    )
+
+
+def _surface_divisor(model, coeffs):
+    return model.divisor(dict(zip(("E", "C") + model.fibers, coeffs)))
+
+
+def outcome(count):
+    """count(), or the type and message of the MixedDiscriminant it raises."""
+    try:
+        return count()
+    except MixedDiscriminant as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.sampled_from((MODEL1, MODEL2, SurfaceModel(0, ("F1", "F2")))),
+    st.sampled_from((2, 2, 3)).flatmap(lambda d: st.lists(_in_field(d), min_size=6, max_size=6)),
+    st.integers(-2, 3) | st.sampled_from((2, 2, 3)).flatmap(_in_field),
+    st.none() | st.sampled_from((2, 2, 3)).flatmap(lambda d: st.lists(_in_field(d), min_size=6, max_size=6)),
+)
+@settings(max_examples=100, deadline=None)
+def test_model_h0_of_m_and_a_step_counts_the_built_divisor(model, coeffs, m, step):
+    D = _surface_divisor(model, coeffs)
+    G = None if step is None else _surface_divisor(model, step)
+    built = outcome(lambda: model.h0(D.scale(m) if G is None else D.scale(m) + G))
+    assert outcome(lambda: model.h0(D, m, G)) == built
+    if G is None:
+        assert outcome(lambda: model.h0(D, m)) == built
+    if m == 1 and G is None:
+        assert model.h0(D) == h0_surface(D) == built

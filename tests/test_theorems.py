@@ -214,7 +214,8 @@ def test_report_json_shape():
 
 class OffByOneAt:
     """A model's protocol with h0 one too large at a single divisor, and a
-    log of every divisor h0 is asked about."""
+    log of every divisor h0 is asked about: X.h0(D, m, G) stands for the
+    divisor D.scale(m) + G (D.scale(m) when G is None)."""
 
     def __init__(self, X, target):
         self.X, self.target, self.seen = X, target, []
@@ -222,9 +223,10 @@ class OffByOneAt:
     def __getattr__(self, name):
         return getattr(self.X, name)
 
-    def h0(self, D):
-        self.seen.append(D)
-        return self.X.h0(D) + (D == self.target)
+    def h0(self, D, m=1, G=None):
+        asked = D.scale(m) if G is None else D.scale(m) + G
+        self.seen.append(asked)
+        return self.X.h0(D, m, G) + (asked == self.target)
 
 
 @pytest.mark.parametrize("X", [F1, MODEL1], ids=["fan", "surface"])
@@ -439,6 +441,26 @@ def test_corpus_draws_build_no_fraction_scalar_or_coefficient_tuple():
         sys.setprofile(None)
     assert len(instances) == 40
     assert built == []
+
+
+def test_the_sampled_clause_asks_h0_on_the_records_and_builds_no_multiple():
+    # the walk asks X.h0(D', m) and X.h0(D', m, G), which round mD' + G off
+    # the offset records: the same 2,284 counts, and the only scalings left
+    # are check A's E.scale(-1) and check B's R_GRID steps, 200 * (1 + 2)
+    calls = {toric.Fan.h0.__code__: 0, toric.TDivisor.scale.__code__: 0, toric.TDivisor.__add__.__code__: 0}
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code in calls:
+            calls[frame.f_code] += 1
+
+    sys.setprofile(watch)
+    try:
+        corpus_run(2026, 200)
+    finally:
+        sys.setprofile(None)
+    assert calls[toric.Fan.h0.__code__] == 2284
+    assert calls[toric.TDivisor.scale.__code__] == 600
+    assert calls[toric.TDivisor.__add__.__code__] <= 849
 
 
 def test_corpus_json_is_pinned():

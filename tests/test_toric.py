@@ -1188,3 +1188,61 @@ def test_equal_divisors_built_along_different_paths_are_equal_and_hash_alike(pai
         p, q = polytope_of(X), polytope_of(Y)
         assert (p.den, p.disc, p.A, p.B) == (q.den, q.disc, q.A, q.B)
     assert (D + D == D) == D.is_zero()
+
+
+# ---- h0(D, m, G): the round-down of mD + G off the records --------------------
+
+
+def _in_field(d):
+    """a + b sqrt(d) for small a and b, rational about half the time."""
+    return st.builds(
+        lambda a, b: Scalar(a, b, d),
+        st.fractions(-3, 3, max_denominator=4),
+        st.sampled_from((0, 0, 1, Fraction(-1, 2), Fraction(3, 4))),
+    )
+
+
+def _coeffs_in_field():
+    """Five coefficients of one field, Q(sqrt(2)) mostly and Q(sqrt(3)) at times."""
+    return st.sampled_from((2, 2, 3)).flatmap(lambda d: st.lists(_in_field(d), min_size=5, max_size=5))
+
+
+def outcome(count):
+    """count(), or the type and message of the MixedDiscriminant it raises."""
+    try:
+        return count()
+    except MixedDiscriminant as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.sampled_from((P2, P1P1, F1, F2, P3, BLOWUP)),
+    _coeffs_in_field(),
+    st.integers(-2, 3) | st.sampled_from((2, 2, 3)).flatmap(_in_field),
+    st.none() | _coeffs_in_field(),
+)
+@settings(max_examples=150, deadline=None)
+@example(F1, [Scalar(1, -1, 2), Scalar(-2, 2, 2)] + [Scalar(0)] * 3, Scalar(1, 1, 2), [sqrt(3)] * 5)
+@example(P2, [Scalar(0, 1, 2)] * 5, Scalar(0), [sqrt(3)] * 5)
+@example(P3, [Scalar(Fraction(1, 2))] * 5, sqrt(3), [sqrt(2)] * 5)
+@example(BLOWUP, [Scalar(0, 1, 3)] * 5, sqrt(2), None)
+@example(F2, [Scalar(Fraction(5, 4), -1, 2)] * 5, Fraction(-5, 2), [Scalar(1, Fraction(3, 4), 2)] * 5)
+def test_h0_of_m_and_a_step_counts_the_built_divisor(fan, coeffs, m, step):
+    # (1 - sqrt(2)) (1 + sqrt(2)) = -1: mD is rational, so a sqrt(3) step joins
+    # it; 0 D is rational too, while sqrt(3) D and D + sqrt(3) G raise
+    D = fan.divisor(coeffs[: fan.nrays])
+    G = None if step is None else fan.divisor(step[: fan.nrays])
+    built = outcome(lambda: h0(D.scale(m) if G is None else D.scale(m) + G))
+    assert outcome(lambda: h0(D, m, G)) == built
+    assert outcome(lambda: fan.h0(D, m, G)) == built
+    if G is None:
+        assert outcome(lambda: fan.h0(D, m)) == built
+    if m == 1 and G is None:
+        assert fan.h0(D) == h0(D) == built
+
+
+def test_h0_step_must_live_on_the_fan_and_be_a_toric_divisor():
+    with pytest.raises(ValueError, match="different fans"):
+        h0(C, 2, P2.divisor({"H": 1}))
+    with pytest.raises(UnsupportedDivisor):
+        h0(C, 2, SurfaceModel(1).divisor({"E": 1}))
