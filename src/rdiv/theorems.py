@@ -14,7 +14,9 @@ of the sampled clause over D and its principal shifts D' = D + P, which
 stops at the first witness: each compares h0(mD') with h0(m(D' - E)) (A)
 or h0(m(D' + E)) and h0(mD' + rE) (B).  Section counts depend only on the
 Z-linear class (not on the R-linear one), so the walk skips a shifted point
-where mP ~_Z 0, whose counts are those of mD.
+where mP ~_Z 0, whose counts are those of mD.  It starts from the D - E or
+D + E that clause i) built, and with E = 0, where each comparison is of a
+count with itself, it asks only h0(mD) at each m.
 
 The checkers take the variety X as a toric.Fan or a surface.SurfaceModel and
 ask it only the queries of their shared protocol (h0(D, m=1, G=None), the
@@ -147,7 +149,7 @@ def _volume_clause(vol_d, vol_other, key: str) -> ClauseValue:
     return ClauseValue("false", {"vol_D": str(vol_d), key: str(vol_other)})
 
 
-def _sampled_clause(X, D, F, m_grid, rng, steps=()) -> ClauseValue:
+def _sampled_clause(X, D, F, DF, m_grid, rng, steps=()) -> ClauseValue:
     """Clause iv) sampled over D, then each principal shift D' = D + P of
     X.shifts(rng) in turn, at each m of the grid: false at the first point
     where h0(m(D' + F)) != h0(mD'), with F = -E for checker A and E for B,
@@ -156,17 +158,27 @@ def _sampled_clause(X, D, F, m_grid, rng, steps=()) -> ClauseValue:
     there are steps, and the shift's index.
 
     The shifts are drawn before the walk, as a corpus shares one rng
-    between instances; D' + F is built once per D' and each step once per
-    walk, and no multiple is built: the walk asks X.h0(D', m),
-    X.h0(D' + F, m) and X.h0(D', m, G), which round mD' + G off the
-    records.  Where X.shift_is_integral(P, m), mP ~_Z 0, so every h0 at the
-    point is the plain walk's at m: its comparison of m(D' + F) repeats one
-    already passed and is skipped, and its steps, which do not depend on P,
-    are compared once per m, at the first such shift, on the plain mD."""
+    between instances.  A zero F makes every comparison one of a count
+    with itself (each step G = rE is 0 too), so the clause is true, but
+    h0(mD) is still asked at each m: a multiple outside D's field raises
+    MixedDiscriminant from that call, as it does on the full walk.
+    Otherwise D + F is DF, which the checker built for clause i), D' + F
+    is built once per shift and each step once per walk, and no multiple
+    is built: the walk asks X.h0(D', m), X.h0(D' + F, m) and X.h0(D', m,
+    G), which round mD' + G off the records.  Where X.shift_is_integral(P,
+    m), mP ~_Z 0, so every h0 at the point is the plain walk's at m: its
+    comparison of m(D' + F) repeats one already passed and is skipped, and
+    its steps, which do not depend on P, are compared once per m, at the
+    first such shift, on the plain mD."""
+    shifts = X.shifts(rng)
+    if F.is_zero():
+        for m in m_grid:
+            X.h0(D, m)
+        return _TRUE
     plain = {}  # k: h0(mD) for the k-th m, until a shift is trivial at m
-    for shift_idx, P in enumerate([None] + X.shifts(rng)):
+    for shift_idx, P in enumerate([None] + shifts):
         base = D if P is None else D + P
-        moved = base + F
+        moved = DF if P is None else base + F
         for k, m in enumerate(m_grid):
             if P is not None and X.shift_is_integral(P, m):
                 if k not in plain:
@@ -203,10 +215,11 @@ def check_theorem_a(X, D, E, m_grid=None, rng=None) -> TheoremReport:
     and a few principal shifts of it; v) E = 0, evaluated when D is nef.
     """
     m_grid = _checker_grid(X, D, E, m_grid)
-    clauses = {"i": _volume_clause(X.volume(D), X.volume(D - E), "vol_D_minus_E")}
+    DE = D - E
+    clauses = {"i": _volume_clause(X.volume(D), X.volume(DE), "vol_D_minus_E")}
     clauses["ii"] = _support_clause(X, X.excess(E, X.nsigma(D)))
 
-    clauses["iv"] = _sampled_clause(X, D, E.scale(-1), m_grid, rng)
+    clauses["iv"] = _sampled_clause(X, D, E.scale(-1), DE, m_grid, rng)
     if X.is_nef(D):
         clauses["v"] = _TRUE if E.is_zero() else ClauseValue("false", {"E": "nonzero"})
     else:
@@ -224,12 +237,13 @@ def check_theorem_b(X, D, E, m_grid=None, rng=None) -> TheoremReport:
     v) D^(n-1).E = 0, evaluated when D is nef.
     """
     m_grid = _checker_grid(X, D, E, m_grid)
-    clauses = {"i": _volume_clause(X.volume(D), X.volume(D + E), "vol_D_plus_E")}
+    DE = D + E
+    clauses = {"i": _volume_clause(X.volume(D), X.volume(DE), "vol_D_plus_E")}
     locus = X.bplus(D)
     clauses["ii"] = _support_clause(X, next((label for label in X.labels(E) if label not in locus), None))
 
     steps = [(r, E.scale(r)) for r in R_GRID]
-    clauses["iv"] = _sampled_clause(X, D, E, m_grid, rng, steps)
+    clauses["iv"] = _sampled_clause(X, D, E, DE, m_grid, rng, steps)
     if X.is_nef(D):
         pairing = X.intersect(D, E)
         clauses["v"] = _TRUE if pairing == 0 else ClauseValue("false", {"intersection": str(pairing)})

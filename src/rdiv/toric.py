@@ -560,18 +560,21 @@ def bplus_div(D: TDivisor) -> frozenset[int]:
     restricted volume (Ein-Lazarsfeld-Mustata-Nakamaye-Popa).  The rule
     needs no ample divisor, so on a complete fan without one
     (non-projective, dim >= 3) it still returns the rays of zero restricted
-    volume instead of raising."""
-    if not is_big(D):
+    volume instead of raising.  Bigness is read off the same record, which
+    is 0 on every row exactly when the polytope has no interior point."""
+    vols = _facet_volumes(polytope_of(D))
+    if not any(vols):
         raise NotBig("the divisorial augmented base locus needs a big divisor")
-    return frozenset(i for i, v in enumerate(_facet_volumes(D.polytope)) if not v)
+    return frozenset(i for i, v in enumerate(vols) if not v)
 
 
 def intersection_nef_div(D: TDivisor, E: TDivisor) -> Scalar:
     """D^(n-1).E for nef big D and effective invariant E on D's fan, by
     linearity: (n-1)! times entry i of the facet record of D is
-    D^(n-1).D_i, and _facet_sum sums them against E.  Bigness and nefness
-    are checked once, and not at all when E is 0; divisors on two fans raise
-    ValueError before either."""
+    D^(n-1).D_i, and _facet_sum sums them against E.  Bigness is read off
+    that record, which is 0 on every row exactly when the polytope has no
+    interior point, and nefness by the wall rule, each once and neither
+    when E is 0; divisors on two fans raise ValueError before either."""
     _check_tdivisor(D)
     _check_tdivisor(E)
     if D.fan != E.fan:
@@ -580,7 +583,7 @@ def intersection_nef_div(D: TDivisor, E: TDivisor) -> Scalar:
         raise NotEffective("intersection against a non-effective divisor")
     if E.is_zero():
         return Scalar(0)
-    if not is_big(D):
+    if not any(_facet_volumes(D.polytope)):
         raise NotBig("intersection numbers computed for big divisors")
     if not is_nef(D):
         raise NotNef("facet-volume intersection numbers need a nef divisor")

@@ -347,6 +347,22 @@ def test_a_divisor_mixing_two_surds_is_a_domain_error(capsys):
     assert err.startswith("error: incompatible discriminants")
 
 
+@pytest.mark.parametrize("command", ["check-a", "check-b"])
+@pytest.mark.parametrize(
+    "variety,divisor,effective,line",
+    [
+        (("--preset", "F1"), "E:1,C:sqrt(2)", "E:0", "error: incompatible discriminants 2 and 3\n"),
+        (("--e", "1"), "C:1,F1:sqrt(2)", "F1:0", "error: incompatible discriminants 3 and 2\n"),
+    ],
+    ids=["fan", "surface"],
+)
+def test_a_zero_e_still_counts_d_at_a_sample_outside_its_field(capsys, command, variety, divisor, effective, line):
+    # with E = 0 every comparison of clause iv holds, but h0(mD) is still
+    # asked, so a sqrt(3) multiple of a sqrt(2) divisor is a domain error
+    argv = (command, *variety, "--divisor", divisor, "--effective", effective, "--samples", "sqrt(3)")
+    assert invoke(capsys, *argv) == (EXIT_DOMAIN, "", line)
+
+
 def test_zariski_surface(capsys):
     code, out, _ = invoke(capsys, "zariski", "--e", "1", "--divisor", "C:1,E:2", "--format", "json")
     assert code == EXIT_OK

@@ -185,6 +185,19 @@ def test_b_zero_e_trivially_true():
     assert statuses(rep) == {"i": "true", "ii": "true", "iv": "true", "v": "true"}
 
 
+@pytest.mark.parametrize("X", [F1, MODEL1], ids=["fan", "surface"])
+def test_a_zero_e_draws_the_shifts_of_both_checkers(X):
+    # the corpus shares one rng between instances, so each checker draws its
+    # shifts even when E = 0 decides clause iv without them
+    D, E, grid = X.divisor({"C": 1, "E": 1}), X.divisor({}), default_m_grid(2)
+    rng, expected = random.Random(5), random.Random(5)
+    assert check_theorem_a(X, D, E, m_grid=grid, rng=rng).clause_values["iv"].is_true
+    assert check_theorem_b(X, D, E, m_grid=grid, rng=rng).clause_values["iv"].is_true
+    X.shifts(expected)
+    X.shifts(expected)
+    assert rng.getstate() == expected.getstate()
+
+
 def test_b_on_surface_model():
     rep = check_theorem_b(MODEL1, MODEL1.divisor({"C": 1}), MODEL1.divisor({"E": 1}))
     assert rep.verdict == CONSISTENT
@@ -445,9 +458,19 @@ def test_corpus_draws_build_no_fraction_scalar_or_coefficient_tuple():
 
 def test_the_sampled_clause_asks_h0_on_the_records_and_builds_no_multiple():
     # the walk asks X.h0(D', m) and X.h0(D', m, G), which round mD' + G off
-    # the offset records: the same 2,284 counts, and the only scalings left
-    # are check A's E.scale(-1) and check B's R_GRID steps, 200 * (1 + 2)
-    calls = {toric.Fan.h0.__code__: 0, toric.TDivisor.scale.__code__: 0, toric.TDivisor.__add__.__code__: 0}
+    # the offset records, and a zero E asks only h0(mD): the only scalings
+    # are check A's E.scale(-1) and check B's R_GRID steps, 200 * (1 + 2);
+    # the walk takes D -+ E from clause i, and bplus and intersect read
+    # bigness off the facet record
+    calls = {
+        toric.Fan.h0.__code__: 0,
+        toric.TDivisor.scale.__code__: 0,
+        toric.TDivisor.__add__.__code__: 0,
+        toric.is_big.__code__: 0,
+    }
+    # sigma_decomposition asks is_big once per divisor it has not cached, so
+    # the count starts from an empty cache, whatever ran before
+    toric.sigma_decomposition.cache_clear()
 
     def watch(frame, event, arg):
         if event == "call" and frame.f_code in calls:
@@ -458,9 +481,10 @@ def test_the_sampled_clause_asks_h0_on_the_records_and_builds_no_multiple():
         corpus_run(2026, 200)
     finally:
         sys.setprofile(None)
-    assert calls[toric.Fan.h0.__code__] == 2284
+    assert calls[toric.Fan.h0.__code__] == 1324
     assert calls[toric.TDivisor.scale.__code__] == 600
-    assert calls[toric.TDivisor.__add__.__code__] <= 849
+    assert calls[toric.TDivisor.__add__.__code__] == 252
+    assert calls[toric.is_big.__code__] == 1037
 
 
 def test_corpus_json_is_pinned():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -533,6 +534,39 @@ def test_bplus_examples():
 def test_bplus_requires_big():
     with pytest.raises(NotBig):
         bplus_div(F)
+
+
+NOT_BIG = [F, P2.divisor({"H": -1})]
+
+
+@pytest.mark.parametrize("D", NOT_BIG, ids=["flat", "empty"])
+def test_bplus_and_intersection_refuse_a_divisor_that_is_not_big(D):
+    with pytest.raises(NotBig, match="^the divisorial augmented base locus needs a big divisor$"):
+        bplus_div(D)
+    with pytest.raises(NotBig, match="^intersection numbers computed for big divisors$"):
+        intersection_nef_div(D, D.fan.divisor({0: 1}))
+    # E = 0 pairs to 0 before bigness is asked
+    assert intersection_nef_div(D, D.fan.divisor({})) == Scalar(0)
+
+
+@pytest.mark.parametrize("D", NOT_BIG, ids=["flat", "empty"])
+def test_bplus_and_intersection_read_bigness_off_the_facet_record(D):
+    calls = {toric.is_big.__code__: 0}
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code in calls:
+            calls[frame.f_code] += 1
+
+    sys.setprofile(watch)
+    try:
+        assert {F1.ray_name(i) for i in bplus_div(C)} == {"E"}
+        assert intersection_nef_div(C, F) == Scalar(1)
+        for call in (bplus_div, lambda D: intersection_nef_div(D, D.fan.divisor({0: 1}))):
+            with pytest.raises(NotBig):
+                call(D)
+    finally:
+        sys.setprofile(None)
+    assert calls[toric.is_big.__code__] == 0
 
 
 def test_bplus_contains_nsigma_support_and_stabilizes():
