@@ -6,16 +6,13 @@ vertices, boundedness and facet-record weights of a section polytope
 (polyhedra's vertex table, which also reads the determinant) and the cone
 coordinates behind the fan's simplicial, overlap and wall
 tests (toric).  It runs fraction-free, so every entry stays an integer.
-unimodular_basis completes an integer vector g to a lattice basis whose
-first vector y has <g, y> = gcd(g) and whose others span g's kernel, so
-it puts <g, u> on the first coordinate, for polyhedra's lattice minimum.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-__all__ = ["inverse", "primitive", "unimodular_basis"]
+__all__ = ["inverse", "primitive"]
 
 
 def inverse(rows):
@@ -56,33 +53,3 @@ def primitive(vec) -> tuple[int, ...]:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in vec)
 
-
-def unimodular_basis(g: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Z-basis (y, k_1, ..., k_(n-1)) of Z^n for integer g != 0, with
-    <g, y> = gcd(g) and <g, k_i> = 0: the columns of a unimodular matrix, so
-    the k_i span the kernel lattice.
-
-    Column-reduces g to +-gcd(g)*e_1 by unimodular operations tracked on the
-    identity; the first column, negated if needed, is y.
-    """
-    n = len(g)
-    w = list(g)
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    while True:
-        nonzero = [i for i in range(n) if w[i] != 0]
-        if not nonzero:
-            raise ValueError("zero vector")
-        if len(nonzero) == 1:
-            k = nonzero[0]
-            cols[0], cols[k] = cols[k], cols[0]
-            if w[k] < 0:
-                cols[0] = [-x for x in cols[0]]
-            return tuple(map(tuple, cols))
-        i0 = min(nonzero, key=lambda i: abs(w[i]))
-        for j in nonzero:
-            if j == i0:
-                continue
-            q = w[j] // w[i0]
-            if q:
-                w[j] -= q * w[i0]
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[i0])]

@@ -30,7 +30,7 @@ one form, the integer numerators (X + Y sqrt(disc)) / Q of _vertices,
 never built as Scalars or cached.  A linear objective's minimum over a
 bounded polytope is at a vertex, so lp_solve answers a list of integer
 objectives in one pass over them, with no simplex (toric's sigma, every
-ray at once), and _lattice_min's slicer reads its box off them.
+ray at once, and the range of _lattice_min's walk).
 
 Bigness and the facet record come from one lexicographic selection on
 those rows of slack 0, _selected.  With each offset o_i moved to o_i +
@@ -75,14 +75,11 @@ rule one dimension down, and its cost does not grow with the dilation
 either.
 
 toric's sigma limit oracle asks for the least <g, u> over the lattice
-points, for a ray g.  _lattice_min changes coordinates unimodularly so that
-<g, u> / gcd(g) is the first one, which keeps the lattice and the offset
-record, and walks the slicer, _slices(p, keep): it runs the integer
-prefixes of the leading n - keep coordinates over the vertex box, one
-coordinate at a time and one product per row, and yields the integer rows
-of each slice on the last keep coordinates.  The first coordinate rises
-from its lower box end, so the first slice that holds a lattice point is
-the minimum, and the cost does not grow with the dilation either.
+points, for a ray g.  _lattice_min walks t up the multiples of gcd(g)
+from the least <g, v> over the vertices, and counts each cut <g, u> <= t
+of the polytope by the same rule: the first cut that holds a lattice
+point gives the minimum, and the cost does not grow with the dilation
+either.
 """
 
 from __future__ import annotations
@@ -93,7 +90,7 @@ from functools import lru_cache
 from operator import index, mul
 
 from .errors import UnboundedPolytope
-from .linalg import inverse, unimodular_basis
+from .linalg import inverse
 from .scalars import Scalar, _as_scalar, _floor, _Frozen, _new, _record, _sign
 
 __all__ = [
@@ -131,7 +128,10 @@ class HPolytope(_Frozen):
 
     @property
     def rows(self) -> tuple[tuple[tuple[int, ...], Scalar], ...]:
-        """(normal, offset) per row, the offsets built as Scalars."""
+        """(normal, offset) per row, the offsets built as Scalars.  No library
+        output reads it.  It stays as the one public read of what a public
+        HPolytope holds, whose offset record is private, as TDivisor.coeffs
+        is for a divisor."""
         den, disc = self.den, self.disc
         return tuple((g, _new(a, b, den, disc)) for g, a, b in zip(self.normals, self.A, self.B))
 
@@ -422,44 +422,6 @@ def _integer_rows(p: HPolytope):
     return list(zip(p.normals, _ceil_offsets(p.den, p.disc, p.A, p.B)))
 
 
-def _slices(p: HPolytope, keep: int):
-    """Yield (prefix, rows) for each integer prefix of the leading dim - keep
-    coordinates in the vertex box that no row vanishing on the last keep
-    coordinates excludes: the integer points over the prefix are those of
-    the integer rows (h, c) of _integer_rows, sliced, read <v, h> >= c on
-    the last keep coordinates, for keep < dim."""
-    rows = _integer_rows(p)
-    lead = p.dim - keep
-    # the integer ends (ceil, floor) of each leading coordinate of each
-    # vertex, read off its numerators, so no vertex is built and none is
-    # compared: ceil(min) = min(ceil)
-    disc, ends = p.disc, []
-    for X, Y, Q in _vertices(p):
-        ends.append(
-            [(-_floor(-x, -y, Q, disc), _floor(x, y, Q, disc)) for x, y in zip(X[:lead], Y[:lead])]
-        )
-    if ends:
-        # each coordinate's box as the two rows t >= ceil(min) and -t >= -floor(max)
-        boxes = [
-            [((1,), min(c for c, _ in col)), ((-1,), -max(f for _, f in col))] for col in zip(*ends)
-        ]
-        yield from _sliced(rows, boxes, ())
-
-
-def _sliced(rows, boxes, prefix):
-    """_slices past its set-up: the leading coordinate t runs over the
-    interval of its box and of the rows that vanish beyond it, each other
-    row moves its offset by one product, and the next box slices on."""
-    free = [((g[0],), c) for g, c in rows if not any(g[1:])]
-    cut = [(g[0], g[1:], c) for g, c in rows if any(g[1:])]
-    for t in _interval(free + boxes[0]):
-        sliced = [(g, c - h * t) for h, g, c in cut]
-        if len(boxes) > 1:
-            yield from _sliced(sliced, boxes[1:], prefix + (t,))
-        else:
-            yield prefix + (t,), sliced
-
-
 def _count_by_chambers(rows) -> int:
     """Integer points of the bounded polytope of integer rows (g, c), by a
     chamber sum over the first coordinate t in dimension n >= 3 (the
@@ -515,32 +477,27 @@ def _count_by_chambers(rows) -> int:
     return total
 
 
-@lru_cache(maxsize=256)
-def _ray_normals(normals: tuple[tuple[int, ...], ...], g: tuple[int, ...]):
-    """The normals in the coordinates of linalg.unimodular_basis(g): each
-    normal h becomes W^T h for the basis W = (y, kernel of g), so a row
-    <u, h> >= o reads <v, W^T h> >= o at u = W v, and <g, u> = gcd(g) v_1."""
-    basis = unimodular_basis(g)
-    return tuple(tuple(sum(map(mul, h, w)) for w in basis) for h in normals)
-
-
 def _lattice_min(p: HPolytope, g: tuple[int, ...]):
     """The least <g, u> over the lattice points u of a bounded polytope, for
     integer g != 0; None when p has no lattice point.
 
-    The unimodular change of coordinates of _ray_normals puts <g, u> / gcd(g)
-    on the first coordinate and keeps the lattice and the offset record.
-    The slices then rise from the first coordinate's lower box end, and the
-    first one holding a lattice point is the minimum: an interval in
-    dimension 2, and a polygon, counted by _count_2d without its points,
-    above that.  So the cost does not grow with the dilation."""
-    q = HPolytope._make(p.dim, _ray_normals(p.normals, g), p.den, p.disc, p.A, p.B)
+    On the lattice <g, u> is a multiple of k = gcd(g), between the least
+    and the greatest <g, v> over the vertices, which one lp_solve pass
+    reads.  So t rises in steps of k from the first multiple of k at or
+    above the least, and the first t whose cut, p with the row <u, -g> >=
+    -t, holds a lattice point is the minimum.  Each cut is counted as
+    lattice_points counts, so the cost does not grow with the dilation."""
+    cut = tuple(-x for x in g)
+    ends = lp_solve(p, [g, cut])
+    if ends is None:
+        return None
     k = math.gcd(*g)
-    if p.dim == 1:
-        ts = _interval(_integer_rows(q))
-        return k * ts[0] if ts else None
-    keep, holds = (1, _interval) if p.dim == 2 else (2, _count_2d)
-    return next((k * prefix[0] for prefix, rows in _slices(q, keep) if holds(rows)), None)
+    rows = _integer_rows(p)
+    holds = _interval if p.dim == 1 else _count_by_chambers
+    for t in range(k * -(-math.ceil(ends[0]) // k), -math.ceil(ends[1]) + 1, k):
+        if holds(rows + [(cut, -t)]):
+            return t
+    return None
 
 
 def lattice_form(p: HPolytope, c=None) -> HPolytope:

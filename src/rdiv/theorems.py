@@ -159,9 +159,10 @@ def _sampled_clause(X, D, F, DF, m_grid, rng, steps=()) -> ClauseValue:
 
     The shifts are drawn before the walk, as a corpus shares one rng
     between instances.  A zero F makes every comparison one of a count
-    with itself (each step G = rE is 0 too), so the clause is true, but
-    h0(mD) is still asked at each m: a multiple outside D's field raises
-    MixedDiscriminant from that call, as it does on the full walk.
+    with itself, and the checkers then build neither -E nor a step (each G
+    = rE would be 0 too), so the clause is true, but h0(mD) is still asked
+    at each m: a multiple outside D's field raises MixedDiscriminant from
+    that call, as it does on the full walk.
     Otherwise D + F is DF, which the checker built for clause i), D' + F
     is built once per shift and each step once per walk, and no multiple
     is built: the walk asks X.h0(D', m), X.h0(D' + F, m) and X.h0(D', m,
@@ -219,7 +220,7 @@ def check_theorem_a(X, D, E, m_grid=None, rng=None) -> TheoremReport:
     clauses = {"i": _volume_clause(X.volume(D), X.volume(DE), "vol_D_minus_E")}
     clauses["ii"] = _support_clause(X, X.excess(E, X.nsigma(D)))
 
-    clauses["iv"] = _sampled_clause(X, D, E.scale(-1), DE, m_grid, rng)
+    clauses["iv"] = _sampled_clause(X, D, E if E.is_zero() else E.scale(-1), DE, m_grid, rng)
     if X.is_nef(D):
         clauses["v"] = _TRUE if E.is_zero() else ClauseValue("false", {"E": "nonzero"})
     else:
@@ -242,7 +243,7 @@ def check_theorem_b(X, D, E, m_grid=None, rng=None) -> TheoremReport:
     locus = X.bplus(D)
     clauses["ii"] = _support_clause(X, next((label for label in X.labels(E) if label not in locus), None))
 
-    steps = [(r, E.scale(r)) for r in R_GRID]
+    steps = () if E.is_zero() else [(r, E.scale(r)) for r in R_GRID]
     clauses["iv"] = _sampled_clause(X, D, E, DE, m_grid, rng, steps)
     if X.is_nef(D):
         pairing = X.intersect(D, E)

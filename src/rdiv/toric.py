@@ -60,7 +60,6 @@ __all__ = [
     "bplus_div",
     "intersection_nef_div",
     "sigma_limit_oracle",
-    "principal_divisor",
 ]
 
 
@@ -332,12 +331,12 @@ class TDivisor(_Frozen):
     of two fields, its fan and that polytope, whose offset record
     (A_i + B_i sqrt(disc)) / den is the coefficients negated, canonical as
     scalars._record and _reduce make it; so equality and hashing read the
-    fan and the record, and scale, +, - and principal_divisor are integer
-    products and sums plus one gcd on it.  The signs of the coefficients
-    are those of the offsets, negated.  The coefficients lie in one field:
-    two irrational fields raise MixedDiscriminant, as they do for an
-    HPolytope.  coeffs builds the reduced Scalars off the record on each
-    call; nothing is kept beside the two fields."""
+    fan and the record, and scale, + and - are integer products and sums
+    plus one gcd on it.  The signs of the coefficients are those of the
+    offsets, negated.  The coefficients lie in one field: two irrational
+    fields raise MixedDiscriminant, as they do for an HPolytope.  coeffs
+    builds the reduced Scalars off the record on each call; nothing is
+    kept beside the two fields."""
 
     __slots__ = ("fan", "polytope")
 
@@ -535,23 +534,6 @@ def sigma_decomposition(D: TDivisor) -> SigmaDecomposition:
         raise NotBig("sigma decomposition is defined for big divisors only")
     pos = _divisor(D.fan, *_record(lp_solve(D.polytope, D.fan.rays)))
     return SigmaDecomposition(D - pos, pos)
-
-
-def principal_divisor(fan: Fan, u) -> TDivisor:
-    """div of the character u: coefficient <u, ray> on each ray, so offset
-    -<u, ray> on u's record.  Raises ValueError unless u has one entry per
-    coordinate."""
-    u = tuple(map(_as_scalar, u))
-    if len(u) != fan.dim:
-        raise ValueError(f"a character of a {fan.dim}-fold has {fan.dim} entries, not {len(u)}")
-    den, disc, A, B = _record(u)
-    return _divisor(
-        fan,
-        den,
-        disc,
-        [-sum(map(mul, A, ray)) for ray in fan.rays],
-        [-sum(map(mul, B, ray)) for ray in fan.rays],
-    )
 
 
 def bplus_div(D: TDivisor) -> frozenset[int]:

@@ -4,25 +4,27 @@ Most deliberately avoid the library's own code paths: Gaussian
 elimination over the Fractions (the reference for the integer
 linalg.inverse), small hand-rolled Cramer solves, exhaustive 2-subset
 vertex enumeration, shoelace areas, box-membership lattice counts and
-point lists (sharing nothing with the library's slicer) and
-degree-by-degree section sums on F_e, all in exact arithmetic.  Helpers
-that only tests use (translation, dilation, the Euclidean volume,
-ceilings) sit here too, with the EmptyPolytope error that only the
-vertex and volume oracles raise, and so does the vertex set by Scalar
-elimination of every n-subset of rows, the old library rule that the
-integer vertex table of polyhedra must match exactly once its numerators
-are built as Scalars (vertex_set_from_table).  The references at the
-end are older library rules, kept to cross-check the direct ones that
-replaced them: the two-phase simplex, with its LPProblem and LPResult
-records, against the vertex-minimum LP and the table's boundedness rule,
-the per-slice lattice count against the chamber sum, the triangulated
-volume, vertex-rank bigness and tight-set B+ against the facet record,
-Lasserre's recursion in Scalar arithmetic against the facet record by
-Lawrence's formula, the ample-divisor epsilon schedule against the facet
-rule for B+, per-cone nefness and Fraction cone coordinates against the
-wall rule, the two-Fraction Scalar against the integer-triple one, and the
-corpus generator that drew Scalar coefficients against the one that draws
-integer offset records.
+point lists (sharing nothing with the library's counts or with the
+slicer below) and degree-by-degree section sums on F_e, all in exact
+arithmetic.  Helpers that only tests use (translation, dilation, the
+Euclidean volume, ceilings, the principal divisor of a character) sit
+here too, with the EmptyPolytope error that only the vertex and volume
+oracles raise, and so does the vertex set by Scalar elimination of every
+n-subset of rows, the old library rule that the integer vertex table of
+polyhedra must match exactly once its numerators are built as Scalars
+(vertex_set_from_table).  The references at the end are older library
+rules, kept to cross-check the direct ones that replaced them: the
+two-phase simplex, with its LPProblem and LPResult records, against the
+vertex-minimum LP and the table's boundedness rule, the per-slice lattice
+count, on the slicer that the library's lattice minimum walked before it
+counted cuts, against the chamber sum, the triangulated volume,
+vertex-rank bigness and tight-set B+ against the facet record, Lasserre's
+recursion in Scalar arithmetic, on unimodular bases of the faces, against
+the facet record by Lawrence's formula, the ample-divisor epsilon schedule
+against the facet rule for B+, per-cone nefness and Fraction cone
+coordinates against the wall rule, the two-Fraction Scalar against the
+integer-triple one, and the corpus generator that drew Scalar
+coefficients against the one that draws integer offset records.
 """
 
 import math
@@ -31,6 +33,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 from rdiv.errors import (
     DivisionByZero,
@@ -40,11 +43,17 @@ from rdiv.errors import (
     RdivError,
     UnboundedPolytope,
 )
-from rdiv.linalg import unimodular_basis
-from rdiv.polyhedra import HPolytope, _count_2d, _slices, _vertices, is_bounded
-from rdiv.scalars import Scalar, _as_scalar, _Frozen, _new, _squarefree_split
+from rdiv.polyhedra import (
+    HPolytope,
+    _count_2d,
+    _integer_rows,
+    _interval,
+    _vertices,
+    is_bounded,
+)
+from rdiv.scalars import Scalar, _as_scalar, _floor, _Frozen, _new, _record, _squarefree_split
 from rdiv.theorems import _PRESETS, CorpusInstance
-from rdiv.toric import Fan, TDivisor, is_big, polytope_of, preset_fan, principal_divisor, sigma
+from rdiv.toric import Fan, TDivisor, _divisor, is_big, polytope_of, preset_fan, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +497,52 @@ def simplex_recession_bounded(normals, dim) -> bool:
 
 # ---------------------------------------------------------------------------
 # The per-slice lattice count: the reference that polyhedra.lattice_points'
-# chamber sum must agree with.
+# chamber sum must agree with.  Its slicer is the one the library's lattice
+# minimum walked before that minimum counted cuts by the chamber sum.
+
+
+def polygon_slices(p: HPolytope):
+    """Yield the integer rows of the polygon over each integer prefix of the
+    leading dim - 2 coordinates in the vertex box, for dim >= 3: the integer
+    points over the prefix are those of the rows (h, c) of
+    polyhedra._integer_rows, sliced, read <v, h> >= c on the last two
+    coordinates.  Each box end is read off the vertex numerators, so no
+    vertex is built: ceil(min) = min(ceil)."""
+    rows = _integer_rows(p)
+    lead = p.dim - 2
+    disc, ends = p.disc, []
+    for X, Y, Q in _vertices(p):
+        ends.append(
+            [(-_floor(-x, -y, Q, disc), _floor(x, y, Q, disc)) for x, y in zip(X[:lead], Y[:lead])]
+        )
+    if ends:
+        # each coordinate's box as the two rows t >= ceil(min) and -t >= -floor(max)
+        boxes = [
+            [((1,), min(c for c, _ in col)), ((-1,), -max(f for _, f in col))] for col in zip(*ends)
+        ]
+        yield from _sliced(rows, boxes)
+
+
+def _sliced(rows, boxes):
+    """polygon_slices past its set-up: the leading coordinate t runs over
+    the interval of its box and of the rows that vanish beyond it, each
+    other row moves its offset by one product, and the next box slices on."""
+    free = [((g[0],), c) for g, c in rows if not any(g[1:])]
+    cut = [(g[0], g[1:], c) for g, c in rows if any(g[1:])]
+    for t in _interval(free + boxes[0]):
+        sliced = [(g, c - h * t) for h, g, c in cut]
+        if len(boxes) > 1:
+            yield from _sliced(sliced, boxes[1:])
+        else:
+            yield sliced
 
 
 def lattice_points_by_slices(p: HPolytope) -> int:
     """The integer points of a bounded polytope of dimension 3 or more, one
-    polygon of polyhedra._slices(p, 2) per integer value of the leading
-    coordinates, each counted by its floor sums, so the cost grows as the
-    dilation to the power n - 2."""
-    return sum(_count_2d(polygon) for _, polygon in _slices(p, 2))
+    polygon of polygon_slices per integer value of the leading coordinates,
+    each counted by its floor sums, so the cost grows as the dilation to the
+    power n - 2."""
+    return sum(map(_count_2d, polygon_slices(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +711,42 @@ def tight_set_bplus(D: TDivisor) -> frozenset:
         for i, tight in enumerate(tight_sets(verts, p.rows))
         if affine_rank([verts[k] for k in tight]) < D.fan.dim - 1
     )
+
+
+# ---------------------------------------------------------------------------
+# A lattice basis that puts <g, u> on the first coordinate, for the face
+# rows of the Lasserre reference below.
+
+
+def unimodular_basis(g: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Z-basis (y, k_1, ..., k_(n-1)) of Z^n for integer g != 0, with
+    <g, y> = gcd(g) and <g, k_i> = 0: the columns of a unimodular matrix, so
+    the k_i span the kernel lattice.
+
+    Column-reduces g to +-gcd(g)*e_1 by unimodular operations tracked on the
+    identity; the first column, negated if needed, is y.
+    """
+    n = len(g)
+    w = list(g)
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    while True:
+        nonzero = [i for i in range(n) if w[i] != 0]
+        if not nonzero:
+            raise ValueError("zero vector")
+        if len(nonzero) == 1:
+            k = nonzero[0]
+            cols[0], cols[k] = cols[k], cols[0]
+            if w[k] < 0:
+                cols[0] = [-x for x in cols[0]]
+            return tuple(map(tuple, cols))
+        i0 = min(nonzero, key=lambda i: abs(w[i]))
+        for j in nonzero:
+            if j == i0:
+                continue
+            q = w[j] // w[i0]
+            if q:
+                w[j] -= q * w[i0]
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[i0])]
 
 
 # ---------------------------------------------------------------------------
@@ -991,6 +1073,28 @@ class FractionScalar:
 
     def __reduce__(self):
         return (FractionScalar, (self.rat, self.surd, self.disc))
+
+
+# ---------------------------------------------------------------------------
+# The principal divisor of a character, which no library output reads: the
+# corpus generator below and the tests of the divisor's record build it.
+
+
+def principal_divisor(fan: Fan, u) -> TDivisor:
+    """div of the character u: coefficient <u, ray> on each ray, so offset
+    -<u, ray> on u's record.  Raises ValueError unless u has one entry per
+    coordinate."""
+    u = tuple(map(_as_scalar, u))
+    if len(u) != fan.dim:
+        raise ValueError(f"a character of a {fan.dim}-fold has {fan.dim} entries, not {len(u)}")
+    den, disc, A, B = _record(u)
+    return _divisor(
+        fan,
+        den,
+        disc,
+        [-sum(map(mul, A, ray)) for ray in fan.rays],
+        [-sum(map(mul, B, ray)) for ray in fan.rays],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ the package imports only the standard library and itself (no runtime
 dependencies), every name a module imports is used, every cache has a
 finite size, so a long run cannot grow memory without limit, value
 equality has one rule per kind of value, no instance is made around the
-makers in scalars, and no assert statement is left for python -O to strip."""
+makers in scalars, no assert statement is left for python -O to strip, and
+every private function or class has a reader in the package."""
 
 import ast
 import sys
@@ -143,3 +144,29 @@ def test_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not asserts, f"{path.name}: assert on lines {asserts}"
+
+
+def test_every_private_definition_has_a_library_reader():
+    """A private module-level function or class that nothing in the package
+    reads outside its own definition is code no output depends on; dunders
+    are exempt.  A read is a name or an attribute, so an import alone, or a
+    definition that only calls itself, does not count."""
+    defined, readers = [], {}
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None)
+            if (
+                isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and owner.startswith("_")
+                and not (owner.startswith("__") and owner.endswith("__"))
+            ):
+                defined.append((path.name, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    readers.setdefault(node.id, set()).add((path.name, owner))
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add((path.name, owner))
+    orphans = [
+        f"{module}:{name}" for module, name in defined if not readers.get(name, set()) - {(module, name)}
+    ]
+    assert not orphans, f"private definitions that nothing reads: {orphans}"

@@ -26,12 +26,13 @@ from oracles import (
     simplex_solve,
     solve_square,
     translate,
+    unimodular_basis,
     vertex_set_by_elimination,
     vertex_set_from_table,
     vertices,
 )
 from rdiv.errors import MixedDiscriminant, UnboundedPolytope
-from rdiv.linalg import inverse, primitive, unimodular_basis
+from rdiv.linalg import inverse, primitive
 from rdiv.polyhedra import (
     HPolytope,
     _facet_volumes,

@@ -198,6 +198,26 @@ def test_a_zero_e_draws_the_shifts_of_both_checkers(X):
     assert rng.getstate() == expected.getstate()
 
 
+@pytest.mark.parametrize("X", [F1, MODEL1], ids=["fan", "surface"])
+def test_a_zero_e_builds_no_scaling_of_e(X, monkeypatch):
+    # with E = 0 the walk reads only the plain counts h0(mD), neither A's -E
+    # nor B's steps rE, so neither checker scales E (the surface's h0 still
+    # scales D by m)
+    D, E, grid = X.divisor({"C": 1, "E": 1}), X.divisor({}), default_m_grid(2)
+    scale, calls = type(E).scale, []
+
+    def counted(divisor, factor):
+        if divisor is E:
+            calls.append(factor)
+        return scale(divisor, factor)
+
+    monkeypatch.setattr(type(E), "scale", counted)
+    assert check_theorem_a(X, D, E, m_grid=grid).clause_values["iv"].is_true
+    assert calls == []
+    assert check_theorem_b(X, D, E, m_grid=grid).clause_values["iv"].is_true
+    assert calls == []
+
+
 def test_b_on_surface_model():
     rep = check_theorem_b(MODEL1, MODEL1.divisor({"C": 1}), MODEL1.divisor({"E": 1}))
     assert rep.verdict == CONSISTENT
@@ -459,7 +479,8 @@ def test_corpus_draws_build_no_fraction_scalar_or_coefficient_tuple():
 def test_the_sampled_clause_asks_h0_on_the_records_and_builds_no_multiple():
     # the walk asks X.h0(D', m) and X.h0(D', m, G), which round mD' + G off
     # the offset records, and a zero E asks only h0(mD): the only scalings
-    # are check A's E.scale(-1) and check B's R_GRID steps, 200 * (1 + 2);
+    # are check A's E.scale(-1) and check B's R_GRID steps, built for the
+    # 176 instances whose E is not 0, 176 * (1 + 2);
     # the walk takes D -+ E from clause i, and bplus and intersect read
     # bigness off the facet record
     calls = {
@@ -482,7 +503,7 @@ def test_the_sampled_clause_asks_h0_on_the_records_and_builds_no_multiple():
     finally:
         sys.setprofile(None)
     assert calls[toric.Fan.h0.__code__] == 1324
-    assert calls[toric.TDivisor.scale.__code__] == 600
+    assert calls[toric.TDivisor.scale.__code__] == 528
     assert calls[toric.TDivisor.__add__.__code__] == 252
     assert calls[toric.is_big.__code__] == 1037
 

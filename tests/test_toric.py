@@ -17,6 +17,7 @@ from oracles import (
     euclidean_volume,
     is_nef_by_cones,
     lattice_point_list,
+    principal_divisor,
     scalar_lasserre_volume,
     simplex_solve,
     tight_set_bplus,
@@ -52,7 +53,6 @@ from rdiv.toric import (
     is_nef,
     polytope_of,
     preset_fan,
-    principal_divisor,
     sigma,
     sigma_decomposition,
     sigma_limit_oracle,
@@ -851,6 +851,32 @@ def test_sigma_limit_oracle_is_the_minimum_over_lattice_points(fan, coeffs, root
     for ray, (a, v) in enumerate(zip(D.coeffs, fan.rays)):
         expected = min(m * a + sum(c * x for c, x in zip(v, u)) for u in pts) / m
         assert sigma_limit_oracle(D, ray, [m]) == [expected]
+
+
+@given(
+    st.sampled_from((P2, F1, P1P1, P3, MU3)),
+    st.lists(st.fractions(-1, 3, max_denominator=4), min_size=4, max_size=4),
+    st.booleans(),
+    st.integers(1, 4),
+)
+@settings(max_examples=40, deadline=None)
+def test_sigma_limit_oracle_dominates_sigma_and_falls_along_doublings(fan, coeffs, root2, m):
+    # a section of mD vanishing to order k along a ray squares to one of 2mD
+    # vanishing to order 2k, so (1/m) min mult never rises from m to 2m, and
+    # sigma is its limit from above
+    D = fan.divisor([Scalar(c) for c in coeffs[: fan.nrays]])
+    if root2:
+        D = D + fan.divisor({0: sqrt(2) / 2})
+    assume(is_big(D) and h0(D.scale(m)))
+    for ray in range(fan.nrays):
+        at_m, at_2m, at_4m = sigma_limit_oracle(D, ray, [m, 2 * m, 4 * m])
+        assert at_m >= at_2m >= at_4m >= sigma(D, ray)
+
+
+def test_sigma_limit_oracle_on_p3_at_a_billion():
+    # the fractional part of m sqrt(2) over m, at m = 10^9
+    D = P3.divisor({"r0": sqrt(2), "H": 1})
+    assert sigma_limit_oracle(D, "r0", [10**9]) == [sqrt(2) - Fraction(1414213562, 10**9)]
 
 
 @pytest.mark.parametrize("m", [2.7, Fraction(5, 2), True, Scalar(5), 0, -3, "2"])
