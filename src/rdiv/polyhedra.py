@@ -5,7 +5,7 @@ read as <u, normal> >= offset.  Everything is exact, and every quantity
 takes one path, on the polytope's offset record: each offset is
 (A_i + B_i sqrt(disc)) / den for integers A_i and B_i over one positive
 den.  The internals compute on those integers, rational or not; a Scalar
-is built only for a value handed back (an LP value, a volume).
+is built only for an LP value handed back, never for the facet record.
 
 What depends on the normals alone is computed once per normal set, in a
 bounded cache, since the section polytopes of one fan share their normals
@@ -28,9 +28,9 @@ r at each candidate v as <g_r, v> - o_r >= 0 on integers, and yields the
 feasible candidates with the rows they meet with slack 0.  Vertices have
 one form, the integer numerators (X + Y sqrt(disc)) / Q of _vertices,
 never built as Scalars or cached.  A linear objective's minimum over a
-bounded polytope is at a vertex, so lp_solve answers a list of integer
-objectives in one pass over them, with no simplex (toric's sigma, every
-ray at once, and the range of _lattice_min's walk).
+bounded polytope is at a vertex, so _minima reads a list of integer
+objectives in one pass over them, with no simplex: lp_solve's Scalars
+serve toric's sigma on the rays of B+, and _lattice_min rounds integers.
 
 Bigness and the facet record come from one lexicographic selection on
 those rows of slack 0, _selected.  With each offset o_i moved to o_i +
@@ -41,9 +41,9 @@ polytope is empty exactly when p lies in a hyperplane.  The facet record,
 each row's face measured in the lattice of its hyperplane, is Lawrence's
 volume formula (Math. Comp. 57, 1991; Bueler-Enge-Fukuda 2000)
 differentiated in the row's offset: one sum over the selected entries, on
-integer numerators over one denominator per normal set, kept as one
-record per polytope in a bounded cache, so the callers that read several
-rows hash the polytope once.
+integer numerators over one denominator, kept and handed out as integers,
+one record per polytope in a bounded cache, so the callers that read
+several rows hash the polytope once.
 
 Lattice counts never leave the integers: on a lattice point <u, normal> is
 an integer, so a row holds there exactly when <u, normal> >= ceil(offset),
@@ -142,17 +142,22 @@ class HPolytope(_Frozen):
 
 def lp_solve(p: HPolytope, objectives) -> tuple[Scalar, ...] | None:
     """The least <g, v> over the vertices v of a bounded polytope, for each
-    integer objective g, in objective order; None when p is empty.  Each
-    minimum is attained at a vertex, so one pass over _vertices answers
-    every objective: <g, v> = (<g, X> + <g, Y> sqrt(disc)) / Q, and two
-    values compare by the sign of their cross-multiplied difference.
-    toric.sigma_decomposition asks it for every ray of a fan at once.
-    Raises TypeError for an entry that is not an integer, ValueError when
-    an objective's length is not p's dimension, and UnboundedPolytope on
-    unbounded input."""
+    integer objective g, in objective order, as Scalars built off _minima;
+    None when p is empty.  Raises TypeError for an entry that is not an
+    integer, ValueError when an objective's length is not p's dimension,
+    and UnboundedPolytope on unbounded input."""
     objectives = [tuple(map(index, g)) for g in objectives]
     if any(len(g) != p.dim for g in objectives):
         raise ValueError("objective length does not match the polytope's dimension")
+    best = _minima(p, objectives)
+    return None if best is None else tuple(_new(*v, p.disc) for v in best)
+
+
+def _minima(p: HPolytope, objectives):
+    """lp_solve's minima as integers (x, y, Q), each (x + y sqrt(disc)) / Q
+    with Q > 0.  Each is attained at a vertex, so one pass over _vertices
+    answers every objective: <g, v> = (<g, X> + <g, Y> sqrt(disc)) / Q, and
+    two values compare by the sign of their cross-multiplied difference."""
     disc, best = p.disc, None
     for X, Y, Q in _vertices(p):
         values = [(sum(map(mul, g, X)), sum(map(mul, g, Y)), Q) for g in objectives]
@@ -160,7 +165,7 @@ def lp_solve(p: HPolytope, objectives) -> tuple[Scalar, ...] | None:
             (x, y, Q) if _sign(x * q - a * Q, y * q - b * Q, disc) < 0 else (a, b, q)
             for (x, y, _), (a, b, q) in zip(values, best)
         ]
-    return None if best is None else tuple(_new(*v, disc) for v in best)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +487,20 @@ def _lattice_min(p: HPolytope, g: tuple[int, ...]):
     integer g != 0; None when p has no lattice point.
 
     On the lattice <g, u> is a multiple of k = gcd(g), between the least
-    and the greatest <g, v> over the vertices, which one lp_solve pass
-    reads.  So t rises in steps of k from the first multiple of k at or
-    above the least, and the first t whose cut, p with the row <u, -g> >=
-    -t, holds a lattice point is the minimum.  Each cut is counted as
+    and the greatest <g, v> over the vertices, which one _minima pass reads
+    as integers.  So t rises in steps of k from the first multiple of k at
+    or above the least, and the first t whose cut, p with the row <u, -g>
+    >= -t, holds a lattice point is the minimum.  Each cut is counted as
     lattice_points counts, so the cost does not grow with the dilation."""
     cut = tuple(-x for x in g)
-    ends = lp_solve(p, [g, cut])
+    ends = _minima(p, [g, cut])
     if ends is None:
         return None
+    (x, y, q), (x2, y2, q2) = ends
     k = math.gcd(*g)
     rows = _integer_rows(p)
     holds = _interval if p.dim == 1 else _count_by_chambers
-    for t in range(k * -(-math.ceil(ends[0]) // k), -math.ceil(ends[1]) + 1, k):
+    for t in range(-k * (_floor(-x, -y, q, p.disc) // k), _floor(-x2, -y2, q2, p.disc) + 1, k):
         if holds(rows + [(cut, -t)]):
             return t
     return None
@@ -559,9 +565,10 @@ def lattice_points(p: HPolytope) -> int:
 
 
 @lru_cache(maxsize=256)
-def _facet_volumes(p: HPolytope) -> tuple[Scalar, ...]:
-    """The facet record of a bounded polytope: for each row, the (n-1)-volume
-    of its face in the lattice of its hyperplane, 0 when the face has lower
+def _facet_volumes(p: HPolytope):
+    """The facet record of a bounded polytope, as integers (xs, ys, Q): row
+    i's face has (n-1)-volume (xs_i + ys_i sqrt(disc)) / Q in the lattice of
+    its hyperplane, for p's disc and one Q > 0; 0 when the face has lower
     dimension, and 0 on every row when p has no interior point.  One entry
     per polytope, so a caller that needs several rows hashes the polytope
     once.
@@ -592,5 +599,4 @@ def _facet_volumes(p: HPolytope) -> tuple[Scalar, ...]:
         shared = {}
         for i, t in rows:
             xs[i], ys[i] = shared.setdefault((A[i] * t, B[i] * t), (xs[i], ys[i]))
-    Q = scale * p.den ** (p.dim - 1)
-    return tuple(_new(x, y, Q, disc) for x, y in zip(xs, ys))
+    return tuple(xs), tuple(ys), scale * p.den ** (p.dim - 1)

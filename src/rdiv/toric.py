@@ -12,8 +12,8 @@ record is the coefficients negated, in the canonical form of
 scalars._record, so all of a divisor's coefficients lie in one field.
 Multiples, sums, differences and principal divisors are integer products
 and sums plus one gcd on that record, a wall form is one sign test on it,
-and the volume sums the facet record against it; the Scalar coefficients
-are built only when asked for.
+and the volume sums the facet record's integers against it; the Scalar
+coefficients are built only when asked for.
 """
 
 from __future__ import annotations
@@ -218,9 +218,9 @@ class Fan(_Frozen):
 
 
 @lru_cache(maxsize=64)
-def _wall_forms(fan: Fan) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """One integer linear form in the coefficients per wall of the fan,
-    as (ray, weight) pairs; a divisor is nef iff every form is >= 0 on it.
+def _wall_forms(fan: Fan) -> tuple[tuple[int, ...], ...]:
+    """One integer linear form in the coefficients per wall of the fan, a
+    dense row of weights on the rays; D is nef iff every form is >= 0 on it.
 
     For the wall tau shared by sigma = tau + rho and sigma' = tau + rho',
     write v_rho' = sum over i in sigma of c_i v_i.  The support function is
@@ -264,7 +264,7 @@ def _wall_forms(fan: Fan) -> tuple[tuple[tuple[int, int], ...], ...]:
         if c[rho] >= 0:
             raise ValueError(f"rays {rho} and {rho2} lie on one side of wall {wall}")
         g = math.gcd(q, *x)
-        forms.append(((rho2, q // g),) + tuple((i, -xi // g) for i, xi in c.items() if xi))
+        forms.append(tuple(q // g if r == rho2 else -c.get(r, 0) // g for r in range(fan.nrays)))
     # walls on two cones each, with the opposite rays on opposite sides,
     # still allow cones that wind around the origin more than once; the
     # interior point sum(rays) of a cone then lies in another cone too
@@ -470,17 +470,16 @@ def volume(D: TDivisor) -> Scalar:
 def _facet_sum(p: HPolytope, e: HPolytope) -> Scalar:
     """D^(n-1).E = (n-1)! sum_i c_i vol_i for the section polytopes p of D
     and e of E, with vol_i p's facet record and c_i = -offset_i on e's: one
-    integer sum over the lcm of the vol_i's denominators, in the field of e
-    and of the vol_i it meets, not p's, whose faces may be rational."""
-    vols = _facet_volumes(p)
-    q = math.lcm(*[v.den for v in vols])
+    integer sum on the record's numerators over its one denominator, in the
+    field of e and of the vol_i it meets, not p's, whose faces may be rational."""
+    xs, ys, q = _facet_volumes(p)
     disc, x, y = e.disc, 0, 0
-    for a, b, v in zip(e.A, e.B, vols):
+    for a, b, vx, vy in zip(e.A, e.B, xs, ys):
         if a or b:
-            disc = _join(disc, v.disc)
-            t = q // v.den
-            x += (a * v.a + b * v.b * disc) * t
-            y += (a * v.b + b * v.a) * t
+            if vy:
+                disc = _join(disc, p.disc)
+            x += a * vx + b * vy * disc
+            y += a * vy + b * vx
     f = -math.factorial(p.dim - 1)
     return _new(f * x, f * y, e.den * q, disc)
 
@@ -493,12 +492,11 @@ def is_big(D: TDivisor) -> bool:
 
 def is_nef(D: TDivisor) -> bool:
     """The wall rule: every wall form of the fan is >= 0 on the coefficients
-    (see _wall_forms), so <= 0 on the section polytope's record."""
+    (see _wall_forms), so <= 0 on the section polytope's record A and B."""
     p = polytope_of(D)
     A, B, disc = p.A, p.B, p.disc
     return all(
-        _sign(sum(A[i] * w for i, w in form), sum(B[i] * w for i, w in form), disc) <= 0
-        for form in _wall_forms(D.fan)
+        _sign(sum(map(mul, row, A)), sum(map(mul, row, B)), disc) <= 0 for row in _wall_forms(D.fan)
     )
 
 
@@ -506,7 +504,7 @@ def sigma(D: TDivisor, ray) -> Scalar:
     """Infimum of the coefficient along the ray over the effective members
     of the R-linear equivalence class, a_i + min <ray, u> over the section
     polytope: its coefficient in N_sigma of the cached sigma_decomposition,
-    read off N_sigma's record alone."""
+    read off N_sigma's record alone, and 0 on a ray outside B+."""
     i = _check_tdivisor(D).fan.ray_index(ray)
     p = sigma_decomposition(D).nsigma.polytope
     return _new(-p.A[i], -p.B[i], p.den, p.disc)
@@ -523,38 +521,54 @@ class SigmaDecomposition(namedtuple("SigmaDecomposition", "nsigma psigma")):
 def sigma_decomposition(D: TDivisor) -> SigmaDecomposition:
     """P_sigma(D) has coefficient -min <v_i, u> over D's section polytope on
     each ray i, and N_sigma = D - P_sigma = sum of sigma(D, i) D_i, with
-    sigma(D, i) = a_i + min <v_i, u>.  lp_solve reads every ray's minimum
-    in one pass over the polytope's vertices, and those minima are P_sigma's
-    offset record as it stands.  Bigness is checked once.  P_sigma has no
+    sigma(D, i) = a_i + min <v_i, u>.  A ray whose face has positive volume
+    in the facet record touches the polytope, so its sigma is 0, and one
+    lp_solve call reads the minima of the rays of B+ (see bplus_div), none
+    when B+ is empty.  Bigness is read off the same record.  P_sigma has no
     sigma by construction, as its section polytope is D's with every row
     moved up to touch it (Nakayama, Zariski-decomposition and abundance,
     III.1).  One decomposition per divisor, in a shared bounded cache;
     errors are not cached."""
-    if not is_big(D):
+    p = polytope_of(D)
+    rays = _zero_facets(p)
+    if rays is None:
         raise NotBig("sigma decomposition is defined for big divisors only")
-    pos = _divisor(D.fan, *_record(lp_solve(D.polytope, D.fan.rays)))
+    pos = D
+    if rays:
+        offsets = [_new(a, b, p.den, p.disc) for a, b in zip(p.A, p.B)]
+        for i, v in zip(rays, lp_solve(p, [D.fan.rays[i] for i in rays])):
+            offsets[i] = v
+        pos = _divisor(D.fan, *_record(offsets))
     return SigmaDecomposition(D - pos, pos)
+
+
+def _zero_facets(p: HPolytope) -> list[int] | None:
+    """The rows whose face has zero volume in p's facet record, or None
+    when the record is 0 on every row, i.e. p has no interior point."""
+    xs, ys, _ = _facet_volumes(p)
+    rows = [i for i, (x, y) in enumerate(zip(xs, ys)) if not (x or y)]
+    return None if len(rows) == len(xs) else rows
 
 
 def bplus_div(D: TDivisor) -> frozenset[int]:
     """Divisorial augmented base locus of a big divisor: the rays whose face
     <u, ray> = -coeff of the section polytope is not a facet, i.e. has zero
-    restricted volume (Ein-Lazarsfeld-Mustata-Nakamaye-Popa).  The rule
-    needs no ample divisor, so on a complete fan without one
-    (non-projective, dim >= 3) it still returns the rays of zero restricted
-    volume instead of raising.  Bigness is read off the same record, which
-    is 0 on every row exactly when the polytope has no interior point."""
-    vols = _facet_volumes(polytope_of(D))
-    if not any(vols):
+    restricted volume (Ein-Lazarsfeld-Mustata-Nakamaye-Popa) in the facet
+    record.  The rule needs no ample divisor, so on a complete fan without
+    one (non-projective, dim >= 3) it still returns the rays of zero
+    restricted volume instead of raising.  Bigness is read off the same
+    record, 0 on every row exactly when the polytope has no interior point."""
+    rays = _zero_facets(polytope_of(D))
+    if rays is None:
         raise NotBig("the divisorial augmented base locus needs a big divisor")
-    return frozenset(i for i, v in enumerate(vols) if not v)
+    return frozenset(rays)
 
 
 def intersection_nef_div(D: TDivisor, E: TDivisor) -> Scalar:
     """D^(n-1).E for nef big D and effective invariant E on D's fan, by
     linearity: (n-1)! times entry i of the facet record of D is
-    D^(n-1).D_i, and _facet_sum sums them against E.  Bigness is read off
-    that record, which is 0 on every row exactly when the polytope has no
+    D^(n-1).D_i, and _facet_sum sums its integers against E.  Bigness is
+    read off that record, 0 on every row exactly when the polytope has no
     interior point, and nefness by the wall rule, each once and neither
     when E is 0; divisors on two fans raise ValueError before either."""
     _check_tdivisor(D)
@@ -565,7 +579,7 @@ def intersection_nef_div(D: TDivisor, E: TDivisor) -> Scalar:
         raise NotEffective("intersection against a non-effective divisor")
     if E.is_zero():
         return Scalar(0)
-    if not any(_facet_volumes(D.polytope)):
+    if _zero_facets(D.polytope) is None:
         raise NotBig("intersection numbers computed for big divisors")
     if not is_nef(D):
         raise NotNef("facet-volume intersection numbers need a nef divisor")

@@ -18,10 +18,12 @@ two-phase simplex, with its LPProblem and LPResult records, against the
 vertex-minimum LP and the table's boundedness rule, the per-slice lattice
 count, on the slicer that the library's lattice minimum walked before it
 counted cuts, against the chamber sum, the triangulated volume,
-vertex-rank bigness and tight-set B+ against the facet record, Lasserre's
-recursion in Scalar arithmetic, on unimodular bases of the faces, against
-the facet record by Lawrence's formula, the ample-divisor epsilon schedule
-against the facet rule for B+, per-cone nefness and Fraction cone
+vertex-rank bigness and tight-set B+ against the facet record, the
+sigma decomposition by one lp_solve over every ray against the one that
+sends only the rays of B+, Lasserre's recursion in Scalar arithmetic, on
+unimodular bases of the faces, against the facet record by Lawrence's
+formula (read as Scalars by facet_scalars), the ample-divisor epsilon
+schedule against the facet rule for B+, per-cone nefness and Fraction cone
 coordinates against the wall rule, the two-Fraction Scalar against the
 integer-triple one, and the corpus generator that drew Scalar
 coefficients against the one that draws integer offset records.
@@ -46,14 +48,25 @@ from rdiv.errors import (
 from rdiv.polyhedra import (
     HPolytope,
     _count_2d,
+    _facet_volumes,
     _integer_rows,
     _interval,
     _vertices,
     is_bounded,
+    lp_solve,
 )
 from rdiv.scalars import Scalar, _as_scalar, _floor, _Frozen, _new, _record, _squarefree_split
 from rdiv.theorems import _PRESETS, CorpusInstance
-from rdiv.toric import Fan, TDivisor, _divisor, is_big, polytope_of, preset_fan, sigma
+from rdiv.toric import (
+    Fan,
+    SigmaDecomposition,
+    TDivisor,
+    _divisor,
+    is_big,
+    polytope_of,
+    preset_fan,
+    sigma,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +726,16 @@ def tight_set_bplus(D: TDivisor) -> frozenset:
     )
 
 
+def sigma_decomposition_by_lp(D: TDivisor) -> SigmaDecomposition:
+    """toric.sigma_decomposition with every ray's minimum read by one
+    lp_solve over all the rays, and bigness by is_big: the reference for
+    the rule that reads sigma = 0 off the facet record outside B+."""
+    if not is_big(D):
+        raise NotBig("sigma decomposition is defined for big divisors only")
+    pos = _divisor(D.fan, *_record(lp_solve(D.polytope, D.fan.rays)))
+    return SigmaDecomposition(D - pos, pos)
+
+
 # ---------------------------------------------------------------------------
 # A lattice basis that puts <g, u> on the first coordinate, for the face
 # rows of the Lasserre reference below.
@@ -793,6 +816,13 @@ def scalar_lasserre_volume(n: int, rows) -> Scalar:
     return total / n
 
 
+def facet_scalars(p: HPolytope) -> tuple:
+    """The integer facet record of polyhedra._facet_volumes, one Scalar per
+    row."""
+    xs, ys, q = _facet_volumes(p)
+    return tuple(_new(x, y, q, p.disc) for x, y in zip(xs, ys))
+
+
 def scalar_facet_volumes(p: HPolytope) -> tuple:
     """The facet record of a bounded polytope by the Scalar recursion."""
     rows = p.rows
@@ -808,9 +838,9 @@ def scalar_facet_volumes(p: HPolytope) -> tuple:
 def wall_forms_by_elimination(fan: Fan) -> tuple:
     """toric._wall_forms with each wall's cone coordinates solved over the
     Fractions: for the wall shared by cone = wall + rho and opposite = wall
-    + rho2, v_rho2 = sum of c_i v_i over the cone, and the form is
-    (rho2, den) then (i, -c_i den) for the lcm den of the c_i's
-    denominators.  Assumes a valid fan."""
+    + rho2, v_rho2 = sum of c_i v_i over the cone, and the form's dense row
+    is den on rho2, -c_i den on each i of the cone and 0 elsewhere, for the
+    lcm den of the c_i's denominators.  Assumes a valid fan."""
     cones_at = {}
     for cone in fan.max_cones:
         for wall in combinations(cone, fan.dim - 1):
@@ -820,7 +850,11 @@ def wall_forms_by_elimination(fan: Fan) -> tuple:
         (rho2,) = set(opposite) - set(wall)
         c = dict(zip(cone, solve_square(list(zip(*(fan.rays[i] for i in cone))), fan.rays[rho2])))
         den = math.lcm(*(x.denominator for x in c.values()))
-        forms.append(((rho2, den),) + tuple((i, int(-x * den)) for i, x in c.items() if x))
+        row = [0] * fan.nrays
+        row[rho2] = den
+        for i, x in c.items():
+            row[i] = int(-x * den)
+        forms.append(tuple(row))
     return tuple(forms)
 
 

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from rdiv.polyhedra import _facet_volumes
+from oracles import facet_scalars
 from rdiv.scalars import Scalar, sqrt
 from rdiv.surface import SurfaceModel, h0_surface, paper_example, volume_surface, zariski
 from rdiv.theorems import check_theorem_a, check_theorem_b, generate_corpus, negsections_check
@@ -117,7 +117,7 @@ def test_criterion_4_volume_limit():
         vol = volume(D)
         p = polytope_of(D)
         # perimeter-scale constant: total facet lattice length plus facet count
-        perimeter = sum(_facet_volumes(p), Scalar(0))
+        perimeter = sum(facet_scalars(p), Scalar(0))
         bound = Scalar(Fraction(6, 80)) * (perimeter + len(p.rows))
         errors = []
         for m in (10, 20, 40, 80):

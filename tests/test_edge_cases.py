@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import EmptyPolytope, euclidean_volume, translate, vertices
+from oracles import EmptyPolytope, euclidean_volume, facet_scalars, translate, vertices
 from rdiv.cli import EXIT_OK, run
 from rdiv.polyhedra import (
     HPolytope,
-    _facet_volumes,
     lattice_points,
     lp_solve,
 )
@@ -34,7 +33,7 @@ def test_facet_volume_non_primitive_row():
     # (2,0) >= 2 cuts the same facet as (1,0) >= 1; lattice length must agree
     doubled = poly([((2, 0), 2), ((0, 1), 0), ((-1, 0), -2), ((0, -1), -1)])
     plain = poly([((1, 0), 1), ((0, 1), 0), ((-1, 0), -2), ((0, -1), -1)])
-    assert _facet_volumes(doubled)[0] == _facet_volumes(plain)[0] == Scalar(1)
+    assert facet_scalars(doubled)[0] == facet_scalars(plain)[0] == Scalar(1)
 
 
 def test_duplicate_rows_are_harmless():
@@ -44,7 +43,7 @@ def test_duplicate_rows_are_harmless():
     assert euclidean_volume(doubled) == Scalar(1)
     assert lattice_points(doubled) == 4
     assert vertices(doubled) == vertices(UNIT_SQUARE)
-    assert _facet_volumes(doubled)[0] == Scalar(1)
+    assert facet_scalars(doubled)[0] == Scalar(1)
 
 
 def test_volume_invariant_under_scalar_translation():

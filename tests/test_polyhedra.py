@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from operator import mul
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from oracles import (
     brute_vertices_2d,
     det,
     euclidean_volume,
+    facet_scalars,
     lattice_point_list,
     lattice_points_by_slices,
     naive_lattice_count,
@@ -31,11 +33,11 @@ from oracles import (
     vertex_set_from_table,
     vertices,
 )
+from rdiv import scalars
 from rdiv.errors import MixedDiscriminant, UnboundedPolytope
 from rdiv.linalg import inverse, primitive
 from rdiv.polyhedra import (
     HPolytope,
-    _facet_volumes,
     _floor_sum,
     _has_interior,
     _lattice_min,
@@ -428,6 +430,27 @@ def test_lattice_min_is_the_least_value_over_the_lattice_points(drawn, g):
         assert _lattice_min(p, h) == expected, h
 
 
+def test_lattice_min_rounds_its_range_off_the_integers_and_builds_no_scalar():
+    # the range of <g, u> over the vertices is read as integer numerators and
+    # rounded by one floor each: no Scalar is built, by Scalar() or _new, and
+    # none is rounded by math.ceil
+    p = HPolytope(3, zip(((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), (sqrt(2) / 4, 0, 0, -7 - sqrt(2))))
+    watched = {Scalar.__init__.__code__, scalars._new.__code__, Scalar.__ceil__.__code__}
+    built = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            built.append(frame.f_code.co_name)
+
+    sys.setprofile(watch)
+    try:
+        lows = [_lattice_min(p, g) for g in p.normals + ((2, -4, 6),)]
+    finally:
+        sys.setprofile(None)
+    assert lows == [1, 0, 0, -8, -26]
+    assert built == []
+
+
 @pytest.mark.parametrize("g", [(1,), (-3,), (0, -1), (6, -4), (2, 3, 0), (0, 0, -5), (3, -7, 12, 5)])
 def test_unimodular_basis_puts_the_gcd_on_its_first_vector(g):
     y, *kernel = basis = unimodular_basis(g)
@@ -634,26 +657,26 @@ def test_lattice_convergence_to_volume():
 
 def test_facet_unit_square_top_edge():
     idx = UNIT_SQUARE.rows.index(((0, -1), Scalar(-1)))
-    assert _facet_volumes(UNIT_SQUARE)[idx] == Scalar(1)
+    assert facet_scalars(UNIT_SQUARE)[idx] == Scalar(1)
 
 
 def test_facet_vertex_only_is_zero():
     # row y >= 0 of {0 <= x <= y <= 1} touches only the vertex (0,0)
     p = poly([((1, 0), 0), ((0, 1), 0), ((-1, 1), 0), ((0, -1), -1)])
     idx = p.rows.index(((0, 1), Scalar(0)))
-    assert _facet_volumes(p)[idx] == Scalar(0)
+    assert facet_scalars(p)[idx] == Scalar(0)
 
 
 def test_facet_skew_edge_lattice_length():
     # edge from (0,0) to (2,2) along x - y = 0 has lattice length 2
     p = poly([((1, -1), 0), ((-1, 0), -2), ((0, 1), 0), ((1, 1), 0)])
     idx = 0
-    assert _facet_volumes(p)[idx] == Scalar(2)
+    assert facet_scalars(p)[idx] == Scalar(2)
 
 
 def test_facet_slack_row_is_zero():
     slack = poly([((1, 0), 0), ((0, 1), 0), ((-1, -1), -1), ((1, 1), -5)])
-    assert _facet_volumes(slack)[3] == Scalar(0)
+    assert facet_scalars(slack)[3] == Scalar(0)
 
 
 def test_facet_3d_area():
@@ -665,7 +688,7 @@ def test_facet_3d_area():
             for s, c in ((1, 0), (-1, -2))
         ),
     )
-    assert _facet_volumes(cube)[1] == Scalar(4)
+    assert facet_scalars(cube)[1] == Scalar(4)
 
 
 def _edge_lattice_length(v1, v2):
@@ -692,7 +715,7 @@ def test_facet_volume_matches_edge_length_oracle():
             continue
         if affine_rank(vs) < 2:
             # a flat polygon has no facet: the record reads every row 0
-            assert not any(_facet_volumes(p))
+            assert not any(facet_scalars(p))
             checked += 1
             continue
         for row_idx, (g, o) in enumerate(p.rows):
@@ -706,7 +729,7 @@ def test_facet_volume_matches_edge_length_oracle():
                 )
             elif len(tight) > 2:
                 continue  # cannot happen for a 2d polytope edge
-            assert _facet_volumes(p)[row_idx] == Scalar(expected)
+            assert facet_scalars(p)[row_idx] == Scalar(expected)
         checked += 1
 
 
@@ -914,10 +937,10 @@ def test_facet_volumes_match_the_scalar_lasserre_oracle():
     checked = full = 0
     for p in _vertex_table_cases():
         if _full_dimensional(p):
-            assert _facet_volumes(p) == scalar_facet_volumes(p), p
+            assert facet_scalars(p) == scalar_facet_volumes(p), p
             full += 1
         else:
-            assert not any(_facet_volumes(p)), p
+            assert not any(facet_scalars(p)), p
         checked += 1
     assert checked > 120 and full > 100
 
@@ -928,14 +951,14 @@ def test_facet_record_reads_0_without_an_interior_point():
     perturbed polytope exists."""
     point = HPolytope(1, (((1,), 3), ((-1,), -3)))
     assert scalar_facet_volumes(point) == (Scalar(1), Scalar(1))
-    assert _facet_volumes(point) == (Scalar(0), Scalar(0))
+    assert facet_scalars(point) == (Scalar(0), Scalar(0))
     segment = poly([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)])
     assert scalar_facet_volumes(segment) == tuple(map(Scalar, (1, 1, 0, 0)))
-    assert _facet_volumes(segment) == (Scalar(0),) * 4
+    assert facet_scalars(segment) == (Scalar(0),) * 4
     # the triangle y, z >= 0, y + z <= 1 in the plane x = 0
     triangle = HPolytope(3, zip(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)), (0, 0, 0, 0, -1)))
     assert scalar_facet_volumes(triangle)[:2] == (Scalar(Fraction(1, 2)),) * 2
-    assert _facet_volumes(triangle) == (Scalar(0),) * 5
+    assert facet_scalars(triangle) == (Scalar(0),) * 5
 
 
 R2 = sqrt(2)
@@ -949,9 +972,9 @@ BIG = 10**30
 @example(HPolytope(3, zip(FORM_NORMALS["P3"][0], (0, 0, Fraction(-1, 2), -2 - R2))))
 def test_facet_volumes_match_the_scalar_lasserre_oracle_on_small_polytopes(p):
     if _full_dimensional(p):
-        assert _facet_volumes(p) == scalar_facet_volumes(p)
+        assert facet_scalars(p) == scalar_facet_volumes(p)
     else:
-        assert not any(_facet_volumes(p))
+        assert not any(facet_scalars(p))
     assert vertex_set_from_table(p) == vertex_set_by_elimination(p)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from oracles import generate_corpus_by_scalars
 
-from rdiv import theorems, toric
+from rdiv import polyhedra, theorems, toric
 from rdiv.errors import NotBig, NotEffective
 from rdiv.scalars import Scalar, parse_scalar, sqrt
 from rdiv.surface import SurfaceModel
@@ -481,21 +481,27 @@ def test_the_sampled_clause_asks_h0_on_the_records_and_builds_no_multiple():
     # the offset records, and a zero E asks only h0(mD): the only scalings
     # are check A's E.scale(-1) and check B's R_GRID steps, built for the
     # 176 instances whose E is not 0, 176 * (1 + 2);
-    # the walk takes D -+ E from clause i, and bplus and intersect read
-    # bigness off the facet record
+    # the walk takes D -+ E from clause i, and bplus, intersect and sigma
+    # read bigness off the facet record; sigma asks lp_solve only for the
+    # rays of zero facet volume, one objective each on this corpus
     calls = {
         toric.Fan.h0.__code__: 0,
         toric.TDivisor.scale.__code__: 0,
         toric.TDivisor.__add__.__code__: 0,
         toric.is_big.__code__: 0,
+        polyhedra.lp_solve.__code__: 0,
     }
-    # sigma_decomposition asks is_big once per divisor it has not cached, so
-    # the count starts from an empty cache, whatever ran before
+    objectives = []
+    # sigma_decomposition asks lp_solve once per divisor it has not cached
+    # and whose B+ is not empty, so the count starts from an empty cache,
+    # whatever ran before
     toric.sigma_decomposition.cache_clear()
 
     def watch(frame, event, arg):
         if event == "call" and frame.f_code in calls:
             calls[frame.f_code] += 1
+            if frame.f_code is polyhedra.lp_solve.__code__:
+                objectives.append(len(frame.f_locals["objectives"]))
 
     sys.setprofile(watch)
     try:
@@ -505,7 +511,9 @@ def test_the_sampled_clause_asks_h0_on_the_records_and_builds_no_multiple():
     assert calls[toric.Fan.h0.__code__] == 1324
     assert calls[toric.TDivisor.scale.__code__] == 528
     assert calls[toric.TDivisor.__add__.__code__] == 252
-    assert calls[toric.is_big.__code__] == 1037
+    assert calls[toric.is_big.__code__] == 838
+    assert calls[polyhedra.lp_solve.__code__] == 60
+    assert sum(objectives) == 60
 
 
 def test_corpus_json_is_pinned():

@@ -15,10 +15,12 @@ from oracles import (
     ample_divisor,
     bplus_halving,
     euclidean_volume,
+    facet_scalars,
     is_nef_by_cones,
     lattice_point_list,
     principal_divisor,
     scalar_lasserre_volume,
+    sigma_decomposition_by_lp,
     simplex_solve,
     tight_set_bplus,
     triangulated_volume,
@@ -437,7 +439,7 @@ def test_wall_forms_match_fraction_elimination(fan):
 
 def test_wall_forms_of_the_weighted_fan():
     # e1 = -2 e2 - 3 e3 - (-1, -2, -3): the wall (1, 2) between cones on 0 and 3
-    assert ((3, 1), (0, 1), (1, 2), (2, 3)) in toric._wall_forms(WEIGHTED)
+    assert (1, 2, 3, 1) in toric._wall_forms(WEIGHTED)
 
 
 def test_volume_of_empty_polytope_is_zero():
@@ -495,14 +497,16 @@ def test_sigma_decomposition_cache_equals_a_fresh_decomposition():
 
 
 def test_sigma_and_its_decomposition_read_one_vertex_set(monkeypatch):
-    # sigma reads its ray off the cached decomposition, which reads every
-    # ray's sigma off one lp_solve call on D's polytope, with one objective
-    # per ray; a second sigma or decomposition reads none
+    # sigma reads its ray off the cached decomposition, which reads the rays
+    # of zero facet volume, those of B+, off one lp_solve call on D's
+    # polytope, with one objective per such ray, and makes no call when B+
+    # is empty; a second sigma or decomposition reads none
     D = C + E.scale(3)
+    ample = C.scale(2) + F
     calls, solve = [], toric.lp_solve
 
     def counted_solve(p, objectives):
-        calls.append((p, len(objectives)))
+        calls.append((p, objectives))
         return solve(p, objectives)
 
     sigma_decomposition.cache_clear()
@@ -511,9 +515,13 @@ def test_sigma_and_its_decomposition_read_one_vertex_set(monkeypatch):
         assert sigma(D, "E") == 3
         assert sigma(D, "C") == 0
         sigma_decomposition(D)
+        assert bplus_div(ample) == frozenset()
+        assert sigma(ample, "E") == sigma(ample, "C") == 0
+        assert sigma_decomposition(ample).psigma == ample
     finally:
         sigma_decomposition.cache_clear()
-    assert calls == [(polytope_of(D), 4)]
+    assert bplus_div(D) == {F1.ray_index("E")}
+    assert calls == [(polytope_of(D), [F1.rays[F1.ray_index("E")]])]
 
 
 def test_sigma_irrational_coefficients():
@@ -1104,6 +1112,27 @@ def test_positive_part_has_no_sigma_by_the_simplex(fan, coeffs):
     p = polytope_of(pos)
     for ray, a in zip(fan.rays, pos.coeffs):
         assert simplex_solve(LPProblem(ray, p, a)).value == 0
+
+
+@given(st.sampled_from((P2, P1P1, F1, F2, P3, BLOWUP, MU3)), st.lists(_SQRT2, min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+@example(F1, [Scalar(0), Scalar(3), Scalar(0), Scalar(1), Scalar(0)])  # C + 3E: B+ is E
+@example(F1, [Scalar(0, Fraction(1, 2), 2), Scalar(3), Scalar(0), Scalar(1), Scalar(0)])
+@example(BLOWUP, [Scalar(c) for c in (0, 0, 0, 2, 3)])  # r3:2,r4:3
+def test_sigma_is_0_off_bplus_and_the_lp_reads_the_rays_of_bplus(fan, coeffs):
+    # a ray whose face has positive volume touches the polytope, so its
+    # sigma is 0, and the decomposition that sends only the other rays to
+    # lp_solve is the one that sends every ray
+    D = fan.divisor(coeffs[: fan.nrays])
+    if not is_big(D):
+        for decompose in (sigma_decomposition, sigma_decomposition_by_lp):
+            with pytest.raises(NotBig, match="sigma decomposition"):
+                decompose(D)
+        return
+    assert sigma_decomposition(D) == sigma_decomposition_by_lp(D)
+    for i, vol in enumerate(facet_scalars(polytope_of(D))):
+        if vol:
+            assert sigma(D, i) == 0
 
 
 @given(
