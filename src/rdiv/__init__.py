@@ -3,7 +3,7 @@
 The public names below are loaded on first use (PEP 562), so `import rdiv`
 loads no submodule and a cold `rdiv <subcommand>` loads only the layers that
 subcommand runs on: a fan query never loads the surface model, and a
-surface query never loads the polytope layers under the toric model.
+surface query loads it on top of the toric layers it reads its numbers off.
 """
 
 import importlib

@@ -13,8 +13,8 @@ which reads the protocol method to ask and the rendering of its value off
 a table; check-a and check-b share another.
 
 Each subcommand imports the layers it runs on when it runs: a fan query
-loads toric and the polytope layers under it, a surface query loads the
-surface model alone, and only the checkers and the corpus load theorems.
+loads toric and the polytope layers under it, a surface query loads those
+and the surface model, and only the checkers and the corpus load theorems.
 The variety's label_kind ("ray" on a fan, "component" on a surface model)
 tells the two apart without importing either class.
 """

@@ -1,11 +1,18 @@
 """Hirzebruch surfaces with named fibers.
 
 The ruled surface F_e carries the negative section E (E^2 = -e), the fiber
-class F and the positive section C = E + eF.  Divisors supported on E, C
-and finitely many named fibers admit closed-form section counts and the
-classical two-step Zariski decomposition over the single negative curve E,
-which is what makes irrational twists like C + (F1-F2) + sqrt(2)(F3-F4)
-computable exactly.
+class F and the positive section C = E + eF.  Divisors are supported on E,
+C and finitely many named fibers, which is what makes irrational twists
+like C + (F1-F2) + sqrt(2)(F3-F4), R-linearly equivalent to C but with
+fewer sections at every m, computable exactly.
+
+Every number is read off the toric F_e of toric.preset_fan, on which
+D_C ~ D_E + e D_F and the two invariant fibers are linearly equivalent
+(Cox-Little-Schenck, Toric Varieties, 4.1): a divisor of class x*E + y*F
+(class_of) maps to x D_E + y D_F.  Volume, bigness, nefness, sigma, the
+Zariski decomposition and B+ read that divisor; h0 reads the image of the
+round-down, taken per prime component.  The intersection pairing stays
+here, as it pairs any two classes.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import add, index, sub
 
+from . import toric
 from .errors import ExampleViolated, NotBig, NotPseudoeffective, UnsupportedModel
 from .scalars import Scalar, _as_scalar, _Frozen
 
@@ -23,15 +31,9 @@ __all__ = [
     "SDivisor",
     "ZariskiPair",
     "class_of",
-    "h0_class",
     "h0_surface",
-    "volume_surface",
-    "is_nef_class",
-    "is_big_class",
     "intersect_classes",
     "zariski",
-    "bplus_surface",
-    "sigma_surface",
     "paper_example",
     "PaperExampleRow",
 ]
@@ -75,9 +77,9 @@ class SurfaceModel(_Frozen):
                 fib[key] = val
         return SDivisor(self, cE, cC, tuple(fib.get(label, Scalar(0)) for label in self.fibers))
 
-    # The variety protocol, shared with toric.Fan.  Each query is a call to
-    # this module's function, looked up at call time, so a patched or traced
-    # module name is what runs.
+    # The variety protocol, shared with toric.Fan.  Each query asks toric's
+    # function, looked up at call time, on the divisor's image on the toric
+    # F_e (see _toric), so a patched or traced module name is what runs.
     dim = 2
     label_kind = "component"
 
@@ -91,16 +93,19 @@ class SurfaceModel(_Frozen):
         return h0_surface(D if G is None else D + G)
 
     def volume(self, D):
-        return volume_surface(D)
+        return toric.volume(_toric(D))
 
     def is_big(self, D):
-        return is_big_class(class_of(D), self.e)
+        return toric.is_big(_toric(D))
 
     def is_nef(self, D):
-        return is_nef_class(class_of(D), self.e)
+        return toric.is_nef(_toric(D))
 
     def sigma(self, D, label):
-        return sigma_surface(D, label)
+        """The coefficient of the component in N_sigma; KeyError when the
+        model has no such component."""
+        label = self.component(label)
+        return zariski(D).N.coeff_map()[label]
 
     def nsigma(self, D):
         return zariski(D).N
@@ -112,7 +117,9 @@ class SurfaceModel(_Frozen):
         return next((label for label in self.labels(E) if e[label] > n[label]), None)
 
     def bplus(self, D) -> frozenset[str]:
-        return bplus_surface(D)
+        # only E can lie in B+ on F_e, and the preset names its ray E
+        T = _toric(D)
+        return T.fan.bplus(T)
 
     def intersect(self, D, E):
         return intersect_classes(class_of(D), class_of(E), self.e)
@@ -202,32 +209,17 @@ def intersect_classes(a: tuple[Scalar, Scalar], b: tuple[Scalar, Scalar], e: int
     return -Scalar(e) * a[0] * b[0] + a[0] * b[1] + a[1] * b[0]
 
 
-def h0_class(x: int, y: int, e: int) -> int:
-    """Sections of x*E + y*F: the ruling pushes them down to P^1 degrees
-    y, y-e, ..., y-x*e, and the non-negative ones sum as an arithmetic series."""
-    if x < 0 or y < 0:
-        return 0
-    top = x if e == 0 else min(x, y // e)
-    return (top + 1) * (y + 1) - e * top * (top + 1) // 2
+def _toric(D: SDivisor) -> toric.TDivisor:
+    """x D_E + y D_F on the toric F_e, for (x, y) = class_of(D): the
+    divisor of the same class."""
+    x, y = class_of(D)
+    return toric.preset_fan(f"F{D.model.e}").divisor({"E": x, "F": y})
 
 
 def h0_surface(D: SDivisor) -> int:
-    """Round down per prime component and count through the class of the
-    round-down: x = floor(cE) + floor(cC), y = e floor(cC) + sum floor(b_i)."""
-    e, c = D.model.e, math.floor(D.cC)
-    return h0_class(math.floor(D.cE) + c, e * c + sum(map(math.floor, D.fiber_coeffs)), e)
-
-
-def is_nef_class(cls: tuple[Scalar, Scalar], e: int) -> bool:
-    x, y = cls
-    # non-negative against the extremal curves E and F
-    return (y - Scalar(e) * x).sign() >= 0 and x.sign() >= 0
-
-
-def is_big_class(cls: tuple[Scalar, Scalar], e: int) -> bool:
-    # interior of the effective cone spanned by E and F
-    x, y = cls
-    return x.sign() > 0 and y.sign() > 0
+    """Sections of the round-down of D, taken per prime component before
+    the fibers collapse to their class: toric.h0 of the image of D.floor()."""
+    return toric.h0(_toric(D.floor()))
 
 
 class ZariskiPair(namedtuple("ZariskiPair", "P N")):
@@ -242,51 +234,20 @@ class ZariskiPair(namedtuple("ZariskiPair", "P N")):
 
 
 def zariski(D: SDivisor) -> ZariskiPair:
-    """Two-step Zariski decomposition over the candidate negative set {E}."""
-    model = D.model
-    e = model.e
+    """N = sigma_E(D) E, with sigma_E read off the toric F_e, where no
+    other ray carries a sigma, and P = (x - sigma_E, y) for the class
+    (x, y) of D.  NotPseudoeffective when x < 0 or y < 0, and NotBig on any
+    other class that is not big."""
     x, y = class_of(D)
-    de = y - Scalar(e) * x  # [D].E
-    if e > 0 and de.sign() < 0:
-        c = x - y / e
-        P = (y / Scalar(e), y)
-    else:
-        c = Scalar(0)
-        P = (x, y)
-    if not is_nef_class(P, e):
+    if x.sign() < 0 or y.sign() < 0:
         raise NotPseudoeffective("positive part fails nefness against E or F")
-    if intersect_classes(P, P, e).sign() <= 0:
-        raise NotBig("divisor class is not big")
-    N = SDivisor(model, c, Scalar(0), tuple(Scalar(0) for _ in model.fibers))
-    return ZariskiPair(P, N)
-
-
-def volume_surface(D: SDivisor) -> Scalar:
-    """vol(D) = P^2 through the Zariski decomposition; 0 off the big cone."""
     try:
-        pair = zariski(D)
-    except (NotBig, NotPseudoeffective):
-        return Scalar(0)
-    return pair.volume()
-
-
-def sigma_surface(D: SDivisor, component: str) -> Scalar:
-    """sigma multiplicity along a prime component; only E can carry one.
-    KeyError when the model has no such component."""
-    D.model.component(component)
-    pair = zariski(D)
-    return pair.N.cE if component == "E" else Scalar(0)
-
-
-def bplus_surface(D: SDivisor) -> frozenset[str]:
-    """Divisorial augmented base locus on F_e: {E} exactly when [D].E <= 0."""
-    x, y = class_of(D)
-    if not is_big_class((x, y), D.model.e):
-        raise NotBig("the divisorial augmented base locus needs a big divisor")
-    e = D.model.e
-    if e > 0 and (y - Scalar(e) * x).sign() <= 0:
-        return frozenset({"E"})
-    return frozenset()
+        c = toric.sigma(_toric(D), "E")
+    except NotBig:
+        raise NotBig("divisor class is not big") from None
+    model = D.model
+    N = SDivisor(model, c, Scalar(0), tuple(Scalar(0) for _ in model.fibers))
+    return ZariskiPair((x - c, y), N)
 
 
 class PaperExampleRow(namedtuple("PaperExampleRow", "m floor_dot_e h0_twisted h0_straight")):

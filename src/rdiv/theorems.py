@@ -22,9 +22,8 @@ The checkers take the variety X as a toric.Fan or a surface.SurfaceModel and
 ask it only the queries of their shared protocol (h0(D, m=1, G=None), the
 count of the round-down of mD + G, and volume, nsigma, excess, bplus,
 is_big, is_nef, intersect, shifts, shift_is_integral, labels), so both
-models run one path, and checking a surface divisor never loads the toric
-layers.  Only the randomized corpus, drawn on preset fans, imports toric,
-when it runs.
+models run one path.  This module imports neither model; only the
+randomized corpus, drawn on preset fans, imports toric, when it runs.
 """
 
 from __future__ import annotations

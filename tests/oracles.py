@@ -14,19 +14,23 @@ n-subset of rows, the old library rule that the integer vertex table of
 polyhedra must match exactly once its numerators are built as Scalars
 (vertex_set_from_table).  The references at the end are older library
 rules, kept to cross-check the direct ones that replaced them: the
-two-phase simplex, with its LPProblem and LPResult records, against the
-vertex-minimum LP and the table's boundedness rule, the per-slice lattice
-count, on the slicer that the library's lattice minimum walked before it
-counted cuts, against the chamber sum, the triangulated volume,
-vertex-rank bigness and tight-set B+ against the facet record, the
-sigma decomposition by one lp_solve over every ray against the one that
-sends only the rays of B+, Lasserre's recursion in Scalar arithmetic, on
-unimodular bases of the faces, against the facet record by Lawrence's
-formula (read as Scalars by facet_scalars), the ample-divisor epsilon
-schedule against the facet rule for B+, per-cone nefness and Fraction cone
-coordinates against the wall rule, the two-Fraction Scalar against the
-integer-triple one, and the corpus generator that drew Scalar
-coefficients against the one that draws integer offset records.
+surface model's closed forms on F_e (the section series, nefness and
+bigness against E and F, the two-step Zariski decomposition and its B+
+rule) against the toric F_e it reads its numbers off, the two-phase
+simplex, with its LPProblem and LPResult records, against the
+vertex-minimum LP and the table's boundedness rule, the per-slice
+lattice count, on the slicer that the library's lattice minimum walked
+before it counted cuts, against the chamber sum, the triangulated
+volume, vertex-rank bigness and tight-set B+ against the facet record,
+the sigma decomposition by one lp_solve over every ray against the one
+that sends only the rays of B+, Lasserre's recursion in Scalar
+arithmetic, on unimodular bases of the faces, against the facet record
+by Lawrence's formula (read as Scalars by facet_scalars), the
+ample-divisor epsilon schedule against the facet rule for B+, per-cone
+nefness and Fraction cone coordinates against the wall rule, the
+two-Fraction Scalar against the integer-triple one, and the corpus
+generator that drew Scalar coefficients against the one that draws
+integer offset records.
 """
 
 import math
@@ -42,6 +46,7 @@ from rdiv.errors import (
     MixedDiscriminant,
     NonSimplicialCone,
     NotBig,
+    NotPseudoeffective,
     RdivError,
     UnboundedPolytope,
 )
@@ -56,6 +61,7 @@ from rdiv.polyhedra import (
     lp_solve,
 )
 from rdiv.scalars import Scalar, _as_scalar, _floor, _Frozen, _new, _record, _squarefree_split
+from rdiv.surface import SDivisor, ZariskiPair, class_of, intersect_classes
 from rdiv.theorems import _PRESETS, CorpusInstance
 from rdiv.toric import (
     Fan,
@@ -313,6 +319,89 @@ def h0_class_loop(x, y, e):
     if x < 0:
         return 0
     return sum(max(0, y - k * e + 1) for k in range(x + 1))
+
+
+# ---------------------------------------------------------------------------
+# The surface model's closed forms on F_e, the references for the answers
+# it reads off the toric F_e: an arithmetic series for sections, the two
+# extremal curves E and F for nefness and bigness, and the two-step Zariski
+# decomposition over the one negative curve E for volume, sigma and B+.
+
+
+def h0_class(x: int, y: int, e: int) -> int:
+    """Sections of x*E + y*F: the ruling pushes them down to P^1 degrees
+    y, y-e, ..., y-x*e, and the non-negative ones sum as an arithmetic series."""
+    if x < 0 or y < 0:
+        return 0
+    top = x if e == 0 else min(x, y // e)
+    return (top + 1) * (y + 1) - e * top * (top + 1) // 2
+
+
+def h0_surface_by_class(D: SDivisor) -> int:
+    """Round down per prime component and count through the class of the
+    round-down: x = floor(cE) + floor(cC), y = e floor(cC) + sum floor(b_i)."""
+    e, c = D.model.e, math.floor(D.cC)
+    return h0_class(math.floor(D.cE) + c, e * c + sum(map(math.floor, D.fiber_coeffs)), e)
+
+
+def is_nef_class(cls: tuple[Scalar, Scalar], e: int) -> bool:
+    x, y = cls
+    # non-negative against the extremal curves E and F
+    return (y - Scalar(e) * x).sign() >= 0 and x.sign() >= 0
+
+
+def is_big_class(cls: tuple[Scalar, Scalar], e: int) -> bool:
+    # interior of the effective cone spanned by E and F
+    x, y = cls
+    return x.sign() > 0 and y.sign() > 0
+
+
+def zariski_two_step(D: SDivisor) -> ZariskiPair:
+    """Two-step Zariski decomposition over the candidate negative set {E}."""
+    model = D.model
+    e = model.e
+    x, y = class_of(D)
+    de = y - Scalar(e) * x  # [D].E
+    if e > 0 and de.sign() < 0:
+        c = x - y / e
+        P = (y / Scalar(e), y)
+    else:
+        c = Scalar(0)
+        P = (x, y)
+    if not is_nef_class(P, e):
+        raise NotPseudoeffective("positive part fails nefness against E or F")
+    if intersect_classes(P, P, e).sign() <= 0:
+        raise NotBig("divisor class is not big")
+    N = SDivisor(model, c, Scalar(0), tuple(Scalar(0) for _ in model.fibers))
+    return ZariskiPair(P, N)
+
+
+def volume_surface(D: SDivisor) -> Scalar:
+    """vol(D) = P^2 through the Zariski decomposition; 0 off the big cone."""
+    try:
+        pair = zariski_two_step(D)
+    except (NotBig, NotPseudoeffective):
+        return Scalar(0)
+    return pair.volume()
+
+
+def sigma_surface(D: SDivisor, component: str) -> Scalar:
+    """sigma multiplicity along a prime component; only E can carry one.
+    KeyError when the model has no such component."""
+    D.model.component(component)
+    pair = zariski_two_step(D)
+    return pair.N.cE if component == "E" else Scalar(0)
+
+
+def bplus_surface(D: SDivisor) -> frozenset[str]:
+    """Divisorial augmented base locus on F_e: {E} exactly when [D].E <= 0."""
+    x, y = class_of(D)
+    if not is_big_class((x, y), D.model.e):
+        raise NotBig("the divisorial augmented base locus needs a big divisor")
+    e = D.model.e
+    if e > 0 and (y - Scalar(e) * x).sign() <= 0:
+        return frozenset({"E"})
+    return frozenset()
 
 
 # ---------------------------------------------------------------------------

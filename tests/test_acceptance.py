@@ -9,9 +9,9 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import facet_scalars
+from oracles import facet_scalars, volume_surface
 from rdiv.scalars import Scalar, sqrt
-from rdiv.surface import SurfaceModel, h0_surface, paper_example, volume_surface, zariski
+from rdiv.surface import SurfaceModel, h0_surface, paper_example, zariski
 from rdiv.theorems import check_theorem_a, check_theorem_b, generate_corpus, negsections_check
 from rdiv.toric import (
     h0,

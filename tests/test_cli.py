@@ -267,9 +267,10 @@ def test_cli_import_loads_no_process_pool():
 
 # The rdiv modules a cold `python -m rdiv.cli <subcommand>` loads besides the
 # front end, which runs as __main__: the layers under the variety it names,
-# plus theorems for the checkers.
+# plus theorems for the checkers.  The surface model reads its numbers off
+# the toric F_e, so it loads the fan layers too.
 _FAN_LAYERS = {"rdiv", "rdiv.errors", "rdiv.scalars", "rdiv.linalg", "rdiv.polyhedra", "rdiv.toric"}
-_SURFACE_LAYERS = {"rdiv", "rdiv.errors", "rdiv.scalars", "rdiv.surface"}
+_SURFACE_LAYERS = _FAN_LAYERS | {"rdiv.surface"}
 
 # runs `python -m rdiv.cli ARGS`, then writes the names in sys.modules to stderr
 _LOADED_BY_CLI = """
@@ -376,6 +377,42 @@ def test_nsigma_on_a_surface_prints_the_zariski_pair(capsys, fmt):
     code, out, _ = invoke(capsys, "nsigma", *argv)
     assert code == EXIT_OK
     assert (code, out) == invoke(capsys, "zariski", *argv)[:2]
+
+
+# byte-exact surface outputs: the Q(sqrt(2)) Zariski decomposition and the
+# nef test of the "Installed entry point" CI step, and N_sigma on
+# F_0 = P1 x P1, where no class has a negative part
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("zariski", "--e", "2", "--divisor", "C:1,E:3,F1:1/2*sqrt(2)", "--format", "json"),
+            '{"N": {"E": "3-1/4*sqrt(2)"}, "P_class": {"E": "1+1/4*sqrt(2)", "F": "2+1/2*sqrt(2)"}, '
+            '"volume": "9/4+sqrt(2)"}\n',
+        ),
+        (("nef", "--e", "1", "--divisor", "C:1", "--format", "json"), '{"nef": true}\n'),
+        (("nsigma", "--e", "0", "--divisor", "C:1,F1:1"), "part,component,coefficient\nP,E,1\nP,F,1\nN,E,0\nvolume,,2\n"),
+    ],
+    ids=["zariski-e2-sqrt2", "nef-e1", "nsigma-e0"],
+)
+def test_a_surface_query_prints_its_pinned_bytes(capsys, argv, expected):
+    assert invoke(capsys, *argv) == (EXIT_OK, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("zariski", "--e", "1", "--divisor", "F1:1"), "error: divisor class is not big\n"),
+        (
+            ("sigma", "--e", "1", "--divisor", "C:-1", "--ray", "E"),
+            "error: positive part fails nefness against E or F\n",
+        ),
+        (("bplus", "--e", "1", "--divisor", "F1:1"), "error: the divisorial augmented base locus needs a big divisor\n"),
+    ],
+    ids=["zariski-not-big", "sigma-not-pseudoeffective", "bplus-not-big"],
+)
+def test_a_surface_domain_error_keeps_its_exit_and_text(capsys, argv, line):
+    assert invoke(capsys, *argv) == (EXIT_DOMAIN, "", line)
 
 
 # P3 blown up at a torus-fixed point: r4 = (1, 1, 1) subdivides the cone of

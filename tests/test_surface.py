@@ -4,26 +4,30 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import h0_class_loop
+from oracles import (
+    bplus_surface,
+    h0_class,
+    h0_class_loop,
+    h0_surface_by_class,
+    is_big_class,
+    is_nef_class,
+    sigma_surface,
+    volume_surface,
+    zariski_two_step,
+)
 from rdiv.errors import MixedDiscriminant, NotBig, NotPseudoeffective, UnsupportedModel
 from rdiv.scalars import Scalar, sqrt
 from rdiv.surface import (
     PaperExampleRow,
     SDivisor,
     SurfaceModel,
-    bplus_surface,
     class_of,
-    h0_class,
     h0_surface,
     intersect_classes,
-    is_big_class,
-    is_nef_class,
     paper_example,
-    sigma_surface,
-    volume_surface,
     zariski,
 )
 from rdiv.theorems import R_GRID, default_m_grid
@@ -268,6 +272,16 @@ def test_sigma_matches_toric_on_invariant_divisors():
             checked += 1
 
 
+def test_a_class_in_two_fields_is_a_domain_error_for_every_class_query():
+    # the class (1 + sqrt(3)) E + (1 + sqrt(2)) F has no image on the toric
+    # F_1, whose divisors hold one field; h0 rounds each component first
+    D = MODEL1.divisor({"C": 1, "E": sqrt(3), "F1": R2})
+    for query in (MODEL1.volume, MODEL1.is_big, MODEL1.is_nef, MODEL1.nsigma, MODEL1.bplus):
+        with pytest.raises(MixedDiscriminant, match="incompatible discriminants 2 and 3"):
+            query(D)
+    assert MODEL1.h0(D) == 6
+
+
 # ---- the irrational twist example -------------------------------------------
 
 
@@ -396,3 +410,46 @@ def test_model_h0_of_m_and_a_step_counts_the_built_divisor(model, coeffs, m, ste
         assert outcome(lambda: model.h0(D, m)) == built
     if m == 1 and G is None:
         assert model.h0(D) == h0_surface(D) == built
+
+
+def _answer(query):
+    """query(), or the type and message of the NotBig or NotPseudoeffective
+    it raises."""
+    try:
+        return query()
+    except (NotBig, NotPseudoeffective) as exc:
+        return type(exc), str(exc)
+
+
+def _pair(zariski_of, D):
+    pair = zariski_of(D)
+    return pair.P, pair.N, pair.volume()
+
+
+# rational and sqrt(2) coefficients, mostly non-negative: most classes are
+# big, with or without a negative part, and each of the two errors still shows
+_COEFF = st.builds(
+    lambda a, b: Scalar(a, b, 2), st.fractions(-1, 3, max_denominator=4), st.sampled_from((0, 0, 1, Fraction(-1, 2)))
+)
+
+
+@given(st.integers(0, 3), st.lists(_COEFF, min_size=5, max_size=5))
+# at e = 10^20, D.E = -e + 1/2 - sqrt(2) puts almost all of E in N
+@example(10**20, [Scalar(1), R2, Scalar(Fraction(1, 2)), -R2, Scalar(0)])
+@settings(max_examples=80, deadline=None)
+def test_every_protocol_answer_is_the_closed_forms(e, coeffs):
+    # the model reads its numbers off the toric F_e; the closed forms on the
+    # class x E + y F (and on the round-down's class for h0) are the reference
+    model = SurfaceModel(e, ("F1", "F2", "F3"))
+    D = _surface_divisor(model, coeffs)
+    cls = class_of(D)
+    assert model.volume(D) == volume_surface(D)
+    assert model.is_big(D) == is_big_class(cls, e)
+    assert model.is_nef(D) == is_nef_class(cls, e)
+    for m in (1, Fraction(5, 2), 10**9):
+        assert model.h0(D, m) == h0_surface_by_class(D.scale(m))
+    for label in ("E", "C") + model.fibers:
+        assert _answer(lambda: model.sigma(D, label)) == _answer(lambda: sigma_surface(D, label))
+    assert _answer(lambda: model.nsigma(D)) == _answer(lambda: zariski_two_step(D).N)
+    assert _answer(lambda: model.bplus(D)) == _answer(lambda: bplus_surface(D))
+    assert _answer(lambda: _pair(zariski, D)) == _answer(lambda: _pair(zariski_two_step, D))
