@@ -4,8 +4,11 @@ Polytopes are given by integer normal vectors and offsets, with each row
 read as <u, normal> >= offset.  Everything is exact, and every quantity
 takes one path, on the polytope's offset record: each offset is
 (A_i + B_i sqrt(disc)) / den for integers A_i and B_i over one positive
-den.  The internals compute on those integers, rational or not; a Scalar
-is built only for an LP value handed back, never for the facet record.
+den.  The internals compute on those integers; a Scalar is built only for
+an LP value handed back, never for the facet record.  A rational record
+(disc 0) has every B_i = 0, so the row test, the vertices and the facet
+record sum no product with B there and sign a value by its rational part
+alone, in the same pass that handles a surd.
 
 What depends on the normals alone is computed once per normal set, in a
 bounded cache, since the section polytopes of one fan share their normals
@@ -257,23 +260,26 @@ def is_bounded(p: HPolytope) -> bool:
 def _feasible(p: HPolytope):
     """Yield (entry, a, b, tight) for each entry (S, M, q, forms, ...) of the
     vertex table whose candidate vertex v satisfies every row of p: a and b
-    are S's offset numerators, and tight the positions in forms of the rows
-    r that v meets with slack 0, where the row test's <g_r, v> - o_r = (x +
-    y sqrt(disc)) / (q den) has x = y = 0.  A vertex on more than n rows
-    comes once per entry.  Raises UnboundedPolytope."""
-    bounded, table, *_ = _vertex_table(p.normals, p.dim)
+    are S's offset numerators (b is 0 on a rational record), and tight the
+    positions in forms of the rows r that v meets with slack 0, where the
+    row test's <g_r, v> - o_r = (x + y sqrt(disc)) / (q den) has x = y = 0.
+    y is summed only when disc is not 0, and with y = 0 the sign is x's.  A
+    vertex on more than n rows comes once per entry.  Raises
+    UnboundedPolytope."""
+    bounded, table = _vertex_table(p.normals, p.dim)[:2]
     if not bounded:
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
     A, B, disc = p.A, p.B, p.disc
     for entry in table:
-        subset, _, q, forms, *_ = entry
-        a, b, tight = [A[s] for s in subset], [B[s] for s in subset], []
-        for k, (r, w) in enumerate(forms):
-            x, y = sum(map(mul, a, w)) - q * A[r], sum(map(mul, b, w)) - q * B[r]
+        subset, q = entry[0], entry[2]
+        a, b, tight = [A[s] for s in subset], disc and [B[s] for s in subset], []
+        for k, (r, w) in enumerate(entry[3]):
+            x = sum(map(mul, a, w)) - q * A[r]
+            y = disc and sum(map(mul, b, w)) - q * B[r]
+            if (_sign(x, y, disc) if y else x) < 0:
+                break
             if not (x or y):
                 tight.append(k)
-            elif _sign(x, y, disc) < 0:
-                break
         else:
             yield entry, a, b, tight
 
@@ -282,20 +288,21 @@ def _selected(p: HPolytope):
     """Yield (entry, a, b) of _feasible for each entry whose vertex stays a
     vertex with offsets o_i + eps^(i+1), for every small eps > 0: each row
     of forms passes with a slack > 0, or with a slack 0 and its lex test
-    (see _vertex_table).  That perturbed polytope is simple, since n + 1 of
-    its rows meet only where a nonzero polynomial in eps vanishes, so its
-    vertices are these entries, once each."""
+    (see _vertex_table), which runs only when some row is tight.  That
+    perturbed polytope is simple, since n + 1 of its rows meet only where a
+    nonzero polynomial in eps vanishes, so its vertices are these entries,
+    once each."""
     for entry, a, b, tight in _feasible(p):
-        lex = entry[4]
-        if all(lex[k] for k in tight):
+        if not tight or all(entry[4][k] for k in tight):
             yield entry, a, b
 
 
 def _vertices(p: HPolytope):
     """Yield the vertex (X + Y sqrt(disc)) / Q of each feasible entry, with
-    X = M a, Y = M b and Q = q den."""
+    X = M a, Y = M b (0 on a rational record) and Q = q den."""
     for (_, M, q, *_), a, b, _ in _feasible(p):
-        yield [sum(map(mul, a, row)) for row in M], [sum(map(mul, b, row)) for row in M], q * p.den
+        Y = [p.disc and sum(map(mul, b, row)) for row in M]
+        yield [sum(map(mul, a, row)) for row in M], Y, q * p.den
 
 
 def _has_interior(p: HPolytope) -> bool:
@@ -581,20 +588,24 @@ def _facet_volumes(p: HPolytope):
     <c, v>^(n-1) gcd(g_S_j) / ((n-1)! |det A_S| prod_(k != j) -<c, m_k> /
     q).  With <c, v> = (X + Y sqrt(disc)) / (q den) for X = sum_k <c, m_k>
     A_S_k (and Y on B), the q's cancel, and the entry is (X + Y
-    sqrt(disc))^(n-1) times the table's weight over scale den^(n-1).  Of
-    the rows of one hyperplane only the lowest keeps a facet once moved,
-    and the others copy its value.  Raises UnboundedPolytope."""
+    sqrt(disc))^(n-1) times the table's weight over scale den^(n-1); on a
+    rational record Y is 0, the power is X^(n-1) and ys stays 0.  Of the
+    rows of one hyperplane only the lowest keeps a facet once moved, and
+    the others copy its value.  Raises UnboundedPolytope."""
     _, _, scale, parallel, _ = _vertex_table(p.normals, p.dim)
-    A, B, disc = p.A, p.B, p.disc
-    xs, ys, power = [0] * len(A), [0] * len(A), range(p.dim - 1)
-    for (subset, _, _, _, _, cm, weights), a, b in _selected(p):
-        X, Y = sum(map(mul, cm, a)), sum(map(mul, cm, b))
-        x, y = 1, 0
-        for _ in power:
-            x, y = x * X + y * Y * disc, x * Y + y * X
-        for i, w in zip(subset, weights):
+    A, B, disc, n = p.A, p.B, p.disc, p.dim - 1
+    xs, ys = [0] * len(A), [0] * len(A)
+    for entry, a, b in _selected(p):
+        X, Y = sum(map(mul, entry[5], a)), disc and sum(map(mul, entry[5], b))
+        x, y = X**n, 0
+        if Y:
+            x = 1
+            for _ in range(n):
+                x, y = x * X + y * Y * disc, x * Y + y * X
+        for i, w in zip(entry[0], entry[6]):
             xs[i] += w * x
-            ys[i] += w * y
+            if y:
+                ys[i] += w * y
     for rows in parallel:
         shared = {}
         for i, t in rows:

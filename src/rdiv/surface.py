@@ -218,8 +218,13 @@ def _toric(D: SDivisor) -> toric.TDivisor:
 
 def h0_surface(D: SDivisor) -> int:
     """Sections of the round-down of D, taken per prime component before
-    the fibers collapse to their class: toric.h0 of the image of D.floor()."""
-    return toric.h0(_toric(D.floor()))
+    the fibers collapse to their class: x = floor(cE) + floor(cC) and y =
+    e floor(cC) + sum floor(b_i), as ints, and toric.h0 of x D_E + y D_F on
+    F_e, built straight off its integer record, with no Scalar."""
+    e, c = D.model.e, math.floor(D.cC)
+    x, y = math.floor(D.cE) + c, e * c + sum(map(math.floor, D.fiber_coeffs))
+    # the preset's rays are F, E, C and F'; offsets are coefficients negated
+    return toric.h0(toric._divisor(toric.preset_fan(f"F{e}"), 1, 0, (-y, -x, 0, 0), (0,) * 4))
 
 
 class ZariskiPair(namedtuple("ZariskiPair", "P N")):

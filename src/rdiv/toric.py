@@ -492,12 +492,16 @@ def is_big(D: TDivisor) -> bool:
 
 def is_nef(D: TDivisor) -> bool:
     """The wall rule: every wall form of the fan is >= 0 on the coefficients
-    (see _wall_forms), so <= 0 on the section polytope's record A and B."""
+    (see _wall_forms), so <= 0 on the section polytope's record A and B,
+    up to the first wall that fails; B is summed only when disc is not 0."""
     p = polytope_of(D)
     A, B, disc = p.A, p.B, p.disc
-    return all(
-        _sign(sum(map(mul, row, A)), sum(map(mul, row, B)), disc) <= 0 for row in _wall_forms(D.fan)
-    )
+    for row in _wall_forms(D.fan):
+        x = sum(map(mul, row, A))
+        y = disc and sum(map(mul, row, B))
+        if (_sign(x, y, disc) if y else x) > 0:
+            return False
+    return True
 
 
 def sigma(D: TDivisor, ray) -> Scalar:

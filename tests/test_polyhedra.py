@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -38,9 +39,12 @@ from rdiv.errors import MixedDiscriminant, UnboundedPolytope
 from rdiv.linalg import inverse, primitive
 from rdiv.polyhedra import (
     HPolytope,
+    _facet_volumes,
+    _feasible,
     _floor_sum,
     _has_interior,
     _lattice_min,
+    _minima,
     _vertex_table,
     is_bounded,
     lattice_form,
@@ -49,7 +53,7 @@ from rdiv.polyhedra import (
 )
 from rdiv.scalars import Scalar, sqrt
 from rdiv.theorems import generate_corpus
-from rdiv.toric import polytope_of, preset_fan
+from rdiv.toric import TDivisor, is_nef, polytope_of, preset_fan
 
 
 def poly(rows, dim=2):
@@ -1063,3 +1067,52 @@ def test_lattice_point_cache_equals_a_fresh_count():
             p = polytope_of(D.scale(m))
             first = lattice_points(p)
             assert lattice_points(p) == first == lattice_points.__wrapped__(p)
+
+
+# ---- the vertex-table kernels on the corpus ---------------------------------
+
+
+def test_vertex_table_kernels_are_pinned_on_the_corpus():
+    """For D, D - E, D + E and sqrt(2) D of every instance of the corpus, the
+    facet record's integers, the row test's bigness, the wall test, and on a
+    big polytope the LP minima over the fan's rays, hashed as one sha256: a
+    rewrite of the kernels must give every integer back unchanged."""
+    digest = hashlib.sha256()
+    for inst in generate_corpus(2026, 200):
+        D, E = inst.D, inst.E
+        for T in (D, D - E, D + E, D.scale(R2)):
+            p = T.polytope
+            big = _has_interior(p)
+            minima = _minima(p, T.fan.rays) if big else None
+            digest.update(repr((_facet_volumes.__wrapped__(p), big, is_nef(T), minima)).encode())
+    assert digest.hexdigest() == "9863427fe5f46d80e2cf512b01d74ee5c337a16f98b603d2ad6b2d600280edb4"
+
+
+@st.composite
+def rational_section_polytopes(draw):
+    """(fan, p): a polytope on the rays of P2, F1, P1xP1 or P3, with rational
+    offsets over a den of 1 to 4 in [-4, 4]; some are empty or flat."""
+    fan = preset_fan(draw(st.sampled_from(("P2", "F1", "P1xP1", "P3"))))
+    den = draw(st.integers(1, 4))
+    offsets = [Fraction(draw(st.integers(-4 * den, 4 * den)), den) for _ in fan.rays]
+    return fan, HPolytope(fan.dim, zip(fan.rays, offsets))
+
+
+@given(rational_section_polytopes())
+@settings(max_examples=120, deadline=None)
+@example((preset_fan("P2"), HPolytope(2, zip(preset_fan("P2").rays, (0, 0, 0)))))
+@example((preset_fan("P3"), HPolytope(3, zip(preset_fan("P3").rays, (0, Fraction(-1, 2), 0, -1)))))
+def test_the_kernels_read_a_zero_surd_half_as_a_rational_record(drawn):
+    # the same offsets relabelled into Q(sqrt 2) with every B_i = 0 take the
+    # kernels' surd half, and a rational record skips it: both give one answer
+    fan, p = drawn
+    q = HPolytope._make(p.dim, p.normals, p.den, 2, p.A, (0,) * len(p.A))
+    assert p.disc == 0 and q != p
+    feasible = [(entry, a, tight) for entry, a, _, tight in _feasible(p)]
+    assert feasible == [(entry, a, tight) for entry, a, _, tight in _feasible(q)]
+    assert all(b == [0] * p.dim for _, _, b, _ in _feasible(q))
+    xs, ys, scale = _facet_volumes.__wrapped__(p)
+    assert _facet_volumes.__wrapped__(q) == (xs, ys, scale) and not any(ys)
+    assert _has_interior(p) == _has_interior(q) == any(xs)
+    assert _minima(p, fan.rays) == _minima(q, fan.rays)
+    assert is_nef(TDivisor._make(fan, p)) == is_nef(TDivisor._make(fan, q))

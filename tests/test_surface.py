@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from oracles import (
     volume_surface,
     zariski_two_step,
 )
+from rdiv import scalars
 from rdiv.errors import MixedDiscriminant, NotBig, NotPseudoeffective, UnsupportedModel
 from rdiv.scalars import Scalar, sqrt
 from rdiv.surface import (
@@ -32,7 +34,7 @@ from rdiv.surface import (
 )
 from rdiv.theorems import R_GRID, default_m_grid
 from rdiv.toric import h0 as toric_h0
-from rdiv.toric import preset_fan, volume as toric_volume
+from rdiv.toric import Fan, preset_fan, volume as toric_volume
 
 R2 = sqrt(2)
 MODEL1 = SurfaceModel(1, ("F1", "F2", "F3", "F4"))
@@ -139,6 +141,29 @@ def test_h0_floor_applies_per_component():
     direct = class_of(D.floor())
     assert direct == (Scalar(1), Scalar(0))
     assert h0_surface(D) == h0_class(1, 0, 1) == 1
+
+
+def test_h0_surface_rounds_the_coefficients_to_ints_and_builds_no_scalar():
+    # the round-down's class x E + y F is read off the floors of cE, cC and
+    # the fiber coefficients as ints, and counted on the F_e divisor of that
+    # integer record: no Scalar is built, by Scalar() or _new, and no divisor
+    # goes through Fan.divisor
+    watched = {Scalar.__init__.__code__, scalars._new.__code__, Fan.divisor.__code__}
+    cases = [twisted(model, m) for model in (MODEL1, MODEL2) for m in (1, 3, R2, 10**9 * R2)]
+    cases.append(MODEL2.divisor({"E": Fraction(-7, 2), "C": 3, "F2": Fraction(5, 3)}))
+    built = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            built.append(frame.f_code.co_name)
+
+    sys.setprofile(watch)
+    try:
+        counts = [h0_surface(D) for D in cases]
+    finally:
+        sys.setprofile(None)
+    assert built == []
+    assert counts == [h0_surface_by_class(D) for D in cases]
 
 
 # ---- zariski ---------------------------------------------------------------
