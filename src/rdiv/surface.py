@@ -124,20 +124,25 @@ class SurfaceModel(_Frozen):
     def intersect(self, D, E):
         return intersect_classes(class_of(D), class_of(E), self.e)
 
-    def shifts(self, rng) -> list["SDivisor"]:
-        """Fiber relabelings t*(F_i - F_j), trivial on the class, over the
-        first two pairs of fibers; t = 1, or a random half-integer in 1/2..3/2."""
+    def shifts(self, rng) -> list[tuple[int, int, Scalar]]:
+        """The draws (i, j, t) of the fiber relabelings t(F_i - F_j), trivial
+        on the class, over the first two pairs of fibers; t = 1, or a random
+        half-integer in 1/2..3/2.  shift builds D + t(F_i - F_j)."""
         pairs = [(0, 1), (2, 3)][: len(self.fibers) // 2]
-        out = []
-        for i, j in pairs:
-            t = Scalar(1) if rng is None else Scalar(Fraction(rng.randint(1, 3), 2))
-            out.append(self.divisor({self.fibers[i]: t, self.fibers[j]: -t}))
-        return out
+        return [(i, j, Scalar(1) if rng is None else Scalar(Fraction(rng.randint(1, 3), 2))) for i, j in pairs]
 
-    def shift_is_integral(self, P, m) -> bool:
-        """m P ~_Z 0 for a shift P = t(F_i - F_j) of shifts: the fibers are
-        linearly equivalent, so exactly when m t is an integer."""
-        return all((b * m).is_integer() for b in P.fiber_coeffs)
+    def shift(self, D, s) -> "SDivisor":
+        """D + t(F_i - F_j) for a draw s = (i, j, t) of shifts."""
+        i, j, t = s
+        fibers = list(D.fiber_coeffs)
+        fibers[i] += t
+        fibers[j] -= t
+        return SDivisor(self, D.cE, D.cC, fibers)
+
+    def shift_is_integral(self, s, m) -> bool:
+        """m t(F_i - F_j) ~_Z 0 for a draw s = (i, j, t) of shifts: the
+        fibers are linearly equivalent, so exactly when m t is an integer."""
+        return (s[2] * m).is_integer()
 
 
 class SDivisor(_Frozen):

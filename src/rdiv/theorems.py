@@ -16,14 +16,19 @@ or h0(m(D' + E)) and h0(mD' + rE) (B).  Section counts depend only on the
 Z-linear class (not on the R-linear one), so the walk skips a shifted point
 where mP ~_Z 0, whose counts are those of mD.  It starts from the D - E or
 D + E that clause i) built, and with E = 0, where each comparison is of a
-count with itself, it asks only h0(mD) at each m.
+count with itself, it asks only h0(mD) at each m.  The shifts are drawn
+before the walk, but each stays a draw until the walk reaches it, so a
+walk that stops at D builds no divisor at all.  D is big exactly when its
+volume is positive, so the checkers read bigness off the volume that
+clause i) compares.
 
 The checkers take the variety X as a toric.Fan or a surface.SurfaceModel and
 ask it only the queries of their shared protocol (h0(D, m=1, G=None), the
 count of the round-down of mD + G, and volume, nsigma, excess, bplus,
-is_big, is_nef, intersect, shifts, shift_is_integral, labels), so both
-models run one path.  This module imports neither model; only the
-randomized corpus, drawn on preset fans, imports toric, when it runs.
+is_nef, intersect, labels, shifts(rng), the draws, shift(D, s), the
+divisor D + P of a draw s, and shift_is_integral(s, m)), so both models
+run one path.  This module imports neither model; only the randomized
+corpus, drawn on preset fans, imports toric, when it runs.
 """
 
 from __future__ import annotations
@@ -132,13 +137,15 @@ def _as_grid(values) -> list[Scalar]:
     return grid
 
 
-def _checker_grid(X, D, E, m_grid) -> list[Scalar]:
-    """A checker's preconditions, D big and E effective, then its grid."""
-    if not X.is_big(D):
+def _checker_grid(X, D, E, m_grid) -> tuple[Scalar, list[Scalar]]:
+    """A checker's preconditions, D big and E effective, then vol(D) and
+    the grid: D is big exactly when vol(D) > 0, the volume clause i) reads."""
+    vol = X.volume(D)
+    if vol.sign() <= 0:
         raise NotBig("checker needs a big divisor D")
     if not E.is_effective():
         raise NotEffective("checker needs an effective divisor E")
-    return _as_grid(m_grid)
+    return vol, _as_grid(m_grid)
 
 
 def _volume_clause(vol_d, vol_other, key: str) -> ClauseValue:
@@ -148,49 +155,54 @@ def _volume_clause(vol_d, vol_other, key: str) -> ClauseValue:
     return ClauseValue("false", {"vol_D": str(vol_d), key: str(vol_other)})
 
 
-def _sampled_clause(X, D, F, DF, m_grid, rng, steps=()) -> ClauseValue:
-    """Clause iv) sampled over D, then each principal shift D' = D + P of
-    X.shifts(rng) in turn, at each m of the grid: false at the first point
-    where h0(m(D' + F)) != h0(mD'), with F = -E for checker A and E for B,
-    or, on a shift, where h0(mD' + G) != h0(mD') for one of B's steps
-    (r, G = rE).  The witness names m, r (m itself or the step's) when
-    there are steps, and the shift's index.
+def _sampled_clause(X, D, E, DE, m_grid, rng, r_grid=()) -> ClauseValue:
+    """Clause iv) sampled over D, then over each principal shift D' = D + P
+    drawn by X.shifts(rng), in turn, at each m of the grid: false at the
+    first point where h0(m(D' -+ E)) != h0(mD'), with D -+ E the DE that
+    clause i) built (D - E for checker A, D + E for B), or, on a shift,
+    where h0(mD' + rE) != h0(mD') for one of B's steps r in r_grid.  The
+    witness names m, r (m itself or the step's) when there are steps, and
+    the shift's index.
 
     The shifts are drawn before the walk, as a corpus shares one rng
-    between instances.  A zero F makes every comparison one of a count
-    with itself, and the checkers then build neither -E nor a step (each G
-    = rE would be 0 too), so the clause is true, but h0(mD) is still asked
-    at each m: a multiple outside D's field raises MixedDiscriminant from
-    that call, as it does on the full walk.
-    Otherwise D + F is DF, which the checker built for clause i), D' + F
-    is built once per shift and each step once per walk, and no multiple
-    is built: the walk asks X.h0(D', m), X.h0(D' + F, m) and X.h0(D', m,
-    G), which round mD' + G off the records.  Where X.shift_is_integral(P,
-    m), mP ~_Z 0, so every h0 at the point is the plain walk's at m: its
-    comparison of m(D' + F) repeats one already passed and is skipped, and
-    its steps, which do not depend on P, are compared once per m, at the
-    first such shift, on the plain mD."""
-    shifts = X.shifts(rng)
-    if F.is_zero():
+    between instances, but a draw s stays a draw until the walk reaches
+    it: D' = X.shift(D, s) and D' -+ E = X.shift(DE, s) are built at the
+    shift's first m where mP is not Z-linearly trivial, and B's steps
+    G = rE once, at the first shift.  So a walk that stops at D builds no
+    divisor, and no walk builds a multiple: it asks X.h0(D', m),
+    X.h0(D' -+ E, m) and X.h0(D', m, G), which round mD' + G off the
+    records.  A zero E makes every comparison one of a count with itself,
+    so the clause is true, but h0(mD) is still asked at each m: a multiple
+    outside D's field raises MixedDiscriminant from that call, as it does
+    on the full walk.
+    Where X.shift_is_integral(s, m), mP ~_Z 0, so every h0 at the point is
+    the plain walk's at m: its comparison of m(D' -+ E) repeats one already
+    passed and is skipped, and its steps, which do not depend on P, are
+    compared once per m, at the first such shift, on the plain mD."""
+    draws = X.shifts(rng)
+    if E.is_zero():
         for m in m_grid:
             X.h0(D, m)
         return _TRUE
     plain = {}  # k: h0(mD) for the k-th m, until a shift is trivial at m
-    for shift_idx, P in enumerate([None] + shifts):
-        base = D if P is None else D + P
-        moved = DF if P is None else base + F
+    for k, m in enumerate(m_grid):
+        plain[k] = h = X.h0(D, m)
+        if X.h0(DE, m) != h:
+            return _sampled_witness(m, m if r_grid else None, 0)
+    steps = [(r, E.scale(r)) for r in r_grid] if draws else ()
+    for shift_idx, s in enumerate(draws, 1):
+        base = None
         for k, m in enumerate(m_grid):
-            if P is not None and X.shift_is_integral(P, m):
+            if X.shift_is_integral(s, m):
                 if k not in plain:
                     continue
                 at, h = D, plain.pop(k)
             else:
+                if base is None:
+                    base, moved = X.shift(D, s), X.shift(DE, s)
                 at, h = base, X.h0(base, m)
                 if X.h0(moved, m) != h:
-                    return _sampled_witness(m, m if steps else None, shift_idx)
-                if P is None:
-                    plain[k] = h
-                    continue
+                    return _sampled_witness(m, m if r_grid else None, shift_idx)
             for r, G in steps:
                 if X.h0(at, m, G) != h:
                     return _sampled_witness(m, r, shift_idx)
@@ -214,12 +226,12 @@ def check_theorem_a(X, D, E, m_grid=None, rng=None) -> TheoremReport:
     h0(mD'-mE) = h0(mD') over the grid, with D' ranging over the divisor
     and a few principal shifts of it; v) E = 0, evaluated when D is nef.
     """
-    m_grid = _checker_grid(X, D, E, m_grid)
+    vol, m_grid = _checker_grid(X, D, E, m_grid)
     DE = D - E
-    clauses = {"i": _volume_clause(X.volume(D), X.volume(DE), "vol_D_minus_E")}
+    clauses = {"i": _volume_clause(vol, X.volume(DE), "vol_D_minus_E")}
     clauses["ii"] = _support_clause(X, X.excess(E, X.nsigma(D)))
 
-    clauses["iv"] = _sampled_clause(X, D, E if E.is_zero() else E.scale(-1), DE, m_grid, rng)
+    clauses["iv"] = _sampled_clause(X, D, E, DE, m_grid, rng)
     if X.is_nef(D):
         clauses["v"] = _TRUE if E.is_zero() else ClauseValue("false", {"E": "nonzero"})
     else:
@@ -236,14 +248,13 @@ def check_theorem_b(X, D, E, m_grid=None, rng=None) -> TheoremReport:
     running over m itself and, on the principal shifts D', also R_GRID;
     v) D^(n-1).E = 0, evaluated when D is nef.
     """
-    m_grid = _checker_grid(X, D, E, m_grid)
+    vol, m_grid = _checker_grid(X, D, E, m_grid)
     DE = D + E
-    clauses = {"i": _volume_clause(X.volume(D), X.volume(DE), "vol_D_plus_E")}
+    clauses = {"i": _volume_clause(vol, X.volume(DE), "vol_D_plus_E")}
     locus = X.bplus(D)
     clauses["ii"] = _support_clause(X, next((label for label in X.labels(E) if label not in locus), None))
 
-    steps = () if E.is_zero() else [(r, E.scale(r)) for r in R_GRID]
-    clauses["iv"] = _sampled_clause(X, D, E, DE, m_grid, rng, steps)
+    clauses["iv"] = _sampled_clause(X, D, E, DE, m_grid, rng, R_GRID)
     if X.is_nef(D):
         pairing = X.intersect(D, E)
         clauses["v"] = _TRUE if pairing == 0 else ClauseValue("false", {"intersection": str(pairing)})

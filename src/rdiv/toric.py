@@ -194,26 +194,31 @@ class Fan(_Frozen):
     def intersect(self, D, E):
         return intersection_nef_div(D, E)
 
-    def shifts(self, rng) -> list["TDivisor"]:
-        """Two principal divisors div(v) of small characters, trivial on the
-        class: v the first unit vectors, or random nonzero vectors in
-        {-1, 0, 1}^n, with offsets -<v, ray> over den 1."""
+    def shifts(self, rng) -> list[tuple[int, ...]]:
+        """Two small characters v, the draws of the principal divisors
+        div(v), trivial on the class: the first unit vectors, or random
+        nonzero vectors in {-1, 0, 1}^n.  shift builds D + div(v)."""
         if rng is None:
-            vecs = [tuple(int(j == i) for j in range(self.dim)) for i in range(min(2, self.dim))]
-        else:
-            vecs = []
-            while len(vecs) < 2:
-                v = tuple(rng.randint(-1, 1) for _ in range(self.dim))
-                if any(v):
-                    vecs.append(v)
-        offsets = [[-sum(map(mul, v, ray)) for ray in self.rays] for v in vecs]
-        return [_divisor(self, 1, 0, A, (0,) * self.nrays) for A in offsets]
+            return [tuple(int(j == i) for j in range(self.dim)) for i in range(min(2, self.dim))]
+        vecs = []
+        while len(vecs) < 2:
+            v = tuple(rng.randint(-1, 1) for _ in range(self.dim))
+            if any(v):
+                vecs.append(v)
+        return vecs
 
-    def shift_is_integral(self, P, m) -> bool:
-        """m P ~_Z 0 for a shift P = div(v) of shifts: v is an integer
-        character, so m P = div(m v) is principal when m is an integer.
-        Integer coefficients of m P would not do: on a fan whose rays span
-        a sublattice, they can leave a torsion class."""
+    def shift(self, D, v) -> "TDivisor":
+        """D + div(v) for a character v of shifts, on D's own record: the
+        coefficient on ray i grows by <v, ray_i>, so A_i by -den <v, ray_i>."""
+        p = D.polytope
+        A = [a - p.den * sum(map(mul, v, ray)) for a, ray in zip(p.A, self.rays)]
+        return _divisor(self, p.den, p.disc, A, p.B)
+
+    def shift_is_integral(self, v, m) -> bool:
+        """m div(v) ~_Z 0 for a character v of shifts: v is an integer
+        character, so m div(v) = div(m v) is principal when m is an integer.
+        Integer coefficients of m div(v) would not do: on a fan whose rays
+        span a sublattice, they can leave a torsion class."""
         return _as_scalar(m).is_integer()
 
 

@@ -30,7 +30,9 @@ ample-divisor epsilon schedule against the facet rule for B+, per-cone
 nefness and Fraction cone coordinates against the wall rule, the
 two-Fraction Scalar against the integer-triple one, and the corpus
 generator that drew Scalar coefficients against the one that draws
-integer offset records.
+integer offset records, and the eager walk of the sampled clause, which
+built every shift before it started, against the one that builds a shift
+only when it reaches it.
 """
 
 import math
@@ -62,7 +64,7 @@ from rdiv.polyhedra import (
 )
 from rdiv.scalars import Scalar, _as_scalar, _floor, _Frozen, _new, _record, _squarefree_split
 from rdiv.surface import SDivisor, ZariskiPair, class_of, intersect_classes
-from rdiv.theorems import _PRESETS, CorpusInstance
+from rdiv.theorems import _PRESETS, R_GRID, ClauseValue, CorpusInstance
 from rdiv.toric import (
     Fan,
     SigmaDecomposition,
@@ -1284,3 +1286,78 @@ def generate_corpus_by_scalars(seed: int, count: int) -> list[CorpusInstance]:
         E = _random_effective(fan, rng)
         out.append(CorpusInstance(index, preset, D, E, nef_wanted))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The eager walk of clause iv), kept as the library walked it before a shift
+# stayed a draw until the walk reached it: every shift P is built before the
+# walk starts, with D + P and D + P + F, and so are A's F = -E and B's steps
+# rE.  It reads the draws of X.shifts(rng), the one rng stream a corpus
+# shares, but builds each P on its own, as principal_divisor on a fan and as
+# the divisor t F_i - t F_j on a surface, and decides mP ~_Z 0 on P's
+# coefficients: the reference for theorems._sampled_clause, which must give
+# the same clause and leave the rng in the same state.
+
+
+def shift_divisor(D, s):
+    """The shift P of a draw s of X.shifts, for X the model of D: div(v) of
+    the character s = v on a fan, and t(F_i - F_j) for s = (i, j, t) on a
+    surface model."""
+    if isinstance(D, TDivisor):
+        return principal_divisor(D.fan, s)
+    i, j, t = s
+    fibers = D.model.fibers
+    return D.model.divisor({fibers[i]: t, fibers[j]: -t})
+
+
+def _shift_is_integral(P, m) -> bool:
+    """mP ~_Z 0: m an integer for a principal div(v) on a fan, and every
+    coefficient of mP an integer for t(F_i - F_j), whose fibers are
+    linearly equivalent."""
+    if isinstance(P, TDivisor):
+        return _as_scalar(m).is_integer()
+    return all((b * m).is_integer() for b in P.fiber_coeffs)
+
+
+def _sampled_witness(m, r, shift_idx) -> ClauseValue:
+    witness = {"m": str(m)}
+    if r is not None:
+        witness["r"] = str(r)
+    if shift_idx:
+        witness["shift"] = shift_idx
+    return ClauseValue("false", witness)
+
+
+def sampled_clause_eagerly(X, theorem, D, E, m_grid, rng) -> ClauseValue:
+    """Clause iv) of checker theorem ("A" or "B") on the Scalar multiples
+    m_grid, with every divisor the walk may need built before it starts."""
+    if theorem == "A":
+        F, DF, steps = (E if E.is_zero() else E.scale(-1)), D - E, ()
+    else:
+        F, DF = E, D + E
+        steps = () if E.is_zero() else [(r, E.scale(r)) for r in R_GRID]
+    shifts = [shift_divisor(D, s) for s in X.shifts(rng)]
+    if F.is_zero():
+        for m in m_grid:
+            X.h0(D, m)
+        return ClauseValue("true")
+    plain = {}  # k: h0(mD) for the k-th m, until a shift is trivial at m
+    for shift_idx, P in enumerate([None] + shifts):
+        base = D if P is None else D + P
+        moved = DF if P is None else base + F
+        for k, m in enumerate(m_grid):
+            if P is not None and _shift_is_integral(P, m):
+                if k not in plain:
+                    continue
+                at, h = D, plain.pop(k)
+            else:
+                at, h = base, X.h0(base, m)
+                if X.h0(moved, m) != h:
+                    return _sampled_witness(m, m if steps else None, shift_idx)
+                if P is None:
+                    plain[k] = h
+                    continue
+            for r, G in steps:
+                if X.h0(at, m, G) != h:
+                    return _sampled_witness(m, r, shift_idx)
+    return ClauseValue("true")

@@ -495,6 +495,68 @@ def test_query_and_check_outputs_are_pinned(capsys, line, code, stdout):
     assert invoke(capsys, *line.split())[:2] == (code, stdout)
 
 
+# the checkers' preconditions and their walk of clause iv, byte for byte:
+# argv, exit code, stdout and stderr
+CHECK_PINS = [
+    # sections depend on the Z-linear class only, so check-b skips a shifted
+    # point at an integer m; at m = 5/2, 5/2 div(e2) is not Z-linearly
+    # trivial, and h0(mD' + mE) = h0(mD') fails on D' = D + div(e2) though
+    # it holds on D: the paper's R-linear effect at a non-integer multiple
+    (
+        ("check-b", "--preset", "P1xP1", "--divisor", "r0:1,r1:5/2,r2:5/2,r3:-2", "--effective", "r3:1/4", "--format", "json"),
+        EXIT_OK,
+        '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "7/2", "vol_D_plus_E": "21/4"}}, '
+        '"ii": {"status": "false", "witness": {"ray": "H2"}}, '
+        '"iv": {"status": "false", "witness": {"m": "5/2", "r": "5/2", "shift": 2}}, '
+        '"v": {"status": "false", "witness": {"intersection": "7/8"}}}, "theorem": "B", "verdict": "ConsistentWithPaper"}\n',
+        "",
+    ),
+    # mD' + G rounded off the offset records at an irrational m: check-a
+    # walks D and both shifts at 5/2 and sqrt(2) and passes; check-b
+    # compares the R_GRID steps G = rE on the first shift at both
+    # multiples, then fails on the second shift at m = 5/2
+    (
+        ("check-a", "--preset", "F1", "--divisor", "C:1,E:3/2+sqrt(2)", "--effective", "E:1/2", "--samples", "5/2,sqrt(2)"),
+        EXIT_OK,
+        "clause,status\ni,true\nii,true\niv,true\nv,skipped\nverdict,ConsistentWithPaper\n",
+        "",
+    ),
+    (
+        ("check-b", "--preset", "F1", "--divisor", "C:1,F:sqrt(2)", "--effective", "E:1/4", "--samples", "5/2,sqrt(2)", "--format", "json"),
+        EXIT_OK,
+        '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "1+2*sqrt(2)", "vol_D_plus_E": "15/16+5/2*sqrt(2)"}}, '
+        '"ii": {"status": "false", "witness": {"ray": "E"}}, '
+        '"iv": {"status": "false", "witness": {"m": "5/2", "r": "5/2", "shift": 2}}, '
+        '"v": {"status": "false", "witness": {"intersection": "1/4*sqrt(2)"}}}, "theorem": "B", "verdict": "ConsistentWithPaper"}\n',
+        "",
+    ),
+    (
+        ("check-a", "--preset", "P2", "--divisor", "H:1", "--effective", "H:0"),
+        EXIT_OK,
+        "clause,status\ni,true\nii,true\niv,true\nv,true\nverdict,ConsistentWithPaper\n",
+        "",
+    ),    # D is big exactly when vol(D) > 0: a zero volume fails the checker's
+    # own precondition, before any clause asks for a sigma or B+
+    (
+        ("check-a", "--preset", "F1", "--divisor", "F:1", "--effective", "E:0"),
+        EXIT_DOMAIN,
+        "",
+        "error: checker needs a big divisor D\n",
+    ),
+    (
+        ("check-b", "--e", "1", "--divisor", "F1:1", "--effective", "E:1"),
+        EXIT_DOMAIN,
+        "",
+        "error: checker needs a big divisor D\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout,stderr", CHECK_PINS, ids=[" ".join(p[0]) for p in CHECK_PINS])
+def test_a_check_prints_its_pinned_bytes(capsys, argv, code, stdout, stderr):
+    assert invoke(capsys, *argv) == (code, stdout, stderr)
+
+
 def test_corpus_runs(capsys):
     code, out, _ = invoke(capsys, "corpus", "--seed", "1", "--count", "3")
     assert code == EXIT_OK

@@ -396,7 +396,7 @@ def test_a_shift_the_query_calls_integral_keeps_every_sampled_h0(model, coeffs, 
         if model.shift_is_integral(P, m):
             for r in [m] + R_GRID:
                 for step in (E.scale(r), E.scale(-r)):
-                    assert h0_surface((D + P).scale(m) + step) == h0_surface(D.scale(m) + step)
+                    assert h0_surface(model.shift(D, P).scale(m) + step) == h0_surface(D.scale(m) + step)
 
 
 def _in_field(d):

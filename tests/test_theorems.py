@@ -5,12 +5,14 @@ import sys
 from fractions import Fraction
 
 import pytest
-from oracles import generate_corpus_by_scalars
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from oracles import generate_corpus_by_scalars, sampled_clause_eagerly
 
 from rdiv import polyhedra, theorems, toric
 from rdiv.errors import NotBig, NotEffective
 from rdiv.scalars import Scalar, parse_scalar, sqrt
-from rdiv.surface import SurfaceModel
+from rdiv.surface import SDivisor, SurfaceModel
 from rdiv.theorems import (
     CANDIDATE,
     CONSISTENT,
@@ -218,6 +220,55 @@ def test_a_zero_e_builds_no_scaling_of_e(X, monkeypatch):
     assert calls == []
 
 
+# the divisors the checkers build themselves, outside the model's queries
+# (whose own counts build what they need): a model divisor, a toric record
+# or a scaling
+_BUILDERS = {
+    toric._divisor.__code__: "_divisor",
+    toric.TDivisor.scale.__code__: "TDivisor.scale",
+    SDivisor.__init__.__code__: "SDivisor",
+    SDivisor._make.__code__: "SDivisor",
+}
+_QUERIES = ("h0", "volume", "is_big", "is_nef", "nsigma", "excess", "bplus", "intersect", "labels")
+
+
+@pytest.mark.parametrize(
+    "X, d, e, status",
+    [
+        (F1, {"C": 1, "F": Fraction(1, 2)}, {"F": Fraction(1, 2)}, "false"),
+        (MODEL1, {"C": 1, "F1": Fraction(1, 2)}, {"F1": Fraction(1, 2)}, "false"),
+        # no fibers, so no shift: the walk holds at D and ends there
+        (SurfaceModel(1), {"C": 1, "E": 1}, {"E": 1}, "true"),
+    ],
+    ids=["fan", "surface", "surface-without-shifts"],
+)
+def test_a_walk_that_stops_at_d_builds_no_shift_and_no_scaling_of_e(X, d, e, status):
+    # h0(m(D -+ E)) != h0(mD) already at D, or there is no shift, so
+    # neither checker reaches a shift: each builds clause i's D -+ E alone,
+    # and no D + P, no -E and no step rE
+    D, E = X.divisor(d), X.divisor(e)
+    queries = {getattr(type(X), name).__code__ for name in _QUERIES}
+    for check in (check_theorem_a, check_theorem_b):
+        built = []
+
+        def watch(frame, event, arg):
+            if event == "call" and frame.f_code in _BUILDERS:
+                caller = frame.f_back
+                while caller is not None and caller.f_code not in queries:
+                    caller = caller.f_back
+                if caller is None:
+                    built.append(_BUILDERS[frame.f_code])
+
+        rng = random.Random(1)
+        sys.setprofile(watch)
+        try:
+            iv = check(X, D, E, m_grid=default_m_grid(2), rng=rng).clause_values["iv"]
+        finally:
+            sys.setprofile(None)
+        assert iv.status == status and "shift" not in (iv.witness or {})
+        assert built == ["_divisor" if X is F1 else "SDivisor"]
+
+
 def test_b_on_surface_model():
     rep = check_theorem_b(MODEL1, MODEL1.divisor({"C": 1}), MODEL1.divisor({"E": 1}))
     assert rep.verdict == CONSISTENT
@@ -267,7 +318,7 @@ def test_a_witness_names_the_multiple_and_the_shift_and_stops_there(X):
     D, E = X.divisor({"C": 1, "E": 1}), X.divisor({"E": 1})
     grid = [Fraction(1), Fraction(5, 2), Fraction(3)]
     shift = X.shifts(None)[1]
-    probe = OffByOneAt(X, (D + shift).scale(Fraction(5, 2)) - E.scale(Fraction(5, 2)))
+    probe = OffByOneAt(X, X.shift(D, shift).scale(Fraction(5, 2)) - E.scale(Fraction(5, 2)))
     iv = check_theorem_a(probe, D, E, m_grid=grid).clause_values["iv"]
     assert iv == ("false", {"m": "5/2", "shift": 2}, None)
     # D at three multiples; each unit shift is Z-linearly trivial at the
@@ -282,7 +333,7 @@ def test_b_witness_names_the_multiple_the_step_and_the_shift_and_stops_there(X):
     D, E = X.divisor({"C": 1, "E": 1}), X.divisor({"E": 1})
     grid = [Fraction(1), Fraction(5, 2)]
     shift = X.shifts(None)[0]
-    probe = OffByOneAt(X, (D + shift).scale(Fraction(5, 2)) + E.scale(R_GRID[1]))
+    probe = OffByOneAt(X, X.shift(D, shift).scale(Fraction(5, 2)) + E.scale(R_GRID[1]))
     iv = check_theorem_b(probe, D, E, m_grid=grid).clause_values["iv"]
     assert iv == ("false", {"m": "5/2", "r": "1/2", "shift": 1}, None)
     # D: base and r = m at two multiples; the first shift is trivial at
@@ -309,14 +360,74 @@ def test_a_defect_at_a_z_linearly_trivial_shifted_point_is_never_asked(X):
     shift = X.shifts(None)[1]
     assert X.shift_is_integral(shift, Scalar(3))
     for check, target in (
-        (check_theorem_a, (D + shift).scale(3) - E.scale(3)),
-        (check_theorem_b, (D + shift).scale(3) + E.scale(3)),
-        (check_theorem_b, (D + shift).scale(3) + E.scale(R_GRID[1])),
-        (check_theorem_b, (D + shift).scale(3)),
+        (check_theorem_a, X.shift(D, shift).scale(3) - E.scale(3)),
+        (check_theorem_b, X.shift(D, shift).scale(3) + E.scale(3)),
+        (check_theorem_b, X.shift(D, shift).scale(3) + E.scale(R_GRID[1])),
+        (check_theorem_b, X.shift(D, shift).scale(3)),
     ):
         probe = OffByOneAt(X, target)
         assert check(probe, D, E, m_grid=grid).clause_values["iv"].is_true
         assert target not in probe.seen
+
+
+_WALK_MODELS = (F1, preset_fan("F2"), P2, preset_fan("P3"), MODEL1, SurfaceModel(2, ("F1", "F2", "F3", "F4")))
+_WALK_COEFFS = st.sampled_from(
+    [Scalar(c) for c in (-1, Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3)] + [sqrt(2), sqrt(2) / 2]
+)
+
+
+@st.composite
+def _walks(draw):
+    """A big D on a fan or a surface model, often with a negative part on E,
+    the checker, an effective E that is 0, drawn, or inside what the
+    checker's clause ii asks for (N_sigma(D) for A, B+ for B, where clause
+    iv holds and the walk runs through every shift), the rng seed, and a
+    point where h0 is off by one: none, or m D' at one of the grid's m, for
+    D' = D or one of its shifts."""
+    X, theorem = draw(st.sampled_from(_WALK_MODELS)), draw(st.sampled_from("AB"))
+    labels = ("E", "C") + X.fibers if isinstance(X, SurfaceModel) else [X.ray_name(i) for i in range(X.nrays)]
+    coeffs = {label: draw(_WALK_COEFFS) for label in labels}
+    if "E" in coeffs:
+        coeffs["E"] += draw(st.sampled_from((0, 2, 3)))
+    D = X.divisor(coeffs)
+    assume(X.volume(D).sign() > 0)
+    kind = draw(st.sampled_from(("zero", "drawn", "inside")))
+    if kind == "zero":
+        E = X.divisor({})
+    elif kind == "drawn":
+        E = X.divisor({label: draw(st.sampled_from((0, 0, Fraction(1, 2), 1))) for label in labels})
+    else:
+        E = X.nsigma(D) if theorem == "A" else X.divisor(dict.fromkeys(X.bplus(D), 1))
+    seed, grid = draw(st.integers(0, 2**32)), default_m_grid(2)
+    points = [D] + [X.shift(D, s) for s in X.shifts(random.Random(seed))]
+    defect = draw(st.none() | st.sampled_from(points).flatmap(lambda P: st.sampled_from([P.scale(m) for m in grid])))
+    return X, D, E, theorem, seed, grid, defect
+
+
+def _walk_through_the_shifts(X, theorem, seed, shift_idx, k):
+    """C + E with E on E, where clause iv holds, and h0 off by one at the
+    k-th multiple of the grid on the shift_idx-th point of the walk."""
+    D, E, grid = X.divisor({"C": 1, "E": 1}), X.divisor({"E": 1}), default_m_grid(2)
+    points = [D] + [X.shift(D, s) for s in X.shifts(random.Random(seed))]
+    return X, D, E, theorem, seed, grid, points[shift_idx].scale(grid[k])
+
+
+@given(_walks())
+@example(_walk_through_the_shifts(F1, "A", 1, 2, 3))
+@example(_walk_through_the_shifts(F1, "B", 2, 1, 4))
+@example(_walk_through_the_shifts(MODEL1, "A", 3, 1, 3))
+@example(_walk_through_the_shifts(MODEL1, "B", 4, 2, 3))
+@example(_walk_through_the_shifts(MODEL1, "B", 5, 2, 4))
+@settings(max_examples=120, deadline=None)
+def test_the_walk_matches_the_eager_walk_that_built_every_shift_first(walk):
+    X, D, E, theorem, seed, grid, defect = walk
+    check = check_theorem_a if theorem == "A" else check_theorem_b
+    probe, reference = OffByOneAt(X, defect), OffByOneAt(X, defect)
+    rng, expected = random.Random(seed), random.Random(seed)
+    iv = check(probe, D, E, m_grid=grid, rng=rng).clause_values["iv"]
+    assert iv == sampled_clause_eagerly(reference, theorem, D, E, grid, expected)
+    assert rng.getstate() == expected.getstate()
+    assert probe.seen == reference.seen
 
 
 def test_checker_reports_over_a_corpus_are_pinned():
@@ -478,14 +589,18 @@ def test_corpus_draws_build_no_fraction_scalar_or_coefficient_tuple():
 
 def test_the_sampled_clause_asks_h0_on_the_records_and_builds_no_multiple():
     # the walk asks X.h0(D', m) and X.h0(D', m, G), which round mD' + G off
-    # the offset records, and a zero E asks only h0(mD): the only scalings
-    # are check A's E.scale(-1) and check B's R_GRID steps, built for the
-    # 176 instances whose E is not 0, 176 * (1 + 2);
-    # the walk takes D -+ E from clause i, and bplus, intersect and sigma
-    # read bigness off the facet record; sigma asks lp_solve only for the
-    # rays of zero facet volume, one objective each on this corpus
+    # the offset records, and a zero E asks only h0(mD); it takes D -+ E
+    # from clause i and builds a shift, D' and D' -+ E, only where it gets
+    # to one, and B's steps E.scale(r) once, at the first shift: 7 of the
+    # 200 walks of B get there, and build 7 * 2 steps; the checkers read
+    # bigness off vol(D), and bplus, intersect and sigma off the facet
+    # record, so only generate_corpus's draws ask is_big; sigma asks
+    # lp_solve only for the rays of zero facet volume, one objective each
+    # on this corpus
     calls = {
         toric.Fan.h0.__code__: 0,
+        toric._divisor.__code__: 0,
+        toric.volume.__code__: 0,
         toric.TDivisor.scale.__code__: 0,
         toric.TDivisor.__add__.__code__: 0,
         toric.is_big.__code__: 0,
@@ -509,9 +624,11 @@ def test_the_sampled_clause_asks_h0_on_the_records_and_builds_no_multiple():
     finally:
         sys.setprofile(None)
     assert calls[toric.Fan.h0.__code__] == 1324
-    assert calls[toric.TDivisor.scale.__code__] == 528
-    assert calls[toric.TDivisor.__add__.__code__] == 252
-    assert calls[toric.is_big.__code__] == 838
+    assert calls[toric._divisor.__code__] == 1429
+    assert calls[toric.volume.__code__] == 800
+    assert calls[toric.TDivisor.scale.__code__] == 14
+    assert calls[toric.TDivisor.__add__.__code__] == 210
+    assert calls[toric.is_big.__code__] == 438
     assert calls[polyhedra.lp_solve.__code__] == 60
     assert sum(objectives) == 60
 

@@ -1151,7 +1151,7 @@ def test_a_shift_the_query_calls_integral_keeps_every_sampled_h0(fan, coeffs, e,
         if fan.shift_is_integral(P, m):
             for r in [m] + R_GRID:
                 for step in (E.scale(r), E.scale(-r)):
-                    assert h0((D + P).scale(m) + step) == h0(D.scale(m) + step)
+                    assert h0(fan.shift(D, P).scale(m) + step) == h0(D.scale(m) + step)
 
 
 def test_sigma_subadditive_and_nonnegative():
