@@ -26,14 +26,17 @@ other rows; the recession cone {u : <u, g> >= 0} is the origin alone
 exactly when the table is not empty (the normals have full rank) and no
 such column has a nonnegative product with every other row.
 
-A polytope's row test runs in one place, _feasible: it tests every row
-r at each candidate v as <g_r, v> - o_r >= 0 on integers, and yields the
-feasible candidates with the rows they meet with slack 0.  Vertices have
-one form, the integer numerators (X + Y sqrt(disc)) / Q of _vertices,
-never built as Scalars or cached.  A linear objective's minimum over a
-bounded polytope is at a vertex, so _minima reads a list of integer
-objectives in one pass over them, with no simplex: lp_solve's Scalars
-serve toric's sigma on the rays of B+, and _lattice_min rounds integers.
+A polytope's row test runs in _feasible: it tests every row r at each
+candidate v as <g_r, v> - o_r >= 0 on integers, and yields the feasible
+candidates with the rows they meet with slack 0.  _count_by_chambers
+repeats the test inline on its integer rows, as a bare comparison with no
+slack-0 record and no polytope built, since it runs once per slice of
+each chamber sum.  Vertices have one form, the integer numerators
+(X + Y sqrt(disc)) / Q of _vertices, never built as Scalars or cached.
+A linear objective's minimum over a bounded polytope is at a vertex, so
+_minima reads a list of integer objectives in one pass over them, with
+no simplex: lp_solve's Scalars serve toric's sigma on the rays of B+, and
+_lattice_min rounds integers.
 
 Bigness and the facet record come from one lexicographic selection on
 those rows of slack 0, _selected.  With each offset o_i moved to o_i +
@@ -444,17 +447,18 @@ def _count_by_chambers(rows) -> int:
     g_i = (a_i, h) with h != 0; a row with h = 0 bounds t alone, and holds
     between the lowest and the highest vertex, where t runs.  The events
     are the heights of the polytope's vertices, the first coordinates of
-    the feasible vertex-table candidates M c_S / q.  Between two of them every slice vertex is where one edge
-    crosses height t, tight on that edge's rows, so the slices keep their
-    tangent cones, and each vertex is H^-1 (c_T - a_T t) for n - 1 of those
-    rows T, whose slice normals H are nonsingular as the edge is not level.
-    On a residue class t0 + s period of such a stretch each slice vertex
-    therefore moves by s times an integer vector (see _vertex_table), and
-    by Brion's theorem the slice count f is a polynomial of degree at most
-    n - 1 in s: its N terms sum to sum_j C(N, j+1) Delta^j f(t0) over its
-    first n values.  An integer event, and a class of at most n terms, is
-    counted slice by slice.  Each slice is counted by the same rule, down to
-    _count_2d in dimension 2."""
+    the feasible vertex-table candidates M c_S / q.  Between two of them
+    every slice vertex is where one edge crosses height t, tight on that
+    edge's rows, so the slices keep their tangent cones, and each vertex is
+    H^-1 (c_T - a_T t) for n - 1 of those rows T, whose slice normals H
+    are nonsingular as the edge is not level.  On a residue class
+    t0 + s period of such a stretch each slice vertex therefore moves by
+    s times an integer vector (see _vertex_table), and by Brion's theorem
+    the slice count f is a polynomial of degree at most n - 1 in s: its N
+    terms sum to sum_j C(N, j+1) Delta^j f(t0) over its first n values.
+    An integer event, and a class of at most n terms, is counted slice by
+    slice.  Each slice is counted by the same rule, down to _count_2d in
+    dimension 2."""
     n = len(rows[0][0])
     if n == 2:
         return _count_2d(rows)

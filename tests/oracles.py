@@ -7,8 +7,8 @@ vertex enumeration, shoelace areas, box-membership lattice counts and
 point lists (sharing nothing with the library's counts or with the
 slicer below) and degree-by-degree section sums on F_e, all in exact
 arithmetic.  Helpers that only tests use (translation, dilation, the
-Euclidean volume, ceilings, the principal divisor of a character) sit
-here too, with the EmptyPolytope error that only the vertex and volume
+Euclidean volume, ceilings, the principal divisor of a character, a run
+in a fresh interpreter) sit here too, with the EmptyPolytope error that only the vertex and volume
 oracles raise, and so does the vertex set by Scalar elimination of every
 n-subset of rows, the old library rule that the integer vertex table of
 polyhedra must match exactly once its numerators are built as Scalars
@@ -36,7 +36,10 @@ only when it reaches it.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -321,6 +324,14 @@ def h0_class_loop(x, y, e):
     if x < 0:
         return 0
     return sum(max(0, y - k * e + 1) for k in range(x + 1))
+
+
+def fresh(*args, timeout=60):
+    """(exit code, stdout, stderr) of `python ARGS` in a fresh interpreter
+    on this run's import path, killed after timeout seconds."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 import contextlib
 import functools
 import io
+import itertools
 import json
 import math
-import os
-import subprocess
+import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import fresh
 
 import rdiv
 import rdiv.toric
@@ -37,9 +39,7 @@ def invoke(capsys, *argv):
 
 
 def test_volume_f1(capsys):
-    code, out, _ = invoke(capsys, "volume", "--preset", "F1", "--divisor", "C:1,E:1")
-    assert code == EXIT_OK
-    assert out.strip() == "1"
+    assert invoke(capsys, "volume", "--preset", "F1", "--divisor", "C:1,E:1") == (EXIT_OK, "1\n", "")
 
 
 def test_h0_scaled_simplex(capsys):
@@ -58,10 +58,8 @@ def test_paper_example_exit_zero(capsys):
 
 
 def test_paper_example_negative_e_is_a_parse_error(capsys):
-    code, out, err = invoke(capsys, "paper-example", "--e", "-1")
-    assert code == EXIT_PARSE
-    assert out == ""
-    assert err.startswith("parse error: --e: ")
+    line = "parse error: --e: the ruling invariant e must be non-negative\n"
+    assert invoke(capsys, "paper-example", "--e", "-1") == (EXIT_PARSE, "", line)
 
 
 def test_paper_example_e_zero_is_a_domain_error(capsys):
@@ -167,12 +165,10 @@ def test_hilbert_jobs_is_ignored(capsys, jobs, samples):
 
 def test_a_huge_sqrt_literal_is_a_parse_error_in_bounded_time():
     # trial division up to the square root of 10**16 + 61 ran for minutes
-    argv = ["h0", "--preset", "P2", "--divisor", "H:sqrt(10000000000000061)"]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    cmd = [sys.executable, "-m", "rdiv.cli", *argv]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10)
-    assert proc.returncode == EXIT_PARSE, proc.stderr
-    assert "digits" in proc.stderr and proc.stdout == ""
+    argv = ("h0", "--preset", "P2", "--divisor", "H:sqrt(10000000000000061)")
+    code, out, err = fresh("-m", "rdiv.cli", *argv, timeout=10)
+    assert code == EXIT_PARSE, err
+    assert "digits" in err and out == ""
 
 
 def _digits(text: str) -> int:
@@ -184,16 +180,20 @@ def _digits(text: str) -> int:
 @pytest.mark.parametrize("command", ["volume", "h0"])
 def test_an_exact_answer_over_the_str_digit_limit_is_printed(command):
     # vol(mH) = m^2 = 10**5000 and h0(mH) = C(m + 2, 2) on P2 have over the
-    # 4,300 digits Python converts by default; the answer is still exact
+    # 4,300 digits Python converts by default; the answer is still exact,
+    # one line of digits with no leading zero
     m = 10**2500
-    argv = [command, "--preset", "P2", "--divisor", "H:1", "--scale", "1" + "0" * 2500]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    cmd = [sys.executable, "-m", "rdiv.cli", *argv]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert "Traceback" not in proc.stderr
-    out = proc.stdout.strip()
-    assert _digits(out) == (m * m if command == "volume" else math.comb(m + 2, 2))
+    code, out, err = fresh("-m", "rdiv.cli", command, "--preset", "P2", "--divisor", "H:1", "--scale", str(m))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.endswith("\n") and not out.startswith("0")
+    assert _digits(out[:-1]) == (m * m if command == "volume" else math.comb(m + 2, 2))
+
+
+def test_h0_of_p3_at_a_billion_is_exact_in_a_fresh_process_within_20_s():
+    # a 3-fold count is a chamber sum whose cost does not grow with m:
+    # C(10^9 + 3, 3) sections of 10^9 H on P3
+    argv = ("h0", "--preset", "P3", "--divisor", "H:1", "--scale", "1000000000")
+    assert fresh("-m", "rdiv.cli", *argv, timeout=20) == (EXIT_OK, f"{math.comb(10**9 + 3, 3)}\n", "")
 
 
 def _run_at_the_default_digit_limit(argv):
@@ -217,11 +217,8 @@ def _run_at_the_default_digit_limit(argv):
 
 def test_an_exact_answer_over_the_str_digit_limit_is_printed_in_process():
     # Scalar prints the 5,001 digits of vol(10**2500 H) = 10**5000 on P2 on its own
-    code, out, err = _run_at_the_default_digit_limit(
-        ["volume", "--preset", "P2", "--divisor", "H:1", "--scale", "1" + "0" * 2500]
-    )
-    assert code == EXIT_OK, err
-    assert out == "1" + "0" * 5000 + "\n"
+    argv = ["volume", "--preset", "P2", "--divisor", "H:1", "--scale", "1" + "0" * 2500]
+    assert _run_at_the_default_digit_limit(argv) == (EXIT_OK, "1" + "0" * 5000 + "\n", "")
 
 
 P2_H = ["--preset", "P2", "--divisor", "H:1"]
@@ -259,10 +256,7 @@ def test_an_int_answer_over_the_str_digit_limit_is_printed_in_process(argv, read
 
 def test_cli_import_loads_no_process_pool():
     code = "import sys, rdiv.cli; print('concurrent.futures' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert fresh("-c", code) == (0, "False\n", "")
 
 
 # The rdiv modules a cold `python -m rdiv.cli <subcommand>` loads besides the
@@ -286,11 +280,9 @@ sys.exit(code)
 
 
 def _loaded_modules(*argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    cmd = [sys.executable, "-c", _LOADED_BY_CLI, *argv]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == EXIT_OK, proc.stderr
-    return set(proc.stderr.rpartition("\n")[2].split())
+    code, _, err = fresh("-c", _LOADED_BY_CLI, *argv)
+    assert code == EXIT_OK, err
+    return set(err.rpartition("\n")[2].split())
 
 
 @pytest.mark.parametrize("argv", CLI_GOLDEN["argv"], ids=" ".join)
@@ -305,10 +297,17 @@ def test_a_cold_subcommand_loads_only_the_layers_it_uses(argv):
 
 def test_import_rdiv_loads_no_submodule():
     code = "import sys, rdiv; print(sorted(m for m in sys.modules if m.split('.')[0] == 'rdiv'))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['rdiv']"
+    assert fresh("-c", code) == (0, "['rdiv']\n", "")
+
+
+def test_a_star_import_binds_every_public_name():
+    # the package's public names load on first use; each one resolves, with
+    # the digit limit lifted as a caller may lift it
+    code = (
+        "import sys; hasattr(sys, 'set_int_max_str_digits') and sys.set_int_max_str_digits(0); "
+        "from rdiv import *; import rdiv; print([n for n in rdiv.__all__ if n not in globals()])"
+    )
+    assert fresh("-c", code) == (0, "[]\n", "")
 
 
 def test_every_public_name_resolves_and_is_listed():
@@ -443,8 +442,7 @@ BLOWUP = {
 def test_a_non_simple_vertex_of_a_3_fold(capsys, tmp_path, argv, expected):
     path = tmp_path / "blowup.json"
     path.write_text(json.dumps(BLOWUP))
-    code, out, _ = invoke(capsys, *argv, "--file", str(path))
-    assert code == EXIT_OK and out.strip() == expected
+    assert invoke(capsys, *argv, "--file", str(path)) == (EXIT_OK, expected + "\n", "")
 
 
 def test_check_a_consistent_exit(capsys):
@@ -495,9 +493,11 @@ def test_query_and_check_outputs_are_pinned(capsys, line, code, stdout):
     assert invoke(capsys, *line.split())[:2] == (code, stdout)
 
 
-# the checkers' preconditions and their walk of clause iv, byte for byte:
-# argv, exit code, stdout and stderr
-CHECK_PINS = [
+# runs byte for byte: argv, exit code, stdout and stderr.  The checkers'
+# preconditions and their walk of clause iv, answers on sqrt(2) divisors
+# and 3-folds, and parse errors
+SQRT2_P3 = "r0:1/2*sqrt(2),r1:1,H:1"
+CLI_PINS = [
     # sections depend on the Z-linear class only, so check-b skips a shifted
     # point at an integer m; at m = 5/2, 5/2 div(e2) is not Z-linearly
     # trivial, and h0(mD' + mE) = h0(mD') fails on D' = D + div(e2) though
@@ -535,7 +535,8 @@ CHECK_PINS = [
         EXIT_OK,
         "clause,status\ni,true\nii,true\niv,true\nv,true\nverdict,ConsistentWithPaper\n",
         "",
-    ),    # D is big exactly when vol(D) > 0: a zero volume fails the checker's
+    ),
+    # D is big exactly when vol(D) > 0: a zero volume fails the checker's
     # own precondition, before any clause asks for a sigma or B+
     (
         ("check-a", "--preset", "F1", "--divisor", "F:1", "--effective", "E:0"),
@@ -549,12 +550,107 @@ CHECK_PINS = [
         "",
         "error: checker needs a big divisor D\n",
     ),
+    # a 3-D volume through polygon facets, interval edges and sqrt(2) ends:
+    # this divisor is linearly equivalent to (2 + sqrt(2)/2) H, so vol = (2 + sqrt(2)/2)^3
+    (("volume", "--preset", "P3", "--divisor", SQRT2_P3), EXIT_OK, "11+25/4*sqrt(2)\n", ""),
+    # H and r0 are linearly equivalent on P3, so their 1000th multiples
+    # share one lattice-count class: C(1003, 3) sections each
+    (("h0", "--preset", "P3", "--divisor", "H:1", "--scale", "1000"), EXIT_OK, "167668501\n", ""),
+    (("h0", "--preset", "P3", "--divisor", "r0:1", "--scale", "1000"), EXIT_OK, "167668501\n", ""),
+    # a chamber sum on a rounded sqrt(2) offset: 100 times the divisor rounds
+    # down to k H with k = floor(50 sqrt(2)) + 200 = 270, so C(273, 3)
+    (("h0", "--preset", "P3", "--divisor", SQRT2_P3, "--scale", "100"), EXIT_OK, "3353896\n", ""),
+    # sigma from the facet record and one vertex read: D.E = sqrt(2) - 5 < 0
+    # on F2, so sigma_E = (5 - sqrt(2))/2
+    (
+        ("sigma", "--preset", "F2", "--divisor", "C:1,E:5/2,F:sqrt(2)", "--format", "json"),
+        EXIT_OK,
+        '{"sigma": {"C": "0", "E": "5/2-1/2*sqrt(2)", "F": "0", "r2": "0"}}\n',
+        "",
+    ),
+    # N_sigma and P_sigma of a sqrt(2) divisor on F1: the facet record and
+    # one vertex read give every ray's sigma, and P_sigma = D - N_sigma
+    (
+        ("nsigma", "--preset", "F1", "--divisor", "C:1,E:3,F:1/2*sqrt(2)", "--format", "json"),
+        EXIT_OK,
+        '{"N": {"C": "0", "E": "3-1/2*sqrt(2)", "F": "0", "r2": "0"}, '
+        '"P": {"C": "1", "E": "1/2*sqrt(2)", "F": "1/2*sqrt(2)", "r2": "0"}}\n',
+        "",
+    ),
+    # a sorted label list for bplus: C is nef but not ample on F1
+    (("bplus", "--preset", "F1", "--divisor", "C:1", "--format", "json"), EXIT_OK, '{"bplus": ["E"]}\n', ""),
+    # bigness from the vertex table's row test, with no volume: sqrt(2) F on
+    # F1 is a segment with a sqrt(2) end, and the second divisor has vol
+    # 5/2 + 2 sqrt(2)
+    (("big", "--preset", "F1", "--divisor", "F:sqrt(2)"), EXIT_OK, "false\n", ""),
+    (("big", "--preset", "F1", "--divisor", "C:1,E:1/2*sqrt(2),F:sqrt(2)"), EXIT_OK, "true\n", ""),
+    # two coefficients for one ray ("H" is ray r2 of P2)
+    (
+        ("h0", "--preset", "P2", "--divisor", "H:1,r2:2"),
+        EXIT_PARSE,
+        "",
+        "parse error: divisors: 'H' and 'r2' both name ray 2\n",
+    ),
+    # an empty option value is given, not absent
+    (
+        ("h0", "--preset", "P2", "--divisor", "H:1", "--scale", ""),
+        EXIT_PARSE,
+        "",
+        "parse error: scale: bad scalar literal ''\n",
+    ),
+    # an empty --fibers names one empty fiber label, not the default fibers
+    (
+        ("h0", "--e", "1", "--fibers", "", "--divisor", "C:1,F1:1"),
+        EXIT_PARSE,
+        "",
+        "parse error: --e: fiber labels must be nonempty\n",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv,code,stdout,stderr", CHECK_PINS, ids=[" ".join(p[0]) for p in CHECK_PINS])
+@pytest.mark.parametrize("argv,code,stdout,stderr", CLI_PINS, ids=[" ".join(p[0]) for p in CLI_PINS])
 def test_a_check_prints_its_pinned_bytes(capsys, argv, code, stdout, stderr):
     assert invoke(capsys, *argv) == (code, stdout, stderr)
+
+
+WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def _workflow_runs():
+    """(line, argv, pin) for each line of the CI workflow that runs `rdiv
+    <subcommand>`, comments and the text from an `echo` on left out.  argv
+    is read as shell words up to the first operator, and holds a word with
+    a `$` where a word is not plain (a shell variable or a command
+    substitution).  On a line `expect CODE STDOUT STDERR rdiv ...`, pin is
+    (CODE, STDOUT, STDERR) as the step compares them, else None."""
+    command = re.compile(rf"\brdiv ({'|'.join(SUBCOMMAND_FLAGS)})\b")
+    for line in WORKFLOW.read_text(encoding="utf-8").splitlines():
+        text = line.split("echo", 1)[0]
+        match = command.search(text)
+        if match is None or text.lstrip().startswith("#"):
+            continue
+        words = shlex.shlex(text[match.end(1) :], posix=True, punctuation_chars=True)
+        words.whitespace_split = True
+        argv = (match[1], *itertools.takewhile(lambda w: not (w and set(w) <= set("();<>|&")), words))
+        pin = None
+        if text.split()[0] == "expect":
+            code, stdout, stderr = shlex.split(text)[1:4]
+            pin = (int(code), stdout, stderr)
+        yield line.strip(), argv, pin
+
+
+def test_every_rdiv_run_of_the_workflow_is_a_pinned_row():
+    # each pin of the CI step is a row that tier-1 runs through cli.run, and
+    # a step that compares outputs compares the row's, newlines stripped as
+    # $(...) strips them; a QUERY_PINS row pins no stderr
+    rows = {argv: (code, out, err) for argv, code, out, err in CLI_PINS}
+    rows |= {tuple(line.split()): (code, out, None) for line, code, out in QUERY_PINS}
+    runs = list(_workflow_runs())
+    assert runs
+    assert [line for line, argv, _ in runs if argv not in rows] == []
+    for line, argv, pin in runs:
+        code, out, err = rows[argv]
+        assert pin in (None, (code, out.rstrip("\n"), err and err.rstrip("\n"))), line
 
 
 def test_corpus_runs(capsys):
@@ -716,6 +812,10 @@ def test_file_divisor_naming_one_ray_twice_is_a_parse_error(capsys, tmp_path):
             "parse error: disc: sqrt(1000000000000000000000): discriminants have at most 15 digits",
         ),
         ('{"variety": "P2", "divisors": {"E": {"H": "1"}}}', "parse error: divisors: unknown divisor 'D'"),
+        (
+            '{"variety": {"rays": [[1,0],[0,1],[-1,-1]], "cones": [[0,1],[1,5],[2,0]]}, "divisors": {"D": {"r0": "1"}}}',
+            "parse error: variety: InvariantViolation: cone (1, 5): ray 5 is outside 0..2",
+        ),
     ],
     ids=[
         "repeated-coefficient",
@@ -730,6 +830,7 @@ def test_file_divisor_naming_one_ray_twice_is_a_parse_error(capsys, tmp_path):
         "disc-8",
         "disc-22-digits",
         "unknown-divisor",
+        "cone-ray-out-of-range",
     ],
 )
 def test_malformed_problem_file_is_a_parse_error(capsys, tmp_path, text, line):

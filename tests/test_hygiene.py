@@ -4,13 +4,16 @@ dependencies), every name a module imports is used, every cache has a
 finite size, so a long run cannot grow memory without limit, value
 equality has one rule per kind of value, no instance is made around the
 makers in scalars, no assert statement is left for python -O to strip, and
-every private function or class has a reader in the package."""
+every private function or class has a reader in the package.  Also the
+line count CI writes for the library, tests/line_count.py."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+import line_count
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "rdiv").glob("*.py"))
 
@@ -170,3 +173,29 @@ def test_every_private_definition_has_a_library_reader():
         f"{module}:{name}" for module, name in defined if not readers.get(name, set()) - {(module, name)}
     ]
     assert not orphans, f"private definitions that nothing reads: {orphans}"
+
+
+def test_the_line_count_splits_every_library_line():
+    # wc -l counts newlines: each file's kinds sum to its own count, and
+    # the total row to that of src/rdiv/*.py
+    table = line_count.rows(str(SOURCES[0].parent / "*.py"))
+    assert [Path(path) for path, _ in table[:-1]] == SOURCES
+    for path, counts in table[:-1]:
+        assert sum(counts) == Path(path).read_bytes().count(b"\n"), path
+    assert table[-1] == ("total", [sum(col) for col in zip(*(counts for _, counts in table[:-1]))])
+    assert sum(table[-1][1]) == sum(path.read_bytes().count(b"\n") for path in SOURCES)
+
+
+def test_the_line_count_reads_each_kind_of_line():
+    text = (
+        '"""A module."""\n'
+        "# a comment\n"
+        "\n"
+        "x = 1  # code, with a comment after it\n"
+        "def f():\n"
+        '    """A docstring over three lines,\n'
+        "\n"
+        '    the blank one included."""\n'
+        '    return "a string that is not the first statement"\n'
+    )
+    assert line_count.kinds(text) == ["docstring", "comment", "blank", "code", "code"] + ["docstring"] * 3 + ["code"]

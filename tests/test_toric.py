@@ -16,6 +16,7 @@ from oracles import (
     bplus_halving,
     euclidean_volume,
     facet_scalars,
+    fresh,
     is_nef_by_cones,
     lattice_point_list,
     principal_divisor,
@@ -881,10 +882,20 @@ def test_sigma_limit_oracle_dominates_sigma_and_falls_along_doublings(fan, coeff
         assert at_m >= at_2m >= at_4m >= sigma(D, ray)
 
 
+# the fractional part of m sqrt(2) over m, at m = 10^9
+SIGMA_LIMIT_AT_A_BILLION = """
+from fractions import Fraction
+from rdiv import preset_fan, sqrt
+from rdiv.toric import sigma_limit_oracle
+D = preset_fan("P3").divisor({"r0": sqrt(2), "H": 1})
+print(sigma_limit_oracle(D, "r0", [10**9]) == [sqrt(2) - Fraction(1414213562, 10**9)])
+"""
+
+
 def test_sigma_limit_oracle_on_p3_at_a_billion():
-    # the fractional part of m sqrt(2) over m, at m = 10^9
-    D = P3.divisor({"r0": sqrt(2), "H": 1})
-    assert sigma_limit_oracle(D, "r0", [10**9]) == [sqrt(2) - Fraction(1414213562, 10**9)]
+    # in a fresh process killed after a minute: the oracle's cost does not
+    # grow with m
+    assert fresh("-c", SIGMA_LIMIT_AT_A_BILLION, timeout=60) == (0, "True\n", "")
 
 
 @pytest.mark.parametrize("m", [2.7, Fraction(5, 2), True, Scalar(5), 0, -3, "2"])
