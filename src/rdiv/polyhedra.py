@@ -71,14 +71,16 @@ one lower and one upper edge are active, and the points over that stretch
 are two Euclid-like floor sums, so the cost does not grow with the
 dilation.  Above that it is a chamber sum over the first coordinate t,
 _count_by_chambers.  The heights of the vertices split t's range into
-stretches on which the slices keep their tangent cones, and on each
-residue class of a stretch modulo the vertex table's period (the lcm of
-the (n-1)-minors of the slice normals) the slice count is a polynomial of
-degree at most n - 1 in t, by Brion's theorem, so its first n values and
-their differences sum the class (Clauss-Loechner's parametric count).  So a
-count costs a few slices per stretch and class, each counted by the same
-rule one dimension down, and its cost does not grow with the dilation
-either.
+stretches, inside which every slice vertex is where an edge of the
+polytope crosses height t.  Every edge is a column of M in some feasible
+entry of the vertex table, and moving t by that entry's step moves the
+slice vertex on it by an integer vector.  So on each residue class of a
+stretch modulo the period, the lcm of the feasible entries' steps, the
+slice count is a polynomial of degree at most n - 1 in t (McMullen 1977),
+and its first n values and their differences sum the class
+(Clauss-Loechner's parametric count).  So a count costs a few slices per
+stretch and class, each counted by the same rule one dimension down, and
+its cost does not grow with the dilation either.
 
 toric's sigma limit oracle asks for the least <g, u> over the lattice
 points, for a ray g.  _lattice_min walks t up the multiples of gcd(g)
@@ -181,9 +183,9 @@ def _minima(p: HPolytope, objectives):
 @lru_cache(maxsize=256)
 def _vertex_table(normals: tuple[tuple[int, ...], ...], n: int):
     """The normals-only part of vertex enumeration, of the facet record and
-    of the lattice count, as (bounded, table, scale, parallel, period).  For
-    each nonsingular n-subset S of the rows, in increasing order, the table
-    holds (S, M, q, forms, lex, cm, weights) with A_S^-1 = M / q from
+    of the lattice count, as (bounded, table, scale, parallel).  For each
+    nonsingular n-subset S of the rows, in increasing order, the table holds
+    (S, M, q, forms, lex, cm, weights, step) with A_S^-1 = M / q from
     linalg.inverse, and forms the integer (r, w_r = g_r M) of every other
     row r.  The candidate vertex of S is M o_S / q, and <g_r, v> >= o_r
     there is sum_k w_r,k o_S_k >= q o_r.
@@ -202,11 +204,10 @@ def _vertex_table(normals: tuple[tuple[int, ...], ...], n: int):
     denominators; scale is L (n-1)!.  parallel lists each set of two or more
     rows with one primitive normal, as pairs (i, K / gcd(g_i)) in row order,
     for K the lcm of the set's gcds: o_i K / gcd(g_i) is one value on the
-    rows of one hyperplane.  period is the lcm of |det| over the nonsingular
-    (n-1)-subsets of the slice normals, each normal less its first entry:
-    a slice's vertices are those subsets' inverses applied to its offsets,
-    so moving the first coordinate by period moves every one of them by an
-    integer vector (see _count_by_chambers).
+    rows of one hyperplane.  step is the lcm of |m_k[0]| / gcd(m_k) over the
+    columns with m_k[0] != 0: a point that moves along m_k while its first
+    coordinate moves by s moves by s m_k / m_k[0], an integer vector when
+    step divides s (see _count_by_chambers).
 
     bounded is True iff the recession cone {u : <u, g> >= 0 for all g} is
     the origin alone.  Column k of M is zero on every row of S but s_k and
@@ -236,7 +237,8 @@ def _vertex_table(normals: tuple[tuple[int, ...], ...], n: int):
         )
         lex = tuple(next((s < r and x > 0 for s, x in zip(subset, w) if x), False) for r, w in forms)
         weights = tuple(-x * math.gcd(*normals[s]) * lcm // d for s, x in zip(subset, cm))
-        table.append((subset, M, q, forms, lex, cm, weights))
+        step = math.lcm(*(abs(m[0]) // math.gcd(*m) for m in ms if m[0]))
+        table.append((subset, M, q, forms, lex, cm, weights, step))
     bounded = bool(table) and not any(
         all(w[k] >= 0 for _, w in entry[3]) for entry in table for k in range(n)
     )
@@ -249,11 +251,7 @@ def _vertex_table(normals: tuple[tuple[int, ...], ...], n: int):
         for rows in by_normal.values()
         if len(rows) > 1
     )
-    heads = [g[1:] for g in normals]
-    period = math.lcm(
-        *(inv[2] for rows in itertools.combinations(heads, n - 1) if (inv := inverse(rows)))
-    )
-    return bounded, tuple(table), lcm * math.factorial(n - 1), parallel, period
+    return bounded, tuple(table), lcm * math.factorial(n - 1), parallel
 
 
 def is_bounded(p: HPolytope) -> bool:
@@ -448,31 +446,35 @@ def _count_by_chambers(rows) -> int:
     between the lowest and the highest vertex, where t runs.  The events
     are the heights of the polytope's vertices, the first coordinates of
     the feasible vertex-table candidates M c_S / q.  Between two of them
-    every slice vertex is where one edge crosses height t, tight on that
-    edge's rows, so the slices keep their tangent cones, and each vertex is
-    H^-1 (c_T - a_T t) for n - 1 of those rows T, whose slice normals H
-    are nonsingular as the edge is not level.  On a residue class
-    t0 + s period of such a stretch each slice vertex therefore moves by
-    s times an integer vector (see _vertex_table), and by Brion's theorem
-    the slice count f is a polynomial of degree at most n - 1 in s: its N
-    terms sum to sum_j C(N, j+1) Delta^j f(t0) over its first n values.
-    An integer event, and a class of at most n terms, is counted slice by
+    every slice vertex is where an edge, not level, crosses height t, so
+    the slices keep their tangent cones.  That edge is a column m_k of M in
+    a feasible entry: its n - 1 tight rows and one more row tight at one of
+    its ends make a nonsingular S whose candidate is that end.  Along m_k
+    the slice vertex moves by an integer vector whenever t moves by a
+    multiple of the entry's step (see _vertex_table).  So with period the
+    lcm of the steps of the feasible entries, read in the loop that finds
+    the events, each slice vertex moves by s times an integer vector on a
+    residue class t0 + s period of a stretch, and the slice count f is a
+    polynomial of degree at most n - 1 in s (McMullen 1977): its N terms
+    sum to sum_j C(N, j+1) Delta^j f(t0) over its first n values.  An
+    integer event, and a class of at most n terms, is counted slice by
     slice.  Each slice is counted by the same rule, down to _count_2d in
     dimension 2."""
     n = len(rows[0][0])
     if n == 2:
         return _count_2d(rows)
-    _, table, _, _, period = _vertex_table(tuple(g for g, _ in rows), n)
+    table = _vertex_table(tuple(g for g, _ in rows), n)[1]
     c = [o for _, o in rows]
     # each event e cuts before ceil(e) and after floor(e): an integer event
     # is a stretch of its own, and the stretches cover [min e, max e]
-    cuts = set()
-    for subset, M, q, forms, *_ in table:
+    cuts, period = set(), 1
+    for subset, M, q, forms, *_, step in table:
         cs = [c[s] for s in subset]
         if all(sum(map(mul, w, cs)) >= q * c[r] for r, w in forms):
             x = sum(map(mul, M[0], cs))
             cuts.add(-(-x // q))
             cuts.add(x // q + 1)
+            period = math.lcm(period, step)
     cuts = sorted(cuts)
     cut = [(g[0], g[1:], o) for g, o in rows if any(g[1:])]
 
@@ -596,7 +598,7 @@ def _facet_volumes(p: HPolytope):
     rational record Y is 0, the power is X^(n-1) and ys stays 0.  Of the
     rows of one hyperplane only the lowest keeps a facet once moved, and
     the others copy its value.  Raises UnboundedPolytope."""
-    _, _, scale, parallel, _ = _vertex_table(p.normals, p.dim)
+    _, _, scale, parallel = _vertex_table(p.normals, p.dim)
     A, B, disc, n = p.A, p.B, p.disc, p.dim - 1
     xs, ys = [0] * len(A), [0] * len(A)
     for entry, a, b in _selected(p):

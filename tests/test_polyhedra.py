@@ -504,8 +504,9 @@ def test_interval_count_matches_membership_oracle(p):
     assert sorted(lattice_point_list(p)) == pts
 
 
-# slice normals, each set with a chamber-sum period (the lcm of |det| over
-# its (n-1)-subsets) of 1, 2 or 3
+# slice normals, each set with every (n-1)-minor in -3..3 and their lcm 1,
+# 2 or 3, so that a chamber-sum period, the lcm of the steps of a
+# polytope's edges (see polyhedra._vertex_table), stays small
 SLICE_NORMALS = {
     3: (
         ((1, 0), (0, 1), (-1, -1)),
@@ -560,6 +561,31 @@ def wide_polytopes(draw):
 @example(poly([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -30), ((1, 1, 1), 0)], dim=3))
 def test_chamber_sum_matches_the_per_slice_count(p):
     assert lattice_points(p) == lattice_points_by_slices(p)
+
+
+# section polytopes of 8 D on a 7-ray 3-fold and of 4 D on a 7-ray 4-fold
+# (tests/fans.py, seeds 163 and 145): both have chamber-sum period 6 and
+# longest stretches of 42 and 33, so both counts sum residue classes by
+# their differences; a period of 1, or one taken off a single entry or a
+# single column of each entry, miscounts them
+PERIOD_PINS = (
+    (
+        [((1, 0, 0), -32), ((0, 1, 0), -16), ((0, 0, 1), -32), ((-1, -1, -1), -24),
+         ((3, 1, 2), -16), ((0, 1, -1), -24), ((-1, 1, -2), -16)],
+        58421,
+    ),
+    (
+        [((1, 0, 0, 0), -4), ((0, 1, 0, 0), -16), ((0, 0, 1, 0), -4), ((0, 0, 0, 1), -12),
+         ((-1, -1, -1, -1), -16), ((2, 0, 1, -1), -12), ((2, -1, 1, -2), -4)],
+        309509,
+    ),
+)
+
+
+@pytest.mark.parametrize("rows, count", PERIOD_PINS, ids=["3-fold", "4-fold"])
+def test_chamber_sum_with_a_period_above_one(rows, count):
+    p = poly(rows, dim=len(rows[0][0]))
+    assert lattice_points(p) == lattice_points_by_slices(p) == count
 
 
 @given(

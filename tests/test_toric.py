@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fans import star_fan
 from oracles import (
     EmptyPolytope,
     LPProblem,
@@ -19,6 +20,7 @@ from oracles import (
     fresh,
     is_nef_by_cones,
     lattice_point_list,
+    lattice_points_by_slices,
     principal_divisor,
     scalar_lasserre_volume,
     sigma_decomposition_by_lp,
@@ -350,6 +352,32 @@ def test_h0_tells_a_real_translate_from_the_divisor(first):
         for u in ((1, 0), (-2, 3), (5, 7)):
             shifted = (D + principal_divisor(P2, u)).scale(m)
             assert lattice_form(polytope_of(shifted)) == form
+
+
+@st.composite
+def star_divisors(draw):
+    """(D, m, perm): a big divisor with coefficients in quarters on a star
+    subdivision of P3 or P4 with 5 to 8 rays (tests/fans.py), a multiple m
+    in 1..4, and a permutation of the coordinates that moves the first."""
+    n = draw(st.sampled_from([3, 4]))
+    fan = star_fan(n, draw(st.integers(5, 8)), draw(st.integers(0, 2**16)))
+    D = fan.divisor([Fraction(draw(st.integers(-2, 8)), 4) for _ in fan.rays])
+    assume(is_big(D))
+    perm = draw(st.permutations(range(n)).filter(lambda s: s[0] != 0))
+    return D, draw(st.integers(1, 4)), perm
+
+
+@given(star_divisors())
+@settings(max_examples=100, deadline=None)
+def test_h0_on_a_generated_fan_matches_the_per_slice_count(drawn):
+    D, m, perm = drawn
+    count = h0(D, m)
+    assert count == lattice_points_by_slices(polytope_of(D.scale(m)))
+    # the same rays with their coordinates permuted slice another coordinate
+    # first, with other events, stretches and periods
+    fan = D.fan
+    moved = Fan(fan.dim, [tuple(r[i] for i in perm) for r in fan.rays], fan.max_cones)
+    assert h0(moved.divisor(D.coeffs), m) == count
 
 
 # ---- volume and positivity -------------------------------------------------
