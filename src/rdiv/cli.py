@@ -338,9 +338,9 @@ def _cmd_sigma(args):
 
 
 def _cmd_nsigma(args):
-    variety, D, _ = _load_context(args)
+    context = variety, D, _ = _load_context(args)
     if variety.label_kind != "ray":
-        return _cmd_zariski(args)
+        return _cmd_zariski(args, context)
     from .toric import sigma_decomposition
 
     dec = sigma_decomposition(D)
@@ -366,8 +366,10 @@ def _cmd_intersect(args):
     return EXIT_OK
 
 
-def _cmd_zariski(args):
-    variety, D, _ = _load_context(args)
+def _cmd_zariski(args, context=None):
+    """The Zariski pair of D; nsigma on a surface passes the context it
+    loaded, so a --file is read once."""
+    variety, D, _ = context or _load_context(args)
     if variety.label_kind == "ray":
         raise ParseError("zariski runs on the surface model; use --e or a hirzebruch file")
     from .surface import zariski
@@ -383,7 +385,7 @@ def _cmd_zariski(args):
         f"P,E,{pair.P[0]}",
         f"P,F,{pair.P[1]}",
         f"N,E,{pair.N.cE}",
-        f"volume,,{pair.volume()}",
+        f"volume,,{payload['volume']}",
     ]
     _emit(args, payload, csv_lines)
     return EXIT_OK

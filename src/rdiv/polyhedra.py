@@ -436,8 +436,9 @@ def _integer_rows(p: HPolytope):
 
 
 def _count_by_chambers(rows) -> int:
-    """Integer points of the bounded polytope of integer rows (g, c), by a
-    chamber sum over the first coordinate t in dimension n >= 3 (the
+    """Integer points of the bounded polytope of integer rows (g, c): floor
+    sums on the polygon in dimension 2 (_count_2d), an interval in dimension
+    1, and above that a chamber sum over the first coordinate t (the
     parametric count of Clauss and Loechner, J. VLSI Signal Processing 19,
     1998).
 
@@ -463,6 +464,8 @@ def _count_by_chambers(rows) -> int:
     n = len(rows[0][0])
     if n == 2:
         return _count_2d(rows)
+    if n == 1:
+        return len(_interval(rows))
     table = _vertex_table(tuple(g for g, _ in rows), n)[1]
     c = [o for _, o in rows]
     # each event e cuts before ceil(e) and after floor(e): an integer event
@@ -512,9 +515,8 @@ def _lattice_min(p: HPolytope, g: tuple[int, ...]):
     (x, y, q), (x2, y2, q2) = ends
     k = math.gcd(*g)
     rows = _integer_rows(p)
-    holds = _interval if p.dim == 1 else _count_by_chambers
     for t in range(-k * (_floor(-x, -y, q, p.disc) // k), _floor(-x2, -y2, q2, p.disc) + 1, k):
-        if holds(rows + [(cut, -t)]):
+        if _count_by_chambers(rows + [(cut, -t)]):
             return t
     return None
 
@@ -558,19 +560,16 @@ def lattice_form(p: HPolytope, c=None) -> HPolytope:
 def lattice_points(p: HPolytope) -> int:
     """Number of integer points; 0 for empty, error when unbounded.
 
-    No point is listed: an interval in dimension 1, floor sums on the
-    polygon in dimension 2 (no vertex is needed there), and a chamber sum
-    over the first coordinate above that (_count_by_chambers), which counts
-    a few slices per stretch between the vertex table's events, so its cost
+    No point is listed: _count_by_chambers reads an interval in dimension 1,
+    floor sums on the polygon in dimension 2 (no vertex is needed there),
+    and a chamber sum over the first coordinate above that, which counts a
+    few slices per stretch between the vertex table's events, so its cost
     does not grow with the dilation.  One count per record, kept in a
     bounded cache keyed by the canonical record.  Asked on lattice_form(p),
     as toric.h0 asks, that is one count per class of the round-down: D, its
     shifts D + div(u) for integer u, and every divisor whose round-down is
     linearly equivalent to D's share one entry."""
-    rows = _integer_rows(p)
-    if p.dim == 1:
-        return len(_interval(rows))
-    return _count_by_chambers(rows)
+    return _count_by_chambers(_integer_rows(p))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import re
 import shlex
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,90 +37,6 @@ def invoke(capsys, *argv):
 
 
 # ---- subcommands -------------------------------------------------------------
-
-
-def test_volume_f1(capsys):
-    assert invoke(capsys, "volume", "--preset", "F1", "--divisor", "C:1,E:1") == (EXIT_OK, "1\n", "")
-
-
-def test_h0_scaled_simplex(capsys):
-    code, out, _ = invoke(capsys, "h0", "--preset", "P2", "--divisor", "r2:1", "--scale", "5")
-    assert code == EXIT_OK
-    assert out.strip() == "21"
-
-
-def test_paper_example_exit_zero(capsys):
-    code, out, _ = invoke(capsys, "paper-example", "--e", "1", "--samples", "1,2,sqrt(2)")
-    assert code == EXIT_OK
-    lines = out.strip().splitlines()
-    assert lines[0] == "m,floor_dot_E,h0_twisted,h0_straight"
-    assert lines[1] == "1,-1,1,3"
-    assert "sqrt(2)" in lines[3]
-
-
-def test_paper_example_negative_e_is_a_parse_error(capsys):
-    line = "parse error: --e: the ruling invariant e must be non-negative\n"
-    assert invoke(capsys, "paper-example", "--e", "-1") == (EXIT_PARSE, "", line)
-
-
-def test_paper_example_e_zero_is_a_domain_error(capsys):
-    code, out, err = invoke(capsys, "paper-example", "--e", "0")
-    assert code == EXIT_DOMAIN
-    assert out == ""
-    assert err == "error: a negative section needs e >= 1\n"
-
-
-def test_hilbert_csv_format(capsys):
-    code, out, _ = invoke(capsys, "hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", "1,2,3")
-    assert code == EXIT_OK
-    lines = out.strip().splitlines()
-    assert lines[0] == "m,h0,normalized"
-    assert lines[1].startswith("1,3,6.")
-    assert lines[3].startswith("3,10,2.2222222222222222")
-
-
-def test_hilbert_irrational_sample_renders_literal(capsys):
-    code, out, _ = invoke(capsys, "hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", "sqrt(2)")
-    assert code == EXIT_OK
-    assert out.splitlines()[1].startswith("sqrt(2),")
-
-
-def test_hilbert_json_exact(capsys):
-    code, out, _ = invoke(
-        capsys, "hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", "2", "--format", "json"
-    )
-    assert code == EXIT_OK
-    doc = json.loads(out)
-    assert doc["rows"] == [{"m": "2", "h0": 6, "normalized": "3"}]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("hilbert", "--preset", "P2", "--divisor", "H:sqrt(3)"),
-        ("hilbert", "--e", "1", "--divisor", "C:sqrt(3)"),
-        ("check-b", "--preset", "F1", "--divisor", "C:sqrt(3)", "--effective", "E:1"),
-        ("check-a", "--preset", "F1", "--divisor", "C:1,E:sqrt(5)", "--effective", "E:1"),
-        ("check-b", "--preset", "F1", "--divisor", "C:1", "--effective", "E:sqrt(3)"),
-        ("check-b", "--e", "1", "--divisor", "C:1", "--effective", "E:sqrt(3)"),
-        ("check-a", "--preset", "F1", "--divisor", "C:1", "--effective", "E:sqrt(3)"),
-    ],
-    ids=[
-        "hilbert-fan",
-        "hilbert-surface",
-        "check-b",
-        "check-a",
-        "check-b-effective",
-        "check-b-surface-effective",
-        "check-a-effective",
-    ],
-)
-def test_default_grid_takes_its_surd_from_the_divisor_field(capsys, argv):
-    code, out, err = invoke(capsys, *argv)
-    assert code == EXIT_OK, err
-    if argv[0] == "hilbert":
-        # floor(sqrt(3) * sqrt(3)) = 3: ten sections of 3H on P2, and of 3C on F1
-        assert out.splitlines()[-1].startswith("sqrt(3),10,")
 
 
 def test_default_grid_of_a_rational_divisor_keeps_the_resolved_disc(capsys, tmp_path):
@@ -319,101 +236,6 @@ def test_every_public_name_resolves_and_is_listed():
         rdiv.no_such_name
 
 
-def test_nef_big_queries(capsys):
-    assert invoke(capsys, "nef", "--preset", "F1", "--divisor", "C:1")[1].strip() == "true"
-    assert invoke(capsys, "nef", "--preset", "F1", "--divisor", "C:1,E:1")[1].strip() == "false"
-    assert invoke(capsys, "big", "--preset", "F1", "--divisor", "F:1")[1].strip() == "false"
-
-
-def test_sigma_and_bplus(capsys):
-    code, out, _ = invoke(capsys, "sigma", "--preset", "F1", "--divisor", "C:1,E:1", "--ray", "E")
-    assert code == EXIT_OK and out.strip() == "1"
-    code, out, _ = invoke(capsys, "bplus", "--preset", "F1", "--divisor", "C:1")
-    assert code == EXIT_OK and out.strip() == "E"
-    code, out, _ = invoke(capsys, "bplus", "--preset", "P2", "--divisor", "H:1")
-    assert code == EXIT_OK and out.strip() == "(empty)"
-
-
-def test_intersect(capsys):
-    code, out, _ = invoke(capsys, "intersect", "--preset", "F1", "--divisor", "C:1", "--with", "E:1")
-    assert code == EXIT_OK and out.strip() == "0"
-
-
-def test_a_divisor_mixing_two_surds_is_a_domain_error(capsys):
-    argv = ("intersect", "--preset", "F1", "--divisor", "C:1", "--with", "E:sqrt(3),F:sqrt(2)")
-    code, out, err = invoke(capsys, *argv)
-    assert code == EXIT_DOMAIN
-    assert out == ""
-    assert err.startswith("error: incompatible discriminants")
-
-
-@pytest.mark.parametrize("command", ["check-a", "check-b"])
-@pytest.mark.parametrize(
-    "variety,divisor,effective,line",
-    [
-        (("--preset", "F1"), "E:1,C:sqrt(2)", "E:0", "error: incompatible discriminants 2 and 3\n"),
-        (("--e", "1"), "C:1,F1:sqrt(2)", "F1:0", "error: incompatible discriminants 3 and 2\n"),
-    ],
-    ids=["fan", "surface"],
-)
-def test_a_zero_e_still_counts_d_at_a_sample_outside_its_field(capsys, command, variety, divisor, effective, line):
-    # with E = 0 every comparison of clause iv holds, but h0(mD) is still
-    # asked, so a sqrt(3) multiple of a sqrt(2) divisor is a domain error
-    argv = (command, *variety, "--divisor", divisor, "--effective", effective, "--samples", "sqrt(3)")
-    assert invoke(capsys, *argv) == (EXIT_DOMAIN, "", line)
-
-
-def test_zariski_surface(capsys):
-    code, out, _ = invoke(capsys, "zariski", "--e", "1", "--divisor", "C:1,E:2", "--format", "json")
-    assert code == EXIT_OK
-    doc = json.loads(out)
-    assert doc == {"P_class": {"E": "1", "F": "1"}, "N": {"E": "2"}, "volume": "1"}
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_nsigma_on_a_surface_prints_the_zariski_pair(capsys, fmt):
-    argv = ("--e", "1", "--divisor", "C:1,E:2", "--format", fmt)
-    code, out, _ = invoke(capsys, "nsigma", *argv)
-    assert code == EXIT_OK
-    assert (code, out) == invoke(capsys, "zariski", *argv)[:2]
-
-
-# byte-exact surface outputs: the Q(sqrt(2)) Zariski decomposition and the
-# nef test of the "Installed entry point" CI step, and N_sigma on
-# F_0 = P1 x P1, where no class has a negative part
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (
-            ("zariski", "--e", "2", "--divisor", "C:1,E:3,F1:1/2*sqrt(2)", "--format", "json"),
-            '{"N": {"E": "3-1/4*sqrt(2)"}, "P_class": {"E": "1+1/4*sqrt(2)", "F": "2+1/2*sqrt(2)"}, '
-            '"volume": "9/4+sqrt(2)"}\n',
-        ),
-        (("nef", "--e", "1", "--divisor", "C:1", "--format", "json"), '{"nef": true}\n'),
-        (("nsigma", "--e", "0", "--divisor", "C:1,F1:1"), "part,component,coefficient\nP,E,1\nP,F,1\nN,E,0\nvolume,,2\n"),
-    ],
-    ids=["zariski-e2-sqrt2", "nef-e1", "nsigma-e0"],
-)
-def test_a_surface_query_prints_its_pinned_bytes(capsys, argv, expected):
-    assert invoke(capsys, *argv) == (EXIT_OK, expected, "")
-
-
-@pytest.mark.parametrize(
-    "argv, line",
-    [
-        (("zariski", "--e", "1", "--divisor", "F1:1"), "error: divisor class is not big\n"),
-        (
-            ("sigma", "--e", "1", "--divisor", "C:-1", "--ray", "E"),
-            "error: positive part fails nefness against E or F\n",
-        ),
-        (("bplus", "--e", "1", "--divisor", "F1:1"), "error: the divisorial augmented base locus needs a big divisor\n"),
-    ],
-    ids=["zariski-not-big", "sigma-not-pseudoeffective", "bplus-not-big"],
-)
-def test_a_surface_domain_error_keeps_its_exit_and_text(capsys, argv, line):
-    assert invoke(capsys, *argv) == (EXIT_DOMAIN, "", line)
-
-
 # P3 blown up at a torus-fixed point: r4 = (1, 1, 1) subdivides the cone of
 # r0, r1, r2, so four rows of r3:1's section polytope meet at the origin
 BLOWUP = {
@@ -445,116 +267,203 @@ def test_a_non_simple_vertex_of_a_3_fold(capsys, tmp_path, argv, expected):
     assert invoke(capsys, *argv, "--file", str(path)) == (EXIT_OK, expected + "\n", "")
 
 
-def test_check_a_consistent_exit(capsys):
-    code, out, _ = invoke(
-        capsys, "check-a", "--preset", "F1", "--divisor", "C:1,E:1", "--effective", "E:1", "--format", "json"
-    )
-    assert code == EXIT_OK
-    doc = json.loads(out)
-    assert doc["verdict"] == "ConsistentWithPaper"
-
-
-# each one-value query and each checker, on a preset fan and on the surface
-# model, in csv and in json: the exit code and stdout, byte for byte
-QUERY_PINS = [
-        ('h0 --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --scale 3 --format csv', 0, '36\n'),
-        ('h0 --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --scale 3 --format csv', 0, '36\n'),
-        ('volume --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --scale sqrt(2) --format csv', 0, '6+4*sqrt(2)\n'),
-        ('volume --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --scale sqrt(2) --format csv', 0, '6+4*sqrt(2)\n'),
-        ('big --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --format csv', 0, 'true\n'),
-        ('big --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --format csv', 0, 'true\n'),
-        ('nef --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --format csv', 0, 'false\n'),
-        ('nef --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --format csv', 0, 'false\n'),
-        ('bplus --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --format csv', 0, 'E\n'),
-        ('bplus --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --format csv', 0, 'E\n'),
-        ('check-a --preset F1 --divisor C:1,F:1/2 --effective F:1/2 --format csv', 0, 'clause,status\ni,false\nii,false\niv,false\nv,false\nverdict,ConsistentWithPaper\n'),
-        ('check-a --e 1 --divisor C:1,F1:1/2 --effective F1:1/2 --format csv', 0, 'clause,status\ni,false\nii,false\niv,false\nv,false\nverdict,ConsistentWithPaper\n'),
-        ('check-b --preset F1 --divisor C:1,F:1/2 --effective F:1/2 --format csv', 0, 'clause,status\ni,false\nii,false\niv,false\nv,false\nverdict,ConsistentWithPaper\n'),
-        ('check-b --e 1 --divisor C:1,F1:1/2 --effective F1:1/2 --format csv', 0, 'clause,status\ni,false\nii,false\niv,false\nv,false\nverdict,ConsistentWithPaper\n'),
-        ('h0 --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --scale 3 --format json', 0, '{"h0": 36}\n'),
-        ('h0 --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --scale 3 --format json', 0, '{"h0": 36}\n'),
-        ('volume --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --scale sqrt(2) --format json', 0, '{"volume": "6+4*sqrt(2)"}\n'),
-        ('volume --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --scale sqrt(2) --format json', 0, '{"volume": "6+4*sqrt(2)"}\n'),
-        ('big --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --format json', 0, '{"big": true}\n'),
-        ('big --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --format json', 0, '{"big": true}\n'),
-        ('nef --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --format json', 0, '{"nef": false}\n'),
-        ('nef --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --format json', 0, '{"nef": false}\n'),
-        ('bplus --preset F1 --divisor C:1,E:3/2,F:sqrt(2) --format json', 0, '{"bplus": ["E"]}\n'),
-        ('bplus --e 1 --divisor C:1,E:3/2,F1:sqrt(2) --format json', 0, '{"bplus": ["E"]}\n'),
-        ('check-a --preset F1 --divisor C:1,F:1/2 --effective F:1/2 --format json', 0, '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "2", "vol_D_minus_E": "1"}}, "ii": {"status": "false", "witness": {"ray": "F"}}, "iv": {"status": "false", "witness": {"m": "2"}}, "v": {"status": "false", "witness": {"E": "nonzero"}}}, "theorem": "A", "verdict": "ConsistentWithPaper"}\n'),
-        ('check-a --e 1 --divisor C:1,F1:1/2 --effective F1:1/2 --format json', 0, '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "2", "vol_D_minus_E": "1"}}, "ii": {"status": "false", "witness": {"component": "F1"}}, "iv": {"status": "false", "witness": {"m": "2"}}, "v": {"status": "false", "witness": {"E": "nonzero"}}}, "theorem": "A", "verdict": "ConsistentWithPaper"}\n'),
-        ('check-b --preset F1 --divisor C:1,F:1/2 --effective F:1/2 --format json', 0, '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "2", "vol_D_plus_E": "3"}}, "ii": {"status": "false", "witness": {"ray": "F"}}, "iv": {"status": "false", "witness": {"m": "1", "r": "1"}}, "v": {"status": "false", "witness": {"intersection": "1/2"}}}, "theorem": "B", "verdict": "ConsistentWithPaper"}\n'),
-        ('check-b --e 1 --divisor C:1,F1:1/2 --effective F1:1/2 --format json', 0, '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "2", "vol_D_plus_E": "3"}}, "ii": {"status": "false", "witness": {"component": "F1"}}, "iv": {"status": "false", "witness": {"m": "1", "r": "1"}}, "v": {"status": "false", "witness": {"intersection": "1/2"}}}, "theorem": "B", "verdict": "ConsistentWithPaper"}\n'),
-]
-
-
-@pytest.mark.parametrize("line,code,stdout", QUERY_PINS, ids=[p[0] for p in QUERY_PINS])
-def test_query_and_check_outputs_are_pinned(capsys, line, code, stdout):
-    assert invoke(capsys, *line.split())[:2] == (code, stdout)
-
-
-# runs byte for byte: argv, exit code, stdout and stderr.  The checkers'
-# preconditions and their walk of clause iv, answers on sqrt(2) divisors
-# and 3-folds, and parse errors
+# Every run of rdiv that needs no file, no patch and no fresh interpreter,
+# byte for byte: its argv, exit code, stdout and stderr.  Each subcommand
+# has an exit-0 row on every variety kind it reads and in each format; the
+# checkers' preconditions and their walk of clause iv, answers on sqrt(2)
+# divisors and 3-folds, and the domain and parse errors follow.
 SQRT2_P3 = "r0:1/2*sqrt(2),r1:1,H:1"
 CLI_PINS = [
+    # each one-value query on a preset fan and on the surface model, in csv
+    # and in json
+    (("h0", "--preset", "F1", "--divisor", "C:1,E:3/2,F:sqrt(2)", "--scale", "3", "--format", "csv"),
+     EXIT_OK, "36\n", ""),
+    (("h0", "--e", "1", "--divisor", "C:1,E:3/2,F1:sqrt(2)", "--scale", "3", "--format", "csv"), EXIT_OK, "36\n", ""),
+    (("volume", "--preset", "F1", "--divisor", "C:1,E:3/2,F:sqrt(2)", "--scale", "sqrt(2)", "--format", "csv"),
+     EXIT_OK, "6+4*sqrt(2)\n", ""),
+    (("volume", "--e", "1", "--divisor", "C:1,E:3/2,F1:sqrt(2)", "--scale", "sqrt(2)", "--format", "csv"),
+     EXIT_OK, "6+4*sqrt(2)\n", ""),
+    (("big", "--preset", "F1", "--divisor", "C:1,E:3/2,F:sqrt(2)", "--format", "csv"), EXIT_OK, "true\n", ""),
+    (("big", "--e", "1", "--divisor", "C:1,E:3/2,F1:sqrt(2)", "--format", "csv"), EXIT_OK, "true\n", ""),
+    (("nef", "--preset", "F1", "--divisor", "C:1,E:3/2,F:sqrt(2)", "--format", "csv"), EXIT_OK, "false\n", ""),
+    (("nef", "--e", "1", "--divisor", "C:1,E:3/2,F1:sqrt(2)", "--format", "csv"), EXIT_OK, "false\n", ""),
+    (("bplus", "--preset", "F1", "--divisor", "C:1,E:3/2,F:sqrt(2)", "--format", "csv"), EXIT_OK, "E\n", ""),
+    (("bplus", "--e", "1", "--divisor", "C:1,E:3/2,F1:sqrt(2)", "--format", "csv"), EXIT_OK, "E\n", ""),
+    (("h0", "--preset", "F1", "--divisor", "C:1,E:3/2,F:sqrt(2)", "--scale", "3", "--format", "json"),
+     EXIT_OK, '{"h0": 36}\n', ""),
+    (("h0", "--e", "1", "--divisor", "C:1,E:3/2,F1:sqrt(2)", "--scale", "3", "--format", "json"),
+     EXIT_OK, '{"h0": 36}\n', ""),
+    (("volume", "--preset", "F1", "--divisor", "C:1,E:3/2,F:sqrt(2)", "--scale", "sqrt(2)", "--format", "json"),
+     EXIT_OK, '{"volume": "6+4*sqrt(2)"}\n', ""),
+    (("volume", "--e", "1", "--divisor", "C:1,E:3/2,F1:sqrt(2)", "--scale", "sqrt(2)", "--format", "json"),
+     EXIT_OK, '{"volume": "6+4*sqrt(2)"}\n', ""),
+    (("big", "--preset", "F1", "--divisor", "C:1,E:3/2,F:sqrt(2)", "--format", "json"), EXIT_OK, '{"big": true}\n', ""),
+    (("big", "--e", "1", "--divisor", "C:1,E:3/2,F1:sqrt(2)", "--format", "json"), EXIT_OK, '{"big": true}\n', ""),
+    (("nef", "--preset", "F1", "--divisor", "C:1,E:3/2,F:sqrt(2)", "--format", "json"),
+     EXIT_OK, '{"nef": false}\n', ""),
+    (("nef", "--e", "1", "--divisor", "C:1,E:3/2,F1:sqrt(2)", "--format", "json"), EXIT_OK, '{"nef": false}\n', ""),
+    (("bplus", "--preset", "F1", "--divisor", "C:1,E:3/2,F:sqrt(2)", "--format", "json"),
+     EXIT_OK, '{"bplus": ["E"]}\n', ""),
+    (("bplus", "--e", "1", "--divisor", "C:1,E:3/2,F1:sqrt(2)", "--format", "json"), EXIT_OK, '{"bplus": ["E"]}\n', ""),
+    (("volume", "--preset", "F1", "--divisor", "C:1,E:1"), EXIT_OK, "1\n", ""),
+    (("volume", "--preset", "P2", "--divisor", "H:1", "--scale", "sqrt(2)"), EXIT_OK, "2\n", ""),
+    (("h0", "--preset", "P2", "--divisor", "r2:1", "--scale", "5"), EXIT_OK, "21\n", ""),
+    (("nef", "--preset", "F1", "--divisor", "C:1"), EXIT_OK, "true\n", ""),
+    (("nef", "--preset", "F1", "--divisor", "C:1,E:1"), EXIT_OK, "false\n", ""),
+    (("big", "--preset", "F1", "--divisor", "F:1"), EXIT_OK, "false\n", ""),
+    (("bplus", "--preset", "F1", "--divisor", "C:1"), EXIT_OK, "E\n", ""),
+    (("bplus", "--preset", "P2", "--divisor", "H:1"), EXIT_OK, "(empty)\n", ""),
+    (("sigma", "--preset", "F1", "--divisor", "C:1,E:1", "--ray", "E"), EXIT_OK, "1\n", ""),
+    (("intersect", "--preset", "F1", "--divisor", "C:1", "--with", "E:1"), EXIT_OK, "0\n", ""),
+    (("intersect", "--preset", "F1", "--divisor", "C:1", "--with", "E:1", "--format", "json"),
+     EXIT_OK, '{"intersection": "0"}\n', ""),
+    (("intersect", "--e", "2", "--divisor", "C:1", "--with", "E:1"), EXIT_OK, "0\n", ""),
+    (("intersect", "--e", "2", "--divisor", "C:1", "--with", "E:1", "--format", "json"),
+     EXIT_OK, '{"intersection": "0"}\n', ""),
+    (("sigma", "--e", "1", "--divisor", "C:1,E:2", "--ray", "E"), EXIT_OK, "2\n", ""),
+    (("sigma", "--e", "1", "--divisor", "C:1,E:2", "--ray", "E", "--format", "json"), EXIT_OK, '{"sigma": "2"}\n', ""),
+    (("nsigma", "--preset", "F1", "--divisor", "C:1,E:2"),
+     EXIT_OK, "part,ray,coefficient\nN,F,0\nN,E,2\nN,r2,0\nN,C,0\nP,F,0\nP,E,0\nP,r2,0\nP,C,1\n", ""),
+    (("nsigma", "--preset", "F1", "--divisor", "C:1,E:2", "--format", "json"),
+     EXIT_OK, '{"N": {"C": "0", "E": "2", "F": "0", "r2": "0"}, "P": {"C": "1", "E": "0", "F": "0", "r2": "0"}}\n', ""),
+    # N_sigma of a surface class is its Zariski negative part: nsigma prints
+    # the bytes of zariski
+    (("zariski", "--e", "1", "--divisor", "C:1,E:2", "--format", "csv"),
+     EXIT_OK, "part,component,coefficient\nP,E,1\nP,F,1\nN,E,2\nvolume,,1\n", ""),
+    (("nsigma", "--e", "1", "--divisor", "C:1,E:2", "--format", "csv"),
+     EXIT_OK, "part,component,coefficient\nP,E,1\nP,F,1\nN,E,2\nvolume,,1\n", ""),
+    (("zariski", "--e", "1", "--divisor", "C:1,E:2", "--format", "json"),
+     EXIT_OK, '{"N": {"E": "2"}, "P_class": {"E": "1", "F": "1"}, "volume": "1"}\n', ""),
+    (("nsigma", "--e", "1", "--divisor", "C:1,E:2", "--format", "json"),
+     EXIT_OK, '{"N": {"E": "2"}, "P_class": {"E": "1", "F": "1"}, "volume": "1"}\n', ""),
+    # the Q(sqrt(2)) Zariski decomposition on F_2, C nef on F_1, and N_sigma
+    # on F_0 = P1 x P1, where no class has a negative part
+    (("zariski", "--e", "2", "--divisor", "C:1,E:3,F1:1/2*sqrt(2)", "--format", "json"),
+     EXIT_OK,
+     '{"N": {"E": "3-1/4*sqrt(2)"}, "P_class": {"E": "1+1/4*sqrt(2)", "F": "2+1/2*sqrt(2)"}, '
+     '"volume": "9/4+sqrt(2)"}\n',
+     ""),
+    (("nef", "--e", "1", "--divisor", "C:1", "--format", "json"), EXIT_OK, '{"nef": true}\n', ""),
+    (("nsigma", "--e", "0", "--divisor", "C:1,F1:1"),
+     EXIT_OK, "part,component,coefficient\nP,E,1\nP,F,1\nN,E,0\nvolume,,2\n", ""),
+    # hilbert prints m, h0(mD) and dim! h0(mD) / m^dim: in csv to 20 places,
+    # in json exactly, and an irrational m as its literal
+    (("hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", "1,2,3"),
+     EXIT_OK,
+     "m,h0,normalized\n1,3,6.00000000000000000000\n2,6,3.00000000000000000000\n3,10,2.22222222222222222222\n",
+     ""),
+    (("hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", "sqrt(2)"),
+     EXIT_OK, "m,h0,normalized\nsqrt(2),3,3.00000000000000000000\n", ""),
+    (("hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", "2", "--format", "json"),
+     EXIT_OK, '{"rows": [{"h0": 6, "m": "2", "normalized": "3"}]}\n', ""),
+    # C + sqrt(2)(F1 - F2) is R-linearly equivalent to C, which has 3 and 6
+    # sections at m = 1, 2; its round-down loses a fiber and has 1 and 3
+    (("hilbert", "--e", "1", "--divisor", "C:1,F1:sqrt(2),F2:-sqrt(2)", "--samples", "1,2"),
+     EXIT_OK, "m,h0,normalized\n1,1,2.00000000000000000000\n2,3,1.50000000000000000000\n", ""),
+    (("hilbert", "--e", "1", "--divisor", "C:1,F1:sqrt(2),F2:-sqrt(2)", "--samples", "1,2", "--format", "json"),
+     EXIT_OK, '{"rows": [{"h0": 1, "m": "1", "normalized": "2"}, {"h0": 3, "m": "2", "normalized": "3/2"}]}\n', ""),
+    # the default grid takes its surd from the divisor field, of D and then of
+    # E: floor(sqrt(3) * sqrt(3)) = 3, so ten sections of 3H on P2, and of 3C
+    # on F1
+    (("hilbert", "--preset", "P2", "--divisor", "H:sqrt(3)"),
+     EXIT_OK,
+     "m,h0,normalized\n1,3,6.00000000000000000000\n2,10,5.00000000000000000000\n3,21,4.66666666666666666666\n"
+     "5/2,15,4.80000000000000000000\nsqrt(3),10,6.66666666666666666666\n",
+     ""),
+    (("hilbert", "--e", "1", "--divisor", "C:sqrt(3)"),
+     EXIT_OK,
+     "m,h0,normalized\n1,3,6.00000000000000000000\n2,10,5.00000000000000000000\n3,21,4.66666666666666666666\n"
+     "5/2,15,4.80000000000000000000\nsqrt(3),10,6.66666666666666666666\n",
+     ""),
+    (("check-b", "--preset", "F1", "--divisor", "C:sqrt(3)", "--effective", "E:1"),
+     EXIT_OK, "clause,status\ni,true\nii,true\niv,true\nv,true\nverdict,ConsistentWithPaper\n", ""),
+    (("check-a", "--preset", "F1", "--divisor", "C:1,E:sqrt(5)", "--effective", "E:1"),
+     EXIT_OK, "clause,status\ni,true\nii,true\niv,true\nv,skipped\nverdict,ConsistentWithPaper\n", ""),
+    (("check-b", "--preset", "F1", "--divisor", "C:1", "--effective", "E:sqrt(3)"),
+     EXIT_OK, "clause,status\ni,true\nii,true\niv,true\nv,true\nverdict,ConsistentWithPaper\n", ""),
+    (("check-b", "--e", "1", "--divisor", "C:1", "--effective", "E:sqrt(3)"),
+     EXIT_OK, "clause,status\ni,true\nii,true\niv,true\nv,true\nverdict,ConsistentWithPaper\n", ""),
+    (("check-a", "--preset", "F1", "--divisor", "C:1", "--effective", "E:sqrt(3)"),
+     EXIT_OK, "clause,status\ni,false\nii,false\niv,false\nv,false\nverdict,ConsistentWithPaper\n", ""),
+    # each checker on a preset fan and on the surface model, in csv and in
+    # json
+    (("check-a", "--preset", "F1", "--divisor", "C:1,F:1/2", "--effective", "F:1/2", "--format", "csv"),
+     EXIT_OK, "clause,status\ni,false\nii,false\niv,false\nv,false\nverdict,ConsistentWithPaper\n", ""),
+    (("check-a", "--e", "1", "--divisor", "C:1,F1:1/2", "--effective", "F1:1/2", "--format", "csv"),
+     EXIT_OK, "clause,status\ni,false\nii,false\niv,false\nv,false\nverdict,ConsistentWithPaper\n", ""),
+    (("check-b", "--preset", "F1", "--divisor", "C:1,F:1/2", "--effective", "F:1/2", "--format", "csv"),
+     EXIT_OK, "clause,status\ni,false\nii,false\niv,false\nv,false\nverdict,ConsistentWithPaper\n", ""),
+    (("check-b", "--e", "1", "--divisor", "C:1,F1:1/2", "--effective", "F1:1/2", "--format", "csv"),
+     EXIT_OK, "clause,status\ni,false\nii,false\niv,false\nv,false\nverdict,ConsistentWithPaper\n", ""),
+    (("check-a", "--preset", "F1", "--divisor", "C:1,F:1/2", "--effective", "F:1/2", "--format", "json"),
+     EXIT_OK,
+     '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "2", "vol_D_minus_E": "1"}}, '
+     '"ii": {"status": "false", "witness": {"ray": "F"}}, "iv": {"status": "false", "witness": {"m": "2"}}, '
+     '"v": {"status": "false", "witness": {"E": "nonzero"}}}, "theorem": "A", "verdict": "ConsistentWithPaper"}\n',
+     ""),
+    (("check-a", "--e", "1", "--divisor", "C:1,F1:1/2", "--effective", "F1:1/2", "--format", "json"),
+     EXIT_OK,
+     '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "2", "vol_D_minus_E": "1"}}, '
+     '"ii": {"status": "false", "witness": {"component": "F1"}}, "iv": {"status": "false", "witness": {"m": "2"}}, '
+     '"v": {"status": "false", "witness": {"E": "nonzero"}}}, "theorem": "A", "verdict": "ConsistentWithPaper"}\n',
+     ""),
+    (("check-b", "--preset", "F1", "--divisor", "C:1,F:1/2", "--effective", "F:1/2", "--format", "json"),
+     EXIT_OK,
+     '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "2", "vol_D_plus_E": "3"}}, '
+     '"ii": {"status": "false", "witness": {"ray": "F"}}, "iv": {"status": "false", "witness": {"m": "1", '
+     '"r": "1"}}, "v": {"status": "false", "witness": {"intersection": "1/2"}}}, "theorem": "B", '
+     '"verdict": "ConsistentWithPaper"}\n',
+     ""),
+    (("check-b", "--e", "1", "--divisor", "C:1,F1:1/2", "--effective", "F1:1/2", "--format", "json"),
+     EXIT_OK,
+     '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "2", "vol_D_plus_E": "3"}}, '
+     '"ii": {"status": "false", "witness": {"component": "F1"}}, "iv": {"status": "false", "witness": {"m": "1", '
+     '"r": "1"}}, "v": {"status": "false", "witness": {"intersection": "1/2"}}}, "theorem": "B", '
+     '"verdict": "ConsistentWithPaper"}\n',
+     ""),
+    (("check-a", "--preset", "F1", "--divisor", "C:1,E:1", "--effective", "E:1", "--format", "json"),
+     EXIT_OK,
+     '{"clauses": {"i": {"status": "true"}, "ii": {"status": "true"}, "iv": {"status": "true"}, '
+     '"v": {"reason": "D is not nef", "status": "skipped"}}, "theorem": "A", "verdict": "ConsistentWithPaper"}\n',
+     ""),
     # sections depend on the Z-linear class only, so check-b skips a shifted
     # point at an integer m; at m = 5/2, 5/2 div(e2) is not Z-linearly
-    # trivial, and h0(mD' + mE) = h0(mD') fails on D' = D + div(e2) though
-    # it holds on D: the paper's R-linear effect at a non-integer multiple
-    (
-        ("check-b", "--preset", "P1xP1", "--divisor", "r0:1,r1:5/2,r2:5/2,r3:-2", "--effective", "r3:1/4", "--format", "json"),
-        EXIT_OK,
-        '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "7/2", "vol_D_plus_E": "21/4"}}, '
-        '"ii": {"status": "false", "witness": {"ray": "H2"}}, '
-        '"iv": {"status": "false", "witness": {"m": "5/2", "r": "5/2", "shift": 2}}, '
-        '"v": {"status": "false", "witness": {"intersection": "7/8"}}}, "theorem": "B", "verdict": "ConsistentWithPaper"}\n',
-        "",
-    ),
-    # mD' + G rounded off the offset records at an irrational m: check-a
-    # walks D and both shifts at 5/2 and sqrt(2) and passes; check-b
-    # compares the R_GRID steps G = rE on the first shift at both
-    # multiples, then fails on the second shift at m = 5/2
-    (
-        ("check-a", "--preset", "F1", "--divisor", "C:1,E:3/2+sqrt(2)", "--effective", "E:1/2", "--samples", "5/2,sqrt(2)"),
-        EXIT_OK,
-        "clause,status\ni,true\nii,true\niv,true\nv,skipped\nverdict,ConsistentWithPaper\n",
-        "",
-    ),
-    (
-        ("check-b", "--preset", "F1", "--divisor", "C:1,F:sqrt(2)", "--effective", "E:1/4", "--samples", "5/2,sqrt(2)", "--format", "json"),
-        EXIT_OK,
-        '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "1+2*sqrt(2)", "vol_D_plus_E": "15/16+5/2*sqrt(2)"}}, '
-        '"ii": {"status": "false", "witness": {"ray": "E"}}, '
-        '"iv": {"status": "false", "witness": {"m": "5/2", "r": "5/2", "shift": 2}}, '
-        '"v": {"status": "false", "witness": {"intersection": "1/4*sqrt(2)"}}}, "theorem": "B", "verdict": "ConsistentWithPaper"}\n',
-        "",
-    ),
-    (
-        ("check-a", "--preset", "P2", "--divisor", "H:1", "--effective", "H:0"),
-        EXIT_OK,
-        "clause,status\ni,true\nii,true\niv,true\nv,true\nverdict,ConsistentWithPaper\n",
-        "",
-    ),
-    # D is big exactly when vol(D) > 0: a zero volume fails the checker's
-    # own precondition, before any clause asks for a sigma or B+
-    (
-        ("check-a", "--preset", "F1", "--divisor", "F:1", "--effective", "E:0"),
-        EXIT_DOMAIN,
-        "",
-        "error: checker needs a big divisor D\n",
-    ),
-    (
-        ("check-b", "--e", "1", "--divisor", "F1:1", "--effective", "E:1"),
-        EXIT_DOMAIN,
-        "",
-        "error: checker needs a big divisor D\n",
-    ),
+    # trivial, and h0(mD' + mE) = h0(mD') fails on D' = D + div(e2) though it
+    # holds on D: the paper's R-linear effect at a non-integer multiple
+    (("check-b", "--preset", "P1xP1", "--divisor", "r0:1,r1:5/2,r2:5/2,r3:-2", "--effective", "r3:1/4", "--format", "json"),
+     EXIT_OK,
+     '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "7/2", "vol_D_plus_E": "21/4"}}, '
+     '"ii": {"status": "false", "witness": {"ray": "H2"}}, "iv": {"status": "false", "witness": {"m": "5/2", '
+     '"r": "5/2", "shift": 2}}, "v": {"status": "false", "witness": {"intersection": "7/8"}}}, "theorem": "B", '
+     '"verdict": "ConsistentWithPaper"}\n',
+     ""),
+    # mD' + G rounded off the offset records at an irrational m: check-a walks
+    # D and both shifts at 5/2 and sqrt(2) and passes; check-b compares the
+    # R_GRID steps G = rE on the first shift at both multiples, then fails on
+    # the second shift at m = 5/2
+    (("check-a", "--preset", "F1", "--divisor", "C:1,E:3/2+sqrt(2)", "--effective", "E:1/2", "--samples", "5/2,sqrt(2)"),
+     EXIT_OK, "clause,status\ni,true\nii,true\niv,true\nv,skipped\nverdict,ConsistentWithPaper\n", ""),
+    (("check-b", "--preset", "F1", "--divisor", "C:1,F:sqrt(2)", "--effective", "E:1/4", "--samples", "5/2,sqrt(2)", "--format", "json"),
+     EXIT_OK,
+     '{"clauses": {"i": {"status": "false", "witness": {"vol_D": "1+2*sqrt(2)", '
+     '"vol_D_plus_E": "15/16+5/2*sqrt(2)"}}, "ii": {"status": "false", "witness": {"ray": "E"}}, '
+     '"iv": {"status": "false", "witness": {"m": "5/2", "r": "5/2", "shift": 2}}, "v": {"status": "false", '
+     '"witness": {"intersection": "1/4*sqrt(2)"}}}, "theorem": "B", "verdict": "ConsistentWithPaper"}\n',
+     ""),
+    (("check-a", "--preset", "P2", "--divisor", "H:1", "--effective", "H:0"),
+     EXIT_OK, "clause,status\ni,true\nii,true\niv,true\nv,true\nverdict,ConsistentWithPaper\n", ""),
+    # D is big exactly when vol(D) > 0: a zero volume fails the checker's own
+    # precondition, before any clause asks for a sigma or B+
+    (("check-a", "--preset", "F1", "--divisor", "F:1", "--effective", "E:0"),
+     EXIT_DOMAIN, "", "error: checker needs a big divisor D\n"),
+    (("check-b", "--e", "1", "--divisor", "F1:1", "--effective", "E:1"),
+     EXIT_DOMAIN, "", "error: checker needs a big divisor D\n"),
     # a 3-D volume through polygon facets, interval edges and sqrt(2) ends:
-    # this divisor is linearly equivalent to (2 + sqrt(2)/2) H, so vol = (2 + sqrt(2)/2)^3
+    # this divisor is linearly equivalent to (2 + sqrt(2)/2) H, so
+    # vol = (2 + sqrt(2)/2)^3
     (("volume", "--preset", "P3", "--divisor", SQRT2_P3), EXIT_OK, "11+25/4*sqrt(2)\n", ""),
-    # H and r0 are linearly equivalent on P3, so their 1000th multiples
-    # share one lattice-count class: C(1003, 3) sections each
+    # H and r0 are linearly equivalent on P3, so their 1000th multiples share
+    # one lattice-count class: C(1003, 3) sections each
     (("h0", "--preset", "P3", "--divisor", "H:1", "--scale", "1000"), EXIT_OK, "167668501\n", ""),
     (("h0", "--preset", "P3", "--divisor", "r0:1", "--scale", "1000"), EXIT_OK, "167668501\n", ""),
     # a chamber sum on a rounded sqrt(2) offset: 100 times the divisor rounds
@@ -562,55 +471,142 @@ CLI_PINS = [
     (("h0", "--preset", "P3", "--divisor", SQRT2_P3, "--scale", "100"), EXIT_OK, "3353896\n", ""),
     # sigma from the facet record and one vertex read: D.E = sqrt(2) - 5 < 0
     # on F2, so sigma_E = (5 - sqrt(2))/2
-    (
-        ("sigma", "--preset", "F2", "--divisor", "C:1,E:5/2,F:sqrt(2)", "--format", "json"),
-        EXIT_OK,
-        '{"sigma": {"C": "0", "E": "5/2-1/2*sqrt(2)", "F": "0", "r2": "0"}}\n',
-        "",
-    ),
-    # N_sigma and P_sigma of a sqrt(2) divisor on F1: the facet record and
-    # one vertex read give every ray's sigma, and P_sigma = D - N_sigma
-    (
-        ("nsigma", "--preset", "F1", "--divisor", "C:1,E:3,F:1/2*sqrt(2)", "--format", "json"),
-        EXIT_OK,
-        '{"N": {"C": "0", "E": "3-1/2*sqrt(2)", "F": "0", "r2": "0"}, '
-        '"P": {"C": "1", "E": "1/2*sqrt(2)", "F": "1/2*sqrt(2)", "r2": "0"}}\n',
-        "",
-    ),
+    (("sigma", "--preset", "F2", "--divisor", "C:1,E:5/2,F:sqrt(2)", "--format", "json"),
+     EXIT_OK, '{"sigma": {"C": "0", "E": "5/2-1/2*sqrt(2)", "F": "0", "r2": "0"}}\n', ""),
+    # N_sigma and P_sigma of a sqrt(2) divisor on F1: the facet record and one
+    # vertex read give every ray's sigma, and P_sigma = D - N_sigma
+    (("nsigma", "--preset", "F1", "--divisor", "C:1,E:3,F:1/2*sqrt(2)", "--format", "json"),
+     EXIT_OK,
+     '{"N": {"C": "0", "E": "3-1/2*sqrt(2)", "F": "0", "r2": "0"}, "P": {"C": "1", "E": "1/2*sqrt(2)", '
+     '"F": "1/2*sqrt(2)", "r2": "0"}}\n',
+     ""),
     # a sorted label list for bplus: C is nef but not ample on F1
     (("bplus", "--preset", "F1", "--divisor", "C:1", "--format", "json"), EXIT_OK, '{"bplus": ["E"]}\n', ""),
     # bigness from the vertex table's row test, with no volume: sqrt(2) F on
-    # F1 is a segment with a sqrt(2) end, and the second divisor has vol
-    # 5/2 + 2 sqrt(2)
+    # F1 is a segment with a sqrt(2) end, and the second divisor has vol 5/2 +
+    # 2 sqrt(2)
     (("big", "--preset", "F1", "--divisor", "F:sqrt(2)"), EXIT_OK, "false\n", ""),
     (("big", "--preset", "F1", "--divisor", "C:1,E:1/2*sqrt(2),F:sqrt(2)"), EXIT_OK, "true\n", ""),
+    # the paper's example on F_1: h0 of the twisted and of the straight
+    # divisor at each m
+    (("paper-example", "--e", "1", "--samples", "1,2,sqrt(2)"),
+     EXIT_OK, "m,floor_dot_E,h0_twisted,h0_straight\n1,-1,1,3\n2,-1,3,6\nsqrt(2),-1,1,3\n", ""),
+    (("paper-example", "--e", "1", "--samples", "1,2,sqrt(2)", "--format", "json"),
+     EXIT_OK,
+     '{"rows": [{"floor_dot_E": -1, "h0_straight": 3, "h0_twisted": 1, "m": "1"}, {"floor_dot_E": -1, '
+     '"h0_straight": 6, "h0_twisted": 3, "m": "2"}, {"floor_dot_E": -1, "h0_straight": 3, "h0_twisted": 1, '
+     '"m": "sqrt(2)"}]}\n',
+     ""),
+    # a seeded corpus prints the same summary on every run
+    (("corpus", "--seed", "1", "--count", "3"), EXIT_OK, "count,3\nconsistent,3\ncandidates,0\nnef_instances,3\n", ""),
+    (("corpus", "--seed", "2", "--count", "4", "--format", "json"),
+     EXIT_OK,
+     '{\n  "candidates": [],\n  "consistent": 4,\n  "count": 4,\n  "nef_instances": 4,\n  "negsections_checked": 0,\n'
+     '  "seed": 2,\n  "which": "both"\n}\n',
+     ""),
+    (("corpus", "--seed", "3", "--count", "4", "--which", "A"),
+     EXIT_OK, "count,4\nconsistent,4\ncandidates,0\nnef_instances,3\n", ""),
+    # domain errors: exit 2, the message on stderr
+    (("paper-example", "--e", "0"), EXIT_DOMAIN, "", "error: a negative section needs e >= 1\n"),
+    (("sigma", "--preset", "F1", "--divisor", "F:1", "--ray", "E"),
+     EXIT_DOMAIN, "", "error: sigma decomposition is defined for big divisors only\n"),
+    (("intersect", "--preset", "F1", "--divisor", "C:1", "--with", "E:sqrt(3),F:sqrt(2)"),
+     EXIT_DOMAIN, "", "error: incompatible discriminants 2 and 3\n"),
+    (("zariski", "--e", "1", "--divisor", "F1:1"), EXIT_DOMAIN, "", "error: divisor class is not big\n"),
+    (("sigma", "--e", "1", "--divisor", "C:-1", "--ray", "E"),
+     EXIT_DOMAIN, "", "error: positive part fails nefness against E or F\n"),
+    (("bplus", "--e", "1", "--divisor", "F1:1"),
+     EXIT_DOMAIN, "", "error: the divisorial augmented base locus needs a big divisor\n"),
+    # with E = 0 every comparison of clause iv holds, but h0(mD) is still
+    # asked, so a sqrt(3) multiple of a sqrt(2) divisor is a domain error
+    (("check-a", "--preset", "F1", "--divisor", "E:1,C:sqrt(2)", "--effective", "E:0", "--samples", "sqrt(3)"),
+     EXIT_DOMAIN, "", "error: incompatible discriminants 2 and 3\n"),
+    (("check-b", "--preset", "F1", "--divisor", "E:1,C:sqrt(2)", "--effective", "E:0", "--samples", "sqrt(3)"),
+     EXIT_DOMAIN, "", "error: incompatible discriminants 2 and 3\n"),
+    (("check-a", "--e", "1", "--divisor", "C:1,F1:sqrt(2)", "--effective", "F1:0", "--samples", "sqrt(3)"),
+     EXIT_DOMAIN, "", "error: incompatible discriminants 3 and 2\n"),
+    (("check-b", "--e", "1", "--divisor", "C:1,F1:sqrt(2)", "--effective", "F1:0", "--samples", "sqrt(3)"),
+     EXIT_DOMAIN, "", "error: incompatible discriminants 3 and 2\n"),
+    # parse errors: exit 3, and on stderr the option or field at fault and why
+    (("sigma", "--preset", "F1", "--divisor", "C:1,E:1", "--ray", "Z"),
+     EXIT_PARSE, "", "parse error: --ray: unknown ray 'Z'\n"),
+    (("sigma", "--preset", "F1", "--divisor", "C:1,E:1", "--ray", "7"),
+     EXIT_PARSE, "", "parse error: --ray: ray index 7 out of range\n"),
+    (("sigma", "--e", "1", "--divisor", "C:1,E:1", "--ray", "Z"),
+     EXIT_PARSE, "", "parse error: --ray: unknown component 'Z' on F_1\n"),
+    (("intersect", "--preset", "F1", "--divisor", "C:1", "--with", "Z:1"),
+     EXIT_PARSE, "", "parse error: divisors: unknown ray 'Z'\n"),
+    (("h0", "--preset", "XX", "--divisor", "H:1"), EXIT_PARSE, "", "parse error: --preset: unknown fan preset 'XX'\n"),
+    (("paper-example", "--samples", "1,0"), EXIT_PARSE, "", "parse error: sample 0 is not positive\n"),
+    (("h0", "--file", "no-such-problem.json", "--divisor", "D"),
+     EXIT_PARSE, "", "parse error: --file: [Errno 2] No such file or directory: 'no-such-problem.json'\n"),
+    (("hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", "0"),
+     EXIT_PARSE, "", "parse error: sample 0 is not positive\n"),
+    (("h0", "--e", "-1", "--divisor", "C:1"),
+     EXIT_PARSE, "", "parse error: --e: the ruling invariant e must be non-negative\n"),
+    (("h0", "--e", "1", "--fibers", "F1,F1", "--divisor", "C:1"),
+     EXIT_PARSE, "", "parse error: --e: fiber labels must be distinct\n"),
+    (("h0", "--preset", "P2", "--divisor", "r0:1,0:3"),
+     EXIT_PARSE, "", "parse error: divisors: 'r0' and '0' both name ray 0\n"),
+    (("h0", "--preset", "P2", "--divisor", "H:1,H:2"), EXIT_PARSE, "", "parse error: component 'H' is given twice\n"),
+    (("h0", "--e", "1", "--divisor", "C:1,C:2"), EXIT_PARSE, "", "parse error: component 'C' is given twice\n"),
+    (("intersect", "--preset", "F1", "--divisor", "C:1", "--with", "E:1,r1:1"),
+     EXIT_PARSE, "", "parse error: divisors: 'E' and 'r1' both name ray 1\n"),
+    (("hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", ","),
+     EXIT_PARSE, "", "parse error: --samples: no sample listed\n"),
+    (("check-a", "--preset", "F1", "--divisor", "C:1,E:1", "--effective", "E:1", "--samples", " , "),
+     EXIT_PARSE, "", "parse error: --samples: no sample listed\n"),
+    (("check-b", "--preset", "F1", "--divisor", "C:1,E:1", "--effective", "E:1", "--samples", ",,"),
+     EXIT_PARSE, "", "parse error: --samples: no sample listed\n"),
+    (("paper-example", "--samples", ","), EXIT_PARSE, "", "parse error: --samples: no sample listed\n"),
+    (("corpus", "--count", "-1"), EXIT_PARSE, "", "parse error: --count: must be a non-negative integer, got -1\n"),
+    (("h0", "--preset", "P2", "--file", "", "--divisor", "H:1"),
+     EXIT_PARSE, "", "parse error: --file: [Errno 2] No such file or directory: ''\n"),
+    (("h0", "--preset", "", "--divisor", "H:1"), EXIT_PARSE, "", "parse error: --preset: unknown fan preset ''\n"),
+    (("h0", "--e", "1", "--fibers", "p1,", "--divisor", "C:1"),
+     EXIT_PARSE, "", "parse error: --e: fiber labels must be nonempty\n"),
+    (("paper-example", "--e", "-1"), EXIT_PARSE, "", "parse error: --e: the ruling invariant e must be non-negative\n"),
+    (("h0", "--preset", "P2", "--divisor", "H:1/0"), EXIT_PARSE, "", "parse error: H: zero denominator in '1/0'\n"),
+    (("h0", "--preset", "P2", "--divisor", "Z:1"), EXIT_PARSE, "", "parse error: divisors: unknown ray 'Z'\n"),
+    (("h0", "--divisor", "H:1"), EXIT_PARSE, "", "parse error: need --preset, --e or --file\n"),
+    # an unknown label's message names it without the quotes of a KeyError
+    (("h0", "--e", "1", "--divisor", "F9:1"), EXIT_PARSE, "", "parse error: divisors: unknown component 'F9' on F_1\n"),
     # two coefficients for one ray ("H" is ray r2 of P2)
-    (
-        ("h0", "--preset", "P2", "--divisor", "H:1,r2:2"),
-        EXIT_PARSE,
-        "",
-        "parse error: divisors: 'H' and 'r2' both name ray 2\n",
-    ),
+    (("h0", "--preset", "P2", "--divisor", "H:1,r2:2"),
+     EXIT_PARSE, "", "parse error: divisors: 'H' and 'r2' both name ray 2\n"),
     # an empty option value is given, not absent
-    (
-        ("h0", "--preset", "P2", "--divisor", "H:1", "--scale", ""),
-        EXIT_PARSE,
-        "",
-        "parse error: scale: bad scalar literal ''\n",
-    ),
+    (("h0", "--preset", "P2", "--divisor", "H:1", "--scale", ""),
+     EXIT_PARSE, "", "parse error: scale: bad scalar literal ''\n"),
     # an empty --fibers names one empty fiber label, not the default fibers
-    (
-        ("h0", "--e", "1", "--fibers", "", "--divisor", "C:1,F1:1"),
-        EXIT_PARSE,
-        "",
-        "parse error: --e: fiber labels must be nonempty\n",
-    ),
+    (("h0", "--e", "1", "--fibers", "", "--divisor", "C:1,F1:1"),
+     EXIT_PARSE, "", "parse error: --e: fiber labels must be nonempty\n"),
 ]
+CLI_PIN_IDS = [shlex.join(argv) for argv, *_ in CLI_PINS]
 
 
-@pytest.mark.parametrize("argv,code,stdout,stderr", CLI_PINS, ids=[" ".join(p[0]) for p in CLI_PINS])
-def test_a_check_prints_its_pinned_bytes(capsys, argv, code, stdout, stderr):
+@pytest.mark.parametrize("argv,code,stdout,stderr", CLI_PINS, ids=CLI_PIN_IDS)
+def test_a_run_prints_its_pinned_bytes(capsys, argv, code, stdout, stderr):
     assert invoke(capsys, *argv) == (code, stdout, stderr)
+
+
+def test_each_row_id_reads_back_as_its_argv_and_no_argv_repeats():
+    argvs = [argv for argv, *_ in CLI_PINS]
+    assert [shlex.split(row_id) for row_id in CLI_PIN_IDS] == [list(argv) for argv in argvs]
+    assert [argv for argv, n in Counter(argvs).items() if n > 1] == []
+
+
+def test_each_subcommand_has_an_exit_0_row_per_variety_kind_and_format():
+    # the variety kinds are a fan (--preset) and the surface model (--e):
+    # zariski and paper-example read the surface alone, corpus no variety
+    kinds = {command: ("fan", "surface") for command in SUBCOMMAND_FLAGS}
+    kinds |= {"zariski": ("surface",), "paper-example": ("surface",), "corpus": (None,)}
+    wanted = {(command, kind, fmt) for command in kinds for kind in kinds[command] for fmt in ("csv", "json")}
+    pinned = set()
+    for argv, code, _, _ in CLI_PINS:
+        if code == EXIT_OK:
+            kind = None if argv[0] == "corpus" else "fan" if "--preset" in argv else "surface"
+            pinned.add((argv[0], kind, argv[argv.index("--format") + 1] if "--format" in argv else "csv"))
+    assert wanted - pinned == set()
 
 
 WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
@@ -642,27 +638,14 @@ def _workflow_runs():
 def test_every_rdiv_run_of_the_workflow_is_a_pinned_row():
     # each pin of the CI step is a row that tier-1 runs through cli.run, and
     # a step that compares outputs compares the row's, newlines stripped as
-    # $(...) strips them; a QUERY_PINS row pins no stderr
+    # $(...) strips them
     rows = {argv: (code, out, err) for argv, code, out, err in CLI_PINS}
-    rows |= {tuple(line.split()): (code, out, None) for line, code, out in QUERY_PINS}
     runs = list(_workflow_runs())
     assert runs
     assert [line for line, argv, _ in runs if argv not in rows] == []
     for line, argv, pin in runs:
         code, out, err = rows[argv]
-        assert pin in (None, (code, out.rstrip("\n"), err and err.rstrip("\n"))), line
-
-
-def test_corpus_runs(capsys):
-    code, out, _ = invoke(capsys, "corpus", "--seed", "1", "--count", "3")
-    assert code == EXIT_OK
-    assert "consistent,3" in out
-
-
-def test_corpus_deterministic_output(capsys):
-    _, out1, _ = invoke(capsys, "corpus", "--seed", "2", "--count", "4", "--format", "json")
-    _, out2, _ = invoke(capsys, "corpus", "--seed", "2", "--count", "4", "--format", "json")
-    assert out1 == out2
+        assert pin in (None, (code, out.rstrip("\n"), err.rstrip("\n"))), line
 
 
 def test_a_counterexample_candidate_exits_4(capsys, monkeypatch):
@@ -685,79 +668,6 @@ def test_a_counterexample_candidate_exits_4(capsys, monkeypatch):
 
 
 # ---- exit codes ---------------------------------------------------------------
-
-
-def test_domain_error_exit(capsys):
-    code, _, err = invoke(capsys, "sigma", "--preset", "F1", "--divisor", "F:1", "--ray", "E")
-    assert code == EXIT_DOMAIN
-    assert "big" in err
-
-
-def test_parse_error_exit(capsys):
-    code, _, err = invoke(capsys, "h0", "--preset", "P2", "--divisor", "H:1/0")
-    assert code == EXIT_PARSE
-
-
-def test_unknown_ray_exit(capsys):
-    code, _, _ = invoke(capsys, "h0", "--preset", "P2", "--divisor", "Z:1")
-    assert code == EXIT_PARSE
-
-
-def test_missing_variety_exit(capsys):
-    code, _, _ = invoke(capsys, "h0", "--divisor", "H:1")
-    assert code == EXIT_PARSE
-
-
-# argv -> its whole stderr line after "parse error: "; the test runs over
-# the keys, so its ids stay positional (argv0 ... argv24)
-PARSE_ERRORS = {
-    ("sigma", "--preset", "F1", "--divisor", "C:1,E:1", "--ray", "Z"): "--ray: unknown ray 'Z'",
-    ("sigma", "--preset", "F1", "--divisor", "C:1,E:1", "--ray", "7"): "--ray: ray index 7 out of range",
-    ("sigma", "--e", "1", "--divisor", "C:1,E:1", "--ray", "Z"): "--ray: unknown component 'Z' on F_1",
-    ("intersect", "--preset", "F1", "--divisor", "C:1", "--with", "Z:1"): "divisors: unknown ray 'Z'",
-    ("h0", "--preset", "XX", "--divisor", "H:1"): "--preset: unknown fan preset 'XX'",
-    ("paper-example", "--samples", "1,0"): "sample 0 is not positive",
-    ("h0", "--file", "no-such-problem.json", "--divisor", "D"): "--file: [Errno 2] No such file or directory: 'no-such-problem.json'",
-    ("hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", "0"): "sample 0 is not positive",
-    ("h0", "--e", "-1", "--divisor", "C:1"): "--e: the ruling invariant e must be non-negative",
-    ("h0", "--e", "1", "--fibers", "F1,F1", "--divisor", "C:1"): "--e: fiber labels must be distinct",
-    ("h0", "--preset", "P2", "--divisor", "H:1,r2:2"): "divisors: 'H' and 'r2' both name ray 2",
-    ("h0", "--preset", "P2", "--divisor", "r0:1,0:3"): "divisors: 'r0' and '0' both name ray 0",
-    ("h0", "--preset", "P2", "--divisor", "H:1,H:2"): "component 'H' is given twice",
-    ("h0", "--e", "1", "--divisor", "C:1,C:2"): "component 'C' is given twice",
-    ("intersect", "--preset", "F1", "--divisor", "C:1", "--with", "E:1,r1:1"): "divisors: 'E' and 'r1' both name ray 1",
-    ("hilbert", "--preset", "P2", "--divisor", "H:1", "--samples", ","): "--samples: no sample listed",
-    ("check-a", "--preset", "F1", "--divisor", "C:1,E:1", "--effective", "E:1", "--samples", " , "): "--samples: no sample listed",
-    ("check-b", "--preset", "F1", "--divisor", "C:1,E:1", "--effective", "E:1", "--samples", ",,"): "--samples: no sample listed",
-    ("paper-example", "--samples", ","): "--samples: no sample listed",
-    ("corpus", "--count", "-1"): "--count: must be a non-negative integer, got -1",
-    ("h0", "--preset", "P2", "--divisor", "H:1", "--scale", ""): "scale: bad scalar literal ''",
-    ("h0", "--preset", "P2", "--file", "", "--divisor", "H:1"): "--file: [Errno 2] No such file or directory: ''",
-    ("h0", "--preset", "", "--divisor", "H:1"): "--preset: unknown fan preset ''",
-    ("h0", "--e", "1", "--fibers", "", "--divisor", "C:1,F1:1"): "--e: fiber labels must be nonempty",
-    ("h0", "--e", "1", "--fibers", "p1,", "--divisor", "C:1"): "--e: fiber labels must be nonempty",
-}
-
-
-@pytest.mark.parametrize("argv", PARSE_ERRORS)
-def test_bad_user_input_is_a_parse_error(capsys, argv):
-    assert invoke(capsys, *argv) == (EXIT_PARSE, "", f"parse error: {PARSE_ERRORS[argv]}\n")
-
-
-@pytest.mark.parametrize(
-    "argv, line",
-    [
-        (("intersect", "--preset", "F1", "--divisor", "C:1", "--with", "Z:1"), "parse error: divisors: unknown ray 'Z'"),
-        (("h0", "--e", "1", "--divisor", "F9:1"), "parse error: divisors: unknown component 'F9' on F_1"),
-        (("sigma", "--e", "1", "--divisor", "C:1,E:1", "--ray", "Z"), "parse error: --ray: unknown component 'Z' on F_1"),
-    ],
-    ids=["fan-divisor", "surface-divisor", "surface-ray"],
-)
-def test_unknown_label_message_has_no_key_error_quotes(capsys, argv, line):
-    code, out, err = invoke(capsys, *argv)
-    assert code == EXIT_PARSE
-    assert out == ""
-    assert err == line + "\n"
 
 
 def test_file_divisor_naming_one_ray_twice_is_a_parse_error(capsys, tmp_path):
@@ -1149,7 +1059,14 @@ def test_file_with_surface_model(capsys, tmp_path):
     assert code == EXIT_OK and out.strip() == "1"
 
 
-def test_identical_invocations_identical_bytes(capsys):
-    _, out1, _ = invoke(capsys, "nsigma", "--preset", "F1", "--divisor", "C:1,E:2", "--format", "json")
-    _, out2, _ = invoke(capsys, "nsigma", "--preset", "F1", "--divisor", "C:1,E:2", "--format", "json")
-    assert out1 == out2
+
+
+def test_nsigma_on_a_surface_file_reads_it_once(capsys, monkeypatch, tmp_path):
+    # nsigma on a surface prints the Zariski pair from the context it loaded
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"variety": {"kind": "hirzebruch", "e": 1}, "divisors": {"D": {"C": "1", "E": "2"}}}))
+    texts = []
+    monkeypatch.setattr(cli, "parse_problem", lambda text: texts.append(text) or parse_problem(text))
+    stdout = "part,component,coefficient\nP,E,1\nP,F,1\nN,E,2\nvolume,,1\n"
+    assert invoke(capsys, "nsigma", "--file", str(path), "--divisor", "D") == (EXIT_OK, stdout, "")
+    assert len(texts) == 1
