@@ -88,9 +88,15 @@ class SurfaceModel(_Frozen):
         return sorted(D.support())
 
     def h0(self, D, m=1, G=None):
-        """h0 of the round-down of mD + G, with G None for no step."""
-        D = D.scale(m)
-        return h0_surface(D if G is None else D + G)
+        """h0 of the round-down of mD + G, with G None for no step: each
+        component m c + g is floored straight to an int, and no divisor is
+        built for mD or mD + G."""
+        m = _as_scalar(m)
+        coeffs = [m * c for c in (D.cE, D.cC, *D.fiber_coeffs)]
+        if G is not None:
+            _same_model(D, G)
+            coeffs = map(add, coeffs, (G.cE, G.cC, *G.fiber_coeffs))
+        return _h0_of_floors(D.model.e, *map(math.floor, coeffs))
 
     def volume(self, D):
         return toric.volume(_toric(D))
@@ -164,8 +170,7 @@ class SDivisor(_Frozen):
 
     def _combine(self, other, op):
         """self op other for op = add or sub, component by component."""
-        if self.model != other.model:
-            raise ValueError("divisors live on different surface models")
+        _same_model(self, other)
         return SDivisor(
             self.model,
             op(self.cE, other.cE),
@@ -221,13 +226,22 @@ def _toric(D: SDivisor) -> toric.TDivisor:
     return toric.preset_fan(f"F{D.model.e}").divisor({"E": x, "F": y})
 
 
+def _same_model(D: SDivisor, G: SDivisor) -> None:
+    if D.model != G.model:
+        raise ValueError("divisors live on different surface models")
+
+
 def h0_surface(D: SDivisor) -> int:
     """Sections of the round-down of D, taken per prime component before
-    the fibers collapse to their class: x = floor(cE) + floor(cC) and y =
-    e floor(cC) + sum floor(b_i), as ints, and toric.h0 of x D_E + y D_F on
-    F_e, built straight off its integer record, with no Scalar."""
-    e, c = D.model.e, math.floor(D.cC)
-    x, y = math.floor(D.cE) + c, e * c + sum(map(math.floor, D.fiber_coeffs))
+    the fibers collapse to their class."""
+    return _h0_of_floors(D.model.e, math.floor(D.cE), math.floor(D.cC), *map(math.floor, D.fiber_coeffs))
+
+
+def _h0_of_floors(e: int, fE: int, fC: int, *fibers: int) -> int:
+    """Sections of fE E + fC C + sum f_i F_i on F_e, for the ints of a
+    round-down: x = fE + fC and y = e fC + sum f_i, and toric.h0 of x D_E +
+    y D_F on F_e, built straight off its integer record, with no Scalar."""
+    x, y = fE + fC, e * fC + sum(fibers)
     # the preset's rays are F, E, C and F'; offsets are coefficients negated
     return toric.h0(toric._divisor(toric.preset_fan(f"F{e}"), 1, 0, (-y, -x, 0, 0), (0,) * 4))
 

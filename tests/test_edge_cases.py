@@ -1,7 +1,6 @@
 """Edge cases cutting across modules: degenerate geometry, redundant data,
-non-primitive rows, translations, and the less-traveled CLI paths."""
+non-primitive rows and translations."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import EmptyPolytope, euclidean_volume, facet_scalars, translate, vertices
-from rdiv.cli import EXIT_OK, run
 from rdiv.polyhedra import (
     HPolytope,
     lattice_points,
@@ -111,21 +109,3 @@ def test_f3_preset_sigma():
     # class 2E + 3F: (D).E = 3 - 6 < 0, sigma_E = 2 - 3/3 = 1
     assert sigma(D, "E") == Scalar(1)
     assert volume(D) == Scalar(3)  # P = (1,3): -3 + 2*3 = 3
-
-
-# ---- cli edges ----------------------------------------------------------------
-
-
-def test_cli_fan_json_with_names(capsys, tmp_path):
-    doc = {
-        "variety": {
-            "rays": [[1, 0], [0, 1], [-1, 1], [0, -1]],
-            "cones": [[0, 1], [1, 2], [2, 3], [3, 0]],
-            "names": {"E": 1, "C": 3},
-        },
-        "divisors": {"D": {"C": "1", "E": "1"}},
-    }
-    path = tmp_path / "named.json"
-    path.write_text(json.dumps(doc))
-    assert run(["sigma", "--file", str(path), "--divisor", "D", "--ray", "E"]) == EXIT_OK
-    assert capsys.readouterr().out == "1\n"

@@ -437,6 +437,28 @@ def test_model_h0_of_m_and_a_step_counts_the_built_divisor(model, coeffs, m, ste
         assert model.h0(D) == h0_surface(D) == built
 
 
+def test_model_h0_of_m_and_a_step_builds_no_divisor():
+    # each component of mD + G is floored straight to an int, into the
+    # record h0_surface counts: no SDivisor is built for mD or for mD + G
+    D, G = twisted(MODEL1), MODEL1.divisor({"E": Fraction(1, 2), "F2": -R2})
+    cases = [(D, m, G) for m in (1, 3, R2, Fraction(5, 2))] + [(D, R2, None)]
+    built = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is SDivisor.__init__.__code__:
+            built.append(frame.f_code.co_name)
+
+    sys.setprofile(watch)
+    try:
+        counts = [MODEL1.h0(*case) for case in cases]
+    finally:
+        sys.setprofile(None)
+    assert built == []
+    assert counts == [h0_surface(D.scale(m) if G is None else D.scale(m) + G) for D, m, G in cases]
+    with pytest.raises(ValueError, match="different surface models"):
+        MODEL1.h0(D, 2, MODEL2.divisor({"E": 1}))
+
+
 def _answer(query):
     """query(), or the type and message of the NotBig or NotPseudoeffective
     it raises."""
